@@ -90,7 +90,7 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _resolve_function(name_or_path: str, m: int) -> FunctionTable:
-    if name_or_path in BUILTIN_NAMES:
+    if name_or_path.lower() in BUILTIN_NAMES:
         return builtin_table(name_or_path, m)
     if Path(name_or_path).exists():
         f = load_table(name_or_path)
@@ -437,6 +437,7 @@ def cmd_run(cfg: RunConfig) -> int:
         "convergence_caveat": CONVERGENCE_CAVEAT,
         "sup_deltas": list(result.trace.sup_deltas),
         "cross_k_gap": result.cross_k_gap,
+        "envelope_chains": result.envelope_chains,
         "tracked": tracked_rec,
         "initial_node": cfg.initial_node,
         "threads": cfg.threads,
@@ -506,6 +507,18 @@ def cmd_certify(args: argparse.Namespace) -> int:
     return 0
 
 
+def _worst_drop(series: list) -> float:
+    """Largest drop beyond 1e-12 from a finite value to the next one (inf
+    when it falls back to BOTTOM); 0.0 when the series never decreases."""
+    worst = 0.0
+    for prev, nxt in zip(series, series[1:]):
+        if prev == BOTTOM:
+            continue
+        if nxt == BOTTOM or nxt < prev - 1e-12:
+            worst = max(worst, float("inf") if nxt == BOTTOM else prev - nxt)
+    return worst
+
+
 def cmd_sweep_delta(args: argparse.Namespace) -> int:
     try:
         deltas = [float(s) for s in args.deltas.split(",") if s]
@@ -552,21 +565,14 @@ def cmd_sweep_delta(args: argparse.Namespace) -> int:
         series = result.trace.max_series[0]
         curves.append((f"delta={delta:g}", list(range(len(series))), series))
 
-        monotone = True
-        worst_drop = 0.0
-        for prev, nxt in zip(series, series[1:]):
-            if prev == BOTTOM:
-                continue
-            if nxt == BOTTOM or nxt < prev - 1e-12:
-                monotone = False
-                worst_drop = max(worst_drop, float("inf") if nxt == BOTTOM else prev - nxt)
+        worst_drop = max(_worst_drop(s) for s in result.trace.max_series)
         per_delta.append(
             {
                 "delta": delta,
                 "t_stop": result.t_stop,
                 "stop_reason": result.stop_reason,
                 "tracked": tracked_rec,
-                "monotone_nondecreasing": monotone,
+                "monotone_nondecreasing": worst_drop == 0.0,
                 "worst_drop": worst_drop,
             }
         )
@@ -586,13 +592,12 @@ def cmd_sweep_delta(args: argparse.Namespace) -> int:
     cross = []
     order = sorted(deltas, reverse=True)
     for coarse, fine in zip(order, order[1:]):
-        sc = results[coarse].trace.max_series[0]
-        sf = results[fine].trace.max_series[0]
         worst = 0.0
-        for vc, vf in zip(sc, sf):
-            if vc == BOTTOM:
-                continue
-            worst = max(worst, float("inf") if vf == BOTTOM else vc - vf)
+        for sc, sf in zip(results[coarse].trace.max_series, results[fine].trace.max_series):
+            for vc, vf in zip(sc, sf):
+                if vc == BOTTOM:
+                    continue
+                worst = max(worst, float("inf") if vf == BOTTOM else vc - vf)
         cross.append(
             {
                 "coarse_delta": coarse,
@@ -677,22 +682,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, with_delta: bool = True) -> None:
+    def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--function", required=True,
                        help=f"builtin {BUILTIN_NAMES} or a truth-table file")
         p.add_argument("--m", type=int, required=True, help="number of sources")
-        if with_delta:
-            p.add_argument("--delta", type=float, required=True,
-                           help="grid step (reciprocal of an integer)")
+        p.add_argument("--delta", type=float, required=True,
+                       help="grid step (reciprocal of an integer)")
+        p.add_argument("--output-dir", "-o", default=".", help="artifact directory")
+
+    def sweep_options(p: argparse.ArgumentParser) -> None:
+        """Options of the commands that iterate sweeps through run()."""
         p.add_argument("--t-max", type=int, default=40, help="sweep budget")
         p.add_argument("--eps", type=float, default=1e-6,
                        help="sup-norm stop threshold between sweeps")
         p.add_argument("--threads", type=int, default=1,
                        help="envelope worker threads (RATERED_THREADS overrides)")
-        p.add_argument("--output-dir", "-o", default=".", help="artifact directory")
 
     p_run = sub.add_parser("run", help="iterate fields and export them")
     common(p_run)
+    sweep_options(p_run)
     p_run.add_argument("--track", action="append", default=[],
                        metavar="P1,P2,...", help="pmf to trace (repeatable)")
     p_run.add_argument("--initial-node", type=int, default=None,
@@ -710,9 +718,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cert.add_argument("--delta", type=float, default=None,
                         help="expected grid step (validated against the CSV)")
     p_cert.add_argument("--tol", type=float, default=1e-4)
-    p_cert.add_argument("--t-max", type=int, default=40)
-    p_cert.add_argument("--eps", type=float, default=1e-6)
-    p_cert.add_argument("--threads", type=int, default=1)
+    sweep_options(p_cert)
     p_cert.add_argument("--output-dir", "-o", default=".")
 
     p_sweep = sub.add_parser("sweep-delta", help="overlay traces across grid steps")
@@ -720,9 +726,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--m", type=int, required=True)
     p_sweep.add_argument("--deltas", required=True, help="comma list, e.g. 0.1,0.05,0.02")
     p_sweep.add_argument("--track", action="append", default=[], metavar="P1,P2,...")
-    p_sweep.add_argument("--t-max", type=int, default=40)
-    p_sweep.add_argument("--eps", type=float, default=1e-6)
-    p_sweep.add_argument("--threads", type=int, default=1)
+    sweep_options(p_sweep)
     p_sweep.add_argument("--output-dir", "-o", default=".")
 
     p_oracle = sub.add_parser("oracle-check", help="brute-force one-message cross-check")

@@ -35,6 +35,7 @@ class TestRunCommand:
         assert md["tracked"][0]["snapped_index"] == [5, 5, 5]
         assert md["tracked"][0]["requested"] == [0.5, 0.5, 0.5]
         assert len(md["sup_deltas"]) == md["t_stop"]
+        assert md["envelope_chains"] == 1      # min's base is rotation-invariant
         svg = (tmp_path / "trace.svg").read_text()
         assert svg.startswith("<svg") and "polyline" in svg
 
@@ -127,6 +128,29 @@ class TestRunCommand:
         assert code == 0
         assert (out / "field_max.csv").exists()
 
+    def test_builtin_name_is_case_insensitive(self, tmp_path):
+        for name in ("min", "MIN"):
+            code = cli.main([
+                "run", "--function", name, "--m", "3", "--delta", "0.5",
+                "--t-max", "2", "-o", str(tmp_path / name),
+            ])
+            assert code == 0
+        assert ((tmp_path / "MIN" / "field_max.csv").read_bytes()
+                == (tmp_path / "min" / "field_max.csv").read_bytes())
+
+    def test_envelope_chains_m_without_rotation_invariance(self, tmp_path):
+        table = tmp_path / "first.txt"
+        table.write_text(
+            "arity m=2 alphabets=2,2 outputs=0,1\n"
+            "0 0 -> 0\n0 1 -> 0\n1 0 -> 1\n1 1 -> 1\n"
+        )
+        code = cli.main([
+            "run", "--function", str(table), "--m", "2", "--delta", "0.25",
+            "--t-max", "2", "-o", str(tmp_path / "out"),
+        ])
+        assert code == 0
+        assert read_json(tmp_path / "out" / "metadata.json")["envelope_chains"] == 2
+
 
 class TestCertifyCommand:
     def test_pass_on_own_converged_field(self, tmp_path):
@@ -194,6 +218,48 @@ class TestSweepDeltaCommand:
         assert "0.5," in text and "0.25," in text
         assert (tmp_path / "sweep_trace.svg").exists()
 
+    @staticmethod
+    def _run_with_point1(monkeypatch, edit):
+        """Patch the run() that sweep-delta calls so that edit(delta, series)
+        rewrites tracked point 1's max series."""
+        real_run = cli.run
+
+        def patched(grid, *args, **kwargs):
+            result = real_run(grid, *args, **kwargs)
+            series = result.trace.max_series[1]
+            series[:] = edit(grid.delta, series)
+            return result
+
+        monkeypatch.setattr(cli, "run", patched)
+
+    SWEEP_ARGS = [
+        "sweep-delta", "--function", "min", "--m", "3", "--deltas", "0.5,0.25",
+        "--track", "0.5,0.5,0.5", "--track", "1,0.5,0.5",
+        "--t-max", "4", "--eps", "1e-300",
+    ]
+
+    def test_drop_at_any_tracked_point_fails(self, tmp_path, monkeypatch, capsys):
+        self._run_with_point1(
+            monkeypatch,
+            lambda delta, s: s[:-1] + [s[-2] - 0.5] if delta == 0.25 else s,
+        )
+        code = cli.main(self.SWEEP_ARGS + ["-o", str(tmp_path)])
+        assert code == 2
+        assert "non-monotone" in capsys.readouterr().err
+        coarse, fine = read_json(tmp_path / "sweep_report.json")["per_delta"]
+        assert coarse["monotone_nondecreasing"] is True
+        assert fine["monotone_nondecreasing"] is False
+        assert fine["worst_drop"] == pytest.approx(0.5)
+
+    def test_cross_delta_checks_every_tracked_point(self, tmp_path, monkeypatch):
+        self._run_with_point1(
+            monkeypatch, lambda delta, s: [v - 0.25 for v in s] if delta == 0.25 else s
+        )
+        assert cli.main(self.SWEEP_ARGS + ["-o", str(tmp_path)]) == 0
+        (cross,) = read_json(tmp_path / "sweep_report.json")["cross_delta"]
+        assert cross["max_coarse_minus_fine"] >= 0.25 - 1e-9
+        assert cross["fine_never_below_coarse_at_1e-9"] is False
+
     def test_requires_track(self, tmp_path, capsys):
         code = cli.main([
             "sweep-delta", "--function", "min", "--m", "3",
@@ -224,6 +290,16 @@ class TestOracleCheckCommand:
         ])
         assert code == 2
         assert "point" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--t-max", "--eps", "--threads"])
+    def test_rejects_sweep_options(self, tmp_path, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([
+                "oracle-check", "--function", "min", "--m", "3", "--delta", "0.2",
+                "--k", "1", "--point", "1,1,0.5", flag, "3", "-o", str(tmp_path),
+            ])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestConfigErrors:

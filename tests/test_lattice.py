@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from ratered.lattice import (
     cross_k_gap,
     initial_bank,
     initial_field,
+    is_rotation_invariant,
     next_node,
     run,
     sum_rate_field,
@@ -18,7 +20,20 @@ from ratered.lattice import (
     zero_message_mask,
 )
 from ratered.probability import GridSpec, entropy_grid, grid_points, product_entropy
-from ratered.target_functions import builtin_table, computable_with_zero_messages
+from ratered.target_functions import (
+    BUILTIN_NAMES,
+    FunctionTable,
+    builtin_table,
+    computable_with_zero_messages,
+)
+
+# x1 ? x2 : x3, which no cyclic shift of the inputs leaves unchanged
+SELECTOR3 = FunctionTable(
+    m=3,
+    alphabet_sizes=(2, 2, 2),
+    output_alphabet=(0, 1),
+    table={x: x[1] if x[0] else x[2] for x in itertools.product((0, 1), repeat=3)},
+)
 
 
 class TestZeroMessageField:
@@ -106,6 +121,68 @@ class TestSweepMechanics:
         for k in (1, 2, 3):
             assert np.array_equal(serial.bank.field_for(k).data,
                                   threaded.bank.field_for(k).data)
+
+
+def _reference_run(grid, f, t_max, eps):
+    """run() spelled out with sweep_once and bank_sup_delta on every node."""
+    banks = [initial_bank(grid, f)]
+    deltas = []
+    for _ in range(t_max):
+        banks.append(sweep_once(banks[-1]))
+        deltas.append(bank_sup_delta(banks[-1], banks[-2]))
+        if deltas[-1] <= eps:
+            break
+    return banks, deltas
+
+
+def _bits(a):
+    return a.view(np.uint64)
+
+
+class TestRotatedSweep:
+    CASES = [(name, m) for m in (2, 3, 4) for name in BUILTIN_NAMES]
+
+    @pytest.mark.parametrize("f", [builtin_table(n, m) for n, m in CASES] + [SELECTOR3],
+                             ids=[f"{n}-m{m}" for n, m in CASES] + ["selector-m3"])
+    def test_run_bitwise_equals_sweep_once_loop(self, f):
+        grid = GridSpec.from_delta(f.m, 0.1)
+        tracked = ((5, 5) + (3,) * (f.m - 2), (2,) + (7,) * (f.m - 1), (0,) * f.m)
+        res = run(grid, f, t_max=6, eps=1e-12, tracked=tracked, keep_history=True)
+        banks, deltas = _reference_run(grid, f, t_max=6, eps=1e-12)
+
+        invariant = is_rotation_invariant(banks[0].field_for(1).data)
+        assert res.envelope_chains == (1 if invariant else f.m)
+        assert len(res.history) == len(banks) and res.t_stop == banks[-1].tau
+        for got, want in zip(res.history, banks):
+            assert got.tau == want.tau
+            for gf, wf in zip(got.fields, want.fields):
+                assert (gf.tau, gf.k) == (wf.tau, wf.k)
+                assert gf.data.flags.c_contiguous
+                assert np.array_equal(_bits(gf.data), _bits(wf.data))
+        assert res.trace.sup_deltas == deltas
+        assert res.cross_k_gap == cross_k_gap(banks[-1])
+        for p, point in enumerate(tracked):
+            per_k = [[b.field_for(k).value_at(point) for b in banks]
+                     for k in range(1, f.m + 1)]
+            assert res.trace.per_k[p] == per_k
+            assert res.trace.max_series[p] == [max(v) for v in zip(*per_k)]
+
+    @pytest.mark.parametrize("f, delta, chains", [
+        (builtin_table("min", 3), 0.05, 1),
+        (builtin_table("parity", 3), 0.05, 1),
+        # cyclic table, but entropy_grid's axis-order sums differ in the last ulp
+        (builtin_table("min", 4), 0.1, 4),
+        (SELECTOR3, 0.05, 3),
+    ], ids=["min-m3", "parity-m3", "min-m4", "selector-m3"])
+    def test_reduction_engages_only_on_invariant_data(self, f, delta, chains):
+        res = run(GridSpec.from_delta(f.m, delta), f, t_max=0, eps=1e-6)
+        assert res.envelope_chains == chains
+
+    def test_invariance_is_bitwise(self):
+        a = np.zeros((2, 2))
+        assert is_rotation_invariant(a)
+        a[0, 1] = -0.0
+        assert not is_rotation_invariant(a)
 
 
 class TestSupDelta:

@@ -11,6 +11,7 @@ configs produce byte-identical CSVs regardless of the thread count.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -38,6 +39,9 @@ CONVERGENCE_CAVEAT = (
     "no bound on the remaining distance to the many-message limit is implied, "
     "and a finer grid step can keep the values growing"
 )
+
+# Rows parsed per block by read_field_csv; bounds its cell strings in memory.
+_READ_BLOCK = 4096
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
@@ -159,7 +163,13 @@ def write_field_csv(path: Path, field_in: RateReductionField, label: str) -> Non
 
 
 def read_field_csv(path) -> RateReductionField:
-    """Re-ingest a field CSV bit-exactly (tau is unknown from a file: -1)."""
+    """Re-ingest a field CSV bit-exactly (tau is unknown from a file: -1).
+
+    Every cell is checked against the format write_field_csv produces: rho
+    must be finite or -inf, each p_j cell must read exactly as the grid value
+    of its i_j, and Rsum must equal sum_rate_field of the parsed field bit
+    for bit.  A bad cell is reported with its line number.
+    """
     text = Path(path).read_text().splitlines()
     if not text:
         raise ConfigError(f"{path}: empty field CSV")
@@ -176,30 +186,73 @@ def read_field_csv(path) -> RateReductionField:
     label = header[2 * m][len("rho_"):]
     k = int(label) if label.isdigit() else 0
 
-    rows = []
-    for ln, line in enumerate(text[1:], start=2):
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != n_cols:
-            raise ConfigError(f"{path}:{ln}: expected {n_cols} cells, got {len(parts)}")
-        idx = tuple(int(s) for s in parts[:m])
-        rows.append((idx, float(parts[2 * m])))
-    if not rows:
+    body = [line for line in text[1:] if line]
+    if not body:
         raise ConfigError(f"{path}: field CSV has no data rows")
-    n_steps = max(max(idx) for idx, _ in rows)
-    grid = GridSpec(m=m, n_steps=n_steps)
-    if len(rows) != grid.n_points:
+
+    def where(r: int) -> str:
+        """path:line of data row r (blank lines are skipped)."""
+        return f"{path}:{[ln for ln, s in enumerate(text[1:], 2) if s][r]}"
+
+    if set(map(str.count, body, itertools.repeat(","))) != {n_cols - 1}:
+        r = next(r for r, line in enumerate(body) if line.count(",") != n_cols - 1)
         raise ConfigError(
-            f"{path}: {len(rows)} rows does not cover the "
+            f"{where(r)}: expected {n_cols} cells, got {body[r].count(',') + 1}"
+        )
+    pairs: list = [set() for _ in range(m)]    # distinct (i_j, p_j cell) per axis
+    indices, values = [], []
+    try:
+        for lo in range(0, len(body), _READ_BLOCK):
+            # Whole columns of a block at once: cell c of row r sits at
+            # cells[r * n_cols + c].  Blocks keep the cell strings few.
+            cells = ",".join(body[lo : lo + _READ_BLOCK]).split(",")
+            cols = [list(map(int, cells[j::n_cols])) for j in range(m)]
+            for j in range(m):
+                pairs[j].update(zip(cols[j], cells[m + j :: n_cols]))
+            indices.append(np.array(cols))
+            values.append(np.array([list(map(float, cells[c::n_cols]))
+                                    for c in (2 * m, 2 * m + 1)]))
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+    index = np.concatenate(indices, axis=1)
+    rho, rsum = np.concatenate(values, axis=1)
+    bad = np.isnan(rho) | (rho == math.inf)
+    if bad.any():
+        r = int(np.argmax(bad))
+        raise ConfigError(
+            f"{where(r)}: rho {body[r].split(',')[2 * m]!r} is neither finite nor -inf"
+        )
+    if index.min() < 0:
+        raise ConfigError(f"{path}: negative grid index")
+    grid = GridSpec(m=m, n_steps=int(index.max()))
+    if len(body) != grid.n_points:
+        raise ConfigError(
+            f"{path}: {len(body)} rows does not cover the "
             f"{grid.n_points}-point grid inferred from the indices"
         )
-    data = np.full(grid.shape, np.nan)
-    for idx, value in rows:
-        data[idx] = value
+    axis = [_fmt(v) for v in grid.axis_values()]
+    for j in range(m):
+        if any(axis[i] != p for i, p in pairs[j]):
+            r = next(r for r, line in enumerate(body)
+                     if line.split(",")[m + j] != axis[index[j, r]])
+            raise ConfigError(
+                f"{where(r)}: p_{j + 1} = {body[r].split(',')[m + j]!r} is not the "
+                f"grid value {axis[index[j, r]]} of i_{j + 1} = {index[j, r]}"
+            )
+    flat = np.ravel_multi_index(index, grid.shape)
+    data = np.full(grid.n_points, np.nan)
+    data[flat] = rho
     if np.any(np.isnan(data)):
         raise ConfigError(f"{path}: duplicate rows leave grid points unfilled")
-    return RateReductionField(grid=grid, data=data, tau=-1, k=k)
+    field = RateReductionField(grid=grid, data=data.reshape(grid.shape), tau=-1, k=k)
+    bad = sum_rate_field(field).reshape(-1)[flat].view(np.uint64) != rsum.view(np.uint64)
+    if bad.any():
+        r = int(np.argmax(bad))
+        raise ConfigError(
+            f"{where(r)}: Rsum {body[r].split(',')[2 * m + 1]!r} is not the "
+            "joint entropy minus rho (inf where rho is -inf)"
+        )
+    return field
 
 
 def write_trace_csv(path: Path, result: RunResult, delta_label: str | None = None) -> None:
@@ -398,14 +451,18 @@ def cmd_run(cfg: RunConfig) -> int:
         )
         artifacts.append("trace.svg")
 
+    slice_rec = None
     if cfg.slice_spec is not None:
         axis, value = _parse_slice(cfg.slice_spec, cfg.m)
         fixed = int(round(value * grid.n_steps))
+        snapped = float(grid.axis_values()[fixed])
+        slice_rec = {"axis": axis, "requested": value,
+                     "snapped_index": fixed, "snapped_value": snapped}
         sl = [slice(None)] * cfg.m
         sl[axis - 1] = fixed
         sliced = report_field.data[tuple(sl)]
         h = entropy_grid(grid)[tuple(sl)]
-        name = f"slice_p{axis}_{value:g}".replace(".", "p") + ".csv"
+        name = f"slice_p{axis}_{snapped:g}".replace(".", "p") + ".csv"
         keep = [j for j in range(cfg.m) if j != axis - 1]
         axis_vals = [_fmt(v) for v in grid.axis_values()]
         lines = [
@@ -439,6 +496,7 @@ def cmd_run(cfg: RunConfig) -> int:
         "cross_k_gap": result.cross_k_gap,
         "envelope_chains": result.envelope_chains,
         "tracked": tracked_rec,
+        "slice": slice_rec,
         "initial_node": cfg.initial_node,
         "threads": cfg.threads,
         "elapsed_seconds": elapsed,

@@ -12,6 +12,16 @@ extrapolation is ever performed.
 Hull construction and interpolation use integer abscissae (the index i
 rather than i/N); the two are affinely equivalent and integer arithmetic
 keeps the hull tests free of grid-step rounding.
+
+Two implementations share that arithmetic.  _envelope_line is the scalar
+reference: Andrew's monotone chain and a chord walk over one line in plain
+Python floats; upper_concave_envelope uses it, and the tests compare the
+batch kernel against it bit for bit.  envelope_batch, which every sweep
+calls, runs _envelope_rows: the same monotone chain on all rows of a batch
+in lockstep, one numpy step per column (and per round of pops), then the
+interpolation for the whole batch in one vectorised pass.  It performs the
+reference's float operations in the same order, so the two agree to the
+last bit, ties and BOTTOM rows included.
 """
 
 from __future__ import annotations
@@ -81,6 +91,66 @@ def _envelope_line(v: list) -> list:
     return out
 
 
+def _envelope_rows(lines: np.ndarray) -> np.ndarray:
+    """_envelope_line on every row of a 2D array at once, bit for bit.
+
+    Hull pass: walk the columns left to right; every row keeps its hull
+    stack in a flat array at row*n + depth, with tops[r] pointing at its top
+    entry.  At column j the pop test runs on the rows still popping until
+    none pops, then j is pushed on every row where it is finite.
+    Interpolation pass: every grid index takes the previous and next hull
+    vertex of its row by a running max / min over the vertex mask.  Both
+    passes use the reference's arithmetic operation for operation, so every
+    float is the same.  A row with at most one finite point has no chord to
+    fill and comes back unchanged.
+    """
+    v = np.asarray(lines, dtype=np.float64)
+    rows, n = v.shape
+    itype = np.int32 if rows * n < 2**31 else np.int64
+    base = np.arange(rows, dtype=itype) * n
+    by_col = v.T.copy()
+    finite = by_col != BOTTOM
+    hx = np.zeros(rows * n, dtype=itype)
+    hy = np.zeros(rows * n, dtype=np.float64)
+    tops = base - 1
+    # Rows that are not popping still gather (at most two entries below
+    # their own stack, a valid flat index); the mask discards what they read.
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        for j in range(n):
+            at = np.flatnonzero(finite[j])
+            y = by_col[j, at]
+            top = tops[at]
+            floor = base[at] + 1
+            popping = top >= floor
+            while popping.any():
+                x1 = hx[top]
+                x0 = hx[top - 1]
+                y0 = hy[top - 1]
+                popping &= (x1 - x0) * (y - y0) - (hy[top] - y0) * (j - x0) >= 0.0
+                top -= popping
+                popping &= top >= floor
+            top += 1
+            hx[top] = j
+            hy[top] = y
+            tops[at] = top
+
+        depth = tops - base + 1
+        cols = np.arange(n, dtype=itype)
+        vertex = np.zeros((rows, n), dtype=bool)
+        vertex[np.repeat(np.arange(rows), depth),
+               hx.reshape(rows, n)[cols < depth[:, None]]] = True
+        x0 = np.maximum.accumulate(np.where(vertex, cols, -1), axis=1)
+        x1 = np.minimum.accumulate(np.where(vertex, cols, n)[:, ::-1], axis=1)[:, ::-1]
+        inside = (x0 >= 0) & (x1 < n)
+        np.maximum(x0, 0, out=x0)
+        np.minimum(x1, n - 1, out=x1)
+        flat = v.reshape(-1)
+        y0 = flat[base[:, None] + x0]
+        y1 = flat[base[:, None] + x1]
+        chord = y0 + (y1 - y0) * (cols - x0) / (x1 - x0)
+    return np.where(vertex, v, np.where(inside, chord, BOTTOM))
+
+
 def envelope_batch(lines: np.ndarray, threads: int = 1) -> np.ndarray:
     """Envelope of every row of a 2D array, row-independently.
 
@@ -93,8 +163,7 @@ def envelope_batch(lines: np.ndarray, threads: int = 1) -> np.ndarray:
     out = np.empty_like(lines)
 
     def work(lo: int, hi: int) -> None:
-        for r in range(lo, hi):
-            out[r] = _envelope_line(lines[r].tolist())
+        out[lo:hi] = _envelope_rows(lines[lo:hi])
 
     if threads <= 1 or rows < 2 * threads:
         work(0, rows)

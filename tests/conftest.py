@@ -8,8 +8,10 @@ from __future__ import annotations
 
 import time
 
+import numpy as np
 import pytest
 
+from ratered.envelope import _envelope_line
 from ratered.lattice import run
 from ratered.probability import GridSpec
 from ratered.target_functions import builtin_table
@@ -20,6 +22,17 @@ CENTER = (0.5, 0.5, 0.5)
 @pytest.fixture(scope="session")
 def min3():
     return builtin_table("min", 3)
+
+
+@pytest.fixture(scope="session")
+def per_line_envelope():
+    """envelope_batch's reference: the scalar _envelope_line on each row."""
+    def envelope(lines, threads=1):
+        out = np.empty_like(lines)
+        for r in range(lines.shape[0]):
+            out[r] = _envelope_line(lines[r].tolist())
+        return out
+    return envelope
 
 
 @pytest.fixture(scope="session")

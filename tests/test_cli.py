@@ -95,6 +95,19 @@ class TestRunCommand:
             assert float(cells[4]) == pytest.approx(expected, abs=1e-9)
             assert float(cells[5]) == pytest.approx(0.0, abs=1e-9)
 
+    def test_slice_named_after_snapped_value(self, tmp_path):
+        cli.main([
+            "run", "--function", "min", "--m", "3", "--delta", "0.1",
+            "--t-max", "2", "--slice", "p3=0.33", "--emit", "report-json",
+            "-o", str(tmp_path),
+        ])
+        assert (tmp_path / "slice_p3_0p3.csv").exists()
+        assert not (tmp_path / "slice_p3_0p33.csv").exists()
+        md = read_json(tmp_path / "metadata.json")
+        assert md["slice"] == {"axis": 3, "requested": 0.33,
+                               "snapped_index": 3, "snapped_value": 0.3}
+        assert "slice_p3_0p3.csv" in md["artifacts"]
+
     def test_constant_function_degenerate(self, tmp_path):
         cli.main([
             "run", "--function", "constant", "--m", "3", "--delta", "0.2",
@@ -360,6 +373,38 @@ def test_read_field_csv_rejects_incomplete(tmp_path):
         "0,0,0,0,0,0\n0,1,0,1,0,0\n1,0,1,0,0,0\n"
     )
     with pytest.raises(cli.ConfigError):
+        cli.read_field_csv(path)
+
+
+def _corrupt_field_csv(tmp_path, line, col, cell):
+    """A valid m=2, N=2 field CSV with one cell replaced (line is 1-based)."""
+    f = run(GridSpec.from_delta(2, 0.5), builtin_table("min", 2), t_max=1, eps=1e-6)
+    path = tmp_path / "field.csv"
+    cli.write_field_csv(path, f.bank.max_field(), "max")
+    lines = path.read_text().splitlines()
+    cells = lines[line - 1].split(",")
+    cells[col] = cell
+    lines[line - 1] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf"])
+def test_read_field_csv_rejects_non_finite_rho(tmp_path, cell):
+    path = _corrupt_field_csv(tmp_path, 4, 4, cell)
+    with pytest.raises(cli.ConfigError, match=r":4: rho .* neither finite nor -inf"):
+        cli.read_field_csv(path)
+
+
+def test_read_field_csv_rejects_wrong_p_cell(tmp_path):
+    path = _corrupt_field_csv(tmp_path, 6, 3, "0.6")   # row i = (1, 1): p_2 is 0.5
+    with pytest.raises(cli.ConfigError, match=r":6: p_2 = '0.6' is not the grid value 0.5"):
+        cli.read_field_csv(path)
+
+
+def test_read_field_csv_rejects_wrong_rsum(tmp_path):
+    path = _corrupt_field_csv(tmp_path, 2, 5, "0.25")  # i = (0, 0): Rsum is 0
+    with pytest.raises(cli.ConfigError, match=r":2: Rsum '0.25' is not the joint entropy"):
         cli.read_field_csv(path)
 
 

@@ -151,6 +151,21 @@ class TestBatch:
         with pytest.raises(ValueError):
             envelope_batch(np.zeros(5))
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_bitwise_equals_per_line_loop(self, per_line_envelope, threads):
+        rng = np.random.default_rng(10)
+        for n in range(1, 61):
+            lines = rng.uniform(-1.0, 2.0, size=(48, n))
+            lines[8:16] = np.round(lines[8:16] * 4.0) / 4.0   # exactly collinear ties
+            lines[rng.uniform(size=lines.shape) < rng.uniform(0.0, 0.8)] = BOTTOM
+            lines[16:24, : n // 2] = BOTTOM                    # gapped / one-sided rows
+            lines[24] = BOTTOM                                 # all BOTTOM
+            lines[25] = BOTTOM
+            lines[25, n // 2] = 0.75                           # one finite point
+            got = envelope_batch(lines, threads=threads)
+            want = per_line_envelope(lines)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), n
+
 
 class TestConcavityChecks:
     def test_concave_passes(self):

@@ -34,6 +34,14 @@ SELECTOR3 = FunctionTable(
     output_alphabet=(0, 1),
     table={x: x[1] if x[0] else x[2] for x in itertools.product((0, 1), repeat=3)},
 )
+# x1 ? (x2 AND x3) : (x3 OR x4), which no permutation of the inputs leaves unchanged
+SELECTOR4 = FunctionTable(
+    m=4,
+    alphabet_sizes=(2, 2, 2, 2),
+    output_alphabet=(0, 1),
+    table={x: x[1] & x[2] if x[0] else x[2] | x[3]
+           for x in itertools.product((0, 1), repeat=4)},
+)
 
 
 class TestZeroMessageField:
@@ -183,6 +191,27 @@ class TestRotatedSweep:
         assert is_rotation_invariant(a)
         a[0, 1] = -0.0
         assert not is_rotation_invariant(a)
+
+
+class TestLockstepKernel:
+    @pytest.mark.parametrize("f, delta, chains", [
+        (builtin_table("min", 3), 0.05, 1),
+        (SELECTOR4, 0.1, 4),
+    ], ids=["min-m3-rotated", "selector-m4-chains"])
+    def test_run_bitwise_equals_per_line_kernel(self, f, delta, chains, monkeypatch,
+                                                 per_line_envelope):
+        grid = GridSpec.from_delta(f.m, delta)
+        got = run(grid, f, t_max=20, eps=1e-12, keep_history=True)
+        monkeypatch.setattr("ratered.lattice.envelope_batch", per_line_envelope)
+        want = run(grid, f, t_max=20, eps=1e-12, keep_history=True)
+        assert got.envelope_chains == want.envelope_chains == chains
+        assert len(got.history) == len(want.history) > 2
+        for gb, wb in zip(got.history, want.history):
+            for gf, wf in zip(gb.fields, wb.fields):
+                assert np.array_equal(_bits(gf.data), _bits(wf.data))
+        assert _bits(np.array(got.trace.sup_deltas)).tolist() == \
+            _bits(np.array(want.trace.sup_deltas)).tolist()
+        assert _bits(np.array(got.cross_k_gap)) == _bits(np.array(want.cross_k_gap))
 
 
 class TestSupDelta:

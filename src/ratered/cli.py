@@ -5,7 +5,9 @@ dense per-node field CSVs (one row per grid point, 17 significant digits,
 "inf"/"-inf" spellings), a long-format trace CSV, JSON metadata/reports
 (non-finite floats as the same strings), and self-contained SVG line plots
 with no plotting dependency.  CSV is the interface of record; identical
-configs produce byte-identical CSVs regardless of the thread count.
+configs produce byte-identical CSVs regardless of the thread count.  Field
+and slice CSVs are written, and field CSVs read, a block of rows at a time,
+so no whole-file text is held in memory.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ from .envelope import BOTTOM
 from .errors import ConfigError
 from .lattice import RateReductionField, RunResult, run, sum_rate_field
 from .oracle import ConditionalSearchSpec, compare_with_envelope
-from .probability import GridIndex, GridSpec, entropy_grid
+# Unused here; kept because perfbench/tracer.py wraps ratered.cli.entropy_grid.
+from .probability import GridIndex, GridSpec, entropy_grid  # noqa: F401
 from .target_functions import BUILTIN_NAMES, FunctionTable, builtin_table, load_table
 
 EMIT_CHOICES = ("fields-csv", "fields-json", "trace-csv", "trace-svg", "report-json")
@@ -40,8 +43,9 @@ CONVERGENCE_CAVEAT = (
     "and a finer grid step can keep the values growing"
 )
 
-# Rows parsed per block by read_field_csv; bounds its cell strings in memory.
-_READ_BLOCK = 4096
+# Rows per block when a field CSV is written or read; bounds the row and cell
+# strings held in memory at once.
+_CSV_BLOCK = 4096
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
@@ -139,27 +143,35 @@ def _parse_slice(text: str, m: int) -> tuple[int, float]:
 # field CSV format
 
 
-def field_csv_header(m: int, label: str) -> str:
-    cols = [f"i_{j}" for j in range(1, m + 1)]
-    cols += [f"p_{j}" for j in range(1, m + 1)]
-    cols += [f"rho_{label}", f"Rsum_{label}"]
-    return ",".join(cols)
+def _write_grid_csv(path: Path, axes: list, label: str, rho: np.ndarray,
+                    rsum: np.ndarray, grid: GridSpec) -> None:
+    """Dense dump of rho and rsum (one shape, one dimension per 1-based grid
+    axis in axes), one row per cell in row-major index order: the indices,
+    their grid values, rho and rsum.
+
+    Rows are formatted and written _CSV_BLOCK at a time, so memory stays
+    bounded by a block whatever the grid size.  "%.17g" is _fmt.
+    """
+    cells = np.array([_fmt(v) for v in grid.axis_values()], dtype=object)
+    row = ",".join(["%d"] * len(axes) + ["%s"] * len(axes) + ["%.17g"] * 2) + "\n"
+    shape = rho.shape
+    rho, rsum = rho.reshape(-1), rsum.reshape(-1)
+    with open(path, "w") as out:
+        out.write(",".join([f"i_{j}" for j in axes] + [f"p_{j}" for j in axes]
+                           + [f"rho_{label}", f"Rsum_{label}"]) + "\n")
+        for lo in range(0, rho.size, _CSV_BLOCK):
+            hi = min(lo + _CSV_BLOCK, rho.size)
+            index = np.unravel_index(np.arange(lo, hi), shape)
+            cols = [i.tolist() for i in index] + [cells[i].tolist() for i in index]
+            cols += [rho[lo:hi].tolist(), rsum[lo:hi].tolist()]
+            out.write("".join(map(row.__mod__, zip(*cols))))
 
 
 def write_field_csv(path: Path, field_in: RateReductionField, label: str) -> None:
     """Dense dump, one row per grid point in row-major index order."""
     grid = field_in.grid
-    axis = [_fmt(v) for v in grid.axis_values()]
-    rho = field_in.data.reshape(-1)
-    rsum = sum_rate_field(field_in).reshape(-1)
-    lines = [field_csv_header(grid.m, label)]
-    for flat, idx in enumerate(np.ndindex(grid.shape)):
-        cells = [str(i) for i in idx]
-        cells += [axis[i] for i in idx]
-        cells.append(_fmt(rho[flat]))
-        cells.append(_fmt(rsum[flat]))
-        lines.append(",".join(cells))
-    path.write_text("\n".join(lines) + "\n")
+    _write_grid_csv(path, list(range(1, grid.m + 1)), label, field_in.data,
+                    sum_rate_field(field_in), grid)
 
 
 def read_field_csv(path) -> RateReductionField:
@@ -170,73 +182,88 @@ def read_field_csv(path) -> RateReductionField:
     of its i_j, and Rsum must equal sum_rate_field of the parsed field bit
     for bit.  A bad cell is reported with its line number.
     """
-    text = Path(path).read_text().splitlines()
-    if not text:
-        raise ConfigError(f"{path}: empty field CSV")
-    header = text[0].split(",")
-    n_cols = len(header)
-    if n_cols < 6 or n_cols % 2 != 0:
-        raise ConfigError(f"{path}: malformed field CSV header {text[0]!r}")
-    m = (n_cols - 2) // 2
-    expect_i = [f"i_{j}" for j in range(1, m + 1)]
-    expect_p = [f"p_{j}" for j in range(1, m + 1)]
-    if header[:m] != expect_i or header[m : 2 * m] != expect_p or \
-            not header[2 * m].startswith("rho_") or not header[2 * m + 1].startswith("Rsum_"):
-        raise ConfigError(f"{path}: unexpected field CSV columns {header}")
-    label = header[2 * m][len("rho_"):]
-    k = int(label) if label.isdigit() else 0
+    def data_lines() -> list[tuple[int, str]]:
+        """(line number, text) of each non-blank line after the header, read
+        again from the file: only to name a bad line."""
+        lines = Path(path).read_text().splitlines()[1:]
+        return [(line_no, line) for line_no, line in enumerate(lines, 2) if line]
 
-    body = [line for line in text[1:] if line]
-    if not body:
-        raise ConfigError(f"{path}: field CSV has no data rows")
+    with open(path) as src:
+        # Lines _CSV_BLOCK at a time, split as str.splitlines splits the
+        # whole text; [] once the file is exhausted.
+        blocks = iter(lambda: "".join(itertools.islice(src, _CSV_BLOCK)).splitlines(), [])
+        first = next(blocks, [])
+        if not first:
+            raise ConfigError(f"{path}: empty field CSV")
+        header = first[0].split(",")
+        n_cols = len(header)
+        if n_cols < 6 or n_cols % 2 != 0:
+            raise ConfigError(f"{path}: malformed field CSV header {first[0]!r}")
+        m = (n_cols - 2) // 2
+        expect_i = [f"i_{j}" for j in range(1, m + 1)]
+        expect_p = [f"p_{j}" for j in range(1, m + 1)]
+        if header[:m] != expect_i or header[m : 2 * m] != expect_p or \
+                not header[2 * m].startswith("rho_") or not header[2 * m + 1].startswith("Rsum_"):
+            raise ConfigError(f"{path}: unexpected field CSV columns {header}")
+        label = header[2 * m][len("rho_"):]
+        k = int(label) if label.isdigit() else 0
 
-    def where(r: int) -> str:
-        """path:line of data row r (blank lines are skipped)."""
-        return f"{path}:{[ln for ln, s in enumerate(text[1:], 2) if s][r]}"
-
-    if set(map(str.count, body, itertools.repeat(","))) != {n_cols - 1}:
-        r = next(r for r, line in enumerate(body) if line.count(",") != n_cols - 1)
-        raise ConfigError(
-            f"{where(r)}: expected {n_cols} cells, got {body[r].count(',') + 1}"
-        )
-    pairs: list = [set() for _ in range(m)]    # distinct (i_j, p_j cell) per axis
-    indices, values = [], []
-    try:
-        for lo in range(0, len(body), _READ_BLOCK):
-            # Whole columns of a block at once: cell c of row r sits at
-            # cells[r * n_cols + c].  Blocks keep the cell strings few.
-            cells = ",".join(body[lo : lo + _READ_BLOCK]).split(",")
-            cols = [list(map(int, cells[j::n_cols])) for j in range(m)]
+        n_rows = 0
+        pairs: list = [set() for _ in range(m)]    # distinct (i_j, p_j cell) per axis
+        indices, values = [], []
+        for block in itertools.chain([first[1:]], blocks):
+            body = [line for line in block if line]
+            if set(map(str.count, body, itertools.repeat(","))) - {n_cols - 1}:
+                r = next(r for r, line in enumerate(body) if line.count(",") != n_cols - 1)
+                raise ConfigError(
+                    f"{path}:{data_lines()[n_rows + r][0]}: expected {n_cols} "
+                    f"cells, got {body[r].count(',') + 1}"
+                )
+            if not body:
+                continue
+            n_rows += len(body)
+            try:
+                # Whole columns of a block at once: cell c of row r sits at
+                # cells[r * n_cols + c].
+                cells = ",".join(body).split(",")
+                cols = [list(map(int, cells[j::n_cols])) for j in range(m)]
+                values.append(np.array([list(map(float, cells[c::n_cols]))
+                                        for c in (2 * m, 2 * m + 1)]))
+            except ValueError as exc:
+                raise ConfigError(f"{path}: {exc}") from None
             for j in range(m):
                 pairs[j].update(zip(cols[j], cells[m + j :: n_cols]))
             indices.append(np.array(cols))
-            values.append(np.array([list(map(float, cells[c::n_cols]))
-                                    for c in (2 * m, 2 * m + 1)]))
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+    if not n_rows:
+        raise ConfigError(f"{path}: field CSV has no data rows")
+
+    def bad_cell(r: int, c: int) -> tuple[str, str]:
+        """path:line of data row r and its cell c, read again from the file."""
+        line_no, line = data_lines()[r]
+        return f"{path}:{line_no}", line.split(",")[c]
+
     index = np.concatenate(indices, axis=1)
     rho, rsum = np.concatenate(values, axis=1)
     bad = np.isnan(rho) | (rho == math.inf)
     if bad.any():
-        r = int(np.argmax(bad))
-        raise ConfigError(
-            f"{where(r)}: rho {body[r].split(',')[2 * m]!r} is neither finite nor -inf"
-        )
+        where, cell = bad_cell(int(np.argmax(bad)), 2 * m)
+        raise ConfigError(f"{where}: rho {cell!r} is neither finite nor -inf")
     if index.min() < 0:
         raise ConfigError(f"{path}: negative grid index")
     grid = GridSpec(m=m, n_steps=int(index.max()))
-    if len(body) != grid.n_points:
+    if n_rows != grid.n_points:
         raise ConfigError(
-            f"{path}: {len(body)} rows does not cover the "
+            f"{path}: {n_rows} rows does not cover the "
             f"{grid.n_points}-point grid inferred from the indices"
         )
     axis = [_fmt(v) for v in grid.axis_values()]
     for j in range(m):
         if any(axis[i] != p for i, p in pairs[j]):
-            r = next(r for r, line in enumerate(body)
+            r = next(r for r, (_, line) in enumerate(data_lines())
                      if line.split(",")[m + j] != axis[index[j, r]])
+            where, cell = bad_cell(r, m + j)
             raise ConfigError(
-                f"{where(r)}: p_{j + 1} = {body[r].split(',')[m + j]!r} is not the "
+                f"{where}: p_{j + 1} = {cell!r} is not the "
                 f"grid value {axis[index[j, r]]} of i_{j + 1} = {index[j, r]}"
             )
     flat = np.ravel_multi_index(index, grid.shape)
@@ -247,32 +274,29 @@ def read_field_csv(path) -> RateReductionField:
     field = RateReductionField(grid=grid, data=data.reshape(grid.shape), tau=-1, k=k)
     bad = sum_rate_field(field).reshape(-1)[flat].view(np.uint64) != rsum.view(np.uint64)
     if bad.any():
-        r = int(np.argmax(bad))
+        where, cell = bad_cell(int(np.argmax(bad)), 2 * m + 1)
         raise ConfigError(
-            f"{where(r)}: Rsum {body[r].split(',')[2 * m + 1]!r} is not the "
+            f"{where}: Rsum {cell!r} is not the "
             "joint entropy minus rho (inf where rho is -inf)"
         )
     return field
 
 
-def write_trace_csv(path: Path, result: RunResult, delta_label: str | None = None) -> None:
-    """Long format: t,k,point_id,rho with one extra k='max' row per point,
-    optionally prefixed by a delta column for overlaid sweeps."""
+def _trace_rows(result: RunResult, prefix: str = ""):
+    """Long-format trace rows t,k,point_id,rho, each after prefix: per tau and
+    tracked point, one row per node k, then one k='max' row."""
     tr = result.trace
-    m = result.bank.m
-    head = "t,k,point_id,rho"
-    if delta_label is not None:
-        head = "delta," + head
-    lines = [head]
     n_taus = len(tr.max_series[0]) if tr.tracked_points else 0
     for t in range(n_taus):
-        for pid in range(len(tr.tracked_points)):
-            for k in range(1, m + 1):
-                row = f"{t},{k},{pid},{_fmt(tr.per_k[pid][k - 1][t])}"
-                lines.append(f"{delta_label},{row}" if delta_label is not None else row)
-            row = f"{t},max,{pid},{_fmt(tr.max_series[pid][t])}"
-            lines.append(f"{delta_label},{row}" if delta_label is not None else row)
-    path.write_text("\n".join(lines) + "\n")
+        for pid, per_k in enumerate(tr.per_k):
+            for k, series in enumerate(per_k, 1):
+                yield f"{prefix}{t},{k},{pid},{_fmt(series[t])}\n"
+            yield f"{prefix}{t},max,{pid},{_fmt(tr.max_series[pid][t])}\n"
+
+
+def write_trace_csv(path: Path, result: RunResult) -> None:
+    """The tracked points' values per sweep, one _trace_rows row each."""
+    path.write_text("t,k,point_id,rho\n" + "".join(_trace_rows(result)))
 
 
 # ---------------------------------------------------------------------------
@@ -379,6 +403,11 @@ def _snap_tracked(grid: GridSpec, requested: list) -> tuple[list, list]:
     return indices, records
 
 
+def _point_label(grid: GridSpec, idx: GridIndex) -> str:
+    """Legend label of a tracked point: its snapped pmf."""
+    return "p" + str(tuple(round(v, 6) for v in grid.pmf_at(idx)))
+
+
 def cmd_run(cfg: RunConfig) -> int:
     grid = GridSpec.from_delta(cfg.m, cfg.delta)
     f = _resolve_function(cfg.function, cfg.m)
@@ -435,12 +464,8 @@ def cmd_run(cfg: RunConfig) -> int:
         artifacts.append("trace.csv")
     if "trace-svg" in emit and tracked_idx:
         curves = [
-            (
-                "p" + str(tuple(round(v, 6) for v in grid.pmf_at(idx))),
-                list(range(len(result.trace.max_series[pid]))),
-                result.trace.max_series[pid],
-            )
-            for pid, idx in enumerate(tracked_idx)
+            (_point_label(grid, idx), list(range(len(series))), series)
+            for idx, series in zip(tracked_idx, result.trace.max_series)
         ]
         _svg_plot(
             out / "trace.svg",
@@ -458,28 +483,11 @@ def cmd_run(cfg: RunConfig) -> int:
         snapped = float(grid.axis_values()[fixed])
         slice_rec = {"axis": axis, "requested": value,
                      "snapped_index": fixed, "snapped_value": snapped}
-        sl = [slice(None)] * cfg.m
-        sl[axis - 1] = fixed
-        sliced = report_field.data[tuple(sl)]
-        h = entropy_grid(grid)[tuple(sl)]
+        sl = (slice(None),) * (axis - 1) + (fixed,)
         name = f"slice_p{axis}_{snapped:g}".replace(".", "p") + ".csv"
-        keep = [j for j in range(cfg.m) if j != axis - 1]
-        axis_vals = [_fmt(v) for v in grid.axis_values()]
-        lines = [
-            ",".join(
-                [f"i_{j + 1}" for j in keep]
-                + [f"p_{j + 1}" for j in keep]
-                + [f"rho_{report_label}", f"Rsum_{report_label}"]
-            )
-        ]
-        for flat, idx in enumerate(np.ndindex(sliced.shape)):
-            rho = sliced[idx]
-            rs = h[idx] - rho if rho != BOTTOM else float("inf")
-            cells = [str(i) for i in idx]
-            cells += [axis_vals[i] for i in idx]
-            cells += [_fmt(rho), _fmt(rs)]
-            lines.append(",".join(cells))
-        (out / name).write_text("\n".join(lines) + "\n")
+        _write_grid_csv(out / name, [j for j in range(1, cfg.m + 1) if j != axis],
+                        report_label, report_field.data[sl],
+                        sum_rate_field(report_field)[sl], grid)
         artifacts.append(name)
 
     metadata = {
@@ -592,7 +600,7 @@ def cmd_sweep_delta(args: argparse.Namespace) -> int:
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    all_lines: list[str] = []
+    rows: list[str] = []
     curves = []
     per_delta = []
     results: dict[float, RunResult] = {}
@@ -608,20 +616,10 @@ def cmd_sweep_delta(args: argparse.Namespace) -> int:
             threads=args.threads,
         )
         results[delta] = result
-        m = args.m
-        for t in range(len(result.trace.max_series[0])):
-            for pid in range(len(tracked_idx)):
-                for k in range(1, m + 1):
-                    all_lines.append(
-                        f"{_fmt(delta)},{t},{k},{pid},"
-                        f"{_fmt(result.trace.per_k[pid][k - 1][t])}"
-                    )
-                all_lines.append(
-                    f"{_fmt(delta)},{t},max,{pid},"
-                    f"{_fmt(result.trace.max_series[pid][t])}"
-                )
-        series = result.trace.max_series[0]
-        curves.append((f"delta={delta:g}", list(range(len(series))), series))
+        rows.extend(_trace_rows(result, f"{_fmt(delta)},"))
+        curves += [(f"delta={delta:g} {_point_label(grid, idx)}",
+                    list(range(len(series))), series)
+                   for idx, series in zip(tracked_idx, result.trace.max_series)]
 
         worst_drop = max(_worst_drop(s) for s in result.trace.max_series)
         per_delta.append(
@@ -635,9 +633,7 @@ def cmd_sweep_delta(args: argparse.Namespace) -> int:
             }
         )
 
-    (out / "sweep_trace.csv").write_text(
-        "\n".join(["delta,t,k,point_id,rho"] + all_lines) + "\n"
-    )
+    (out / "sweep_trace.csv").write_text("delta,t,k,point_id,rho\n" + "".join(rows))
     _svg_plot(
         out / "sweep_trace.svg",
         curves,

@@ -1,11 +1,13 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from ratered import cli
-from ratered.lattice import run
+from ratered.envelope import BOTTOM
+from ratered.lattice import RateReductionField, run
 from ratered.probability import GridSpec, binary_entropy
 from ratered.target_functions import builtin_table
 
@@ -273,6 +275,14 @@ class TestSweepDeltaCommand:
         assert cross["max_coarse_minus_fine"] >= 0.25 - 1e-9
         assert cross["fine_never_below_coarse_at_1e-9"] is False
 
+    def test_svg_draws_every_tracked_point_at_every_delta(self, tmp_path):
+        assert cli.main(self.SWEEP_ARGS + ["-o", str(tmp_path)]) == 0
+        svg = (tmp_path / "sweep_trace.svg").read_text()
+        assert svg.count("<polyline") == 4          # 2 deltas x 2 points, no gaps
+        labels = [part.split("<")[0] for part in svg.split('font-size="11">')[1:]]
+        assert labels == [f"delta={d} p({p}, 0.5, 0.5)"
+                          for d in ("0.5", "0.25") for p in ("0.5", "1.0")]
+
     def test_requires_track(self, tmp_path, capsys):
         code = cli.main([
             "sweep-delta", "--function", "min", "--m", "3",
@@ -406,6 +416,105 @@ def test_read_field_csv_rejects_wrong_rsum(tmp_path):
     path = _corrupt_field_csv(tmp_path, 2, 5, "0.25")  # i = (0, 0): Rsum is 0
     with pytest.raises(cli.ConfigError, match=r":2: Rsum '0.25' is not the joint entropy"):
         cli.read_field_csv(path)
+
+
+# Formatting corners: -inf, negatives, subnormals, signed zeros, values that
+# need all 17 digits, and the extremes of the exponent range.
+SPECIAL_VALUES = [BOTTOM, -1.5, 5e-324, -5e-324, 2.2250738585072014e-308 / 3,
+                  -0.0, 0.0, 0.1 + 0.2, 1 / 3, float(np.nextafter(1.0, 2.0)),
+                  1.7976931348623157e308, -1e-300, 2.0**53 + 2, 123456789.12345678]
+
+
+def _special_field(grid, seed=0):
+    """A field of random values over 600 decades with SPECIAL_VALUES spread
+    over it (first rows included)."""
+    rng = np.random.default_rng(seed)
+    n = grid.n_points
+    data = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+    data[rng.integers(0, n, n // 8)] = rng.choice(SPECIAL_VALUES, n // 8)
+    data[: len(SPECIAL_VALUES)] = SPECIAL_VALUES
+    return RateReductionField(grid, data.reshape(grid.shape), tau=-1, k=0)
+
+
+class TestFieldCsvWriter:
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_run_fields_match_per_row_writer(self, tmp_path, m, per_row_field_csv):
+        grid = GridSpec.from_delta(m, 0.25 if m == 4 else 0.1)
+        bank = run(grid, builtin_table("min", m), t_max=2, eps=1e-300).bank
+        for label, field in [(str(k), bank.field_for(k)) for k in range(1, m + 1)] \
+                + [("max", bank.max_field())]:
+            cli.write_field_csv(tmp_path / "new.csv", field, label)
+            per_row_field_csv(tmp_path / "ref.csv", field, label)
+            assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    @pytest.mark.parametrize("m,n_steps", [
+        (2, 10),     # 121 points: less than one block
+        (2, 63),     # 4096: exactly one block
+        (3, 15),     # 4096
+        (4, 7),      # 4096
+        (3, 20),     # 9261: two blocks and a partial third
+        (4, 10),     # 14641: three blocks and a partial fourth
+    ])
+    def test_special_values_match_per_row_writer(self, tmp_path, m, n_steps,
+                                                 per_row_field_csv):
+        assert cli._CSV_BLOCK == 4096
+        field = _special_field(GridSpec(m=m, n_steps=n_steps))
+        cli.write_field_csv(tmp_path / "new.csv", field, "max")
+        per_row_field_csv(tmp_path / "ref.csv", field, "max")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        loaded = cli.read_field_csv(tmp_path / "new.csv")
+        assert np.array_equal(loaded.data.view(np.uint64), field.data.view(np.uint64))
+
+    @pytest.mark.parametrize("m,spec,node", [
+        (3, "p3=0", None), (3, "p1=0.47", 2), (2, "p2=0.5", None),
+    ])
+    def test_slice_matches_per_row_loop(self, tmp_path, m, spec, node, per_row_slice_csv):
+        args = ["run", "--function", "min", "--m", str(m), "--delta", "0.1",
+                "--t-max", "3", "--slice", spec, "-o", str(tmp_path)]
+        if node is not None:
+            args += ["--initial-node", str(node)]
+        assert cli.main(args) == 0
+        md = read_json(tmp_path / "metadata.json")
+        (name,) = [a for a in md["artifacts"] if a.startswith("slice_")]
+        if node is None:
+            field, label = cli.read_field_csv(tmp_path / "field_max.csv"), "max"
+        else:
+            field, label = cli.read_field_csv(tmp_path / f"field_k{node}.csv"), str(node)
+        assert (tmp_path / name).read_text() == per_row_slice_csv(
+            field, md["slice"]["axis"], md["slice"]["snapped_index"], label)
+
+    def test_memory_stays_bounded_by_a_block(self, tmp_path):
+        # 51^3 points, about 12.7 MB of CSV: a writer that builds the whole
+        # text at once peaks near 47 MB, the blocked one near 3 MB.
+        field = _special_field(GridSpec.from_delta(3, 0.02))
+        tracemalloc.start()
+        try:
+            cli.write_field_csv(tmp_path / "field.csv", field, "max")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+
+
+def test_read_field_csv_names_lines_past_the_first_block(tmp_path):
+    """Errors found in a later block, with blank lines before them, still
+    name their line of the file."""
+    field = _special_field(GridSpec(m=3, n_steps=20))
+    path = tmp_path / "field.csv"
+    cli.write_field_csv(path, field, "max")
+    lines = path.read_text().splitlines()
+    lines[1:1] = ["", ""]                    # data rows now start at line 4
+    for line_no, edit, message in [
+        (9000, lambda c: c[:-1], r":9000: expected 8 cells, got 7"),
+        (5000, lambda c: c[:6] + ["nan"] + c[7:], r":5000: rho 'nan' is neither"),
+        (7000, lambda c: c[:3] + ["0.123"] + c[4:], r":7000: p_1 = '0.123' is not the grid"),
+        (8191, lambda c: c[:7] + ["1"], r":8191: Rsum '1' is not the joint entropy"),
+    ]:
+        text = list(lines)
+        text[line_no - 1] = ",".join(edit(text[line_no - 1].split(",")))
+        path.write_text("\n".join(text) + "\n")
+        with pytest.raises(cli.ConfigError, match=message):
+            cli.read_field_csv(path)
 
 
 def test_jsonable_spells_non_finite():

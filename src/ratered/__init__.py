@@ -52,7 +52,6 @@ from .probability import (
     GridSpec,
     ProductPmf,
     binary_entropy,
-    binary_entropy_array,
     entropy_grid,
     grid_points,
     product_entropy,
@@ -88,7 +87,6 @@ __all__ = [
     "axis_convexify",
     "bank_sup_delta",
     "binary_entropy",
-    "binary_entropy_array",
     "builtin_table",
     "check_membership",
     "compare_with_envelope",

@@ -48,6 +48,8 @@ CONVERGENCE_CAVEAT = (
 _CSV_BLOCK = 4096
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
+# stroke-dasharray per dash index; index 0 is a solid line (no attribute)
+_DASHES = (None, "6,3", "2,2", "8,3,2,3")
 
 
 @dataclass
@@ -304,13 +306,14 @@ def write_trace_csv(path: Path, result: RunResult) -> None:
 
 
 def _svg_plot(path: Path, curves, title: str, x_label: str, y_label: str) -> None:
-    """curves: list of (label, xs, ys); BOTTOM entries break the polyline."""
+    """curves: list of (label, xs, ys, colour, dash), colour and dash indexing
+    _PALETTE and _DASHES cyclically; BOTTOM entries break the polyline."""
     width, height = 640, 420
     ml, mr, mt, mb = 60, 20, 40, 45
     pw, ph = width - ml - mr, height - mt - mb
 
-    finite_x = [x for _, xs, ys in curves for x, y in zip(xs, ys) if math.isfinite(y)]
-    finite_y = [y for _, xs, ys in curves for y in ys if math.isfinite(y)]
+    finite_x = [x for _, xs, ys, *_ in curves for x, y in zip(xs, ys) if math.isfinite(y)]
+    finite_y = [y for _, xs, ys, *_ in curves for y in ys if math.isfinite(y)]
     x_lo, x_hi = (min(finite_x), max(finite_x)) if finite_x else (0.0, 1.0)
     y_lo, y_hi = (min(finite_y), max(finite_y)) if finite_y else (0.0, 1.0)
     if x_hi == x_lo:
@@ -355,8 +358,11 @@ def _svg_plot(path: Path, curves, title: str, x_label: str, y_label: str) -> Non
             f'<text x="{ml - 7}" y="{sy(fy) + 3:.1f}" text-anchor="end" '
             f'font-family="sans-serif" font-size="10">{fy:.3g}</text>'
         )
-    for c_i, (label, xs, ys) in enumerate(curves):
-        color = _PALETTE[c_i % len(_PALETTE)]
+    for c_i, (label, xs, ys, colour, dash) in enumerate(curves):
+        stroke = f'stroke="{_PALETTE[colour % len(_PALETTE)]}" stroke-width="1.5"'
+        dasharray = _DASHES[dash % len(_DASHES)]
+        if dasharray:
+            stroke += f' stroke-dasharray="{dasharray}"'
         seg: list[str] = []
         for x, y in zip(xs, ys):
             if math.isfinite(y):
@@ -364,18 +370,18 @@ def _svg_plot(path: Path, curves, title: str, x_label: str, y_label: str) -> Non
             elif seg:
                 parts.append(
                     f'<polyline points="{" ".join(seg)}" fill="none" '
-                    f'stroke="{color}" stroke-width="1.5"/>'
+                    f'{stroke}/>'
                 )
                 seg = []
         if seg:
             parts.append(
                 f'<polyline points="{" ".join(seg)}" fill="none" '
-                f'stroke="{color}" stroke-width="1.5"/>'
+                f'{stroke}/>'
             )
         ly = mt + 14 + 16 * c_i
         parts.append(
             f'<line x1="{ml + 8}" y1="{ly - 4}" x2="{ml + 28}" y2="{ly - 4}" '
-            f'stroke="{color}" stroke-width="1.5"/>'
+            f'{stroke}/>'
             f'<text x="{ml + 33}" y="{ly}" font-family="sans-serif" '
             f'font-size="11">{label}</text>'
         )
@@ -464,8 +470,9 @@ def cmd_run(cfg: RunConfig) -> int:
         artifacts.append("trace.csv")
     if "trace-svg" in emit and tracked_idx:
         curves = [
-            (_point_label(grid, idx), list(range(len(series))), series)
-            for idx, series in zip(tracked_idx, result.trace.max_series)
+            (_point_label(grid, idx), list(range(len(series))), series,
+             i, i // len(_PALETTE))
+            for i, (idx, series) in enumerate(zip(tracked_idx, result.trace.max_series))
         ]
         _svg_plot(
             out / "trace.svg",
@@ -603,8 +610,8 @@ def cmd_sweep_delta(args: argparse.Namespace) -> int:
     rows: list[str] = []
     curves = []
     per_delta = []
-    results: dict[float, RunResult] = {}
-    for delta in deltas:
+    results: dict[float, tuple[GridSpec, list, list, RunResult]] = {}
+    for d_i, delta in enumerate(deltas):
         grid = GridSpec.from_delta(args.m, delta)
         tracked_idx, tracked_rec = _snap_tracked(grid, requested)
         result = run(
@@ -615,11 +622,12 @@ def cmd_sweep_delta(args: argparse.Namespace) -> int:
             tracked=tuple(tracked_idx),
             threads=args.threads,
         )
-        results[delta] = result
+        results[delta] = (grid, tracked_idx, tracked_rec, result)
         rows.extend(_trace_rows(result, f"{_fmt(delta)},"))
         curves += [(f"delta={delta:g} {_point_label(grid, idx)}",
-                    list(range(len(series))), series)
-                   for idx, series in zip(tracked_idx, result.trace.max_series)]
+                    list(range(len(series))), series, d_i, i)
+                   for i, (idx, series) in enumerate(zip(tracked_idx,
+                                                         result.trace.max_series))]
 
         worst_drop = max(_worst_drop(s) for s in result.trace.max_series)
         per_delta.append(
@@ -642,12 +650,23 @@ def cmd_sweep_delta(args: argparse.Namespace) -> int:
         y_label="rate reduction [bits]",
     )
 
-    # finer vs coarser at equal t: reported, not hard-asserted
+    # finer vs coarser at equal t: reported, not hard-asserted; a tracked
+    # point is compared only where both grids snap it to the same pmf
     cross = []
     order = sorted(deltas, reverse=True)
     for coarse, fine in zip(order, order[1:]):
+        grid_c, idx_c, rec_c, res_c = results[coarse]
+        grid_f, idx_f, rec_f, res_f = results[fine]
         worst = 0.0
-        for sc, sf in zip(results[coarse].trace.max_series, results[fine].trace.max_series):
+        skipped = []
+        for pid, (ic, i_f, sc, sf) in enumerate(
+            zip(idx_c, idx_f, res_c.trace.max_series, res_f.trace.max_series)
+        ):
+            if any(a * grid_f.n_steps != b * grid_c.n_steps for a, b in zip(ic, i_f)):
+                skipped.append({"point_id": pid,
+                                "coarse_pmf": rec_c[pid]["snapped_pmf"],
+                                "fine_pmf": rec_f[pid]["snapped_pmf"]})
+                continue
             for vc, vf in zip(sc, sf):
                 if vc == BOTTOM:
                     continue
@@ -656,6 +675,8 @@ def cmd_sweep_delta(args: argparse.Namespace) -> int:
             {
                 "coarse_delta": coarse,
                 "fine_delta": fine,
+                "compared_points": len(idx_c) - len(skipped),
+                "skipped_points": skipped,
                 "max_coarse_minus_fine": worst,
                 "fine_never_below_coarse_at_1e-9": worst <= 1e-9,
             }

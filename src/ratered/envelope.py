@@ -179,32 +179,23 @@ def is_concave(profile, tol: float = 1e-9) -> bool:
     """Discrete concavity with contiguous finite support.
 
     True iff the finite entries occupy one contiguous index interval and
-    every interior triple satisfies v[i-1] + v[i+1] <= 2 v[i] + tol.  An
+    every interior triple satisfies v[i-1] + v[i+1] - 2 v[i] <= tol, i.e.
+    iff concavity_violation reports at most tol.  An
     extended-real concave function is finite on an interval, so a support
     gap is a concavity failure, not a separate condition.
     """
     arr = np.asarray(profile, dtype=np.float64)
     if arr.ndim != 1:
         raise ValueError("profile must be one-dimensional")
-    finite = np.isfinite(arr)
-    k = int(np.count_nonzero(finite))
-    if k <= 1:
-        return True
-    idx = np.flatnonzero(finite)
-    if idx[-1] - idx[0] + 1 != k:
-        return False
-    seg = arr[idx[0] : idx[-1] + 1]
-    if len(seg) < 3:
-        return True
-    return bool(np.all(seg[:-2] + seg[2:] <= 2.0 * seg[1:-1] + tol))
+    return concavity_violation(arr)[0] <= tol
 
 
 def concavity_violation(profile, tol: float = 1e-9) -> tuple[float, int]:
     """Worst concavity defect of one line and the interior index at fault.
 
     Returns (violation, index) where violation = max over interior triples of
-    v[i-1] + v[i+1] - 2 v[i]; a support gap reports (+inf, gap index).  A
-    line that passes is_concave at tol reports violation <= tol.
+    v[i-1] + v[i+1] - 2 v[i]; a support gap reports (+inf, gap index), and a
+    line with fewer than three finite points (BOTTOM, -1).
     """
     arr = np.asarray(profile, dtype=np.float64)
     finite = np.isfinite(arr)

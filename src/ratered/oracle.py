@@ -9,6 +9,14 @@ expected posterior joint entropy.  Feasibility is decided combinatorially
 (constancy of the target on the posterior's product support, with supports
 read off exact zeros) — never by thresholding a conditional entropy.
 
+Every pair of conditional rows (given X_k = 0, given X_k = 1) is still
+searched; nothing is pruned.  What is shared is the per-message-value
+arithmetic: the contribution of message value u to a pair, and whether u
+keeps the target constant, depend only on the pmf and on the entry pair
+(given0[u], given1[u]) = (a/n, b/n).  They are computed once per point on
+the (n+1) x (n+1) entry table and gathered per pair, so each pair costs |U|
+table lookups and additions instead of a full posterior evaluation.
+
 Nothing here touches the envelope code path; agreement between the two is
 a genuine cross-check, limited only by the search-grid resolution.
 """
@@ -26,6 +34,10 @@ from .errors import ConfigError
 from .lattice import initial_bank, sweep_once
 from .probability import GridIndex, GridSpec, ProductPmf, binary_entropy
 from .target_functions import FunctionTable
+
+# np.sum along a contiguous axis shorter than this is a left fold; from this
+# length on numpy switches to its eight-accumulator pairwise summation.
+_LEFT_FOLD_TERMS = 8
 
 
 @dataclass(frozen=True)
@@ -61,8 +73,9 @@ class ConditionalSearchSpec:
 
 @lru_cache(maxsize=None)
 def _stochastic_rows(n_steps: int, parts: int) -> np.ndarray:
-    """All probability rows with `parts` entries on the 1/n_steps grid,
-    in lexicographic order (deterministic tie-breaking downstream)."""
+    """All compositions of n_steps into `parts` non-negative integers, in
+    lexicographic order (deterministic tie-breaking downstream); row / n_steps
+    is a probability row on the 1/n_steps grid.  Read-only: it is cached."""
 
     def compositions(total: int, slots: int):
         if slots == 1:
@@ -72,8 +85,9 @@ def _stochastic_rows(n_steps: int, parts: int) -> np.ndarray:
             for rest in compositions(total - first, slots - 1):
                 yield (first,) + rest
 
-    rows = np.array(list(compositions(n_steps, parts)), dtype=np.float64)
-    return rows / float(n_steps)
+    rows = np.array(list(compositions(n_steps, parts)), dtype=np.intp)
+    rows.flags.writeable = False
+    return rows
 
 
 def _support_constancy(f: FunctionTable, p: ProductPmf, k: int) -> tuple[bool, bool, bool]:
@@ -89,6 +103,74 @@ def _support_constancy(f: FunctionTable, p: ProductPmf, k: int) -> tuple[bool, b
     return constant_over((0,)), constant_over((1,)), constant_over((0, 1))
 
 
+def _entry_tables(
+    pk: float, n_steps: int, constancy: tuple[bool, bool, bool]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per message value u with given0[u] = a/n and given1[u] = b/n: its term
+    P(U=u) h(P(X_k=1 | U=u)) and whether it is admissible (dead, or leaving f
+    constant), as (n+1) x (n+1) tables indexed [a, b].  Each entry is the
+    same elementwise float expression as evaluating that message value of
+    one pair of conditional rows in full, so it is bitwise that value."""
+    ok0, ok1, ok01 = constancy
+    entries = np.arange(n_steps + 1, dtype=np.float64) / float(n_steps)
+    given0, given1 = np.meshgrid(entries, entries, indexing="ij")
+    mass0 = (1.0 - pk) * given0
+    mass1 = pk * given1
+    p_u = mass0 + mass1
+    live = p_u > 0.0
+    post = np.divide(mass1, p_u, out=np.zeros_like(p_u), where=live)
+    at_zero = mass1 == 0.0
+    at_one = mass0 == 0.0
+    u_ok = np.where(at_zero, ok0, np.where(at_one, ok1, ok01))
+    interior = live & ~at_zero & ~at_one
+    h_post = np.zeros_like(post)
+    q = post[interior]
+    h_post[interior] = -(q * np.log2(q) + (1.0 - q) * np.log2(1.0 - q))
+    return p_u * h_post, u_ok | ~live
+
+
+def _feasible_chunks(p: ProductPmf, f: FunctionTable, spec: ConditionalSearchSpec):
+    """Every (given0 row, given1 row) pair of the search grid, in chunks of
+    given0 rows that keep each temporary near 1 MB.  Yields, per chunk that
+    holds a feasible pair, the summed message-value terms of each pair,
+    shape (chunk, rows), and which pairs are feasible (None when all are).
+
+    A pair's |U| terms are gathered from the per-entry table and summed in
+    the order np.sum uses along a length-|U| axis: a left fold
+    ((t_0 + t_1) + t_2) + ... below eight terms, np.sum itself from there on.
+    A pair is feasible when each of its message values is admissible.
+    """
+    k = spec.k
+    n_steps, parts = spec.n_search_steps, spec.u1_cardinality
+    term, admissible = _entry_tables(p[k - 1], n_steps, _support_constancy(f, p, k))
+
+    # table[:, codes[:, u]][a, s] is the entry for given0[u] = a/n and the
+    # u-th entry of given1 row s
+    codes = _stochastic_rows(n_steps, parts)
+    terms = [term[:, codes[:, u]] for u in range(parts)]
+    oks = None if admissible.all() else [admissible[:, codes[:, u]] for u in range(parts)]
+
+    n_rows = codes.shape[0]
+    chunk = max(1, min(n_rows, (1 << 17) // max(n_rows, 1) + 1))
+    for lo in range(0, n_rows, chunk):
+        given0 = codes[lo : lo + chunk]
+        feasible = None
+        if oks is not None:
+            feasible = oks[0][given0[:, 0]]
+            for u in range(1, parts):
+                feasible &= oks[u][given0[:, u]]
+            if not feasible.any():
+                continue
+        if parts < _LEFT_FOLD_TERMS:
+            total = terms[0][given0[:, 0]]
+            for u in range(1, parts):
+                total += terms[u][given0[:, u]]
+        else:
+            total = np.stack([terms[u][given0[:, u]] for u in range(parts)], axis=-1)
+            total = np.sum(total, axis=-1)
+        yield total, feasible
+
+
 def single_message_reduction(
     p: ProductPmf, f: FunctionTable, spec: ConditionalSearchSpec
 ) -> float:
@@ -97,6 +179,12 @@ def single_message_reduction(
     Returns the maximal expected posterior joint entropy over all feasible
     searched conditionals, or BOTTOM when none makes f almost surely
     constant for every live message value.
+
+    Every pair of conditional rows is evaluated (`_feasible_chunks`).  The
+    entropy of the other coordinates, base, is added once, after the
+    maximum: rounding to nearest is monotone, so fl(base + max S) equals
+    max fl(base + S), the maximum over the feasible pairs of base plus the
+    pair's sum, bit for bit.
     """
     m = f.m
     if p.m != m:
@@ -106,41 +194,16 @@ def single_message_reduction(
     if f.alphabet_sizes[spec.k - 1] != 2:
         raise ValueError("search requires a binary alphabet at the transmitting node")
 
-    k = spec.k
-    pk = p[k - 1]
     base = 0.0
     for j in range(m):
-        if j != k - 1:
+        if j != spec.k - 1:
             base += binary_entropy(p[j])
-    ok0, ok1, ok01 = _support_constancy(f, p, k)
-
-    rows = _stochastic_rows(spec.n_search_steps, spec.u1_cardinality)
-    n_rows = rows.shape[0]
     best = BOTTOM
-    chunk = max(1, min(n_rows, (1 << 17) // max(n_rows, 1) + 1))
-    for lo in range(0, n_rows, chunk):
-        given0 = rows[lo : lo + chunk, None, :]      # message dist given X_k = 0
-        given1 = rows[None, :, :]                    # message dist given X_k = 1
-        mass0 = (1.0 - pk) * given0
-        mass1 = pk * given1
-        p_u = mass0 + mass1
-        live = p_u > 0.0
-        post = np.divide(mass1, p_u, out=np.zeros_like(p_u), where=live)
-        at_zero = mass1 == 0.0
-        at_one = mass0 == 0.0
-        u_ok = np.where(at_zero, ok0, np.where(at_one, ok1, ok01))
-        feasible = np.all(u_ok | ~live, axis=-1)
-        if not np.any(feasible):
-            continue
-        interior = live & ~at_zero & ~at_one
-        h_post = np.zeros_like(post)
-        q = post[interior]
-        h_post[interior] = -(q * np.log2(q) + (1.0 - q) * np.log2(1.0 - q))
-        values = base + np.sum(p_u * h_post, axis=-1)
-        cand = float(np.max(values[feasible]))
+    for total, feasible in _feasible_chunks(p, f, spec):
+        cand = float(total.max() if feasible is None else total[feasible].max())
         if cand > best:
             best = cand
-    return best
+    return base + best
 
 
 @dataclass(frozen=True)

@@ -32,16 +32,6 @@ def binary_entropy(p: float) -> float:
     return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
 
 
-def binary_entropy_array(p: np.ndarray) -> np.ndarray:
-    """Vectorized binary entropy; entries must already lie in [0, 1]."""
-    p = np.asarray(p, dtype=np.float64)
-    out = np.zeros_like(p)
-    inner = (p > 0.0) & (p < 1.0)
-    q = p[inner]
-    out[inner] = -q * np.log2(q) - (1.0 - q) * np.log2(1.0 - q)
-    return out
-
-
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform discretization of the set of product pmfs.

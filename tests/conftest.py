@@ -14,7 +14,8 @@ import pytest
 from ratered.cli import _fmt
 from ratered.envelope import BOTTOM, _envelope_line
 from ratered.lattice import run, sum_rate_field
-from ratered.probability import GridSpec, entropy_grid
+from ratered.oracle import _stochastic_rows, _support_constancy
+from ratered.probability import GridSpec, binary_entropy, entropy_grid
 from ratered.target_functions import builtin_table
 
 CENTER = (0.5, 0.5, 0.5)
@@ -34,6 +35,64 @@ def per_line_envelope():
             out[r] = _envelope_line(lines[r].tolist())
         return out
     return envelope
+
+
+def _per_pair_chunks(p, f, spec):
+    """The posterior of every (given0 row, given1 row, message value) triple
+    evaluated in full, per chunk of given0 rows; yields, for each chunk with
+    a feasible pair, np.sum of each pair's terms and its feasibility."""
+    k = spec.k
+    pk = p[k - 1]
+    ok0, ok1, ok01 = _support_constancy(f, p, k)
+
+    n_steps = spec.n_search_steps
+    rows = _stochastic_rows(n_steps, spec.u1_cardinality) / float(n_steps)
+    n_rows = rows.shape[0]
+    chunk = max(1, min(n_rows, (1 << 17) // max(n_rows, 1) + 1))
+    for lo in range(0, n_rows, chunk):
+        given0 = rows[lo : lo + chunk, None, :]      # message dist given X_k = 0
+        given1 = rows[None, :, :]                    # message dist given X_k = 1
+        mass0 = (1.0 - pk) * given0
+        mass1 = pk * given1
+        p_u = mass0 + mass1
+        live = p_u > 0.0
+        post = np.divide(mass1, p_u, out=np.zeros_like(p_u), where=live)
+        at_zero = mass1 == 0.0
+        at_one = mass0 == 0.0
+        u_ok = np.where(at_zero, ok0, np.where(at_one, ok1, ok01))
+        feasible = np.all(u_ok | ~live, axis=-1)
+        if not np.any(feasible):
+            continue
+        interior = live & ~at_zero & ~at_one
+        h_post = np.zeros_like(post)
+        q = post[interior]
+        h_post[interior] = -(q * np.log2(q) + (1.0 - q) * np.log2(1.0 - q))
+        yield np.sum(p_u * h_post, axis=-1), feasible
+
+
+@pytest.fixture(scope="session")
+def per_pair_chunks():
+    """The per-chunk pair sums and feasibility of the per-pair search."""
+    return _per_pair_chunks
+
+
+@pytest.fixture(scope="session")
+def per_pair_oracle():
+    """single_message_reduction's reference: the per-pair search, with base
+    added to every pair before the maximum."""
+    def search(p, f, spec):
+        base = 0.0
+        for j in range(f.m):
+            if j != spec.k - 1:
+                base += binary_entropy(p[j])
+        best = BOTTOM
+        for sums, feasible in _per_pair_chunks(p, f, spec):
+            values = base + sums
+            cand = float(np.max(values[feasible]))
+            if cand > best:
+                best = cand
+        return best
+    return search
 
 
 @pytest.fixture(scope="session")

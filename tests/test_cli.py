@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -282,6 +283,39 @@ class TestSweepDeltaCommand:
         labels = [part.split("<")[0] for part in svg.split('font-size="11">')[1:]]
         assert labels == [f"delta={d} p({p}, 0.5, 0.5)"
                           for d in ("0.5", "0.25") for p in ("0.5", "1.0")]
+
+    def test_svg_colours_by_delta_and_dashes_by_point(self, tmp_path):
+        assert cli.main([
+            "sweep-delta", "--function", "min", "--m", "3", "--deltas", "0.5,0.25,0.125",
+            "--track", "0.5,0.5,0.5", "--track", "1,0.5,0.5", "--track", "0.5,1,0.5",
+            "--t-max", "3", "--eps", "1e-300", "-o", str(tmp_path),
+        ]) == 0
+        svg = (tmp_path / "sweep_trace.svg").read_text()
+
+        def style(element):
+            dash = re.search(r'stroke-dasharray="([^"]*)"', element)
+            return re.search(r'stroke="([^"]*)"', element)[1], dash and dash[1]
+
+        polylines = [style(e) for e in svg.split("<") if e.startswith("polyline ")]
+        legend = [style(e) for e in svg.split("<")
+                  if e.startswith("line ") and 'stroke-width="1.5"' in e]
+        assert len(polylines) == len(set(polylines)) == 9
+        assert legend == polylines
+
+    def test_cross_delta_skips_points_snapped_apart(self, tmp_path):
+        # 0.25 snaps onto 0 on the delta = 0.5 grid but not on the 0.25 grid
+        assert cli.main([
+            "sweep-delta", "--function", "min", "--m", "3", "--deltas", "0.5,0.25",
+            "--track", "0.25,0.5,0.5", "--track", "0.5,0.5,0.5",
+            "--t-max", "4", "--eps", "1e-300", "-o", str(tmp_path),
+        ]) == 0
+        (cross,) = read_json(tmp_path / "sweep_report.json")["cross_delta"]
+        assert cross["compared_points"] == 1
+        assert cross["skipped_points"] == [
+            {"point_id": 0, "coarse_pmf": [0.0, 0.5, 0.5], "fine_pmf": [0.25, 0.5, 0.5]}
+        ]
+        assert cross["max_coarse_minus_fine"] <= 1e-9
+        assert cross["fine_never_below_coarse_at_1e-9"] is True
 
     def test_requires_track(self, tmp_path, capsys):
         code = cli.main([

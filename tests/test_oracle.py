@@ -11,12 +11,14 @@ from ratered.envelope import BOTTOM
 from ratered.errors import ConfigError
 from ratered.oracle import (
     ConditionalSearchSpec,
+    _feasible_chunks,
     compare_with_envelope,
     resolution_slack,
     single_message_reduction,
 )
-from ratered.probability import GridSpec, ProductPmf, product_entropy
-from ratered.target_functions import builtin_table
+from ratered.probability import GridSpec, ProductPmf, grid_points, product_entropy
+from ratered.target_functions import BUILTIN_NAMES, builtin_table
+from test_lattice import SELECTOR3, SELECTOR4
 
 
 class TestSearchSpec:
@@ -101,6 +103,93 @@ class TestSingleMessageValues:
         spec = ConditionalSearchSpec(k=4, search_step=0.5)
         with pytest.raises(ValueError):
             single_message_reduction(ProductPmf((0.5, 0.5, 0.5)), min3, spec)
+
+
+def _same_bits(per_pair_oracle, pmf, f, spec):
+    new = single_message_reduction(pmf, f, spec)
+    ref = per_pair_oracle(pmf, f, spec)
+    assert np.float64(new).view(np.uint64) == np.float64(ref).view(np.uint64), (
+        pmf, spec, new, ref)
+    return new
+
+
+class TestAgainstPerPairSearch:
+    """The table-driven search returns the per-pair reference's bits."""
+
+    # (search steps, u1_cardinality); the coarse-grid test cycles through them
+    SPECS = [(4, 1), (4, 2), (4, 3), (4, 4), (10, 1), (10, 2), (10, 3)]
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_every_point_of_a_coarse_grid(self, name, per_pair_oracle):
+        f = builtin_table(name, 3)
+        grid = GridSpec.from_delta(3, 0.25)
+        for i, (_index, pmf) in enumerate(grid_points(grid)):
+            for k in (1, 2, 3):
+                steps, parts = self.SPECS[(3 * i + k) % len(self.SPECS)]
+                spec = ConditionalSearchSpec(k=k, search_step=1 / steps,
+                                             u1_cardinality=parts)
+                _same_bits(per_pair_oracle, pmf, f, spec)
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_four_message_values_at_step_tenth(self, name, per_pair_oracle):
+        f = builtin_table(name, 3)
+        for p in [(0.25, 0.5, 0.75), (1.0, 0.25, 0.5)]:
+            for k in (1, 2, 3):
+                spec = ConditionalSearchSpec(k=k, search_step=0.1, u1_cardinality=4)
+                _same_bits(per_pair_oracle, ProductPmf(p), f, spec)
+
+    @pytest.mark.parametrize("f, points", [
+        (builtin_table("min", 2), [(0.3, 0.7), (0.0, 0.45), (0.8, 1.0)]),
+        (builtin_table("parity", 2), [(0.3, 0.7), (0.5, 0.5)]),
+        (builtin_table("min", 4), [(0.3, 0.6, 0.1, 0.8), (1.0, 1.0, 1.0, 0.35)]),
+        (builtin_table("or", 4), [(0.0, 0.2, 0.9, 0.55)]),
+        (SELECTOR3, [(0.3, 0.6, 0.1), (1.0, 0.4, 0.7), (0.0, 0.4, 0.7)]),
+        (SELECTOR4, [(0.3, 0.6, 0.1, 0.8), (1.0, 1.0, 0.2, 0.6)]),
+    ], ids=["min-m2", "parity-m2", "min-m4", "or-m4", "selector-m3", "selector-m4"])
+    def test_spot_points(self, f, points, per_pair_oracle):
+        for p in points:
+            for k in range(1, f.m + 1):
+                for steps, parts in [(10, 3), (5, 4), (2, 6), (3, 8)]:
+                    spec = ConditionalSearchSpec(k=k, search_step=1 / steps,
+                                                 u1_cardinality=parts)
+                    _same_bits(per_pair_oracle, ProductPmf(p), f, spec)
+
+    @pytest.mark.parametrize("name, p, k, steps, parts", [
+        ("constant", (0.3, 0.6, 0.137), 3, 10, 3),
+        ("constant", (0.3, 0.6, 0.71), 2, 5, 4),
+        ("min", (0.0, 0.45, 0.3), 3, 10, 3),
+        ("min", (1.0, 1.0, 0.5), 3, 50, 3),
+        ("parity", (0.3, 0.0, 1.0), 1, 4, 3),
+        ("constant", (0.2, 0.6, 0.3), 3, 4, 8),
+        ("constant", (0.71, 0.6, 0.2), 1, 4, 9),
+    ], ids=["constant-u3", "constant-u4", "min-u3", "min-step50", "parity-u3",
+            "constant-u8", "constant-u9"])
+    def test_every_pair_sum_bitwise(self, name, p, k, steps, parts, per_pair_chunks):
+        # the maximum hides the summation order (many pairs tie at it), so
+        # every pair of every chunk is compared
+        f = builtin_table(name, 3)
+        pmf = ProductPmf(p)
+        spec = ConditionalSearchSpec(k=k, search_step=1 / steps, u1_cardinality=parts)
+        got = list(_feasible_chunks(pmf, f, spec))
+        want = list(per_pair_chunks(pmf, f, spec))
+        assert len(got) == len(want) > 0
+        for (total, feasible), (sums, ref_feasible) in zip(got, want):
+            assert np.array_equal(total.view(np.uint64), sums.view(np.uint64))
+            if feasible is None:
+                assert ref_feasible.all()
+            else:
+                assert np.array_equal(ref_feasible, feasible)
+
+    @pytest.mark.parametrize("name, index, feasible", [
+        ("min", (5, 5, 5), False),
+        ("min", (10, 10, 5), True),
+        ("constant", (4, 6, 2), True),
+    ], ids=["infeasible", "p1-p2-one", "constant"])
+    def test_benchmark_resolution(self, name, index, feasible, per_pair_oracle):
+        pmf = GridSpec.from_delta(3, 0.1).pmf_at(index)
+        spec = ConditionalSearchSpec(k=3, search_step=0.02, u1_cardinality=3)
+        value = _same_bits(per_pair_oracle, pmf, builtin_table(name, 3), spec)
+        assert (value != BOTTOM) == feasible
 
 
 class TestCompareWithEnvelope:

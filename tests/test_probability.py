@@ -8,7 +8,6 @@ from ratered.probability import (
     GridSpec,
     ProductPmf,
     binary_entropy,
-    binary_entropy_array,
     entropy_grid,
     grid_points,
     product_entropy,
@@ -38,12 +37,6 @@ class TestBinaryEntropy:
             binary_entropy(-1e-9)
         with pytest.raises(ValueError):
             binary_entropy(1.0 + 1e-9)
-
-    def test_array_matches_scalar(self):
-        p = np.linspace(0.0, 1.0, 101)
-        vec = binary_entropy_array(p)
-        for pi, vi in zip(p, vec):
-            assert vi == binary_entropy(pi)
 
 
 class TestGridSpec:

@@ -5,9 +5,9 @@ dense per-node field CSVs (one row per grid point, 17 significant digits,
 "inf"/"-inf" spellings), a long-format trace CSV, JSON metadata/reports
 (non-finite floats as the same strings), and self-contained SVG line plots
 with no plotting dependency.  CSV is the interface of record; identical
-configs produce byte-identical CSVs regardless of the thread count.  Field
-and slice CSVs are written, and field CSVs read, a block of rows at a time,
-so no whole-file text is held in memory.
+configs produce byte-identical CSVs.  Field and slice CSVs are written,
+and field CSVs read, a block of rows at a time, so no whole-file text is
+held in memory.
 """
 
 from __future__ import annotations
@@ -16,11 +16,9 @@ import argparse
 import itertools
 import json
 import math
-import os
 import re
 import sys
 import time
-from dataclasses import dataclass, field as dataclass_field
 from pathlib import Path
 
 import numpy as np
@@ -50,21 +48,6 @@ _CSV_BLOCK = 4096
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 # stroke-dasharray per dash index; index 0 is a solid line (no attribute)
 _DASHES = (None, "6,3", "2,2", "8,3,2,3")
-
-
-@dataclass
-class RunConfig:
-    function: str
-    m: int
-    delta: float
-    t_max: int = 40
-    eps: float = 1e-6
-    initial_node: int | None = None
-    tracked_points: list = dataclass_field(default_factory=list)
-    output_dir: str = "."
-    emit: tuple = DEFAULT_EMIT
-    threads: int = 1
-    slice_spec: str | None = None
 
 
 def _fmt(x: float) -> str:
@@ -414,38 +397,36 @@ def _point_label(grid: GridSpec, idx: GridIndex) -> str:
     return "p" + str(tuple(round(v, 6) for v in grid.pmf_at(idx)))
 
 
-def cmd_run(cfg: RunConfig) -> int:
-    grid = GridSpec.from_delta(cfg.m, cfg.delta)
-    f = _resolve_function(cfg.function, cfg.m)
-    if cfg.initial_node is not None and not 1 <= cfg.initial_node <= cfg.m:
-        raise ConfigError(f"initial node {cfg.initial_node} outside 1..{cfg.m}")
-    tracked_idx, tracked_rec = _snap_tracked(grid, cfg.tracked_points)
+def cmd_run(args: argparse.Namespace) -> int:
+    emit = tuple(s for s in args.emit.split(",") if s)
+    bad = [s for s in emit if s not in EMIT_CHOICES]
+    if bad:
+        raise ConfigError(f"unknown emit kinds {bad}; choose from {EMIT_CHOICES}")
+    requested = [_parse_point(t, args.m) for t in args.track]
+    grid = GridSpec.from_delta(args.m, args.delta)
+    f = _resolve_function(args.function, args.m)
+    if args.initial_node is not None and not 1 <= args.initial_node <= args.m:
+        raise ConfigError(f"initial node {args.initial_node} outside 1..{args.m}")
+    tracked_idx, tracked_rec = _snap_tracked(grid, requested)
 
     started = time.perf_counter()
-    result = run(
-        grid,
-        f,
-        t_max=cfg.t_max,
-        eps=cfg.eps,
-        tracked=tuple(tracked_idx),
-        threads=cfg.threads,
-    )
+    result = run(grid, f, t_max=args.t_max, eps=args.eps, tracked=tuple(tracked_idx))
     elapsed = time.perf_counter() - started
 
-    out = Path(cfg.output_dir)
+    out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    emit = set(cfg.emit) | {"report-json"}
+    emit = set(emit) | {"report-json"}
     artifacts: list[str] = []
 
     report_field = (
-        result.bank.field_for(cfg.initial_node)
-        if cfg.initial_node is not None
+        result.bank.field_for(args.initial_node)
+        if args.initial_node is not None
         else result.bank.max_field()
     )
-    report_label = str(cfg.initial_node) if cfg.initial_node is not None else "max"
+    report_label = str(args.initial_node) if args.initial_node is not None else "max"
 
     if "fields-csv" in emit:
-        for k in range(1, cfg.m + 1):
+        for k in range(1, args.m + 1):
             p = out / f"field_k{k}.csv"
             write_field_csv(p, result.bank.field_for(k), str(k))
             artifacts.append(p.name)
@@ -454,12 +435,12 @@ def cmd_run(cfg: RunConfig) -> int:
         artifacts.append(p.name)
     if "fields-json" in emit:
         payload = {
-            "m": cfg.m,
+            "m": args.m,
             "delta": grid.delta,
             "t_stop": result.t_stop,
             "fields": {
                 str(k): result.bank.field_for(k).data
-                for k in range(1, cfg.m + 1)
+                for k in range(1, args.m + 1)
             },
             "max": result.bank.max_data(),
         }
@@ -477,33 +458,33 @@ def cmd_run(cfg: RunConfig) -> int:
         _svg_plot(
             out / "trace.svg",
             curves,
-            title=f"rate reduction vs sweeps ({cfg.function}, delta={grid.delta:g})",
+            title=f"rate reduction vs sweeps ({args.function}, delta={grid.delta:g})",
             x_label="t (messages)",
             y_label="rate reduction [bits]",
         )
         artifacts.append("trace.svg")
 
     slice_rec = None
-    if cfg.slice_spec is not None:
-        axis, value = _parse_slice(cfg.slice_spec, cfg.m)
+    if args.slice_spec is not None:
+        axis, value = _parse_slice(args.slice_spec, args.m)
         fixed = int(round(value * grid.n_steps))
         snapped = float(grid.axis_values()[fixed])
         slice_rec = {"axis": axis, "requested": value,
                      "snapped_index": fixed, "snapped_value": snapped}
         sl = (slice(None),) * (axis - 1) + (fixed,)
         name = f"slice_p{axis}_{snapped:g}".replace(".", "p") + ".csv"
-        _write_grid_csv(out / name, [j for j in range(1, cfg.m + 1) if j != axis],
+        _write_grid_csv(out / name, [j for j in range(1, args.m + 1) if j != axis],
                         report_label, report_field.data[sl],
                         sum_rate_field(report_field)[sl], grid)
         artifacts.append(name)
 
     metadata = {
-        "function": cfg.function,
-        "m": cfg.m,
+        "function": args.function,
+        "m": args.m,
         "delta": grid.delta,
         "n_steps": grid.n_steps,
-        "eps": cfg.eps,
-        "t_max": cfg.t_max,
+        "eps": args.eps,
+        "t_max": args.t_max,
         "t_stop": result.t_stop,
         "stop_reason": result.stop_reason,
         "convergence_caveat": CONVERGENCE_CAVEAT,
@@ -512,15 +493,14 @@ def cmd_run(cfg: RunConfig) -> int:
         "envelope_chains": result.envelope_chains,
         "tracked": tracked_rec,
         "slice": slice_rec,
-        "initial_node": cfg.initial_node,
-        "threads": cfg.threads,
+        "initial_node": args.initial_node,
         "elapsed_seconds": elapsed,
         "artifacts": artifacts,
     }
     _write_json(out / "metadata.json", metadata)
 
     print(
-        f"run: {cfg.function} m={cfg.m} delta={grid.delta:g} -> "
+        f"run: {args.function} m={args.m} delta={grid.delta:g} -> "
         f"t_stop={result.t_stop} ({result.stop_reason}), "
         f"cross-node gap {result.cross_k_gap:.3g}, {elapsed:.2f}s"
     )
@@ -547,9 +527,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
             )
     f = _resolve_function(args.function, grid.m)
 
-    achieved = run(
-        grid, f, t_max=args.t_max, eps=args.eps, threads=args.threads
-    ).bank.max_field()
+    achieved = run(grid, f, t_max=args.t_max, eps=args.eps).bank.max_field()
     membership = check_membership(parsed, f, args.tol)
     optimality = assess_optimality(parsed, achieved, f, args.tol)
 
@@ -615,12 +593,7 @@ def cmd_sweep_delta(args: argparse.Namespace) -> int:
         grid = GridSpec.from_delta(args.m, delta)
         tracked_idx, tracked_rec = _snap_tracked(grid, requested)
         result = run(
-            grid,
-            f,
-            t_max=args.t_max,
-            eps=args.eps,
-            tracked=tuple(tracked_idx),
-            threads=args.threads,
+            grid, f, t_max=args.t_max, eps=args.eps, tracked=tuple(tracked_idx)
         )
         results[delta] = (grid, tracked_idx, tracked_rec, result)
         rows.extend(_trace_rows(result, f"{_fmt(delta)},"))
@@ -710,6 +683,8 @@ def cmd_sweep_delta(args: argparse.Namespace) -> int:
 def cmd_oracle_check(args: argparse.Namespace) -> int:
     grid = GridSpec.from_delta(args.m, args.delta)
     f = _resolve_function(args.function, args.m)
+    if not 1 <= args.k <= args.m:
+        raise ConfigError(f"--k {args.k} outside 1..{args.m}")
     spec = ConditionalSearchSpec(
         k=args.k, search_step=args.search_step, u1_cardinality=args.u1_cardinality
     )
@@ -770,8 +745,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--t-max", type=int, default=40, help="sweep budget")
         p.add_argument("--eps", type=float, default=1e-6,
                        help="sup-norm stop threshold between sweeps")
-        p.add_argument("--threads", type=int, default=1,
-                       help="envelope worker threads (RATERED_THREADS overrides)")
 
     p_run = sub.add_parser("run", help="iterate fields and export them")
     common(p_run)
@@ -822,35 +795,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
 
-    env_threads = os.environ.get("RATERED_THREADS")
-    if env_threads is not None and hasattr(args, "threads"):
-        try:
-            args.threads = int(env_threads)
-        except ValueError:
-            print(f"error: RATERED_THREADS={env_threads!r} is not an integer",
-                  file=sys.stderr)
-            return 2
-
     try:
         if args.command == "run":
-            emit = tuple(s for s in args.emit.split(",") if s)
-            bad = [s for s in emit if s not in EMIT_CHOICES]
-            if bad:
-                raise ConfigError(f"unknown emit kinds {bad}; choose from {EMIT_CHOICES}")
-            cfg = RunConfig(
-                function=args.function,
-                m=args.m,
-                delta=args.delta,
-                t_max=args.t_max,
-                eps=args.eps,
-                initial_node=args.initial_node,
-                tracked_points=[_parse_point(t, args.m) for t in args.track],
-                output_dir=args.output_dir,
-                emit=emit,
-                threads=args.threads,
-                slice_spec=args.slice_spec,
-            )
-            return cmd_run(cfg)
+            return cmd_run(args)
         if args.command == "certify":
             return cmd_certify(args)
         if args.command == "sweep-delta":

@@ -17,16 +17,14 @@ Two implementations share that arithmetic.  _envelope_line is the scalar
 reference: Andrew's monotone chain and a chord walk over one line in plain
 Python floats; upper_concave_envelope uses it, and the tests compare the
 batch kernel against it bit for bit.  envelope_batch, which every sweep
-calls, runs _envelope_rows: the same monotone chain on all rows of a batch
-in lockstep, one numpy step per column (and per round of pops), then the
-interpolation for the whole batch in one vectorised pass.  It performs the
-reference's float operations in the same order, so the two agree to the
-last bit, ties and BOTTOM rows included.
+calls, runs the same monotone chain on all rows of a batch in lockstep, one
+numpy step per column (and per round of pops), then the interpolation for
+the whole batch in one vectorised pass.  It performs the reference's float
+operations in the same order, so the two agree to the last bit, ties and
+BOTTOM rows included.
 """
 
 from __future__ import annotations
-
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -91,7 +89,7 @@ def _envelope_line(v: list) -> list:
     return out
 
 
-def _envelope_rows(lines: np.ndarray) -> np.ndarray:
+def envelope_batch(lines: np.ndarray) -> np.ndarray:
     """_envelope_line on every row of a 2D array at once, bit for bit.
 
     Hull pass: walk the columns left to right; every row keeps its hull
@@ -104,6 +102,8 @@ def _envelope_rows(lines: np.ndarray) -> np.ndarray:
     float is the same.  A row with at most one finite point has no chord to
     fill and comes back unchanged.
     """
+    if lines.ndim != 2:
+        raise ValueError("lines must be two-dimensional")
     v = np.asarray(lines, dtype=np.float64)
     rows, n = v.shape
     itype = np.int32 if rows * n < 2**31 else np.int64
@@ -149,30 +149,6 @@ def _envelope_rows(lines: np.ndarray) -> np.ndarray:
         y1 = flat[base[:, None] + x1]
         chord = y0 + (y1 - y0) * (cols - x0) / (x1 - x0)
     return np.where(vertex, v, np.where(inside, chord, BOTTOM))
-
-
-def envelope_batch(lines: np.ndarray, threads: int = 1) -> np.ndarray:
-    """Envelope of every row of a 2D array, row-independently.
-
-    Rows are disjoint, so any chunking across threads produces bit-identical
-    results; the thread count is a throughput knob only.
-    """
-    if lines.ndim != 2:
-        raise ValueError("lines must be two-dimensional")
-    rows, _ = lines.shape
-    out = np.empty_like(lines)
-
-    def work(lo: int, hi: int) -> None:
-        out[lo:hi] = _envelope_rows(lines[lo:hi])
-
-    if threads <= 1 or rows < 2 * threads:
-        work(0, rows)
-        return out
-    chunk = (rows + threads - 1) // threads
-    bounds = [(lo, min(lo + chunk, rows)) for lo in range(0, rows, chunk)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(lambda be: work(*be), bounds))
-    return out
 
 
 def is_concave(profile, tol: float = 1e-9) -> bool:

@@ -165,13 +165,8 @@ def next_node(k: int, m: int) -> int:
     return k + 1 if k < m else 1
 
 
-def axis_convexify(
-    field_in: RateReductionField, k: int, threads: int = 1
-) -> RateReductionField:
-    """Replace every 1D line along axis k by its upper concave envelope.
-
-    Lines are independent; the result is bit-identical for any thread count.
-    """
+def axis_convexify(field_in: RateReductionField, k: int) -> RateReductionField:
+    """Replace every 1D line along axis k by its upper concave envelope."""
     grid = field_in.grid
     if not 1 <= k <= grid.m:
         raise ValueError(f"axis {k} outside 1..{grid.m}")
@@ -179,20 +174,19 @@ def axis_convexify(
     length = grid.points_per_axis
     moved = np.moveaxis(field_in.data, ax, -1)
     lines = np.ascontiguousarray(moved).reshape(-1, length)
-    new_lines = envelope_batch(lines, threads=threads)
+    new_lines = envelope_batch(lines)
     new_data = np.ascontiguousarray(
         np.moveaxis(new_lines.reshape(moved.shape), -1, ax)
     )
     return RateReductionField(grid=grid, data=new_data, tau=field_in.tau + 1, k=k)
 
 
-def sweep_once(bank: FieldBank, threads: int = 1) -> FieldBank:
+def sweep_once(bank: FieldBank) -> FieldBank:
     """One synchronous sweep: new field k = old field (k+1 mod m)
     convexified along axis k, all m reads taken from the previous bank."""
     m = bank.m
     new_fields = tuple(
-        axis_convexify(bank.field_for(next_node(k, m)), k, threads=threads)
-        for k in range(1, m + 1)
+        axis_convexify(bank.field_for(next_node(k, m)), k) for k in range(1, m + 1)
     )
     return FieldBank(fields=new_fields, tau=bank.tau + 1)
 
@@ -211,7 +205,7 @@ def is_rotation_invariant(data: np.ndarray) -> bool:
     return np.array_equal(rotate_axes(bits), bits)
 
 
-def rotated_sweep(bank: FieldBank, threads: int = 1) -> FieldBank:
+def rotated_sweep(bank: FieldBank) -> FieldBank:
     """sweep_once for a bank whose fields satisfy F_k = R^(k-1)(F_1).
 
     One envelope batch, F_1' = axis_convexify(R(F_1), 1), replaces m; the
@@ -228,7 +222,6 @@ def rotated_sweep(bank: FieldBank, threads: int = 1) -> FieldBank:
     first = axis_convexify(
         RateReductionField(node1.grid, rotate_axes(node1.data), node1.tau, node1.k),
         1,
-        threads=threads,
     )
     fields = (first,) + tuple(
         RateReductionField(
@@ -273,7 +266,6 @@ def run(
     eps: float,
     tracked: tuple[GridIndex, ...] = (),
     keep_history: bool = False,
-    threads: int = 1,
 ) -> RunResult:
     """Iterate sweeps until the sup delta falls to eps or t_max is reached.
 
@@ -306,10 +298,10 @@ def run(
     stop_reason = "t_max"
     for _ in range(t_max):
         if rotated:
-            new_bank = rotated_sweep(bank, threads=threads)
+            new_bank = rotated_sweep(bank)
             delta = sup_delta(new_bank.field_for(1).data, bank.field_for(1).data)
         else:
-            new_bank = sweep_once(bank, threads=threads)
+            new_bank = sweep_once(bank)
             delta = bank_sup_delta(new_bank, bank)
         trace.sup_deltas.append(delta)
         bank = new_bank

@@ -110,7 +110,8 @@ def _entry_tables(
     P(U=u) h(P(X_k=1 | U=u)) and whether it is admissible (dead, or leaving f
     constant), as (n+1) x (n+1) tables indexed [a, b].  Each entry is the
     same elementwise float expression as evaluating that message value of
-    one pair of conditional rows in full, so it is bitwise that value."""
+    one pair of conditional rows in full, so it is bitwise that value; h is
+    taken as 0 wherever the rounded posterior is exactly 0 or 1."""
     ok0, ok1, ok01 = constancy
     entries = np.arange(n_steps + 1, dtype=np.float64) / float(n_steps)
     given0, given1 = np.meshgrid(entries, entries, indexing="ij")
@@ -122,7 +123,9 @@ def _entry_tables(
     at_zero = mass1 == 0.0
     at_one = mass0 == 0.0
     u_ok = np.where(at_zero, ok0, np.where(at_one, ok1, ok01))
-    interior = live & ~at_zero & ~at_one
+    # tested on the rounded posterior: with p_k within an ulp or so of 1 it
+    # can round to 1 although mass0 > 0, and log2(1 - q) would give NaN
+    interior = (post > 0.0) & (post < 1.0)
     h_post = np.zeros_like(post)
     q = post[interior]
     h_post[interior] = -(q * np.log2(q) + (1.0 - q) * np.log2(1.0 - q))
@@ -191,8 +194,6 @@ def single_message_reduction(
         raise ValueError(f"pmf arity {p.m} != function arity {m}")
     if not 1 <= spec.k <= m:
         raise ValueError(f"node {spec.k} outside 1..{m}")
-    if f.alphabet_sizes[spec.k - 1] != 2:
-        raise ValueError("search requires a binary alphabet at the transmitting node")
 
     base = 0.0
     for j in range(m):

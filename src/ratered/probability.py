@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -38,25 +38,16 @@ class GridSpec:
 
     The grid along each axis is {i/N : i = 0..N} with N = n_steps, so the
     step delta = 1/N is the reciprocal of an integer by construction.
-    v1 supports binary alphabets only; the sizes are carried so the
-    interface can grow without change.
     """
 
     m: int
     n_steps: int
-    alphabet_sizes: tuple[int, ...] = field(default=())
 
     def __post_init__(self) -> None:
         if self.m < 2:
             raise ConfigError(f"need at least 2 sources, got m={self.m}")
         if self.n_steps < 1:
             raise ConfigError(f"n_steps must be >= 1, got {self.n_steps}")
-        if not self.alphabet_sizes:
-            object.__setattr__(self, "alphabet_sizes", (2,) * self.m)
-        if len(self.alphabet_sizes) != self.m:
-            raise ConfigError("alphabet_sizes length must equal m")
-        if any(a != 2 for a in self.alphabet_sizes):
-            raise ConfigError("only binary alphabets are supported in v1")
 
     @classmethod
     def from_delta(cls, m: int, delta: float) -> "GridSpec":

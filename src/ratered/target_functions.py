@@ -20,6 +20,16 @@ from .probability import ProductPmf
 BUILTIN_NAMES = ("min", "max", "and", "or", "parity", "constant")
 
 
+def _require_binary(alphabet_sizes: tuple[int, ...], where: str = "") -> None:
+    """Every source is Bernoulli: any alphabet size other than 2 is a
+    configuration error, reported after the prefix `where`."""
+    if any(a != 2 for a in alphabet_sizes):
+        raise ConfigError(
+            f"{where}alphabets={','.join(map(str, alphabet_sizes))}: "
+            "only binary source alphabets are supported"
+        )
+
+
 @dataclass(frozen=True)
 class FunctionTable:
     """Explicit truth table f: X_1 x ... x X_m -> Z."""
@@ -34,9 +44,8 @@ class FunctionTable:
             raise ConfigError(f"arity must be >= 1, got {self.m}")
         if len(self.alphabet_sizes) != self.m:
             raise ConfigError("alphabet_sizes length must equal arity")
-        expected = 1
-        for a in self.alphabet_sizes:
-            expected *= a
+        _require_binary(self.alphabet_sizes)
+        expected = 2**self.m
         if len(self.table) != expected:
             raise ConfigError(
                 f"non-total table: {len(self.table)} entries, expected {expected}"
@@ -138,6 +147,7 @@ def load_table(path: str | Path) -> FunctionTable:
         outputs = tuple(int(z) for z in fields["outputs"].split(","))
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"{path}:{header_no}: malformed header: {exc}") from exc
+    _require_binary(alphabet_sizes, f"{path}:{header_no}: ")
 
     table: dict[tuple[int, ...], int] = {}
     for line_no, text in lines[1:]:

@@ -29,7 +29,7 @@ def min3():
 @pytest.fixture(scope="session")
 def per_line_envelope():
     """envelope_batch's reference: the scalar _envelope_line on each row."""
-    def envelope(lines, threads=1):
+    def envelope(lines):
         out = np.empty_like(lines)
         for r in range(lines.shape[0]):
             out[r] = _envelope_line(lines[r].tolist())

@@ -198,24 +198,26 @@ def test_a09_certifier_accepts_converged_field_rejects_corruption(
     assert max(abs(a - b) for a, b in zip(found, bump_at)) <= 1
 
 
-def test_a10_csv_artifacts_identical_across_thread_counts(tmp_path):
-    outputs = {}
-    for threads in (1, 4, 8):
-        out = tmp_path / f"t{threads}"
+def test_a10_csv_artifacts_identical_across_runs_and_per_line_kernel(
+        tmp_path, monkeypatch, per_line_envelope):
+    def run_into(name):
         code = cli.main([
             "run", "--function", "min", "--m", "3", "--delta", "0.05",
-            "--t-max", "8", "--track", "0.5,0.5,0.5",
-            "--threads", str(threads), "-o", str(out),
+            "--t-max", "8", "--track", "0.5,0.5,0.5", "-o", str(tmp_path / name),
         ])
         assert code == 0
-        outputs[threads] = out
+        return tmp_path / name
+
+    first, again = run_into("first"), run_into("again")
+    monkeypatch.setattr("ratered.lattice.envelope_batch", per_line_envelope)
+    per_line = run_into("per_line")
 
     names = ["field_k1.csv", "field_k2.csv", "field_k3.csv",
              "field_max.csv", "trace.csv"]
     for name in names:
-        reference = (outputs[1] / name).read_bytes()
-        assert (outputs[4] / name).read_bytes() == reference, name
-        assert (outputs[8] / name).read_bytes() == reference, name
+        reference = (first / name).read_bytes()
+        assert (again / name).read_bytes() == reference, name
+        assert (per_line / name).read_bytes() == reference, name
 
 
 def test_a11_envelope_kernel_property_battery():

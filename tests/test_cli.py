@@ -39,6 +39,7 @@ class TestRunCommand:
         assert md["tracked"][0]["requested"] == [0.5, 0.5, 0.5]
         assert len(md["sup_deltas"]) == md["t_stop"]
         assert md["envelope_chains"] == 1      # min's base is rotation-invariant
+        assert "threads" not in md
         svg = (tmp_path / "trace.svg").read_text()
         assert svg.startswith("<svg") and "polyline" in svg
 
@@ -121,14 +122,6 @@ class TestRunCommand:
         assert md["stop_reason"] == "converged"
         for ln in (tmp_path / "field_max.csv").read_text().splitlines()[1:]:
             assert ln.split(",")[-1] == "0"
-
-    def test_env_var_overrides_threads(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("RATERED_THREADS", "4")
-        cli.main([
-            "run", "--function", "min", "--m", "3", "--delta", "0.5",
-            "--t-max", "2", "-o", str(tmp_path),
-        ])
-        assert read_json(tmp_path / "metadata.json")["threads"] == 4
 
     def test_truth_table_file_as_function(self, tmp_path):
         table = tmp_path / "xor.txt"
@@ -348,6 +341,15 @@ class TestOracleCheckCommand:
         assert code == 2
         assert "point" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("k", [0, 4])
+    def test_k_out_of_range(self, tmp_path, k, capsys):
+        code = cli.main([
+            "oracle-check", "--function", "min", "--m", "3", "--delta", "0.2",
+            "--k", str(k), "--point", "1,1,0.5", "-o", str(tmp_path),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: --k {k} outside 1..3\n"
+
     @pytest.mark.parametrize("flag", ["--t-max", "--eps", "--threads"])
     def test_rejects_sweep_options(self, tmp_path, flag, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -400,14 +402,29 @@ class TestConfigErrors:
         assert code == 2
         assert "coordinates" in capsys.readouterr().err
 
-    def test_bad_env_threads(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("RATERED_THREADS", "lots")
-        code = cli.main([
-            "run", "--function", "min", "--m", "3", "--delta", "0.5",
-            "-o", str(tmp_path),
-        ])
+    @pytest.mark.parametrize("command", ["run", "certify", "sweep-delta", "oracle-check"])
+    def test_nonbinary_table_rejected(self, tmp_path, capsys, command):
+        table = tmp_path / "ternary.txt"
+        table.write_text("arity m=2 alphabets=2,3 outputs=0,1\n" + "".join(
+            f"{a} {b} -> {int(b == 2)}\n" for a in (0, 1) for b in (0, 1, 2)))
+        cli.main(["run", "--function", "min", "--m", "2", "--delta", "0.5",
+                  "--t-max", "1", "-o", str(tmp_path / "field")])
+        capsys.readouterr()
+        args = {
+            "run": ["--m", "2", "--delta", "0.5"],
+            "certify": ["--field", str(tmp_path / "field" / "field_max.csv")],
+            "sweep-delta": ["--m", "2", "--deltas", "0.5", "--track", "0.5,0.5"],
+            "oracle-check": ["--m", "2", "--delta", "0.5", "--k", "1",
+                             "--point", "0.5,0.5"],
+        }[command]
+        code = cli.main([command, "--function", str(table), *args,
+                         "-o", str(tmp_path / "out")])
         assert code == 2
-        assert "RATERED_THREADS" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: {table}:1: alphabets=2,3: only binary source alphabets "
+            "are supported\n"
+        )
+        assert not (tmp_path / "out").exists()
 
 
 def test_read_field_csv_rejects_incomplete(tmp_path):

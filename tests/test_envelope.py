@@ -139,20 +139,11 @@ class TestBatch:
         for row, line in zip(batch, lines):
             assert np.array_equal(row, upper_concave_envelope(line))
 
-    def test_thread_counts_bit_identical(self):
-        rng = np.random.default_rng(9)
-        lines = rng.uniform(-1.0, 1.0, size=(64, 17))
-        lines[rng.uniform(size=lines.shape) < 0.3] = BOTTOM
-        base = envelope_batch(lines, threads=1)
-        for threads in (2, 4, 8):
-            assert np.array_equal(envelope_batch(lines, threads=threads), base)
-
     def test_rejects_1d(self):
         with pytest.raises(ValueError):
             envelope_batch(np.zeros(5))
 
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_bitwise_equals_per_line_loop(self, per_line_envelope, threads):
+    def test_bitwise_equals_per_line_loop(self, per_line_envelope):
         rng = np.random.default_rng(10)
         for n in range(1, 61):
             lines = rng.uniform(-1.0, 2.0, size=(48, n))
@@ -162,7 +153,7 @@ class TestBatch:
             lines[24] = BOTTOM                                 # all BOTTOM
             lines[25] = BOTTOM
             lines[25, n // 2] = 0.75                           # one finite point
-            got = envelope_batch(lines, threads=threads)
+            got = envelope_batch(lines)
             want = per_line_envelope(lines)
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), n
 

@@ -122,14 +122,6 @@ class TestSweepMechanics:
             assert np.array_equal(bank.field_for(2).data, np.transpose(a1, (2, 0, 1)))
             assert np.array_equal(bank.field_for(3).data, np.transpose(a1, (1, 2, 0)))
 
-    def test_threads_bit_identical(self, min3):
-        grid = GridSpec.from_delta(3, 0.1)
-        serial = run(grid, min3, t_max=6, eps=1e-300)
-        threaded = run(grid, min3, t_max=6, eps=1e-300, threads=4)
-        for k in (1, 2, 3):
-            assert np.array_equal(serial.bank.field_for(k).data,
-                                  threaded.bank.field_for(k).data)
-
 
 def _reference_run(grid, f, t_max, eps):
     """run() spelled out with sweep_once and bank_sup_delta on every node."""

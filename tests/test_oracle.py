@@ -63,6 +63,16 @@ class TestSingleMessageValues:
             value = single_message_reduction(p, f, spec)
             assert value == pytest.approx(product_entropy(p), abs=1e-12)
 
+    @pytest.mark.parametrize("pk", [1 - 2**-53, 1 - 2**-50], ids=["1-2^-53", "1-2^-50"])
+    def test_finite_when_posterior_rounds_to_one(self, pk):
+        # some posteriors round to exactly 1 here; h must read 0 there, not
+        # 0 * log2(0) = NaN, which would make every pair lose the maximum
+        value = single_message_reduction(
+            ProductPmf((0.0, 0.0, pk)), builtin_table("constant", 3),
+            ConditionalSearchSpec(k=3, search_step=0.02),
+        )
+        assert 0.0 <= value <= 1e-13
+
     def test_null_message_covers_zero_message_points(self, min3):
         # wherever no communication is needed at all, the search must find
         # at least the full joint entropy (and no more, by data processing)

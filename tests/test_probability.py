@@ -62,12 +62,6 @@ class TestGridSpec:
         with pytest.raises(ConfigError):
             GridSpec(m=1, n_steps=10)
 
-    def test_rejects_nonbinary_alphabets(self):
-        with pytest.raises(ConfigError):
-            GridSpec(m=2, n_steps=4, alphabet_sizes=(2, 3))
-        with pytest.raises(ConfigError):
-            GridSpec(m=2, n_steps=4, alphabet_sizes=(2,))
-
     def test_axis_endpoints_exact(self):
         grid = GridSpec(m=2, n_steps=7)
         values = grid.axis_values()

@@ -66,6 +66,13 @@ class TestFunctionTableValidation:
         with pytest.raises(ConfigError):
             FunctionTable(m=2, alphabet_sizes=(2, 2), output_alphabet=(0, 1), table=table)
 
+    def test_rejects_nonbinary_alphabets(self):
+        table = {x: 0 for x in itertools.product((0, 1), (0, 1, 2))}
+        with pytest.raises(ConfigError, match="alphabets=2,3: only binary"):
+            FunctionTable(m=2, alphabet_sizes=(2, 3), output_alphabet=(0,), table=table)
+        with pytest.raises(ConfigError):
+            FunctionTable(m=2, alphabet_sizes=(2,), output_alphabet=(0,), table=table)
+
     def test_input_symbol_out_of_range_rejected(self):
         table = {x: 0 for x in itertools.product((0, 1), repeat=2)}
         table[(0, 2)] = 0
@@ -159,6 +166,18 @@ class TestLoadTable:
         )
         with pytest.raises(ConfigError):
             load_table(path)
+
+    def test_rejects_nonbinary_alphabets_naming_header_line(self, tmp_path):
+        rows = "".join(f"{a} {b} -> {int(b == 2)}\n"
+                       for a, b in itertools.product((0, 1), (0, 1, 2)))
+        path = self.write(
+            tmp_path, "# x2 is ternary\narity m=2 alphabets=2,3 outputs=0,1\n" + rows
+        )
+        with pytest.raises(ConfigError) as exc:
+            load_table(path)
+        assert str(exc.value) == (
+            f"{path}:2: alphabets=2,3: only binary source alphabets are supported"
+        )
 
     def test_line_number_in_message(self, tmp_path):
         path = self.write(

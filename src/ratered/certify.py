@@ -7,6 +7,11 @@ finite support.  Checking (a) only on that zero-message set suffices: the
 joint entropy itself bounds the zero-message field everywhere else because
 the field is BOTTOM there.
 
+Condition (b) is read from envelope.concavity_defects, one whole-array pass
+per axis.  A second difference that overflows to NaN (inf - inf, say, from
+values near 1e308) counts as an infinite defect: a line whose concavity
+cannot be computed fails at every finite tolerance instead of being skipped.
+
 A certified field yields a pointwise lower bound on the infinite-message
 minimum sum-rate, and comparing a certified candidate against an achieved
 field gives a numeric optimality verdict.  Everything here is at grid
@@ -16,11 +21,11 @@ mistaken for a continuum proof.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .envelope import BOTTOM, concavity_violation
+from .envelope import BOTTOM, concavity_defects
 from .errors import NotCertifiedError
 from .lattice import RateReductionField, zero_message_mask
 from .probability import GridIndex, ProductPmf, entropy_grid, product_entropy
@@ -52,35 +57,19 @@ class MembershipReport:
         return "pass" if self.passed else "fail"
 
     def to_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "majorization_ok": self.majorization_ok,
-            "worst_majorization_gap": self.worst_majorization_gap,
-            "majorization_location": (
-                list(self.majorization_location)
-                if self.majorization_location is not None
-                else None
-            ),
-            "concavity_ok_per_axis": list(self.concavity_ok_per_axis),
-            "worst_concavity_violation": self.worst_concavity_violation,
-            "concavity_axis": self.concavity_axis,
-            "concavity_location": (
-                list(self.concavity_location)
-                if self.concavity_location is not None
-                else None
-            ),
-            "tol": self.tol,
-            "delta": self.delta,
-            "m": self.m,
-            "n_steps": self.n_steps,
-        }
+        return {"verdict": self.verdict, **asdict(self)}
 
 
 def check_membership(
     field: RateReductionField, f: FunctionTable, tol: float
 ) -> MembershipReport:
     """Family check: entropy majorization on the zero-message set plus
-    per-axis concavity with contiguous finite support."""
+    per-axis concavity with contiguous finite support.
+
+    An axis passes when its largest defect is at most tol.  The reported
+    location is the first largest defect in C order over (line, index) of
+    the first axis that attains the overall maximum.
+    """
     grid = field.grid
     if f.m != grid.m:
         raise ValueError(f"function arity {f.m} != grid m={grid.m}")
@@ -101,27 +90,17 @@ def check_membership(
     worst_violation = BOTTOM
     worst_axis = 0
     worst_loc: GridIndex | None = None
-    length = grid.points_per_axis
-    for k in range(1, grid.m + 1):
-        ax = k - 1
-        moved = np.moveaxis(field.data, ax, -1)
-        outer_shape = moved.shape[:-1]
-        lines = np.ascontiguousarray(moved).reshape(-1, length)
-        axis_ok = True
-        for r in range(lines.shape[0]):
-            violation, inner = concavity_violation(lines[r], tol=tol)
-            if violation == BOTTOM:
-                continue
-            if violation > tol:
-                axis_ok = False
-            if violation > worst_violation:
-                outer = np.unravel_index(r, outer_shape) if outer_shape else ()
-                loc = list(int(c) for c in outer)
-                loc.insert(ax, inner)
-                worst_violation = violation
-                worst_axis = k
-                worst_loc = tuple(loc)
-        per_axis_ok.append(axis_ok)
+    for ax in range(grid.m):
+        defects = concavity_defects(np.moveaxis(field.data, ax, -1))
+        flat = int(np.argmax(defects))
+        violation = float(defects.reshape(-1)[flat])
+        per_axis_ok.append(violation <= tol)
+        if violation > worst_violation:
+            loc = [int(c) for c in np.unravel_index(flat, defects.shape)]
+            loc.insert(ax, loc.pop())
+            worst_violation = violation
+            worst_axis = ax + 1
+            worst_loc = tuple(loc)
 
     return MembershipReport(
         majorization_ok=majorization_ok,
@@ -180,9 +159,7 @@ class OptimalityVerdict:
         return {
             "status": self.status,
             "worst_gap": self.worst_gap,
-            "gap_location": (
-                list(self.gap_location) if self.gap_location is not None else None
-            ),
+            "gap_location": self.gap_location,
             "family_report": self.family_report.to_dict(),
         }
 

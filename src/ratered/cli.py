@@ -23,12 +23,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .certify import assess_optimality, check_membership
+from .certify import assess_optimality
 from .envelope import BOTTOM
 from .errors import ConfigError
 from .lattice import RateReductionField, RunResult, run, sum_rate_field
 from .oracle import ConditionalSearchSpec, compare_with_envelope
-# Unused here; kept because perfbench/tracer.py wraps ratered.cli.entropy_grid.
+# Unused here; kept because perfbench/tracer.py wraps ratered.cli.check_membership
+# and ratered.cli.entropy_grid.
+from .certify import check_membership  # noqa: F401
 from .probability import GridIndex, GridSpec, entropy_grid  # noqa: F401
 from .target_functions import BUILTIN_NAMES, FunctionTable, builtin_table, load_table
 
@@ -528,8 +530,8 @@ def cmd_certify(args: argparse.Namespace) -> int:
     f = _resolve_function(args.function, grid.m)
 
     achieved = run(grid, f, t_max=args.t_max, eps=args.eps).bank.max_field()
-    membership = check_membership(parsed, f, args.tol)
     optimality = assess_optimality(parsed, achieved, f, args.tol)
+    membership = optimality.family_report
 
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)

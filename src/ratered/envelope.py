@@ -22,6 +22,10 @@ numpy step per column (and per round of pops), then the interpolation for
 the whole batch in one vectorised pass.  It performs the reference's float
 operations in the same order, so the two agree to the last bit, ties and
 BOTTOM rows included.
+
+The concavity test lives in one place too: concavity_defects measures every
+second difference of every line of an array at once, and both the per-line
+concavity_violation / is_concave and the certifier's family check read it.
 """
 
 from __future__ import annotations
@@ -166,26 +170,41 @@ def is_concave(profile, tol: float = 1e-9) -> bool:
     return concavity_violation(arr)[0] <= tol
 
 
-def concavity_violation(profile, tol: float = 1e-9) -> tuple[float, int]:
+def concavity_violation(profile) -> tuple[float, int]:
     """Worst concavity defect of one line and the interior index at fault.
 
-    Returns (violation, index) where violation = max over interior triples of
-    v[i-1] + v[i+1] - 2 v[i]; a support gap reports (+inf, gap index), and a
-    line with fewer than three finite points (BOTTOM, -1).
+    The first maximum of concavity_defects on the line: the defect
+    v[i-1] + v[i+1] - 2 v[i] of the worst interior triple, (+inf, first hole
+    index) for a support gap, and (BOTTOM, -1) when there is nothing to
+    measure (fewer than three finite points).  A second difference that
+    overflows to NaN counts as +inf, so it fails at every finite tolerance.
     """
-    arr = np.asarray(profile, dtype=np.float64)
-    finite = np.isfinite(arr)
-    k = int(np.count_nonzero(finite))
-    if k <= 1:
-        return (BOTTOM, -1)
-    idx = np.flatnonzero(finite)
-    lo, hi = int(idx[0]), int(idx[-1])
-    if hi - lo + 1 != k:
-        inner = np.flatnonzero(~finite[lo : hi + 1])
-        return (float("inf"), lo + int(inner[0]))
-    seg = arr[lo : hi + 1]
-    if len(seg) < 3:
-        return (BOTTOM, -1)
-    defects = seg[:-2] + seg[2:] - 2.0 * seg[1:-1]
+    defects = concavity_defects(profile)
     j = int(np.argmax(defects))
-    return (float(defects[j]), lo + j + 1)
+    if defects[j] == BOTTOM:
+        return (BOTTOM, -1)
+    return (float(defects[j]), j)
+
+
+def concavity_defects(lines) -> np.ndarray:
+    """Concavity defect at every index of every line along the last axis.
+
+    A line whose finite entries are contiguous gets, at each interior index
+    i of that support, v[i-1] + v[i+1] - 2 v[i] (NaN, from an overflow,
+    becomes +inf).  A line with a hole inside its finite support gets +inf
+    at its first hole.  Every other entry is BOTTOM, so an entry is above a
+    tolerance exactly where the line fails at that index.
+    """
+    v = np.asarray(lines, dtype=np.float64)
+    finite = np.isfinite(v)
+    hole = (~finite & np.logical_or.accumulate(finite, axis=-1)
+            & np.logical_or.accumulate(finite[..., ::-1], axis=-1)[..., ::-1])
+    gapped = hole.any(axis=-1, keepdims=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        second = v[..., :-2] + v[..., 2:] - 2.0 * v[..., 1:-1]
+    second[np.isnan(second)] = np.inf
+    out = np.full(v.shape, BOTTOM)
+    interior = finite[..., :-2] & finite[..., 2:] & ~gapped
+    out[..., 1:-1] = np.where(interior, second, BOTTOM)
+    out[hole & (np.cumsum(hole, axis=-1) == 1)] = np.inf
+    return out

@@ -20,14 +20,28 @@ from .probability import ProductPmf
 BUILTIN_NAMES = ("min", "max", "and", "or", "parity", "constant")
 
 
-def _require_binary(alphabet_sizes: tuple[int, ...], where: str = "") -> None:
-    """Every source is Bernoulli: any alphabet size other than 2 is a
+def _check_alphabets(m: int, alphabet_sizes: tuple[int, ...], where: str = "") -> None:
+    """One size per source and every source Bernoulli; a violation is a
     configuration error, reported after the prefix `where`."""
+    if len(alphabet_sizes) != m:
+        raise ConfigError(
+            f"{where}alphabets= lists {len(alphabet_sizes)} sizes, expected m={m}"
+        )
     if any(a != 2 for a in alphabet_sizes):
         raise ConfigError(
             f"{where}alphabets={','.join(map(str, alphabet_sizes))}: "
             "only binary source alphabets are supported"
         )
+
+
+def _check_entry(m: int, outputs, x: tuple[int, ...], z: int, where: str = "") -> None:
+    """One truth-table row x -> z over binary inputs, reported after `where`."""
+    if len(x) != m:
+        raise ConfigError(f"{where}input tuple {x} has wrong arity")
+    if any(xi not in (0, 1) for xi in x):
+        raise ConfigError(f"{where}input symbol out of range in {x}")
+    if z not in outputs:
+        raise ConfigError(f"{where}output {z} for {x} not in output alphabet")
 
 
 @dataclass(frozen=True)
@@ -42,9 +56,7 @@ class FunctionTable:
     def __post_init__(self) -> None:
         if self.m < 1:
             raise ConfigError(f"arity must be >= 1, got {self.m}")
-        if len(self.alphabet_sizes) != self.m:
-            raise ConfigError("alphabet_sizes length must equal arity")
-        _require_binary(self.alphabet_sizes)
+        _check_alphabets(self.m, self.alphabet_sizes)
         expected = 2**self.m
         if len(self.table) != expected:
             raise ConfigError(
@@ -52,13 +64,7 @@ class FunctionTable:
             )
         outputs = set(self.output_alphabet)
         for x, z in self.table.items():
-            if len(x) != self.m:
-                raise ConfigError(f"input tuple {x} has wrong arity")
-            for xi, a in zip(x, self.alphabet_sizes):
-                if not 0 <= xi < a:
-                    raise ConfigError(f"input symbol out of range in {x}")
-            if z not in outputs:
-                raise ConfigError(f"output {z} for {x} not in output alphabet")
+            _check_entry(self.m, outputs, x, z)
 
     def __call__(self, x: tuple[int, ...]) -> int:
         return self.table[x]
@@ -70,9 +76,8 @@ class FunctionTable:
 def builtin_table(name: str, m: int) -> FunctionTable:
     """One of the built-in binary functions over m sources.
 
-    min == and and max == or on {0,1}; both spellings are kept because the
-    m-ary min/max generalize beyond binary alphabets later.  "constant" is
-    the all-zeros function (useful as a degenerate smoke case).
+    min == and and max == or on {0,1}; both spellings are accepted.
+    "constant" is the all-zeros function (useful as a degenerate smoke case).
     """
     if m < 2:
         raise ConfigError(f"builtin functions need m >= 2, got {m}")
@@ -147,7 +152,7 @@ def load_table(path: str | Path) -> FunctionTable:
         outputs = tuple(int(z) for z in fields["outputs"].split(","))
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"{path}:{header_no}: malformed header: {exc}") from exc
-    _require_binary(alphabet_sizes, f"{path}:{header_no}: ")
+    _check_alphabets(m, alphabet_sizes, f"{path}:{header_no}: ")
 
     table: dict[tuple[int, ...], int] = {}
     for line_no, text in lines[1:]:
@@ -163,20 +168,15 @@ def load_table(path: str | Path) -> FunctionTable:
             raise ConfigError(f"{path}:{line_no}: non-integer symbol") from exc
         if x in table:
             raise ConfigError(f"{path}:{line_no}: duplicate entry for {x}")
+        _check_entry(m, outputs, x, z, f"{path}:{line_no}: ")
         table[x] = z
 
-    expected = 1
-    for a in alphabet_sizes:
-        expected *= a
-    if len(table) != expected:
-        missing = [
-            x
-            for x in itertools.product(*(range(a) for a in alphabet_sizes))
-            if x not in table
-        ]
+    # rows are distinct binary tuples, so the table is total iff none is missing
+    missing = [x for x in itertools.product((0, 1), repeat=m) if x not in table]
+    if missing:
         raise ConfigError(
             f"{path}: non-total table, missing {len(missing)} rows, "
-            f"first missing {missing[0] if missing else '?'}"
+            f"first missing {missing[0]}"
         )
     return FunctionTable(
         m=m, alphabet_sizes=alphabet_sizes, output_alphabet=outputs, table=table

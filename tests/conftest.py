@@ -11,9 +11,10 @@ import time
 import numpy as np
 import pytest
 
+from ratered.certify import MembershipReport
 from ratered.cli import _fmt
 from ratered.envelope import BOTTOM, _envelope_line
-from ratered.lattice import run, sum_rate_field
+from ratered.lattice import run, sum_rate_field, zero_message_mask
 from ratered.oracle import _stochastic_rows, _support_constancy
 from ratered.probability import GridSpec, binary_entropy, entropy_grid
 from ratered.target_functions import builtin_table
@@ -35,6 +36,78 @@ def per_line_envelope():
             out[r] = _envelope_line(lines[r].tolist())
         return out
     return envelope
+
+
+def _per_line_concavity(profile):
+    """concavity_violation's reference: one line, support checks first, then
+    the first argmax of the interior second differences."""
+    arr = np.asarray(profile, dtype=np.float64)
+    finite = np.isfinite(arr)
+    k = int(np.count_nonzero(finite))
+    if k <= 1:
+        return (BOTTOM, -1)
+    idx = np.flatnonzero(finite)
+    lo, hi = int(idx[0]), int(idx[-1])
+    if hi - lo + 1 != k:
+        inner = np.flatnonzero(~finite[lo : hi + 1])
+        return (float("inf"), lo + int(inner[0]))
+    seg = arr[lo : hi + 1]
+    if len(seg) < 3:
+        return (BOTTOM, -1)
+    defects = seg[:-2] + seg[2:] - 2.0 * seg[1:-1]
+    j = int(np.argmax(defects))
+    return (float(defects[j]), lo + j + 1)
+
+
+@pytest.fixture(scope="session")
+def per_line_concavity():
+    return _per_line_concavity
+
+
+@pytest.fixture(scope="session")
+def per_line_membership():
+    """check_membership's reference: every line of every axis through
+    per_line_concavity in a Python loop; a later line or axis takes over
+    the worst location only when its violation is strictly larger."""
+    def check(field, f, tol):
+        grid = field.grid
+        mask = zero_message_mask(grid, f)
+        gaps = entropy_grid(grid)[mask] - field.data[mask]
+        j = int(np.argmax(gaps))
+        per_axis_ok = []
+        worst_violation, worst_axis, worst_loc = BOTTOM, 0, None
+        length = grid.points_per_axis
+        for k in range(1, grid.m + 1):
+            ax = k - 1
+            moved = np.moveaxis(field.data, ax, -1)
+            outer_shape = moved.shape[:-1]
+            lines = np.ascontiguousarray(moved).reshape(-1, length)
+            axis_ok = True
+            for r in range(lines.shape[0]):
+                violation, inner = _per_line_concavity(lines[r])
+                if violation == BOTTOM:
+                    continue
+                if violation > tol:
+                    axis_ok = False
+                if violation > worst_violation:
+                    loc = [int(c) for c in np.unravel_index(r, outer_shape)]
+                    loc.insert(ax, inner)
+                    worst_violation, worst_axis, worst_loc = violation, k, tuple(loc)
+            per_axis_ok.append(axis_ok)
+        return MembershipReport(
+            majorization_ok=float(gaps[j]) <= tol,
+            worst_majorization_gap=float(gaps[j]),
+            majorization_location=tuple(int(c) for c in np.argwhere(mask)[j]),
+            concavity_ok_per_axis=tuple(per_axis_ok),
+            worst_concavity_violation=worst_violation,
+            concavity_axis=worst_axis,
+            concavity_location=worst_loc,
+            tol=tol,
+            delta=grid.delta,
+            m=grid.m,
+            n_steps=grid.n_steps,
+        )
+    return check
 
 
 def _per_pair_chunks(p, f, spec):

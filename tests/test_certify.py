@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -12,7 +14,24 @@ from ratered.envelope import BOTTOM
 from ratered.errors import NotCertifiedError
 from ratered.lattice import RateReductionField, initial_field, run
 from ratered.probability import GridSpec, ProductPmf, entropy_grid
-from ratered.target_functions import builtin_table
+from ratered.target_functions import BUILTIN_NAMES, FunctionTable, builtin_table
+
+TOLS = (0.0, 1e-9, 1e-4, math.inf)
+# x1 ? x2 : x3, which no cyclic shift of the inputs leaves unchanged
+SELECTOR3 = FunctionTable(
+    m=3,
+    alphabet_sizes=(2, 2, 2),
+    output_alphabet=(0, 1),
+    table={x: x[1] if x[0] else x[2] for x in itertools.product((0, 1), repeat=3)},
+)
+
+
+def _bits(report):
+    """Every report field, floats as their uint64 bit patterns."""
+    return tuple(
+        int(np.float64(v).view(np.uint64)) if isinstance(v, float) else v
+        for v in dataclasses.astuple(report)
+    )
 
 
 @pytest.fixture(scope="module")
@@ -112,6 +131,68 @@ class TestCheckMembership:
     def test_arity_mismatch(self, entropy_field):
         with pytest.raises(ValueError):
             check_membership(entropy_field, builtin_table("min", 2), 1e-6)
+
+
+class TestWholeArrayKernel:
+    """check_membership against the per-line loop it replaced, bit for bit."""
+
+    @pytest.mark.parametrize("f, delta", [
+        *[(builtin_table(n, m), d) for m, d in ((2, 0.1), (3, 0.1), (4, 0.25))
+          for n in BUILTIN_NAMES],
+        (SELECTOR3, 0.1),
+    ], ids=[f"{n}-m{m}" for m in (2, 3, 4) for n in BUILTIN_NAMES] + ["selector-m3"])
+    def test_history_fields_match_per_line_loop(self, f, delta, per_line_membership):
+        grid = GridSpec.from_delta(f.m, delta)
+        res = run(grid, f, t_max=4, eps=1e-12, keep_history=True)
+        for bank in res.history:
+            for field in (*bank.fields, bank.max_field()):
+                for tol in TOLS:
+                    got = check_membership(field, f, tol)
+                    assert _bits(got) == _bits(per_line_membership(field, f, tol))
+
+    @pytest.mark.parametrize("tol", TOLS)
+    def test_initial_fields_with_gaps_match(self, tol, per_line_membership):
+        for f in (builtin_table("min", 3), builtin_table("parity", 3), SELECTOR3):
+            field = initial_field(GridSpec.from_delta(3, 0.1), f)
+            got = check_membership(field, f, tol)
+            assert got.worst_concavity_violation == math.inf
+            assert _bits(got) == _bits(per_line_membership(field, f, tol))
+
+    @pytest.mark.parametrize("tol", TOLS)
+    @pytest.mark.parametrize("m, n_steps", [(2, 9), (3, 6), (4, 4)])
+    def test_random_fields_match(self, m, n_steps, tol, per_line_membership):
+        grid = GridSpec(m, n_steps)
+        f = builtin_table("constant", m)
+        rng = np.random.default_rng(100 * m + n_steps)
+        for trial in range(12):
+            data = rng.normal(size=grid.shape)
+            if trial % 3 == 1:
+                data = np.round(data * 4.0) / 4.0              # exact ties
+            data[rng.uniform(size=grid.shape) < rng.uniform(0.0, 0.6)] = BOTTOM
+            lines = data.reshape(-1, grid.points_per_axis)
+            lines[0] = BOTTOM                                  # all BOTTOM
+            lines[1, :] = BOTTOM
+            lines[1, 2] = 1.5                                  # one finite point
+            lines[2, :] = BOTTOM
+            lines[2, 3:5] = 0.25                               # two finite points
+            field = RateReductionField(grid, data, 0, 0)
+            got = check_membership(field, f, tol)
+            assert _bits(got) == _bits(per_line_membership(field, f, tol))
+
+    def test_overflow_to_nan_is_a_violation(self):
+        """Rows [1e308]*3 + [10, 20]: the first interior second difference is
+        inf - inf = NaN, which once hid the whole row (and its 1e308 defect
+        at index 3) behind a pass.  The constant 1e308 columns overflow the
+        same way, so axis 1 fails first and keeps the worst location."""
+        grid = GridSpec(2, 4)
+        data = np.tile([1e308, 1e308, 1e308, 10.0, 20.0], (5, 1))
+        report = check_membership(
+            RateReductionField(grid, data, 0, 0), builtin_table("constant", 2), 1e-4
+        )
+        assert report.majorization_ok
+        assert report.concavity_ok_per_axis == (False, False)
+        assert report.worst_concavity_violation == math.inf
+        assert (report.concavity_axis, report.concavity_location) == (1, (1, 0))
 
 
 class TestLowerBound:

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ratered import cli
+from ratered import certify, cli
 from ratered.envelope import BOTTOM
 from ratered.lattice import RateReductionField, run
 from ratered.probability import GridSpec, binary_entropy
@@ -196,6 +196,24 @@ class TestCertifyCommand:
         assert report["membership"]["verdict"] == "fail"
         loc = report["membership"]["concavity_location"]
         assert max(abs(a - b) for a, b in zip(loc, (3, 6, 4))) <= 1
+
+    def test_runs_one_membership_check(self, tmp_path, monkeypatch):
+        cli.main([
+            "run", "--function", "min", "--m", "3", "--delta", "0.25",
+            "--t-max", "3", "-o", str(tmp_path),
+        ])
+        calls = []
+        for module in (certify, cli):
+            def counted(*args, _original=module.check_membership, **kwargs):
+                calls.append(1)
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(module, "check_membership", counted)
+        code = cli.main([
+            "certify", "--field", str(tmp_path / "field_max.csv"),
+            "--function", "min", "--t-max", "3", "-o", str(tmp_path),
+        ])
+        assert code == 0
+        assert len(calls) == 1
 
     def test_grid_mismatch_is_config_error(self, tmp_path, capsys):
         cli.main([

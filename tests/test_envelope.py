@@ -12,6 +12,7 @@ import pytest
 
 from ratered.envelope import (
     BOTTOM,
+    concavity_defects,
     concavity_violation,
     envelope_batch,
     is_concave,
@@ -187,3 +188,50 @@ class TestConcavityChecks:
         v = [0.0, 0.5, 1.0 + 5e-10]   # tiny convex kink at the end
         assert is_concave(v, tol=1e-9)
         assert not is_concave(v, tol=1e-12)
+
+    def test_overflow_to_nan_counts_as_infinite(self):
+        # 1e308 + 1e308 - 2 * 1e308 is inf - inf = NaN at index 1
+        v = [1e308, 1e308, 1e308, 10.0, 20.0]
+        assert concavity_violation(v) == (math.inf, 1)
+        assert not is_concave(v, tol=1e300)
+        assert concavity_defects(v)[3] == 1e308
+
+    def test_matches_per_line_reference(self, per_line_concavity):
+        rng = np.random.default_rng(12)
+        for n in range(1, 30):
+            lines = rng.normal(size=(40, n))
+            lines[8:16] = np.round(lines[8:16] * 4.0) / 4.0   # exact ties
+            lines[rng.uniform(size=lines.shape) < rng.uniform(0.0, 0.6)] = BOTTOM
+            lines[16] = BOTTOM                                 # all BOTTOM
+            lines[17] = BOTTOM
+            lines[17, n // 2] = 0.5                            # one finite point
+            lines[18] = BOTTOM
+            lines[18, n // 3 : n // 3 + 2] = 0.5               # two finite points
+            for line in lines:
+                got, want = concavity_violation(line), per_line_concavity(line)
+                assert got[1] == want[1]
+                assert np.float64(got[0]).view(np.uint64) == np.float64(want[0]).view(np.uint64)
+
+    def test_defects_entry_by_entry(self):
+        inf = math.inf
+        got = concavity_defects([
+            [BOTTOM, 0.0, 1.0, 1.5, BOTTOM],     # interior index 2 only
+            [1.0, BOTTOM, BOTTOM, 2.0, 3.0],     # two holes: the first is marked
+            [BOTTOM, 4.0, 5.0, BOTTOM, BOTTOM],  # two finite points
+        ])
+        assert np.array_equal(got, [
+            [BOTTOM, BOTTOM, -0.5, BOTTOM, BOTTOM],
+            [BOTTOM, inf, BOTTOM, BOTTOM, BOTTOM],
+            [BOTTOM] * 5,
+        ])
+
+    def test_defects_work_along_the_last_axis_of_any_rank(self, per_line_concavity):
+        rng = np.random.default_rng(13)
+        block = rng.normal(size=(3, 4, 7))
+        block[rng.uniform(size=block.shape) < 0.3] = BOTTOM
+        got = concavity_defects(block)
+        assert got.shape == block.shape
+        for idx in np.ndindex(block.shape[:-1]):
+            want = concavity_defects(block[idx])
+            assert np.array_equal(got[idx].view(np.uint64), want.view(np.uint64))
+            assert concavity_violation(block[idx]) == per_line_concavity(block[idx])

@@ -179,6 +179,31 @@ class TestLoadTable:
             f"{path}:2: alphabets=2,3: only binary source alphabets are supported"
         )
 
+    def test_input_symbol_out_of_range_names_line(self, tmp_path):
+        path = self.write(
+            tmp_path,
+            "arity m=2 alphabets=2,2 outputs=0\n0 0 -> 0\n0 1 -> 0\n1 0 -> 0\n1 5 -> 0\n",
+        )
+        with pytest.raises(ConfigError) as exc:
+            load_table(path)
+        assert str(exc.value) == f"{path}:5: input symbol out of range in (1, 5)"
+
+    def test_alphabet_count_names_header_line(self, tmp_path):
+        rows = "".join(f"{a} {b} {c} -> 0\n" for a, b, c in itertools.product((0, 1), repeat=3))
+        path = self.write(tmp_path, "# three inputs\narity m=3 alphabets=2,2 outputs=0\n" + rows)
+        with pytest.raises(ConfigError) as exc:
+            load_table(path)
+        assert str(exc.value) == f"{path}:2: alphabets= lists 2 sizes, expected m=3"
+
+    def test_output_outside_alphabet_names_line(self, tmp_path):
+        path = self.write(
+            tmp_path,
+            "arity m=2 alphabets=2,2 outputs=0,1\n0 0 -> 0\n0 1 -> 1\n\n1 0 -> 7\n1 1 -> 0\n",
+        )
+        with pytest.raises(ConfigError) as exc:
+            load_table(path)
+        assert str(exc.value) == f"{path}:5: output 7 for (1, 0) not in output alphabet"
+
     def test_line_number_in_message(self, tmp_path):
         path = self.write(
             tmp_path,

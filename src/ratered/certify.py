@@ -27,7 +27,7 @@ import numpy as np
 
 from .envelope import BOTTOM, concavity_defects
 from .errors import NotCertifiedError
-from .lattice import RateReductionField, zero_message_mask
+from .lattice import RateReductionField, entry_distance, zero_message_mask
 from .probability import GridIndex, ProductPmf, entropy_grid, product_entropy
 from .target_functions import FunctionTable
 
@@ -171,18 +171,13 @@ def assess_optimality(
     tol: float,
 ) -> OptimalityVerdict:
     """Certify the candidate, then measure its sup distance to the achieved
-    field (BOTTOM agreeing on both sides counts as zero, a BOTTOM/finite
-    mismatch as infinite)."""
+    field (lattice.entry_distance: BOTTOM agreeing on both sides counts as
+    zero, a BOTTOM/finite mismatch as infinite)."""
     if candidate.grid != achieved.grid:
         raise ValueError("candidate and achieved fields are on different grids")
     report = check_membership(candidate, f, tol)
 
-    fin_c = np.isfinite(candidate.data)
-    fin_a = np.isfinite(achieved.data)
-    diff = np.zeros_like(candidate.data)
-    both = fin_c & fin_a
-    diff[both] = np.abs(candidate.data[both] - achieved.data[both])
-    diff[fin_c != fin_a] = float("inf")
+    diff = entry_distance(candidate.data, achieved.data)
     flat = int(np.argmax(diff))
     worst_gap = float(diff.reshape(-1)[flat])
     location = tuple(int(c) for c in np.unravel_index(flat, diff.shape))

@@ -46,10 +46,12 @@ class RateReductionField:
 
 @dataclass(frozen=True)
 class FieldBank:
-    """The m per-node fields sharing one grid and one iteration counter."""
+    """The m per-node fields sharing one grid and one iteration counter;
+    period is the zero-message field's rotation_period."""
 
     fields: tuple[RateReductionField, ...]
     tau: int
+    period: int
 
     @property
     def grid(self) -> GridSpec:
@@ -107,7 +109,7 @@ class RunResult:
     t_stop: int
     stop_reason: str          # "converged" or "t_max"
     cross_k_gap: float        # max over grid and node pairs at t_stop
-    envelope_chains: int      # envelope batches per sweep: 1 (rotated) or m
+    envelope_chains: int      # envelope batches per sweep: bank.period
     history: tuple[FieldBank, ...] | None = None
 
 
@@ -155,7 +157,7 @@ def initial_bank(grid: GridSpec, f: FunctionTable) -> FieldBank:
         RateReductionField(grid, base.data.copy(), 0, k)
         for k in range(1, grid.m + 1)
     )
-    return FieldBank(fields=fields, tau=0)
+    return FieldBank(fields=fields, tau=0, period=rotation_period(base.data))
 
 
 def next_node(k: int, m: int) -> int:
@@ -181,73 +183,75 @@ def axis_convexify(field_in: RateReductionField, k: int) -> RateReductionField:
     return RateReductionField(grid=grid, data=new_data, tau=field_in.tau + 1, k=k)
 
 
-def sweep_once(bank: FieldBank) -> FieldBank:
-    """One synchronous sweep: new field k = old field (k+1 mod m)
-    convexified along axis k, all m reads taken from the previous bank."""
-    m = bank.m
-    new_fields = tuple(
-        axis_convexify(bank.field_for(next_node(k, m)), k) for k in range(1, m + 1)
-    )
-    return FieldBank(fields=new_fields, tau=bank.tau + 1)
-
-
-def rotate_axes(data: np.ndarray, times: int = 1) -> np.ndarray:
-    """R^times(data) as a view, where R(d) = np.moveaxis(d, -1, 0) moves
+def rotate_axes(data: np.ndarray, times: int) -> np.ndarray:
+    """R^times(data) as a view, where R(x) = np.moveaxis(x, -1, 0) moves
     every axis j to axis j+1 (mod m)."""
     m = data.ndim
     return np.transpose(data, [(a - times) % m for a in range(m)])
 
 
-def is_rotation_invariant(data: np.ndarray) -> bool:
-    """True iff R(data) equals data bit for bit (float64 compared as bytes,
-    so -0.0 != 0.0 and last-ulp differences count)."""
+def rotation_period(data: np.ndarray) -> int:
+    """The least d >= 1 with R^d(data) equal to data bit for bit (float64
+    compared as bytes, so -0.0 != 0.0 and last-ulp differences count).
+    R^m is the identity, so d exists and divides m."""
     bits = data.view(np.uint64)
-    return np.array_equal(rotate_axes(bits), bits)
+    return next(
+        d for d in range(1, data.ndim + 1)
+        if np.array_equal(rotate_axes(bits, d), bits)
+    )
 
 
-def rotated_sweep(bank: FieldBank) -> FieldBank:
-    """sweep_once for a bank whose fields satisfy F_k = R^(k-1)(F_1).
+def sweep_once(bank: FieldBank) -> FieldBank:
+    """One synchronous sweep: new field k = old field (k+1 mod m)
+    convexified along axis k, all reads taken from the previous bank.
 
-    One envelope batch, F_1' = axis_convexify(R(F_1), 1), replaces m; the
-    other nodes are its rotations F_k' = R^(k-1)(F_1'), materialised as
-    contiguous arrays.  The result is bit-identical to sweep_once(bank):
-    sweep_once computes F_k' = conv_k(F_{k+1}) = conv_k(R^k(F_1)), and since
-    R^(k-1) carries axis 1 to axis k, conv_k(R^(k-1)(G)) = R^(k-1)(conv_1(G))
-    with G = R(F_1); the kernel sees the same lines (same values, each line
-    enveloped independently), so every float is the same.  The new bank keeps
-    F_k' = R^(k-1)(F_1'), so by induction the relation holds at every sweep
-    of a run whose zero-message field is invariant under R.
+    With d = bank.period, only nodes 1..d are enveloped; node k > d is
+    F_k' = R^d(F_{k-d}'), materialised as a contiguous array.  That is
+    bit-identical to enveloping every node.  Suppose F_{k+d} = R^d(F_k) for
+    every k (mod m), which holds at tau=0 since all fields equal the base
+    and R^d(base) = base.  Then for k > d,
+    F_k' = conv_k(F_{k+1}) = conv_k(R^d(F_{k+1-d})) = R^d(conv_{k-d}(F_{k+1-d}))
+    = R^d(F_{k-d}'), because R^d carries axis k-d to axis k: the kernel
+    sees the same lines (same values, each line enveloped independently),
+    so every float is the same.  The new bank satisfies the relation again
+    (d divides m, so it also holds across the wrap from node m to node 1),
+    and by induction it holds at every sweep.
     """
-    node1 = bank.field_for(1)
-    first = axis_convexify(
-        RateReductionField(node1.grid, rotate_axes(node1.data), node1.tau, node1.k),
-        1,
-    )
-    fields = (first,) + tuple(
-        RateReductionField(
-            first.grid, np.ascontiguousarray(rotate_axes(first.data, k - 1)), first.tau, k
-        )
-        for k in range(2, bank.m + 1)
-    )
-    return FieldBank(fields=fields, tau=bank.tau + 1)
+    m, d = bank.m, bank.period
+    fields = [
+        axis_convexify(bank.field_for(next_node(k, m)), k) for k in range(1, d + 1)
+    ]
+    for k in range(d + 1, m + 1):
+        src = fields[k - d - 1]
+        fields.append(RateReductionField(
+            src.grid, np.ascontiguousarray(rotate_axes(src.data, d)), src.tau, k
+        ))
+    return FieldBank(fields=tuple(fields), tau=bank.tau + 1, period=d)
+
+
+def entry_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-entry |a - b| with BOTTOM conventions: both BOTTOM counts 0, a
+    BOTTOM/finite mismatch counts +inf.  Only entries finite on both sides
+    are subtracted, so no inf - inf is ever evaluated."""
+    fin_a, fin_b = np.isfinite(a), np.isfinite(b)
+    out = np.subtract(a, b, out=np.zeros(a.shape), where=fin_a & fin_b)
+    np.abs(out, out=out)
+    out[fin_a != fin_b] = float("inf")
+    return out
 
 
 def sup_delta(new: np.ndarray, old: np.ndarray) -> float:
-    """Sup-norm distance with BOTTOM conventions: both BOTTOM counts 0,
-    a BOTTOM/finite transition counts +inf."""
-    fin_new = np.isfinite(new)
-    fin_old = np.isfinite(old)
-    if np.any(fin_new != fin_old):
-        return float("inf")
-    both = fin_new & fin_old
-    if not np.any(both):
-        return 0.0
-    return float(np.max(np.abs(new[both] - old[both])))
+    """Sup-norm distance with BOTTOM conventions (see entry_distance)."""
+    return float(np.max(entry_distance(new, old)))
 
 
 def bank_sup_delta(new: FieldBank, old: FieldBank) -> float:
+    """Max sup delta over nodes 1..period.  Node k > period is the same
+    rotation of an earlier node in both banks, which permutes the compared
+    entries without changing them."""
     return max(
-        sup_delta(nf.data, of.data) for nf, of in zip(new.fields, old.fields)
+        sup_delta(new.field_for(k).data, old.field_for(k).data)
+        for k in range(1, new.period + 1)
     )
 
 
@@ -273,16 +277,6 @@ def run(
     eps stop carries no guaranteed distance to the infinite-message limit:
     no convergence-rate bound is available, and the caveat travels with the
     result metadata downstream.
-
-    When the zero-message field is bitwise invariant under the axis rotation
-    R, every sweep uses rotated_sweep (one envelope chain instead of m) and
-    the per-node sup delta is computed once, since rotating both fields
-    permutes the compared entries without changing them.  Fields, trace,
-    sup deltas and cross-node gap are bit-identical to the sweep_once path.
-    The check is on the data, not the truth table: entropy_grid sums the
-    marginal entropies in axis order, so e.g. min at m=4, delta=0.1 has a
-    cyclic table but a base that differs in the last ulp under R, and keeps
-    m chains.
     """
     if t_max < 0:
         raise ValueError(f"t_max must be >= 0, got {t_max}")
@@ -293,16 +287,11 @@ def run(
     trace = ConvergenceTrace.empty(tuple(tracked), grid.m)
     trace.record(bank)
     history = [bank] if keep_history else None
-    rotated = is_rotation_invariant(bank.field_for(1).data)
 
     stop_reason = "t_max"
     for _ in range(t_max):
-        if rotated:
-            new_bank = rotated_sweep(bank)
-            delta = sup_delta(new_bank.field_for(1).data, bank.field_for(1).data)
-        else:
-            new_bank = sweep_once(bank)
-            delta = bank_sup_delta(new_bank, bank)
+        new_bank = sweep_once(bank)
+        delta = bank_sup_delta(new_bank, bank)
         trace.sup_deltas.append(delta)
         bank = new_bank
         trace.record(bank)
@@ -318,7 +307,7 @@ def run(
         t_stop=bank.tau,
         stop_reason=stop_reason,
         cross_k_gap=cross_k_gap(bank),
-        envelope_chains=1 if rotated else grid.m,
+        envelope_chains=bank.period,
         history=tuple(history) if history is not None else None,
     )
 

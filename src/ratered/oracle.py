@@ -32,7 +32,7 @@ import numpy as np
 from .envelope import BOTTOM
 from .errors import ConfigError
 from .lattice import initial_bank, sweep_once
-from .probability import GridIndex, GridSpec, ProductPmf, binary_entropy
+from .probability import GridIndex, GridSpec, ProductPmf, binary_entropy, reciprocal_steps
 from .target_functions import FunctionTable
 
 # np.sum along a contiguous axis shorter than this is a left fold; from this
@@ -58,17 +58,12 @@ class ConditionalSearchSpec:
             raise ConfigError(
                 f"u1_cardinality must be >= 1, got {self.u1_cardinality}"
             )
-        if not 0.0 < self.search_step <= 1.0:
-            raise ConfigError(f"search_step must be in (0, 1], got {self.search_step}")
-        m_steps = round(1.0 / self.search_step)
-        if m_steps < 1 or abs(m_steps * self.search_step - 1.0) > 1e-9:
-            raise ConfigError(
-                f"search_step {self.search_step} is not the reciprocal of an integer"
-            )
+        self.n_search_steps  # raises ConfigError unless search_step is 1/N
 
     @property
     def n_search_steps(self) -> int:
-        return round(1.0 / self.search_step)
+        return reciprocal_steps(self.search_step, "search_step must be in (0, 1], got {}",
+                                "search_step {} is not the reciprocal of an integer")
 
 
 @lru_cache(maxsize=None)

@@ -32,6 +32,17 @@ def binary_entropy(p: float) -> float:
     return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
 
 
+def reciprocal_steps(step: float, out_of_range: str, not_reciprocal: str) -> int:
+    """N for a step that is 1/N up to a relative 1e-9; otherwise ConfigError
+    with the matching message, formatted with the step."""
+    if not 0.0 < step <= 1.0:
+        raise ConfigError(out_of_range.format(step))
+    n = round(1.0 / step)
+    if n < 1 or abs(n * step - 1.0) > 1e-9:
+        raise ConfigError(not_reciprocal.format(step))
+    return n
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform discretization of the set of product pmfs.
@@ -52,13 +63,8 @@ class GridSpec:
     @classmethod
     def from_delta(cls, m: int, delta: float) -> "GridSpec":
         """Build a grid from a step size, which must be 1/N for integer N."""
-        if not 0.0 < delta <= 1.0:
-            raise ConfigError(f"delta must lie in (0, 1], got {delta!r}")
-        n = round(1.0 / delta)
-        if n < 1 or abs(n * delta - 1.0) > 1e-9:
-            raise ConfigError(
-                f"delta={delta!r} is not the reciprocal of an integer"
-            )
+        n = reciprocal_steps(delta, "delta must lie in (0, 1], got {!r}",
+                             "delta={!r} is not the reciprocal of an integer")
         return cls(m=m, n_steps=n)
 
     @property

@@ -14,7 +14,14 @@ import pytest
 from ratered.certify import MembershipReport
 from ratered.cli import _fmt
 from ratered.envelope import BOTTOM, _envelope_line
-from ratered.lattice import run, sum_rate_field, zero_message_mask
+from ratered.lattice import (
+    FieldBank,
+    axis_convexify,
+    next_node,
+    run,
+    sum_rate_field,
+    zero_message_mask,
+)
 from ratered.oracle import _stochastic_rows, _support_constancy
 from ratered.probability import GridSpec, binary_entropy, entropy_grid
 from ratered.target_functions import builtin_table
@@ -36,6 +43,19 @@ def per_line_envelope():
             out[r] = _envelope_line(lines[r].tolist())
         return out
     return envelope
+
+
+@pytest.fixture(scope="session")
+def per_node_sweep():
+    """sweep_once's reference: every node's field enveloped from the previous
+    bank, with no use of the rotation period."""
+    def sweep(bank):
+        m = bank.m
+        fields = tuple(
+            axis_convexify(bank.field_for(next_node(k, m)), k) for k in range(1, m + 1)
+        )
+        return FieldBank(fields=fields, tau=bank.tau + 1, period=bank.period)
+    return sweep
 
 
 def _per_line_concavity(profile):

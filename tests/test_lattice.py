@@ -9,10 +9,11 @@ from ratered.lattice import (
     axis_convexify,
     bank_sup_delta,
     cross_k_gap,
+    entry_distance,
     initial_bank,
     initial_field,
-    is_rotation_invariant,
     next_node,
+    rotation_period,
     run,
     sum_rate_field,
     sup_delta,
@@ -40,6 +41,15 @@ SELECTOR4 = FunctionTable(
     alphabet_sizes=(2, 2, 2, 2),
     output_alphabet=(0, 1),
     table={x: x[1] & x[2] if x[0] else x[2] | x[3]
+           for x in itertools.product((0, 1), repeat=4)},
+)
+# (x1 AND x3) OR (x2 XOR x4): shifting the inputs by two leaves it unchanged,
+# shifting by one does not
+PERIOD2 = FunctionTable(
+    m=4,
+    alphabet_sizes=(2, 2, 2, 2),
+    output_alphabet=(0, 1),
+    table={x: (x[0] & x[2]) | (x[1] ^ x[3])
            for x in itertools.product((0, 1), repeat=4)},
 )
 
@@ -123,13 +133,15 @@ class TestSweepMechanics:
             assert np.array_equal(bank.field_for(3).data, np.transpose(a1, (1, 2, 0)))
 
 
-def _reference_run(grid, f, t_max, eps):
-    """run() spelled out with sweep_once and bank_sup_delta on every node."""
+def _reference_run(grid, f, t_max, eps, sweep):
+    """run() spelled out with the all-node sweep and a sup delta over every
+    node."""
     banks = [initial_bank(grid, f)]
     deltas = []
     for _ in range(t_max):
-        banks.append(sweep_once(banks[-1]))
-        deltas.append(bank_sup_delta(banks[-1], banks[-2]))
+        banks.append(sweep(banks[-1]))
+        deltas.append(max(sup_delta(n.data, o.data)
+                          for n, o in zip(banks[-1].fields, banks[-2].fields)))
         if deltas[-1] <= eps:
             break
     return banks, deltas
@@ -139,19 +151,29 @@ def _bits(a):
     return a.view(np.uint64)
 
 
+def _least_period(data):
+    """The least number of np.moveaxis(d, -1, 0) steps that gives data back
+    bit for bit."""
+    rotated = _bits(data)
+    for d in range(1, data.ndim + 1):
+        rotated = np.moveaxis(rotated, -1, 0)
+        if np.array_equal(rotated, _bits(data)):
+            return d
+
+
 class TestRotatedSweep:
     CASES = [(name, m) for m in (2, 3, 4) for name in BUILTIN_NAMES]
 
-    @pytest.mark.parametrize("f", [builtin_table(n, m) for n, m in CASES] + [SELECTOR3],
-                             ids=[f"{n}-m{m}" for n, m in CASES] + ["selector-m3"])
-    def test_run_bitwise_equals_sweep_once_loop(self, f):
+    @pytest.mark.parametrize(
+        "f", [builtin_table(n, m) for n, m in CASES] + [SELECTOR3, PERIOD2],
+        ids=[f"{n}-m{m}" for n, m in CASES] + ["selector-m3", "period2-m4"])
+    def test_run_bitwise_equals_sweep_once_loop(self, f, per_node_sweep):
         grid = GridSpec.from_delta(f.m, 0.1)
         tracked = ((5, 5) + (3,) * (f.m - 2), (2,) + (7,) * (f.m - 1), (0,) * f.m)
         res = run(grid, f, t_max=6, eps=1e-12, tracked=tracked, keep_history=True)
-        banks, deltas = _reference_run(grid, f, t_max=6, eps=1e-12)
+        banks, deltas = _reference_run(grid, f, 6, 1e-12, per_node_sweep)
 
-        invariant = is_rotation_invariant(banks[0].field_for(1).data)
-        assert res.envelope_chains == (1 if invariant else f.m)
+        assert res.envelope_chains == _least_period(banks[0].field_for(1).data)
         assert len(res.history) == len(banks) and res.t_stop == banks[-1].tau
         for got, want in zip(res.history, banks):
             assert got.tau == want.tau
@@ -167,22 +189,38 @@ class TestRotatedSweep:
             assert res.trace.per_k[p] == per_k
             assert res.trace.max_series[p] == [max(v) for v in zip(*per_k)]
 
-    @pytest.mark.parametrize("f, delta, chains", [
-        (builtin_table("min", 3), 0.05, 1),
-        (builtin_table("parity", 3), 0.05, 1),
-        # cyclic table, but entropy_grid's axis-order sums differ in the last ulp
-        (builtin_table("min", 4), 0.1, 4),
-        (SELECTOR3, 0.05, 3),
-    ], ids=["min-m3", "parity-m3", "min-m4", "selector-m3"])
+    # README's chain counts.  The joint entropy is summed in axis order, so a
+    # cyclic table can still get m chains: the base of constant at m=3 and
+    # of min at m=4 changes in the last ulp under a rotation.
+    CHAIN_CASES = [
+        (builtin_table(n, m), 0.1, 3 if (n, m) == ("constant", 3) else 1,
+         f"{n}-m{m}-d0.1")
+        for m in (2, 3) for n in BUILTIN_NAMES
+    ] + [
+        (builtin_table("min", 3), 0.05, 1, "min-m3"),
+        (builtin_table("parity", 3), 0.05, 1, "parity-m3"),
+        (builtin_table("min", 4), 0.1, 4, "min-m4"),
+        (builtin_table("parity", 4), 0.1, 1, "parity-m4"),
+        (SELECTOR3, 0.05, 3, "selector-m3"),
+        (PERIOD2, 0.1, 2, "period2-m4"),
+    ]
+
+    @pytest.mark.parametrize("f, delta, chains", [c[:3] for c in CHAIN_CASES],
+                             ids=[c[3] for c in CHAIN_CASES])
     def test_reduction_engages_only_on_invariant_data(self, f, delta, chains):
         res = run(GridSpec.from_delta(f.m, delta), f, t_max=0, eps=1e-6)
         assert res.envelope_chains == chains
 
     def test_invariance_is_bitwise(self):
         a = np.zeros((2, 2))
-        assert is_rotation_invariant(a)
+        assert rotation_period(a) == 1
         a[0, 1] = -0.0
-        assert not is_rotation_invariant(a)
+        assert rotation_period(a) == 2
+        b = np.zeros((2,) * 4)
+        b[0, 1, 0, 1] = -0.0          # fixed by two rotations, not by one
+        assert rotation_period(b) == 2
+        b[0, 0, 0, 1] = -0.0
+        assert rotation_period(b) == 4
 
 
 class TestLockstepKernel:
@@ -225,6 +263,13 @@ class TestSupDelta:
     def test_all_bottom(self):
         a = np.full(4, BOTTOM)
         assert sup_delta(a, a.copy()) == 0.0
+
+    def test_entry_distance_per_entry(self):
+        a = np.array([BOTTOM, BOTTOM, 1.0, 0.25, -3.0])
+        b = np.array([BOTTOM, 2.0, BOTTOM, 1.0, -3.0])
+        want = np.array([0.0, math.inf, math.inf, 0.75, 0.0])
+        assert np.array_equal(entry_distance(a, b), want)
+        assert np.array_equal(entry_distance(b, a), want)
 
 
 class TestRun:

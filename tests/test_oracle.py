@@ -35,6 +35,15 @@ class TestSearchSpec:
         with pytest.raises(ConfigError):
             ConditionalSearchSpec(k=1, search_step=0.1, u1_cardinality=0)
 
+    def test_step_messages(self):
+        with pytest.raises(ConfigError,
+                           match=r"^search_step 0\.3 is not the reciprocal of an integer$"):
+            ConditionalSearchSpec(k=1, search_step=0.3)
+        with pytest.raises(ConfigError,
+                           match=r"^search_step must be in \(0, 1\], got 2\.0$"):
+            ConditionalSearchSpec(k=1, search_step=2.0)
+        assert ConditionalSearchSpec(k=1, search_step=0.04).n_search_steps == 25
+
     def test_rejects_bad_step_range(self):
         with pytest.raises(ConfigError):
             ConditionalSearchSpec(k=1, search_step=0.0)

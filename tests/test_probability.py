@@ -11,6 +11,7 @@ from ratered.probability import (
     entropy_grid,
     grid_points,
     product_entropy,
+    reciprocal_steps,
 )
 
 
@@ -51,6 +52,13 @@ class TestGridSpec:
         with pytest.raises(ConfigError):
             GridSpec.from_delta(3, 0.3)
         with pytest.raises(ConfigError):
+            GridSpec.from_delta(3, 0.0)
+
+    def test_from_delta_messages(self):
+        with pytest.raises(ConfigError,
+                           match=r"^delta=0\.3 is not the reciprocal of an integer$"):
+            GridSpec.from_delta(3, 0.3)
+        with pytest.raises(ConfigError, match=r"^delta must lie in \(0, 1\], got 0\.0$"):
             GridSpec.from_delta(3, 0.0)
 
     def test_delta_one_is_corner_grid(self):
@@ -130,3 +138,21 @@ def test_entropy_grid_peak_at_uniform():
     assert dense[2, 2, 2] == 3.0
     assert np.max(dense) == 3.0
     assert dense[0, 0, 0] == 0.0
+
+
+class TestReciprocalSteps:
+    @pytest.mark.parametrize("step, n", [(1.0, 1), (0.5, 2), (0.1, 10), (0.02, 50),
+                                         (1 / 3, 3)])
+    def test_reciprocal_of_an_integer(self, step, n):
+        assert reciprocal_steps(step, "low {}", "not {}") == n
+
+    @pytest.mark.parametrize("step", [0.0, -0.5, 1.5, float("nan"), 0.3, 0.4])
+    def test_rejects(self, step):
+        with pytest.raises(ConfigError):
+            reciprocal_steps(step, "low {}", "not {}")
+
+    def test_messages_formatted_with_the_step(self):
+        with pytest.raises(ConfigError, match=r"^low 2\.0$"):
+            reciprocal_steps(2.0, "low {}", "not {}")
+        with pytest.raises(ConfigError, match=r"^not 0\.3$"):
+            reciprocal_steps(0.3, "low {}", "not {}")

@@ -30,6 +30,7 @@ from .lattice import (
     RunResult,
     axis_convexify,
     bank_sup_delta,
+    convexify_axes,
     cross_k_gap,
     initial_bank,
     initial_field,
@@ -92,6 +93,7 @@ __all__ = [
     "compare_with_envelope",
     "computable_with_zero_messages",
     "concavity_violation",
+    "convexify_axes",
     "cross_k_gap",
     "entropy_grid",
     "envelope_batch",

@@ -16,7 +16,9 @@ A certified field yields a pointwise lower bound on the infinite-message
 minimum sum-rate, and comparing a certified candidate against an achieved
 field gives a numeric optimality verdict.  Everything here is at grid
 resolution: the report carries the grid step and tolerance so it cannot be
-mistaken for a continuum proof.
+mistaken for a continuum proof.  The report also carries the SHA-256 of the
+field's data bytes, and a bound is drawn only from the field it was issued
+for.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ class MembershipReport:
     delta: float
     m: int
     n_steps: int
+    field_sha256: str                        # of the checked field's data bytes
 
     @property
     def passed(self) -> bool:
@@ -58,6 +61,15 @@ class MembershipReport:
 
     def to_dict(self) -> dict:
         return {"verdict": self.verdict, **asdict(self)}
+
+
+def field_digest(data: np.ndarray) -> str:
+    """SHA-256 of a field's float64 data bytes in C order."""
+    # Imported on first use: loading hashlib (OpenSSL) takes about 3 ms,
+    # which every import of ratered would otherwise pay.
+    import hashlib
+
+    return hashlib.sha256(np.ascontiguousarray(data, dtype=np.float64)).hexdigest()
 
 
 def check_membership(
@@ -114,6 +126,7 @@ def check_membership(
         delta=grid.delta,
         m=grid.m,
         n_steps=grid.n_steps,
+        field_sha256=field_digest(field.data),
     )
 
 
@@ -124,7 +137,7 @@ def lower_bound_from(
     joint entropy minus the certified field's value (BOTTOM gives +inf).
 
     Valid up to the report's tol and grid-resolution caveats; requires a
-    passing report issued for this field's grid.
+    passing report issued for this very field: same grid, same data bytes.
     """
     grid = field.grid
     if report.verdict != "pass":
@@ -135,6 +148,12 @@ def lower_bound_from(
         raise NotCertifiedError(
             f"report was issued for m={report.m}, n_steps={report.n_steps}, "
             f"not for this field's grid (m={grid.m}, n_steps={grid.n_steps})"
+        )
+    digest = field_digest(field.data)
+    if report.field_sha256 != digest:
+        raise NotCertifiedError(
+            f"report was issued for the field with SHA-256 {report.field_sha256}, "
+            f"not for this field (SHA-256 {digest})"
         )
     index = grid.snap(tuple(p))
     exact = grid.axis_values()

@@ -34,7 +34,7 @@ from .certify import check_membership  # noqa: F401
 from .probability import GridIndex, GridSpec, entropy_grid  # noqa: F401
 from .target_functions import BUILTIN_NAMES, FunctionTable, builtin_table, load_table
 
-EMIT_CHOICES = ("fields-csv", "fields-json", "trace-csv", "trace-svg", "report-json")
+EMIT_CHOICES = ("fields-csv", "trace-csv", "trace-svg", "report-json")
 DEFAULT_EMIT = ("fields-csv", "trace-csv", "report-json")
 
 CONVERGENCE_CAVEAT = (
@@ -61,8 +61,6 @@ def _fmt(x: float) -> str:
 def _jsonable(obj):
     """Recursively make a structure JSON-safe: numpy scalars to Python,
     non-finite floats to 'inf'/'-inf'/'nan' strings."""
-    if isinstance(obj, np.ndarray):
-        return _jsonable(obj.tolist())
     if isinstance(obj, (np.floating, np.integer, np.bool_)):
         return _jsonable(obj.item())
     if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
@@ -435,19 +433,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         p = out / "field_max.csv"
         write_field_csv(p, result.bank.max_field(), "max")
         artifacts.append(p.name)
-    if "fields-json" in emit:
-        payload = {
-            "m": args.m,
-            "delta": grid.delta,
-            "t_stop": result.t_stop,
-            "fields": {
-                str(k): result.bank.field_for(k).data
-                for k in range(1, args.m + 1)
-            },
-            "max": result.bank.max_data(),
-        }
-        _write_json(out / "fields.json", payload)
-        artifacts.append("fields.json")
     if "trace-csv" in emit and tracked_idx:
         write_trace_csv(out / "trace.csv", result)
         artifacts.append("trace.csv")

@@ -16,12 +16,14 @@ keeps the hull tests free of grid-step rounding.
 Two implementations share that arithmetic.  _envelope_line is the scalar
 reference: Andrew's monotone chain and a chord walk over one line in plain
 Python floats; upper_concave_envelope uses it, and the tests compare the
-batch kernel against it bit for bit.  envelope_batch, which every sweep
-calls, runs the same monotone chain on all rows of a batch in lockstep, one
-numpy step per column (and per round of pops), then the interpolation for
-the whole batch in one vectorised pass.  It performs the reference's float
-operations in the same order, so the two agree to the last bit, ties and
-BOTTOM rows included.
+batch kernel against it bit for bit.  envelope_batch runs the same monotone
+chain on all rows of a batch in lockstep, one numpy step per column and per
+round of pops, each round on the rows still popping only; then it
+interpolates the whole batch in one vectorised pass, building the chords in
+place in the output.  A sweep makes one call, with the lines of every
+enveloped node stacked into one batch.  The kernel performs the reference's
+float operations in the same order, so the two agree to the last bit, ties
+and BOTTOM rows included.
 
 The concavity test lives in one place too: concavity_defects measures every
 second difference of every line of an array at once, and both the per-line
@@ -96,63 +98,87 @@ def _envelope_line(v: list) -> list:
 def envelope_batch(lines: np.ndarray) -> np.ndarray:
     """_envelope_line on every row of a 2D array at once, bit for bit.
 
-    Hull pass: walk the columns left to right; every row keeps its hull
-    stack in a flat array at row*n + depth, with tops[r] pointing at its top
-    entry.  At column j the pop test runs on the rows still popping until
-    none pops, then j is pushed on every row where it is finite.
-    Interpolation pass: every grid index takes the previous and next hull
-    vertex of its row by a running max / min over the vertex mask.  Both
-    passes use the reference's arithmetic operation for operation, so every
-    float is the same.  A row with at most one finite point has no chord to
-    fill and comes back unchanged.
+    Hull pass (_hull_vertices): Andrew's monotone chain on every row in
+    lockstep, one column at a time.  Interpolation pass: every grid index
+    takes the previous and next hull vertex of its row by a running max /
+    min over the vertex mask, and the chord is built in place in the output
+    before the vertices are copied back and BOTTOM is set outside the
+    support.  Both passes use the reference's arithmetic operation for
+    operation, so every float is the same.  A row with at most one finite
+    point has no chord to fill and comes back unchanged.
+
+    Column indices are held in the narrowest signed dtype that holds -1..n,
+    and arithmetic mixing them with Python ints stays in range, so every
+    integer reaches the float operations exact.
     """
     if lines.ndim != 2:
         raise ValueError("lines must be two-dimensional")
     v = np.asarray(lines, dtype=np.float64)
     rows, n = v.shape
-    itype = np.int32 if rows * n < 2**31 else np.int64
-    base = np.arange(rows, dtype=itype) * n
-    by_col = v.T.copy()
-    finite = by_col != BOTTOM
-    hx = np.zeros(rows * n, dtype=itype)
-    hy = np.zeros(rows * n, dtype=np.float64)
-    tops = base - 1
-    # Rows that are not popping still gather (at most two entries below
-    # their own stack, a valid flat index); the mask discards what they read.
+    ctype = np.min_scalar_type(-n - 1)
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        for j in range(n):
-            at = np.flatnonzero(finite[j])
-            y = by_col[j, at]
-            top = tops[at]
-            floor = base[at] + 1
-            popping = top >= floor
-            while popping.any():
-                x1 = hx[top]
-                x0 = hx[top - 1]
-                y0 = hy[top - 1]
-                popping &= (x1 - x0) * (y - y0) - (hy[top] - y0) * (j - x0) >= 0.0
-                top -= popping
-                popping &= top >= floor
-            top += 1
-            hx[top] = j
-            hy[top] = y
-            tops[at] = top
-
-        depth = tops - base + 1
-        cols = np.arange(n, dtype=itype)
-        vertex = np.zeros((rows, n), dtype=bool)
-        vertex[np.repeat(np.arange(rows), depth),
-               hx.reshape(rows, n)[cols < depth[:, None]]] = True
+        vertex = _hull_vertices(v, ctype)
+        cols = np.arange(n, dtype=ctype)
         x0 = np.maximum.accumulate(np.where(vertex, cols, -1), axis=1)
         x1 = np.minimum.accumulate(np.where(vertex, cols, n)[:, ::-1], axis=1)[:, ::-1]
-        inside = (x0 >= 0) & (x1 < n)
+        outside = (x0 < 0) | (x1 >= n)
         np.maximum(x0, 0, out=x0)
         np.minimum(x1, n - 1, out=x1)
+        # The clamped flat indices are in range; mode="clip" only spares
+        # take a buffered copy of out.
         flat = v.reshape(-1)
-        y0 = flat[base[:, None] + x0]
-        y1 = flat[base[:, None] + x1]
-        chord = y0 + (y1 - y0) * (cols - x0) / (x1 - x0)
-    return np.where(vertex, v, np.where(inside, chord, BOTTOM))
+        row_start = np.arange(rows, dtype=np.intp)[:, None] * n
+        index = row_start + x1
+        out = np.take(flat, index, out=np.empty_like(v), mode="clip")
+        y0 = np.take(flat, np.add(row_start, x0, out=index), mode="clip")
+        del index
+        out -= y0
+        out *= cols - x0
+        out /= x1 - x0
+        out += y0
+    np.copyto(out, v, where=vertex)
+    out[outside] = BOTTOM
+    return out
+
+
+def _hull_vertices(v: np.ndarray, ctype) -> np.ndarray:
+    """Mask of the upper-hull vertices of the finite points of every row.
+
+    Walk the columns left to right; every row keeps its hull stack in a flat
+    array at row*n + depth, with tops[r] pointing at its top entry.  At
+    column j the pop test runs only on the rows still popping, held as a
+    shrinking index array, until none pops; then j is pushed on every row
+    where it is finite.
+    """
+    rows, n = v.shape
+    base = np.arange(rows, dtype=np.intp) * n
+    finite = v != BOTTOM
+    hx = np.zeros(rows * n, dtype=ctype)
+    hy = np.zeros(rows * n, dtype=np.float64)
+    tops = base - 1
+    for j in range(n):
+        at = np.flatnonzero(finite[:, j])
+        y = v[at, j]
+        top = tops[at]
+        floor = base[at] + 1
+        live = np.flatnonzero(top >= floor)
+        while live.size:
+            t = top[live]
+            x0 = hx[t - 1]
+            y0 = hy[t - 1]
+            pop = (hx[t] - x0) * (y[live] - y0) - (hy[t] - y0) * (j - x0) >= 0.0
+            live = live[pop]
+            top[live] -= 1
+            live = live[top[live] >= floor[live]]
+        top += 1
+        hx[top] = j
+        hy[top] = y
+        tops[at] = top
+    # Stack slot s of row r sits at r*n + s and holds a column of row r.
+    slots = np.flatnonzero(np.arange(n) < (tops - base + 1)[:, None])
+    vertex = np.zeros((rows, n), dtype=bool)
+    vertex.reshape(-1)[slots - slots % n + hx[slots]] = True
+    return vertex
 
 
 def is_concave(profile, tol: float = 1e-9) -> bool:

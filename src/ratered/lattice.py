@@ -109,7 +109,7 @@ class RunResult:
     t_stop: int
     stop_reason: str          # "converged" or "t_max"
     cross_k_gap: float        # max over grid and node pairs at t_stop
-    envelope_chains: int      # envelope batches per sweep: bank.period
+    envelope_chains: int      # nodes enveloped per sweep: bank.period
     history: tuple[FieldBank, ...] | None = None
 
 
@@ -167,20 +167,34 @@ def next_node(k: int, m: int) -> int:
     return k + 1 if k < m else 1
 
 
+def convexify_axes(pairs: list) -> tuple[RateReductionField, ...]:
+    """For every (field, k) pair, the field with every 1D line along axis k
+    replaced by its upper concave envelope, all in one envelope_batch call.
+
+    The fields share one grid.  Each is stacked with its axis k moved last,
+    so the batch holds the lines of every pair in turn, and the envelopes
+    are split back the same way.  The kernel envelopes each row on its own,
+    so every pair gets the same floats as when it is enveloped alone.
+    """
+    moved = []
+    for field_in, k in pairs:
+        if not 1 <= k <= field_in.grid.m:
+            raise ValueError(f"axis {k} outside 1..{field_in.grid.m}")
+        moved.append(np.moveaxis(field_in.data, k - 1, -1))
+    lines = np.stack(moved)
+    new_lines = envelope_batch(lines.reshape(-1, lines.shape[-1])).reshape(lines.shape)
+    del lines
+    return tuple(
+        RateReductionField(
+            field_in.grid, np.moveaxis(block, -1, k - 1).copy(), field_in.tau + 1, k
+        )
+        for block, (field_in, k) in zip(new_lines, pairs)
+    )
+
+
 def axis_convexify(field_in: RateReductionField, k: int) -> RateReductionField:
     """Replace every 1D line along axis k by its upper concave envelope."""
-    grid = field_in.grid
-    if not 1 <= k <= grid.m:
-        raise ValueError(f"axis {k} outside 1..{grid.m}")
-    ax = k - 1
-    length = grid.points_per_axis
-    moved = np.moveaxis(field_in.data, ax, -1)
-    lines = np.ascontiguousarray(moved).reshape(-1, length)
-    new_lines = envelope_batch(lines)
-    new_data = np.ascontiguousarray(
-        np.moveaxis(new_lines.reshape(moved.shape), -1, ax)
-    )
-    return RateReductionField(grid=grid, data=new_data, tau=field_in.tau + 1, k=k)
+    return convexify_axes([(field_in, k)])[0]
 
 
 def rotate_axes(data: np.ndarray, times: int) -> np.ndarray:
@@ -205,7 +219,8 @@ def sweep_once(bank: FieldBank) -> FieldBank:
     """One synchronous sweep: new field k = old field (k+1 mod m)
     convexified along axis k, all reads taken from the previous bank.
 
-    With d = bank.period, only nodes 1..d are enveloped; node k > d is
+    With d = bank.period, only nodes 1..d are enveloped, and their lines go
+    to the kernel as one batch (convexify_axes).  Node k > d is
     F_k' = R^d(F_{k-d}'), materialised as a contiguous array.  That is
     bit-identical to enveloping every node.  Suppose F_{k+d} = R^d(F_k) for
     every k (mod m), which holds at tau=0 since all fields equal the base
@@ -218,9 +233,9 @@ def sweep_once(bank: FieldBank) -> FieldBank:
     and by induction it holds at every sweep.
     """
     m, d = bank.m, bank.period
-    fields = [
-        axis_convexify(bank.field_for(next_node(k, m)), k) for k in range(1, d + 1)
-    ]
+    fields = list(convexify_axes(
+        [(bank.field_for(next_node(k, m)), k) for k in range(1, d + 1)]
+    ))
     for k in range(d + 1, m + 1):
         src = fields[k - d - 1]
         fields.append(RateReductionField(

@@ -6,6 +6,7 @@ fires), which the history- and trace-based tests rely on.
 
 from __future__ import annotations
 
+import hashlib
 import time
 
 import numpy as np
@@ -126,6 +127,7 @@ def per_line_membership():
             delta=grid.delta,
             m=grid.m,
             n_steps=grid.n_steps,
+            field_sha256=hashlib.sha256(field.data.tobytes()).hexdigest(),
         )
     return check
 

@@ -8,6 +8,7 @@ import pytest
 from ratered.certify import (
     assess_optimality,
     check_membership,
+    field_digest,
     lower_bound_from,
 )
 from ratered.envelope import BOTTOM
@@ -230,10 +231,25 @@ class TestLowerBound:
         with pytest.raises(ValueError):
             lower_bound_from(entropy_field, ProductPmf((0.51, 0.5, 0.5)), report)
 
+    def test_report_for_other_data_on_the_same_grid_is_rejected(self, entropy_field, min3):
+        report = check_membership(entropy_field, min3, 1e-9)
+        assert report.passed
+        data = entropy_field.data.copy()
+        data[1, 1, 1] -= 0.25
+        other = RateReductionField(entropy_field.grid, data, 0, 0)
+        with pytest.raises(NotCertifiedError) as err:
+            lower_bound_from(other, ProductPmf((0.5, 0.5, 0.5)), report)
+        assert report.field_sha256 in str(err.value)
+        assert field_digest(data) in str(err.value)
+        assert field_digest(data) != report.field_sha256
+
     def test_bottom_value_maps_to_infinite_rate(self, grid05, min3, entropy_field):
-        # convention check: a BOTTOM entry means the sum-rate bound is +inf
+        # convention check: a BOTTOM entry means the sum-rate bound is +inf.
+        # No passing field has one (Z holds every corner of the cube and the
+        # finite support is axis-convex), so the report is rebound by hand.
         report = check_membership(entropy_field, min3, 1e-9)
         holed = initial_field(grid05, min3)
+        report = dataclasses.replace(report, field_sha256=field_digest(holed.data))
         assert lower_bound_from(holed, ProductPmf((0.5, 0.5, 0.5)), report) == math.inf
 
 

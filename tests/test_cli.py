@@ -22,13 +22,12 @@ class TestRunCommand:
         code = cli.main([
             "run", "--function", "min", "--m", "3", "--delta", "0.1",
             "--t-max", "40", "--track", "0.5,0.5,0.5",
-            "--emit", "fields-csv,trace-csv,trace-svg,fields-json,report-json",
+            "--emit", "fields-csv,trace-csv,trace-svg,report-json",
             "-o", str(tmp_path),
         ])
         assert code == 0
         for name in ("field_k1.csv", "field_k2.csv", "field_k3.csv",
-                     "field_max.csv", "trace.csv", "trace.svg",
-                     "fields.json", "metadata.json"):
+                     "field_max.csv", "trace.csv", "trace.svg", "metadata.json"):
             assert (tmp_path / name).exists(), name
         md = read_json(tmp_path / "metadata.json")
         assert md["delta"] == 0.1
@@ -176,6 +175,8 @@ class TestCertifyCommand:
         report = read_json(tmp_path / "certify_report.json")
         assert report["membership"]["verdict"] == "pass"
         assert report["optimality"]["status"] == "optimal within tol"
+        field = cli.read_field_csv(tmp_path / "field_max.csv")
+        assert report["membership"]["field_sha256"] == certify.field_digest(field.data)
 
     def test_corrupted_field_fails_with_location(self, tmp_path):
         cli.main([
@@ -411,6 +412,15 @@ class TestConfigErrors:
         ])
         assert code == 2
         assert "emit" in capsys.readouterr().err
+
+    def test_fields_json_emit_is_gone(self, tmp_path, capsys):
+        code = cli.main([
+            "run", "--function", "min", "--m", "3", "--delta", "0.5",
+            "--emit", "fields-csv,fields-json", "-o", str(tmp_path / "out"),
+        ])
+        assert code == 2
+        assert "unknown emit kinds ['fields-json']" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_bad_tracked_point(self, tmp_path, capsys):
         code = cli.main([

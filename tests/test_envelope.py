@@ -6,6 +6,7 @@ random loops for day-to-day debugging.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -140,13 +141,29 @@ class TestBatch:
         for row, line in zip(batch, lines):
             assert np.array_equal(row, upper_concave_envelope(line))
 
+    def test_peak_memory_per_point(self):
+        # a four-chain sweep batch of the benchmark's converge workload:
+        # 4 * 11**3 lines of 11 points
+        rng = np.random.default_rng(14)
+        lines = rng.uniform(-1.0, 2.0, size=(5324, 11))
+        lines[rng.uniform(size=lines.shape) < 0.3] = BOTTOM
+        envelope_batch(lines)
+        tracemalloc.start()
+        try:
+            envelope_batch(lines)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / lines.size < 40.0
+
     def test_rejects_1d(self):
         with pytest.raises(ValueError):
             envelope_batch(np.zeros(5))
 
     def test_bitwise_equals_per_line_loop(self, per_line_envelope):
         rng = np.random.default_rng(10)
-        for n in range(1, 61):
+        # past 127 and 255 the kernel's column indices need a wider dtype
+        for n in [*range(1, 61), 127, 128, 129, 255, 256, 257]:
             lines = rng.uniform(-1.0, 2.0, size=(48, n))
             lines[8:16] = np.round(lines[8:16] * 4.0) / 4.0   # exactly collinear ties
             lines[rng.uniform(size=lines.shape) < rng.uniform(0.0, 0.8)] = BOTTOM
@@ -154,6 +171,9 @@ class TestBatch:
             lines[24] = BOTTOM                                 # all BOTTOM
             lines[25] = BOTTOM
             lines[25, n // 2] = 0.75                           # one finite point
+            i = np.arange(n, dtype=np.float64)
+            lines[26:34:2] = i**2                              # convex: pop to the floor
+            lines[27:34:2] = -(i - n / 3) ** 2                 # concave: never pop
             got = envelope_batch(lines)
             want = per_line_envelope(lines)
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), n

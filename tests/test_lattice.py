@@ -244,6 +244,28 @@ class TestLockstepKernel:
         assert _bits(np.array(got.cross_k_gap)) == _bits(np.array(want.cross_k_gap))
 
 
+    @pytest.mark.parametrize("f, delta, chains", [
+        (SELECTOR4, 0.1, 4),
+        (PERIOD2, 0.1, 2),
+    ], ids=["selector-m4", "period2-m4"])
+    def test_one_kernel_call_per_sweep(self, f, delta, chains, monkeypatch):
+        import ratered.lattice as lattice
+        kernel = lattice.envelope_batch
+        batches = []
+
+        def counting(lines):
+            batches.append(lines.shape)
+            return kernel(lines)
+
+        monkeypatch.setattr("ratered.lattice.envelope_batch", counting)
+        grid = GridSpec.from_delta(f.m, delta)
+        res = run(grid, f, t_max=6, eps=1e-300)
+        assert res.envelope_chains == chains
+        length = grid.points_per_axis
+        assert res.t_stop == 6
+        assert batches == [(chains * length ** (f.m - 1), length)] * 6
+
+
 class TestSupDelta:
     def test_both_bottom_counts_zero(self):
         a = np.array([BOTTOM, 1.0])

@@ -134,7 +134,8 @@ def lower_bound_from(
     field: RateReductionField, p: ProductPmf, report: MembershipReport
 ) -> float:
     """Lower bound on the infinite-message minimum sum-rate at p:
-    joint entropy minus the certified field's value (BOTTOM gives +inf).
+    joint entropy minus the certified field's value (BOTTOM gives +inf,
+    as finite - (-inf) = +inf).
 
     Valid up to the report's tol and grid-resolution caveats; requires a
     passing report issued for this very field: same grid, same data bytes.
@@ -159,10 +160,7 @@ def lower_bound_from(
     exact = grid.axis_values()
     if any(abs(pj - exact[i]) > 1e-12 for pj, i in zip(p, index)):
         raise ValueError(f"pmf {tuple(p)} is not a grid point at delta={grid.delta}")
-    value = field.value_at(index)
-    if value == BOTTOM:
-        return float("inf")
-    return product_entropy(p) - value
+    return product_entropy(p) - field.value_at(index)
 
 
 @dataclass(frozen=True)

@@ -7,12 +7,14 @@ dense per-node field CSVs (one row per grid point, 17 significant digits,
 with no plotting dependency.  CSV is the interface of record; identical
 configs produce byte-identical CSVs.  Field and slice CSVs are written,
 and field CSVs read, a block of rows at a time, so no whole-file text is
-held in memory.
+held in memory.  A run's field CSVs are written in one pass, and each
+distinct value of a block is formatted once for all of them.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import math
@@ -28,10 +30,9 @@ from .envelope import BOTTOM
 from .errors import ConfigError
 from .lattice import RateReductionField, RunResult, run, sum_rate_field
 from .oracle import ConditionalSearchSpec, compare_with_envelope
-# Unused here; kept because perfbench/tracer.py wraps ratered.cli.check_membership
-# and ratered.cli.entropy_grid.
+# Unused here; kept because perfbench/tracer.py wraps ratered.cli.check_membership.
 from .certify import check_membership  # noqa: F401
-from .probability import GridIndex, GridSpec, entropy_grid  # noqa: F401
+from .probability import GridIndex, GridSpec, entropy_grid
 from .target_functions import BUILTIN_NAMES, FunctionTable, builtin_table, load_table
 
 EMIT_CHOICES = ("fields-csv", "trace-csv", "trace-svg", "report-json")
@@ -118,7 +119,10 @@ def _parse_slice(text: str, m: int) -> tuple[int, float]:
     axis = int(match.group(1))
     if not 1 <= axis <= m:
         raise ConfigError(f"slice axis {axis} outside 1..{m}")
-    value = float(match.group(2))
+    try:
+        value = float(match.group(2))
+    except ValueError:
+        raise ConfigError(f"slice {text!r}: {match.group(2)!r} is not a number") from None
     if not 0.0 <= value <= 1.0:
         raise ConfigError(f"slice value {value} outside [0, 1]")
     return axis, value
@@ -128,35 +132,66 @@ def _parse_slice(text: str, m: int) -> tuple[int, float]:
 # field CSV format
 
 
-def _write_grid_csv(path: Path, axes: list, label: str, rho: np.ndarray,
-                    rsum: np.ndarray, grid: GridSpec) -> None:
-    """Dense dump of rho and rsum (one shape, one dimension per 1-based grid
-    axis in axes), one row per cell in row-major index order: the indices,
-    their grid values, rho and rsum.
+def _parses(parse, text: str) -> bool:
+    try:
+        parse(text)
+    except ValueError:
+        return False
+    return True
 
-    Rows are formatted and written _CSV_BLOCK at a time, so memory stays
-    bounded by a block whatever the grid size.  "%.17g" is _fmt.
+
+def _write_grid_csv(items: list, axes: list, h: np.ndarray, grid: GridSpec) -> None:
+    """Dense dumps of fields on one grid, one file per (path, label, rho) in
+    items.  Each rho has the shape of h, the joint entropy, with one
+    dimension per 1-based grid axis in axes.  A file has one row per cell in
+    row-major index order: the indices, their grid values, rho and Rsum
+    (h - rho, inf where rho is BOTTOM: sum_rate_field, elementwise).
+
+    The files are written in one pass, _CSV_BLOCK rows at a time, so memory
+    stays bounded by a block whatever the grid size.  Per block, the index
+    and grid-value cells are gathered once for all files, and each distinct
+    float of the block is formatted once.  Floats are keyed by their bits,
+    so -0.0 and 0.0 stay apart.
     """
-    cells = np.array([_fmt(v) for v in grid.axis_values()], dtype=object)
-    row = ",".join(["%d"] * len(axes) + ["%s"] * len(axes) + ["%.17g"] * 2) + "\n"
-    shape = rho.shape
-    rho, rsum = rho.reshape(-1), rsum.reshape(-1)
-    with open(path, "w") as out:
-        out.write(",".join([f"i_{j}" for j in axes] + [f"p_{j}" for j in axes]
-                           + [f"rho_{label}", f"Rsum_{label}"]) + "\n")
-        for lo in range(0, rho.size, _CSV_BLOCK):
-            hi = min(lo + _CSV_BLOCK, rho.size)
-            index = np.unravel_index(np.arange(lo, hi), shape)
-            cols = [i.tolist() for i in index] + [cells[i].tolist() for i in index]
-            cols += [rho[lo:hi].tolist(), rsum[lo:hi].tolist()]
-            out.write("".join(map(row.__mod__, zip(*cols))))
+    n_axes = len(axes)
+    index_cells = np.array([f"{i}," for i in range(grid.points_per_axis)], dtype=object)
+    value_cells = np.array([_fmt(v) + "," for v in grid.axis_values()], dtype=object)
+    shape, h = h.shape, h.reshape(-1)
+    rhos = [rho.reshape(-1) for _, _, rho in items]
+    with contextlib.ExitStack() as stack:
+        files = [stack.enter_context(open(path, "w")) for path, _, _ in items]
+        for out, (_, label, _) in zip(files, items):
+            out.write(",".join([f"i_{j}" for j in axes] + [f"p_{j}" for j in axes]
+                               + [f"rho_{label}", f"Rsum_{label}"]) + "\n")
+        for lo in range(0, h.size, _CSV_BLOCK):
+            hi = min(lo + _CSV_BLOCK, h.size)
+            # The cells of a row, joined without a separator: "i_j," and
+            # "p_j," cells, rho, ",", Rsum, "\n".
+            rows = np.empty((hi - lo, 2 * n_axes + 4), dtype=object)
+            for j, i in enumerate(np.unravel_index(np.arange(lo, hi), shape)):
+                rows[:, j] = index_cells[i]
+                rows[:, n_axes + j] = value_cells[i]
+            rows[:, -3], rows[:, -1] = ",", "\n"
+            values = np.empty((len(items), 2, hi - lo))
+            for v, rho in zip(values, rhos):
+                v[0] = rho[lo:hi]
+                v[1] = np.where(np.isfinite(v[0]), h[lo:hi] - v[0], math.inf)
+            # A 1-D input keeps the inverse 1-D on every numpy version.
+            bits, inverse = np.unique(values.reshape(-1).view(np.uint64), return_inverse=True)
+            # "%.17g".__mod__ is _fmt without a Python call per value; the
+            # float64 scalars are formatted as the floats they subclass.
+            text = np.array(list(map("%.17g".__mod__, bits.view(np.float64))),
+                            dtype=object)[inverse.reshape(values.shape)]
+            for out, (rho_cells, rsum_cells) in zip(files, text):
+                rows[:, -4], rows[:, -2] = rho_cells, rsum_cells
+                out.write("".join(rows.reshape(-1).tolist()))
 
 
 def write_field_csv(path: Path, field_in: RateReductionField, label: str) -> None:
     """Dense dump, one row per grid point in row-major index order."""
     grid = field_in.grid
-    _write_grid_csv(path, list(range(1, grid.m + 1)), label, field_in.data,
-                    sum_rate_field(field_in), grid)
+    _write_grid_csv([(path, label, field_in.data)], list(range(1, grid.m + 1)),
+                    entropy_grid(grid), grid)
 
 
 def read_field_csv(path) -> RateReductionField:
@@ -172,6 +207,11 @@ def read_field_csv(path) -> RateReductionField:
         again from the file: only to name a bad line."""
         lines = Path(path).read_text().splitlines()[1:]
         return [(line_no, line) for line_no, line in enumerate(lines, 2) if line]
+
+    def bad_cell(r: int, c: int) -> tuple[str, str]:
+        """path:line of data row r and its cell c, read again from the file."""
+        line_no, line = data_lines()[r]
+        return f"{path}:{line_no}", line.split(",")[c]
 
     with open(path) as src:
         # Lines _CSV_BLOCK at a time, split as str.splitlines splits the
@@ -192,6 +232,7 @@ def read_field_csv(path) -> RateReductionField:
             raise ConfigError(f"{path}: unexpected field CSV columns {header}")
         label = header[2 * m][len("rho_"):]
         k = int(label) if label.isdigit() else 0
+        parsed = [*range(m), 2 * m, 2 * m + 1]     # the int, then the float columns
 
         n_rows = 0
         pairs: list = [set() for _ in range(m)]    # distinct (i_j, p_j cell) per axis
@@ -206,7 +247,6 @@ def read_field_csv(path) -> RateReductionField:
                 )
             if not body:
                 continue
-            n_rows += len(body)
             try:
                 # Whole columns of a block at once: cell c of row r sits at
                 # cells[r * n_cols + c].
@@ -214,18 +254,18 @@ def read_field_csv(path) -> RateReductionField:
                 cols = [list(map(int, cells[j::n_cols])) for j in range(m)]
                 values.append(np.array([list(map(float, cells[c::n_cols]))
                                         for c in (2 * m, 2 * m + 1)]))
-            except ValueError as exc:
-                raise ConfigError(f"{path}: {exc}") from None
+            except ValueError:
+                r, c = next((r, c) for r, line in enumerate(body) for c in parsed
+                            if not _parses(int if c < m else float, line.split(",")[c]))
+                where, cell = bad_cell(n_rows + r, c)
+                raise ConfigError(f"{where}: {header[c]} {cell!r} is not "
+                                  f"{'an integer' if c < m else 'a number'}") from None
+            n_rows += len(body)
             for j in range(m):
                 pairs[j].update(zip(cols[j], cells[m + j :: n_cols]))
             indices.append(np.array(cols))
     if not n_rows:
         raise ConfigError(f"{path}: field CSV has no data rows")
-
-    def bad_cell(r: int, c: int) -> tuple[str, str]:
-        """path:line of data row r and its cell c, read again from the file."""
-        line_no, line = data_lines()[r]
-        return f"{path}:{line_no}", line.split(",")[c]
 
     index = np.concatenate(indices, axis=1)
     rho, rsum = np.concatenate(values, axis=1)
@@ -408,6 +448,12 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.initial_node is not None and not 1 <= args.initial_node <= args.m:
         raise ConfigError(f"initial node {args.initial_node} outside 1..{args.m}")
     tracked_idx, tracked_rec = _snap_tracked(grid, requested)
+    slice_rec = None
+    if args.slice_spec is not None:
+        axis, value = _parse_slice(args.slice_spec, args.m)
+        fixed = int(round(value * grid.n_steps))
+        slice_rec = {"axis": axis, "requested": value, "snapped_index": fixed,
+                     "snapped_value": float(grid.axis_values()[fixed])}
 
     started = time.perf_counter()
     result = run(grid, f, t_max=args.t_max, eps=args.eps, tracked=tuple(tracked_idx))
@@ -418,21 +464,12 @@ def cmd_run(args: argparse.Namespace) -> int:
     emit = set(emit) | {"report-json"}
     artifacts: list[str] = []
 
-    report_field = (
-        result.bank.field_for(args.initial_node)
-        if args.initial_node is not None
-        else result.bank.max_field()
-    )
-    report_label = str(args.initial_node) if args.initial_node is not None else "max"
-
     if "fields-csv" in emit:
-        for k in range(1, args.m + 1):
-            p = out / f"field_k{k}.csv"
-            write_field_csv(p, result.bank.field_for(k), str(k))
-            artifacts.append(p.name)
-        p = out / "field_max.csv"
-        write_field_csv(p, result.bank.max_field(), "max")
-        artifacts.append(p.name)
+        items = [(out / f"field_k{k}.csv", str(k), result.bank.field_for(k).data)
+                 for k in range(1, args.m + 1)]
+        items.append((out / "field_max.csv", "max", result.bank.max_data()))
+        _write_grid_csv(items, list(range(1, args.m + 1)), entropy_grid(grid), grid)
+        artifacts += [path.name for path, _, _ in items]
     if "trace-csv" in emit and tracked_idx:
         write_trace_csv(out / "trace.csv", result)
         artifacts.append("trace.csv")
@@ -451,18 +488,16 @@ def cmd_run(args: argparse.Namespace) -> int:
         )
         artifacts.append("trace.svg")
 
-    slice_rec = None
-    if args.slice_spec is not None:
-        axis, value = _parse_slice(args.slice_spec, args.m)
-        fixed = int(round(value * grid.n_steps))
-        snapped = float(grid.axis_values()[fixed])
-        slice_rec = {"axis": axis, "requested": value,
-                     "snapped_index": fixed, "snapped_value": snapped}
+    if slice_rec is not None:
+        if args.initial_node is None:
+            label, rho = "max", result.bank.max_data()
+        else:
+            label, rho = str(args.initial_node), result.bank.field_for(args.initial_node).data
         sl = (slice(None),) * (axis - 1) + (fixed,)
-        name = f"slice_p{axis}_{snapped:g}".replace(".", "p") + ".csv"
-        _write_grid_csv(out / name, [j for j in range(1, args.m + 1) if j != axis],
-                        report_label, report_field.data[sl],
-                        sum_rate_field(report_field)[sl], grid)
+        name = f"slice_p{axis}_{slice_rec['snapped_value']:g}".replace(".", "p") + ".csv"
+        _write_grid_csv([(out / name, label, rho[sl])],
+                        [j for j in range(1, args.m + 1) if j != axis],
+                        entropy_grid(grid)[sl], grid)
         artifacts.append(name)
 
     metadata = {

@@ -9,8 +9,9 @@ import pytest
 from ratered import certify, cli
 from ratered.envelope import BOTTOM
 from ratered.lattice import RateReductionField, run
-from ratered.probability import GridSpec, binary_entropy
+from ratered.probability import GridSpec, binary_entropy, entropy_grid
 from ratered.target_functions import builtin_table
+from test_lattice import PERIOD2
 
 
 def read_json(path):
@@ -405,6 +406,16 @@ class TestConfigErrors:
         assert code == 2
         assert "slice" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spec", ["p2=1e-", "p3=.", "p4=0", "p1=2"])
+    def test_malformed_slice_fails_before_any_artifact(self, tmp_path, capsys, spec):
+        code = cli.main([
+            "run", "--function", "min", "--m", "3", "--delta", "0.5",
+            "--slice", spec, "-o", str(tmp_path / "out"),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: slice")
+        assert not (tmp_path / "out").exists()
+
     def test_bad_emit_kind(self, tmp_path, capsys):
         code = cli.main([
             "run", "--function", "min", "--m", "3", "--delta", "0.5",
@@ -515,6 +526,15 @@ def _special_field(grid, seed=0):
     return RateReductionField(grid, data.reshape(grid.shape), tau=-1, k=0)
 
 
+def _write_together(directory, fields):
+    """Every (label, field) of one grid written by one call of the writer
+    that cmd_run uses, to directory / f"new_{label}.csv"."""
+    grid = fields[0][1].grid
+    cli._write_grid_csv([(directory / f"new_{label}.csv", label, field.data)
+                         for label, field in fields],
+                        list(range(1, grid.m + 1)), entropy_grid(grid), grid)
+
+
 class TestFieldCsvWriter:
     @pytest.mark.parametrize("m", [2, 3, 4])
     def test_run_fields_match_per_row_writer(self, tmp_path, m, per_row_field_csv):
@@ -525,6 +545,37 @@ class TestFieldCsvWriter:
             cli.write_field_csv(tmp_path / "new.csv", field, label)
             per_row_field_csv(tmp_path / "ref.csv", field, label)
             assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    @pytest.mark.parametrize("f,delta", [
+        (builtin_table("min", 2), 0.1),
+        (builtin_table("min", 3), 0.1),
+        (builtin_table("min", 4), 0.25),
+        (PERIOD2, 0.1),                      # 14641 points: four blocks
+    ], ids=["min-m2", "min-m3", "min-m4", "period2-m4"])
+    def test_run_fields_written_together_match_per_row_writer(self, tmp_path, f, delta,
+                                                               per_row_field_csv):
+        bank = run(GridSpec.from_delta(f.m, delta), f, t_max=2, eps=1e-300).bank
+        fields = [(str(k), bank.field_for(k)) for k in range(1, f.m + 1)] \
+            + [("max", bank.max_field())]
+        _write_together(tmp_path, fields)
+        for label, field in fields:
+            per_row_field_csv(tmp_path / "ref.csv", field, label)
+            assert (tmp_path / f"new_{label}.csv").read_bytes() == \
+                (tmp_path / "ref.csv").read_bytes()
+
+    def test_special_values_written_together_match_per_row_writer(self, tmp_path,
+                                                                  per_row_field_csv):
+        # 9261 points: two blocks and a partial third.  Items 1 and 3 share
+        # their data, and -0.0 sits next to 0.0 in the first rows of each.
+        grid = GridSpec(m=3, n_steps=20)
+        a, b = _special_field(grid, seed=0), _special_field(grid, seed=1)
+        fields = [("1", a), ("2", b), ("3", a),
+                  ("max", RateReductionField(grid, np.maximum(a.data, b.data), tau=-1, k=0))]
+        _write_together(tmp_path, fields)
+        for label, field in fields:
+            per_row_field_csv(tmp_path / "ref.csv", field, label)
+            assert (tmp_path / f"new_{label}.csv").read_bytes() == \
+                (tmp_path / "ref.csv").read_bytes()
 
     @pytest.mark.parametrize("m,n_steps", [
         (2, 10),     # 121 points: less than one block
@@ -574,6 +625,23 @@ class TestFieldCsvWriter:
             tracemalloc.stop()
         assert peak < 8e6
 
+    def test_memory_of_a_run_write_stays_bounded_by_a_block(self, tmp_path):
+        # The four field CSVs of a min run at m=3, delta=0.02, in one pass:
+        # the blocked writer peaks near 3.7 MB.  Rsum held for whole fields
+        # would add 4.2 MB, whole-file text about 50 MB.  Two sweeps leave
+        # few distinct values, which keeps the traced write under a second.
+        bank = run(GridSpec.from_delta(3, 0.02), builtin_table("min", 3),
+                   t_max=2, eps=1e-300).bank
+        fields = [(str(k), bank.field_for(k)) for k in range(1, 4)] \
+            + [("max", bank.max_field())]
+        tracemalloc.start()
+        try:
+            _write_together(tmp_path, fields)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6e6
+
 
 def test_read_field_csv_names_lines_past_the_first_block(tmp_path):
     """Errors found in a later block, with blank lines before them, still
@@ -588,6 +656,9 @@ def test_read_field_csv_names_lines_past_the_first_block(tmp_path):
         (5000, lambda c: c[:6] + ["nan"] + c[7:], r":5000: rho 'nan' is neither"),
         (7000, lambda c: c[:3] + ["0.123"] + c[4:], r":7000: p_1 = '0.123' is not the grid"),
         (8191, lambda c: c[:7] + ["1"], r":8191: Rsum '1' is not the joint entropy"),
+        (6000, lambda c: c[:1] + ["x"] + c[2:], r":6000: i_2 'x' is not an integer"),
+        (6500, lambda c: c[:6] + ["abc"] + c[7:], r":6500: rho_max 'abc' is not a number"),
+        (7500, lambda c: c[:7] + ["1.5x"], r":7500: Rsum_max '1.5x' is not a number"),
     ]:
         text = list(lines)
         text[line_no - 1] = ",".join(edit(text[line_no - 1].split(",")))

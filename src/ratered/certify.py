@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .envelope import BOTTOM, concavity_defects
-from .errors import NotCertifiedError
+from .errors import ConfigError, NotCertifiedError
 from .lattice import RateReductionField, entry_distance, zero_message_mask
 from .probability import GridIndex, ProductPmf, entropy_grid, product_entropy
 from .target_functions import FunctionTable
@@ -86,7 +86,7 @@ def check_membership(
     if f.m != grid.m:
         raise ValueError(f"function arity {f.m} != grid m={grid.m}")
     if not tol >= 0.0:
-        raise ValueError(f"tol must be >= 0, got {tol}")
+        raise ConfigError(f"tol must be >= 0, got {tol}")
 
     mask = zero_message_mask(grid, f)
     h = entropy_grid(grid)

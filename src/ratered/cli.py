@@ -195,12 +195,13 @@ def write_field_csv(path: Path, field_in: RateReductionField, label: str) -> Non
 
 
 def read_field_csv(path) -> RateReductionField:
-    """Re-ingest a field CSV bit-exactly (tau is unknown from a file: -1).
+    """Re-ingest a field CSV bit-exactly.
 
-    Every cell is checked against the format write_field_csv produces: rho
-    must be finite or -inf, each p_j cell must read exactly as the grid value
-    of its i_j, and Rsum must equal sum_rate_field of the parsed field bit
-    for bit.  A bad cell is reported with its line number.
+    The header must end in rho_<label>,Rsum_<label> with one non-empty
+    label.  Every cell is checked against the format write_field_csv
+    produces: rho must be finite or -inf, each p_j cell must read exactly as
+    the grid value of its i_j, and Rsum must equal sum_rate_field of the
+    parsed field bit for bit.  A bad cell is reported with its line number.
     """
     def data_lines() -> list[tuple[int, str]]:
         """(line number, text) of each non-blank line after the header, read
@@ -227,11 +228,10 @@ def read_field_csv(path) -> RateReductionField:
         m = (n_cols - 2) // 2
         expect_i = [f"i_{j}" for j in range(1, m + 1)]
         expect_p = [f"p_{j}" for j in range(1, m + 1)]
-        if header[:m] != expect_i or header[m : 2 * m] != expect_p or \
-                not header[2 * m].startswith("rho_") or not header[2 * m + 1].startswith("Rsum_"):
-            raise ConfigError(f"{path}: unexpected field CSV columns {header}")
         label = header[2 * m][len("rho_"):]
-        k = int(label) if label.isdigit() else 0
+        if header[:m] != expect_i or header[m : 2 * m] != expect_p or not label or \
+                header[2 * m :] != [f"rho_{label}", f"Rsum_{label}"]:
+            raise ConfigError(f"{path}: unexpected field CSV columns {header}")
         parsed = [*range(m), 2 * m, 2 * m + 1]     # the int, then the float columns
 
         n_rows = 0
@@ -296,7 +296,7 @@ def read_field_csv(path) -> RateReductionField:
     data[flat] = rho
     if np.any(np.isnan(data)):
         raise ConfigError(f"{path}: duplicate rows leave grid points unfilled")
-    field = RateReductionField(grid=grid, data=data.reshape(grid.shape), tau=-1, k=k)
+    field = RateReductionField(grid=grid, data=data.reshape(grid.shape))
     bad = sum_rate_field(field).reshape(-1)[flat].view(np.uint64) != rsum.view(np.uint64)
     if bad.any():
         where, cell = bad_cell(int(np.argmax(bad)), 2 * m + 1)
@@ -512,7 +512,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         "convergence_caveat": CONVERGENCE_CAVEAT,
         "sup_deltas": list(result.trace.sup_deltas),
         "cross_k_gap": result.cross_k_gap,
-        "envelope_chains": result.envelope_chains,
+        "envelope_chains": result.bank.period,
         "tracked": tracked_rec,
         "slice": slice_rec,
         "initial_node": args.initial_node,
@@ -710,6 +710,8 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
     spec = ConditionalSearchSpec(
         k=args.k, search_step=args.search_step, u1_cardinality=args.u1_cardinality
     )
+    if args.n_random < 0:
+        raise ConfigError(f"--n-random {args.n_random} is negative")
     points: list[GridIndex] = []
     for text in args.point or []:
         points.append(grid.snap(_parse_point(text, args.m)))
@@ -720,7 +722,7 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
     if not points:
         raise ConfigError("oracle-check needs --point and/or --n-random")
 
-    report = compare_with_envelope(grid, f, args.k, tuple(points), spec)
+    report = compare_with_envelope(grid, f, tuple(points), spec)
 
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -8,6 +8,11 @@ bank.  Iterating drives every field toward the infinite-message limit from
 below; the stopping rule is a sup-norm delta between consecutive fields of
 the same node.
 
+A bank stores the fields of nodes 1..d only, d being the rotation period
+of the zero-message field.  Node k > d is node k - d with its axes rotated
+d times (R^d), at every sweep (see sweep_once), so it is handed out as a
+rotated view of a stored field and never materialised.
+
 BOTTOM (-inf) marks pmfs where computation is infeasible with the messages
 granted so far; entries switch from BOTTOM to finite as mixtures fill in,
 and such transitions count as infinite deltas so convergence is never
@@ -16,12 +21,14 @@ declared while the finite support is still growing.
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .envelope import BOTTOM, envelope_batch
+from .errors import ConfigError
 from .probability import GridIndex, GridSpec, entropy_grid
 from .target_functions import FunctionTable
 
@@ -30,15 +37,11 @@ from .target_functions import FunctionTable
 class RateReductionField:
     """One rate-reduction functional sampled on the full grid.
 
-    data is a dense (N+1)^m float array; BOTTOM entries are -inf.  tau is
-    the number of messages accounted for; k is the initial node the field
-    belongs to (0 for the zero-message field, which is node-irrelevant).
+    data is a dense (N+1)^m float array; BOTTOM entries are -inf.
     """
 
     grid: GridSpec
     data: np.ndarray
-    tau: int
-    k: int
 
     def value_at(self, index: GridIndex) -> float:
         return float(self.data[tuple(index)])
@@ -46,12 +49,17 @@ class RateReductionField:
 
 @dataclass(frozen=True)
 class FieldBank:
-    """The m per-node fields sharing one grid and one iteration counter;
-    period is the zero-message field's rotation_period."""
+    """The per-node fields of one sweep, sharing one grid and one iteration
+    counter tau.
+
+    Only nodes 1..period are stored, period being the zero-message field's
+    rotation_period.  Every other node is a rotation of a stored one
+    (sweep_once shows why that is exact), which field_for hands out as a
+    view.
+    """
 
     fields: tuple[RateReductionField, ...]
     tau: int
-    period: int
 
     @property
     def grid(self) -> GridSpec:
@@ -59,21 +67,35 @@ class FieldBank:
 
     @property
     def m(self) -> int:
+        return self.grid.m
+
+    @property
+    def period(self) -> int:
         return len(self.fields)
 
     def field_for(self, k: int) -> RateReductionField:
-        return self.fields[k - 1]
+        """Node k's field: stored for k <= period, else R^(d*q) of stored
+        node k - d*q, with d = period and q = (k - 1) // d."""
+        if not 1 <= k <= self.m:
+            raise ValueError(f"node {k} outside 1..{self.m}")
+        d = self.period
+        if k <= d:
+            return self.fields[k - 1]
+        return RateReductionField(
+            self.grid, rotate_axes(self.fields[(k - 1) % d].data, d * ((k - 1) // d))
+        )
+
+    def node_fields(self) -> list[RateReductionField]:
+        """field_for(k) for every node k = 1..m."""
+        return [self.field_for(k) for k in range(1, self.m + 1)]
 
     def max_data(self) -> np.ndarray:
         """Pointwise max over the per-node fields: the tightest achievable
         rate-reduction estimate the bank offers."""
-        out = self.fields[0].data
-        for f in self.fields[1:]:
-            out = np.maximum(out, f.data)
-        return out
+        return functools.reduce(np.maximum, [f.data for f in self.node_fields()])
 
     def max_field(self) -> RateReductionField:
-        return RateReductionField(self.grid, self.max_data(), self.tau, 0)
+        return RateReductionField(self.grid, self.max_data())
 
 
 @dataclass
@@ -95,8 +117,9 @@ class ConvergenceTrace:
         )
 
     def record(self, bank: FieldBank) -> None:
+        fields = bank.node_fields()
         for p, point in enumerate(self.tracked_points):
-            values = [f.value_at(point) for f in bank.fields]
+            values = [f.value_at(point) for f in fields]
             for k0, v in enumerate(values):
                 self.per_k[p][k0].append(v)
             self.max_series[p].append(max(values))
@@ -109,7 +132,6 @@ class RunResult:
     t_stop: int
     stop_reason: str          # "converged" or "t_max"
     cross_k_gap: float        # max over grid and node pairs at t_stop
-    envelope_chains: int      # nodes enveloped per sweep: bank.period
     history: tuple[FieldBank, ...] | None = None
 
 
@@ -147,17 +169,14 @@ def initial_field(grid: GridSpec, f: FunctionTable) -> RateReductionField:
     already almost surely constant, BOTTOM everywhere else."""
     mask = zero_message_mask(grid, f)
     data = np.where(mask, entropy_grid(grid), BOTTOM)
-    return RateReductionField(grid=grid, data=data, tau=0, k=0)
+    return RateReductionField(grid=grid, data=data)
 
 
 def initial_bank(grid: GridSpec, f: FunctionTable) -> FieldBank:
-    """All m node fields start from the same zero-message field."""
+    """All m node fields start from the same zero-message field, so the
+    bank stores it once per node of its rotation period."""
     base = initial_field(grid, f)
-    fields = tuple(
-        RateReductionField(grid, base.data.copy(), 0, k)
-        for k in range(1, grid.m + 1)
-    )
-    return FieldBank(fields=fields, tau=0, period=rotation_period(base.data))
+    return FieldBank(fields=(base,) * rotation_period(base.data), tau=0)
 
 
 def next_node(k: int, m: int) -> int:
@@ -185,9 +204,7 @@ def convexify_axes(pairs: list) -> tuple[RateReductionField, ...]:
     new_lines = envelope_batch(lines.reshape(-1, lines.shape[-1])).reshape(lines.shape)
     del lines
     return tuple(
-        RateReductionField(
-            field_in.grid, np.moveaxis(block, -1, k - 1).copy(), field_in.tau + 1, k
-        )
+        RateReductionField(field_in.grid, np.moveaxis(block, -1, k - 1).copy())
         for block, (field_in, k) in zip(new_lines, pairs)
     )
 
@@ -220,11 +237,11 @@ def sweep_once(bank: FieldBank) -> FieldBank:
     convexified along axis k, all reads taken from the previous bank.
 
     With d = bank.period, only nodes 1..d are enveloped, and their lines go
-    to the kernel as one batch (convexify_axes).  Node k > d is
-    F_k' = R^d(F_{k-d}'), materialised as a contiguous array.  That is
-    bit-identical to enveloping every node.  Suppose F_{k+d} = R^d(F_k) for
-    every k (mod m), which holds at tau=0 since all fields equal the base
-    and R^d(base) = base.  Then for k > d,
+    to the kernel as one batch (convexify_axes); the new bank stores those d
+    fields and hands out node k > d as F_k' = R^d(F_{k-d}') (field_for).
+    That is bit-identical to enveloping every node.  Suppose
+    F_{k+d} = R^d(F_k) for every k (mod m), which holds at tau=0 since all
+    fields equal the base and R^d(base) = base.  Then for k > d,
     F_k' = conv_k(F_{k+1}) = conv_k(R^d(F_{k+1-d})) = R^d(conv_{k-d}(F_{k+1-d}))
     = R^d(F_{k-d}'), because R^d carries axis k-d to axis k: the kernel
     sees the same lines (same values, each line enveloped independently),
@@ -232,16 +249,11 @@ def sweep_once(bank: FieldBank) -> FieldBank:
     (d divides m, so it also holds across the wrap from node m to node 1),
     and by induction it holds at every sweep.
     """
-    m, d = bank.m, bank.period
-    fields = list(convexify_axes(
-        [(bank.field_for(next_node(k, m)), k) for k in range(1, d + 1)]
-    ))
-    for k in range(d + 1, m + 1):
-        src = fields[k - d - 1]
-        fields.append(RateReductionField(
-            src.grid, np.ascontiguousarray(rotate_axes(src.data, d)), src.tau, k
-        ))
-    return FieldBank(fields=tuple(fields), tau=bank.tau + 1, period=d)
+    m = bank.m
+    fields = convexify_axes(
+        [(bank.field_for(next_node(k, m)), k) for k in range(1, bank.period + 1)]
+    )
+    return FieldBank(fields=fields, tau=bank.tau + 1)
 
 
 def entry_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -261,19 +273,17 @@ def sup_delta(new: np.ndarray, old: np.ndarray) -> float:
 
 
 def bank_sup_delta(new: FieldBank, old: FieldBank) -> float:
-    """Max sup delta over nodes 1..period.  Node k > period is the same
-    rotation of an earlier node in both banks, which permutes the compared
-    entries without changing them."""
-    return max(
-        sup_delta(new.field_for(k).data, old.field_for(k).data)
-        for k in range(1, new.period + 1)
-    )
+    """Max sup delta over the stored nodes of two banks of one period (a
+    sweep keeps the period).  Node k > period is the same rotation of an
+    earlier node in both banks, which permutes the compared entries without
+    changing them."""
+    return max(sup_delta(n.data, o.data) for n, o in zip(new.fields, old.fields))
 
 
 def cross_k_gap(bank: FieldBank) -> float:
     """Max disagreement between node fields over the grid (BOTTOM-aware)."""
     worst = 0.0
-    for a, b in itertools.combinations(bank.fields, 2):
+    for a, b in itertools.combinations(bank.node_fields(), 2):
         worst = max(worst, sup_delta(a.data, b.data))
     return worst
 
@@ -294,9 +304,9 @@ def run(
     result metadata downstream.
     """
     if t_max < 0:
-        raise ValueError(f"t_max must be >= 0, got {t_max}")
+        raise ConfigError(f"t_max must be >= 0, got {t_max}")
     if not eps > 0.0:
-        raise ValueError(f"eps must be > 0, got {eps}")
+        raise ConfigError(f"eps must be > 0, got {eps}")
 
     bank = initial_bank(grid, f)
     trace = ConvergenceTrace.empty(tuple(tracked), grid.m)
@@ -322,7 +332,6 @@ def run(
         t_stop=bank.tau,
         stop_reason=stop_reason,
         cross_k_gap=cross_k_gap(bank),
-        envelope_chains=bank.period,
         history=tuple(history) if history is not None else None,
     )
 

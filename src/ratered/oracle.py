@@ -24,7 +24,7 @@ a genuine cross-check, limited only by the search-grid resolution.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -218,34 +218,16 @@ class ComparisonRow:
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    rows: tuple[ComparisonRow, ...]
     k: int
     search_step: float
     u1_cardinality: int
     slack: float
     worst_gap: float
     within_contract: bool
+    rows: tuple[ComparisonRow, ...]
 
     def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "search_step": self.search_step,
-            "u1_cardinality": self.u1_cardinality,
-            "slack": self.slack,
-            "worst_gap": self.worst_gap,
-            "within_contract": self.within_contract,
-            "rows": [
-                {
-                    "point": list(r.point),
-                    "envelope_value": r.envelope_value,
-                    "oracle_value": r.oracle_value,
-                    "gap": r.gap,
-                    "envelope_feasible": r.envelope_feasible,
-                    "oracle_feasible": r.oracle_feasible,
-                }
-                for r in self.rows
-            ],
-        }
+        return asdict(self)
 
 
 def resolution_slack(search_step: float, m: int) -> float:
@@ -259,24 +241,22 @@ def resolution_slack(search_step: float, m: int) -> float:
 def compare_with_envelope(
     grid: GridSpec,
     f: FunctionTable,
-    k: int,
     points: tuple[GridIndex, ...],
     spec: ConditionalSearchSpec,
 ) -> ComparisonReport:
-    """Per-point gap between one envelope sweep and the brute-force search.
+    """Per-point gap between one envelope sweep of node spec.k and the
+    brute-force search.
 
     gap = envelope - oracle; two BOTTOM sides count as gap 0.  Contract:
     every gap within [-1e-9, slack] and feasibility verdicts agree.
     """
-    if spec.k != k:
-        raise ValueError(f"spec.k={spec.k} does not match k={k}")
     if f.m != grid.m:
         raise ValueError(f"function arity {f.m} != grid m={grid.m}")
     for pt in points:
         if len(pt) != grid.m or any(not 0 <= i <= grid.n_steps for i in pt):
             raise ValueError(f"point {pt} outside the grid")
 
-    field = sweep_once(initial_bank(grid, f)).field_for(k)
+    field = sweep_once(initial_bank(grid, f)).field_for(spec.k)
     slack = resolution_slack(spec.search_step, grid.m)
 
     rows = []
@@ -308,11 +288,11 @@ def compare_with_envelope(
         if not (-1e-9 <= gap <= slack) or env_feasible != ora_feasible:
             ok = False
     return ComparisonReport(
-        rows=tuple(rows),
-        k=k,
+        k=spec.k,
         search_step=spec.search_step,
         u1_cardinality=spec.u1_cardinality,
         slack=slack,
         worst_gap=worst,
         within_contract=ok,
+        rows=tuple(rows),
     )

@@ -20,20 +20,6 @@ from .probability import ProductPmf
 BUILTIN_NAMES = ("min", "max", "and", "or", "parity", "constant")
 
 
-def _check_alphabets(m: int, alphabet_sizes: tuple[int, ...], where: str = "") -> None:
-    """One size per source and every source Bernoulli; a violation is a
-    configuration error, reported after the prefix `where`."""
-    if len(alphabet_sizes) != m:
-        raise ConfigError(
-            f"{where}alphabets= lists {len(alphabet_sizes)} sizes, expected m={m}"
-        )
-    if any(a != 2 for a in alphabet_sizes):
-        raise ConfigError(
-            f"{where}alphabets={','.join(map(str, alphabet_sizes))}: "
-            "only binary source alphabets are supported"
-        )
-
-
 def _check_entry(m: int, outputs, x: tuple[int, ...], z: int, where: str = "") -> None:
     """One truth-table row x -> z over binary inputs, reported after `where`."""
     if len(x) != m:
@@ -46,17 +32,15 @@ def _check_entry(m: int, outputs, x: tuple[int, ...], z: int, where: str = "") -
 
 @dataclass(frozen=True)
 class FunctionTable:
-    """Explicit truth table f: X_1 x ... x X_m -> Z."""
+    """Explicit truth table f: {0,1}^m -> Z, total over the 2^m inputs."""
 
     m: int
-    alphabet_sizes: tuple[int, ...]
     output_alphabet: tuple[int, ...]
     table: dict[tuple[int, ...], int]
 
     def __post_init__(self) -> None:
         if self.m < 1:
             raise ConfigError(f"arity must be >= 1, got {self.m}")
-        _check_alphabets(self.m, self.alphabet_sizes)
         expected = 2**self.m
         if len(self.table) != expected:
             raise ConfigError(
@@ -98,12 +82,7 @@ def builtin_table(name: str, m: int) -> FunctionTable:
     for x in itertools.product((0, 1), repeat=m):
         table[x] = int(fn(x))
     outputs = tuple(sorted(set(table.values())))
-    return FunctionTable(
-        m=m,
-        alphabet_sizes=(2,) * m,
-        output_alphabet=outputs,
-        table=table,
-    )
+    return FunctionTable(m=m, output_alphabet=outputs, table=table)
 
 
 def computable_with_zero_messages(f: FunctionTable, pmf: ProductPmf) -> bool:
@@ -152,7 +131,13 @@ def load_table(path: str | Path) -> FunctionTable:
         outputs = tuple(int(z) for z in fields["outputs"].split(","))
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"{path}:{header_no}: malformed header: {exc}") from exc
-    _check_alphabets(m, alphabet_sizes, f"{path}:{header_no}: ")
+    # FunctionTable itself is binary: the header's sizes are checked here
+    where = f"{path}:{header_no}: alphabets="
+    if len(alphabet_sizes) != m:
+        raise ConfigError(f"{where} lists {len(alphabet_sizes)} sizes, expected m={m}")
+    if any(a != 2 for a in alphabet_sizes):
+        raise ConfigError(f"{where}{','.join(map(str, alphabet_sizes))}: "
+                          "only binary source alphabets are supported")
 
     table: dict[tuple[int, ...], int] = {}
     for line_no, text in lines[1:]:
@@ -178,6 +163,4 @@ def load_table(path: str | Path) -> FunctionTable:
             f"{path}: non-total table, missing {len(missing)} rows, "
             f"first missing {missing[0]}"
         )
-    return FunctionTable(
-        m=m, alphabet_sizes=alphabet_sizes, output_alphabet=outputs, table=table
-    )
+    return FunctionTable(m=m, output_alphabet=outputs, table=table)

@@ -55,7 +55,7 @@ def per_node_sweep():
         fields = tuple(
             axis_convexify(bank.field_for(next_node(k, m)), k) for k in range(1, m + 1)
         )
-        return FieldBank(fields=fields, tau=bank.tau + 1, period=bank.period)
+        return FieldBank(fields=fields, tau=bank.tau + 1)
     return sweep
 
 

@@ -169,7 +169,7 @@ def test_a08_brute_force_single_message_search_agrees(min3):
         (4, 6, 2),
     )
     spec = ConditionalSearchSpec(k=3, search_step=0.02, u1_cardinality=3)
-    report = compare_with_envelope(grid, min3, 3, points, spec)
+    report = compare_with_envelope(grid, min3, points, spec)
 
     assert len(report.rows) == 10
     for row in report.rows:
@@ -190,7 +190,7 @@ def test_a09_certifier_accepts_converged_field_rejects_corruption(
     bumped = field.data.copy()
     bump_at = (7, 11, 5)
     bumped[bump_at] += 0.5
-    corrupt = RateReductionField(grid=field.grid, data=bumped, tau=-1, k=0)
+    corrupt = RateReductionField(grid=field.grid, data=bumped)
     report = check_membership(corrupt, min3, tol=1e-4)
     assert not report.passed
     assert not all(report.concavity_ok_per_axis)

@@ -21,7 +21,6 @@ TOLS = (0.0, 1e-9, 1e-4, math.inf)
 # x1 ? x2 : x3, which no cyclic shift of the inputs leaves unchanged
 SELECTOR3 = FunctionTable(
     m=3,
-    alphabet_sizes=(2, 2, 2),
     output_alphabet=(0, 1),
     table={x: x[1] if x[0] else x[2] for x in itertools.product((0, 1), repeat=3)},
 )
@@ -42,7 +41,7 @@ def grid05():
 
 @pytest.fixture(scope="module")
 def entropy_field(grid05):
-    return RateReductionField(grid05, entropy_grid(grid05), 0, 0)
+    return RateReductionField(grid05, entropy_grid(grid05))
 
 
 class TestCheckMembership:
@@ -91,7 +90,7 @@ class TestCheckMembership:
     def test_corruption_detected_and_located(self, converged_run, min3):
         data = converged_run.bank.max_data().copy()
         data[4, 9, 12] += 0.5
-        bad = RateReductionField(converged_run.bank.grid, data, 40, 0)
+        bad = RateReductionField(converged_run.bank.grid, data)
         report = check_membership(bad, min3, 1e-4)
         assert not report.passed
         assert report.worst_concavity_violation >= 0.25
@@ -103,7 +102,7 @@ class TestCheckMembership:
         h = entropy_grid(grid05)
         data = h.copy()
         data[0, 10, 10] -= 0.01
-        report = check_membership(RateReductionField(grid05, data, 0, 0), min3, 1e-4)
+        report = check_membership(RateReductionField(grid05, data), min3, 1e-4)
         assert not report.majorization_ok
         assert report.majorization_location == (0, 10, 10)
         assert report.worst_majorization_gap == pytest.approx(0.01, abs=1e-12)
@@ -118,11 +117,11 @@ class TestCheckMembership:
         for _ in range(5):
             lifted = base + rng.uniform(0.0, 0.5)     # constant lift: still a member
             assert check_membership(
-                RateReductionField(grid, lifted, 0, 0), min3, 1e-4
+                RateReductionField(grid, lifted), min3, 1e-4
             ).passed
             clipped = np.minimum(lifted, h)
             assert check_membership(
-                RateReductionField(grid, clipped, 0, 0), min3, 1e-4
+                RateReductionField(grid, clipped), min3, 1e-4
             ).passed
 
     def test_tol_validation(self, entropy_field, min3):
@@ -146,7 +145,7 @@ class TestWholeArrayKernel:
         grid = GridSpec.from_delta(f.m, delta)
         res = run(grid, f, t_max=4, eps=1e-12, keep_history=True)
         for bank in res.history:
-            for field in (*bank.fields, bank.max_field()):
+            for field in (*bank.node_fields(), bank.max_field()):
                 for tol in TOLS:
                     got = check_membership(field, f, tol)
                     assert _bits(got) == _bits(per_line_membership(field, f, tol))
@@ -176,7 +175,7 @@ class TestWholeArrayKernel:
             lines[1, 2] = 1.5                                  # one finite point
             lines[2, :] = BOTTOM
             lines[2, 3:5] = 0.25                               # two finite points
-            field = RateReductionField(grid, data, 0, 0)
+            field = RateReductionField(grid, data)
             got = check_membership(field, f, tol)
             assert _bits(got) == _bits(per_line_membership(field, f, tol))
 
@@ -188,7 +187,7 @@ class TestWholeArrayKernel:
         grid = GridSpec(2, 4)
         data = np.tile([1e308, 1e308, 1e308, 10.0, 20.0], (5, 1))
         report = check_membership(
-            RateReductionField(grid, data, 0, 0), builtin_table("constant", 2), 1e-4
+            RateReductionField(grid, data), builtin_table("constant", 2), 1e-4
         )
         assert report.majorization_ok
         assert report.concavity_ok_per_axis == (False, False)
@@ -221,7 +220,7 @@ class TestLowerBound:
 
     def test_report_grid_mismatch_is_rejected(self, entropy_field, min3):
         small = GridSpec.from_delta(3, 0.5)
-        small_field = RateReductionField(small, entropy_grid(small), 0, 0)
+        small_field = RateReductionField(small, entropy_grid(small))
         small_report = check_membership(small_field, min3, 1e-9)
         with pytest.raises(NotCertifiedError):
             lower_bound_from(entropy_field, ProductPmf((0.5, 0.5, 0.5)), small_report)
@@ -236,7 +235,7 @@ class TestLowerBound:
         assert report.passed
         data = entropy_field.data.copy()
         data[1, 1, 1] -= 0.25
-        other = RateReductionField(entropy_field.grid, data, 0, 0)
+        other = RateReductionField(entropy_field.grid, data)
         with pytest.raises(NotCertifiedError) as err:
             lower_bound_from(other, ProductPmf((0.5, 0.5, 0.5)), report)
         assert report.field_sha256 in str(err.value)
@@ -277,14 +276,14 @@ class TestAssessOptimality:
         grid = GridSpec.from_delta(3, 0.1)
         f = builtin_table("constant", 3)
         achieved = run(grid, f, t_max=5, eps=1e-6).bank.max_field()
-        candidate = RateReductionField(grid, entropy_grid(grid), 0, 0)
+        candidate = RateReductionField(grid, entropy_grid(grid))
         verdict = assess_optimality(candidate, achieved, f, 1e-9)
         assert verdict.status == "optimal within tol"
         assert verdict.worst_gap == 0.0
 
     def test_grid_mismatch_raises(self, converged_run, min3):
         small = GridSpec.from_delta(3, 0.5)
-        candidate = RateReductionField(small, entropy_grid(small), 0, 0)
+        candidate = RateReductionField(small, entropy_grid(small))
         with pytest.raises(ValueError):
             assess_optimality(candidate, converged_run.bank.max_field(), min3, 1e-4)
 

@@ -188,7 +188,7 @@ class TestCertifyCommand:
         field = cli.read_field_csv(path)
         bumped = field.data.copy()
         bumped[3, 6, 4] += 0.5
-        cli.write_field_csv(path, field.__class__(field.grid, bumped, -1, 0), "max")
+        cli.write_field_csv(path, field.__class__(field.grid, bumped), "max")
         code = cli.main([
             "certify", "--field", str(path), "--function", "min",
             "--tol", "1e-4", "-o", str(tmp_path),
@@ -465,6 +465,32 @@ class TestConfigErrors:
         )
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command, option, value", [
+        ("run", "--t-max", "-1"),
+        ("run", "--eps", "0"),
+        ("run", "--eps", "nan"),
+        ("certify", "--tol", "-1"),
+        ("oracle-check", "--n-random", "-1"),
+    ])
+    def test_bad_numeric_option_is_config_error(self, tmp_path, capsys, command,
+                                                option, value):
+        cli.main(["run", "--function", "min", "--m", "2", "--delta", "0.5",
+                  "--t-max", "1", "-o", str(tmp_path / "field")])
+        capsys.readouterr()
+        args = {
+            "run": ["--m", "2", "--delta", "0.5"],
+            "certify": ["--field", str(tmp_path / "field" / "field_max.csv")],
+            "oracle-check": ["--m", "2", "--delta", "0.5", "--k", "1",
+                             "--point", "0.5,0.5"],
+        }[command]
+        code = cli.main([command, "--function", "min", *args, f"{option}={value}",
+                         "-o", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
 
 def test_read_field_csv_rejects_incomplete(tmp_path):
     path = tmp_path / "bad.csv"
@@ -487,6 +513,20 @@ def _corrupt_field_csv(tmp_path, line, col, cell):
     lines[line - 1] = ",".join(cells)
     path.write_text("\n".join(lines) + "\n")
     return path
+
+
+@pytest.mark.parametrize("rho, rsum", [
+    ("rho_max", "Rsum_7"), ("rho_1", "Rsum_max"), ("rho_", "Rsum_"), ("rho", "Rsum"),
+    ("Rsum_max", "rho_max"),
+])
+def test_read_field_csv_requires_one_label(tmp_path, rho, rsum):
+    path = _corrupt_field_csv(tmp_path, 1, 4, rho)
+    lines = path.read_text().splitlines(keepends=True)
+    header = ["i_1", "i_2", "p_1", "p_2", rho, rsum]
+    path.write_text(",".join(header) + "\n" + "".join(lines[1:]))
+    with pytest.raises(cli.ConfigError, match=re.escape(
+            f"{path}: unexpected field CSV columns {header}")):
+        cli.read_field_csv(path)
 
 
 @pytest.mark.parametrize("cell", ["nan", "inf"])
@@ -523,7 +563,7 @@ def _special_field(grid, seed=0):
     data = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
     data[rng.integers(0, n, n // 8)] = rng.choice(SPECIAL_VALUES, n // 8)
     data[: len(SPECIAL_VALUES)] = SPECIAL_VALUES
-    return RateReductionField(grid, data.reshape(grid.shape), tau=-1, k=0)
+    return RateReductionField(grid, data.reshape(grid.shape))
 
 
 def _write_together(directory, fields):
@@ -570,7 +610,7 @@ class TestFieldCsvWriter:
         grid = GridSpec(m=3, n_steps=20)
         a, b = _special_field(grid, seed=0), _special_field(grid, seed=1)
         fields = [("1", a), ("2", b), ("3", a),
-                  ("max", RateReductionField(grid, np.maximum(a.data, b.data), tau=-1, k=0))]
+                  ("max", RateReductionField(grid, np.maximum(a.data, b.data)))]
         _write_together(tmp_path, fields)
         for label, field in fields:
             per_row_field_csv(tmp_path / "ref.csv", field, label)

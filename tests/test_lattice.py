@@ -31,14 +31,12 @@ from ratered.target_functions import (
 # x1 ? x2 : x3, which no cyclic shift of the inputs leaves unchanged
 SELECTOR3 = FunctionTable(
     m=3,
-    alphabet_sizes=(2, 2, 2),
     output_alphabet=(0, 1),
     table={x: x[1] if x[0] else x[2] for x in itertools.product((0, 1), repeat=3)},
 )
 # x1 ? (x2 AND x3) : (x3 OR x4), which no permutation of the inputs leaves unchanged
 SELECTOR4 = FunctionTable(
     m=4,
-    alphabet_sizes=(2, 2, 2, 2),
     output_alphabet=(0, 1),
     table={x: x[1] & x[2] if x[0] else x[2] | x[3]
            for x in itertools.product((0, 1), repeat=4)},
@@ -47,7 +45,6 @@ SELECTOR4 = FunctionTable(
 # shifting by one does not
 PERIOD2 = FunctionTable(
     m=4,
-    alphabet_sizes=(2, 2, 2, 2),
     output_alphabet=(0, 1),
     table={x: (x[0] & x[2]) | (x[1] ^ x[3])
            for x in itertools.product((0, 1), repeat=4)},
@@ -70,7 +67,6 @@ class TestZeroMessageField:
         mask = zero_message_mask(grid, min3)
         assert np.array_equal(field.data[mask], h[mask])
         assert np.all(field.data[~mask] == BOTTOM)
-        assert field.tau == 0 and field.k == 0
 
     def test_arity_mismatch_raises(self, min3):
         with pytest.raises(ValueError):
@@ -100,8 +96,6 @@ class TestSweepMechanics:
                 line = field.data[i1, :, i3]
                 assert np.array_equal(out.data[i1, :, i3],
                                       upper_concave_envelope(line))
-        assert out.tau == field.tau + 1
-        assert out.k == 2
 
     def test_axis_out_of_range(self, min3):
         field = initial_field(GridSpec.from_delta(3, 0.5), min3)
@@ -140,8 +134,8 @@ def _reference_run(grid, f, t_max, eps, sweep):
     deltas = []
     for _ in range(t_max):
         banks.append(sweep(banks[-1]))
-        deltas.append(max(sup_delta(n.data, o.data)
-                          for n, o in zip(banks[-1].fields, banks[-2].fields)))
+        deltas.append(max(sup_delta(n.data, o.data) for n, o in
+                          zip(banks[-1].node_fields(), banks[-2].node_fields())))
         if deltas[-1] <= eps:
             break
     return banks, deltas
@@ -173,13 +167,13 @@ class TestRotatedSweep:
         res = run(grid, f, t_max=6, eps=1e-12, tracked=tracked, keep_history=True)
         banks, deltas = _reference_run(grid, f, 6, 1e-12, per_node_sweep)
 
-        assert res.envelope_chains == _least_period(banks[0].field_for(1).data)
+        assert res.bank.period == _least_period(banks[0].field_for(1).data)
         assert len(res.history) == len(banks) and res.t_stop == banks[-1].tau
         for got, want in zip(res.history, banks):
             assert got.tau == want.tau
-            for gf, wf in zip(got.fields, want.fields):
-                assert (gf.tau, gf.k) == (wf.tau, wf.k)
-                assert gf.data.flags.c_contiguous
+            assert got.period == res.bank.period
+            assert all(gf.data.flags.c_contiguous for gf in got.fields)
+            for gf, wf in zip(got.node_fields(), want.node_fields()):
                 assert np.array_equal(_bits(gf.data), _bits(wf.data))
         assert res.trace.sup_deltas == deltas
         assert res.cross_k_gap == cross_k_gap(banks[-1])
@@ -209,7 +203,23 @@ class TestRotatedSweep:
                              ids=[c[3] for c in CHAIN_CASES])
     def test_reduction_engages_only_on_invariant_data(self, f, delta, chains):
         res = run(GridSpec.from_delta(f.m, delta), f, t_max=0, eps=1e-6)
-        assert res.envelope_chains == chains
+        assert res.bank.period == chains
+
+    @pytest.mark.parametrize("f, period", [
+        (builtin_table("min", 3), 1), (PERIOD2, 2), (SELECTOR3, 3),
+    ], ids=["min-m3", "period2-m4", "selector-m3"])
+    def test_bank_stores_one_field_per_period_node(self, f, period):
+        bank = run(GridSpec.from_delta(f.m, 0.1), f, t_max=3, eps=1e-300).bank
+        assert len(bank.fields) == bank.period == period
+        for k in range(1, f.m + 1):
+            stored = bank.fields[(k - 1) % period]
+            if k <= period:
+                assert bank.field_for(k) is stored
+            else:
+                assert np.shares_memory(bank.field_for(k).data, stored.data)
+        for k in (0, f.m + 1):
+            with pytest.raises(ValueError, match=f"node {k} outside 1..{f.m}"):
+                bank.field_for(k)
 
     def test_invariance_is_bitwise(self):
         a = np.zeros((2, 2))
@@ -234,10 +244,10 @@ class TestLockstepKernel:
         got = run(grid, f, t_max=20, eps=1e-12, keep_history=True)
         monkeypatch.setattr("ratered.lattice.envelope_batch", per_line_envelope)
         want = run(grid, f, t_max=20, eps=1e-12, keep_history=True)
-        assert got.envelope_chains == want.envelope_chains == chains
+        assert got.bank.period == want.bank.period == chains
         assert len(got.history) == len(want.history) > 2
         for gb, wb in zip(got.history, want.history):
-            for gf, wf in zip(gb.fields, wb.fields):
+            for gf, wf in zip(gb.node_fields(), wb.node_fields()):
                 assert np.array_equal(_bits(gf.data), _bits(wf.data))
         assert _bits(np.array(got.trace.sup_deltas)).tolist() == \
             _bits(np.array(want.trace.sup_deltas)).tolist()
@@ -260,7 +270,7 @@ class TestLockstepKernel:
         monkeypatch.setattr("ratered.lattice.envelope_batch", counting)
         grid = GridSpec.from_delta(f.m, delta)
         res = run(grid, f, t_max=6, eps=1e-300)
-        assert res.envelope_chains == chains
+        assert res.bank.period == chains
         length = grid.points_per_axis
         assert res.t_stop == 6
         assert batches == [(chains * length ** (f.m - 1), length)] * 6

@@ -216,7 +216,7 @@ class TestCompareWithEnvelope:
         grid = GridSpec.from_delta(3, 0.1)
         points = ((10, 10, 5), (5, 5, 5), (0, 3, 7), (2, 9, 0), (10, 10, 10))
         spec = ConditionalSearchSpec(k=3, search_step=0.05)
-        report = compare_with_envelope(grid, min3, 3, points, spec)
+        report = compare_with_envelope(grid, min3, points, spec)
         assert report.within_contract
         for row in report.rows:
             assert row.feasibility_agrees
@@ -225,7 +225,7 @@ class TestCompareWithEnvelope:
     def test_both_bottom_gap_is_zero(self, min3):
         grid = GridSpec.from_delta(3, 0.1)
         spec = ConditionalSearchSpec(k=3, search_step=0.1)
-        report = compare_with_envelope(grid, min3, 3, ((5, 5, 5),), spec)
+        report = compare_with_envelope(grid, min3, ((5, 5, 5),), spec)
         row = report.rows[0]
         assert not row.envelope_feasible and not row.oracle_feasible
         assert row.gap == 0.0
@@ -235,27 +235,26 @@ class TestCompareWithEnvelope:
         grid = GridSpec.from_delta(3, 0.2)
         spec = ConditionalSearchSpec(k=1, search_step=0.2)
         points = ((0, 0, 0), (1, 2, 3), (5, 5, 5))
-        report = compare_with_envelope(grid, f, 1, points, spec)
+        report = compare_with_envelope(grid, f, points, spec)
         for row in report.rows:
             assert row.gap == pytest.approx(0.0, abs=1e-12)
-
-    def test_k_mismatch_rejected(self, min3):
-        grid = GridSpec.from_delta(3, 0.1)
-        spec = ConditionalSearchSpec(k=2, search_step=0.1)
-        with pytest.raises(ValueError):
-            compare_with_envelope(grid, min3, 3, ((0, 0, 0),), spec)
 
     def test_point_off_grid_rejected(self, min3):
         grid = GridSpec.from_delta(3, 0.1)
         spec = ConditionalSearchSpec(k=3, search_step=0.1)
         with pytest.raises(ValueError):
-            compare_with_envelope(grid, min3, 3, ((0, 0, 11),), spec)
+            compare_with_envelope(grid, min3, ((0, 0, 11),), spec)
 
     def test_report_serializes(self, min3):
         grid = GridSpec.from_delta(3, 0.2)
         spec = ConditionalSearchSpec(k=3, search_step=0.2)
-        report = compare_with_envelope(grid, min3, 3, ((5, 5, 5), (0, 0, 0)), spec)
+        report = compare_with_envelope(grid, min3, ((5, 5, 5), (0, 0, 0)), spec)
         payload = report.to_dict()
+        # the key order of oracle_report.json
+        assert list(payload) == ["k", "search_step", "u1_cardinality", "slack",
+                                 "worst_gap", "within_contract", "rows"]
+        assert list(payload["rows"][0]) == ["point", "envelope_value", "oracle_value",
+                                            "gap", "envelope_feasible", "oracle_feasible"]
         assert payload["k"] == 3
         assert len(payload["rows"]) == 2
         assert payload["slack"] == resolution_slack(0.2, 3)

@@ -58,26 +58,31 @@ class TestFunctionTableValidation:
         table = {x: 0 for x in itertools.product((0, 1), repeat=2)}
         del table[(1, 1)]
         with pytest.raises(ConfigError):
-            FunctionTable(m=2, alphabet_sizes=(2, 2), output_alphabet=(0,), table=table)
+            FunctionTable(m=2, output_alphabet=(0,), table=table)
 
     def test_output_outside_alphabet_rejected(self):
         table = {x: 0 for x in itertools.product((0, 1), repeat=2)}
         table[(1, 1)] = 5
         with pytest.raises(ConfigError):
-            FunctionTable(m=2, alphabet_sizes=(2, 2), output_alphabet=(0, 1), table=table)
+            FunctionTable(m=2, output_alphabet=(0, 1), table=table)
 
     def test_rejects_nonbinary_alphabets(self):
+        # a table over {0,1} x {0,1,2}: more rows than the 2^m binary inputs
         table = {x: 0 for x in itertools.product((0, 1), (0, 1, 2))}
-        with pytest.raises(ConfigError, match="alphabets=2,3: only binary"):
-            FunctionTable(m=2, alphabet_sizes=(2, 3), output_alphabet=(0,), table=table)
-        with pytest.raises(ConfigError):
-            FunctionTable(m=2, alphabet_sizes=(2,), output_alphabet=(0,), table=table)
+        with pytest.raises(ConfigError, match="non-total table: 6 entries, expected 4"):
+            FunctionTable(m=2, output_alphabet=(0,), table=table)
+        # as many rows as a binary table, one of them with a ternary symbol
+        table = {x: 0 for x in itertools.product((0, 1), repeat=2)}
+        del table[(1, 1)]
+        table[(1, 2)] = 0
+        with pytest.raises(ConfigError, match=r"input symbol out of range in \(1, 2\)"):
+            FunctionTable(m=2, output_alphabet=(0,), table=table)
 
     def test_input_symbol_out_of_range_rejected(self):
         table = {x: 0 for x in itertools.product((0, 1), repeat=2)}
         table[(0, 2)] = 0
         with pytest.raises(ConfigError):
-            FunctionTable(m=2, alphabet_sizes=(2, 2), output_alphabet=(0,), table=table)
+            FunctionTable(m=2, output_alphabet=(0,), table=table)
 
 
 class TestZeroMessageComputability:

@@ -72,6 +72,12 @@ def field_digest(data: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(data, dtype=np.float64)).hexdigest()
 
 
+def check_tol(tol: float) -> None:
+    """Reject a tolerance that no check can use: negative or NaN."""
+    if not tol >= 0.0:
+        raise ConfigError(f"tol must be >= 0, got {tol}")
+
+
 def check_membership(
     field: RateReductionField, f: FunctionTable, tol: float
 ) -> MembershipReport:
@@ -85,8 +91,7 @@ def check_membership(
     grid = field.grid
     if f.m != grid.m:
         raise ValueError(f"function arity {f.m} != grid m={grid.m}")
-    if not tol >= 0.0:
-        raise ConfigError(f"tol must be >= 0, got {tol}")
+    check_tol(tol)
 
     mask = zero_message_mask(grid, f)
     h = entropy_grid(grid)

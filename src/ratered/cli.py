@@ -25,10 +25,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .certify import assess_optimality
+from .certify import assess_optimality, check_tol
 from .envelope import BOTTOM
 from .errors import ConfigError
-from .lattice import RateReductionField, RunResult, run, sum_rate_field
+from .lattice import RateReductionField, RunResult, check_budget, run, sum_rate_field
 from .oracle import ConditionalSearchSpec, compare_with_envelope
 # Unused here; kept because perfbench/tracer.py wraps ratered.cli.check_membership.
 from .certify import check_membership  # noqa: F401
@@ -536,6 +536,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_certify(args: argparse.Namespace) -> int:
+    check_tol(args.tol)
+    check_budget(args.t_max, args.eps)
     parsed = read_field_csv(args.field)
     grid = parsed.grid
     if args.m is not None and args.m != grid.m:

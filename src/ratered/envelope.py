@@ -25,6 +25,21 @@ enveloped node stacked into one batch.  The kernel performs the reference's
 float operations in the same order, so the two agree to the last bit, ties
 and BOTTOM rows included.
 
+Near the limit many lines are already their own hull, and the kernel would
+return them unchanged.  A loop-free pre-pass (_already_hulls) finds those
+rows first, and only the others go through the kernel.  A row is returned as
+it is when its non-BOTTOM cells form one contiguous run and no consecutive
+triple of them passes the kernel's own pop test,
+
+    (v[j] - v[j-2]) - (v[j-1] - v[j-2]) * 2 >= 0.0,
+
+which is the kernel's cross term with its integer factors 1 and 2; both
+products are exact, so the pre-pass and the kernel compute the same bits.
+Such a row never pops, by induction on the columns: at column j the top two
+stack entries are j-2 and j-1, the test above fails, and j is pushed.  So
+every non-BOTTOM cell is a hull vertex; the kernel copies vertices and
+writes BOTTOM only outside the support, so its output is the input.
+
 The concavity test lives in one place too: concavity_defects measures every
 second difference of every line of an array at once, and both the per-line
 concavity_violation / is_concave and the certifier's family check read it.
@@ -98,6 +113,77 @@ def _envelope_line(v: list) -> list:
 def envelope_batch(lines: np.ndarray) -> np.ndarray:
     """_envelope_line on every row of a 2D array at once, bit for bit.
 
+    Rows that are already their own upper hull come back as they are, with
+    no kernel work: their non-BOTTOM cells form one run and no consecutive
+    triple passes the kernel's pop test (v[j] - v[j-2]) - (v[j-1] - v[j-2])
+    * 2 >= 0.0, in the kernel's own float operations (_already_hulls).  On
+    such a row the monotone chain never pops, since at column j its top two
+    entries are j-2 and j-1; so every non-BOTTOM cell is a vertex, and the
+    kernel, which copies vertices and writes BOTTOM only outside the
+    support, would return the row unchanged.
+
+    The other rows are gathered into one batch for _envelope_rows and
+    scattered back into a copy of the input; when no row is skipped the
+    kernel runs on the batch itself.  The result never aliases lines.
+    """
+    if lines.ndim != 2:
+        raise ValueError("lines must be two-dimensional")
+    v = np.asarray(lines, dtype=np.float64)
+    todo = np.flatnonzero(~_already_hulls(v))
+    if todo.size == v.shape[0]:
+        return _envelope_rows(v)
+    if not todo.size:
+        return v.copy()
+    # The gathered rows are freed before the copy is made, so the peak is
+    # the kernel's on the gathered rows alone.
+    hulls = _envelope_rows(v[todo])
+    out = v.copy()
+    out[todo] = hulls
+    return out
+
+
+def _already_hulls(v: np.ndarray) -> np.ndarray:
+    """Mask of the rows that _envelope_rows would return bit for bit.
+
+    A row qualifies when its non-BOTTOM cells form one run and no triple of
+    consecutive cells passes the pop test of _hull_vertices with the stack
+    top at j-1 and j-2.  The test runs on every triple, BOTTOM or not: a
+    triple holding BOTTOM gives -inf or NaN (no pop) unless BOTTOM is its
+    middle cell between two non-BOTTOM ones, and such a row has a hole and
+    fails the run test anyway.  A row of fewer than three cells has no
+    triple and no room for a hole.
+
+    Both tests run on the flat batch, so every numpy step is one pass over
+    contiguous memory rather than one short loop per row.
+    """
+    rows, n = v.shape
+    if n < 3:
+        return np.ones(rows, dtype=bool)
+    flat = v.reshape(-1)
+    finite = flat != BOTTOM
+    # A run starts at a non-BOTTOM cell whose left neighbour in its row is
+    # BOTTOM or absent; a row that holds two starts has a hole.
+    starts = np.empty_like(finite)
+    np.greater(finite[1:], finite[:-1], out=starts[1:])
+    starts[::n] = finite[::n]
+    start_rows = np.flatnonzero(starts) // n
+    # cross[i] is the pop test of the flat cells i, i+1, i+2; the last two
+    # columns of each row hold triples that straddle two rows, never read.
+    cross = np.empty_like(flat)
+    with np.errstate(invalid="ignore", over="ignore"):
+        np.subtract(flat[2:], flat[:-2], out=cross[:-2])
+        rise = flat[1:-1] - flat[:-2]
+        rise *= 2.0
+        cross[:-2] -= rise
+        pops = np.greater_equal(cross, 0.0, out=finite).reshape(rows, n)
+    keep = ~pops[:, :-2].any(axis=1)
+    keep[start_rows[1:][start_rows[1:] == start_rows[:-1]]] = False
+    return keep
+
+
+def _envelope_rows(v: np.ndarray) -> np.ndarray:
+    """The lockstep kernel: _envelope_line on every row of v, bit for bit.
+
     Hull pass (_hull_vertices): Andrew's monotone chain on every row in
     lockstep, one column at a time.  Interpolation pass: every grid index
     takes the previous and next hull vertex of its row by a running max /
@@ -111,9 +197,6 @@ def envelope_batch(lines: np.ndarray) -> np.ndarray:
     and arithmetic mixing them with Python ints stays in range, so every
     integer reaches the float operations exact.
     """
-    if lines.ndim != 2:
-        raise ValueError("lines must be two-dimensional")
-    v = np.asarray(lines, dtype=np.float64)
     rows, n = v.shape
     ctype = np.min_scalar_type(-n - 1)
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):

@@ -288,6 +288,14 @@ def cross_k_gap(bank: FieldBank) -> float:
     return worst
 
 
+def check_budget(t_max: int, eps: float) -> None:
+    """Reject a sweep budget or stop threshold that run() cannot use."""
+    if t_max < 0:
+        raise ConfigError(f"t_max must be >= 0, got {t_max}")
+    if not eps > 0.0:
+        raise ConfigError(f"eps must be > 0, got {eps}")
+
+
 def run(
     grid: GridSpec,
     f: FunctionTable,
@@ -303,10 +311,7 @@ def run(
     no convergence-rate bound is available, and the caveat travels with the
     result metadata downstream.
     """
-    if t_max < 0:
-        raise ConfigError(f"t_max must be >= 0, got {t_max}")
-    if not eps > 0.0:
-        raise ConfigError(f"eps must be > 0, got {eps}")
+    check_budget(t_max, eps)
 
     bank = initial_bank(grid, f)
     trace = ConvergenceTrace.empty(tuple(tracked), grid.m)

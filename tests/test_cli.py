@@ -491,6 +491,29 @@ class TestConfigErrors:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("option, value, message", [
+        ("--tol", "-1", "tol must be >= 0, got -1.0"),
+        ("--tol", "nan", "tol must be >= 0, got nan"),
+        ("--eps", "0", "eps must be > 0, got 0.0"),
+        ("--eps", "-1e-6", "eps must be > 0, got -1e-06"),
+        ("--eps", "nan", "eps must be > 0, got nan"),
+        ("--t-max", "-1", "t_max must be >= 0, got -1"),
+    ])
+    def test_certify_rejects_bad_option_before_reading(self, tmp_path, capsys,
+                                                        monkeypatch, option, value,
+                                                        message):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("certify did work before checking its options")
+
+        monkeypatch.setattr(cli, "read_field_csv", forbidden)
+        monkeypatch.setattr(cli, "run", forbidden)
+        code = cli.main(["certify", "--field", str(tmp_path / "field_max.csv"),
+                         "--function", "min", f"{option}={value}",
+                         "-o", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
 
 def test_read_field_csv_rejects_incomplete(tmp_path):
     path = tmp_path / "bad.csv"

@@ -11,6 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from ratered import envelope
 from ratered.envelope import (
     BOTTOM,
     concavity_defects,
@@ -177,6 +178,162 @@ class TestBatch:
             got = envelope_batch(lines)
             want = per_line_envelope(lines)
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), n
+
+
+def _concave_rows(rng, rows, n):
+    """Rows strictly concave along every triple, each on its own parabola."""
+    i = np.arange(n, dtype=np.float64)
+    centre = rng.uniform(0.0, n, size=(rows, 1))
+    return 2.0 - rng.uniform(0.05, 1.0, size=(rows, 1)) * (i - centre) ** 2
+
+
+def _convex_rows(rng, rows, n):
+    """Rows whose every triple pops: second differences of at least 1."""
+    return rng.uniform(0.0, 0.25, size=(rows, n)) + np.arange(n, dtype=np.float64) ** 2
+
+
+def _mixed_rows(rng, rows, n):
+    """Every other row strictly concave, the rest random with 30 % BOTTOM."""
+    lines = rng.uniform(-1.0, 2.0, size=(rows, n))
+    lines[rng.uniform(size=lines.shape) < 0.3] = BOTTOM
+    lines[::2] = _concave_rows(rng, (rows + 1) // 2, n)
+    return lines
+
+
+B = BOTTOM
+UP = np.nextafter(1.0, 2.0)     # one ulp above the chord through (0, 0), (2, 2)
+DOWN = np.nextafter(1.0, 0.0)   # one ulp below it
+
+
+class TestSkipPass:
+    """Rows that are already their own hull skip the kernel; output is the
+    same bits either way."""
+
+    # (row, whether the pre-pass returns it untouched)
+    CASES = [
+        ([0.0, 1.5, 2.0, 1.5, 0.0], True),          # strictly concave
+        ([-4.0, -1.0, 0.0, -1.0, -4.0], True),
+        ([0.0, 1.0, 2.0], False),                    # exactly collinear: cross term 0.0
+        ([2.0, 1.0, 0.0, -1.0], False),
+        ([0.0, UP, 2.0], True),                      # one ulp above collinear
+        ([0.0, DOWN, 2.0], False),                   # one ulp below collinear
+        ([0.0, 1.5, B, 1.5, 0.0], False),            # hole of length 1
+        ([0.0, 1.5, B, B, 1.5, 0.0], False),         # hole of length 2
+        ([1.0, B, B, B, 1.0], False),                # hole of length 3
+        ([B, 1.0, 2.0, B, B], True),                 # two adjacent finite points
+        ([B, 1.0, B, 2.0, B], False),                # two finite points apart
+        ([B, B, B, B], True),                        # all BOTTOM
+        ([B, 0.75, B, B], True),                     # one finite point
+        ([B, 0.0, 1.5, 2.0, B], True),               # concave run inside BOTTOM
+        ([0.0, math.nan, 0.0], True),                # NaN never pops
+        ([0.0, 1.0, math.nan, 1.0, 0.0], True),
+        ([0.0, math.inf, 1.0], True),                # +inf: cross term -inf
+        ([math.inf, 1.0, 0.0], True),                # inf - inf = NaN
+        ([0.0, 1.0, math.inf], False),               # cross term +inf pops
+        ([0.0, B, math.inf], False),                 # hole next to +inf
+        ([math.nan, B, 0.0], False),                 # hole next to NaN
+        ([1e308, -1e308, 1e308], False),             # differences overflow
+        ([-1e308, 1e308, -1e308], True),
+    ]
+
+    @pytest.mark.parametrize("row, skipped", CASES)
+    def test_boundary_rows(self, per_line_envelope, row, skipped):
+        lines = np.array([row])
+        assert envelope._already_hulls(lines).tolist() == [skipped]
+        got = envelope_batch(lines)
+        want = per_line_envelope(lines)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        if skipped:
+            assert np.array_equal(got.view(np.uint64), lines.view(np.uint64))
+
+    def test_every_boundary_row_in_one_batch(self, per_line_envelope):
+        n = max(len(row) for row, _ in self.CASES)
+        lines = np.full((len(self.CASES), n), BOTTOM)
+        for r, (row, _) in enumerate(self.CASES):
+            lines[r, : len(row)] = row
+        skipped = [s for _, s in self.CASES]
+        assert envelope._already_hulls(lines).tolist() == skipped
+        got = envelope_batch(lines)
+        assert np.array_equal(got.view(np.uint64),
+                              per_line_envelope(lines).view(np.uint64))
+
+    @pytest.mark.parametrize("batch", ["all skipped", "none skipped", "mixed"])
+    def test_batches_match_per_line_loop(self, per_line_envelope, batch):
+        rng = np.random.default_rng(31)
+        for n in [1, 2, 3, 4, 11, 51]:
+            if batch == "all skipped":
+                lines = _concave_rows(rng, 40, n)
+            elif batch == "none skipped":
+                lines = _convex_rows(rng, 40, n)
+            else:
+                lines = _mixed_rows(rng, 40, n)
+            skip = envelope._already_hulls(lines)
+            if n >= 3:
+                assert skip.all() == (batch == "all skipped")
+                assert skip.any() == (batch != "none skipped")
+            got = envelope_batch(lines)
+            assert np.array_equal(got.view(np.uint64),
+                                  per_line_envelope(lines).view(np.uint64)), n
+
+    def test_random_rows_with_special_cells(self, per_line_envelope):
+        rng = np.random.default_rng(32)
+        specials = np.array([BOTTOM, math.nan, math.inf, -0.0, 1e308, -1e308])
+        for n in range(1, 16):
+            lines = _mixed_rows(rng, 60, n)
+            lines[20:30] = np.round(lines[20:30] * 2.0) / 2.0     # ties
+            cells = rng.uniform(size=lines.shape) < 0.15
+            lines[cells] = rng.choice(specials, size=int(cells.sum()))
+            lines[30:40, : n // 3] = BOTTOM
+            got = envelope_batch(lines)
+            assert np.array_equal(got.view(np.uint64),
+                                  per_line_envelope(lines).view(np.uint64)), n
+
+    def test_skipped_rows_never_reach_the_hull_pass(self, monkeypatch):
+        seen = []
+        hull = envelope._hull_vertices
+
+        def spy(v, ctype):
+            seen.append(v.copy())
+            return hull(v, ctype)
+
+        monkeypatch.setattr(envelope, "_hull_vertices", spy)
+        rng = np.random.default_rng(33)
+        envelope_batch(_concave_rows(rng, 64, 11))
+        assert seen == []
+
+        lines = _mixed_rows(rng, 64, 11)
+        skip = envelope._already_hulls(lines)
+        assert 0 < skip.sum() < len(skip)
+        envelope_batch(lines)
+        assert len(seen) == 1
+        assert np.array_equal(seen[0].view(np.uint64), lines[~skip].view(np.uint64))
+
+    def test_peak_memory_per_point_on_a_mixed_batch(self):
+        rng = np.random.default_rng(34)
+        lines = _mixed_rows(rng, 5324, 11)
+        assert 0.4 < envelope._already_hulls(lines).mean() < 0.6
+        envelope_batch(lines)
+        tracemalloc.start()
+        try:
+            envelope_batch(lines)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / lines.size < 40.0
+
+    @pytest.mark.parametrize("batch", ["all skipped", "none skipped", "mixed"])
+    def test_result_never_aliases_the_input(self, batch):
+        rng = np.random.default_rng(35)
+        lines = {
+            "all skipped": _concave_rows(rng, 8, 11),
+            "none skipped": _convex_rows(rng, 8, 11),
+            "mixed": _mixed_rows(rng, 8, 11),
+        }[batch]
+        before = lines.copy()
+        out = envelope_batch(lines)
+        assert not np.shares_memory(out, lines)
+        out[...] = 7.0
+        assert np.array_equal(lines, before)
 
 
 class TestConcavityChecks:

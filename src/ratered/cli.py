@@ -601,6 +601,14 @@ def cmd_sweep_delta(args: argparse.Namespace) -> int:
         raise ConfigError(f"bad --deltas {args.deltas!r}: {exc}") from None
     if not deltas:
         raise ConfigError("--deltas is empty")
+    grids = [GridSpec.from_delta(args.m, delta) for delta in deltas]
+    seen: dict[int, float] = {}
+    for delta, grid in zip(deltas, grids):
+        if grid.n_steps in seen:
+            raise ConfigError(f"--deltas {seen[grid.n_steps]:g} and {delta:g} give "
+                              f"the same grid ({grid.n_steps} steps)")
+        seen[grid.n_steps] = delta
+    check_budget(args.t_max, args.eps)
     requested = [_parse_point(t, args.m) for t in (args.track or [])]
     if not requested:
         raise ConfigError("sweep-delta needs at least one --track point")
@@ -613,8 +621,7 @@ def cmd_sweep_delta(args: argparse.Namespace) -> int:
     curves = []
     per_delta = []
     results: dict[float, tuple[GridSpec, list, list, RunResult]] = {}
-    for d_i, delta in enumerate(deltas):
-        grid = GridSpec.from_delta(args.m, delta)
+    for d_i, (delta, grid) in enumerate(zip(deltas, grids)):
         tracked_idx, tracked_rec = _snap_tracked(grid, requested)
         result = run(
             grid, f, t_max=args.t_max, eps=args.eps, tracked=tuple(tracked_idx)

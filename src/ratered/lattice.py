@@ -13,6 +13,11 @@ of the zero-message field.  Node k > d is node k - d with its axes rotated
 d times (R^d), at every sweep (see sweep_once), so it is handed out as a
 rotated view of a stored field and never materialised.
 
+Near the fixed point most lines stop moving.  Each bank records the fields
+its sweep read, and the next sweep envelopes only the lines whose input
+bits changed since; every other line keeps its stored envelope, which is
+bit-identical to enveloping it again (see sweep_once).
+
 BOTTOM (-inf) marks pmfs where computation is infeasible with the messages
 granted so far; entries switch from BOTTOM to finite as mixtures fill in,
 and such transitions count as infinite deltas so convergence is never
@@ -56,10 +61,18 @@ class FieldBank:
     rotation_period.  Every other node is a rotation of a stored one
     (sweep_once shows why that is exact), which field_for hands out as a
     view.
+
+    sources, set only by sweep_once, holds for every stored node k the field
+    whose axis-k lines fields[k-1] envelopes: the previous bank's
+    field_for(k+1), the same object or view, never a copy.  The next sweep
+    reuses the envelope of every line whose input has not changed since.
+    initial_bank and hand-built banks have none, so their next sweep
+    envelopes every line.
     """
 
     fields: tuple[RateReductionField, ...]
     tau: int
+    sources: tuple[RateReductionField, ...] | None = None
 
     @property
     def grid(self) -> GridSpec:
@@ -186,27 +199,44 @@ def next_node(k: int, m: int) -> int:
     return k + 1 if k < m else 1
 
 
-def convexify_axes(pairs: list) -> tuple[RateReductionField, ...]:
+def convexify_axes(pairs: list, known: tuple | None = None) -> tuple[RateReductionField, ...]:
     """For every (field, k) pair, the field with every 1D line along axis k
-    replaced by its upper concave envelope, all in one envelope_batch call.
+    replaced by its upper concave envelope, in at most one envelope_batch
+    call.
 
-    The fields share one grid.  Each is stacked with its axis k moved last,
-    so the batch holds the lines of every pair in turn, and the envelopes
-    are split back the same way.  The kernel envelopes each row on its own,
+    known, if given, holds one (source, envelope) pair of fields per pair,
+    envelope being source with its axis-k lines enveloped (a bank's sources
+    and fields).  A line of field whose bits equal the same line of source
+    takes that line of envelope and never reaches the kernel; there is no
+    call when no line differs.
+
+    The fields share one grid.  The lines that do go to the kernel are
+    gathered pair after pair, with axis k moved last, and the envelopes are
+    scattered back the same way.  The kernel envelopes each row on its own,
     so every pair gets the same floats as when it is enveloped alone.
     """
-    moved = []
-    for field_in, k in pairs:
+    moved, changed = [], []
+    for p, (field_in, k) in enumerate(pairs):
         if not 1 <= k <= field_in.grid.m:
             raise ValueError(f"axis {k} outside 1..{field_in.grid.m}")
         moved.append(np.moveaxis(field_in.data, k - 1, -1))
-    lines = np.stack(moved)
-    new_lines = envelope_batch(lines.reshape(-1, lines.shape[-1])).reshape(lines.shape)
-    del lines
-    return tuple(
-        RateReductionField(field_in.grid, np.moveaxis(block, -1, k - 1).copy())
-        for block, (field_in, k) in zip(new_lines, pairs)
-    )
+        if known is None:
+            changed.append(np.ones(moved[-1].shape[:-1], dtype=bool))
+        else:
+            source = known[p][0].data
+            changed.append(np.any(
+                field_in.data.view(np.uint64) != source.view(np.uint64), axis=k - 1))
+    batch = np.concatenate([lines[rows] for lines, rows in zip(moved, changed)])
+    if len(batch):
+        batch = envelope_batch(batch)
+    out, start = [], 0
+    for p, ((field_in, k), rows) in enumerate(zip(pairs, changed)):
+        data = np.empty(field_in.data.shape) if known is None else known[p][1].data.copy()
+        stop = start + int(np.count_nonzero(rows))
+        np.moveaxis(data, k - 1, -1)[rows] = batch[start:stop]
+        start = stop
+        out.append(RateReductionField(field_in.grid, data))
+    return tuple(out)
 
 
 def axis_convexify(field_in: RateReductionField, k: int) -> RateReductionField:
@@ -248,12 +278,25 @@ def sweep_once(bank: FieldBank) -> FieldBank:
     so every float is the same.  The new bank satisfies the relation again
     (d divides m, so it also holds across the wrap from node m to node 1),
     and by induction it holds at every sweep.
+
+    Lines whose input has not changed are not enveloped again.  The new
+    bank records each stored node's input F_{k+1} as its source.  On the
+    next sweep, an axis-k line of the new F_{k+1} whose bits equal the same
+    line of that source (compared as uint64, so -0.0 != 0.0 and last-ulp
+    differences count) takes the same line of the stored F_k, and that is
+    bit-identical to enveloping it.  F_k is, line by line, the envelope of
+    its source: each of its lines either went through the kernel or was
+    copied from the envelope of a bit-identical line, by induction over the
+    sweeps.  The kernel is a deterministic function of each row alone, so
+    equal rows get equal envelopes.  Only the other lines go to the kernel,
+    in one call, and there is no call when no line changed.  A bank without
+    sources (initial_bank's, or a hand-built one) sends every line.
     """
     m = bank.m
-    fields = convexify_axes(
-        [(bank.field_for(next_node(k, m)), k) for k in range(1, bank.period + 1)]
-    )
-    return FieldBank(fields=fields, tau=bank.tau + 1)
+    sources = tuple(bank.field_for(next_node(k, m)) for k in range(1, bank.period + 1))
+    known = None if bank.sources is None else tuple(zip(bank.sources, bank.fields))
+    fields = convexify_axes([(s, k) for k, s in enumerate(sources, 1)], known)
+    return FieldBank(fields=fields, tau=bank.tau + 1, sources=sources)
 
 
 def entry_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -338,6 +338,31 @@ class TestSweepDeltaCommand:
         assert code == 2
         assert "track" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("options, message", [
+        (["--deltas", "0.05,0.3"], "delta=0.3 is not the reciprocal of an integer"),
+        (["--deltas", "0.5,0"], "delta must lie in (0, 1], got 0.0"),
+        (["--deltas", "0.1,0.25,0.1"], "--deltas 0.1 and 0.1 give the same grid (10 steps)"),
+        (["--deltas", "0.5,0.25", "--eps", "-1"], "eps must be > 0, got -1.0"),
+        (["--deltas", "0.5,0.25", "--t-max", "-1"], "t_max must be >= 0, got -1"),
+        (["--deltas", "0.5", "--track", "0.5,0.5"],
+         "point '0.5,0.5' has 2 coordinates, expected 3"),
+        (["--deltas", "0.5", "--track", "0.5,0.5,2"],
+         "point '0.5,0.5,2' has coordinates outside [0, 1]"),
+    ], ids=["bad-late-delta", "zero-delta", "same-grid", "eps", "t-max",
+            "track-arity", "track-range"])
+    def test_bad_option_fails_before_any_sweep(self, tmp_path, capsys, monkeypatch,
+                                               options, message):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("sweep-delta ran a sweep before checking its options")
+
+        monkeypatch.setattr(cli, "run", forbidden)
+        track = [] if "--track" in options else ["--track", "0.5,0.5,0.5"]
+        code = cli.main(["sweep-delta", "--function", "min", "--m", "3", *options,
+                         *track, "-o", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
 
 class TestOracleCheckCommand:
     def test_explicit_and_random_points(self, tmp_path):

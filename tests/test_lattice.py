@@ -6,6 +6,8 @@ import pytest
 
 from ratered.envelope import BOTTOM, upper_concave_envelope
 from ratered.lattice import (
+    FieldBank,
+    RateReductionField,
     axis_convexify,
     bank_sup_delta,
     cross_k_gap,
@@ -20,6 +22,7 @@ from ratered.lattice import (
     sweep_once,
     zero_message_mask,
 )
+from ratered.oracle import ConditionalSearchSpec, compare_with_envelope
 from ratered.probability import GridSpec, entropy_grid, grid_points, product_entropy
 from ratered.target_functions import (
     BUILTIN_NAMES,
@@ -159,8 +162,8 @@ class TestRotatedSweep:
     CASES = [(name, m) for m in (2, 3, 4) for name in BUILTIN_NAMES]
 
     @pytest.mark.parametrize(
-        "f", [builtin_table(n, m) for n, m in CASES] + [SELECTOR3, PERIOD2],
-        ids=[f"{n}-m{m}" for n, m in CASES] + ["selector-m3", "period2-m4"])
+        "f", [builtin_table(n, m) for n, m in CASES] + [SELECTOR3, SELECTOR4, PERIOD2],
+        ids=[f"{n}-m{m}" for n, m in CASES] + ["selector-m3", "selector-m4", "period2-m4"])
     def test_run_bitwise_equals_sweep_once_loop(self, f, per_node_sweep):
         grid = GridSpec.from_delta(f.m, 0.1)
         tracked = ((5, 5) + (3,) * (f.m - 2), (2,) + (7,) * (f.m - 1), (0,) * f.m)
@@ -259,21 +262,148 @@ class TestLockstepKernel:
         (PERIOD2, 0.1, 2),
     ], ids=["selector-m4", "period2-m4"])
     def test_one_kernel_call_per_sweep(self, f, delta, chains, monkeypatch):
-        import ratered.lattice as lattice
-        kernel = lattice.envelope_batch
-        batches = []
-
-        def counting(lines):
-            batches.append(lines.shape)
-            return kernel(lines)
-
-        monkeypatch.setattr("ratered.lattice.envelope_batch", counting)
+        """Sweep 1 sends every line; each later sweep sends, in one call, the
+        lines whose input bits changed since the sweep before, and makes no
+        call when none did."""
+        batches = _spy_kernel(monkeypatch)
         grid = GridSpec.from_delta(f.m, delta)
-        res = run(grid, f, t_max=6, eps=1e-300)
+        res = run(grid, f, t_max=6, eps=1e-300, keep_history=True)
         assert res.bank.period == chains
         length = grid.points_per_axis
         assert res.t_stop == 6
-        assert batches == [(chains * length ** (f.m - 1), length)] * 6
+        want = [chains * length ** (f.m - 1)] + [
+            _changed_lines(prev, bank, chains)
+            for prev, bank in zip(res.history, res.history[1:-1])
+        ]
+        assert batches == [(n, length) for n in want if n]
+        assert sum(want[1:]) < 5 * want[0]          # the reuse engages
+
+
+def _spy_kernel(monkeypatch):
+    """Record the shape of every batch that lattice sends to the kernel."""
+    import ratered.lattice as lattice
+    kernel = lattice.envelope_batch
+    batches = []
+
+    def counting(lines):
+        batches.append(lines.shape)
+        return kernel(lines)
+
+    monkeypatch.setattr("ratered.lattice.envelope_batch", counting)
+    return batches
+
+
+def _changed_lines(prev, bank, chains):
+    """Axis-k lines of node k's input (node k+1's field) whose bits differ
+    between two consecutive banks, summed over the stored nodes."""
+    m = bank.m
+    total = 0
+    for k in range(1, chains + 1):
+        new, old = (np.moveaxis(_bits(b.field_for(next_node(k, m)).data), k - 1, -1)
+                    for b in (bank, prev))
+        total += int(np.count_nonzero(np.any(new != old, axis=-1)))
+    return total
+
+
+class TestUnchangedLineReuse:
+    SENTINEL = 99.0
+
+    def test_unchanged_lines_keep_the_stored_envelope(self, per_line_envelope):
+        """Sentinels stored for lines whose input did not change come back
+        as they are; every changed line gets its true envelope.
+
+        A stored field is also the next node's input, so the sentinels go
+        into a few unchanged lines only, and the input lines they cross
+        count as changed."""
+        grid = GridSpec.from_delta(4, 0.1)
+        start = initial_bank(grid, SELECTOR4)
+        bank = sweep_once(start)
+        assert bank.period == 4
+        for k in range(1, 5):
+            source = start.field_for(next_node(k, 4))
+            assert np.array_equal(_bits(bank.sources[k - 1].data), _bits(source.data))
+
+        def lines(data, k):
+            return np.moveaxis(data, k - 1, -1).reshape(-1, grid.points_per_axis)
+
+        doctored = []
+        for k, (stored, source) in enumerate(zip(bank.fields, bank.sources), 1):
+            new = lines(_bits(bank.field_for(next_node(k, 4)).data), k)
+            unchanged = np.flatnonzero(np.all(new == lines(_bits(source.data), k), axis=1))
+            data = stored.data.copy()
+            moved = np.moveaxis(data, k - 1, -1)
+            moved[np.unravel_index(unchanged[:3], moved.shape[:-1])] = self.SENTINEL
+            doctored.append(RateReductionField(grid, data))
+        doctored_bank = FieldBank(fields=tuple(doctored), tau=1, sources=bank.sources)
+        got = sweep_once(doctored_bank)
+
+        reused = changed = 0
+        for k in range(1, 5):
+            line_in = lines(doctored_bank.field_for(next_node(k, 4)).data, k)
+            same = np.all(_bits(line_in) == lines(_bits(bank.sources[k - 1].data), k),
+                          axis=1)
+            out = lines(got.fields[k - 1].data, k)
+            stored = lines(doctored[k - 1].data, k)
+            assert np.array_equal(_bits(out[same]), _bits(stored[same]))
+            assert np.array_equal(_bits(out[~same]),
+                                  _bits(per_line_envelope(line_in[~same])))
+            reused += int(np.count_nonzero(np.all(out[same] == self.SENTINEL, axis=1)))
+            changed += int(np.count_nonzero(~same))
+        assert reused > 0 and changed > 0
+
+    def test_signed_zero_and_last_ulp_count_as_changes(self, per_line_envelope):
+        grid = GridSpec.from_delta(2, 0.25)
+        rng = np.random.default_rng(3)
+        field2 = rng.random((5, 5))
+        field2[1, 2] = 0.0
+        source = field2.copy()
+        source[1, 2] = -0.0                                   # line 2 (axis 1)
+        source[3, 4] = np.nextafter(field2[3, 4], np.inf)     # line 4
+        stored = np.full((5, 5), self.SENTINEL)
+        bank = FieldBank(
+            fields=(RateReductionField(grid, stored), RateReductionField(grid, field2)),
+            tau=1,
+            sources=(RateReductionField(grid, source),
+                     RateReductionField(grid, stored.copy())),
+        )
+        assert bank.period == 2
+        new = sweep_once(bank)
+        out = new.field_for(1).data
+        assert np.all(out[:, [0, 1, 3]] == self.SENTINEL)
+        want = per_line_envelope(np.ascontiguousarray(field2[:, [2, 4]].T))
+        assert np.array_equal(_bits(out[:, [2, 4]].T), _bits(want))
+        assert np.array_equal(new.field_for(2).data, field2)
+
+    @pytest.mark.parametrize("f", [builtin_table("min", 3), SELECTOR4],
+                             ids=["min-m3", "selector-m4"])
+    def test_initial_bank_envelopes_every_line(self, f, monkeypatch):
+        grid = GridSpec.from_delta(f.m, 0.25)
+        bank = initial_bank(grid, f)
+        assert bank.sources is None
+        batches = _spy_kernel(monkeypatch)
+        new = sweep_once(bank)
+        lines = bank.period * grid.points_per_axis ** (f.m - 1)
+        assert batches == [(lines, grid.points_per_axis)]
+        for k, source in enumerate(new.sources, 1):
+            stored = bank.field_for(next_node(k, f.m))
+            assert np.shares_memory(source.data, stored.data)
+
+        # the oracle's envelope sweep starts from initial_bank too
+        batches.clear()
+        compare_with_envelope(grid, f, ((2,) * f.m,),
+                              ConditionalSearchSpec(k=1, search_step=0.25))
+        assert batches == [(lines, grid.points_per_axis)]
+
+    def test_no_kernel_call_when_no_line_changed(self, monkeypatch):
+        # the entropy is concave along every axis, so the first sweep
+        # returns the constant function's field unchanged
+        bank = sweep_once(initial_bank(GridSpec.from_delta(3, 0.25),
+                                       builtin_table("constant", 3)))
+        batches = _spy_kernel(monkeypatch)
+        again = sweep_once(bank)
+        assert batches == []
+        for new, old in zip(again.fields, bank.fields):
+            assert np.array_equal(_bits(new.data), _bits(old.data))
 
 
 class TestSupDelta:

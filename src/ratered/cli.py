@@ -7,8 +7,10 @@ dense per-node field CSVs (one row per grid point, 17 significant digits,
 with no plotting dependency.  CSV is the interface of record; identical
 configs produce byte-identical CSVs.  Field and slice CSVs are written,
 and field CSVs read, a block of rows at a time, so no whole-file text is
-held in memory.  A run's field CSVs are written in one pass, and each
-distinct value of a block is formatted once for all of them.
+held in memory.  A run's field CSVs are written in one pass: each
+distinct value of a block is formatted once for all of them, in numpy by
+decimal17.format_g17 (byte for byte Python's "%.17g"), and the rows of a
+block are assembled as bytes, with no Python object per cell.
 """
 
 from __future__ import annotations
@@ -140,6 +142,14 @@ def _parses(parse, text: str) -> bool:
     return True
 
 
+def _cell_table(cells: list[str]) -> np.ndarray:
+    """The ASCII bytes of each cell, left-aligned in the rows of a uint8
+    matrix and padded with zero bytes."""
+    width = max(map(len, cells))
+    text = np.array([c.encode() for c in cells], dtype=f"S{width}")
+    return text.view(np.uint8).reshape(len(cells), width)
+
+
 def _write_grid_csv(items: list, axes: list, h: np.ndarray, grid: GridSpec) -> None:
     """Dense dumps of fields on one grid, one file per (path, label, rho) in
     items.  Each rho has the shape of h, the joint entropy, with one
@@ -148,43 +158,57 @@ def _write_grid_csv(items: list, axes: list, h: np.ndarray, grid: GridSpec) -> N
     (h - rho, inf where rho is BOTTOM: sum_rate_field, elementwise).
 
     The files are written in one pass, _CSV_BLOCK rows at a time, so memory
-    stays bounded by a block whatever the grid size.  Per block, the index
-    and grid-value cells are gathered once for all files, and each distinct
-    float of the block is formatted once.  Floats are keyed by their bits,
-    so -0.0 and 0.0 stay apart.
+    stays bounded by a block whatever the grid size.  Per block, the
+    distinct floats of every file are formatted once, by
+    decimal17.format_g17 (keyed by their bits, so -0.0 and 0.0 stay apart).
+    The block's rows are laid out in one uint8 matrix, each cell in a slot
+    padded with zero bytes, which no cell contains.  The index and
+    grid-value cells are gathered once for all files.  Per file, the rho
+    and Rsum slots, each as wide as the block's longest text, are gathered
+    from the formatted table, and the non-zero bytes are written with one
+    call.  No Python object is made per cell.
     """
-    n_axes = len(axes)
-    index_cells = np.array([f"{i}," for i in range(grid.points_per_axis)], dtype=object)
-    value_cells = np.array([_fmt(v) + "," for v in grid.axis_values()], dtype=object)
-    shape, h = h.shape, h.reshape(-1)
-    rhos = [rho.reshape(-1) for _, _, rho in items]
+    # Imported here: only this writer uses the formatter, so the commands
+    # that write no field CSV do not load it.
+    from .decimal17 import format_g17
+
+    prefix = [_cell_table([f"{i}," for i in range(grid.points_per_axis)])] * len(axes) \
+        + [_cell_table([_fmt(v) + "," for v in grid.axis_values()])] * len(axes)
+    prefix_width = sum(cells.shape[1] for cells in prefix)
     with contextlib.ExitStack() as stack:
-        files = [stack.enter_context(open(path, "w")) for path, _, _ in items]
+        files = [stack.enter_context(open(path, "wb")) for path, _, _ in items]
         for out, (_, label, _) in zip(files, items):
-            out.write(",".join([f"i_{j}" for j in axes] + [f"p_{j}" for j in axes]
-                               + [f"rho_{label}", f"Rsum_{label}"]) + "\n")
+            out.write((",".join([f"i_{j}" for j in axes] + [f"p_{j}" for j in axes]
+                                + [f"rho_{label}", f"Rsum_{label}"]) + "\n").encode())
         for lo in range(0, h.size, _CSV_BLOCK):
             hi = min(lo + _CSV_BLOCK, h.size)
-            # The cells of a row, joined without a separator: "i_j," and
-            # "p_j," cells, rho, ",", Rsum, "\n".
-            rows = np.empty((hi - lo, 2 * n_axes + 4), dtype=object)
-            for j, i in enumerate(np.unravel_index(np.arange(lo, hi), shape)):
-                rows[:, j] = index_cells[i]
-                rows[:, n_axes + j] = value_cells[i]
-            rows[:, -3], rows[:, -1] = ",", "\n"
+            # .flat slices a block in row-major order without copying a
+            # whole rho that is a rotated view.
             values = np.empty((len(items), 2, hi - lo))
-            for v, rho in zip(values, rhos):
-                v[0] = rho[lo:hi]
-                v[1] = np.where(np.isfinite(v[0]), h[lo:hi] - v[0], math.inf)
+            for v, (_, _, rho) in zip(values, items):
+                v[0] = rho.flat[lo:hi]
+                v[1] = np.where(np.isfinite(v[0]), h.flat[lo:hi] - v[0], math.inf)
             # A 1-D input keeps the inverse 1-D on every numpy version.
             bits, inverse = np.unique(values.reshape(-1).view(np.uint64), return_inverse=True)
-            # "%.17g".__mod__ is _fmt without a Python call per value; the
-            # float64 scalars are formatted as the floats they subclass.
-            text = np.array(list(map("%.17g".__mod__, bits.view(np.float64))),
-                            dtype=object)[inverse.reshape(values.shape)]
-            for out, (rho_cells, rsum_cells) in zip(files, text):
-                rows[:, -4], rows[:, -2] = rho_cells, rsum_cells
-                out.write("".join(rows.reshape(-1).tolist()))
+            inverse = inverse.astype(np.int32).reshape(values.shape)
+            del values
+            text, length = format_g17(bits.view(np.float64))
+            del bits
+            width = int(length.max())
+            text = text[:, :width]
+            # A row: the prefix cells, rho, ",", Rsum, "\n".
+            rows = np.empty((hi - lo, prefix_width + 2 * width + 2), np.uint8)
+            at = 0
+            index = np.unravel_index(np.arange(lo, hi), h.shape)
+            for cells, i in zip(prefix, index + index):
+                rows[:, at : at + cells.shape[1]] = cells[i]
+                at += cells.shape[1]
+            rows[:, at + width], rows[:, -1] = ord(","), ord("\n")
+            slots = (slice(at, at + width), slice(at + width + 1, at + 2 * width + 1))
+            for out, cells in zip(files, inverse):
+                for slot, i in zip(slots, cells):
+                    rows[:, slot] = text[i]
+                out.write(rows[rows != 0])
 
 
 def write_field_csv(path: Path, field_in: RateReductionField, label: str) -> None:
@@ -235,7 +259,8 @@ def read_field_csv(path) -> RateReductionField:
         parsed = [*range(m), 2 * m, 2 * m + 1]     # the int, then the float columns
 
         n_rows = 0
-        pairs: list = [set() for _ in range(m)]    # distinct (i_j, p_j cell) per axis
+        p_cells: list = [{} for _ in range(m)]     # i_j -> its p_j cell, per axis
+        p_mixed = [False] * m                      # an i_j came with two p_j cells
         indices, values = [], []
         for block in itertools.chain([first[1:]], blocks):
             body = [line for line in block if line]
@@ -262,7 +287,13 @@ def read_field_csv(path) -> RateReductionField:
                                   f"{'an integer' if c < m else 'a number'}") from None
             n_rows += len(body)
             for j in range(m):
-                pairs[j].update(zip(cols[j], cells[m + j :: n_cols]))
+                # One p_j cell per i_j of the block, one pass that every
+                # row has it, then the block's <= N+1 cells join the file's.
+                p = cells[m + j :: n_cols]
+                block_cells = dict(zip(cols[j], p))
+                if list(map(block_cells.__getitem__, cols[j])) != p or any(
+                        p_cells[j].setdefault(i, c) != c for i, c in block_cells.items()):
+                    p_mixed[j] = True
             indices.append(np.array(cols))
     if not n_rows:
         raise ConfigError(f"{path}: field CSV has no data rows")
@@ -283,7 +314,7 @@ def read_field_csv(path) -> RateReductionField:
         )
     axis = [_fmt(v) for v in grid.axis_values()]
     for j in range(m):
-        if any(axis[i] != p for i, p in pairs[j]):
+        if p_mixed[j] or any(axis[i] != p for i, p in p_cells[j].items()):
             r = next(r for r, (_, line) in enumerate(data_lines())
                      if line.split(",")[m + j] != axis[index[j, r]])
             where, cell = bad_cell(r, m + j)
@@ -416,20 +447,17 @@ def _svg_plot(path: Path, curves, title: str, x_label: str, y_label: str) -> Non
 # subcommands
 
 
+def _snap_record(grid: GridSpec, requested, idx: GridIndex) -> dict:
+    return {
+        "requested": requested,
+        "snapped_index": list(idx),
+        "snapped_pmf": [float(v) for v in grid.pmf_at(idx)],
+    }
+
+
 def _snap_tracked(grid: GridSpec, requested: list) -> tuple[list, list]:
-    indices: list[GridIndex] = []
-    records: list[dict] = []
-    for req in requested:
-        idx = grid.snap(req)
-        indices.append(idx)
-        records.append(
-            {
-                "requested": list(req),
-                "snapped_index": list(idx),
-                "snapped_pmf": [float(v) for v in grid.pmf_at(idx)],
-            }
-        )
-    return indices, records
+    indices = [grid.snap(req) for req in requested]
+    return indices, [_snap_record(grid, list(req), idx) for req, idx in zip(requested, indices)]
 
 
 def _point_label(grid: GridSpec, idx: GridIndex) -> str:
@@ -721,13 +749,14 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
     )
     if args.n_random < 0:
         raise ConfigError(f"--n-random {args.n_random} is negative")
-    points: list[GridIndex] = []
-    for text in args.point or []:
-        points.append(grid.snap(_parse_point(text, args.m)))
+    points, records = _snap_tracked(grid, [_parse_point(t, args.m) for t in args.point])
+    records = [{"source": "point", **rec} for rec in records]
     if args.n_random:
         rng = np.random.default_rng(args.seed)
         draws = rng.integers(0, grid.n_steps + 1, size=(args.n_random, args.m))
-        points.extend(tuple(int(i) for i in row) for row in draws)
+        for row in draws:
+            points.append(tuple(int(i) for i in row))
+            records.append({"source": "random", **_snap_record(grid, None, points[-1])})
     if not points:
         raise ConfigError("oracle-check needs --point and/or --n-random")
 
@@ -735,7 +764,7 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
 
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "oracle_report.json", report.to_dict())
+    _write_json(out / "oracle_report.json", {**report.to_dict(), "points": records})
 
     for row in report.rows:
         print(

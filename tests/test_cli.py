@@ -378,6 +378,32 @@ class TestOracleCheckCommand:
         assert len(report["rows"]) == 3
         assert report["rows"][0]["point"] == [5, 5, 2]   # snapped 1,1,0.5 on N=5
 
+    def test_report_records_every_point(self, tmp_path):
+        code = cli.main([
+            "oracle-check", "--function", "min", "--m", "3", "--delta", "0.2",
+            "--k", "3", "--search-step", "0.2",
+            "--point", "1,1,0.5", "--point", "0.33,0,0.9", "--n-random", "2",
+            "--seed", "5", "-o", str(tmp_path),
+        ])
+        assert code == 0
+        report = read_json(tmp_path / "oracle_report.json")
+        points = report.pop("points")
+        assert list(report) == ["k", "search_step", "u1_cardinality", "slack", "worst_gap",
+                                "within_contract", "rows"]
+        assert points[:2] == [
+            {"source": "point", "requested": [1.0, 1.0, 0.5], "snapped_index": [5, 5, 2],
+             "snapped_pmf": [1.0, 1.0, 0.4]},
+            {"source": "point", "requested": [0.33, 0.0, 0.9], "snapped_index": [2, 0, 4],
+             "snapped_pmf": [0.4, 0.0, 0.8]},
+        ]
+        assert len(points) == len(report["rows"]) == 4
+        for rec, row in zip(points, report["rows"]):
+            assert rec["snapped_index"] == row["point"]
+            assert rec["snapped_pmf"] == [i / 5 for i in row["point"]]
+        for rec in points[2:]:
+            assert list(rec) == ["source", "requested", "snapped_index", "snapped_pmf"]
+            assert rec["source"] == "random" and rec["requested"] is None
+
     def test_needs_points(self, tmp_path, capsys):
         code = cli.main([
             "oracle-check", "--function", "min", "--m", "3", "--delta", "0.2",
@@ -753,6 +779,26 @@ def test_read_field_csv_names_lines_past_the_first_block(tmp_path):
         path.write_text("\n".join(text) + "\n")
         with pytest.raises(cli.ConfigError, match=message):
             cli.read_field_csv(path)
+
+
+@pytest.mark.parametrize("first, last", [(3969, 4094), (4095, 4409)])
+def test_read_field_csv_rejects_p_cells_that_differ_across_blocks(tmp_path, first, last):
+    """Data rows 3969-4409 have i_1 = 9.  The reader's first block is the
+    file's first 4096 lines, header included, so they straddle its end.
+    Rows first..last, all on one side of it, carry the same wrong p_1 cell,
+    so each block agrees with itself; the first of them is named."""
+    path = tmp_path / "field.csv"
+    cli.write_field_csv(path, _special_field(GridSpec(m=3, n_steps=20)), "max")
+    lines = path.read_text().splitlines()
+    for line_no in range(first + 2, last + 3):
+        cells = lines[line_no - 1].split(",")
+        assert cells[0] == "9"
+        cells[3] = "0.45"
+        lines[line_no - 1] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(cli.ConfigError, match=rf":{first + 2}: p_1 = '0.45' is not the "
+                                              r"grid value 0\.45000000000000001 of i_1 = 9"):
+        cli.read_field_csv(path)
 
 
 def test_jsonable_spells_non_finite():

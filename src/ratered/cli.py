@@ -30,7 +30,7 @@ import numpy as np
 from .certify import assess_optimality, check_tol
 from .envelope import BOTTOM
 from .errors import ConfigError
-from .lattice import RateReductionField, RunResult, check_budget, run, sum_rate_field
+from .lattice import RateReductionField, RunResult, _sum_rate, check_budget, run, sum_rate_field
 from .oracle import ConditionalSearchSpec, compare_with_envelope
 # Unused here; kept because perfbench/tracer.py wraps ratered.cli.check_membership.
 from .certify import check_membership  # noqa: F401
@@ -155,7 +155,7 @@ def _write_grid_csv(items: list, axes: list, h: np.ndarray, grid: GridSpec) -> N
     items.  Each rho has the shape of h, the joint entropy, with one
     dimension per 1-based grid axis in axes.  A file has one row per cell in
     row-major index order: the indices, their grid values, rho and Rsum
-    (h - rho, inf where rho is BOTTOM: sum_rate_field, elementwise).
+    (lattice._sum_rate: h - rho, inf where rho is BOTTOM).
 
     The files are written in one pass, _CSV_BLOCK rows at a time, so memory
     stays bounded by a block whatever the grid size.  Per block, the
@@ -187,7 +187,7 @@ def _write_grid_csv(items: list, axes: list, h: np.ndarray, grid: GridSpec) -> N
             values = np.empty((len(items), 2, hi - lo))
             for v, (_, _, rho) in zip(values, items):
                 v[0] = rho.flat[lo:hi]
-                v[1] = np.where(np.isfinite(v[0]), h.flat[lo:hi] - v[0], math.inf)
+                v[1] = _sum_rate(h.flat[lo:hi], v[0])
             # A 1-D input keeps the inverse 1-D on every numpy version.
             bits, inverse = np.unique(values.reshape(-1).view(np.uint64), return_inverse=True)
             inverse = inverse.astype(np.int32).reshape(values.shape)
@@ -361,7 +361,14 @@ def write_trace_csv(path: Path, result: RunResult) -> None:
 
 def _svg_plot(path: Path, curves, title: str, x_label: str, y_label: str) -> None:
     """curves: list of (label, xs, ys, colour, dash), colour and dash indexing
-    _PALETTE and _DASHES cyclically; BOTTOM entries break the polyline."""
+    _PALETTE and _DASHES cyclically; BOTTOM entries break the polyline.
+    The title, axis labels and curve labels are escaped as XML text (the
+    title holds --function, which may be a file path)."""
+    # Imported here: only the plots escape text, so the commands that draw
+    # none do not load it.
+    from html import escape
+
+    title, x_label, y_label = (escape(s, quote=False) for s in (title, x_label, y_label))
     width, height = 640, 420
     ml, mr, mt, mb = 60, 20, 40, 45
     pw, ph = width - ml - mr, height - mt - mb
@@ -437,7 +444,7 @@ def _svg_plot(path: Path, curves, title: str, x_label: str, y_label: str) -> Non
             f'<line x1="{ml + 8}" y1="{ly - 4}" x2="{ml + 28}" y2="{ly - 4}" '
             f'{stroke}/>'
             f'<text x="{ml + 33}" y="{ly}" font-family="sans-serif" '
-            f'font-size="11">{label}</text>'
+            f'font-size="11">{escape(label, quote=False)}</text>'
         )
     parts.append("</svg>")
     path.write_text("\n".join(parts) + "\n")
@@ -749,6 +756,8 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
     )
     if args.n_random < 0:
         raise ConfigError(f"--n-random {args.n_random} is negative")
+    if args.seed < 0:
+        raise ConfigError(f"--seed {args.seed} is negative")
     points, records = _snap_tracked(grid, [_parse_point(t, args.m) for t in args.point])
     records = [{"source": "point", **rec} for rec in records]
     if args.n_random:
@@ -814,7 +823,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--track", action="append", default=[],
                        metavar="P1,P2,...", help="pmf to trace (repeatable)")
     p_run.add_argument("--initial-node", type=int, default=None,
-                       help="report/slice this node's field instead of the max")
+                       help="with --slice, slice this node's field instead of the max")
     p_run.add_argument("--emit", default=",".join(DEFAULT_EMIT),
                        help=f"comma list from {EMIT_CHOICES}")
     p_run.add_argument("--slice", dest="slice_spec", default=None,

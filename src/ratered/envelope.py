@@ -13,17 +13,15 @@ Hull construction and interpolation use integer abscissae (the index i
 rather than i/N); the two are affinely equivalent and integer arithmetic
 keeps the hull tests free of grid-step rounding.
 
-Two implementations share that arithmetic.  _envelope_line is the scalar
-reference: Andrew's monotone chain and a chord walk over one line in plain
-Python floats; upper_concave_envelope uses it, and the tests compare the
-batch kernel against it bit for bit.  envelope_batch runs the same monotone
-chain on all rows of a batch in lockstep, one numpy step per column and per
-round of pops, each round on the rows still popping only; then it
-interpolates the whole batch in one vectorised pass, building the chords in
-place in the output.  A sweep makes one call, with the lines of every
-enveloped node stacked into one batch.  The kernel performs the reference's
-float operations in the same order, so the two agree to the last bit, ties
-and BOTTOM rows included.
+envelope_batch runs Andrew's monotone chain on all rows of a batch in
+lockstep, one numpy step per column and per round of pops, each round on
+the rows still popping only; then it interpolates the whole batch in one
+vectorised pass, building the chords in place in the output.  A sweep makes
+one call, with the lines of every enveloped node stacked into one batch.
+The scalar reference, the same chain and a chord walk over one line in
+plain Python floats, lives in tests/conftest.py (_envelope_line).  The
+kernel performs its float operations in the same order, and the tests
+compare the two to the last bit, ties and BOTTOM rows included.
 
 Near the limit many lines are already their own hull, and the kernel would
 return them unchanged.  A loop-free pre-pass (_already_hulls) finds those
@@ -41,8 +39,8 @@ every non-BOTTOM cell is a hull vertex; the kernel copies vertices and
 writes BOTTOM only outside the support, so its output is the input.
 
 The concavity test lives in one place too: concavity_defects measures every
-second difference of every line of an array at once, and both the per-line
-concavity_violation / is_concave and the certifier's family check read it.
+second difference of every line of an array at once, and the certifier's
+family check reads it.
 """
 
 from __future__ import annotations
@@ -52,66 +50,9 @@ import numpy as np
 BOTTOM = float("-inf")
 
 
-def upper_concave_envelope(profile) -> np.ndarray:
-    """Least concave majorant of the finite points of a 1D profile.
-
-    Accepts any 1D sequence of floats (BOTTOM = -inf allowed) and returns a
-    float array of the same length.  Values at the finite points' hull
-    vertices are returned exactly; interior points are chord interpolations;
-    indices outside [min finite, max finite] are BOTTOM.
-    """
-    arr = np.asarray(profile, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValueError("profile must be one-dimensional")
-    return np.asarray(_envelope_line(arr.tolist()), dtype=np.float64)
-
-
-def _envelope_line(v: list) -> list:
-    """Envelope of one line, as Python floats for speed in the sweep loop."""
-    n = len(v)
-    xs = [i for i in range(n) if v[i] != BOTTOM]
-    if len(xs) <= 1:
-        return list(v)
-    a, b = xs[0], xs[-1]
-
-    # Monotone-chain upper hull over (index, value); collinear middles are
-    # dropped (evaluated envelope is identical either way).
-    hx: list = []
-    hy: list = []
-    for j in xs:
-        y = v[j]
-        while len(hx) >= 2:
-            x1 = hx[-1]
-            x0 = hx[-2]
-            y0 = hy[-2]
-            if (x1 - x0) * (y - y0) - (hy[-1] - y0) * (j - x0) >= 0.0:
-                hx.pop()
-                hy.pop()
-            else:
-                break
-        hx.append(j)
-        hy.append(y)
-
-    out = [BOTTOM] * n
-    seg = 1
-    x0, y0 = hx[0], hy[0]
-    x1, y1 = hx[1], hy[1]
-    for i in range(a, b + 1):
-        while i > x1:
-            seg += 1
-            x0, y0 = x1, y1
-            x1, y1 = hx[seg], hy[seg]
-        if i == x0:
-            out[i] = y0
-        elif i == x1:
-            out[i] = y1
-        else:
-            out[i] = y0 + (y1 - y0) * (i - x0) / (x1 - x0)
-    return out
-
-
 def envelope_batch(lines: np.ndarray) -> np.ndarray:
-    """_envelope_line on every row of a 2D array at once, bit for bit.
+    """The upper concave envelope of every row of a 2D array at once, bit for
+    bit the scalar reference's (see the module docstring).
 
     Rows that are already their own upper hull come back as they are, with
     no kernel work: their non-BOTTOM cells form one run and no consecutive
@@ -182,7 +123,8 @@ def _already_hulls(v: np.ndarray) -> np.ndarray:
 
 
 def _envelope_rows(v: np.ndarray) -> np.ndarray:
-    """The lockstep kernel: _envelope_line on every row of v, bit for bit.
+    """The lockstep kernel: the scalar reference on every row of v, bit for
+    bit.
 
     Hull pass (_hull_vertices): Andrew's monotone chain on every row in
     lockstep, one column at a time.  Interpolation pass: every grid index
@@ -262,37 +204,6 @@ def _hull_vertices(v: np.ndarray, ctype) -> np.ndarray:
     vertex = np.zeros((rows, n), dtype=bool)
     vertex.reshape(-1)[slots - slots % n + hx[slots]] = True
     return vertex
-
-
-def is_concave(profile, tol: float = 1e-9) -> bool:
-    """Discrete concavity with contiguous finite support.
-
-    True iff the finite entries occupy one contiguous index interval and
-    every interior triple satisfies v[i-1] + v[i+1] - 2 v[i] <= tol, i.e.
-    iff concavity_violation reports at most tol.  An
-    extended-real concave function is finite on an interval, so a support
-    gap is a concavity failure, not a separate condition.
-    """
-    arr = np.asarray(profile, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValueError("profile must be one-dimensional")
-    return concavity_violation(arr)[0] <= tol
-
-
-def concavity_violation(profile) -> tuple[float, int]:
-    """Worst concavity defect of one line and the interior index at fault.
-
-    The first maximum of concavity_defects on the line: the defect
-    v[i-1] + v[i+1] - 2 v[i] of the worst interior triple, (+inf, first hole
-    index) for a support gap, and (BOTTOM, -1) when there is nothing to
-    measure (fewer than three finite points).  A second difference that
-    overflows to NaN counts as +inf, so it fails at every finite tolerance.
-    """
-    defects = concavity_defects(profile)
-    j = int(np.argmax(defects))
-    if defects[j] == BOTTOM:
-        return (BOTTOM, -1)
-    return (float(defects[j]), j)
 
 
 def concavity_defects(lines) -> np.ndarray:

@@ -145,16 +145,17 @@ class RunResult:
     t_stop: int
     stop_reason: str          # "converged" or "t_max"
     cross_k_gap: float        # max over grid and node pairs at t_stop
-    history: tuple[FieldBank, ...] | None = None
 
 
 def zero_message_mask(grid: GridSpec, f: FunctionTable) -> np.ndarray:
-    """Boolean grid of pmfs needing no communication at all.
+    """Boolean grid of pmfs needing no communication at all: those under
+    which f is almost surely constant, i.e. H(f(X^m)) = 0.
 
     Whether f is constant on a product support depends only on each
-    marginal's support class (={0}, ={1}, or full), so the 3^m classes are
-    scanned once and broadcast over the grid; results agree exactly with
-    the per-point predicate.
+    marginal's support class (={0}, ={1}, or full), read off the exact
+    grid indices 0 and N, so the 3^m classes are scanned once and broadcast
+    over the grid; results agree exactly with the per-point predicate
+    (computable_with_zero_messages in tests/conftest.py).
     """
     if f.m != grid.m:
         raise ValueError(f"function arity {f.m} != grid m={grid.m}")
@@ -190,13 +191,6 @@ def initial_bank(grid: GridSpec, f: FunctionTable) -> FieldBank:
     bank stores it once per node of its rotation period."""
     base = initial_field(grid, f)
     return FieldBank(fields=(base,) * rotation_period(base.data), tau=0)
-
-
-def next_node(k: int, m: int) -> int:
-    """Cyclic successor: the node that speaks after node k."""
-    if not 1 <= k <= m:
-        raise ValueError(f"node label {k} outside 1..{m}")
-    return k + 1 if k < m else 1
 
 
 def convexify_axes(pairs: list, known: tuple | None = None) -> tuple[RateReductionField, ...]:
@@ -237,11 +231,6 @@ def convexify_axes(pairs: list, known: tuple | None = None) -> tuple[RateReducti
         start = stop
         out.append(RateReductionField(field_in.grid, data))
     return tuple(out)
-
-
-def axis_convexify(field_in: RateReductionField, k: int) -> RateReductionField:
-    """Replace every 1D line along axis k by its upper concave envelope."""
-    return convexify_axes([(field_in, k)])[0]
 
 
 def rotate_axes(data: np.ndarray, times: int) -> np.ndarray:
@@ -293,7 +282,7 @@ def sweep_once(bank: FieldBank) -> FieldBank:
     sources (initial_bank's, or a hand-built one) sends every line.
     """
     m = bank.m
-    sources = tuple(bank.field_for(next_node(k, m)) for k in range(1, bank.period + 1))
+    sources = tuple(bank.field_for(k % m + 1) for k in range(1, bank.period + 1))
     known = None if bank.sources is None else tuple(zip(bank.sources, bank.fields))
     fields = convexify_axes([(s, k) for k, s in enumerate(sources, 1)], known)
     return FieldBank(fields=fields, tau=bank.tau + 1, sources=sources)
@@ -345,7 +334,6 @@ def run(
     t_max: int,
     eps: float,
     tracked: tuple[GridIndex, ...] = (),
-    keep_history: bool = False,
 ) -> RunResult:
     """Iterate sweeps until the sup delta falls to eps or t_max is reached.
 
@@ -359,7 +347,6 @@ def run(
     bank = initial_bank(grid, f)
     trace = ConvergenceTrace.empty(tuple(tracked), grid.m)
     trace.record(bank)
-    history = [bank] if keep_history else None
 
     stop_reason = "t_max"
     for _ in range(t_max):
@@ -368,8 +355,6 @@ def run(
         trace.sup_deltas.append(delta)
         bank = new_bank
         trace.record(bank)
-        if keep_history:
-            history.append(bank)
         if delta <= eps:
             stop_reason = "converged"
             break
@@ -380,15 +365,17 @@ def run(
         t_stop=bank.tau,
         stop_reason=stop_reason,
         cross_k_gap=cross_k_gap(bank),
-        history=tuple(history) if history is not None else None,
     )
 
 
-def sum_rate_field(field_in: RateReductionField) -> np.ndarray:
-    """Pointwise minimum sum-rate: joint entropy minus rate reduction.
+def _sum_rate(h: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Minimum sum-rate, elementwise: joint entropy h minus rate reduction
+    rho, with BOTTOM mapped to +inf (computation infeasible with these
+    messages)."""
+    return np.where(np.isfinite(rho), h - rho, float("inf"))
 
-    BOTTOM maps to +inf (computation infeasible with these messages).
-    """
-    h = entropy_grid(field_in.grid)
-    out = np.where(np.isfinite(field_in.data), h - field_in.data, float("inf"))
-    return out
+
+def sum_rate_field(field_in: RateReductionField) -> np.ndarray:
+    """Pointwise minimum sum-rate of a field: joint entropy minus rate
+    reduction, BOTTOM mapped to +inf (_sum_rate)."""
+    return _sum_rate(entropy_grid(field_in.grid), field_in.data)

@@ -8,7 +8,6 @@ so the boundary values p = 0 and p = 1 are exact and support membership
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator
@@ -139,13 +138,6 @@ class ProductPmf:
 def product_entropy(pmf: ProductPmf) -> float:
     """Joint entropy in bits; sums marginal entropies (sources independent)."""
     return sum(binary_entropy(p) for p in pmf)
-
-
-def grid_points(grid: GridSpec) -> Iterator[tuple[GridIndex, ProductPmf]]:
-    """All (N+1)^m grid points in row-major order (first axis slowest)."""
-    n = grid.n_steps
-    for index in itertools.product(range(n + 1), repeat=grid.m):
-        yield index, ProductPmf(tuple(i / n for i in index))
 
 
 def entropy_grid(grid: GridSpec) -> np.ndarray:

@@ -1,11 +1,9 @@
 """Truth tables for the function the sink must compute.
 
 A function is stored explicitly as a total map from input tuples to output
-symbols.  The central predicate here is zero-message computability: a pmf
-needs no communication at all exactly when the function is constant on the
-product support of the marginals, i.e. the function output has zero entropy.
-Constancy is decided by scanning the (at most 2^m) support tuples, which is
-exact and independent of floating-point entropy.
+symbols, so every predicate on it (zero-message computability in
+lattice.zero_message_mask, support constancy in the oracle) scans table
+entries exactly, independent of floating-point entropy.
 """
 
 from __future__ import annotations
@@ -15,7 +13,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigError
-from .probability import ProductPmf
 
 BUILTIN_NAMES = ("min", "max", "and", "or", "parity", "constant")
 
@@ -53,9 +50,6 @@ class FunctionTable:
     def __call__(self, x: tuple[int, ...]) -> int:
         return self.table[x]
 
-    def is_constant(self) -> bool:
-        return len(set(self.table.values())) <= 1
-
 
 def builtin_table(name: str, m: int) -> FunctionTable:
     """One of the built-in binary functions over m sources.
@@ -83,20 +77,6 @@ def builtin_table(name: str, m: int) -> FunctionTable:
         table[x] = int(fn(x))
     outputs = tuple(sorted(set(table.values())))
     return FunctionTable(m=m, output_alphabet=outputs, table=table)
-
-
-def computable_with_zero_messages(f: FunctionTable, pmf: ProductPmf) -> bool:
-    """True iff f is almost surely constant under pmf.
-
-    Equivalent to H(f(X^m)) = 0.  The product support is read off the exact
-    zeros of the marginal parameters, so the answer is exact on grid pmfs.
-    """
-    if pmf.m != f.m:
-        raise ValueError(f"pmf arity {pmf.m} != function arity {f.m}")
-    supports = [pmf.support(j) for j in range(f.m)]
-    it = itertools.product(*supports)
-    first = f(next(it))
-    return all(f(x) == first for x in it)
 
 
 def load_table(path: str | Path) -> FunctionTable:

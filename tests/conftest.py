@@ -1,12 +1,21 @@
-"""Shared session fixtures: the expensive iteration runs are computed once.
+"""Shared session fixtures and the scalar references of the package's
+vectorised code.
 
-eps=1e-300 forces the full sweep budget (the stopping rule then never
-fires), which the history- and trace-based tests rely on.
+The expensive iteration runs are computed once.  eps=1e-300 forces the
+full sweep budget (the stopping rule then never fires, short of an exact
+fixed point), which the history- and trace-based tests rely on.
+
+The references are imported by tests with `from conftest import ...`:
+_envelope_line and upper_concave_envelope (the envelope kernel's scalar
+reference), grid_points and computable_with_zero_messages (the pointwise
+specs of entropy_grid and zero_message_mask), and sweep_history (the banks
+that run() passes through).
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import time
 
 import numpy as np
@@ -14,20 +23,115 @@ import pytest
 
 from ratered.certify import MembershipReport
 from ratered.cli import _fmt
-from ratered.envelope import BOTTOM, _envelope_line
+from ratered.envelope import BOTTOM
 from ratered.lattice import (
     FieldBank,
-    axis_convexify,
-    next_node,
+    convexify_axes,
+    initial_bank,
     run,
     sum_rate_field,
+    sup_delta,
+    sweep_once,
     zero_message_mask,
 )
 from ratered.oracle import _stochastic_rows, _support_constancy
-from ratered.probability import GridSpec, binary_entropy, entropy_grid
+from ratered.probability import GridSpec, ProductPmf, binary_entropy, entropy_grid
 from ratered.target_functions import builtin_table
 
 CENTER = (0.5, 0.5, 0.5)
+
+
+def upper_concave_envelope(profile) -> np.ndarray:
+    """Least concave majorant of the finite points of a 1D profile.
+
+    Accepts any 1D sequence of floats (BOTTOM = -inf allowed) and returns a
+    float array of the same length.  Values at the finite points' hull
+    vertices are returned exactly; interior points are chord interpolations;
+    indices outside [min finite, max finite] are BOTTOM.
+    """
+    arr = np.asarray(profile, dtype=np.float64)
+    if arr.ndim != 1:
+        raise ValueError("profile must be one-dimensional")
+    return np.asarray(_envelope_line(arr.tolist()), dtype=np.float64)
+
+
+def _envelope_line(v: list) -> list:
+    """envelope_batch's scalar reference on one line of Python floats:
+    Andrew's monotone chain over the finite points, then a chord walk, in
+    the float operations the kernel performs."""
+    n = len(v)
+    xs = [i for i in range(n) if v[i] != BOTTOM]
+    if len(xs) <= 1:
+        return list(v)
+    a, b = xs[0], xs[-1]
+
+    # Monotone-chain upper hull over (index, value); collinear middles are
+    # dropped (evaluated envelope is identical either way).
+    hx: list = []
+    hy: list = []
+    for j in xs:
+        y = v[j]
+        while len(hx) >= 2:
+            x1 = hx[-1]
+            x0 = hx[-2]
+            y0 = hy[-2]
+            if (x1 - x0) * (y - y0) - (hy[-1] - y0) * (j - x0) >= 0.0:
+                hx.pop()
+                hy.pop()
+            else:
+                break
+        hx.append(j)
+        hy.append(y)
+
+    out = [BOTTOM] * n
+    seg = 1
+    x0, y0 = hx[0], hy[0]
+    x1, y1 = hx[1], hy[1]
+    for i in range(a, b + 1):
+        while i > x1:
+            seg += 1
+            x0, y0 = x1, y1
+            x1, y1 = hx[seg], hy[seg]
+        if i == x0:
+            out[i] = y0
+        elif i == x1:
+            out[i] = y1
+        else:
+            out[i] = y0 + (y1 - y0) * (i - x0) / (x1 - x0)
+    return out
+
+
+def grid_points(grid: GridSpec):
+    """All (N+1)^m grid points as (index, ProductPmf), in row-major order
+    (first axis slowest)."""
+    n = grid.n_steps
+    for index in itertools.product(range(n + 1), repeat=grid.m):
+        yield index, ProductPmf(tuple(i / n for i in index))
+
+
+def computable_with_zero_messages(f, pmf: ProductPmf) -> bool:
+    """zero_message_mask at one pmf: f almost surely constant under pmf,
+    i.e. H(f(X^m)) = 0, read off the exact zeros of the marginals."""
+    if pmf.m != f.m:
+        raise ValueError(f"pmf arity {pmf.m} != function arity {f.m}")
+    it = itertools.product(*(pmf.support(j) for j in range(f.m)))
+    first = f(next(it))
+    return all(f(x) == first for x in it)
+
+
+def sweep_history(grid, f, t_max, eps, sweep=sweep_once):
+    """run() spelled out: the banks from initial_bank on, one per sweep, and
+    each sweep's sup delta over every node, stopping as run() stops (at
+    t_max sweeps, or once a delta is at most eps)."""
+    banks = [initial_bank(grid, f)]
+    deltas = []
+    for _ in range(t_max):
+        banks.append(sweep(banks[-1]))
+        deltas.append(max(sup_delta(n.data, o.data) for n, o in
+                          zip(banks[-1].node_fields(), banks[-2].node_fields())))
+        if deltas[-1] <= eps:
+            break
+    return banks, deltas
 
 
 @pytest.fixture(scope="session")
@@ -53,15 +157,17 @@ def per_node_sweep():
     def sweep(bank):
         m = bank.m
         fields = tuple(
-            axis_convexify(bank.field_for(next_node(k, m)), k) for k in range(1, m + 1)
+            convexify_axes([(bank.field_for(k % m + 1), k)])[0] for k in range(1, m + 1)
         )
         return FieldBank(fields=fields, tau=bank.tau + 1)
     return sweep
 
 
 def _per_line_concavity(profile):
-    """concavity_violation's reference: one line, support checks first, then
-    the first argmax of the interior second differences."""
+    """The worst concavity defect of one line and its index, by support
+    checks first, then the first argmax of the interior second differences:
+    (+inf, first hole) for a support gap, (BOTTOM, -1) when fewer than three
+    finite points leave nothing to measure."""
     arr = np.asarray(profile, dtype=np.float64)
     finite = np.isfinite(arr)
     k = int(np.count_nonzero(finite))
@@ -239,16 +345,8 @@ def per_row_slice_csv():
 
 @pytest.fixture(scope="session")
 def history_run(min3):
-    """MIN, delta=0.05, all 40 sweeps retained."""
-    grid = GridSpec.from_delta(3, 0.05)
-    return run(
-        grid,
-        min3,
-        t_max=40,
-        eps=1e-300,
-        tracked=(grid.snap(CENTER),),
-        keep_history=True,
-    )
+    """MIN, delta=0.05: the banks of all 40 sweeps (sweep_history)."""
+    return sweep_history(GridSpec.from_delta(3, 0.05), min3, 40, 1e-300)[0]
 
 
 @pytest.fixture(scope="session")

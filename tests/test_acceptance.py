@@ -12,14 +12,14 @@ import time
 
 import numpy as np
 
+from conftest import CENTER, upper_concave_envelope
 from ratered import cli
 from ratered.certify import check_membership
-from ratered.envelope import BOTTOM, upper_concave_envelope
+from ratered.envelope import BOTTOM
 from ratered.lattice import (
     RateReductionField,
     initial_bank,
     initial_field,
-    next_node,
     sum_rate_field,
     sweep_once,
 )
@@ -78,19 +78,19 @@ def test_a02_one_sweep_reveal_line_is_exact(min3):
 
 
 def test_a03_sweeps_never_lose_ground_across_node_cycle(history_run):
-    banks = history_run.history
+    banks = history_run
     assert len(banks) == 41
     m = banks[0].m
     for tau in range(1, len(banks)):
         for k in range(1, m + 1):
             new = banks[tau].field_for(k).data
-            old = banks[tau - 1].field_for(next_node(k, m)).data
+            old = banks[tau - 1].field_for(k % m + 1).data
             mask = old != BOTTOM
             assert np.all(new[mask] >= old[mask] - TOL_EXACT), (tau, k)
 
 
 def test_a04_entropy_ceiling_and_exactness_on_computable_points(history_run):
-    grid = history_run.bank.grid
+    grid = history_run[-1].grid
     n = grid.n_steps
     ceiling = np.zeros(grid.shape)
     feasible = np.zeros(grid.shape, dtype=bool)
@@ -98,7 +98,7 @@ def test_a04_entropy_ceiling_and_exactness_on_computable_points(history_run):
         ceiling[idx] = entropy_at(idx, n)
         feasible[idx] = min3_zero_message(idx, n)
 
-    for tau, bank in enumerate(history_run.history):
+    for tau, bank in enumerate(history_run):
         for k in range(1, bank.m + 1):
             data = bank.field_for(k).data
             assert np.all(data <= ceiling + TOL_FIELD), (tau, k)
@@ -137,13 +137,14 @@ def test_a06_center_value_stays_below_revealing_bound(
     assert abs(bound - 2.4564355568004035) <= TOL_EXACT
 
     finals = [r.trace.max_series[0][-1] for r in delta_sweep_runs[0].values()]
-    finals.append(history_run.trace.max_series[0][-1])
+    last = history_run[-1]
+    finals.append(last.max_data()[last.grid.snap(CENTER)])
     for value in finals:
         assert value <= bound + 1e-6
 
 
 def test_a07_degenerate_third_source_slice_is_two_marginals(history_run):
-    bank = history_run.history[-1]
+    bank = history_run[-1]
     n = bank.grid.n_steps
     marginals = np.array(
         [[h2(i / n) + h2(j / n) for j in range(n + 1)] for i in range(n + 1)]

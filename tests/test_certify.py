@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import sweep_history
 from ratered.certify import (
     assess_optimality,
     check_membership,
@@ -143,8 +144,7 @@ class TestWholeArrayKernel:
     ], ids=[f"{n}-m{m}" for m in (2, 3, 4) for n in BUILTIN_NAMES] + ["selector-m3"])
     def test_history_fields_match_per_line_loop(self, f, delta, per_line_membership):
         grid = GridSpec.from_delta(f.m, delta)
-        res = run(grid, f, t_max=4, eps=1e-12, keep_history=True)
-        for bank in res.history:
+        for bank in sweep_history(grid, f, 4, 1e-12)[0]:
             for field in (*bank.node_fields(), bank.max_field()):
                 for tol in TOLS:
                     got = check_membership(field, f, tol)

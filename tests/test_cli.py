@@ -2,6 +2,7 @@ import json
 import math
 import re
 import tracemalloc
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -136,6 +137,29 @@ class TestRunCommand:
         ])
         assert code == 0
         assert (out / "field_max.csv").exists()
+
+    def test_svg_text_is_escaped(self, tmp_path):
+        """A --function path with XML metacharacters still gives well-formed
+        SVGs, whose text reads back as the path."""
+        table = tmp_path / "t&<x" / "and.txt"
+        table.parent.mkdir()
+        table.write_text(
+            "arity m=2 alphabets=2,2 outputs=0,1\n"
+            "0 0 -> 0\n0 1 -> 0\n1 0 -> 0\n1 1 -> 1\n"
+        )
+        out = tmp_path / "out"
+        assert cli.main([
+            "run", "--function", str(table), "--m", "2", "--delta", "0.5",
+            "--t-max", "3", "--track", "0.5,0.5", "--emit", "trace-svg", "-o", str(out),
+        ]) == 0
+        assert cli.main([
+            "sweep-delta", "--function", str(table), "--m", "2", "--deltas", "0.5,0.25",
+            "--track", "0.5,0.5", "--t-max", "3", "-o", str(out),
+        ]) == 0
+        for name in ("trace.svg", "sweep_trace.svg"):
+            texts = [e.text for e in ElementTree.parse(out / name).iter()
+                     if e.tag.endswith("text")]
+            assert any(str(table) in t for t in texts), name
 
     def test_builtin_name_is_case_insensitive(self, tmp_path):
         for name in ("min", "MIN"):
@@ -411,6 +435,15 @@ class TestOracleCheckCommand:
         ])
         assert code == 2
         assert "point" in capsys.readouterr().err
+
+    def test_negative_seed_is_config_error(self, tmp_path, capsys):
+        code = cli.main([
+            "oracle-check", "--function", "min", "--m", "3", "--delta", "0.2",
+            "--k", "1", "--n-random", "2", "--seed", "-1", "-o", str(tmp_path),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == "error: --seed -1 is negative\n"
+        assert not (tmp_path / "oracle_report.json").exists()
 
     @pytest.mark.parametrize("k", [0, 4])
     def test_k_out_of_range(self, tmp_path, k, capsys):

@@ -11,15 +11,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import upper_concave_envelope
 from ratered import envelope
-from ratered.envelope import (
-    BOTTOM,
-    concavity_defects,
-    concavity_violation,
-    envelope_batch,
-    is_concave,
-    upper_concave_envelope,
-)
+from ratered.envelope import BOTTOM, concavity_defects, envelope_batch
 
 
 def reference_envelope(values):
@@ -45,6 +39,14 @@ def reference_envelope(values):
                     best = cand
         out[i] = best
     return out
+
+
+def worst_defect(line):
+    """The first maximum of concavity_defects on one line and its index, or
+    (BOTTOM, -1) when the line has nothing to measure."""
+    defects = concavity_defects(line)
+    j = int(np.argmax(defects))
+    return (BOTTOM, -1) if defects[j] == BOTTOM else (float(defects[j]), j)
 
 
 def random_profile(rng, max_len=12, bottom_prob=0.3):
@@ -130,7 +132,7 @@ class TestProperties:
         rng = np.random.default_rng(6)
         for _ in range(250):
             out = upper_concave_envelope(random_profile(rng))
-            assert is_concave(out, tol=1e-12)
+            assert concavity_defects(out).max() <= 1e-12
 
 
 class TestBatch:
@@ -338,39 +340,28 @@ class TestSkipPass:
 
 class TestConcavityChecks:
     def test_concave_passes(self):
-        assert is_concave([0.0, 1.0, 1.5, 1.0, 0.0])
+        assert concavity_defects([0.0, 1.0, 1.5, 1.0, 0.0]).max() <= 1e-9
 
     def test_strict_violation_fails_and_is_located(self):
-        v = [0.0, 1.0, 0.0, 2.0, 0.0]
-        assert not is_concave(v)
-        violation, where = concavity_violation(v)
-        assert violation > 0
+        violation, where = worst_defect([0.0, 1.0, 0.0, 2.0, 0.0])
+        assert violation > 1e-9
         assert where == 2
 
     def test_support_gap_fails(self):
-        v = [1.0, BOTTOM, 1.0]
-        assert not is_concave(v)
-        violation, where = concavity_violation(v)
-        assert violation == math.inf
-        assert where == 1
+        assert worst_defect([1.0, BOTTOM, 1.0]) == (math.inf, 1)
 
     def test_trivial_lines_pass(self):
-        assert is_concave([BOTTOM, BOTTOM])
-        assert is_concave([BOTTOM, 3.0, BOTTOM])
-        violation, where = concavity_violation([BOTTOM, 3.0, BOTTOM])
-        assert violation == BOTTOM
-        assert where == -1
+        assert concavity_defects([BOTTOM, BOTTOM]).max() == BOTTOM
+        assert worst_defect([BOTTOM, 3.0, BOTTOM]) == (BOTTOM, -1)
 
     def test_tolerance_respected(self):
         v = [0.0, 0.5, 1.0 + 5e-10]   # tiny convex kink at the end
-        assert is_concave(v, tol=1e-9)
-        assert not is_concave(v, tol=1e-12)
+        assert 1e-12 < concavity_defects(v).max() <= 1e-9
 
     def test_overflow_to_nan_counts_as_infinite(self):
         # 1e308 + 1e308 - 2 * 1e308 is inf - inf = NaN at index 1
         v = [1e308, 1e308, 1e308, 10.0, 20.0]
-        assert concavity_violation(v) == (math.inf, 1)
-        assert not is_concave(v, tol=1e300)
+        assert worst_defect(v) == (math.inf, 1)
         assert concavity_defects(v)[3] == 1e308
 
     def test_matches_per_line_reference(self, per_line_concavity):
@@ -385,7 +376,7 @@ class TestConcavityChecks:
             lines[18] = BOTTOM
             lines[18, n // 3 : n // 3 + 2] = 0.5               # two finite points
             for line in lines:
-                got, want = concavity_violation(line), per_line_concavity(line)
+                got, want = worst_defect(line), per_line_concavity(line)
                 assert got[1] == want[1]
                 assert np.float64(got[0]).view(np.uint64) == np.float64(want[0]).view(np.uint64)
 
@@ -411,4 +402,4 @@ class TestConcavityChecks:
         for idx in np.ndindex(block.shape[:-1]):
             want = concavity_defects(block[idx])
             assert np.array_equal(got[idx].view(np.uint64), want.view(np.uint64))
-            assert concavity_violation(block[idx]) == per_line_concavity(block[idx])
+            assert worst_defect(block[idx]) == per_line_concavity(block[idx])

@@ -4,17 +4,22 @@ import math
 import numpy as np
 import pytest
 
-from ratered.envelope import BOTTOM, upper_concave_envelope
+from conftest import (
+    computable_with_zero_messages,
+    grid_points,
+    sweep_history,
+    upper_concave_envelope,
+)
+from ratered.envelope import BOTTOM
 from ratered.lattice import (
     FieldBank,
     RateReductionField,
-    axis_convexify,
     bank_sup_delta,
+    convexify_axes,
     cross_k_gap,
     entry_distance,
     initial_bank,
     initial_field,
-    next_node,
     rotation_period,
     run,
     sum_rate_field,
@@ -23,13 +28,8 @@ from ratered.lattice import (
     zero_message_mask,
 )
 from ratered.oracle import ConditionalSearchSpec, compare_with_envelope
-from ratered.probability import GridSpec, entropy_grid, grid_points, product_entropy
-from ratered.target_functions import (
-    BUILTIN_NAMES,
-    FunctionTable,
-    builtin_table,
-    computable_with_zero_messages,
-)
+from ratered.probability import GridSpec, entropy_grid, product_entropy
+from ratered.target_functions import BUILTIN_NAMES, FunctionTable, builtin_table
 
 # x1 ? x2 : x3, which no cyclic shift of the inputs leaves unchanged
 SELECTOR3 = FunctionTable(
@@ -82,18 +82,10 @@ class TestZeroMessageField:
 
 
 class TestSweepMechanics:
-    def test_next_node_cycles(self):
-        assert [next_node(k, 3) for k in (1, 2, 3)] == [2, 3, 1]
-        assert next_node(2, 2) == 1
-        with pytest.raises(ValueError):
-            next_node(0, 3)
-        with pytest.raises(ValueError):
-            next_node(4, 3)
-
     def test_axis_convexify_matches_kernel_line_by_line(self, min3):
         grid = GridSpec.from_delta(3, 0.2)
         field = initial_field(grid, min3)
-        out = axis_convexify(field, 2)
+        (out,) = convexify_axes([(field, 2)])
         for i1 in range(grid.points_per_axis):
             for i3 in range(grid.points_per_axis):
                 line = field.data[i1, :, i3]
@@ -103,9 +95,9 @@ class TestSweepMechanics:
     def test_axis_out_of_range(self, min3):
         field = initial_field(GridSpec.from_delta(3, 0.5), min3)
         with pytest.raises(ValueError):
-            axis_convexify(field, 0)
+            convexify_axes([(field, 0)])
         with pytest.raises(ValueError):
-            axis_convexify(field, 4)
+            convexify_axes([(field, 4)])
 
     def test_sweep_reads_previous_snapshot(self, min3):
         """Every new field must come from the pre-sweep bank (synchronous
@@ -114,7 +106,7 @@ class TestSweepMechanics:
         bank = sweep_once(initial_bank(grid, min3))       # make fields differ
         new = sweep_once(bank)
         for k in (1, 2, 3):
-            expected = axis_convexify(bank.field_for(next_node(k, 3)), k)
+            (expected,) = convexify_axes([(bank.field_for(k % 3 + 1), k)])
             assert np.array_equal(new.field_for(k).data, expected.data)
         assert new.tau == bank.tau + 1
 
@@ -128,20 +120,6 @@ class TestSweepMechanics:
             a1 = bank.field_for(1).data
             assert np.array_equal(bank.field_for(2).data, np.transpose(a1, (2, 0, 1)))
             assert np.array_equal(bank.field_for(3).data, np.transpose(a1, (1, 2, 0)))
-
-
-def _reference_run(grid, f, t_max, eps, sweep):
-    """run() spelled out with the all-node sweep and a sup delta over every
-    node."""
-    banks = [initial_bank(grid, f)]
-    deltas = []
-    for _ in range(t_max):
-        banks.append(sweep(banks[-1]))
-        deltas.append(max(sup_delta(n.data, o.data) for n, o in
-                          zip(banks[-1].node_fields(), banks[-2].node_fields())))
-        if deltas[-1] <= eps:
-            break
-    return banks, deltas
 
 
 def _bits(a):
@@ -167,12 +145,13 @@ class TestRotatedSweep:
     def test_run_bitwise_equals_sweep_once_loop(self, f, per_node_sweep):
         grid = GridSpec.from_delta(f.m, 0.1)
         tracked = ((5, 5) + (3,) * (f.m - 2), (2,) + (7,) * (f.m - 1), (0,) * f.m)
-        res = run(grid, f, t_max=6, eps=1e-12, tracked=tracked, keep_history=True)
-        banks, deltas = _reference_run(grid, f, 6, 1e-12, per_node_sweep)
+        res = run(grid, f, t_max=6, eps=1e-12, tracked=tracked)
+        history, _ = sweep_history(grid, f, 6, 1e-12)
+        banks, deltas = sweep_history(grid, f, 6, 1e-12, per_node_sweep)
 
         assert res.bank.period == _least_period(banks[0].field_for(1).data)
-        assert len(res.history) == len(banks) and res.t_stop == banks[-1].tau
-        for got, want in zip(res.history, banks):
+        assert len(history) == len(banks) and res.t_stop == banks[-1].tau
+        for got, want in zip(history + [res.bank], banks + banks[-1:]):
             assert got.tau == want.tau
             assert got.period == res.bank.period
             assert all(gf.data.flags.c_contiguous for gf in got.fields)
@@ -244,12 +223,14 @@ class TestLockstepKernel:
     def test_run_bitwise_equals_per_line_kernel(self, f, delta, chains, monkeypatch,
                                                  per_line_envelope):
         grid = GridSpec.from_delta(f.m, delta)
-        got = run(grid, f, t_max=20, eps=1e-12, keep_history=True)
+        got = run(grid, f, t_max=20, eps=1e-12)
+        got_banks, _ = sweep_history(grid, f, 20, 1e-12)
         monkeypatch.setattr("ratered.lattice.envelope_batch", per_line_envelope)
-        want = run(grid, f, t_max=20, eps=1e-12, keep_history=True)
+        want = run(grid, f, t_max=20, eps=1e-12)
+        want_banks, _ = sweep_history(grid, f, 20, 1e-12)
         assert got.bank.period == want.bank.period == chains
-        assert len(got.history) == len(want.history) > 2
-        for gb, wb in zip(got.history, want.history):
+        assert len(got_banks) == len(want_banks) > 2
+        for gb, wb in zip(got_banks + [got.bank], want_banks + [want.bank]):
             for gf, wf in zip(gb.node_fields(), wb.node_fields()):
                 assert np.array_equal(_bits(gf.data), _bits(wf.data))
         assert _bits(np.array(got.trace.sup_deltas)).tolist() == \
@@ -267,15 +248,18 @@ class TestLockstepKernel:
         call when none did."""
         batches = _spy_kernel(monkeypatch)
         grid = GridSpec.from_delta(f.m, delta)
-        res = run(grid, f, t_max=6, eps=1e-300, keep_history=True)
+        res = run(grid, f, t_max=6, eps=1e-300)
+        run_batches = batches[:]
+        batches.clear()
+        banks, _ = sweep_history(grid, f, 6, 1e-300)
         assert res.bank.period == chains
         length = grid.points_per_axis
-        assert res.t_stop == 6
+        assert res.t_stop == banks[-1].tau == 6
         want = [chains * length ** (f.m - 1)] + [
             _changed_lines(prev, bank, chains)
-            for prev, bank in zip(res.history, res.history[1:-1])
+            for prev, bank in zip(banks, banks[1:-1])
         ]
-        assert batches == [(n, length) for n in want if n]
+        assert run_batches == batches == [(n, length) for n in want if n]
         assert sum(want[1:]) < 5 * want[0]          # the reuse engages
 
 
@@ -299,7 +283,7 @@ def _changed_lines(prev, bank, chains):
     m = bank.m
     total = 0
     for k in range(1, chains + 1):
-        new, old = (np.moveaxis(_bits(b.field_for(next_node(k, m)).data), k - 1, -1)
+        new, old = (np.moveaxis(_bits(b.field_for(k % m + 1).data), k - 1, -1)
                     for b in (bank, prev))
         total += int(np.count_nonzero(np.any(new != old, axis=-1)))
     return total
@@ -320,7 +304,7 @@ class TestUnchangedLineReuse:
         bank = sweep_once(start)
         assert bank.period == 4
         for k in range(1, 5):
-            source = start.field_for(next_node(k, 4))
+            source = start.field_for(k % 4 + 1)
             assert np.array_equal(_bits(bank.sources[k - 1].data), _bits(source.data))
 
         def lines(data, k):
@@ -328,7 +312,7 @@ class TestUnchangedLineReuse:
 
         doctored = []
         for k, (stored, source) in enumerate(zip(bank.fields, bank.sources), 1):
-            new = lines(_bits(bank.field_for(next_node(k, 4)).data), k)
+            new = lines(_bits(bank.field_for(k % 4 + 1).data), k)
             unchanged = np.flatnonzero(np.all(new == lines(_bits(source.data), k), axis=1))
             data = stored.data.copy()
             moved = np.moveaxis(data, k - 1, -1)
@@ -339,7 +323,7 @@ class TestUnchangedLineReuse:
 
         reused = changed = 0
         for k in range(1, 5):
-            line_in = lines(doctored_bank.field_for(next_node(k, 4)).data, k)
+            line_in = lines(doctored_bank.field_for(k % 4 + 1).data, k)
             same = np.all(_bits(line_in) == lines(_bits(bank.sources[k - 1].data), k),
                           axis=1)
             out = lines(got.fields[k - 1].data, k)
@@ -385,7 +369,7 @@ class TestUnchangedLineReuse:
         lines = bank.period * grid.points_per_axis ** (f.m - 1)
         assert batches == [(lines, grid.points_per_axis)]
         for k, source in enumerate(new.sources, 1):
-            stored = bank.field_for(next_node(k, f.m))
+            stored = bank.field_for(k % f.m + 1)
             assert np.shares_memory(source.data, stored.data)
 
         # the oracle's envelope sweep starts from initial_bank too
@@ -483,35 +467,23 @@ class TestRun:
         h = product_entropy(grid.pmf_at((0, 7, 3)))
         assert res.trace.max_series[0] == [h] * 6
 
-    def test_history_retention(self, min3):
-        grid = GridSpec.from_delta(3, 0.2)
-        res = run(grid, min3, t_max=4, eps=1e-300, keep_history=True)
-        assert res.history is not None
-        assert len(res.history) == 5
-        assert res.history[0].tau == 0
-        assert np.array_equal(res.history[0].field_for(2).data,
-                              initial_field(grid, min3).data)
-        assert res.history[-1] is res.bank
-        no_hist = run(grid, min3, t_max=4, eps=1e-300)
-        assert no_hist.history is None
-
     def test_sup_delta_sequence_matches_banks(self, min3):
-        res = run(GridSpec.from_delta(3, 0.25), min3, t_max=6, eps=1e-300,
-                  keep_history=True)
+        grid = GridSpec.from_delta(3, 0.25)
+        res = run(grid, min3, t_max=6, eps=1e-300)
+        banks, _ = sweep_history(grid, min3, 6, 1e-300)
+        assert res.t_stop == banks[-1].tau
         for t in range(1, res.t_stop + 1):
-            expected = bank_sup_delta(res.history[t], res.history[t - 1])
+            expected = bank_sup_delta(banks[t], banks[t - 1])
             assert res.trace.sup_deltas[t - 1] == expected
 
     def test_monotone_chain_small_grid(self, min3):
         """Each envelope majorizes its input, so a field at sweep t dominates
         its source field (next node) at sweep t-1 pointwise."""
-        res = run(GridSpec.from_delta(3, 0.25), min3, t_max=10, eps=1e-300,
-                  keep_history=True)
-        assert len(res.history) == res.t_stop + 1
-        for t in range(1, len(res.history)):
+        banks, _ = sweep_history(GridSpec.from_delta(3, 0.25), min3, 10, 1e-300)
+        for t in range(1, len(banks)):
             for k in (1, 2, 3):
-                new = res.history[t].field_for(k).data
-                old = res.history[t - 1].field_for(next_node(k, 3)).data
+                new = banks[t].field_for(k).data
+                old = banks[t - 1].field_for(k % 3 + 1).data
                 finite = np.isfinite(old)
                 assert np.all(new[finite] >= old[finite] - 1e-12)
 

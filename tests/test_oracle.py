@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import grid_points
 from ratered.envelope import BOTTOM
 from ratered.errors import ConfigError
 from ratered.oracle import (
@@ -16,7 +17,7 @@ from ratered.oracle import (
     resolution_slack,
     single_message_reduction,
 )
-from ratered.probability import GridSpec, ProductPmf, grid_points, product_entropy
+from ratered.probability import GridSpec, ProductPmf, product_entropy
 from ratered.target_functions import BUILTIN_NAMES, builtin_table
 from test_lattice import SELECTOR3, SELECTOR4
 

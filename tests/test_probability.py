@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from conftest import grid_points
 from ratered.errors import ConfigError
 from ratered.probability import (
     GridSpec,
     ProductPmf,
     binary_entropy,
     entropy_grid,
-    grid_points,
     product_entropy,
     reciprocal_steps,
 )

@@ -10,7 +10,11 @@ and field CSVs read, a block of rows at a time, so no whole-file text is
 held in memory.  A run's field CSVs are written in one pass: each
 distinct value of a block is formatted once for all of them, in numpy by
 decimal17.format_g17 (byte for byte Python's "%.17g"), and the rows of a
-block are assembled as bytes, with no Python object per cell.
+block are assembled as bytes, with no Python object per cell.  A field
+CSV is read with one np.loadtxt call per block, numpy's C text reader,
+which parses floats bit-exactly; it is stricter than int() and float()
+(read_field_csv lists the spellings it rejects), and a block it rejects is
+walked again in Python only to name the bad line and cell.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ import math
 import re
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +54,15 @@ CONVERGENCE_CAVEAT = (
 # Rows per block when a field CSV is written or read; bounds the row and cell
 # strings held in memory at once.
 _CSV_BLOCK = 4096
+# Width of a p_j cell as read: one more than the longest "%.17g" of any float
+# ("-2.2250738585072014e-308"), so a longer cell, which loadtxt cuts to this
+# width, still spells no grid value.
+_P_WIDTH = 25
+# What loadtxt is given in place of NUL, which numpy drops from the end of a
+# text cell, and of "\x1f", which it strips from around a number as
+# whitespace where int() and float() reject it: U+FFFD, which no valid cell
+# holds and no number parser accepts, so the cell stays bad.
+_UNREAD = {0x00: "\ufffd", 0x1F: "\ufffd"}
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 # stroke-dasharray per dash index; index 0 is a solid line (no attribute)
@@ -134,14 +148,6 @@ def _parse_slice(text: str, m: int) -> tuple[int, float]:
 # field CSV format
 
 
-def _parses(parse, text: str) -> bool:
-    try:
-        parse(text)
-    except ValueError:
-        return False
-    return True
-
-
 def _cell_table(cells: list[str]) -> np.ndarray:
     """The ASCII bytes of each cell, left-aligned in the rows of a uint8
     matrix and padded with zero bytes."""
@@ -218,6 +224,15 @@ def write_field_csv(path: Path, field_in: RateReductionField, label: str) -> Non
                     entropy_grid(grid), grid)
 
 
+def _loadtxt(lines: list[str], dtype, **kwargs) -> np.ndarray:
+    """The rows of CSV lines by numpy's C text reader: no comment or quote
+    character, blank lines skipped.  An integer spelled as a float ("1.0"),
+    which numpy 1.x still reads under a DeprecationWarning, is rejected."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        return np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1, **kwargs)
+
+
 def read_field_csv(path) -> RateReductionField:
     """Re-ingest a field CSV bit-exactly.
 
@@ -226,6 +241,16 @@ def read_field_csv(path) -> RateReductionField:
     produces: rho must be finite or -inf, each p_j cell must read exactly as
     the grid value of its i_j, and Rsum must equal sum_rate_field of the
     parsed field bit for bit.  A bad cell is reported with its line number.
+
+    Each block of _CSV_BLOCK lines is parsed by one np.loadtxt call.
+    Floats are read bit-exactly, by the routine float() uses.  numpy's
+    parser is stricter than int() and float(): a number with an underscore
+    ("1_0" as an i_j, "1_5" as rho or Rsum) or with non-ASCII digits, and
+    an i_j outside int64, are bad cells here though int() and float() read
+    them.  An i_j spelled as a float ("1.0"), which numpy 1.x would read
+    under a DeprecationWarning, stays a bad cell.  A p_j cell is read to
+    _P_WIDTH characters, one more than any grid value takes, so a cell
+    that starts with its grid value and goes on is still named.
     """
     def data_lines() -> list[tuple[int, str]]:
         """(line number, text) of each non-blank line after the header, read
@@ -238,11 +263,33 @@ def read_field_csv(path) -> RateReductionField:
         line_no, line = data_lines()[r]
         return f"{path}:{line_no}", line.split(",")[c]
 
+    def bad_block(block: list[str], read: list[str], line_no: int,
+                  err: ValueError) -> ConfigError:
+        """Why loadtxt rejected read, the block's lines as it was given them;
+        the block's first line is line line_no.  The first line with the
+        wrong number of cells, else the first i_j, rho or Rsum cell that
+        loadtxt does not read alone, is named as block spells it."""
+        body = [(no, line, seen) for no, line, seen
+                in zip(itertools.count(line_no), block, read) if line]
+        for no, line, _ in body:
+            if line.count(",") != n_cols - 1:
+                return ConfigError(f"{path}:{no}: expected {n_cols} cells, "
+                                   f"got {line.count(',') + 1}")
+        for no, line, seen in body:
+            for c in [*range(m), 2 * m, 2 * m + 1]:
+                try:
+                    _loadtxt([seen], np.int64 if c < m else np.float64, usecols=c)
+                except (ValueError, DeprecationWarning):
+                    return ConfigError(f"{path}:{no}: {header[c]} {line.split(',')[c]!r} "
+                                       f"is not {'an integer' if c < m else 'a number'}")
+        return ConfigError(f"{path}:{line_no}-{line_no + len(block) - 1}: {err}")
+
     with open(path) as src:
-        # Lines _CSV_BLOCK at a time, split as str.splitlines splits the
-        # whole text; [] once the file is exhausted.
-        blocks = iter(lambda: "".join(itertools.islice(src, _CSV_BLOCK)).splitlines(), [])
-        first = next(blocks, [])
+        # The text of _CSV_BLOCK lines at a time and its lines, split as
+        # str.splitlines splits the whole text; "" once the file is exhausted.
+        blocks = ((text, text.splitlines()) for text in
+                  iter(lambda: "".join(itertools.islice(src, _CSV_BLOCK)), ""))
+        text, first = next(blocks, ("", []))
         if not first:
             raise ConfigError(f"{path}: empty field CSV")
         header = first[0].split(",")
@@ -256,50 +303,48 @@ def read_field_csv(path) -> RateReductionField:
         if header[:m] != expect_i or header[m : 2 * m] != expect_p or not label or \
                 header[2 * m :] != [f"rho_{label}", f"Rsum_{label}"]:
             raise ConfigError(f"{path}: unexpected field CSV columns {header}")
-        parsed = [*range(m), 2 * m, 2 * m + 1]     # the int, then the float columns
+        # A row: the m i_j, the m p_j cells as text, then rho and Rsum.
+        row = np.dtype([("i", np.int64, (m,)), ("p", f"U{_P_WIDTH}", (m,)),
+                        ("v", np.float64, (2,))])
 
-        n_rows = 0
+        n_rows, line_no = 0, 2
         p_cells: list = [{} for _ in range(m)]     # i_j -> its p_j cell, per axis
         p_mixed = [False] * m                      # an i_j came with two p_j cells
         indices, values = [], []
-        for block in itertools.chain([first[1:]], blocks):
-            body = [line for line in block if line]
-            if set(map(str.count, body, itertools.repeat(","))) - {n_cols - 1}:
-                r = next(r for r, line in enumerate(body) if line.count(",") != n_cols - 1)
-                raise ConfigError(
-                    f"{path}:{data_lines()[n_rows + r][0]}: expected {n_cols} "
-                    f"cells, got {body[r].count(',') + 1}"
-                )
-            if not body:
+        for text, block in itertools.chain([(text, first[1:])], blocks):
+            start, line_no = line_no, line_no + len(block)
+            if not any(block):
                 continue
+            read = block
+            if "\x00" in text or "\x1f" in text:
+                read = [line.translate(_UNREAD) for line in block]
             try:
-                # Whole columns of a block at once: cell c of row r sits at
-                # cells[r * n_cols + c].
-                cells = ",".join(body).split(",")
-                cols = [list(map(int, cells[j::n_cols])) for j in range(m)]
-                values.append(np.array([list(map(float, cells[c::n_cols]))
-                                        for c in (2 * m, 2 * m + 1)]))
-            except ValueError:
-                r, c = next((r, c) for r, line in enumerate(body) for c in parsed
-                            if not _parses(int if c < m else float, line.split(",")[c]))
-                where, cell = bad_cell(n_rows + r, c)
-                raise ConfigError(f"{where}: {header[c]} {cell!r} is not "
-                                  f"{'an integer' if c < m else 'a number'}") from None
-            n_rows += len(body)
+                rows = _loadtxt(read, row)
+                if len(rows) != len(block) - block.count(""):
+                    raise ValueError("loadtxt skipped a line that is not blank")
+            except (ValueError, DeprecationWarning) as err:
+                raise bad_block(block, read, start, err) from None
+            n_rows += len(rows)
+            index, p = rows["i"], rows["p"]
             for j in range(m):
-                # One p_j cell per i_j of the block, one pass that every
-                # row has it, then the block's <= N+1 cells join the file's.
-                p = cells[m + j :: n_cols]
-                block_cells = dict(zip(cols[j], p))
-                if list(map(block_cells.__getitem__, cols[j])) != p or any(
-                        p_cells[j].setdefault(i, c) != c for i, c in block_cells.items()):
+                # One p_j cell per i_j of the block, then the block's <= N+1
+                # cells join the file's.
+                keys, first_row, inverse = np.unique(index[:, j], return_index=True,
+                                                     return_inverse=True)
+                cells = p[first_row, j]
+                if (cells[inverse] != p[:, j]).any() or any(
+                        p_cells[j].setdefault(i, c) != c
+                        for i, c in zip(keys.tolist(), cells.tolist())):
                     p_mixed[j] = True
-            indices.append(np.array(cols))
+            # Copies, so the block's records, p_j text included, go with it.
+            indices.append(index.copy())
+            values.append(rows["v"].copy())
+            del rows, index, p
     if not n_rows:
         raise ConfigError(f"{path}: field CSV has no data rows")
 
-    index = np.concatenate(indices, axis=1)
-    rho, rsum = np.concatenate(values, axis=1)
+    index = np.concatenate(indices).T
+    rho, rsum = np.concatenate(values).T
     bad = np.isnan(rho) | (rho == math.inf)
     if bad.any():
         where, cell = bad_cell(int(np.argmax(bad)), 2 * m)
@@ -480,6 +525,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     requested = [_parse_point(t, args.m) for t in args.track]
     grid = GridSpec.from_delta(args.m, args.delta)
     f = _resolve_function(args.function, args.m)
+    if args.initial_node is not None and args.slice_spec is None:
+        raise ConfigError("--initial-node only picks the field that --slice cuts; "
+                          "give --slice too")
     if args.initial_node is not None and not 1 <= args.initial_node <= args.m:
         raise ConfigError(f"initial node {args.initial_node} outside 1..{args.m}")
     tracked_idx, tracked_rec = _snap_tracked(grid, requested)
@@ -823,7 +871,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--track", action="append", default=[],
                        metavar="P1,P2,...", help="pmf to trace (repeatable)")
     p_run.add_argument("--initial-node", type=int, default=None,
-                       help="with --slice, slice this node's field instead of the max")
+                       help="with --slice, slice this node's field instead of the max "
+                            "(an error without --slice)")
     p_run.add_argument("--emit", default=",".join(DEFAULT_EMIT),
                        help=f"comma list from {EMIT_CHOICES}")
     p_run.add_argument("--slice", dest="slice_spec", default=None,

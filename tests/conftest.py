@@ -16,16 +16,20 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ratered.certify import MembershipReport
-from ratered.cli import _fmt
+from ratered.cli import _CSV_BLOCK, _fmt
 from ratered.envelope import BOTTOM
+from ratered.errors import ConfigError
 from ratered.lattice import (
     FieldBank,
+    RateReductionField,
     convexify_axes,
     initial_bank,
     run,
@@ -316,6 +320,122 @@ def per_row_field_csv():
             lines.append(",".join(cells))
         path.write_text("\n".join(lines) + "\n")
     return write
+
+
+def _parses(parse, text: str) -> bool:
+    try:
+        parse(text)
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.fixture(scope="session")
+def per_cell_read_field_csv():
+    """read_field_csv's reference: every cell parsed by Python int() or
+    float(), _CSV_BLOCK lines at a time, with the same checks and messages."""
+    def read(path) -> RateReductionField:
+        def data_lines() -> list[tuple[int, str]]:
+            lines = Path(path).read_text().splitlines()[1:]
+            return [(line_no, line) for line_no, line in enumerate(lines, 2) if line]
+
+        def bad_cell(r: int, c: int) -> tuple[str, str]:
+            line_no, line = data_lines()[r]
+            return f"{path}:{line_no}", line.split(",")[c]
+
+        with open(path) as src:
+            blocks = iter(lambda: "".join(itertools.islice(src, _CSV_BLOCK)).splitlines(), [])
+            first = next(blocks, [])
+            if not first:
+                raise ConfigError(f"{path}: empty field CSV")
+            header = first[0].split(",")
+            n_cols = len(header)
+            if n_cols < 6 or n_cols % 2 != 0:
+                raise ConfigError(f"{path}: malformed field CSV header {first[0]!r}")
+            m = (n_cols - 2) // 2
+            expect_i = [f"i_{j}" for j in range(1, m + 1)]
+            expect_p = [f"p_{j}" for j in range(1, m + 1)]
+            label = header[2 * m][len("rho_"):]
+            if header[:m] != expect_i or header[m : 2 * m] != expect_p or not label or \
+                    header[2 * m :] != [f"rho_{label}", f"Rsum_{label}"]:
+                raise ConfigError(f"{path}: unexpected field CSV columns {header}")
+            parsed = [*range(m), 2 * m, 2 * m + 1]
+
+            n_rows = 0
+            p_cells: list = [{} for _ in range(m)]
+            p_mixed = [False] * m
+            indices, values = [], []
+            for block in itertools.chain([first[1:]], blocks):
+                body = [line for line in block if line]
+                if set(map(str.count, body, itertools.repeat(","))) - {n_cols - 1}:
+                    r = next(r for r, line in enumerate(body) if line.count(",") != n_cols - 1)
+                    raise ConfigError(
+                        f"{path}:{data_lines()[n_rows + r][0]}: expected {n_cols} "
+                        f"cells, got {body[r].count(',') + 1}"
+                    )
+                if not body:
+                    continue
+                try:
+                    cells = ",".join(body).split(",")
+                    cols = [list(map(int, cells[j::n_cols])) for j in range(m)]
+                    values.append(np.array([list(map(float, cells[c::n_cols]))
+                                            for c in (2 * m, 2 * m + 1)]))
+                except ValueError:
+                    r, c = next((r, c) for r, line in enumerate(body) for c in parsed
+                                if not _parses(int if c < m else float, line.split(",")[c]))
+                    where, cell = bad_cell(n_rows + r, c)
+                    raise ConfigError(f"{where}: {header[c]} {cell!r} is not "
+                                      f"{'an integer' if c < m else 'a number'}") from None
+                n_rows += len(body)
+                for j in range(m):
+                    p = cells[m + j :: n_cols]
+                    block_cells = dict(zip(cols[j], p))
+                    if list(map(block_cells.__getitem__, cols[j])) != p or any(
+                            p_cells[j].setdefault(i, c) != c for i, c in block_cells.items()):
+                        p_mixed[j] = True
+                indices.append(np.array(cols))
+        if not n_rows:
+            raise ConfigError(f"{path}: field CSV has no data rows")
+
+        index = np.concatenate(indices, axis=1)
+        rho, rsum = np.concatenate(values, axis=1)
+        bad = np.isnan(rho) | (rho == math.inf)
+        if bad.any():
+            where, cell = bad_cell(int(np.argmax(bad)), 2 * m)
+            raise ConfigError(f"{where}: rho {cell!r} is neither finite nor -inf")
+        if index.min() < 0:
+            raise ConfigError(f"{path}: negative grid index")
+        grid = GridSpec(m=m, n_steps=int(index.max()))
+        if n_rows != grid.n_points:
+            raise ConfigError(
+                f"{path}: {n_rows} rows does not cover the "
+                f"{grid.n_points}-point grid inferred from the indices"
+            )
+        axis = [_fmt(v) for v in grid.axis_values()]
+        for j in range(m):
+            if p_mixed[j] or any(axis[i] != p for i, p in p_cells[j].items()):
+                r = next(r for r, (_, line) in enumerate(data_lines())
+                         if line.split(",")[m + j] != axis[index[j, r]])
+                where, cell = bad_cell(r, m + j)
+                raise ConfigError(
+                    f"{where}: p_{j + 1} = {cell!r} is not the "
+                    f"grid value {axis[index[j, r]]} of i_{j + 1} = {index[j, r]}"
+                )
+        flat = np.ravel_multi_index(index, grid.shape)
+        data = np.full(grid.n_points, np.nan)
+        data[flat] = rho
+        if np.any(np.isnan(data)):
+            raise ConfigError(f"{path}: duplicate rows leave grid points unfilled")
+        field = RateReductionField(grid=grid, data=data.reshape(grid.shape))
+        bad = sum_rate_field(field).reshape(-1)[flat].view(np.uint64) != rsum.view(np.uint64)
+        if bad.any():
+            where, cell = bad_cell(int(np.argmax(bad)), 2 * m + 1)
+            raise ConfigError(
+                f"{where}: Rsum {cell!r} is not the "
+                "joint entropy minus rho (inf where rho is -inf)"
+            )
+        return field
+    return read
 
 
 @pytest.fixture(scope="session")

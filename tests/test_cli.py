@@ -113,6 +113,19 @@ class TestRunCommand:
                                "snapped_index": 3, "snapped_value": 0.3}
         assert "slice_p3_0p3.csv" in md["artifacts"]
 
+    def test_initial_node_without_slice_is_rejected(self, tmp_path, capsys, monkeypatch):
+        # Without --slice the node would change nothing but metadata.json.
+        def forbidden(*args, **kwargs):
+            raise AssertionError("run iterated before checking its options")
+
+        monkeypatch.setattr(cli, "run", forbidden)
+        code = cli.main(["run", "--function", "min", "--m", "3", "--delta", "0.25",
+                         "--initial-node", "2", "-o", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: --initial-node only picks the field that --slice cuts; give --slice too\n")
+        assert not (tmp_path / "out").exists()
+
     def test_constant_function_degenerate(self, tmp_path):
         cli.main([
             "run", "--function", "constant", "--m", "3", "--delta", "0.2",
@@ -832,6 +845,229 @@ def test_read_field_csv_rejects_p_cells_that_differ_across_blocks(tmp_path, firs
     with pytest.raises(cli.ConfigError, match=rf":{first + 2}: p_1 = '0.45' is not the "
                                               r"grid value 0\.45000000000000001 of i_1 = 9"):
         cli.read_field_csv(path)
+
+
+def _field_csv_lines(tmp_path, m, n_steps, seed=0) -> list[str]:
+    """The lines of a field CSV of _special_field on an m-axis grid."""
+    path = tmp_path / "src.csv"
+    cli.write_field_csv(path, _special_field(GridSpec(m=m, n_steps=n_steps), seed), "max")
+    return path.read_text().splitlines()
+
+
+def _read_both(path, reference):
+    """(result, ConfigError message or None) of read_field_csv and of the
+    per-cell reference."""
+    outcomes = []
+    for read in (cli.read_field_csv, reference):
+        try:
+            outcomes.append((read(path), None))
+        except cli.ConfigError as exc:
+            outcomes.append((None, str(exc)))
+    return outcomes
+
+
+# Blank lines at 1-based line numbers of the original file: after the
+# header, around the first block boundary (lines 4096/4097), mid-file, at
+# the end, and a run of them longer than a block.
+BLANKS = {"none": [], "scattered": [2, 4096, 4097, 4098, 5000, -1],
+          "whole-block": [3] * (cli._CSV_BLOCK + 10)}
+
+
+class TestFieldCsvReaderMatchesPerCellReader:
+    @pytest.mark.parametrize("blanks", BLANKS)
+    @pytest.mark.parametrize("m,n_steps", [(2, 10), (2, 63), (3, 20), (4, 10)])
+    def test_valid_files_read_the_same_bits(self, tmp_path, m, n_steps, blanks,
+                                            per_cell_read_field_csv):
+        lines = _field_csv_lines(tmp_path, m, n_steps)
+        for at in BLANKS[blanks]:
+            lines.insert(len(lines) if at == -1 else min(at - 1, len(lines)), "")
+        path = tmp_path / "field.csv"
+        path.write_text("\n".join(lines) + "\n")
+        (new, _), (ref, _) = _read_both(path, per_cell_read_field_csv)
+        assert new.grid == ref.grid
+        assert np.array_equal(new.data.view(np.uint64), ref.data.view(np.uint64))
+
+    @pytest.mark.parametrize("line_no, edit", [
+        (9000, lambda c: c[:-1]),                          # a cell short
+        (5000, lambda c: c[:6] + ["nan"] + c[7:]),
+        (7000, lambda c: c[:3] + ["0.123"] + c[4:]),
+        (8191, lambda c: c[:7] + ["1"]),
+        (6000, lambda c: c[:1] + ["x"] + c[2:]),
+        (6500, lambda c: c[:6] + ["abc"] + c[7:]),
+        (7500, lambda c: c[:7] + ["1.5x"]),
+        (4097, lambda c: c + [""]),                        # trailing comma
+        (4098, lambda c: c[:2] + [""] + c[3:]),            # empty i_3
+        (20, lambda c: c[:6] + [""] + c[7:]),              # empty rho
+        (21, lambda c: c[:7] + [""]),                      # empty Rsum
+        (8000, lambda c: c[:1] + [f'"{c[1]}"'] + c[2:]),   # quoted i_2
+        (30, lambda c: c[:4] + [f'"{c[4]}"'] + c[5:]),     # quoted p_2
+        (31, lambda c: c[:6] + [f'"{c[6]}"'] + c[7:]),     # quoted rho
+        (4200, lambda c: ["  \t "]),                       # whitespace-only line
+        (9262, lambda c: c[:5] + [c[5] + "\x00"] + c[6:]),  # p_3 ending in NUL
+        (40, lambda c: c[:3] + [c[3] + "€"] + c[4:]),      # p_1 outside Latin-1
+        (41, lambda c: c[:3] + ["€"] + c[4:]),
+        (42, lambda c: c[:2] + [c[2] + "\x00"] + c[3:]),   # i_3 ending in NUL
+        (43, lambda c: c[:1] + [c[1] + "\x1f"] + c[2:]),   # numpy's whitespace, not int()'s
+        (44, lambda c: c[:7] + ["\x1f" + c[7]]),
+    ])
+    def test_corrupt_files_raise_the_same_error(self, tmp_path, line_no, edit,
+                                                per_cell_read_field_csv):
+        lines = _field_csv_lines(tmp_path, 3, 20)
+        lines[1:1] = ["", ""]                    # data rows now start at line 4
+        lines[line_no - 1] = ",".join(edit(lines[line_no - 1].split(",")))
+        path = tmp_path / "field.csv"
+        path.write_text("\n".join(lines) + "\n")
+        (_, new), (_, ref) = _read_both(path, per_cell_read_field_csv)
+        assert ref is not None and ref.startswith(f"{path}:{line_no}: ")
+        assert new == ref
+
+
+@pytest.mark.parametrize("col, cell, message", [
+    (0, "1_0", "i_1 '1_0' is not an integer"),
+    (3, "1_0", "i_4 '1_0' is not an integer"),
+    (8, "1_5", "rho_max '1_5' is not a number"),
+    (9, "1_5", "Rsum_max '1_5' is not a number"),
+    (1, "1.0", "i_2 '1.0' is not an integer"),
+])
+def test_read_field_csv_rejects_what_int_and_float_accept(tmp_path, col, cell, message):
+    """Underscores in numbers and an i_j spelled as a float: numpy's parser
+    rejects them, so the reader does, at the cell's line."""
+    lines = _field_csv_lines(tmp_path, 4, 10)
+    cells = lines[5000].split(",")
+    cells[col] = cell
+    lines[5000] = ",".join(cells)
+    path = tmp_path / "field.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(cli.ConfigError, match=re.escape(f"{path}:5001: {message}")):
+        cli.read_field_csv(path)
+
+
+@pytest.mark.parametrize("tail", ["1", "0" * 6, "0" * 7, "x" * 40])
+def test_read_field_csv_rejects_a_p_cell_longer_than_any_grid_value(tmp_path, tail):
+    """A p_j cell is read at a fixed width, _P_WIDTH characters; loadtxt cuts
+    a longer one.  A cell that starts with the right grid value is named
+    whether it fits (tails of 1 and 6) or is cut (7 and 40): the width is one
+    more than the longest "%.17g" spelling of a float."""
+    assert cli._P_WIDTH == len("%.17g" % -2.2250738585072014e-308) + 1
+    lines = _field_csv_lines(tmp_path, 3, 20)
+    cells = lines[4000].split(",")
+    assert cells[3] == "0.45000000000000001"          # i_1 = 9
+    cells[3] += tail
+    lines[4000] = ",".join(cells)
+    path = tmp_path / "field.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(cli.ConfigError, match=re.escape(
+            f"{path}:4001: p_1 = {cells[3]!r} is not the grid value "
+            "0.45000000000000001 of i_1 = 9")):
+        cli.read_field_csv(path)
+
+
+@pytest.mark.parametrize("blank_lines", [0, 1, 3, cli._CSV_BLOCK + 5])
+def test_read_field_csv_without_data_lines(tmp_path, blank_lines):
+    path = tmp_path / "field.csv"
+    path.write_text("i_1,i_2,p_1,p_2,rho_max,Rsum_max\n" + "\n" * blank_lines)
+    with pytest.raises(cli.ConfigError, match=re.escape(f"{path}: field CSV has no data rows")):
+        cli.read_field_csv(path)
+
+
+def test_read_field_csv_names_a_line_that_loadtxt_skips(tmp_path, monkeypatch):
+    """Were loadtxt to skip a whitespace-only line as blank, the reader would
+    still name it: every line that is not empty must become a row."""
+    lines = _field_csv_lines(tmp_path, 2, 10)
+    lines[50] = " \t "
+    path = tmp_path / "field.csv"
+    path.write_text("\n".join(lines) + "\n")
+    loadtxt = np.loadtxt
+
+    def skips_whitespace(text, *args, **kwargs):
+        return loadtxt([line for line in text if line.strip()], *args, **kwargs)
+
+    monkeypatch.setattr(cli.np, "loadtxt", skips_whitespace)
+    with pytest.raises(cli.ConfigError, match=re.escape(f"{path}:51: expected 6 cells, got 1")):
+        cli.read_field_csv(path)
+
+
+def test_read_field_csv_memory_stays_bounded_by_a_block(tmp_path):
+    # 51^3 points: per block the reader keeps only the i_j, rho and Rsum
+    # columns, so it peaks near 17 MB, mostly the result and its checks.
+    # Whole-file loadtxt records, p_j text included, would pass 30 MB.
+    field = run(GridSpec.from_delta(3, 0.02), builtin_table("min", 3),
+                t_max=2, eps=1e-300).bank.max_field()
+    cli.write_field_csv(tmp_path / "field.csv", field, "max")
+    tracemalloc.start()
+    try:
+        loaded = cli.read_field_csv(tmp_path / "field.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(loaded.data.view(np.uint64), field.data.view(np.uint64))
+    assert peak < 20e6
+
+
+def test_read_field_csv_passes_on_a_rejection_it_cannot_place(tmp_path, monkeypatch):
+    """Were loadtxt to reject a block for a reason that no single line or
+    cell shows, the error names the block's lines and keeps numpy's text."""
+    lines = _field_csv_lines(tmp_path, 2, 10)
+    path = tmp_path / "field.csv"
+    path.write_text("\n".join(lines[:1] + ["", ""] + lines[1:]) + "\n")
+    loadtxt = np.loadtxt
+
+    def rejects_blocks(text, *args, **kwargs):
+        if len(text) > 1:
+            raise ValueError("a whole-block complaint")
+        return loadtxt(text, *args, **kwargs)
+
+    monkeypatch.setattr(cli.np, "loadtxt", rejects_blocks)
+    with pytest.raises(cli.ConfigError, match=re.escape(
+            f"{path}:2-124: a whole-block complaint")):
+        cli.read_field_csv(path)
+
+
+def _python_reads_more(cell: str) -> bool:
+    """Whether int() or float() may accept cell where numpy's parser does
+    not: it has an underscore, or it is an integer outside int64."""
+    try:
+        return "_" in cell or abs(int(cell)) >= 2**63
+    except ValueError:
+        return False
+
+
+def test_read_field_csv_matches_per_cell_reader_on_any_one_edit(tmp_path,
+                                                                per_cell_read_field_csv):
+    """One cell or line replaced by arbitrary text: the reader returns the
+    same bits or raises the same ConfigError as the per-cell reference,
+    unless int() or float() reads the text more leniently; then the reader
+    rejects it.  No error falls back to naming a whole block."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    lines = _field_csv_lines(tmp_path, 2, 10)
+    path = tmp_path / "field.csv"
+    junk = st.text(alphabet=' \t,"\x00\x1f_.+-eE0159ainfx\xe9\u20ac\u2003', max_size=8) | \
+        st.sampled_from(["", " ", "1.0", "1_0", "nan", "inf", "-inf", "0x1", "1e5",
+                         " 1 ", "+1", "-0", "9" * 30, "0.5", "0.5\x00", "1\x1f"])
+
+    @hypothesis.settings(max_examples=300, deadline=None,
+                         suppress_health_check=list(hypothesis.HealthCheck))
+    @hypothesis.given(st.integers(1, len(lines) - 1), st.integers(-1, 5), junk)
+    def check(row, col, cell):
+        text = list(lines)
+        cells = text[row].split(",")
+        if col < 0:
+            cells = [cell]
+        else:
+            cells[col] = cell
+        text[row] = ",".join(cells)
+        path.write_text("\n".join(text) + "\n")
+        (new, new_error), (ref, ref_error) = _read_both(path, per_cell_read_field_csv)
+        if _python_reads_more(cell):
+            assert new_error is not None
+        else:
+            assert new_error == ref_error
+            if new_error is None:
+                assert np.array_equal(new.data.view(np.uint64), ref.data.view(np.uint64))
+        assert not re.search(r":\d+-\d+: ", new_error or "")
+
+    check()
 
 
 def test_jsonable_spells_non_finite():

@@ -902,7 +902,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--k", type=int, required=True, help="transmitting node")
     p_oracle.add_argument("--search-step", type=float, default=0.02,
                           help="conditional-search grid step")
-    p_oracle.add_argument("--u1-cardinality", type=int, default=3)
+    p_oracle.add_argument("--u1-cardinality", type=int, default=3,
+                          help="message alphabet size |U|; a search whose per-point tables "
+                               "pass 256 MiB (e.g. |U| >= 5 at step 0.02) exits 2")
     p_oracle.add_argument("--point", action="append", default=[],
                           metavar="P1,P2,...", help="pmf to check (repeatable)")
     p_oracle.add_argument("--n-random", type=int, default=0,

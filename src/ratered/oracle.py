@@ -3,27 +3,26 @@
 For one transmitting node with a binary alphabet, the best single message
 is an arbitrary conditional from that coordinate to a small auxiliary
 alphabet.  This module enumerates every row-stochastic 2 x |U| conditional
-whose entries lie on a step-delta grid, keeps those that make the target
-almost surely constant given every live message value, and maximizes the
-expected posterior joint entropy.  Feasibility is decided combinatorially
-(constancy of the target on the posterior's product support, with supports
-read off exact zeros) — never by thresholding a conditional entropy.
+on a step-delta grid, keeps those that make the target almost surely
+constant given every live message value, and maximizes the expected
+posterior joint entropy.  Feasibility is decided combinatorially (constancy
+of the target on the posterior's product support, with supports read off
+exact zeros) — never by thresholding a conditional entropy.
 
-Every pair of conditional rows (given X_k = 0, given X_k = 1) is still
-searched; nothing is pruned.  What is shared is the per-message-value
-arithmetic: the contribution of message value u to a pair, and whether u
-keeps the target constant, depend only on the pmf and on the entry pair
-(given0[u], given1[u]) = (a/n, b/n).  They are computed once per point on
-the (n+1) x (n+1) entry table and gathered per pair, so each pair costs |U|
-table lookups and additions instead of a full posterior evaluation.
-
-Nothing here touches the envelope code path; agreement between the two is
-a genuine cross-check, limited only by the search-grid resolution.
+Every pair of conditional rows (given X_k = 0, given X_k = 1) is searched;
+nothing is pruned.  A message value's term in a pair, and whether it keeps
+the target constant, depend only on the pmf and on its entry pair
+(given0[u], given1[u]) = (a/n, b/n), so they are tabled once per point.
+Runs of given0 rows then read each value's terms as a view of its table
+(`_feasible_chunks`), and a pair costs |U| additions.  Nothing here touches
+the envelope code; agreement between the two is a genuine cross-check,
+limited only by the search-grid resolution.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 
@@ -38,6 +37,10 @@ from .target_functions import FunctionTable
 # np.sum along a contiguous axis shorter than this is a left fold; from this
 # length on numpy switches to its eight-accumulator pairwise summation.
 _LEFT_FOLD_TERMS = 8
+# floats per temporary of the search (1 MB) and bytes of one point's tables
+_TEMP_FLOATS = 1 << 17
+_TABLE_BYTES = 1 << 28
+_ENTRY_BYTES = 101  # tracemalloc peak of _entry_tables per (a, b) entry
 
 
 @dataclass(frozen=True)
@@ -46,7 +49,10 @@ class ConditionalSearchSpec:
 
     u1_cardinality of 3 (binary source alphabet plus one) already spans
     every achievable value; it is a knob so that monotonicity in the
-    auxiliary alphabet size stays testable.
+    auxiliary alphabet size stays testable.  A search whose per-point tables
+    (a float and a bool per message value, table row and conditional row,
+    plus the entry tables) would pass _TABLE_BYTES is rejected before any
+    row is built.
     """
 
     k: int
@@ -55,10 +61,15 @@ class ConditionalSearchSpec:
 
     def __post_init__(self) -> None:
         if self.u1_cardinality < 1:
-            raise ConfigError(
-                f"u1_cardinality must be >= 1, got {self.u1_cardinality}"
-            )
-        self.n_search_steps  # raises ConfigError unless search_step is 1/N
+            raise ConfigError(f"u1_cardinality must be >= 1, got {self.u1_cardinality}")
+        n, parts = self.n_search_steps, self.u1_cardinality
+        rows = math.comb(n + parts - 1, parts - 1)
+        table_bytes = 9 * parts * (n + 1) * rows + _ENTRY_BYTES * (n + 1) ** 2
+        if table_bytes > _TABLE_BYTES:
+            raise ConfigError(f"u1_cardinality {parts} at search_step {self.search_step:g} "
+                              f"needs {rows:,} conditional rows, {rows * rows:,} pairs and "
+                              f"{table_bytes:,} bytes of tables per point, over the "
+                              f"{_TABLE_BYTES:,}-byte limit")
 
     @property
     def n_search_steps(self) -> int:
@@ -69,18 +80,12 @@ class ConditionalSearchSpec:
 @lru_cache(maxsize=None)
 def _stochastic_rows(n_steps: int, parts: int) -> np.ndarray:
     """All compositions of n_steps into `parts` non-negative integers, in
-    lexicographic order (deterministic tie-breaking downstream); row / n_steps
-    is a probability row on the 1/n_steps grid.  Read-only: it is cached."""
-
-    def compositions(total: int, slots: int):
-        if slots == 1:
-            yield (total,)
-            return
-        for first in range(total + 1):
-            for rest in compositions(total - first, slots - 1):
-                yield (first,) + rest
-
-    rows = np.array(list(compositions(n_steps, parts)), dtype=np.intp)
+    lexicographic order (deterministic tie-breaking downstream), read off
+    the bar positions of stars and bars; row / n_steps is a probability row
+    on the 1/n_steps grid.  Read-only: it is cached."""
+    bars = list(itertools.combinations(range(n_steps + parts - 1), parts - 1))
+    bars = np.array(bars, dtype=np.intp).reshape(len(bars), parts - 1)
+    rows = np.diff(bars, prepend=-1, append=n_steps + parts - 1, axis=1) - 1
     rows.flags.writeable = False
     return rows
 
@@ -98,9 +103,8 @@ def _support_constancy(f: FunctionTable, p: ProductPmf, k: int) -> tuple[bool, b
     return constant_over((0,)), constant_over((1,)), constant_over((0, 1))
 
 
-def _entry_tables(
-    pk: float, n_steps: int, constancy: tuple[bool, bool, bool]
-) -> tuple[np.ndarray, np.ndarray]:
+def _entry_tables(pk: float, n_steps: int,
+                  constancy: tuple[bool, bool, bool]) -> tuple[np.ndarray, np.ndarray]:
     """Per message value u with given0[u] = a/n and given1[u] = b/n: its term
     P(U=u) h(P(X_k=1 | U=u)) and whether it is admissible (dead, or leaving f
     constant), as (n+1) x (n+1) tables indexed [a, b].  Each entry is the
@@ -128,50 +132,68 @@ def _entry_tables(
 
 
 def _feasible_chunks(p: ProductPmf, f: FunctionTable, spec: ConditionalSearchSpec):
-    """Every (given0 row, given1 row) pair of the search grid, in chunks of
-    given0 rows that keep each temporary near 1 MB.  Yields, per chunk that
-    holds a feasible pair, the summed message-value terms of each pair,
-    shape (chunk, rows), and which pairs are feasible (None when all are).
+    """Every (given0 row, given1 row) pair of the search grid, by slices of
+    consecutive given0 rows.  Yields, per slice holding a feasible pair, its
+    first given0 row, each pair's summed message-value terms, shape (slice,
+    rows), and which pairs are feasible (None when all are).
 
-    A pair's |U| terms are gathered from the per-entry table and summed in
-    the order np.sum uses along a length-|U| axis: a left fold
-    ((t_0 + t_1) + t_2) + ... below eight terms, np.sum itself from there on.
-    A pair is feasible when each of its message values is admissible.
+    In lexicographic order, the rows sharing their first |U| - 2 entries
+    form a run of rem + 1 rows whose entry |U| - 2 counts up 0..rem while
+    the last counts down rem..0.  Over a run, the terms of each of the first
+    |U| - 2 values are one table row, broadcast; value |U| - 2 reads the
+    slice [0:rem + 1] and the last value the reversed slice [rem::-1].  Runs
+    are cut into slices of _TEMP_FLOATS // rows + 1 given0 rows, so each
+    temporary stays near 1 MB.  The terms are summed as np.sum sums a
+    length-|U| axis: a left fold below eight terms, np.sum from there on.
+    The term tables are built at the first slice with a feasible pair.
     """
-    k = spec.k
     n_steps, parts = spec.n_search_steps, spec.u1_cardinality
-    term, admissible = _entry_tables(p[k - 1], n_steps, _support_constancy(f, p, k))
+    term, admissible = _entry_tables(p[spec.k - 1], n_steps, _support_constancy(f, p, spec.k))
 
-    # table[:, codes[:, u]][a, s] is the entry for given0[u] = a/n and the
-    # u-th entry of given1 row s
+    # tables(t)[u][a, s]: t's entry for given0[u] = a/n and the u-th entry of
+    # given1 row s; np.take keeps table rows contiguous (a fancy index does not)
     codes = _stochastic_rows(n_steps, parts)
-    terms = [term[:, codes[:, u]] for u in range(parts)]
-    oks = None if admissible.all() else [admissible[:, codes[:, u]] for u in range(parts)]
 
-    n_rows = codes.shape[0]
-    chunk = max(1, min(n_rows, (1 << 17) // max(n_rows, 1) + 1))
-    for lo in range(0, n_rows, chunk):
-        given0 = codes[lo : lo + chunk]
-        feasible = None
-        if oks is not None:
-            feasible = oks[0][given0[:, 0]]
-            for u in range(1, parts):
-                feasible &= oks[u][given0[:, u]]
-            if not feasible.any():
+    def tables(t):
+        return [np.take(t, codes[:, u], axis=1) for u in range(parts)]
+
+    oks, terms = (None if admissible.all() else tables(admissible)), None
+
+    def views(table, head, rem, j0, j1):
+        # the entries of given0 rows j0..j1-1 of the run (*head, j, rem - j)
+        out = [table[u][a] for u, a in enumerate(head)]
+        if parts > 1:
+            out.append(table[parts - 2][j0:j1])
+        out.append(table[parts - 1][rem - j1 + 1 : rem - j0 + 1][::-1])
+        return out
+
+    def fold(arrays, op):
+        # left fold, in place once the result is an array of its own and full size
+        acc = arrays[0]
+        for a in arrays[1:]:
+            acc = op(acc, a) if acc is arrays[0] or acc.ndim < a.ndim else op(acc, a, out=acc)
+        return acc
+
+    # each run as its shared entries and rem, in row order
+    runs = _stochastic_rows(n_steps, parts - 1).tolist() if parts > 1 else [[n_steps]]
+    span, lo = _TEMP_FLOATS // len(codes) + 1, 0
+    for *head, rem in runs:
+        length = rem + 1 if parts > 1 else 1
+        for j0 in range(0, length, span):
+            j1 = min(length, j0 + span)
+            feasible = None if oks is None else fold(views(oks, head, rem, j0, j1), np.logical_and)
+            if feasible is not None and not feasible.any():
                 continue
-        if parts < _LEFT_FOLD_TERMS:
-            total = terms[0][given0[:, 0]]
-            for u in range(1, parts):
-                total += terms[u][given0[:, u]]
-        else:
-            total = np.stack([terms[u][given0[:, u]] for u in range(parts)], axis=-1)
-            total = np.sum(total, axis=-1)
-        yield total, feasible
+            terms = terms or tables(term)
+            summands = views(terms, head, rem, j0, j1)
+            total = (fold(summands, np.add) if parts < _LEFT_FOLD_TERMS else
+                     np.sum(np.stack(np.broadcast_arrays(*summands), axis=-1), axis=-1))
+            yield lo + j0, total, feasible
+        lo += length
 
 
-def single_message_reduction(
-    p: ProductPmf, f: FunctionTable, spec: ConditionalSearchSpec
-) -> float:
+def single_message_reduction(p: ProductPmf, f: FunctionTable,
+                             spec: ConditionalSearchSpec) -> float:
     """Best rate reduction achievable with one message from node spec.k.
 
     Returns the maximal expected posterior joint entropy over all feasible
@@ -194,11 +216,9 @@ def single_message_reduction(
     for j in range(m):
         if j != spec.k - 1:
             base += binary_entropy(p[j])
-    best = BOTTOM
-    for total, feasible in _feasible_chunks(p, f, spec):
-        cand = float(total.max() if feasible is None else total[feasible].max())
-        if cand > best:
-            best = cand
+    best = BOTTOM  # max keeps it unless a chunk's maximum is greater, so never NaN
+    for _, total, feasible in _feasible_chunks(p, f, spec):
+        best = max(best, float(total.max() if feasible is None else total[feasible].max()))
     return base + best
 
 
@@ -238,12 +258,8 @@ def resolution_slack(search_step: float, m: int) -> float:
     return binary_entropy(min(search_step, 0.5)) + m * search_step
 
 
-def compare_with_envelope(
-    grid: GridSpec,
-    f: FunctionTable,
-    points: tuple[GridIndex, ...],
-    spec: ConditionalSearchSpec,
-) -> ComparisonReport:
+def compare_with_envelope(grid: GridSpec, f: FunctionTable, points: tuple[GridIndex, ...],
+                          spec: ConditionalSearchSpec) -> ComparisonReport:
     """Per-point gap between one envelope sweep of node spec.k and the
     brute-force search.
 
@@ -273,26 +289,10 @@ def compare_with_envelope(
             gap = float("inf") if env_feasible else float("-inf")
         else:
             gap = env - ora
-        rows.append(
-            ComparisonRow(
-                point=tuple(pt),
-                envelope_value=env,
-                oracle_value=ora,
-                gap=gap,
-                envelope_feasible=env_feasible,
-                oracle_feasible=ora_feasible,
-            )
-        )
+        rows.append(ComparisonRow(tuple(pt), env, ora, gap, env_feasible, ora_feasible))
         if abs(gap) > abs(worst):
             worst = gap
         if not (-1e-9 <= gap <= slack) or env_feasible != ora_feasible:
             ok = False
-    return ComparisonReport(
-        k=spec.k,
-        search_step=spec.search_step,
-        u1_cardinality=spec.u1_cardinality,
-        slack=slack,
-        worst_gap=worst,
-        within_contract=ok,
-        rows=tuple(rows),
-    )
+    return ComparisonReport(spec.k, spec.search_step, spec.u1_cardinality, slack, worst,
+                            ok, tuple(rows))

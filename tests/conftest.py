@@ -242,10 +242,11 @@ def per_line_membership():
     return check
 
 
-def _per_pair_chunks(p, f, spec):
+def _per_pair_chunks(p, f, spec, every_chunk=False):
     """The posterior of every (given0 row, given1 row, message value) triple
     evaluated in full, per chunk of given0 rows; yields, for each chunk with
-    a feasible pair, np.sum of each pair's terms and its feasibility."""
+    a feasible pair (every chunk if every_chunk), its first given0 row,
+    np.sum of each pair's terms and its feasibility."""
     k = spec.k
     pk = p[k - 1]
     ok0, ok1, ok01 = _support_constancy(f, p, k)
@@ -266,18 +267,19 @@ def _per_pair_chunks(p, f, spec):
         at_one = mass0 == 0.0
         u_ok = np.where(at_zero, ok0, np.where(at_one, ok1, ok01))
         feasible = np.all(u_ok | ~live, axis=-1)
-        if not np.any(feasible):
+        if not (every_chunk or np.any(feasible)):
             continue
         interior = live & ~at_zero & ~at_one
         h_post = np.zeros_like(post)
         q = post[interior]
         h_post[interior] = -(q * np.log2(q) + (1.0 - q) * np.log2(1.0 - q))
-        yield np.sum(p_u * h_post, axis=-1), feasible
+        yield lo, np.sum(p_u * h_post, axis=-1), feasible
 
 
 @pytest.fixture(scope="session")
 def per_pair_chunks():
-    """The per-chunk pair sums and feasibility of the per-pair search."""
+    """The per-chunk pair sums and feasibility of the per-pair search, each
+    chunk with its first given0 row."""
     return _per_pair_chunks
 
 
@@ -291,7 +293,7 @@ def per_pair_oracle():
             if j != spec.k - 1:
                 base += binary_entropy(p[j])
         best = BOTTOM
-        for sums, feasible in _per_pair_chunks(p, f, spec):
+        for _, sums, feasible in _per_pair_chunks(p, f, spec):
             values = base + sums
             cand = float(np.max(values[feasible]))
             if cand > best:

@@ -2,12 +2,14 @@
 tests pin its own behavior before the two are compared in the acceptance
 suite."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from conftest import grid_points
+from ratered import oracle
 from ratered.envelope import BOTTOM
 from ratered.errors import ConfigError
 from ratered.oracle import (
@@ -17,7 +19,7 @@ from ratered.oracle import (
     resolution_slack,
     single_message_reduction,
 )
-from ratered.probability import GridSpec, ProductPmf, product_entropy
+from ratered.probability import GridSpec, ProductPmf, binary_entropy, product_entropy
 from ratered.target_functions import BUILTIN_NAMES, builtin_table
 from test_lattice import SELECTOR3, SELECTOR4
 
@@ -44,6 +46,31 @@ class TestSearchSpec:
                            match=r"^search_step must be in \(0, 1\], got 2\.0$"):
             ConditionalSearchSpec(k=1, search_step=2.0)
         assert ConditionalSearchSpec(k=1, search_step=0.04).n_search_steps == 25
+
+    def test_rejects_search_too_large_to_build(self):
+        # |U| = 8 at step 0.02 would list C(57, 7) conditional rows; the spec
+        # refuses it from the row count alone
+        with pytest.raises(ConfigError, match=(
+                r"^u1_cardinality 8 at search_step 0\.02 needs 264,385,836 conditional "
+                r"rows, 69,899,870,277,418,896 pairs and 970,825,052,493 bytes of tables "
+                r"per point, over the 268,435,456-byte limit$")):
+            ConditionalSearchSpec(k=1, search_step=0.02, u1_cardinality=8)
+        with pytest.raises(ConfigError, match=r"316,251 conditional rows"):
+            ConditionalSearchSpec(k=1, search_step=0.02, u1_cardinality=5)
+        # one row, but an entry table of 10,001 x 10,001 cells
+        with pytest.raises(ConfigError, match=r"needs 1 conditional rows, 1 pairs and "
+                                              r"10,102,110,110 bytes"):
+            ConditionalSearchSpec(k=1, search_step=1e-4, u1_cardinality=1)
+
+    def test_table_bound_is_inclusive(self, monkeypatch):
+        # step 0.02, |U| = 4: 23,426 rows, 9 bytes for each of 4 * 51 * 23,426
+        # search-table and 101 for each of 51 * 51 entry-table cells
+        table_bytes = 9 * 4 * 51 * math.comb(53, 3) + 101 * 51 * 51
+        monkeypatch.setattr(oracle, "_TABLE_BYTES", table_bytes)
+        ConditionalSearchSpec(k=1, search_step=0.02, u1_cardinality=4)
+        monkeypatch.setattr(oracle, "_TABLE_BYTES", table_bytes - 1)
+        with pytest.raises(ConfigError, match=r"23,426 conditional rows"):
+            ConditionalSearchSpec(k=1, search_step=0.02, u1_cardinality=4)
 
     def test_rejects_bad_step_range(self):
         with pytest.raises(ConfigError):
@@ -133,6 +160,24 @@ def _same_bits(per_pair_oracle, pmf, f, spec):
     return new
 
 
+def _whole_matrix(chunks, n_rows):
+    """Pair sums and feasibility of (first given0 row, sums, feasibility)
+    slices, concatenated into given0 x given1 matrices; also which given0
+    rows some slice holds and the longest slice."""
+    sums = np.zeros((n_rows, n_rows))
+    feasible = np.zeros((n_rows, n_rows), dtype=bool)
+    covered = np.zeros(n_rows, dtype=bool)
+    longest = 0
+    for lo, total, ok in chunks:
+        hi = lo + total.shape[0]
+        assert total.shape == (hi - lo, n_rows) and not covered[lo:hi].any()
+        covered[lo:hi] = True
+        sums[lo:hi] = total
+        feasible[lo:hi] = True if ok is None else ok
+        longest = max(longest, hi - lo)
+    return sums, feasible, covered, longest
+
+
 class TestAgainstPerPairSearch:
     """The table-driven search returns the per-pair reference's bits."""
 
@@ -174,31 +219,43 @@ class TestAgainstPerPairSearch:
                                                  u1_cardinality=parts)
                     _same_bits(per_pair_oracle, ProductPmf(p), f, spec)
 
-    @pytest.mark.parametrize("name, p, k, steps, parts", [
-        ("constant", (0.3, 0.6, 0.137), 3, 10, 3),
-        ("constant", (0.3, 0.6, 0.71), 2, 5, 4),
-        ("min", (0.0, 0.45, 0.3), 3, 10, 3),
-        ("min", (1.0, 1.0, 0.5), 3, 50, 3),
-        ("parity", (0.3, 0.0, 1.0), 1, 4, 3),
-        ("constant", (0.2, 0.6, 0.3), 3, 4, 8),
-        ("constant", (0.71, 0.6, 0.2), 1, 4, 9),
+    @pytest.mark.parametrize("name, p, k, steps, parts, temp_floats", [
+        ("constant", (0.3, 0.6, 0.137), 3, 10, 3, None),
+        ("constant", (0.3, 0.6, 0.71), 2, 5, 4, None),
+        ("min", (0.0, 0.45, 0.3), 3, 10, 3, None),
+        ("min", (1.0, 1.0, 0.5), 3, 50, 3, None),
+        ("parity", (0.3, 0.0, 1.0), 1, 4, 3, None),
+        ("constant", (0.2, 0.6, 0.3), 3, 4, 8, None),
+        ("constant", (0.71, 0.6, 0.2), 1, 4, 9, None),
+        ("constant", (0.3, 0.6, 0.71), 2, 10, 1, None),
+        ("min", (1.0, 1.0, 0.5), 3, 10, 2, None),
+        ("min", (0.0, 0.45, 0.3), 3, 10, 3, 100),
+        ("min", (1.0, 1.0, 0.5), 3, 10, 4, 300),
+        ("constant", (0.2, 0.6, 0.3), 3, 4, 8, 100),
     ], ids=["constant-u3", "constant-u4", "min-u3", "min-step50", "parity-u3",
-            "constant-u8", "constant-u9"])
-    def test_every_pair_sum_bitwise(self, name, p, k, steps, parts, per_pair_chunks):
+            "constant-u8", "constant-u9", "constant-u1", "min-u2", "min-u3-split",
+            "min-u4-split", "constant-u8-split"])
+    def test_every_pair_sum_bitwise(self, name, p, k, steps, parts, temp_floats,
+                                    per_pair_chunks, monkeypatch):
         # the maximum hides the summation order (many pairs tie at it), so
-        # every pair of every chunk is compared
+        # the sum and the feasibility of every pair are compared; a smaller
+        # temporary bound cuts the search into more, shorter slices
+        if temp_floats is not None:
+            monkeypatch.setattr(oracle, "_TEMP_FLOATS", temp_floats)
         f = builtin_table(name, 3)
         pmf = ProductPmf(p)
         spec = ConditionalSearchSpec(k=k, search_step=1 / steps, u1_cardinality=parts)
-        got = list(_feasible_chunks(pmf, f, spec))
-        want = list(per_pair_chunks(pmf, f, spec))
-        assert len(got) == len(want) > 0
-        for (total, feasible), (sums, ref_feasible) in zip(got, want):
-            assert np.array_equal(total.view(np.uint64), sums.view(np.uint64))
-            if feasible is None:
-                assert ref_feasible.all()
-            else:
-                assert np.array_equal(ref_feasible, feasible)
+        n_rows = math.comb(steps + parts - 1, parts - 1)
+        got, got_feasible, covered, longest = _whole_matrix(
+            _feasible_chunks(pmf, f, spec), n_rows)
+        want, want_feasible, _, _ = _whole_matrix(
+            per_pair_chunks(pmf, f, spec, every_chunk=True), n_rows)
+        assert covered.any()
+        # a given0 row is left out only when none of its pairs is feasible
+        assert np.array_equal(got_feasible, want_feasible)
+        assert np.array_equal(got[covered].view(np.uint64), want[covered].view(np.uint64))
+        if temp_floats is not None:
+            assert longest <= temp_floats // n_rows + 1 < steps + 1
 
     @pytest.mark.parametrize("name, index, feasible", [
         ("min", (5, 5, 5), False),
@@ -210,6 +267,57 @@ class TestAgainstPerPairSearch:
         spec = ConditionalSearchSpec(k=3, search_step=0.02, u1_cardinality=3)
         value = _same_bits(per_pair_oracle, pmf, builtin_table(name, 3), spec)
         assert (value != BOTTOM) == feasible
+
+
+def _closed_form(pmf, f, k, parts):
+    """What the search must return, from the supports alone: BOTTOM when no
+    pair of rows is feasible; base (every feasible pair sums to exactly 0)
+    when some message value can be inadmissible; else base plus the
+    largest pair sum, h(p_k) up to rounding.  As (kind, base, p_k)."""
+    supports = [pmf.support(j) for j in range(f.m)]
+
+    def constant(sk):
+        points = itertools.product(*supports[: k - 1], sk, *supports[k:])
+        return len({f(x) for x in points}) == 1
+
+    ok0, ok1, ok01 = constant((0,)), constant((1,)), constant((0, 1))
+    pk = pmf[k - 1]
+    base = 0.0
+    for j in range(f.m):
+        if j != k - 1:
+            base += binary_entropy(pmf[j])
+    if ok01 or (pk == 0.0 and ok0) or (pk == 1.0 and ok1):
+        return "every entry admissible", base, pk
+    # with 0 < p_k < 1 a feasible pair puts given0 and given1 on disjoint
+    # message values, those of given0 needing ok0 and those of given1 ok1
+    if 0.0 < pk < 1.0 and ok0 and ok1 and parts >= 2:
+        return "base", base, pk
+    return "bottom", base, pk
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_closed_form_cross_check(name):
+    # every (point, node) of the delta = 0.25 grid under one of four specs,
+    # cycled, reaching the benchmark's step 0.02 where the per-pair
+    # reference is too slow for more than a few points
+    f = builtin_table(name, 3)
+    specs = [(50, 3), (4, 1), (10, 2), (5, 4)]
+    seen = set()
+    for i, (_index, pmf) in enumerate(grid_points(GridSpec.from_delta(3, 0.25))):
+        for k in (1, 2, 3):
+            steps, parts = specs[(3 * i + k) % len(specs)]
+            spec = ConditionalSearchSpec(k=k, search_step=1 / steps, u1_cardinality=parts)
+            value = single_message_reduction(pmf, f, spec)
+            kind, base, pk = _closed_form(pmf, f, k, parts)
+            seen.add(kind)
+            if kind == "bottom":
+                assert value == BOTTOM, (pmf, k, spec)
+            elif kind == "base":
+                assert value == base, (pmf, k, spec)
+            else:
+                low = base + binary_entropy(pk)
+                assert low <= value <= np.nextafter(low, np.inf), (pmf, k, spec, value, low)
+    assert "every entry admissible" in seen
 
 
 class TestCompareWithEnvelope:

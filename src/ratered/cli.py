@@ -546,12 +546,13 @@ def cmd_run(args: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
     emit = set(emit) | {"report-json"}
     artifacts: list[str] = []
+    h = entropy_grid(grid) if "fields-csv" in emit or slice_rec is not None else None
 
     if "fields-csv" in emit:
         items = [(out / f"field_k{k}.csv", str(k), result.bank.field_for(k).data)
                  for k in range(1, args.m + 1)]
         items.append((out / "field_max.csv", "max", result.bank.max_data()))
-        _write_grid_csv(items, list(range(1, args.m + 1)), entropy_grid(grid), grid)
+        _write_grid_csv(items, list(range(1, args.m + 1)), h, grid)
         artifacts += [path.name for path, _, _ in items]
     if "trace-csv" in emit and tracked_idx:
         write_trace_csv(out / "trace.csv", result)
@@ -580,7 +581,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         name = f"slice_p{axis}_{slice_rec['snapped_value']:g}".replace(".", "p") + ".csv"
         _write_grid_csv([(out / name, label, rho[sl])],
                         [j for j in range(1, args.m + 1) if j != axis],
-                        entropy_grid(grid)[sl], grid)
+                        h[sl], grid)
         artifacts.append(name)
 
     metadata = {

@@ -9,8 +9,13 @@ posterior joint entropy.  Feasibility is decided combinatorially (constancy
 of the target on the posterior's product support, with supports read off
 exact zeros) — never by thresholding a conditional entropy.
 
-Every pair of conditional rows (given X_k = 0, given X_k = 1) is searched;
-nothing is pruned.  A message value's term in a pair, and whether it keeps
+Every pair of conditional rows (given X_k = 0, given X_k = 1) is searched,
+up to its mirror: swapping entries 0 and 1 of both rows gives a pair of the
+grid with the same terms and admissibility.  Below eight values the terms
+are summed by a left fold, whose first addition commutes, so the mirror has
+the same sum bits and only given0 rows with entry 0 <= entry 1 are summed;
+from eight on np.sum's pairwise order does not add t_0 + t_1 first, so
+every row is.  A message value's term in a pair, and whether it keeps
 the target constant, depend only on the pmf and on its entry pair
 (given0[u], given1[u]) = (a/n, b/n), so they are tabled once per point.
 Runs of given0 rows then read each value's terms as a view of its table
@@ -132,10 +137,13 @@ def _entry_tables(pk: float, n_steps: int,
 
 
 def _feasible_chunks(p: ProductPmf, f: FunctionTable, spec: ConditionalSearchSpec):
-    """Every (given0 row, given1 row) pair of the search grid, by slices of
-    consecutive given0 rows.  Yields, per slice holding a feasible pair, its
-    first given0 row, each pair's summed message-value terms, shape (slice,
-    rows), and which pairs are feasible (None when all are).
+    """Every (given0 row, given1 row) pair of the search grid, up to its
+    mirror, by slices of consecutive given0 rows.  Yields, per slice holding
+    a feasible pair, its first given0 row, each pair's summed message-value
+    terms, shape (slice, rows), and which pairs are feasible (None when all
+    are).  For 2 <= |U| < 8 only given0 rows with entry 0 <= entry 1 are
+    summed: (j, n - j) for j <= n // 2, (head[0], j, rem - j) for j >=
+    head[0], and whole runs with head[0] <= head[1].
 
     In lexicographic order, the rows sharing their first |U| - 2 entries
     form a run of rem + 1 rows whose entry |U| - 2 counts up 0..rem while
@@ -179,8 +187,11 @@ def _feasible_chunks(p: ProductPmf, f: FunctionTable, spec: ConditionalSearchSpe
     span, lo = _TEMP_FLOATS // len(codes) + 1, 0
     for *head, rem in runs:
         length = rem + 1 if parts > 1 else 1
-        for j0 in range(0, length, span):
-            j1 = min(length, j0 + span)
+        start = head[0] if parts == 3 else 0
+        stop = (rem // 2 + 1 if parts == 2 else
+                0 if 3 < parts < _LEFT_FOLD_TERMS and head[1] < head[0] else length)
+        for j0 in range(start, stop, span):
+            j1 = min(stop, j0 + span)
             feasible = None if oks is None else fold(views(oks, head, rem, j0, j1), np.logical_and)
             if feasible is not None and not feasible.any():
                 continue
@@ -200,7 +211,8 @@ def single_message_reduction(p: ProductPmf, f: FunctionTable,
     searched conditionals, or BOTTOM when none makes f almost surely
     constant for every live message value.
 
-    Every pair of conditional rows is evaluated (`_feasible_chunks`).  The
+    Every pair of conditional rows is evaluated, or read off its mirror, a
+    pair with the same sum bits and feasibility (`_feasible_chunks`).  The
     entropy of the other coordinates, base, is added once, after the
     maximum: rounding to nearest is monotone, so fl(base + max S) equals
     max fl(base + S), the maximum over the feasible pairs of base plus the
@@ -218,7 +230,8 @@ def single_message_reduction(p: ProductPmf, f: FunctionTable,
             base += binary_entropy(p[j])
     best = BOTTOM  # max keeps it unless a chunk's maximum is greater, so never NaN
     for _, total, feasible in _feasible_chunks(p, f, spec):
-        best = max(best, float(total.max() if feasible is None else total[feasible].max()))
+        best = max(best, float(total.max() if feasible is None else
+                               np.max(total, where=feasible, initial=BOTTOM)))
     return base + best
 
 

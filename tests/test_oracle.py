@@ -178,6 +178,13 @@ def _whole_matrix(chunks, n_rows):
     return sums, feasible, covered, longest
 
 
+def _mirror(rows):
+    """For each conditional row, the index of the row with its entries 0
+    and 1 swapped."""
+    index = {tuple(row): i for i, row in enumerate(rows.tolist())}
+    return np.array([index[(b, a, *rest)] for a, b, *rest in rows.tolist()])
+
+
 class TestAgainstPerPairSearch:
     """The table-driven search returns the per-pair reference's bits."""
 
@@ -232,14 +239,18 @@ class TestAgainstPerPairSearch:
         ("min", (0.0, 0.45, 0.3), 3, 10, 3, 100),
         ("min", (1.0, 1.0, 0.5), 3, 10, 4, 300),
         ("constant", (0.2, 0.6, 0.3), 3, 4, 8, 100),
+        ("constant", (0.3, 0.6, 0.71), 2, 4, 5, None),
+        ("min", (1.0, 1.0, 0.5), 3, 3, 7, None),
+        ("constant", (0.3, 0.6, 0.71), 2, 4, 2, None),
     ], ids=["constant-u3", "constant-u4", "min-u3", "min-step50", "parity-u3",
             "constant-u8", "constant-u9", "constant-u1", "min-u2", "min-u3-split",
-            "min-u4-split", "constant-u8-split"])
+            "min-u4-split", "constant-u8-split", "constant-u5", "min-u7", "constant-u2"])
     def test_every_pair_sum_bitwise(self, name, p, k, steps, parts, temp_floats,
                                     per_pair_chunks, monkeypatch):
-        # the maximum hides the summation order (many pairs tie at it), so
-        # the sum and the feasibility of every pair are compared; a smaller
-        # temporary bound cuts the search into more, shorter slices
+        # the maximum hides the summation order and a skipped row (dead
+        # message values make many pairs tie at it), so the sum and the
+        # feasibility of every pair are compared; a smaller temporary bound
+        # cuts the search into more, shorter slices
         if temp_floats is not None:
             monkeypatch.setattr(oracle, "_TEMP_FLOATS", temp_floats)
         f = builtin_table(name, 3)
@@ -251,9 +262,22 @@ class TestAgainstPerPairSearch:
         want, want_feasible, _, _ = _whole_matrix(
             per_pair_chunks(pmf, f, spec, every_chunk=True), n_rows)
         assert covered.any()
-        # a given0 row is left out only when none of its pairs is feasible
-        assert np.array_equal(got_feasible, want_feasible)
+        assert np.array_equal(got_feasible[covered], want_feasible[covered])
         assert np.array_equal(got[covered].view(np.uint64), want[covered].view(np.uint64))
+        # below eight message values a row is left for its mirror, the pair
+        # with entries 0 and 1 of both rows swapped, when its entry 0 is the
+        # greater: same bits and feasibility; from eight on np.sum's order
+        # keeps every row
+        if 2 <= parts < 8:
+            rows = oracle._stochastic_rows(steps, parts)
+            assert (rows[covered, 0] <= rows[covered, 1]).all()
+            mirror = _mirror(rows)
+            assert np.array_equal(want[mirror][:, mirror].view(np.uint64),
+                                  want.view(np.uint64))
+            assert np.array_equal(want_feasible[mirror][:, mirror], want_feasible)
+            covered |= covered[mirror]
+        # a row is left out (with its mirror) only when none of its pairs is feasible
+        assert covered[want_feasible.any(axis=1)].all()
         if temp_floats is not None:
             assert longest <= temp_floats // n_rows + 1 < steps + 1
 

@@ -10,6 +10,7 @@ brute-force single-message search.
 
 from .certify import MembershipReport, check_membership, lower_bound_from
 from .errors import ConfigError, NotCertifiedError
+from .fieldcsv import read_field_csv, write_field_csv
 from .lattice import RateReductionField, RunResult, run, sum_rate_field
 from .probability import GridSpec, ProductPmf
 from .target_functions import FunctionTable, builtin_table, load_table
@@ -31,6 +32,8 @@ __all__ = [
     "check_membership",
     "load_table",
     "lower_bound_from",
+    "read_field_csv",
     "run",
     "sum_rate_field",
+    "write_field_csv",
 ]

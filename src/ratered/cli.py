@@ -1,33 +1,22 @@
 """Command-line front end: run sweeps, certify fields, compare with the oracle.
 
-Artifacts are written with fixed, cross-language-friendly conventions:
-dense per-node field CSVs (one row per grid point, 17 significant digits,
-"inf"/"-inf" spellings), a long-format trace CSV, JSON metadata/reports
-(non-finite floats as the same strings), and self-contained SVG line plots
-with no plotting dependency.  CSV is the interface of record; identical
-configs produce byte-identical CSVs.  Field and slice CSVs are written,
-and field CSVs read, a block of rows at a time, so no whole-file text is
-held in memory.  A run's field CSVs are written in one pass: each
-distinct value of a block is formatted once for all of them, in numpy by
-decimal17.format_g17 (byte for byte Python's "%.17g"), and the rows of a
-block are assembled as bytes, with no Python object per cell.  A field
-CSV is read with one np.loadtxt call per block, numpy's C text reader,
-which parses floats bit-exactly; it is stricter than int() and float()
-(read_field_csv lists the spellings it rejects), and a block it rejects is
-walked again in Python only to name the bad line and cell.
+A command writes its artifacts with fixed, cross-language-friendly
+conventions: dense per-node field CSVs in the ratered.fieldcsv format (the
+interface of record; identical configs give byte-identical CSVs), a
+long-format trace CSV, JSON metadata and reports (non-finite floats as the
+strings "inf", "-inf" and "nan"), and self-contained SVG line plots with no
+plotting dependency.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import itertools
 import json
 import math
 import re
 import sys
 import time
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -35,10 +24,13 @@ import numpy as np
 from .certify import assess_optimality, check_tol
 from .envelope import BOTTOM
 from .errors import ConfigError
-from .lattice import RateReductionField, RunResult, _sum_rate, check_budget, run, sum_rate_field
+from .fieldcsv import _fmt, _write_grid_csv, read_field_csv
+from .lattice import RunResult, check_budget, run
 from .oracle import ConditionalSearchSpec, compare_with_envelope
-# Unused here; kept because perfbench/tracer.py wraps ratered.cli.check_membership.
+# Unused here; kept because perfbench/tracer.py wraps ratered.cli.check_membership
+# and ratered.cli.write_field_csv.
 from .certify import check_membership  # noqa: F401
+from .fieldcsv import write_field_csv  # noqa: F401
 from .probability import GridIndex, GridSpec, entropy_grid
 from .target_functions import BUILTIN_NAMES, FunctionTable, builtin_table, load_table
 
@@ -51,28 +43,9 @@ CONVERGENCE_CAVEAT = (
     "and a finer grid step can keep the values growing"
 )
 
-# Rows per block when a field CSV is written or read; bounds the row and cell
-# strings held in memory at once.
-_CSV_BLOCK = 4096
-# Width of a p_j cell as read: one more than the longest "%.17g" of any float
-# ("-2.2250738585072014e-308"), so a longer cell, which loadtxt cuts to this
-# width, still spells no grid value.
-_P_WIDTH = 25
-# What loadtxt is given in place of NUL, which numpy drops from the end of a
-# text cell, and of "\x1f", which it strips from around a number as
-# whitespace where int() and float() reject it: U+FFFD, which no valid cell
-# holds and no number parser accepts, so the cell stays bad.
-_UNREAD = {0x00: "\ufffd", 0x1F: "\ufffd"}
-
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 # stroke-dasharray per dash index; index 0 is a solid line (no attribute)
 _DASHES = (None, "6,3", "2,2", "8,3,2,3")
-
-
-def _fmt(x: float) -> str:
-    """Decimal serialization at 17 significant digits; round-trips float64
-    bit-exactly and spells the infinities 'inf' / '-inf'."""
-    return "%.17g" % x
 
 
 def _jsonable(obj):
@@ -144,245 +117,6 @@ def _parse_slice(text: str, m: int) -> tuple[int, float]:
     return axis, value
 
 
-# ---------------------------------------------------------------------------
-# field CSV format
-
-
-def _cell_table(cells: list[str]) -> np.ndarray:
-    """The ASCII bytes of each cell, left-aligned in the rows of a uint8
-    matrix and padded with zero bytes."""
-    width = max(map(len, cells))
-    text = np.array([c.encode() for c in cells], dtype=f"S{width}")
-    return text.view(np.uint8).reshape(len(cells), width)
-
-
-def _write_grid_csv(items: list, axes: list, h: np.ndarray, grid: GridSpec) -> None:
-    """Dense dumps of fields on one grid, one file per (path, label, rho) in
-    items.  Each rho has the shape of h, the joint entropy, with one
-    dimension per 1-based grid axis in axes.  A file has one row per cell in
-    row-major index order: the indices, their grid values, rho and Rsum
-    (lattice._sum_rate: h - rho, inf where rho is BOTTOM).
-
-    The files are written in one pass, _CSV_BLOCK rows at a time, so memory
-    stays bounded by a block whatever the grid size.  Per block, the
-    distinct floats of every file are formatted once, by
-    decimal17.format_g17 (keyed by their bits, so -0.0 and 0.0 stay apart).
-    The block's rows are laid out in one uint8 matrix, each cell in a slot
-    padded with zero bytes, which no cell contains.  The index and
-    grid-value cells are gathered once for all files.  Per file, the rho
-    and Rsum slots, each as wide as the block's longest text, are gathered
-    from the formatted table, and the non-zero bytes are written with one
-    call.  No Python object is made per cell.
-    """
-    # Imported here: only this writer uses the formatter, so the commands
-    # that write no field CSV do not load it.
-    from .decimal17 import format_g17
-
-    prefix = [_cell_table([f"{i}," for i in range(grid.points_per_axis)])] * len(axes) \
-        + [_cell_table([_fmt(v) + "," for v in grid.axis_values()])] * len(axes)
-    prefix_width = sum(cells.shape[1] for cells in prefix)
-    with contextlib.ExitStack() as stack:
-        files = [stack.enter_context(open(path, "wb")) for path, _, _ in items]
-        for out, (_, label, _) in zip(files, items):
-            out.write((",".join([f"i_{j}" for j in axes] + [f"p_{j}" for j in axes]
-                                + [f"rho_{label}", f"Rsum_{label}"]) + "\n").encode())
-        for lo in range(0, h.size, _CSV_BLOCK):
-            hi = min(lo + _CSV_BLOCK, h.size)
-            # .flat slices a block in row-major order without copying a
-            # whole rho that is a rotated view.
-            values = np.empty((len(items), 2, hi - lo))
-            for v, (_, _, rho) in zip(values, items):
-                v[0] = rho.flat[lo:hi]
-                v[1] = _sum_rate(h.flat[lo:hi], v[0])
-            # A 1-D input keeps the inverse 1-D on every numpy version.
-            bits, inverse = np.unique(values.reshape(-1).view(np.uint64), return_inverse=True)
-            inverse = inverse.astype(np.int32).reshape(values.shape)
-            del values
-            text, length = format_g17(bits.view(np.float64))
-            del bits
-            width = int(length.max())
-            text = text[:, :width]
-            # A row: the prefix cells, rho, ",", Rsum, "\n".
-            rows = np.empty((hi - lo, prefix_width + 2 * width + 2), np.uint8)
-            at = 0
-            index = np.unravel_index(np.arange(lo, hi), h.shape)
-            for cells, i in zip(prefix, index + index):
-                rows[:, at : at + cells.shape[1]] = cells[i]
-                at += cells.shape[1]
-            rows[:, at + width], rows[:, -1] = ord(","), ord("\n")
-            slots = (slice(at, at + width), slice(at + width + 1, at + 2 * width + 1))
-            for out, cells in zip(files, inverse):
-                for slot, i in zip(slots, cells):
-                    rows[:, slot] = text[i]
-                out.write(rows[rows != 0])
-
-
-def write_field_csv(path: Path, field_in: RateReductionField, label: str) -> None:
-    """Dense dump, one row per grid point in row-major index order."""
-    grid = field_in.grid
-    _write_grid_csv([(path, label, field_in.data)], list(range(1, grid.m + 1)),
-                    entropy_grid(grid), grid)
-
-
-def _loadtxt(lines: list[str], dtype, **kwargs) -> np.ndarray:
-    """The rows of CSV lines by numpy's C text reader: no comment or quote
-    character, blank lines skipped.  An integer spelled as a float ("1.0"),
-    which numpy 1.x still reads under a DeprecationWarning, is rejected."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)
-        return np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1, **kwargs)
-
-
-def read_field_csv(path) -> RateReductionField:
-    """Re-ingest a field CSV bit-exactly.
-
-    The header must end in rho_<label>,Rsum_<label> with one non-empty
-    label.  Every cell is checked against the format write_field_csv
-    produces: rho must be finite or -inf, each p_j cell must read exactly as
-    the grid value of its i_j, and Rsum must equal sum_rate_field of the
-    parsed field bit for bit.  A bad cell is reported with its line number.
-
-    Each block of _CSV_BLOCK lines is parsed by one np.loadtxt call.
-    Floats are read bit-exactly, by the routine float() uses.  numpy's
-    parser is stricter than int() and float(): a number with an underscore
-    ("1_0" as an i_j, "1_5" as rho or Rsum) or with non-ASCII digits, and
-    an i_j outside int64, are bad cells here though int() and float() read
-    them.  An i_j spelled as a float ("1.0"), which numpy 1.x would read
-    under a DeprecationWarning, stays a bad cell.  A p_j cell is read to
-    _P_WIDTH characters, one more than any grid value takes, so a cell
-    that starts with its grid value and goes on is still named.
-    """
-    def data_lines() -> list[tuple[int, str]]:
-        """(line number, text) of each non-blank line after the header, read
-        again from the file: only to name a bad line."""
-        lines = Path(path).read_text().splitlines()[1:]
-        return [(line_no, line) for line_no, line in enumerate(lines, 2) if line]
-
-    def bad_cell(r: int, c: int) -> tuple[str, str]:
-        """path:line of data row r and its cell c, read again from the file."""
-        line_no, line = data_lines()[r]
-        return f"{path}:{line_no}", line.split(",")[c]
-
-    def bad_block(block: list[str], read: list[str], line_no: int,
-                  err: ValueError) -> ConfigError:
-        """Why loadtxt rejected read, the block's lines as it was given them;
-        the block's first line is line line_no.  The first line with the
-        wrong number of cells, else the first i_j, rho or Rsum cell that
-        loadtxt does not read alone, is named as block spells it."""
-        body = [(no, line, seen) for no, line, seen
-                in zip(itertools.count(line_no), block, read) if line]
-        for no, line, _ in body:
-            if line.count(",") != n_cols - 1:
-                return ConfigError(f"{path}:{no}: expected {n_cols} cells, "
-                                   f"got {line.count(',') + 1}")
-        for no, line, seen in body:
-            for c in [*range(m), 2 * m, 2 * m + 1]:
-                try:
-                    _loadtxt([seen], np.int64 if c < m else np.float64, usecols=c)
-                except (ValueError, DeprecationWarning):
-                    return ConfigError(f"{path}:{no}: {header[c]} {line.split(',')[c]!r} "
-                                       f"is not {'an integer' if c < m else 'a number'}")
-        return ConfigError(f"{path}:{line_no}-{line_no + len(block) - 1}: {err}")
-
-    with open(path) as src:
-        # The text of _CSV_BLOCK lines at a time and its lines, split as
-        # str.splitlines splits the whole text; "" once the file is exhausted.
-        blocks = ((text, text.splitlines()) for text in
-                  iter(lambda: "".join(itertools.islice(src, _CSV_BLOCK)), ""))
-        text, first = next(blocks, ("", []))
-        if not first:
-            raise ConfigError(f"{path}: empty field CSV")
-        header = first[0].split(",")
-        n_cols = len(header)
-        if n_cols < 6 or n_cols % 2 != 0:
-            raise ConfigError(f"{path}: malformed field CSV header {first[0]!r}")
-        m = (n_cols - 2) // 2
-        expect_i = [f"i_{j}" for j in range(1, m + 1)]
-        expect_p = [f"p_{j}" for j in range(1, m + 1)]
-        label = header[2 * m][len("rho_"):]
-        if header[:m] != expect_i or header[m : 2 * m] != expect_p or not label or \
-                header[2 * m :] != [f"rho_{label}", f"Rsum_{label}"]:
-            raise ConfigError(f"{path}: unexpected field CSV columns {header}")
-        # A row: the m i_j, the m p_j cells as text, then rho and Rsum.
-        row = np.dtype([("i", np.int64, (m,)), ("p", f"U{_P_WIDTH}", (m,)),
-                        ("v", np.float64, (2,))])
-
-        n_rows, line_no = 0, 2
-        p_cells: list = [{} for _ in range(m)]     # i_j -> its p_j cell, per axis
-        p_mixed = [False] * m                      # an i_j came with two p_j cells
-        indices, values = [], []
-        for text, block in itertools.chain([(text, first[1:])], blocks):
-            start, line_no = line_no, line_no + len(block)
-            if not any(block):
-                continue
-            read = block
-            if "\x00" in text or "\x1f" in text:
-                read = [line.translate(_UNREAD) for line in block]
-            try:
-                rows = _loadtxt(read, row)
-                if len(rows) != len(block) - block.count(""):
-                    raise ValueError("loadtxt skipped a line that is not blank")
-            except (ValueError, DeprecationWarning) as err:
-                raise bad_block(block, read, start, err) from None
-            n_rows += len(rows)
-            index, p = rows["i"], rows["p"]
-            for j in range(m):
-                # One p_j cell per i_j of the block, then the block's <= N+1
-                # cells join the file's.
-                keys, first_row, inverse = np.unique(index[:, j], return_index=True,
-                                                     return_inverse=True)
-                cells = p[first_row, j]
-                if (cells[inverse] != p[:, j]).any() or any(
-                        p_cells[j].setdefault(i, c) != c
-                        for i, c in zip(keys.tolist(), cells.tolist())):
-                    p_mixed[j] = True
-            # Copies, so the block's records, p_j text included, go with it.
-            indices.append(index.copy())
-            values.append(rows["v"].copy())
-            del rows, index, p
-    if not n_rows:
-        raise ConfigError(f"{path}: field CSV has no data rows")
-
-    index = np.concatenate(indices).T
-    rho, rsum = np.concatenate(values).T
-    bad = np.isnan(rho) | (rho == math.inf)
-    if bad.any():
-        where, cell = bad_cell(int(np.argmax(bad)), 2 * m)
-        raise ConfigError(f"{where}: rho {cell!r} is neither finite nor -inf")
-    if index.min() < 0:
-        raise ConfigError(f"{path}: negative grid index")
-    grid = GridSpec(m=m, n_steps=int(index.max()))
-    if n_rows != grid.n_points:
-        raise ConfigError(
-            f"{path}: {n_rows} rows does not cover the "
-            f"{grid.n_points}-point grid inferred from the indices"
-        )
-    axis = [_fmt(v) for v in grid.axis_values()]
-    for j in range(m):
-        if p_mixed[j] or any(axis[i] != p for i, p in p_cells[j].items()):
-            r = next(r for r, (_, line) in enumerate(data_lines())
-                     if line.split(",")[m + j] != axis[index[j, r]])
-            where, cell = bad_cell(r, m + j)
-            raise ConfigError(
-                f"{where}: p_{j + 1} = {cell!r} is not the "
-                f"grid value {axis[index[j, r]]} of i_{j + 1} = {index[j, r]}"
-            )
-    flat = np.ravel_multi_index(index, grid.shape)
-    data = np.full(grid.n_points, np.nan)
-    data[flat] = rho
-    if np.any(np.isnan(data)):
-        raise ConfigError(f"{path}: duplicate rows leave grid points unfilled")
-    field = RateReductionField(grid=grid, data=data.reshape(grid.shape))
-    bad = sum_rate_field(field).reshape(-1)[flat].view(np.uint64) != rsum.view(np.uint64)
-    if bad.any():
-        where, cell = bad_cell(int(np.argmax(bad)), 2 * m + 1)
-        raise ConfigError(
-            f"{where}: Rsum {cell!r} is not the "
-            "joint entropy minus rho (inf where rho is -inf)"
-        )
-    return field
-
-
 def _trace_rows(result: RunResult, prefix: str = ""):
     """Long-format trace rows t,k,point_id,rho, each after prefix: per tau and
     tracked point, one row per node k, then one k='max' row."""
@@ -404,16 +138,17 @@ def write_trace_csv(path: Path, result: RunResult) -> None:
 # SVG plotting (hand-rolled: axes, polylines, legend)
 
 
-def _svg_plot(path: Path, curves, title: str, x_label: str, y_label: str) -> None:
-    """curves: list of (label, xs, ys, colour, dash), colour and dash indexing
-    _PALETTE and _DASHES cyclically; BOTTOM entries break the polyline.
-    The title, axis labels and curve labels are escaped as XML text (the
-    title holds --function, which may be a file path)."""
+def _svg_plot(path: Path, curves, title: str) -> None:
+    """A plot of rate reduction against sweeps.  curves: list of (label, xs,
+    ys, colour, dash), colour and dash indexing _PALETTE and _DASHES
+    cyclically; BOTTOM entries break the polyline.  The title and curve
+    labels are escaped as XML text (the title holds --function, which may be
+    a file path)."""
     # Imported here: only the plots escape text, so the commands that draw
     # none do not load it.
     from html import escape
 
-    title, x_label, y_label = (escape(s, quote=False) for s in (title, x_label, y_label))
+    title = escape(title, quote=False)
     width, height = 640, 420
     ml, mr, mt, mb = 60, 20, 40, 45
     pw, ph = width - ml - mr, height - mt - mb
@@ -444,10 +179,10 @@ def _svg_plot(path: Path, curves, title: str, x_label: str, y_label: str) -> Non
         f'<line x1="{ml}" y1="{mt + ph}" x2="{ml + pw}" y2="{mt + ph}" stroke="black"/>',
         f'<line x1="{ml}" y1="{mt}" x2="{ml}" y2="{mt + ph}" stroke="black"/>',
         f'<text x="{ml + pw / 2:.1f}" y="{height - 8}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12">{x_label}</text>',
+        f'font-family="sans-serif" font-size="12">t (messages)</text>',
         f'<text x="16" y="{mt + ph / 2:.1f}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="12" '
-        f'transform="rotate(-90 16 {mt + ph / 2:.1f})">{y_label}</text>',
+        f'transform="rotate(-90 16 {mt + ph / 2:.1f})">rate reduction [bits]</text>',
     ]
     for i in range(5):
         fx = x_lo + (x_hi - x_lo) * i / 4
@@ -469,21 +204,10 @@ def _svg_plot(path: Path, curves, title: str, x_label: str, y_label: str) -> Non
         dasharray = _DASHES[dash % len(_DASHES)]
         if dasharray:
             stroke += f' stroke-dasharray="{dasharray}"'
-        seg: list[str] = []
-        for x, y in zip(xs, ys):
-            if math.isfinite(y):
-                seg.append(f"{sx(x):.2f},{sy(y):.2f}")
-            elif seg:
-                parts.append(
-                    f'<polyline points="{" ".join(seg)}" fill="none" '
-                    f'{stroke}/>'
-                )
-                seg = []
-        if seg:
-            parts.append(
-                f'<polyline points="{" ".join(seg)}" fill="none" '
-                f'{stroke}/>'
-            )
+        for finite, seg in itertools.groupby(zip(xs, ys), key=lambda xy: math.isfinite(xy[1])):
+            if finite:
+                points = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in seg)
+                parts.append(f'<polyline points="{points}" fill="none" {stroke}/>')
         ly = mt + 14 + 16 * c_i
         parts.append(
             f'<line x1="{ml + 8}" y1="{ly - 4}" x2="{ml + 28}" y2="{ly - 4}" '
@@ -512,9 +236,21 @@ def _snap_tracked(grid: GridSpec, requested: list) -> tuple[list, list]:
     return indices, [_snap_record(grid, list(req), idx) for req, idx in zip(requested, indices)]
 
 
-def _point_label(grid: GridSpec, idx: GridIndex) -> str:
-    """Legend label of a tracked point: its snapped pmf."""
-    return "p" + str(tuple(round(v, 6) for v in grid.pmf_at(idx)))
+def _tracked_curves(grid: GridSpec, tracked: list, result: RunResult, style,
+                    prefix: str = "") -> list:
+    """_svg_plot curves of result's tracked points, one per point i: its
+    max-node series against t, labelled prefix and its snapped pmf, drawn in
+    (colour, dash) style(i)."""
+    return [(prefix + "p" + str(tuple(round(v, 6) for v in grid.pmf_at(idx))),
+             list(range(len(series))), series, *style(i))
+            for i, (idx, series) in enumerate(zip(tracked, result.trace.max_series))]
+
+
+def _output_dir(args: argparse.Namespace) -> Path:
+    """--output-dir, created if missing: only once the options are checked."""
+    out = Path(args.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -542,9 +278,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     result = run(grid, f, t_max=args.t_max, eps=args.eps, tracked=tuple(tracked_idx))
     elapsed = time.perf_counter() - started
 
-    out = Path(args.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    emit = set(emit) | {"report-json"}
+    out = _output_dir(args)
     artifacts: list[str] = []
     h = entropy_grid(grid) if "fields-csv" in emit or slice_rec is not None else None
 
@@ -558,18 +292,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         write_trace_csv(out / "trace.csv", result)
         artifacts.append("trace.csv")
     if "trace-svg" in emit and tracked_idx:
-        curves = [
-            (_point_label(grid, idx), list(range(len(series))), series,
-             i, i // len(_PALETTE))
-            for i, (idx, series) in enumerate(zip(tracked_idx, result.trace.max_series))
-        ]
-        _svg_plot(
-            out / "trace.svg",
-            curves,
-            title=f"rate reduction vs sweeps ({args.function}, delta={grid.delta:g})",
-            x_label="t (messages)",
-            y_label="rate reduction [bits]",
-        )
+        _svg_plot(out / "trace.svg",
+                  _tracked_curves(grid, tracked_idx, result, lambda i: (i, i // len(_PALETTE))),
+                  f"rate reduction vs sweeps ({args.function}, delta={grid.delta:g})")
         artifacts.append("trace.svg")
 
     if slice_rec is not None:
@@ -639,8 +364,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
     optimality = assess_optimality(parsed, achieved, f, args.tol)
     membership = optimality.family_report
 
-    out = Path(args.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(args)
     payload = {
         "field": str(args.field),
         "function": args.function,
@@ -698,24 +422,18 @@ def cmd_sweep_delta(args: argparse.Namespace) -> int:
         raise ConfigError("sweep-delta needs at least one --track point")
     f = _resolve_function(args.function, args.m)
 
-    out = Path(args.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
+    out = _output_dir(args)
     rows: list[str] = []
     curves = []
     per_delta = []
     results: dict[float, tuple[GridSpec, list, list, RunResult]] = {}
     for d_i, (delta, grid) in enumerate(zip(deltas, grids)):
         tracked_idx, tracked_rec = _snap_tracked(grid, requested)
-        result = run(
-            grid, f, t_max=args.t_max, eps=args.eps, tracked=tuple(tracked_idx)
-        )
+        result = run(grid, f, t_max=args.t_max, eps=args.eps, tracked=tuple(tracked_idx))
         results[delta] = (grid, tracked_idx, tracked_rec, result)
         rows.extend(_trace_rows(result, f"{_fmt(delta)},"))
-        curves += [(f"delta={delta:g} {_point_label(grid, idx)}",
-                    list(range(len(series))), series, d_i, i)
-                   for i, (idx, series) in enumerate(zip(tracked_idx,
-                                                         result.trace.max_series))]
+        curves += _tracked_curves(grid, tracked_idx, result, lambda i: (d_i, i),
+                                  f"delta={delta:g} ")
 
         worst_drop = max(_worst_drop(s) for s in result.trace.max_series)
         per_delta.append(
@@ -730,13 +448,8 @@ def cmd_sweep_delta(args: argparse.Namespace) -> int:
         )
 
     (out / "sweep_trace.csv").write_text("delta,t,k,point_id,rho\n" + "".join(rows))
-    _svg_plot(
-        out / "sweep_trace.svg",
-        curves,
-        title=f"rate reduction vs sweeps across grid steps ({args.function})",
-        x_label="t (messages)",
-        y_label="rate reduction [bits]",
-    )
+    _svg_plot(out / "sweep_trace.svg", curves,
+              f"rate reduction vs sweeps across grid steps ({args.function})")
 
     # finer vs coarser at equal t: reported, not hard-asserted; a tracked
     # point is compared only where both grids snap it to the same pmf
@@ -820,8 +533,7 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
 
     report = compare_with_envelope(grid, f, tuple(points), spec)
 
-    out = Path(args.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(args)
     _write_json(out / "oracle_report.json", {**report.to_dict(), "points": records})
 
     for row in report.rows:
@@ -852,13 +564,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def function_option(p: argparse.ArgumentParser) -> None:
         p.add_argument("--function", required=True,
                        help=f"builtin {BUILTIN_NAMES} or a truth-table file")
+
+    def output_option(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--output-dir", "-o", default=".", help="artifact directory")
+
+    def common(p: argparse.ArgumentParser) -> None:
+        function_option(p)
         p.add_argument("--m", type=int, required=True, help="number of sources")
         p.add_argument("--delta", type=float, required=True,
                        help="grid step (reciprocal of an integer)")
-        p.add_argument("--output-dir", "-o", default=".", help="artifact directory")
+        output_option(p)
 
     def sweep_options(p: argparse.ArgumentParser) -> None:
         """Options of the commands that iterate sweeps through run()."""
@@ -866,7 +584,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--eps", type=float, default=1e-6,
                        help="sup-norm stop threshold between sweeps")
 
+    # Each handler is read from the module when main builds the parser, so a
+    # wrapper installed on cli.cmd_* is the one called.
     p_run = sub.add_parser("run", help="iterate fields and export them")
+    p_run.set_defaults(handler=cmd_run)
     common(p_run)
     sweep_options(p_run)
     p_run.add_argument("--track", action="append", default=[],
@@ -875,30 +596,34 @@ def build_parser() -> argparse.ArgumentParser:
                        help="with --slice, slice this node's field instead of the max "
                             "(an error without --slice)")
     p_run.add_argument("--emit", default=",".join(DEFAULT_EMIT),
-                       help=f"comma list from {EMIT_CHOICES}")
+                       help=f"comma list from {EMIT_CHOICES}; metadata.json is always "
+                            "written, and report-json is accepted for compatibility")
     p_run.add_argument("--slice", dest="slice_spec", default=None,
                        metavar="pJ=V", help="also export one fixed-axis slice")
 
     p_cert = sub.add_parser("certify", help="family-check a field CSV")
+    p_cert.set_defaults(handler=cmd_certify)
     p_cert.add_argument("--field", required=True, help="field CSV to certify")
-    p_cert.add_argument("--function", required=True)
+    function_option(p_cert)
     p_cert.add_argument("--m", type=int, default=None,
                         help="expected arity (validated against the CSV)")
     p_cert.add_argument("--delta", type=float, default=None,
                         help="expected grid step (validated against the CSV)")
     p_cert.add_argument("--tol", type=float, default=1e-4)
     sweep_options(p_cert)
-    p_cert.add_argument("--output-dir", "-o", default=".")
+    output_option(p_cert)
 
     p_sweep = sub.add_parser("sweep-delta", help="overlay traces across grid steps")
-    p_sweep.add_argument("--function", required=True)
+    p_sweep.set_defaults(handler=cmd_sweep_delta)
+    function_option(p_sweep)
     p_sweep.add_argument("--m", type=int, required=True)
     p_sweep.add_argument("--deltas", required=True, help="comma list, e.g. 0.1,0.05,0.02")
     p_sweep.add_argument("--track", action="append", default=[], metavar="P1,P2,...")
     sweep_options(p_sweep)
-    p_sweep.add_argument("--output-dir", "-o", default=".")
+    output_option(p_sweep)
 
     p_oracle = sub.add_parser("oracle-check", help="brute-force one-message cross-check")
+    p_oracle.set_defaults(handler=cmd_oracle_check)
     common(p_oracle)
     p_oracle.add_argument("--k", type=int, required=True, help="transmitting node")
     p_oracle.add_argument("--search-step", type=float, default=0.02,
@@ -915,19 +640,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            return cmd_run(args)
-        if args.command == "certify":
-            return cmd_certify(args)
-        if args.command == "sweep-delta":
-            return cmd_sweep_delta(args)
-        if args.command == "oracle-check":
-            return cmd_oracle_check(args)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return args.handler(args)
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 from ratered.certify import MembershipReport
-from ratered.cli import _CSV_BLOCK, _fmt
+from ratered.fieldcsv import _CSV_BLOCK, _fmt
 from ratered.envelope import BOTTOM
 from ratered.errors import ConfigError
 from ratered.lattice import (
@@ -407,6 +407,8 @@ def per_cell_read_field_csv():
             raise ConfigError(f"{where}: rho {cell!r} is neither finite nor -inf")
         if index.min() < 0:
             raise ConfigError(f"{path}: negative grid index")
+        if index.max() == 0:
+            raise ConfigError(f"{path}: every i_j is 0, so the indices span no grid step")
         grid = GridSpec(m=m, n_steps=int(index.max()))
         if n_rows != grid.n_points:
             raise ConfigError(

@@ -1,13 +1,15 @@
+import importlib.util
 import json
 import math
 import re
 import tracemalloc
+from pathlib import Path
 from xml.etree import ElementTree
 
 import numpy as np
 import pytest
 
-from ratered import certify, cli
+from ratered import certify, cli, fieldcsv
 from ratered.envelope import BOTTOM
 from ratered.lattice import RateReductionField, run
 from ratered.probability import GridSpec, binary_entropy, entropy_grid
@@ -53,10 +55,10 @@ class TestRunCommand:
         grid = GridSpec.from_delta(3, 0.2)
         expected = run(grid, min3, t_max=3, eps=1e-300)
         for k in (1, 2, 3):
-            loaded = cli.read_field_csv(tmp_path / f"field_k{k}.csv")
+            loaded = fieldcsv.read_field_csv(tmp_path / f"field_k{k}.csv")
             assert loaded.grid == grid
             assert np.array_equal(loaded.data, expected.bank.field_for(k).data)
-        loaded_max = cli.read_field_csv(tmp_path / "field_max.csv")
+        loaded_max = fieldcsv.read_field_csv(tmp_path / "field_max.csv")
         assert np.array_equal(loaded_max.data, expected.bank.max_data())
 
     def test_infinity_spellings(self, tmp_path):
@@ -213,7 +215,7 @@ class TestCertifyCommand:
         report = read_json(tmp_path / "certify_report.json")
         assert report["membership"]["verdict"] == "pass"
         assert report["optimality"]["status"] == "optimal within tol"
-        field = cli.read_field_csv(tmp_path / "field_max.csv")
+        field = fieldcsv.read_field_csv(tmp_path / "field_max.csv")
         assert report["membership"]["field_sha256"] == certify.field_digest(field.data)
 
     def test_corrupted_field_fails_with_location(self, tmp_path):
@@ -222,10 +224,10 @@ class TestCertifyCommand:
             "--t-max", "40", "-o", str(tmp_path),
         ])
         path = tmp_path / "field_max.csv"
-        field = cli.read_field_csv(path)
+        field = fieldcsv.read_field_csv(path)
         bumped = field.data.copy()
         bumped[3, 6, 4] += 0.5
-        cli.write_field_csv(path, field.__class__(field.grid, bumped), "max")
+        fieldcsv.write_field_csv(path, field.__class__(field.grid, bumped), "max")
         code = cli.main([
             "certify", "--field", str(path), "--function", "min",
             "--tol", "1e-4", "-o", str(tmp_path),
@@ -265,6 +267,16 @@ class TestCertifyCommand:
         ])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_field_on_no_grid_step_names_file_and_cause(self, tmp_path, capsys):
+        path = tmp_path / "field_max.csv"
+        path.write_text("i_1,i_2,p_1,p_2,rho_max,Rsum_max\n0,0,0,0,0,0\n")
+        code = cli.main(["certify", "--field", str(path), "--function", "min",
+                         "-o", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == \
+            f"error: {path}: every i_j is 0, so the indices span no grid step\n"
+        assert not (tmp_path / "out").exists()
 
 
 class TestSweepDeltaCommand:
@@ -612,21 +624,26 @@ class TestConfigErrors:
         assert not (tmp_path / "out").exists()
 
 
+# ---------------------------------------------------------------------------
+# The field-CSV format, ratered.fieldcsv: the writer's bytes against the
+# per-row writer, the reader's checks against the per-cell reader.
+
+
 def test_read_field_csv_rejects_incomplete(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text(
         "i_1,i_2,p_1,p_2,rho_1,Rsum_1\n"
         "0,0,0,0,0,0\n0,1,0,1,0,0\n1,0,1,0,0,0\n"
     )
-    with pytest.raises(cli.ConfigError):
-        cli.read_field_csv(path)
+    with pytest.raises(fieldcsv.ConfigError):
+        fieldcsv.read_field_csv(path)
 
 
 def _corrupt_field_csv(tmp_path, line, col, cell):
     """A valid m=2, N=2 field CSV with one cell replaced (line is 1-based)."""
     f = run(GridSpec.from_delta(2, 0.5), builtin_table("min", 2), t_max=1, eps=1e-6)
     path = tmp_path / "field.csv"
-    cli.write_field_csv(path, f.bank.max_field(), "max")
+    fieldcsv.write_field_csv(path, f.bank.max_field(), "max")
     lines = path.read_text().splitlines()
     cells = lines[line - 1].split(",")
     cells[col] = cell
@@ -644,28 +661,28 @@ def test_read_field_csv_requires_one_label(tmp_path, rho, rsum):
     lines = path.read_text().splitlines(keepends=True)
     header = ["i_1", "i_2", "p_1", "p_2", rho, rsum]
     path.write_text(",".join(header) + "\n" + "".join(lines[1:]))
-    with pytest.raises(cli.ConfigError, match=re.escape(
+    with pytest.raises(fieldcsv.ConfigError, match=re.escape(
             f"{path}: unexpected field CSV columns {header}")):
-        cli.read_field_csv(path)
+        fieldcsv.read_field_csv(path)
 
 
 @pytest.mark.parametrize("cell", ["nan", "inf"])
 def test_read_field_csv_rejects_non_finite_rho(tmp_path, cell):
     path = _corrupt_field_csv(tmp_path, 4, 4, cell)
-    with pytest.raises(cli.ConfigError, match=r":4: rho .* neither finite nor -inf"):
-        cli.read_field_csv(path)
+    with pytest.raises(fieldcsv.ConfigError, match=r":4: rho .* neither finite nor -inf"):
+        fieldcsv.read_field_csv(path)
 
 
 def test_read_field_csv_rejects_wrong_p_cell(tmp_path):
     path = _corrupt_field_csv(tmp_path, 6, 3, "0.6")   # row i = (1, 1): p_2 is 0.5
-    with pytest.raises(cli.ConfigError, match=r":6: p_2 = '0.6' is not the grid value 0.5"):
-        cli.read_field_csv(path)
+    with pytest.raises(fieldcsv.ConfigError, match=r":6: p_2 = '0.6' is not the grid value 0.5"):
+        fieldcsv.read_field_csv(path)
 
 
 def test_read_field_csv_rejects_wrong_rsum(tmp_path):
     path = _corrupt_field_csv(tmp_path, 2, 5, "0.25")  # i = (0, 0): Rsum is 0
-    with pytest.raises(cli.ConfigError, match=r":2: Rsum '0.25' is not the joint entropy"):
-        cli.read_field_csv(path)
+    with pytest.raises(fieldcsv.ConfigError, match=r":2: Rsum '0.25' is not the joint entropy"):
+        fieldcsv.read_field_csv(path)
 
 
 # Formatting corners: -inf, negatives, subnormals, signed zeros, values that
@@ -690,7 +707,7 @@ def _write_together(directory, fields):
     """Every (label, field) of one grid written by one call of the writer
     that cmd_run uses, to directory / f"new_{label}.csv"."""
     grid = fields[0][1].grid
-    cli._write_grid_csv([(directory / f"new_{label}.csv", label, field.data)
+    fieldcsv._write_grid_csv([(directory / f"new_{label}.csv", label, field.data)
                          for label, field in fields],
                         list(range(1, grid.m + 1)), entropy_grid(grid), grid)
 
@@ -702,7 +719,7 @@ class TestFieldCsvWriter:
         bank = run(grid, builtin_table("min", m), t_max=2, eps=1e-300).bank
         for label, field in [(str(k), bank.field_for(k)) for k in range(1, m + 1)] \
                 + [("max", bank.max_field())]:
-            cli.write_field_csv(tmp_path / "new.csv", field, label)
+            fieldcsv.write_field_csv(tmp_path / "new.csv", field, label)
             per_row_field_csv(tmp_path / "ref.csv", field, label)
             assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
@@ -747,12 +764,12 @@ class TestFieldCsvWriter:
     ])
     def test_special_values_match_per_row_writer(self, tmp_path, m, n_steps,
                                                  per_row_field_csv):
-        assert cli._CSV_BLOCK == 4096
+        assert fieldcsv._CSV_BLOCK == 4096
         field = _special_field(GridSpec(m=m, n_steps=n_steps))
-        cli.write_field_csv(tmp_path / "new.csv", field, "max")
+        fieldcsv.write_field_csv(tmp_path / "new.csv", field, "max")
         per_row_field_csv(tmp_path / "ref.csv", field, "max")
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
-        loaded = cli.read_field_csv(tmp_path / "new.csv")
+        loaded = fieldcsv.read_field_csv(tmp_path / "new.csv")
         assert np.array_equal(loaded.data.view(np.uint64), field.data.view(np.uint64))
 
     @pytest.mark.parametrize("m,spec,node", [
@@ -767,9 +784,9 @@ class TestFieldCsvWriter:
         md = read_json(tmp_path / "metadata.json")
         (name,) = [a for a in md["artifacts"] if a.startswith("slice_")]
         if node is None:
-            field, label = cli.read_field_csv(tmp_path / "field_max.csv"), "max"
+            field, label = fieldcsv.read_field_csv(tmp_path / "field_max.csv"), "max"
         else:
-            field, label = cli.read_field_csv(tmp_path / f"field_k{node}.csv"), str(node)
+            field, label = fieldcsv.read_field_csv(tmp_path / f"field_k{node}.csv"), str(node)
         assert (tmp_path / name).read_text() == per_row_slice_csv(
             field, md["slice"]["axis"], md["slice"]["snapped_index"], label)
 
@@ -779,7 +796,7 @@ class TestFieldCsvWriter:
         field = _special_field(GridSpec.from_delta(3, 0.02))
         tracemalloc.start()
         try:
-            cli.write_field_csv(tmp_path / "field.csv", field, "max")
+            fieldcsv.write_field_csv(tmp_path / "field.csv", field, "max")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -808,7 +825,7 @@ def test_read_field_csv_names_lines_past_the_first_block(tmp_path):
     name their line of the file."""
     field = _special_field(GridSpec(m=3, n_steps=20))
     path = tmp_path / "field.csv"
-    cli.write_field_csv(path, field, "max")
+    fieldcsv.write_field_csv(path, field, "max")
     lines = path.read_text().splitlines()
     lines[1:1] = ["", ""]                    # data rows now start at line 4
     for line_no, edit, message in [
@@ -823,8 +840,8 @@ def test_read_field_csv_names_lines_past_the_first_block(tmp_path):
         text = list(lines)
         text[line_no - 1] = ",".join(edit(text[line_no - 1].split(",")))
         path.write_text("\n".join(text) + "\n")
-        with pytest.raises(cli.ConfigError, match=message):
-            cli.read_field_csv(path)
+        with pytest.raises(fieldcsv.ConfigError, match=message):
+            fieldcsv.read_field_csv(path)
 
 
 @pytest.mark.parametrize("first, last", [(3969, 4094), (4095, 4409)])
@@ -834,7 +851,7 @@ def test_read_field_csv_rejects_p_cells_that_differ_across_blocks(tmp_path, firs
     Rows first..last, all on one side of it, carry the same wrong p_1 cell,
     so each block agrees with itself; the first of them is named."""
     path = tmp_path / "field.csv"
-    cli.write_field_csv(path, _special_field(GridSpec(m=3, n_steps=20)), "max")
+    fieldcsv.write_field_csv(path, _special_field(GridSpec(m=3, n_steps=20)), "max")
     lines = path.read_text().splitlines()
     for line_no in range(first + 2, last + 3):
         cells = lines[line_no - 1].split(",")
@@ -842,15 +859,15 @@ def test_read_field_csv_rejects_p_cells_that_differ_across_blocks(tmp_path, firs
         cells[3] = "0.45"
         lines[line_no - 1] = ",".join(cells)
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(cli.ConfigError, match=rf":{first + 2}: p_1 = '0.45' is not the "
+    with pytest.raises(fieldcsv.ConfigError, match=rf":{first + 2}: p_1 = '0.45' is not the "
                                               r"grid value 0\.45000000000000001 of i_1 = 9"):
-        cli.read_field_csv(path)
+        fieldcsv.read_field_csv(path)
 
 
 def _field_csv_lines(tmp_path, m, n_steps, seed=0) -> list[str]:
     """The lines of a field CSV of _special_field on an m-axis grid."""
     path = tmp_path / "src.csv"
-    cli.write_field_csv(path, _special_field(GridSpec(m=m, n_steps=n_steps), seed), "max")
+    fieldcsv.write_field_csv(path, _special_field(GridSpec(m=m, n_steps=n_steps), seed), "max")
     return path.read_text().splitlines()
 
 
@@ -858,10 +875,10 @@ def _read_both(path, reference):
     """(result, ConfigError message or None) of read_field_csv and of the
     per-cell reference."""
     outcomes = []
-    for read in (cli.read_field_csv, reference):
+    for read in (fieldcsv.read_field_csv, reference):
         try:
             outcomes.append((read(path), None))
-        except cli.ConfigError as exc:
+        except fieldcsv.ConfigError as exc:
             outcomes.append((None, str(exc)))
     return outcomes
 
@@ -870,7 +887,7 @@ def _read_both(path, reference):
 # header, around the first block boundary (lines 4096/4097), mid-file, at
 # the end, and a run of them longer than a block.
 BLANKS = {"none": [], "scattered": [2, 4096, 4097, 4098, 5000, -1],
-          "whole-block": [3] * (cli._CSV_BLOCK + 10)}
+          "whole-block": [3] * (fieldcsv._CSV_BLOCK + 10)}
 
 
 class TestFieldCsvReaderMatchesPerCellReader:
@@ -938,8 +955,8 @@ def test_read_field_csv_rejects_what_int_and_float_accept(tmp_path, col, cell, m
     lines[5000] = ",".join(cells)
     path = tmp_path / "field.csv"
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(cli.ConfigError, match=re.escape(f"{path}:5001: {message}")):
-        cli.read_field_csv(path)
+    with pytest.raises(fieldcsv.ConfigError, match=re.escape(f"{path}:5001: {message}")):
+        fieldcsv.read_field_csv(path)
 
 
 @pytest.mark.parametrize("tail", ["1", "0" * 6, "0" * 7, "x" * 40])
@@ -948,7 +965,7 @@ def test_read_field_csv_rejects_a_p_cell_longer_than_any_grid_value(tmp_path, ta
     a longer one.  A cell that starts with the right grid value is named
     whether it fits (tails of 1 and 6) or is cut (7 and 40): the width is one
     more than the longest "%.17g" spelling of a float."""
-    assert cli._P_WIDTH == len("%.17g" % -2.2250738585072014e-308) + 1
+    assert fieldcsv._P_WIDTH == len("%.17g" % -2.2250738585072014e-308) + 1
     lines = _field_csv_lines(tmp_path, 3, 20)
     cells = lines[4000].split(",")
     assert cells[3] == "0.45000000000000001"          # i_1 = 9
@@ -956,18 +973,19 @@ def test_read_field_csv_rejects_a_p_cell_longer_than_any_grid_value(tmp_path, ta
     lines[4000] = ",".join(cells)
     path = tmp_path / "field.csv"
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(cli.ConfigError, match=re.escape(
+    with pytest.raises(fieldcsv.ConfigError, match=re.escape(
             f"{path}:4001: p_1 = {cells[3]!r} is not the grid value "
             "0.45000000000000001 of i_1 = 9")):
-        cli.read_field_csv(path)
+        fieldcsv.read_field_csv(path)
 
 
-@pytest.mark.parametrize("blank_lines", [0, 1, 3, cli._CSV_BLOCK + 5])
+@pytest.mark.parametrize("blank_lines", [0, 1, 3, fieldcsv._CSV_BLOCK + 5])
 def test_read_field_csv_without_data_lines(tmp_path, blank_lines):
     path = tmp_path / "field.csv"
     path.write_text("i_1,i_2,p_1,p_2,rho_max,Rsum_max\n" + "\n" * blank_lines)
-    with pytest.raises(cli.ConfigError, match=re.escape(f"{path}: field CSV has no data rows")):
-        cli.read_field_csv(path)
+    with pytest.raises(fieldcsv.ConfigError,
+                       match=re.escape(f"{path}: field CSV has no data rows")):
+        fieldcsv.read_field_csv(path)
 
 
 def test_read_field_csv_names_a_line_that_loadtxt_skips(tmp_path, monkeypatch):
@@ -982,9 +1000,10 @@ def test_read_field_csv_names_a_line_that_loadtxt_skips(tmp_path, monkeypatch):
     def skips_whitespace(text, *args, **kwargs):
         return loadtxt([line for line in text if line.strip()], *args, **kwargs)
 
-    monkeypatch.setattr(cli.np, "loadtxt", skips_whitespace)
-    with pytest.raises(cli.ConfigError, match=re.escape(f"{path}:51: expected 6 cells, got 1")):
-        cli.read_field_csv(path)
+    monkeypatch.setattr(fieldcsv.np, "loadtxt", skips_whitespace)
+    with pytest.raises(fieldcsv.ConfigError,
+                       match=re.escape(f"{path}:51: expected 6 cells, got 1")):
+        fieldcsv.read_field_csv(path)
 
 
 def test_read_field_csv_memory_stays_bounded_by_a_block(tmp_path):
@@ -993,10 +1012,10 @@ def test_read_field_csv_memory_stays_bounded_by_a_block(tmp_path):
     # Whole-file loadtxt records, p_j text included, would pass 30 MB.
     field = run(GridSpec.from_delta(3, 0.02), builtin_table("min", 3),
                 t_max=2, eps=1e-300).bank.max_field()
-    cli.write_field_csv(tmp_path / "field.csv", field, "max")
+    fieldcsv.write_field_csv(tmp_path / "field.csv", field, "max")
     tracemalloc.start()
     try:
-        loaded = cli.read_field_csv(tmp_path / "field.csv")
+        loaded = fieldcsv.read_field_csv(tmp_path / "field.csv")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1017,10 +1036,10 @@ def test_read_field_csv_passes_on_a_rejection_it_cannot_place(tmp_path, monkeypa
             raise ValueError("a whole-block complaint")
         return loadtxt(text, *args, **kwargs)
 
-    monkeypatch.setattr(cli.np, "loadtxt", rejects_blocks)
-    with pytest.raises(cli.ConfigError, match=re.escape(
+    monkeypatch.setattr(fieldcsv.np, "loadtxt", rejects_blocks)
+    with pytest.raises(fieldcsv.ConfigError, match=re.escape(
             f"{path}:2-124: a whole-block complaint")):
-        cli.read_field_csv(path)
+        fieldcsv.read_field_csv(path)
 
 
 def _python_reads_more(cell: str) -> bool:
@@ -1068,6 +1087,44 @@ def test_read_field_csv_matches_per_cell_reader_on_any_one_edit(tmp_path,
         assert not re.search(r":\d+-\d+: ", new_error or "")
 
     check()
+
+
+class TestDispatch:
+    """main reaches each command, and the field-CSV pair, through cli's
+    module globals, the names that perfbench/tracer.py wraps."""
+
+    def test_tracer_finds_every_name_it_wraps(self):
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+        spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+        tracer = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracer)
+        trace = tracer.Tracer()
+        trace.install()
+        try:
+            assert trace.absent == []
+        finally:
+            trace.uninstall()
+        assert cli.read_field_csv is fieldcsv.read_field_csv
+
+    def test_main_calls_the_module_globals(self, tmp_path, monkeypatch):
+        calls = []
+
+        def stub_command(args):
+            calls.append(args.command)
+            return 7
+
+        def stub_reader(path):
+            calls.append(str(path))
+            raise fieldcsv.ConfigError("stub reader")
+
+        monkeypatch.setattr(cli, "cmd_oracle_check", stub_command)
+        monkeypatch.setattr(cli, "read_field_csv", stub_reader)
+        assert cli.main(["oracle-check", "--function", "min", "--m", "2", "--delta", "0.5",
+                         "--k", "1", "-o", str(tmp_path)]) == 7
+        field = str(tmp_path / "field_max.csv")
+        assert cli.main(["certify", "--field", field, "--function", "min",
+                         "-o", str(tmp_path)]) == 2
+        assert calls == ["oracle-check", field]
 
 
 def test_jsonable_spells_non_finite():

@@ -29,7 +29,7 @@ import numpy as np
 
 from .envelope import BOTTOM, concavity_defects
 from .errors import ConfigError, NotCertifiedError
-from .lattice import RateReductionField, entry_distance, zero_message_mask
+from .lattice import RateReductionField, gap, zero_message_mask
 from .probability import GridIndex, ProductPmf, entropy_grid, product_entropy
 from .target_functions import FunctionTable
 
@@ -95,8 +95,7 @@ def check_membership(
 
     mask = zero_message_mask(grid, f)
     h = entropy_grid(grid)
-    # finite - (-inf) = +inf, so a BOTTOM field value on the set fails loudly
-    gaps = h[mask] - field.data[mask]
+    gaps = gap(h[mask], field.data[mask])  # +inf where the field is BOTTOM
     where = np.argwhere(mask)
     j = int(np.argmax(gaps))
     worst_gap = float(gaps[j])
@@ -139,8 +138,8 @@ def lower_bound_from(
     field: RateReductionField, p: ProductPmf, report: MembershipReport
 ) -> float:
     """Lower bound on the infinite-message minimum sum-rate at p:
-    joint entropy minus the certified field's value (BOTTOM gives +inf,
-    as finite - (-inf) = +inf).
+    joint entropy minus the certified field's value, by lattice.gap (BOTTOM
+    gives +inf).
 
     Valid up to the report's tol and grid-resolution caveats; requires a
     passing report issued for this very field: same grid, same data bytes.
@@ -165,7 +164,7 @@ def lower_bound_from(
     exact = grid.axis_values()
     if any(abs(pj - exact[i]) > 1e-12 for pj, i in zip(p, index)):
         raise ValueError(f"pmf {tuple(p)} is not a grid point at delta={grid.delta}")
-    return product_entropy(p) - field.value_at(index)
+    return float(gap(product_entropy(p), field.value_at(index)))
 
 
 @dataclass(frozen=True)
@@ -193,13 +192,13 @@ def assess_optimality(
     tol: float,
 ) -> OptimalityVerdict:
     """Certify the candidate, then measure its sup distance to the achieved
-    field (lattice.entry_distance: BOTTOM agreeing on both sides counts as
-    zero, a BOTTOM/finite mismatch as infinite)."""
+    field, |lattice.gap|: BOTTOM agreeing on both sides counts as zero, a
+    BOTTOM/finite mismatch as infinite."""
     if candidate.grid != achieved.grid:
         raise ValueError("candidate and achieved fields are on different grids")
     report = check_membership(candidate, f, tol)
 
-    diff = entry_distance(candidate.data, achieved.data)
+    diff = np.abs(gap(candidate.data, achieved.data))
     flat = int(np.argmax(diff))
     worst_gap = float(diff.reshape(-1)[flat])
     location = tuple(int(c) for c in np.unravel_index(flat, diff.shape))

@@ -22,10 +22,9 @@ from pathlib import Path
 import numpy as np
 
 from .certify import assess_optimality, check_tol
-from .envelope import BOTTOM
 from .errors import ConfigError
 from .fieldcsv import _fmt, _write_grid_csv, read_field_csv
-from .lattice import RunResult, check_budget, run
+from .lattice import RunResult, check_budget, gap, run
 from .oracle import ConditionalSearchSpec, compare_with_envelope
 # Unused here; kept because perfbench/tracer.py wraps ratered.cli.check_membership
 # and ratered.cli.write_field_csv.
@@ -391,15 +390,10 @@ def cmd_certify(args: argparse.Namespace) -> int:
 
 
 def _worst_drop(series: list) -> float:
-    """Largest drop beyond 1e-12 from a finite value to the next one (inf
-    when it falls back to BOTTOM); 0.0 when the series never decreases."""
-    worst = 0.0
-    for prev, nxt in zip(series, series[1:]):
-        if prev == BOTTOM:
-            continue
-        if nxt == BOTTOM or nxt < prev - 1e-12:
-            worst = max(worst, float("inf") if nxt == BOTTOM else prev - nxt)
-    return worst
+    """Largest drop beyond 1e-12 from a finite value to the next one, by
+    lattice.gap (inf on a fall to BOTTOM); 0.0 when the series never drops."""
+    prev, nxt = np.asarray(series[:-1], float), np.asarray(series[1:], float)
+    return float(gap(prev, nxt)[nxt < prev - 1e-12].max(initial=0.0))
 
 
 def cmd_sweep_delta(args: argparse.Namespace) -> int:
@@ -468,10 +462,8 @@ def cmd_sweep_delta(args: argparse.Namespace) -> int:
                                 "coarse_pmf": rec_c[pid]["snapped_pmf"],
                                 "fine_pmf": rec_f[pid]["snapped_pmf"]})
                 continue
-            for vc, vf in zip(sc, sf):
-                if vc == BOTTOM:
-                    continue
-                worst = max(worst, float("inf") if vf == BOTTOM else vc - vf)
+            n = min(len(sc), len(sf))
+            worst = max(worst, float(gap(sc[:n], sf[:n]).max(initial=0.0)))
         cross.append(
             {
                 "coarse_delta": coarse,
@@ -643,8 +635,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (ConfigError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ConfigError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
-from .lattice import RateReductionField, _sum_rate, sum_rate_field
+from .lattice import RateReductionField, gap, sum_rate_field
 from .probability import GridSpec, entropy_grid
 
 # Rows per block when a field CSV is written or read; bounds the row and cell
@@ -57,7 +57,7 @@ def _write_grid_csv(items: list, axes: list, h: np.ndarray, grid: GridSpec) -> N
     items.  Each rho has the shape of h, the joint entropy, with one
     dimension per 1-based grid axis in axes.  A file has one row per cell in
     row-major index order: the indices, their grid values, rho and Rsum
-    (lattice._sum_rate: h - rho, inf where rho is BOTTOM).
+    (lattice.gap(h, rho): h - rho, inf where rho is BOTTOM).
 
     The files are written in one pass, _CSV_BLOCK rows at a time, so memory
     stays bounded by a block whatever the grid size.  Per block, the
@@ -89,7 +89,7 @@ def _write_grid_csv(items: list, axes: list, h: np.ndarray, grid: GridSpec) -> N
             values = np.empty((len(items), 2, hi - lo))
             for v, (_, _, rho) in zip(values, items):
                 v[0] = rho.flat[lo:hi]
-                v[1] = _sum_rate(h.flat[lo:hi], v[0])
+                v[1] = gap(h.flat[lo:hi], v[0])
             # A 1-D input keeps the inverse 1-D on every numpy version.
             bits, inverse = np.unique(values.reshape(-1).view(np.uint64), return_inverse=True)
             inverse = inverse.astype(np.int32).reshape(values.shape)
@@ -249,7 +249,10 @@ def read_field_csv(path) -> RateReductionField:
         raise ConfigError(f"{path}: negative grid index")
     if index.max() == 0:
         raise ConfigError(f"{path}: every i_j is 0, so the indices span no grid step")
-    grid = GridSpec(m=m, n_steps=int(index.max()))
+    try:
+        grid = GridSpec(m=m, n_steps=int(index.max()))
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     if n_rows != grid.n_points:
         raise ConfigError(
             f"{path}: {n_rows} rows does not cover the "

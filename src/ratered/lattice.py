@@ -21,7 +21,9 @@ bit-identical to enveloping it again (see sweep_once).
 BOTTOM (-inf) marks pmfs where computation is infeasible with the messages
 granted so far; entries switch from BOTTOM to finite as mixtures fill in,
 and such transitions count as infinite deltas so convergence is never
-declared while the finite support is still growing.
+declared while the finite support is still growing.  Every difference
+between two such values is gap's: 0 where neither side is finite, +inf or
+-inf where only one is.
 """
 
 from __future__ import annotations
@@ -288,20 +290,23 @@ def sweep_once(bank: FieldBank) -> FieldBank:
     return FieldBank(fields=fields, tau=bank.tau + 1, sources=sources)
 
 
-def entry_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per-entry |a - b| with BOTTOM conventions: both BOTTOM counts 0, a
-    BOTTOM/finite mismatch counts +inf.  Only entries finite on both sides
-    are subtracted, so no inf - inf is ever evaluated."""
+def gap(a, b) -> np.ndarray:
+    """a - b elementwise as float64, for arrays, lists or scalars, with
+    BOTTOM conventions: 0 where neither side is finite, +inf where only a
+    is, -inf where only b is.  Only entries finite on both sides are
+    subtracted, so no inf - inf is ever evaluated."""
     fin_a, fin_b = np.isfinite(a), np.isfinite(b)
-    out = np.subtract(a, b, out=np.zeros(a.shape), where=fin_a & fin_b)
-    np.abs(out, out=out)
-    out[fin_a != fin_b] = float("inf")
+    out = np.subtract(a, b, out=np.zeros(np.broadcast(a, b).shape), where=fin_a & fin_b)
+    one = fin_a != fin_b
+    if one.any():  # rare once the finite support stops growing
+        np.copyto(out, np.where(fin_a, np.inf, -np.inf), where=one)
     return out
 
 
 def sup_delta(new: np.ndarray, old: np.ndarray) -> float:
-    """Sup-norm distance with BOTTOM conventions (see entry_distance)."""
-    return float(np.max(entry_distance(new, old)))
+    """Sup-norm distance with BOTTOM conventions (see gap)."""
+    d = gap(new, old)
+    return float(np.max(np.abs(d, out=d)))
 
 
 def bank_sup_delta(new: FieldBank, old: FieldBank) -> float:
@@ -368,14 +373,8 @@ def run(
     )
 
 
-def _sum_rate(h: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Minimum sum-rate, elementwise: joint entropy h minus rate reduction
-    rho, with BOTTOM mapped to +inf (computation infeasible with these
-    messages)."""
-    return np.where(np.isfinite(rho), h - rho, float("inf"))
-
-
 def sum_rate_field(field_in: RateReductionField) -> np.ndarray:
-    """Pointwise minimum sum-rate of a field: joint entropy minus rate
-    reduction, BOTTOM mapped to +inf (_sum_rate)."""
-    return _sum_rate(entropy_grid(field_in.grid), field_in.data)
+    """Pointwise minimum sum-rate of a field: gap(h, rho), joint entropy h
+    minus rate reduction rho.  h is finite, so BOTTOM (or any non-finite rho)
+    maps to +inf: computation infeasible with these messages."""
+    return gap(entropy_grid(field_in.grid), field_in.data)

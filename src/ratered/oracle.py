@@ -35,7 +35,7 @@ import numpy as np
 
 from .envelope import BOTTOM
 from .errors import ConfigError
-from .lattice import initial_bank, sweep_once
+from .lattice import gap, initial_bank, sweep_once
 from .probability import GridIndex, GridSpec, ProductPmf, binary_entropy, reciprocal_steps
 from .target_functions import FunctionTable
 
@@ -276,7 +276,7 @@ def compare_with_envelope(grid: GridSpec, f: FunctionTable, points: tuple[GridIn
     """Per-point gap between one envelope sweep of node spec.k and the
     brute-force search.
 
-    gap = envelope - oracle; two BOTTOM sides count as gap 0.  Contract:
+    gap = envelope - oracle by lattice.gap: two BOTTOM sides give 0.  Contract:
     every gap within [-1e-9, slack] and feasibility verdicts agree.
     """
     if f.m != grid.m:
@@ -288,24 +288,17 @@ def compare_with_envelope(grid: GridSpec, f: FunctionTable, points: tuple[GridIn
     field = sweep_once(initial_bank(grid, f)).field_for(spec.k)
     slack = resolution_slack(spec.search_step, grid.m)
 
+    envs = [field.value_at(pt) for pt in points]
+    oras = [single_message_reduction(grid.pmf_at(pt), f, spec) for pt in points]
     rows = []
     worst = 0.0
     ok = True
-    for pt in points:
-        env = field.value_at(pt)
-        ora = single_message_reduction(grid.pmf_at(pt), f, spec)
-        env_feasible = env != BOTTOM
-        ora_feasible = ora != BOTTOM
-        if not env_feasible and not ora_feasible:
-            gap = 0.0
-        elif env_feasible != ora_feasible:
-            gap = float("inf") if env_feasible else float("-inf")
-        else:
-            gap = env - ora
-        rows.append(ComparisonRow(tuple(pt), env, ora, gap, env_feasible, ora_feasible))
-        if abs(gap) > abs(worst):
-            worst = gap
-        if not (-1e-9 <= gap <= slack) or env_feasible != ora_feasible:
+    for pt, env, ora, diff in zip(points, envs, oras, gap(envs, oras).tolist()):
+        env_feasible, ora_feasible = env != BOTTOM, ora != BOTTOM
+        rows.append(ComparisonRow(tuple(pt), env, ora, diff, env_feasible, ora_feasible))
+        if abs(diff) > abs(worst):
+            worst = diff
+        if not (-1e-9 <= diff <= slack) or env_feasible != ora_feasible:
             ok = False
     return ComparisonReport(spec.k, spec.search_step, spec.u1_cardinality, slack, worst,
                             ok, tuple(rows))

@@ -58,6 +58,11 @@ class GridSpec:
             raise ConfigError(f"need at least 2 sources, got m={self.m}")
         if self.n_steps < 1:
             raise ConfigError(f"n_steps must be >= 1, got {self.n_steps}")
+        limit = np.iinfo(np.intp).max
+        if self.n_points * 8 > limit:
+            raise ConfigError(f"m={self.m}, n_steps={self.n_steps}: {self.n_points:,} grid points "
+                              f"need {self.n_points * 8:,} bytes per field, over the "
+                              f"{limit:,}-byte array limit")
 
     @classmethod
     def from_delta(cls, m: int, delta: float) -> "GridSpec":

@@ -409,7 +409,10 @@ def per_cell_read_field_csv():
             raise ConfigError(f"{path}: negative grid index")
         if index.max() == 0:
             raise ConfigError(f"{path}: every i_j is 0, so the indices span no grid step")
-        grid = GridSpec(m=m, n_steps=int(index.max()))
+        try:
+            grid = GridSpec(m=m, n_steps=int(index.max()))
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
         if n_rows != grid.n_points:
             raise ConfigError(
                 f"{path}: {n_rows} rows does not cover the "

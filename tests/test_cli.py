@@ -338,6 +338,39 @@ class TestSweepDeltaCommand:
         assert cross["max_coarse_minus_fine"] >= 0.25 - 1e-9
         assert cross["fine_never_below_coarse_at_1e-9"] is False
 
+    def test_cross_delta_fine_bottom_under_finite_coarse_is_infinite(self, tmp_path,
+                                                                       monkeypatch):
+        self._run_with_point1(
+            monkeypatch, lambda delta, s: [BOTTOM] * len(s) if delta == 0.25 else s
+        )
+        assert cli.main(self.SWEEP_ARGS + ["-o", str(tmp_path)]) == 0
+        (cross,) = read_json(tmp_path / "sweep_report.json")["cross_delta"]
+        assert cross["max_coarse_minus_fine"] == "inf"
+        assert cross["fine_never_below_coarse_at_1e-9"] is False
+
+    def test_cross_delta_ignores_bottom_coarse_values(self, tmp_path, monkeypatch):
+        self._run_with_point1(
+            monkeypatch, lambda delta, s: [BOTTOM] * len(s) if delta == 0.5 else s
+        )
+        assert cli.main(self.SWEEP_ARGS + ["-o", str(tmp_path)]) == 0
+        (cross,) = read_json(tmp_path / "sweep_report.json")["cross_delta"]
+        assert cross["max_coarse_minus_fine"] == 0.0
+        assert cross["fine_never_below_coarse_at_1e-9"] is True
+
+    @pytest.mark.parametrize("series, want", [
+        ([1.0, BOTTOM], math.inf),                          # a fall to BOTTOM
+        ([BOTTOM, 1.0], 0.0),                               # a rise from BOTTOM
+        ([BOTTOM, BOTTOM], 0.0),
+        ([1.0, 2.0, BOTTOM, 0.5, 0.25], math.inf),
+        ([2.0, 1.5, 1.75, 1.0], 0.75),
+        ([2.55789851544197, 2.55789851544097], 0.0),        # not below 1e-12 under prev
+        ([], 0.0),
+        ([3.0], 0.0),
+    ], ids=["fall-to-bottom", "rise-from-bottom", "bottom-bottom", "bottom-mid",
+            "finite-drops", "boundary", "empty", "single"])
+    def test_worst_drop(self, series, want):
+        assert cli._worst_drop(series) == want
+
     def test_svg_draws_every_tracked_point_at_every_delta(self, tmp_path):
         assert cli.main(self.SWEEP_ARGS + ["-o", str(tmp_path)]) == 0
         svg = (tmp_path / "sweep_trace.svg").read_text()
@@ -506,6 +539,14 @@ class TestConfigErrors:
         ])
         assert code == 2
         assert "reciprocal" in capsys.readouterr().err
+
+    def test_grid_too_large_for_one_array(self, tmp_path, capsys):
+        code = cli.main(["run", "--function", "min", "--m", "12", "--delta", "0.02",
+                         "-o", str(tmp_path / "out")])
+        assert code == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: m=12, n_steps=50: ") and "array limit" in line
+        assert not (tmp_path / "out").exists()
 
     def test_bad_slice(self, tmp_path, capsys):
         code = cli.main([
@@ -939,6 +980,23 @@ class TestFieldCsvReaderMatchesPerCellReader:
         assert new == ref
 
 
+def test_read_field_csv_with_an_index_too_large_for_one_array(tmp_path,
+                                                              per_cell_read_field_csv):
+    """The grid is inferred from the largest i_j, so an absurd one stops both
+    readers at GridSpec's size guard, named with the file, before any row
+    count or allocation."""
+    lines = _field_csv_lines(tmp_path, 2, 10)
+    cells = lines[5].split(",")
+    cells[0] = str(10**10)
+    lines[5] = ",".join(cells)
+    path = tmp_path / "field.csv"
+    path.write_text("\n".join(lines) + "\n")
+    (_, new), (_, ref) = _read_both(path, per_cell_read_field_csv)
+    assert new == ref
+    assert new.startswith(f"{path}: m=2, n_steps=10000000000: "
+                          "100,000,000,020,000,000,001 grid points")
+
+
 @pytest.mark.parametrize("col, cell, message", [
     (0, "1_0", "i_1 '1_0' is not an integer"),
     (3, "1_0", "i_4 '1_0' is not an integer"),
@@ -1105,6 +1163,20 @@ class TestDispatch:
         finally:
             trace.uninstall()
         assert cli.read_field_csv is fieldcsv.read_field_csv
+
+    @pytest.mark.parametrize("exc, line", [
+        (MemoryError("Unable to allocate 2.18 TiB for an array"),
+         "error: Unable to allocate 2.18 TiB for an array\n"),
+        (MemoryError(), "error: out of memory\n"),
+    ], ids=["numpy", "bare"])
+    def test_memory_error_is_one_error_line(self, tmp_path, monkeypatch, capsys, exc, line):
+        def stub_command(args):
+            raise exc
+
+        monkeypatch.setattr(cli, "cmd_run", stub_command)
+        assert cli.main(["run", "--function", "min", "--m", "3", "--delta", "0.5",
+                         "-o", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == line
 
     def test_main_calls_the_module_globals(self, tmp_path, monkeypatch):
         calls = []

@@ -17,7 +17,7 @@ from ratered.lattice import (
     bank_sup_delta,
     convexify_axes,
     cross_k_gap,
-    entry_distance,
+    gap,
     initial_bank,
     initial_field,
     rotation_period,
@@ -410,12 +410,43 @@ class TestSupDelta:
         a = np.full(4, BOTTOM)
         assert sup_delta(a, a.copy()) == 0.0
 
-    def test_entry_distance_per_entry(self):
-        a = np.array([BOTTOM, BOTTOM, 1.0, 0.25, -3.0])
-        b = np.array([BOTTOM, 2.0, BOTTOM, 1.0, -3.0])
-        want = np.array([0.0, math.inf, math.inf, 0.75, 0.0])
-        assert np.array_equal(entry_distance(a, b), want)
-        assert np.array_equal(entry_distance(b, a), want)
+
+class TestGap:
+    A = np.array([BOTTOM, BOTTOM, 1.0, 0.25, -3.0])
+    B = np.array([BOTTOM, 2.0, BOTTOM, 1.0, -3.0])
+    WANT = np.array([0.0, -math.inf, math.inf, -0.75, 0.0])
+
+    @pytest.fixture(autouse=True)
+    def _raise_on_float_errors(self):
+        with np.errstate(all="raise"):
+            yield
+
+    def test_per_entry(self):
+        got = gap(self.A, self.B)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, self.WANT)
+        assert np.array_equal(got, -gap(self.B, self.A))
+        assert np.array_equal(np.abs(got), [0.0, math.inf, math.inf, 0.75, 0.0])
+
+    def test_scalars_and_lists(self):
+        for a, b, want in zip(self.A, self.B, self.WANT):
+            assert gap(float(a), float(b)) == want
+            assert gap(float(a), float(b)).shape == ()
+        assert np.array_equal(gap(self.A.tolist(), self.B.tolist()), self.WANT)
+        assert gap([], []).shape == (0,)
+
+    def test_broadcast(self):
+        got = gap(self.A[:, None], self.B[None, :])
+        assert got.shape == (5, 5)
+        for i, a in enumerate(self.A):
+            for j, b in enumerate(self.B):
+                assert got[i, j] == gap(a, b)
+        assert np.array_equal(gap(self.A, BOTTOM), [0.0, 0.0, math.inf, math.inf, math.inf])
+        assert np.array_equal(gap(1.0, self.B), [math.inf, -1.0, math.inf, 0.0, 4.0])
+
+    def test_nan_and_plus_inf_count_as_not_finite(self):
+        assert np.array_equal(gap([math.nan, math.inf, math.nan], [1.0, 1.0, math.inf]),
+                              [-math.inf, -math.inf, 0.0])
 
 
 class TestRun:
@@ -501,6 +532,15 @@ class TestSumRate:
         mask = zero_message_mask(grid, min3)
         assert np.all(rs[~mask] == math.inf)
         assert np.all(rs[mask] == 0.0)
+
+    def test_special_values_bit_for_bit(self):
+        grid = GridSpec(m=2, n_steps=2)
+        rho = np.array([[0.5, BOTTOM, math.inf], [math.nan, -0.0, 0.0],
+                        [-1.25, 2.0, 5e-324]])
+        h = entropy_grid(grid)
+        want = np.where(np.isfinite(rho), h - rho, math.inf)
+        got = sum_rate_field(RateReductionField(grid, rho))
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_entropy_minus_reduction(self, converged_run):
         field = converged_run.bank.field_for(3)

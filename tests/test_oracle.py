@@ -363,6 +363,23 @@ class TestCompareWithEnvelope:
         assert not row.envelope_feasible and not row.oracle_feasible
         assert row.gap == 0.0
 
+    @pytest.mark.parametrize("point, oracle_value, want", [
+        ((0, 0, 0), BOTTOM, math.inf),     # only the envelope is feasible
+        ((5, 5, 5), 1.0, -math.inf),       # only the oracle is feasible
+    ], ids=["envelope-only", "oracle-only"])
+    def test_feasibility_mismatch_gap_is_infinite(self, min3, monkeypatch, point,
+                                                  oracle_value, want):
+        monkeypatch.setattr(oracle, "single_message_reduction",
+                            lambda *args: oracle_value)
+        grid = GridSpec.from_delta(3, 0.1)
+        spec = ConditionalSearchSpec(k=3, search_step=0.1)
+        report = compare_with_envelope(grid, min3, (point,), spec)
+        (row,) = report.rows
+        assert row.envelope_feasible != row.oracle_feasible
+        assert row.gap == want
+        assert report.worst_gap == want
+        assert not report.within_contract
+
     def test_constant_function_gaps_zero(self):
         f = builtin_table("constant", 3)
         grid = GridSpec.from_delta(3, 0.2)

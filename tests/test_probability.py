@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -60,6 +61,19 @@ class TestGridSpec:
             GridSpec.from_delta(3, 0.3)
         with pytest.raises(ConfigError, match=r"^delta must lie in \(0, 1\], got 0\.0$"):
             GridSpec.from_delta(3, 0.0)
+
+    def test_rejects_grid_too_large_for_one_array(self):
+        with pytest.raises(ConfigError, match=re.escape(
+                "m=12, n_steps=50: 309,629,344,375,621,415,601 grid points need "
+                "2,477,034,755,004,971,324,808 bytes per field, over the "
+                "9,223,372,036,854,775,807-byte array limit")):
+            GridSpec(m=12, n_steps=50)
+
+    def test_size_bound_is_inclusive(self):
+        # (2**30 - 1)**2 * 8 is the largest field size under 2**63 at m=2
+        assert GridSpec(m=2, n_steps=2**30 - 2).n_points * 8 < 2**63
+        with pytest.raises(ConfigError, match="array limit"):
+            GridSpec(m=2, n_steps=2**30 - 1)
 
     def test_delta_one_is_corner_grid(self):
         grid = GridSpec.from_delta(2, 1.0)

@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .certify import assess_optimality, check_tol
+from .envelope import kernel_name
 from .errors import ConfigError
 from .fieldcsv import _fmt, _write_grid_csv, read_field_csv
 from .lattice import RunResult, check_budget, gap, run
@@ -321,6 +322,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         "sup_deltas": list(result.trace.sup_deltas),
         "cross_k_gap": result.cross_k_gap,
         "envelope_chains": result.bank.period,
+        "envelope_kernel": kernel_name(),
         "tracked": tracked_rec,
         "slice": slice_rec,
         "initial_node": args.initial_node,
@@ -368,6 +370,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
         "field": str(args.field),
         "function": args.function,
         "tol": args.tol,
+        "envelope_kernel": kernel_name(),
         "membership": membership.to_dict(),
         "optimality": optimality.to_dict(),
     }
@@ -510,6 +513,10 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
     )
     if args.n_random < 0:
         raise ConfigError(f"--n-random {args.n_random} is negative")
+    if args.n_random > grid.n_points:
+        # More draws than grid points can only repeat searches.
+        raise ConfigError(f"--n-random {args.n_random} exceeds the {grid.n_points:,} "
+                          f"points of the grid")
     if args.seed < 0:
         raise ConfigError(f"--seed {args.seed} is negative")
     points, records = _snap_tracked(grid, [_parse_point(t, args.m) for t in args.point])

@@ -13,21 +13,41 @@ Hull construction and interpolation use integer abscissae (the index i
 rather than i/N); the two are affinely equivalent and integer arithmetic
 keeps the hull tests free of grid-step rounding.
 
-envelope_batch runs Andrew's monotone chain on all rows of a batch in
+envelope_batch envelopes every row of a batch; a sweep makes one call, with
+the lines of every enveloped node stacked into one batch.  The scalar
+reference, Andrew's monotone chain and a chord walk over one line in plain
+Python floats, lives in tests/conftest.py (_envelope_line).  Both kernels
+below perform its float operations in the same order, and the tests
+compare all three to the last bit, ties and BOTTOM rows included.
+
+The compiled kernel, _envelope.c, is that reference ported to C, one row
+after another.  It is built on the first envelope_batch call of a process,
+never at import: compiled with sysconfig's CC (else cc) and -O2
+-ffp-contract=off -fPIC -shared, so no product is fused into a sum (never
+-ffast-math, which lets the compiler reorder float operations and assume
+that no NaN or infinity occurs).  The library is cached in this
+package's __pycache__ directory under a name that carries a SHA-256 of the
+C source, the compiler argv and the platform tag, so a later process only
+loads it; sys.dont_write_bytecode does not govern it, as it is not
+bytecode.  It is compiled under a temporary name and moved into place with
+os.replace, so concurrent processes never load a half-written file.  It is
+adopted only after it reproduces the numpy kernel's bits on a fixed probe
+batch (_probe_batch).  A cached file is never rebuilt: delete it to force a
+new build.  Where there is no compiler, the directory is not writable, or
+the build, the load or the probe fails, the process runs the numpy kernel
+for its whole life; kernel_name() says which one runs.
+
+The numpy kernel runs the monotone chain on all rows of a batch in
 lockstep, one numpy step per column and per round of pops, each round on
 the rows still popping only; then it interpolates the whole batch in one
-vectorised pass, building the chords in place in the output.  A sweep makes
-one call, with the lines of every enveloped node stacked into one batch.
-The scalar reference, the same chain and a chord walk over one line in
-plain Python floats, lives in tests/conftest.py (_envelope_line).  The
-kernel performs its float operations in the same order, and the tests
-compare the two to the last bit, ties and BOTTOM rows included.
+vectorised pass, building the chords in place in the output.
 
-Near the limit many lines are already their own hull, and the kernel would
-return them unchanged.  A loop-free pre-pass (_already_hulls) finds those
-rows first, and only the others go through the kernel.  A row is returned as
-it is when its non-BOTTOM cells form one contiguous run and no consecutive
-triple of them passes the kernel's own pop test,
+Near the limit many lines are already their own hull, and the numpy kernel
+would return them unchanged.  A loop-free pre-pass (_already_hulls) finds
+those rows first, and only the others go through the numpy kernel (the
+compiled kernel costs less than the pre-pass, so it takes every row).  A
+row is returned as it is when its non-BOTTOM cells form one contiguous run
+and no consecutive triple of them passes the kernel's own pop test,
 
     (v[j] - v[j-2]) - (v[j-1] - v[j-2]) * 2 >= 0.0,
 
@@ -45,31 +65,134 @@ family check reads it.
 
 from __future__ import annotations
 
+import functools
+import os
+from pathlib import Path
+
 import numpy as np
 
 BOTTOM = float("-inf")
 
+_SOURCE = Path(__file__).with_name("_envelope.c")
+_CACHE = Path(__file__).with_name("__pycache__")
+_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+
 
 def envelope_batch(lines: np.ndarray) -> np.ndarray:
     """The upper concave envelope of every row of a 2D array at once, bit for
-    bit the scalar reference's (see the module docstring).
-
-    Rows that are already their own upper hull come back as they are, with
-    no kernel work: their non-BOTTOM cells form one run and no consecutive
-    triple passes the kernel's pop test (v[j] - v[j-2]) - (v[j-1] - v[j-2])
-    * 2 >= 0.0, in the kernel's own float operations (_already_hulls).  On
-    such a row the monotone chain never pops, since at column j its top two
-    entries are j-2 and j-1; so every non-BOTTOM cell is a vertex, and the
-    kernel, which copies vertices and writes BOTTOM only outside the
-    support, would return the row unchanged.
-
-    The other rows are gathered into one batch for _envelope_rows and
-    scattered back into a copy of the input; when no row is skipped the
-    kernel runs on the batch itself.  The result never aliases lines.
-    """
+    bit the scalar reference's, on the compiled kernel where it could be
+    built and the numpy kernel elsewhere (see the module docstring).  The
+    result never aliases lines."""
     if lines.ndim != 2:
         raise ValueError("lines must be two-dimensional")
-    v = np.asarray(lines, dtype=np.float64)
+    compiled = _compiled_kernel()
+    if compiled is None:
+        return _numpy_batch(np.asarray(lines, dtype=np.float64))
+    return compiled(lines)
+
+
+def kernel_name() -> str:
+    """The kernel envelope_batch runs in this process: "compiled" or
+    "numpy"."""
+    return "numpy" if _compiled_kernel() is None else "compiled"
+
+
+@functools.cache
+def _compiled_kernel():
+    """The compiled kernel as a function of a 2D array, or None where it
+    cannot be built, loaded or trusted; decided once per process."""
+    import ctypes
+
+    try:
+        argv, source, path = _recipe()
+        if not path.exists():
+            _build(argv, source, path)
+        rows = ctypes.CDLL(str(path)).ratered_envelope_rows
+    except (OSError, ValueError, AttributeError):
+        return None
+    rows.argtypes = (ctypes.c_void_p, ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_ssize_t)
+    rows.restype = ctypes.c_int
+
+    def kernel(lines: np.ndarray) -> np.ndarray:
+        v = np.ascontiguousarray(lines, dtype=np.float64)
+        out = np.empty_like(v)
+        if rows(v.ctypes.data, out.ctypes.data, *v.shape):
+            raise MemoryError("the envelope kernel could not allocate its hull stack")
+        return out
+
+    probe = _probe_batch()
+    if not np.array_equal(kernel(probe).view(np.uint64), _numpy_batch(probe).view(np.uint64)):
+        return None
+    return kernel
+
+
+def _recipe() -> tuple[list, bytes, Path]:
+    """The compiler argv, the C source, and the cached library's path, whose
+    name carries a SHA-256 of both and of the platform tag."""
+    import hashlib
+    import shlex
+    import sysconfig
+
+    source = _SOURCE.read_bytes()
+    argv = [*shlex.split(sysconfig.get_config_var("CC") or "cc"), *_FLAGS]
+    key = hashlib.sha256("\0".join([*argv, sysconfig.get_platform(), ""]).encode() + source)
+    return argv, source, _CACHE / f"_envelope-{key.hexdigest()[:32]}.so"
+
+
+def _build(argv: list, source: bytes, path: Path) -> None:
+    """Compile source into the shared library path: under a temporary name
+    in the same directory, then moved into place in one os.replace."""
+    import shutil
+    import subprocess
+    import tempfile
+
+    path.parent.mkdir(exist_ok=True)
+    tmpdir = tempfile.mkdtemp(dir=path.parent)
+    try:
+        tmp = os.path.join(tmpdir, path.name)
+        done = subprocess.run([*argv, "-o", tmp, "-x", "c", "-"], input=source,
+                              capture_output=True)
+        if done.returncode:
+            raise OSError(f"{argv[0]} exited with {done.returncode}")
+        os.replace(tmp, path)
+    finally:
+        shutil.rmtree(tmpdir, ignore_errors=True)
+
+
+def _probe_batch() -> np.ndarray:
+    """The rows the compiled kernel must reproduce bit for bit before it is
+    used: scrambled rows with holes, exact ties, all-BOTTOM and one-point
+    rows, NaN, +inf, -0.0, subnormals, cross products that overflow, rows
+    that pop to the floor or never pop, and near-collinear rows whose pop
+    test only rounding decides (a fused multiply-add flips some of them)."""
+    rows, n = 52, 13
+    cell = np.arange(rows * n, dtype=np.float64).reshape(rows, n)
+    v = 0.5 + 1.5 * np.sin(cell * 12.9898)
+    v[8:16] = np.round(v[8:16] * 4.0) / 4.0
+    v[np.sin(cell * 78.233) > 0.4] = BOTTOM
+    v[16] = BOTTOM
+    v[17] = BOTTOM
+    v[17, 6] = 0.75
+    v[18:22] = np.ldexp(v[18:22], -1060)
+    v[22:26] = np.where(np.sin(cell[22:26] * 3.7) > 0.0, 1e308, -0.5e308)
+    v[26, 3] = np.nan
+    v[27, 5] = np.inf
+    i = np.arange(n, dtype=np.float64)
+    v[28] = np.where(i % 2, 0.0, -0.0)
+    v[29:33] = i**2
+    v[33:37] = -(i - 5.0) ** 2
+    v[40:52] = np.tile(0.1 + np.array([0.1, 0.3, 0.7, 1 / 3])[:, None] * i, (3, 1))
+    v[44:48, 1::3] = BOTTOM
+    v[48:52, [1, 2, 4, 5, 6, 8, 9, 11]] = BOTTOM
+    return v
+
+
+def _numpy_batch(v: np.ndarray) -> np.ndarray:
+    """The numpy kernel on a float64 batch: rows that are already their own
+    upper hull come back as they are, with no kernel work (_already_hulls);
+    the others are gathered into one batch for _envelope_rows and scattered
+    back into a copy of the input.  When no row is skipped the kernel runs
+    on the batch itself.  The result never aliases v."""
     todo = np.flatnonzero(~_already_hulls(v))
     if todo.size == v.shape[0]:
         return _envelope_rows(v)

@@ -10,6 +10,10 @@ _envelope_line and upper_concave_envelope (the envelope kernel's scalar
 reference), grid_points and computable_with_zero_messages (the pointwise
 specs of entropy_grid and zero_message_mask), and sweep_history (the banks
 that run() passes through).
+
+The kernel fixtures pick the envelope kernel a test runs on (kernel,
+numpy_kernel) or let it exercise the compiled kernel's loader from scratch
+(fresh_loader, no_compiler).
 """
 
 from __future__ import annotations
@@ -17,12 +21,16 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import shlex
+import shutil
+import sysconfig
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from ratered import envelope
 from ratered.certify import MembershipReport
 from ratered.fieldcsv import _CSV_BLOCK, _fmt
 from ratered.envelope import BOTTOM
@@ -136,6 +144,57 @@ def sweep_history(grid, f, t_max, eps, sweep=sweep_once):
         if deltas[-1] <= eps:
             break
     return banks, deltas
+
+
+@pytest.fixture
+def numpy_kernel(monkeypatch):
+    """envelope_batch on the numpy kernel, as on a host where the compiled
+    one cannot be built."""
+    monkeypatch.setattr(envelope, "_compiled_kernel", lambda: None)
+    return "numpy"
+
+
+@pytest.fixture
+def compiler():
+    """The C compiler the kernel loader calls; the test is skipped where it
+    is not on PATH."""
+    cc = shlex.split(sysconfig.get_config_var("CC") or "cc")[0]
+    if not shutil.which(cc):
+        pytest.skip(f"no C compiler ({cc}) on PATH")
+    return cc
+
+
+@pytest.fixture(params=["compiled", "numpy"])
+def kernel(request):
+    """Runs a test once on each envelope kernel.  Wherever the C compiler
+    the loader calls is on PATH, the compiled kernel must load."""
+    if request.param == "numpy":
+        return request.getfixturevalue("numpy_kernel")
+    cc = request.getfixturevalue("compiler")
+    if envelope.kernel_name() != "compiled":
+        pytest.fail(f"{cc} is on PATH but the compiled envelope kernel did not load")
+    return "compiled"
+
+
+@pytest.fixture
+def fresh_loader(monkeypatch, tmp_path):
+    """The kernel loader with its choice forgotten and its cache directory
+    under tmp_path, so the next envelope_batch call decides again."""
+    cache = tmp_path / "kernel-cache"
+    monkeypatch.setattr(envelope, "_CACHE", cache)
+    envelope._compiled_kernel.cache_clear()
+    yield cache
+    envelope._compiled_kernel.cache_clear()
+
+
+@pytest.fixture
+def no_compiler(monkeypatch, tmp_path, fresh_loader):
+    """A host whose configured C compiler does not exist."""
+    config = sysconfig.get_config_var
+    missing = str(tmp_path / "no-such-cc")
+    monkeypatch.setattr(sysconfig, "get_config_var",
+                        lambda name: missing if name == "CC" else config(name))
+    return fresh_loader
 
 
 @pytest.fixture(scope="session")

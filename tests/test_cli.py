@@ -9,7 +9,7 @@ from xml.etree import ElementTree
 import numpy as np
 import pytest
 
-from ratered import certify, cli, fieldcsv
+from ratered import certify, cli, envelope, fieldcsv
 from ratered.envelope import BOTTOM
 from ratered.lattice import RateReductionField, run
 from ratered.probability import GridSpec, binary_entropy, entropy_grid
@@ -42,6 +42,7 @@ class TestRunCommand:
         assert md["tracked"][0]["requested"] == [0.5, 0.5, 0.5]
         assert len(md["sup_deltas"]) == md["t_stop"]
         assert md["envelope_chains"] == 1      # min's base is rotation-invariant
+        assert md["envelope_kernel"] == envelope.kernel_name()
         assert "threads" not in md
         svg = (tmp_path / "trace.svg").read_text()
         assert svg.startswith("<svg") and "polyline" in svg
@@ -215,6 +216,7 @@ class TestCertifyCommand:
         report = read_json(tmp_path / "certify_report.json")
         assert report["membership"]["verdict"] == "pass"
         assert report["optimality"]["status"] == "optimal within tol"
+        assert report["envelope_kernel"] == envelope.kernel_name()
         field = fieldcsv.read_field_csv(tmp_path / "field_max.csv")
         assert report["membership"]["field_sha256"] == certify.field_digest(field.data)
 
@@ -486,6 +488,32 @@ class TestOracleCheckCommand:
             assert list(rec) == ["source", "requested", "snapped_index", "snapped_pmf"]
             assert rec["source"] == "random" and rec["requested"] is None
 
+    def test_n_random_beyond_the_grid_is_refused_before_drawing(self, tmp_path, capsys,
+                                                                monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("oracle-check drew points it then refused")
+
+        monkeypatch.setattr(np.random, "default_rng", forbidden)
+        code = cli.main([
+            "oracle-check", "--function", "min", "--m", "3", "--delta", "0.2",
+            "--k", "3", "--n-random", str(10**11), "-o", str(tmp_path / "out"),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: --n-random 100000000000 exceeds the 216 points of the grid\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("n_random, code", [(9, 0), (10, 2)])
+    def test_n_random_up_to_the_grid_size(self, tmp_path, capsys, n_random, code):
+        assert cli.main([
+            "oracle-check", "--function", "min", "--m", "2", "--delta", "0.5",
+            "--k", "1", "--search-step", "0.5", "--n-random", str(n_random),
+            "-o", str(tmp_path),
+        ]) == code
+        err = capsys.readouterr().err
+        assert err == ("" if code == 0 else
+                       "error: --n-random 10 exceeds the 9 points of the grid\n")
+
     def test_needs_points(self, tmp_path, capsys):
         code = cli.main([
             "oracle-check", "--function", "min", "--m", "3", "--delta", "0.2",
@@ -521,6 +549,55 @@ class TestOracleCheckCommand:
             ])
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+class TestWithoutACompiler:
+    """Where the compiled envelope kernel cannot be built, every command runs
+    on the numpy kernel and writes the same bytes; only the recorded kernel
+    (and run's elapsed time) differ."""
+
+    def _every_command(self, out, field):
+        assert cli.main([
+            "run", "--function", "min", "--m", "3", "--delta", "0.1", "--t-max", "12",
+            "--track", "0.5,0.5,0.5", "--slice", "p3=0.5",
+            "--emit", "fields-csv,trace-csv,trace-svg,report-json", "-o", str(out / "run"),
+        ]) == 0
+        assert cli.main(["run", "--function", str(field.parent / "period2.txt"), "--m", "4",
+                         "--delta", "0.25", "--t-max", "6", "-o", str(out / "period2")]) == 0
+        assert cli.main(["certify", "--field", str(field), "--function", "min",
+                         "--t-max", "12", "-o", str(out / "certify")]) == 0
+        assert cli.main(["sweep-delta", "--function", "min", "--m", "2",
+                         "--deltas", "0.25,0.125", "--track", "0.5,0.5",
+                         "-o", str(out / "sweep")]) == 0
+        assert cli.main(["oracle-check", "--function", "min", "--m", "3", "--delta", "0.25",
+                         "--k", "3", "--search-step", "0.25", "--point", "0.5,0.5,0.5",
+                         "-o", str(out / "oracle")]) == 0
+        return {path.relative_to(out): path.read_bytes()
+                for path in sorted(out.rglob("*")) if path.is_file()}
+
+    def test_every_command_writes_the_same_bytes(self, tmp_path, request):
+        (tmp_path / "period2.txt").write_text("arity m=4 alphabets=2,2,2,2 outputs=0,1\n" + "".join(
+            f"{' '.join(map(str, x))} -> {z}\n" for x, z in PERIOD2.table.items()))
+        field = tmp_path / "field_max.csv"
+        cli.main(["run", "--function", "min", "--m", "3", "--delta", "0.1", "--t-max", "12",
+                  "--emit", "fields-csv", "-o", str(tmp_path / "field")])
+        (tmp_path / "field" / "field_max.csv").rename(field)
+        here = self._every_command(tmp_path / "here", field)
+        kernel_here = envelope.kernel_name()
+        request.getfixturevalue("no_compiler")
+        fallback = self._every_command(tmp_path / "fallback", field)
+        assert envelope.kernel_name() == "numpy"
+        assert here.keys() == fallback.keys()
+        for name in here:
+            if name.name in ("metadata.json", "certify_report.json"):
+                a, b = json.loads(here[name]), json.loads(fallback[name])
+                assert (a.pop("envelope_kernel"), b.pop("envelope_kernel")) == (
+                    kernel_here, "numpy")
+                a.pop("elapsed_seconds", None)
+                b.pop("elapsed_seconds", None)
+                assert a == b, name
+            else:
+                assert here[name] == fallback[name], name
 
 
 class TestConfigErrors:

@@ -1,19 +1,27 @@
-"""Unit tests for the per-line upper-concave-envelope kernel.
+"""Unit tests for the upper-concave-envelope kernels.
 
 The heavyweight randomized property suite (1000 profiles, five properties)
 lives in test_acceptance; this file keeps small targeted cases plus short
-random loops for day-to-day debugging.
+random loops for day-to-day debugging.  Tests taking the kernel fixture run
+once on the compiled kernel and once on the numpy one, and compare both
+with the scalar reference bit for bit.
 """
 
+import itertools
 import math
+import re
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import upper_concave_envelope
-from ratered import envelope
+from ratered import envelope, lattice
 from ratered.envelope import BOTTOM, concavity_defects, envelope_batch
+from ratered.probability import GridSpec
+from ratered.target_functions import builtin_table
 
 
 def reference_envelope(values):
@@ -136,7 +144,7 @@ class TestProperties:
 
 
 class TestBatch:
-    def test_matches_per_line(self):
+    def test_matches_per_line(self, kernel):
         rng = np.random.default_rng(8)
         lines = rng.uniform(-1.0, 2.0, size=(40, 9))
         lines[rng.uniform(size=lines.shape) < 0.4] = BOTTOM
@@ -163,7 +171,7 @@ class TestBatch:
         with pytest.raises(ValueError):
             envelope_batch(np.zeros(5))
 
-    def test_bitwise_equals_per_line_loop(self, per_line_envelope):
+    def test_bitwise_equals_per_line_loop(self, per_line_envelope, kernel):
         rng = np.random.default_rng(10)
         # past 127 and 255 the kernel's column indices need a wider dtype
         for n in [*range(1, 61), 127, 128, 129, 255, 256, 257]:
@@ -208,8 +216,13 @@ DOWN = np.nextafter(1.0, 0.0)   # one ulp below it
 
 
 class TestSkipPass:
-    """Rows that are already their own hull skip the kernel; output is the
-    same bits either way."""
+    """Rows that are already their own hull skip the numpy kernel; output is
+    the same bits either way.  The pre-pass belongs to the numpy kernel (the
+    compiled one takes every row), so every test here runs on it."""
+
+    @pytest.fixture(autouse=True)
+    def _numpy_path(self, numpy_kernel):
+        pass
 
     # (row, whether the pre-pass returns it untouched)
     CASES = [
@@ -336,6 +349,233 @@ class TestSkipPass:
         assert not np.shares_memory(out, lines)
         out[...] = 7.0
         assert np.array_equal(lines, before)
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.uint64)
+
+
+class TestKernels:
+    """Edge cases on both kernels, each compared with the scalar reference
+    as uint64, so -0.0 against 0.0 and NaN payloads count."""
+
+    @pytest.mark.parametrize("n", [1, 2, 13])
+    def test_empty_batch(self, kernel, n):
+        out = envelope_batch(np.empty((0, n)))
+        assert out.shape == (0, n) and out.dtype == np.float64
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_one_and_two_cells(self, per_line_envelope, kernel, n):
+        cells = [BOTTOM, 0.5, -0.0, 0.0, math.nan, math.inf, 1e308, 5e-324]
+        lines = np.array(list(itertools.product(cells, repeat=n)))
+        assert np.array_equal(_bits(envelope_batch(lines)), _bits(per_line_envelope(lines)))
+
+    def test_one_finite_cell(self, per_line_envelope, kernel):
+        n = 9
+        lines = np.full((4 * n, n), BOTTOM)
+        for j in range(n):
+            lines[4 * j : 4 * j + 4, j] = [0.75, -0.0, math.nan, math.inf]
+        got = envelope_batch(lines)
+        assert np.array_equal(_bits(got), _bits(lines))
+        assert np.array_equal(_bits(got), _bits(per_line_envelope(lines)))
+
+    def test_holes(self, per_line_envelope, kernel):
+        rng = np.random.default_rng(40)
+        lines = rng.uniform(-1.0, 2.0, size=(64, 17))
+        for r, line in enumerate(lines):
+            a = r % 5
+            b = a + 2 + r % 9
+            line[a + 1 : b] = BOTTOM          # one hole of 1..9 cells
+            line[b + 2 :: 3] = BOTTOM         # and holes past it
+        assert np.array_equal(_bits(envelope_batch(lines)), _bits(per_line_envelope(lines)))
+
+    def test_signed_zeros(self, per_line_envelope, kernel):
+        lines = np.array(list(itertools.product([0.0, -0.0, BOTTOM], repeat=5)))
+        got = envelope_batch(lines)
+        assert np.array_equal(_bits(got), _bits(per_line_envelope(lines)))
+        # a flat row of -0.0 and 0.0 keeps the sign of every vertex
+        assert np.array_equal(_bits(got[0]), _bits([0.0] * 5))
+
+    def test_subnormals(self, per_line_envelope, kernel):
+        rng = np.random.default_rng(41)
+        lines = np.ldexp(rng.uniform(-1.0, 2.0, size=(64, 11)), -1060)
+        lines[rng.uniform(size=lines.shape) < 0.2] = BOTTOM
+        lines[:8] = np.arange(11) * 5e-324          # collinear multiples of the least one
+        lines[8:16] = (np.arange(11) % 3) * 5e-324
+        got = envelope_batch(lines)
+        assert np.array_equal(_bits(got), _bits(per_line_envelope(lines)))
+        assert np.any((got != 0.0) & (np.abs(got) < np.finfo(np.float64).tiny))
+
+    def test_values_near_the_float_limits(self, per_line_envelope, kernel):
+        rng = np.random.default_rng(42)
+        big = np.finfo(np.float64).max
+        lines = rng.choice([big, -big, 1e308, -1e308, 0.9e308, 0.0, BOTTOM], size=(200, 7))
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = per_line_envelope(lines)
+        assert np.array_equal(_bits(envelope_batch(lines)), _bits(want))
+
+    def test_pre_pass_boundary_rows(self, per_line_envelope, kernel):
+        n = max(len(row) for row, _ in TestSkipPass.CASES)
+        lines = np.full((len(TestSkipPass.CASES), n), BOTTOM)
+        for r, (row, _) in enumerate(TestSkipPass.CASES):
+            lines[r, : len(row)] = row
+        assert np.array_equal(_bits(envelope_batch(lines)), _bits(per_line_envelope(lines)))
+
+    def test_random_rows_with_special_cells(self, per_line_envelope, kernel):
+        rng = np.random.default_rng(43)
+        specials = np.array([BOTTOM, math.nan, math.inf, -0.0, 1e308, -1e308, 5e-324])
+        for n in range(1, 20):
+            lines = _mixed_rows(rng, 60, n)
+            lines[20:30] = np.round(lines[20:30] * 2.0) / 2.0     # ties
+            cells = rng.uniform(size=lines.shape) < 0.15
+            lines[cells] = rng.choice(specials, size=int(cells.sum()))
+            lines[30:40, : n // 3] = BOTTOM
+            assert np.array_equal(_bits(envelope_batch(lines)),
+                                  _bits(per_line_envelope(lines))), n
+
+    def test_any_layout_and_dtype(self, kernel):
+        rng = np.random.default_rng(44)
+        block = rng.uniform(-1.0, 2.0, size=(11, 30))
+        block[rng.uniform(size=block.shape) < 0.3] = BOTTOM
+        want = envelope_batch(np.ascontiguousarray(block.T))
+        assert np.array_equal(_bits(envelope_batch(block.T)), _bits(want))
+        ints = rng.integers(-5, 5, size=(30, 11))
+        assert np.array_equal(_bits(envelope_batch(ints)),
+                              _bits(envelope_batch(ints.astype(np.float64))))
+
+    def test_result_never_aliases_the_input(self, kernel):
+        lines = _mixed_rows(np.random.default_rng(45), 8, 11)
+        before = lines.copy()
+        out = envelope_batch(lines)
+        assert not np.shares_memory(out, lines)
+        out[...] = 7.0
+        assert np.array_equal(lines, before)
+
+    def test_compiled_and_numpy_agree_on_sweep_batches(self, kernel, monkeypatch):
+        # every batch of twelve min sweeps, on the other kernel too
+        batches = []
+        kernel_batch = lattice.envelope_batch
+
+        def both(lines):
+            out = kernel_batch(lines)
+            batches.append((lines.copy(), out))
+            return out
+
+        monkeypatch.setattr(lattice, "envelope_batch", both)
+        table = builtin_table("min", 3)
+        lattice.run(GridSpec.from_delta(3, 0.1), table, t_max=12, eps=1e-300)
+        assert batches
+        monkeypatch.undo()
+        if kernel == "compiled":
+            monkeypatch.setattr(envelope, "_compiled_kernel", lambda: None)
+        for lines, out in batches:
+            assert np.array_equal(_bits(envelope_batch(lines)), _bits(out))
+
+
+WRONG_DIVISION = ("y0 + (y1 - y0) * (double)(i - x0) / (double)(x1 - x0)",
+                  "y0 + (y1 - y0) * (double)(i - x0) * (1.0 / (double)(x1 - x0))")
+
+
+def _library():
+    return envelope._recipe()[2]
+
+
+class TestLoader:
+    """How the compiled kernel is built, cached, checked and refused."""
+
+    def test_builds_once_under_a_content_hashed_name(self, compiler, fresh_loader,
+                                                     monkeypatch):
+        assert envelope.kernel_name() == "compiled"
+        assert [p.name for p in fresh_loader.iterdir()] == [_library().name]
+        assert re.fullmatch(r"_envelope-[0-9a-f]{32}\.so", _library().name)
+        # a later process loads the cached file and compiles nothing
+        envelope._compiled_kernel.cache_clear()
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("compiled again although the library is cached")
+
+        monkeypatch.setattr(subprocess, "run", forbidden)
+        assert envelope.kernel_name() == "compiled"
+
+    def test_name_changes_with_source_and_flags(self, fresh_loader, monkeypatch, tmp_path):
+        name = _library().name
+        monkeypatch.setattr(envelope, "_FLAGS", (*envelope._FLAGS, "-g"))
+        assert _library().name != name
+        monkeypatch.undo()
+        source = tmp_path / "_envelope.c"
+        source.write_bytes(envelope._SOURCE.read_bytes() + b"\n")
+        monkeypatch.setattr(envelope, "_SOURCE", source)
+        assert _library().name != name
+
+    def test_dont_write_bytecode_does_not_govern_the_library(self, compiler, fresh_loader,
+                                                             monkeypatch):
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)
+        assert envelope.kernel_name() == "compiled"
+        assert _library().is_file()
+
+    def test_missing_compiler_gives_numpy(self, no_compiler, per_line_envelope):
+        assert envelope.kernel_name() == "numpy"
+        assert not any(no_compiler.glob("*.so"))
+        lines = _mixed_rows(np.random.default_rng(46), 40, 11)
+        assert np.array_equal(_bits(envelope_batch(lines)), _bits(per_line_envelope(lines)))
+
+    def test_a_failed_build_is_not_retried(self, no_compiler, monkeypatch):
+        calls = []
+        compile_ = subprocess.run
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return compile_(*args, **kwargs)
+
+        monkeypatch.setattr(subprocess, "run", counting)
+        lines = _mixed_rows(np.random.default_rng(47), 8, 11)
+        for _ in range(3):
+            envelope_batch(lines)
+        assert envelope.kernel_name() == "numpy"
+        assert len(calls) == 1
+
+    def test_unwritable_cache_gives_numpy(self, fresh_loader, monkeypatch, tmp_path):
+        blocker = tmp_path / "not-a-directory"
+        blocker.write_text("")
+        monkeypatch.setattr(envelope, "_CACHE", blocker / "cache")
+        assert envelope.kernel_name() == "numpy"
+
+    def test_a_corrupt_cached_file_is_not_loaded(self, fresh_loader):
+        fresh_loader.mkdir()
+        path = _library()
+        path.write_bytes(b"\x7fELF" + b"\0" * 60)
+        assert envelope.kernel_name() == "numpy"
+        assert path.read_bytes() == b"\x7fELF" + b"\0" * 60   # left as it is
+
+    def test_a_library_failing_the_probe_is_refused(self, compiler, fresh_loader,
+                                                    monkeypatch, tmp_path):
+        right, wrong = WRONG_DIVISION
+        text = envelope._SOURCE.read_text()
+        assert text.count(right) == 1
+        source = tmp_path / "_envelope.c"
+        source.write_text(text.replace(right, wrong))
+        monkeypatch.setattr(envelope, "_SOURCE", source)
+        assert envelope.kernel_name() == "numpy"
+        assert _library().is_file()   # built and loaded, then refused
+
+    def test_the_probe_batch_covers_the_edge_cases(self):
+        v = envelope._probe_batch()
+        finite = v != BOTTOM
+        assert (finite.sum(axis=1) == 0).any() and (finite.sum(axis=1) == 1).any()
+        assert np.isnan(v).any() and np.isposinf(v).any()
+        assert (_bits(v) == _bits(-0.0)).any()
+        assert ((v != 0.0) & (np.abs(v) < np.finfo(np.float64).tiny)).any()
+        assert (np.abs(v[finite]) >= 1e308).any()
+        assert envelope._already_hulls(v).any() and not envelope._already_hulls(v).all()
+
+    def test_import_loads_nothing(self):
+        code = ("import sys, ratered.cli\n"
+                "from ratered import envelope\n"
+                "print(envelope._compiled_kernel.cache_info().currsize,"
+                " 'hashlib' in sys.modules, 'sysconfig' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, timeout=60)
+        assert out.stdout.split() == ["0", "False", "False"]
 
 
 class TestConcavityChecks:

@@ -42,22 +42,6 @@ lockstep, one numpy step per column and per round of pops, each round on
 the rows still popping only; then it interpolates the whole batch in one
 vectorised pass, building the chords in place in the output.
 
-Near the limit many lines are already their own hull, and the numpy kernel
-would return them unchanged.  A loop-free pre-pass (_already_hulls) finds
-those rows first, and only the others go through the numpy kernel (the
-compiled kernel costs less than the pre-pass, so it takes every row).  A
-row is returned as it is when its non-BOTTOM cells form one contiguous run
-and no consecutive triple of them passes the kernel's own pop test,
-
-    (v[j] - v[j-2]) - (v[j-1] - v[j-2]) * 2 >= 0.0,
-
-which is the kernel's cross term with its integer factors 1 and 2; both
-products are exact, so the pre-pass and the kernel compute the same bits.
-Such a row never pops, by induction on the columns: at column j the top two
-stack entries are j-2 and j-1, the test above fails, and j is pushed.  So
-every non-BOTTOM cell is a hull vertex; the kernel copies vertices and
-writes BOTTOM only outside the support, so its output is the input.
-
 The concavity test lives in one place too: concavity_defects measures every
 second difference of every line of an array at once, and the certifier's
 family check reads it.
@@ -87,7 +71,7 @@ def envelope_batch(lines: np.ndarray) -> np.ndarray:
         raise ValueError("lines must be two-dimensional")
     compiled = _compiled_kernel()
     if compiled is None:
-        return _numpy_batch(np.asarray(lines, dtype=np.float64))
+        return _envelope_rows(np.asarray(lines, dtype=np.float64))
     return compiled(lines)
 
 
@@ -121,7 +105,7 @@ def _compiled_kernel():
         return out
 
     probe = _probe_batch()
-    if not np.array_equal(kernel(probe).view(np.uint64), _numpy_batch(probe).view(np.uint64)):
+    if not np.array_equal(kernel(probe).view(np.uint64), _envelope_rows(probe).view(np.uint64)):
         return None
     return kernel
 
@@ -185,64 +169,6 @@ def _probe_batch() -> np.ndarray:
     v[44:48, 1::3] = BOTTOM
     v[48:52, [1, 2, 4, 5, 6, 8, 9, 11]] = BOTTOM
     return v
-
-
-def _numpy_batch(v: np.ndarray) -> np.ndarray:
-    """The numpy kernel on a float64 batch: rows that are already their own
-    upper hull come back as they are, with no kernel work (_already_hulls);
-    the others are gathered into one batch for _envelope_rows and scattered
-    back into a copy of the input.  When no row is skipped the kernel runs
-    on the batch itself.  The result never aliases v."""
-    todo = np.flatnonzero(~_already_hulls(v))
-    if todo.size == v.shape[0]:
-        return _envelope_rows(v)
-    if not todo.size:
-        return v.copy()
-    # The gathered rows are freed before the copy is made, so the peak is
-    # the kernel's on the gathered rows alone.
-    hulls = _envelope_rows(v[todo])
-    out = v.copy()
-    out[todo] = hulls
-    return out
-
-
-def _already_hulls(v: np.ndarray) -> np.ndarray:
-    """Mask of the rows that _envelope_rows would return bit for bit.
-
-    A row qualifies when its non-BOTTOM cells form one run and no triple of
-    consecutive cells passes the pop test of _hull_vertices with the stack
-    top at j-1 and j-2.  The test runs on every triple, BOTTOM or not: a
-    triple holding BOTTOM gives -inf or NaN (no pop) unless BOTTOM is its
-    middle cell between two non-BOTTOM ones, and such a row has a hole and
-    fails the run test anyway.  A row of fewer than three cells has no
-    triple and no room for a hole.
-
-    Both tests run on the flat batch, so every numpy step is one pass over
-    contiguous memory rather than one short loop per row.
-    """
-    rows, n = v.shape
-    if n < 3:
-        return np.ones(rows, dtype=bool)
-    flat = v.reshape(-1)
-    finite = flat != BOTTOM
-    # A run starts at a non-BOTTOM cell whose left neighbour in its row is
-    # BOTTOM or absent; a row that holds two starts has a hole.
-    starts = np.empty_like(finite)
-    np.greater(finite[1:], finite[:-1], out=starts[1:])
-    starts[::n] = finite[::n]
-    start_rows = np.flatnonzero(starts) // n
-    # cross[i] is the pop test of the flat cells i, i+1, i+2; the last two
-    # columns of each row hold triples that straddle two rows, never read.
-    cross = np.empty_like(flat)
-    with np.errstate(invalid="ignore", over="ignore"):
-        np.subtract(flat[2:], flat[:-2], out=cross[:-2])
-        rise = flat[1:-1] - flat[:-2]
-        rise *= 2.0
-        cross[:-2] -= rise
-        pops = np.greater_equal(cross, 0.0, out=finite).reshape(rows, n)
-    keep = ~pops[:, :-2].any(axis=1)
-    keep[start_rows[1:][start_rows[1:] == start_rows[:-1]]] = False
-    return keep
 
 
 def _envelope_rows(v: np.ndarray) -> np.ndarray:

@@ -36,7 +36,9 @@ def reciprocal_steps(step: float, out_of_range: str, not_reciprocal: str) -> int
     with the matching message, formatted with the step."""
     if not 0.0 < step <= 1.0:
         raise ConfigError(out_of_range.format(step))
-    n = round(1.0 / step)
+    # below about 5.6e-309, 1/step overflows to inf, which no N matches
+    inverse = 1.0 / step
+    n = round(inverse) if inverse < math.inf else 0
     if n < 1 or abs(n * step - 1.0) > 1e-9:
         raise ConfigError(not_reciprocal.format(step))
     return n

@@ -617,6 +617,24 @@ class TestConfigErrors:
         assert code == 2
         assert "reciprocal" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["run", "--function", "min", "--m", "2", "--delta", "5e-324"],
+         "delta=5e-324 is not the reciprocal of an integer"),
+        (["run", "--function", "min", "--m", "2", "--delta", "1e-310"],
+         "delta=1e-310 is not the reciprocal of an integer"),
+        (["sweep-delta", "--function", "min", "--m", "2", "--deltas", "0.5,1e-320",
+          "--track", "0.5,0.5"],
+         "delta=1e-320 is not the reciprocal of an integer"),
+        (["oracle-check", "--function", "min", "--m", "3", "--delta", "0.25", "--k", "3",
+          "--point", "0.5,0.5,0.5", "--search-step", "5e-324"],
+         "search_step 5e-324 is not the reciprocal of an integer"),
+    ], ids=["delta", "delta-1e-310", "deltas", "search-step"])
+    def test_step_whose_reciprocal_overflows(self, tmp_path, capsys, argv, message):
+        code = cli.main([*argv, "-o", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_grid_too_large_for_one_array(self, tmp_path, capsys):
         code = cli.main(["run", "--function", "min", "--m", "12", "--delta", "0.02",
                          "-o", str(tmp_path / "out")])

@@ -215,62 +215,78 @@ UP = np.nextafter(1.0, 2.0)     # one ulp above the chord through (0, 0), (2, 2)
 DOWN = np.nextafter(1.0, 0.0)   # one ulp below it
 
 
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.uint64)
+
+
+# (row, whether the monotone chain never pops on it: then every finite cell
+# is a hull vertex and the row comes back bit for bit)
+CASES = [
+    ([0.0, 1.5, 2.0, 1.5, 0.0], True),          # strictly concave
+    ([-4.0, -1.0, 0.0, -1.0, -4.0], True),
+    ([0.0, 1.0, 2.0], False),                    # exactly collinear: cross term 0.0
+    ([2.0, 1.0, 0.0, -1.0], False),
+    ([0.0, UP, 2.0], True),                      # one ulp above collinear
+    ([0.0, DOWN, 2.0], False),                   # one ulp below collinear
+    ([0.0, 1.5, B, 1.5, 0.0], False),            # hole of length 1
+    ([0.0, 1.5, B, B, 1.5, 0.0], False),         # hole of length 2
+    ([1.0, B, B, B, 1.0], False),                # hole of length 3
+    ([B, 1.0, 2.0, B, B], True),                 # two adjacent finite points
+    ([B, 1.0, B, 2.0, B], False),                # two finite points apart
+    ([B, B, B, B], True),                        # all BOTTOM
+    ([B, 0.75, B, B], True),                     # one finite point
+    ([B, 0.0, 1.5, 2.0, B], True),               # concave run inside BOTTOM
+    ([0.0, math.nan, 0.0], True),                # NaN never pops
+    ([0.0, 1.0, math.nan, 1.0, 0.0], True),
+    ([0.0, math.inf, 1.0], True),                # +inf: cross term -inf
+    ([math.inf, 1.0, 0.0], True),                # inf - inf = NaN
+    ([0.0, 1.0, math.inf], False),               # cross term +inf pops
+    ([0.0, B, math.inf], False),                 # hole next to +inf
+    ([math.nan, B, 0.0], False),                 # hole next to NaN
+    ([1e308, -1e308, 1e308], False),             # differences overflow
+    ([-1e308, 1e308, -1e308], True),
+]
+
+
+def _case_rows():
+    """The CASES rows in one batch, padded with BOTTOM."""
+    n = max(len(row) for row, _ in CASES)
+    lines = np.full((len(CASES), n), BOTTOM)
+    for r, (row, _) in enumerate(CASES):
+        lines[r, : len(row)] = row
+    return lines
+
+
+def _unchanged(got, lines):
+    """Per row: whether got holds the bits of lines."""
+    return (_bits(got) == _bits(lines)).all(axis=1)
+
+
 class TestSkipPass:
-    """Rows that are already their own hull skip the numpy kernel; output is
-    the same bits either way.  The pre-pass belongs to the numpy kernel (the
-    compiled one takes every row), so every test here runs on it."""
+    """Rows that skip every pop: a run of finite cells on which the monotone
+    chain never pops is its own envelope, and comes back bit for bit though
+    the numpy kernel takes it like any other row.  The batches hold all,
+    none or some such rows.  Every test here runs on the numpy kernel;
+    TestKernels runs the CASES rows on both kernels."""
 
     @pytest.fixture(autouse=True)
     def _numpy_path(self, numpy_kernel):
         pass
 
-    # (row, whether the pre-pass returns it untouched)
-    CASES = [
-        ([0.0, 1.5, 2.0, 1.5, 0.0], True),          # strictly concave
-        ([-4.0, -1.0, 0.0, -1.0, -4.0], True),
-        ([0.0, 1.0, 2.0], False),                    # exactly collinear: cross term 0.0
-        ([2.0, 1.0, 0.0, -1.0], False),
-        ([0.0, UP, 2.0], True),                      # one ulp above collinear
-        ([0.0, DOWN, 2.0], False),                   # one ulp below collinear
-        ([0.0, 1.5, B, 1.5, 0.0], False),            # hole of length 1
-        ([0.0, 1.5, B, B, 1.5, 0.0], False),         # hole of length 2
-        ([1.0, B, B, B, 1.0], False),                # hole of length 3
-        ([B, 1.0, 2.0, B, B], True),                 # two adjacent finite points
-        ([B, 1.0, B, 2.0, B], False),                # two finite points apart
-        ([B, B, B, B], True),                        # all BOTTOM
-        ([B, 0.75, B, B], True),                     # one finite point
-        ([B, 0.0, 1.5, 2.0, B], True),               # concave run inside BOTTOM
-        ([0.0, math.nan, 0.0], True),                # NaN never pops
-        ([0.0, 1.0, math.nan, 1.0, 0.0], True),
-        ([0.0, math.inf, 1.0], True),                # +inf: cross term -inf
-        ([math.inf, 1.0, 0.0], True),                # inf - inf = NaN
-        ([0.0, 1.0, math.inf], False),               # cross term +inf pops
-        ([0.0, B, math.inf], False),                 # hole next to +inf
-        ([math.nan, B, 0.0], False),                 # hole next to NaN
-        ([1e308, -1e308, 1e308], False),             # differences overflow
-        ([-1e308, 1e308, -1e308], True),
-    ]
-
     @pytest.mark.parametrize("row, skipped", CASES)
     def test_boundary_rows(self, per_line_envelope, row, skipped):
         lines = np.array([row])
-        assert envelope._already_hulls(lines).tolist() == [skipped]
         got = envelope_batch(lines)
-        want = per_line_envelope(lines)
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert np.array_equal(_bits(got), _bits(per_line_envelope(lines)))
         if skipped:
-            assert np.array_equal(got.view(np.uint64), lines.view(np.uint64))
+            assert np.array_equal(_bits(got), _bits(lines))
 
     def test_every_boundary_row_in_one_batch(self, per_line_envelope):
-        n = max(len(row) for row, _ in self.CASES)
-        lines = np.full((len(self.CASES), n), BOTTOM)
-        for r, (row, _) in enumerate(self.CASES):
-            lines[r, : len(row)] = row
-        skipped = [s for _, s in self.CASES]
-        assert envelope._already_hulls(lines).tolist() == skipped
+        lines = _case_rows()
+        skipped = np.array([s for _, s in CASES])
         got = envelope_batch(lines)
-        assert np.array_equal(got.view(np.uint64),
-                              per_line_envelope(lines).view(np.uint64))
+        assert np.array_equal(_bits(got), _bits(per_line_envelope(lines)))
+        assert _unchanged(got, lines)[skipped].all()
 
     @pytest.mark.parametrize("batch", ["all skipped", "none skipped", "mixed"])
     def test_batches_match_per_line_loop(self, per_line_envelope, batch):
@@ -282,13 +298,12 @@ class TestSkipPass:
                 lines = _convex_rows(rng, 40, n)
             else:
                 lines = _mixed_rows(rng, 40, n)
-            skip = envelope._already_hulls(lines)
-            if n >= 3:
-                assert skip.all() == (batch == "all skipped")
-                assert skip.any() == (batch != "none skipped")
             got = envelope_batch(lines)
-            assert np.array_equal(got.view(np.uint64),
-                                  per_line_envelope(lines).view(np.uint64)), n
+            assert np.array_equal(_bits(got), _bits(per_line_envelope(lines))), n
+            unchanged = _unchanged(got, lines)
+            if n >= 3:
+                assert unchanged.all() == (batch == "all skipped")
+                assert unchanged.any() == (batch != "none skipped")
 
     def test_random_rows_with_special_cells(self, per_line_envelope):
         rng = np.random.default_rng(32)
@@ -303,7 +318,7 @@ class TestSkipPass:
             assert np.array_equal(got.view(np.uint64),
                                   per_line_envelope(lines).view(np.uint64)), n
 
-    def test_skipped_rows_never_reach_the_hull_pass(self, monkeypatch):
+    def test_every_row_reaches_the_hull_pass(self, monkeypatch):
         seen = []
         hull = envelope._hull_vertices
 
@@ -313,20 +328,15 @@ class TestSkipPass:
 
         monkeypatch.setattr(envelope, "_hull_vertices", spy)
         rng = np.random.default_rng(33)
-        envelope_batch(_concave_rows(rng, 64, 11))
-        assert seen == []
-
-        lines = _mixed_rows(rng, 64, 11)
-        skip = envelope._already_hulls(lines)
-        assert 0 < skip.sum() < len(skip)
-        envelope_batch(lines)
-        assert len(seen) == 1
-        assert np.array_equal(seen[0].view(np.uint64), lines[~skip].view(np.uint64))
+        for lines in (_concave_rows(rng, 64, 11), _mixed_rows(rng, 64, 11)):
+            seen.clear()
+            envelope_batch(lines)
+            assert len(seen) == 1
+            assert np.array_equal(_bits(seen[0]), _bits(lines))
 
     def test_peak_memory_per_point_on_a_mixed_batch(self):
         rng = np.random.default_rng(34)
         lines = _mixed_rows(rng, 5324, 11)
-        assert 0.4 < envelope._already_hulls(lines).mean() < 0.6
         envelope_batch(lines)
         tracemalloc.start()
         try:
@@ -349,10 +359,6 @@ class TestSkipPass:
         assert not np.shares_memory(out, lines)
         out[...] = 7.0
         assert np.array_equal(lines, before)
-
-
-def _bits(a):
-    return np.asarray(a, dtype=np.float64).view(np.uint64)
 
 
 class TestKernels:
@@ -414,11 +420,8 @@ class TestKernels:
             want = per_line_envelope(lines)
         assert np.array_equal(_bits(envelope_batch(lines)), _bits(want))
 
-    def test_pre_pass_boundary_rows(self, per_line_envelope, kernel):
-        n = max(len(row) for row, _ in TestSkipPass.CASES)
-        lines = np.full((len(TestSkipPass.CASES), n), BOTTOM)
-        for r, (row, _) in enumerate(TestSkipPass.CASES):
-            lines[r, : len(row)] = row
+    def test_boundary_rows(self, per_line_envelope, kernel):
+        lines = _case_rows()
         assert np.array_equal(_bits(envelope_batch(lines)), _bits(per_line_envelope(lines)))
 
     def test_random_rows_with_special_cells(self, per_line_envelope, kernel):
@@ -558,7 +561,7 @@ class TestLoader:
         assert envelope.kernel_name() == "numpy"
         assert _library().is_file()   # built and loaded, then refused
 
-    def test_the_probe_batch_covers_the_edge_cases(self):
+    def test_the_probe_batch_covers_the_edge_cases(self, per_line_envelope):
         v = envelope._probe_batch()
         finite = v != BOTTOM
         assert (finite.sum(axis=1) == 0).any() and (finite.sum(axis=1) == 1).any()
@@ -566,7 +569,9 @@ class TestLoader:
         assert (_bits(v) == _bits(-0.0)).any()
         assert ((v != 0.0) & (np.abs(v) < np.finfo(np.float64).tiny)).any()
         assert (np.abs(v[finite]) >= 1e308).any()
-        assert envelope._already_hulls(v).any() and not envelope._already_hulls(v).all()
+        # some rows of two or more finite cells are their own envelope, some are not
+        unchanged = _unchanged(per_line_envelope(v), v)[finite.sum(axis=1) >= 2]
+        assert unchanged.any() and not unchanged.all()
 
     def test_import_loads_nothing(self):
         code = ("import sys, ratered.cli\n"

@@ -221,7 +221,7 @@ class TestLockstepKernel:
         (SELECTOR4, 0.1, 4),
     ], ids=["min-m3-rotated", "selector-m4-chains"])
     def test_run_bitwise_equals_per_line_kernel(self, f, delta, chains, monkeypatch,
-                                                 per_line_envelope):
+                                                 per_line_envelope, kernel):
         grid = GridSpec.from_delta(f.m, delta)
         got = run(grid, f, t_max=20, eps=1e-12)
         got_banks, _ = sweep_history(grid, f, 20, 1e-12)

@@ -261,11 +261,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     requested = [_parse_point(t, args.m) for t in args.track]
     grid = GridSpec.from_delta(args.m, args.delta)
     f = _resolve_function(args.function, args.m)
-    if args.initial_node is not None and args.slice_spec is None:
-        raise ConfigError("--initial-node only picks the field that --slice cuts; "
-                          "give --slice too")
-    if args.initial_node is not None and not 1 <= args.initial_node <= args.m:
-        raise ConfigError(f"initial node {args.initial_node} outside 1..{args.m}")
     tracked_idx, tracked_rec = _snap_tracked(grid, requested)
     slice_rec = None
     if args.slice_spec is not None:
@@ -280,12 +275,13 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     out = _output_dir(args)
     artifacts: list[str] = []
-    h = entropy_grid(grid) if "fields-csv" in emit or slice_rec is not None else None
+    h, rho_max = ((entropy_grid(grid), result.bank.max_data())
+                  if "fields-csv" in emit or slice_rec is not None else (None, None))
 
     if "fields-csv" in emit:
         items = [(out / f"field_k{k}.csv", str(k), result.bank.field_for(k).data)
                  for k in range(1, args.m + 1)]
-        items.append((out / "field_max.csv", "max", result.bank.max_data()))
+        items.append((out / "field_max.csv", "max", rho_max))
         _write_grid_csv(items, list(range(1, args.m + 1)), h, grid)
         artifacts += [path.name for path, _, _ in items]
     if "trace-csv" in emit and tracked_idx:
@@ -298,13 +294,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         artifacts.append("trace.svg")
 
     if slice_rec is not None:
-        if args.initial_node is None:
-            label, rho = "max", result.bank.max_data()
-        else:
-            label, rho = str(args.initial_node), result.bank.field_for(args.initial_node).data
         sl = (slice(None),) * (axis - 1) + (fixed,)
         name = f"slice_p{axis}_{slice_rec['snapped_value']:g}".replace(".", "p") + ".csv"
-        _write_grid_csv([(out / name, label, rho[sl])],
+        _write_grid_csv([(out / name, "max", rho_max[sl])],
                         [j for j in range(1, args.m + 1) if j != axis],
                         h[sl], grid)
         artifacts.append(name)
@@ -325,7 +317,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         "envelope_kernel": kernel_name(),
         "tracked": tracked_rec,
         "slice": slice_rec,
-        "initial_node": args.initial_node,
         "elapsed_seconds": elapsed,
         "artifacts": artifacts,
     }
@@ -591,9 +582,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_options(p_run)
     p_run.add_argument("--track", action="append", default=[],
                        metavar="P1,P2,...", help="pmf to trace (repeatable)")
-    p_run.add_argument("--initial-node", type=int, default=None,
-                       help="with --slice, slice this node's field instead of the max "
-                            "(an error without --slice)")
     p_run.add_argument("--emit", default=",".join(DEFAULT_EMIT),
                        help=f"comma list from {EMIT_CHOICES}; metadata.json is always "
                             "written, and report-json is accepted for compatibility")

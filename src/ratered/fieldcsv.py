@@ -114,7 +114,12 @@ def _write_grid_csv(items: list, axes: list, h: np.ndarray, grid: GridSpec) -> N
 
 
 def write_field_csv(path: Path, field_in: RateReductionField, label: str) -> None:
-    """Dense dump, one row per grid point in row-major index order."""
+    """Dense dump, one row per grid point in row-major index order.  A label
+    that no header cell can hold (empty, or with a "," or anything that
+    str.splitlines splits on) is refused before the file is opened."""
+    if "," in label or label.splitlines() != [label]:
+        raise ConfigError(f"field CSV label {label!r} must be non-empty and hold no ',' "
+                          "or line break")
     grid = field_in.grid
     _write_grid_csv([(path, label, field_in.data)], list(range(1, grid.m + 1)),
                     entropy_grid(grid), grid)

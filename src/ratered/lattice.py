@@ -1,7 +1,7 @@
 """Dense rate-reduction fields over the grid and the per-axis sweep loop.
 
 One field holds the rate reduction (joint entropy minus minimum sum-rate,
-in bits) at every grid pmf for one initial node k.  A sweep replaces every
+in bits) at every grid pmf for one leading node k.  A sweep replaces every
 field simultaneously, Jacobi style: the new field for node k is the old
 field for node k+1 convexified along axis k, reading only the previous
 bank.  Iterating drives every field toward the infinite-message limit from

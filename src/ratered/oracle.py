@@ -11,11 +11,10 @@ exact zeros) — never by thresholding a conditional entropy.
 
 Every pair of conditional rows (given X_k = 0, given X_k = 1) is searched,
 up to its mirror: swapping entries 0 and 1 of both rows gives a pair of the
-grid with the same terms and admissibility.  Below eight values the terms
-are summed by a left fold, whose first addition commutes, so the mirror has
-the same sum bits and only given0 rows with entry 0 <= entry 1 are summed;
-from eight on np.sum's pairwise order does not add t_0 + t_1 first, so
-every row is.  A message value's term in a pair, and whether it keeps
+grid with the same terms and admissibility.  The terms are summed by a left
+fold in message order, whose first addition commutes, so the mirror has the
+same sum bits at every |U| >= 2 and only given0 rows with entry 0 <= entry 1
+are summed.  A message value's term in a pair, and whether it keeps
 the target constant, depend only on the pmf and on its entry pair
 (given0[u], given1[u]) = (a/n, b/n), so they are tabled once per point.
 Runs of given0 rows then read each value's terms as a view of its table
@@ -39,9 +38,6 @@ from .lattice import gap, initial_bank, sweep_once
 from .probability import GridIndex, GridSpec, ProductPmf, binary_entropy, reciprocal_steps
 from .target_functions import FunctionTable
 
-# np.sum along a contiguous axis shorter than this is a left fold; from this
-# length on numpy switches to its eight-accumulator pairwise summation.
-_LEFT_FOLD_TERMS = 8
 # floats per temporary of the search (1 MB) and bytes of one point's tables
 _TEMP_FLOATS = 1 << 17
 _TABLE_BYTES = 1 << 28
@@ -141,7 +137,7 @@ def _feasible_chunks(p: ProductPmf, f: FunctionTable, spec: ConditionalSearchSpe
     mirror, by slices of consecutive given0 rows.  Yields, per slice holding
     a feasible pair, its first given0 row, each pair's summed message-value
     terms, shape (slice, rows), and which pairs are feasible (None when all
-    are).  For 2 <= |U| < 8 only given0 rows with entry 0 <= entry 1 are
+    are).  For |U| >= 2 only given0 rows with entry 0 <= entry 1 are
     summed: (j, n - j) for j <= n // 2, (head[0], j, rem - j) for j >=
     head[0], and whole runs with head[0] <= head[1].
 
@@ -151,9 +147,9 @@ def _feasible_chunks(p: ProductPmf, f: FunctionTable, spec: ConditionalSearchSpe
     |U| - 2 values are one table row, broadcast; value |U| - 2 reads the
     slice [0:rem + 1] and the last value the reversed slice [rem::-1].  Runs
     are cut into slices of _TEMP_FLOATS // rows + 1 given0 rows, so each
-    temporary stays near 1 MB.  The terms are summed as np.sum sums a
-    length-|U| axis: a left fold below eight terms, np.sum from there on.
-    The term tables are built at the first slice with a feasible pair.
+    temporary stays near 1 MB.  The terms are summed by a left fold in
+    message order, so a pair and its mirror have the same sum bits.  The
+    term tables are built at the first slice with a feasible pair.
     """
     n_steps, parts = spec.n_search_steps, spec.u1_cardinality
     term, admissible = _entry_tables(p[spec.k - 1], n_steps, _support_constancy(f, p, spec.k))
@@ -188,18 +184,14 @@ def _feasible_chunks(p: ProductPmf, f: FunctionTable, spec: ConditionalSearchSpe
     for *head, rem in runs:
         length = rem + 1 if parts > 1 else 1
         start = head[0] if parts == 3 else 0
-        stop = (rem // 2 + 1 if parts == 2 else
-                0 if 3 < parts < _LEFT_FOLD_TERMS and head[1] < head[0] else length)
+        stop = rem // 2 + 1 if parts == 2 else 0 if parts > 3 and head[1] < head[0] else length
         for j0 in range(start, stop, span):
             j1 = min(stop, j0 + span)
             feasible = None if oks is None else fold(views(oks, head, rem, j0, j1), np.logical_and)
             if feasible is not None and not feasible.any():
                 continue
             terms = terms or tables(term)
-            summands = views(terms, head, rem, j0, j1)
-            total = (fold(summands, np.add) if parts < _LEFT_FOLD_TERMS else
-                     np.sum(np.stack(np.broadcast_arrays(*summands), axis=-1), axis=-1))
-            yield lo + j0, total, feasible
+            yield lo + j0, fold(views(terms, head, rem, j0, j1), np.add), feasible
         lo += length
 
 

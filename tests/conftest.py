@@ -8,8 +8,9 @@ fixed point), which the history- and trace-based tests rely on.
 The references are imported by tests with `from conftest import ...`:
 _envelope_line and upper_concave_envelope (the envelope kernel's scalar
 reference), grid_points and computable_with_zero_messages (the pointwise
-specs of entropy_grid and zero_message_mask), and sweep_history (the banks
-that run() passes through).
+specs of entropy_grid and zero_message_mask), sweep_history (the banks
+that run() passes through) and per_pair_terms (the oracle search's
+message-value terms, pair by pair).
 
 The kernel fixtures pick the envelope kernel a test runs on (kernel,
 numpy_kernel) or let it exercise the compiled kernel's loader from scratch
@@ -18,6 +19,7 @@ numpy_kernel) or let it exercise the compiled kernel's loader from scratch
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import math
@@ -301,11 +303,11 @@ def per_line_membership():
     return check
 
 
-def _per_pair_chunks(p, f, spec, every_chunk=False):
+def per_pair_terms(p, f, spec, every_chunk=False):
     """The posterior of every (given0 row, given1 row, message value) triple
     evaluated in full, per chunk of given0 rows; yields, for each chunk with
-    a feasible pair (every chunk if every_chunk), its first given0 row,
-    np.sum of each pair's terms and its feasibility."""
+    a feasible pair (every chunk if every_chunk), its first given0 row, each
+    pair's terms along a last |U| axis and its feasibility."""
     k = spec.k
     pk = p[k - 1]
     ok0, ok1, ok01 = _support_constancy(f, p, k)
@@ -332,7 +334,14 @@ def _per_pair_chunks(p, f, spec, every_chunk=False):
         h_post = np.zeros_like(post)
         q = post[interior]
         h_post[interior] = -(q * np.log2(q) + (1.0 - q) * np.log2(1.0 - q))
-        yield lo, np.sum(p_u * h_post, axis=-1), feasible
+        yield lo, p_u * h_post, feasible
+
+
+def _per_pair_chunks(p, f, spec, every_chunk=False):
+    """per_pair_terms with each pair's terms summed by a left fold in
+    message order."""
+    for lo, terms, feasible in per_pair_terms(p, f, spec, every_chunk):
+        yield lo, functools.reduce(np.add, np.moveaxis(terms, -1, 0)), feasible
 
 
 @pytest.fixture(scope="session")

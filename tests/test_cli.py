@@ -116,19 +116,6 @@ class TestRunCommand:
                                "snapped_index": 3, "snapped_value": 0.3}
         assert "slice_p3_0p3.csv" in md["artifacts"]
 
-    def test_initial_node_without_slice_is_rejected(self, tmp_path, capsys, monkeypatch):
-        # Without --slice the node would change nothing but metadata.json.
-        def forbidden(*args, **kwargs):
-            raise AssertionError("run iterated before checking its options")
-
-        monkeypatch.setattr(cli, "run", forbidden)
-        code = cli.main(["run", "--function", "min", "--m", "3", "--delta", "0.25",
-                         "--initial-node", "2", "-o", str(tmp_path / "out")])
-        assert code == 2
-        assert capsys.readouterr().err == (
-            "error: --initial-node only picks the field that --slice cuts; give --slice too\n")
-        assert not (tmp_path / "out").exists()
-
     def test_constant_function_degenerate(self, tmp_path):
         cli.main([
             "run", "--function", "constant", "--m", "3", "--delta", "0.2",
@@ -258,17 +245,29 @@ class TestCertifyCommand:
         assert code == 0
         assert len(calls) == 1
 
-    def test_grid_mismatch_is_config_error(self, tmp_path, capsys):
+    def _certify_mismatch(self, tmp_path, capsys, option):
+        """certify on a min m=3, delta=0.5 field with one mismatched option:
+        exit code 2, stderr, and no report written."""
         cli.main([
             "run", "--function", "min", "--m", "3", "--delta", "0.5",
             "--t-max", "1", "-o", str(tmp_path),
         ])
+        capsys.readouterr()
         code = cli.main([
             "certify", "--field", str(tmp_path / "field_max.csv"),
-            "--function", "min", "--delta", "0.1", "-o", str(tmp_path),
+            "--function", "min", *option, "-o", str(tmp_path),
         ])
         assert code == 2
-        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "certify_report.json").exists()
+        return capsys.readouterr().err
+
+    def test_grid_mismatch_is_config_error(self, tmp_path, capsys):
+        assert self._certify_mismatch(tmp_path, capsys, ["--delta", "0.1"]) == \
+            "error: --delta 0.1 implies 10 steps, field CSV has 2\n"
+
+    def test_arity_mismatch_is_config_error(self, tmp_path, capsys):
+        assert self._certify_mismatch(tmp_path, capsys, ["--m", "2"]) == \
+            "error: --m 2 does not match field CSV arity 3\n"
 
     def test_field_on_no_grid_step_names_file_and_cause(self, tmp_path, capsys):
         path = tmp_path / "field_max.csv"
@@ -908,23 +907,15 @@ class TestFieldCsvWriter:
         loaded = fieldcsv.read_field_csv(tmp_path / "new.csv")
         assert np.array_equal(loaded.data.view(np.uint64), field.data.view(np.uint64))
 
-    @pytest.mark.parametrize("m,spec,node", [
-        (3, "p3=0", None), (3, "p1=0.47", 2), (2, "p2=0.5", None),
-    ])
-    def test_slice_matches_per_row_loop(self, tmp_path, m, spec, node, per_row_slice_csv):
-        args = ["run", "--function", "min", "--m", str(m), "--delta", "0.1",
-                "--t-max", "3", "--slice", spec, "-o", str(tmp_path)]
-        if node is not None:
-            args += ["--initial-node", str(node)]
-        assert cli.main(args) == 0
+    @pytest.mark.parametrize("m,spec", [(3, "p3=0"), (3, "p1=0.47"), (2, "p2=0.5")])
+    def test_slice_matches_per_row_loop(self, tmp_path, m, spec, per_row_slice_csv):
+        assert cli.main(["run", "--function", "min", "--m", str(m), "--delta", "0.1",
+                         "--t-max", "3", "--slice", spec, "-o", str(tmp_path)]) == 0
         md = read_json(tmp_path / "metadata.json")
         (name,) = [a for a in md["artifacts"] if a.startswith("slice_")]
-        if node is None:
-            field, label = fieldcsv.read_field_csv(tmp_path / "field_max.csv"), "max"
-        else:
-            field, label = fieldcsv.read_field_csv(tmp_path / f"field_k{node}.csv"), str(node)
+        field = fieldcsv.read_field_csv(tmp_path / "field_max.csv")
         assert (tmp_path / name).read_text() == per_row_slice_csv(
-            field, md["slice"]["axis"], md["slice"]["snapped_index"], label)
+            field, md["slice"]["axis"], md["slice"]["snapped_index"], "max")
 
     def test_memory_stays_bounded_by_a_block(self, tmp_path):
         # 51^3 points, about 12.7 MB of CSV: a writer that builds the whole

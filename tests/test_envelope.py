@@ -267,7 +267,8 @@ class TestSkipPass:
     chain never pops is its own envelope, and comes back bit for bit though
     the numpy kernel takes it like any other row.  The batches hold all,
     none or some such rows.  Every test here runs on the numpy kernel;
-    TestKernels runs the CASES rows on both kernels."""
+    TestKernels runs the CASES rows, with their never-pop flags, and the
+    no-alias check on the three batch kinds on both kernels."""
 
     @pytest.fixture(autouse=True)
     def _numpy_path(self, numpy_kernel):
@@ -304,19 +305,6 @@ class TestSkipPass:
             if n >= 3:
                 assert unchanged.all() == (batch == "all skipped")
                 assert unchanged.any() == (batch != "none skipped")
-
-    def test_random_rows_with_special_cells(self, per_line_envelope):
-        rng = np.random.default_rng(32)
-        specials = np.array([BOTTOM, math.nan, math.inf, -0.0, 1e308, -1e308])
-        for n in range(1, 16):
-            lines = _mixed_rows(rng, 60, n)
-            lines[20:30] = np.round(lines[20:30] * 2.0) / 2.0     # ties
-            cells = rng.uniform(size=lines.shape) < 0.15
-            lines[cells] = rng.choice(specials, size=int(cells.sum()))
-            lines[30:40, : n // 3] = BOTTOM
-            got = envelope_batch(lines)
-            assert np.array_equal(got.view(np.uint64),
-                                  per_line_envelope(lines).view(np.uint64)), n
 
     def test_every_row_reaches_the_hull_pass(self, monkeypatch):
         seen = []
@@ -422,7 +410,10 @@ class TestKernels:
 
     def test_boundary_rows(self, per_line_envelope, kernel):
         lines = _case_rows()
-        assert np.array_equal(_bits(envelope_batch(lines)), _bits(per_line_envelope(lines)))
+        got = envelope_batch(lines)
+        assert np.array_equal(_bits(got), _bits(per_line_envelope(lines)))
+        # a row on which the chain never pops comes back bit for bit
+        assert _unchanged(got, lines)[[never_pops for _, never_pops in CASES]].all()
 
     def test_random_rows_with_special_cells(self, per_line_envelope, kernel):
         rng = np.random.default_rng(43)
@@ -447,12 +438,14 @@ class TestKernels:
                               _bits(envelope_batch(ints.astype(np.float64))))
 
     def test_result_never_aliases_the_input(self, kernel):
-        lines = _mixed_rows(np.random.default_rng(45), 8, 11)
-        before = lines.copy()
-        out = envelope_batch(lines)
-        assert not np.shares_memory(out, lines)
-        out[...] = 7.0
-        assert np.array_equal(lines, before)
+        rng = np.random.default_rng(45)
+        for rows in (_concave_rows, _convex_rows, _mixed_rows):
+            lines = rows(rng, 8, 11)
+            before = lines.copy()
+            out = envelope_batch(lines)
+            assert not np.shares_memory(out, lines), rows.__name__
+            out[...] = 7.0
+            assert np.array_equal(lines, before), rows.__name__
 
     def test_compiled_and_numpy_agree_on_sweep_batches(self, kernel, monkeypatch):
         # every batch of twelve min sweeps, on the other kernel too

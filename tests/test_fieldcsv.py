@@ -7,10 +7,13 @@ per-cell reader of tests/conftest.py.
 
 import re
 
+import numpy as np
 import pytest
 
 import ratered
 from ratered import fieldcsv
+from ratered.lattice import RateReductionField
+from ratered.probability import GridSpec
 
 
 def test_public_pair_is_the_module_pair():
@@ -33,3 +36,33 @@ def test_indices_that_span_no_grid_step(tmp_path, text, per_cell_read_field_csv)
     for read in (fieldcsv.read_field_csv, per_cell_read_field_csv):
         with pytest.raises(fieldcsv.ConfigError, match=re.escape(message) + "$"):
             read(path)
+
+
+def _field():
+    grid = GridSpec.from_delta(2, 0.25)
+    data = np.random.default_rng(3).uniform(-1.0, 2.0, grid.shape)
+    data[0, 1] = -np.inf
+    return RateReductionField(grid, data)
+
+
+@pytest.mark.parametrize("label", ["", "a,b", "\n", "\r", "\x0c", "\x1c", "\x85", "\u2028"])
+def test_writer_refuses_a_label_the_reader_cannot_read(tmp_path, label):
+    """An empty label, a comma or a line break would make a header that
+    read_field_csv refuses; the writer names the label before it opens the
+    file."""
+    path = tmp_path / "field.csv"
+    message = f"field CSV label {label!r} must be non-empty and hold no ',' or line break"
+    with pytest.raises(fieldcsv.ConfigError, match=re.escape(message) + "$"):
+        fieldcsv.write_field_csv(path, _field(), label)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("label", [" sp", "a\tb", "é"])
+def test_unusual_labels_round_trip(tmp_path, label):
+    field = _field()
+    fieldcsv.write_field_csv(tmp_path / "field.csv", field, label)
+    loaded = fieldcsv.read_field_csv(tmp_path / "field.csv")
+    assert loaded.grid == field.grid
+    assert np.array_equal(loaded.data.view(np.uint64), field.data.view(np.uint64))
+    fieldcsv.write_field_csv(tmp_path / "again.csv", loaded, label)
+    assert (tmp_path / "again.csv").read_bytes() == (tmp_path / "field.csv").read_bytes()

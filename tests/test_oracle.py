@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import grid_points
+from conftest import grid_points, per_pair_terms
 from ratered import oracle
 from ratered.envelope import BOTTOM
 from ratered.errors import ConfigError
@@ -242,9 +242,11 @@ class TestAgainstPerPairSearch:
         ("constant", (0.3, 0.6, 0.71), 2, 4, 5, None),
         ("min", (1.0, 1.0, 0.5), 3, 3, 7, None),
         ("constant", (0.3, 0.6, 0.71), 2, 4, 2, None),
+        ("constant", (0.2, 0.6, 0.3), 3, 2, 16, None),
     ], ids=["constant-u3", "constant-u4", "min-u3", "min-step50", "parity-u3",
             "constant-u8", "constant-u9", "constant-u1", "min-u2", "min-u3-split",
-            "min-u4-split", "constant-u8-split", "constant-u5", "min-u7", "constant-u2"])
+            "min-u4-split", "constant-u8-split", "constant-u5", "min-u7", "constant-u2",
+            "constant-u16"])
     def test_every_pair_sum_bitwise(self, name, p, k, steps, parts, temp_floats,
                                     per_pair_chunks, monkeypatch):
         # the maximum hides the summation order and a skipped row (dead
@@ -264,11 +266,10 @@ class TestAgainstPerPairSearch:
         assert covered.any()
         assert np.array_equal(got_feasible[covered], want_feasible[covered])
         assert np.array_equal(got[covered].view(np.uint64), want[covered].view(np.uint64))
-        # below eight message values a row is left for its mirror, the pair
-        # with entries 0 and 1 of both rows swapped, when its entry 0 is the
-        # greater: same bits and feasibility; from eight on np.sum's order
-        # keeps every row
-        if 2 <= parts < 8:
+        # a row is left for its mirror, the pair with entries 0 and 1 of both
+        # rows swapped, when its entry 0 is the greater: same bits and
+        # feasibility, since a left fold's first addition commutes
+        if parts >= 2:
             rows = oracle._stochastic_rows(steps, parts)
             assert (rows[covered, 0] <= rows[covered, 1]).all()
             mirror = _mirror(rows)
@@ -280,6 +281,22 @@ class TestAgainstPerPairSearch:
         assert covered[want_feasible.any(axis=1)].all()
         if temp_floats is not None:
             assert longest <= temp_floats // n_rows + 1 < steps + 1
+
+    @pytest.mark.parametrize("parts, steps", [(1, 10), (2, 10), (3, 10), (4, 5), (5, 4),
+                                              (6, 4), (7, 3)])
+    def test_reference_fold_is_np_sum_below_eight_values(self, parts, steps,
+                                                         per_pair_chunks):
+        # np.sum along a last axis shorter than eight is a left fold, so the
+        # reference's fold leaves its pair sums where they were at these |U|
+        spec = ConditionalSearchSpec(k=2, search_step=1 / steps, u1_cardinality=parts)
+        for name, p in [("constant", (0.3, 0.6, 0.71)), ("min", (0.0, 0.45, 0.3)),
+                        ("parity", (0.2, 0.137, 0.9))]:
+            f, pmf = builtin_table(name, 3), ProductPmf(p)
+            for (_, terms, _), (_, folded, _) in zip(
+                    per_pair_terms(pmf, f, spec, every_chunk=True),
+                    per_pair_chunks(pmf, f, spec, every_chunk=True), strict=True):
+                assert np.array_equal(np.sum(terms, axis=-1).view(np.uint64),
+                                      folded.view(np.uint64))
 
     @pytest.mark.parametrize("name, index, feasible", [
         ("min", (5, 5, 5), False),

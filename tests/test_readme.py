@@ -1,12 +1,14 @@
 """The README's Library quickstart runs and prints what its comments say,
-and ratered.__all__ is the API it documents."""
+ratered.__all__ is the API it documents, and its CLI block runs."""
 
 from __future__ import annotations
 
 import re
+import shlex
 from pathlib import Path
 
 import ratered
+from ratered import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -42,3 +44,28 @@ def test_all_is_the_documented_api():
         # a function is exported only when README documents it, a class as
         # a type that such a function takes, returns or raises
         assert isinstance(exported, type) or name in names or f"`{name}(" in text, name
+
+
+def test_cli_block_runs_and_writes_its_files(tmp_path, capsys):
+    section = README.read_text().split("## CLI", 1)[1]
+    block = re.search(r"```\n(.*?)```", section, re.S).group(1)
+    commands = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()]
+    assert [argv[:2] for argv in commands] == [
+        ["ratered", "run"], ["ratered", "certify"], ["ratered", "sweep-delta"],
+        ["ratered", "oracle-check"]]
+    written = [
+        {"field_k1.csv", "field_k2.csv", "field_k3.csv", "field_max.csv", "trace.csv",
+         "slice_p3_0.csv", "metadata.json"},
+        {"certify_report.json"},
+        {"sweep_trace.csv", "sweep_trace.svg", "sweep_report.json"},
+        {"oracle_report.json"},
+    ]
+    seen = set()
+    for argv, files in zip(commands, written):
+        args = [str(tmp_path) + arg[3:] if arg.startswith("out/") else arg
+                for arg in argv[1:]]
+        assert cli.main(args) == 0, argv
+        now = {path.name for path in tmp_path.iterdir()}
+        assert now - seen == files, argv
+        seen = now
+    assert "error" not in capsys.readouterr().err

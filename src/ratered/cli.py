@@ -120,13 +120,11 @@ def _parse_slice(text: str, m: int) -> tuple[int, float]:
 def _trace_rows(result: RunResult, prefix: str = ""):
     """Long-format trace rows t,k,point_id,rho, each after prefix: per tau and
     tracked point, one row per node k, then one k='max' row."""
-    tr = result.trace
-    n_taus = len(tr.max_series[0]) if tr.tracked_points else 0
-    for t in range(n_taus):
-        for pid, per_k in enumerate(tr.per_k):
-            for k, series in enumerate(per_k, 1):
-                yield f"{prefix}{t},{k},{pid},{_fmt(series[t])}\n"
-            yield f"{prefix}{t},max,{pid},{_fmt(tr.max_series[pid][t])}\n"
+    for t, row in enumerate(result.trace.values):
+        for pid, values in enumerate(row):
+            for k, v in enumerate(values, 1):
+                yield f"{prefix}{t},{k},{pid},{_fmt(v)}\n"
+            yield f"{prefix}{t},max,{pid},{_fmt(max(values))}\n"
 
 
 def write_trace_csv(path: Path, result: RunResult) -> None:

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the UTF-8 text reader."""
+
+from pathlib import Path
 
 
 class ConfigError(ValueError):
@@ -9,3 +11,15 @@ class ConfigError(ValueError):
 class NotCertifiedError(RuntimeError):
     """A lower bound was requested from a field whose membership check
     did not pass (or was never run)."""
+
+
+def read_text(path) -> str:
+    """The text of the file at path, decoded as UTF-8 whatever the locale;
+    bytes that do not decode are a ConfigError naming path:line."""
+    raw = Path(path).read_bytes()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = raw.count(b"\n", 0, exc.start) + 1
+        raise ConfigError(f"{path}:{line_no}: not UTF-8 text: {exc.reason} "
+                          f"(byte 0x{raw[exc.start]:02x})") from None

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, read_text
 from .lattice import RateReductionField, gap, sum_rate_field
 from .probability import GridSpec, entropy_grid
 
@@ -156,7 +156,7 @@ def read_field_csv(path) -> RateReductionField:
     def data_lines() -> list[tuple[int, str]]:
         """(line number, text) of each non-blank line after the header, read
         again from the file: only to name a bad line."""
-        lines = Path(path).read_text().splitlines()[1:]
+        lines = read_text(path).splitlines()[1:]
         return [(line_no, line) for line_no, line in enumerate(lines, 2) if line]
 
     def bad_cell(r: int, c: int) -> tuple[str, str]:
@@ -185,11 +185,17 @@ def read_field_csv(path) -> RateReductionField:
                                        f"is not {'an integer' if c < m else 'a number'}")
         return ConfigError(f"{path}:{line_no}-{line_no + len(block) - 1}: {err}")
 
-    with open(path) as src:
-        # The text of _CSV_BLOCK lines at a time and its lines, split as
-        # str.splitlines splits the whole text; "" once the file is exhausted.
-        blocks = ((text, text.splitlines()) for text in
-                  iter(lambda: "".join(itertools.islice(src, _CSV_BLOCK)), ""))
+    def next_block() -> str:
+        """The text of the next _CSV_BLOCK lines of src; "" at its end."""
+        try:
+            return "".join(itertools.islice(src, _CSV_BLOCK))
+        except UnicodeDecodeError:
+            read_text(path)             # raises the ConfigError naming the line
+            raise
+
+    with open(path, encoding="utf-8") as src:
+        # Each block's text and its lines, split as str.splitlines splits it.
+        blocks = ((text, text.splitlines()) for text in iter(next_block, ""))
         text, first = next(blocks, ("", []))
         if not first:
             raise ConfigError(f"{path}: empty field CSV")

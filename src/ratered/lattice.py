@@ -6,7 +6,8 @@ field simultaneously, Jacobi style: the new field for node k is the old
 field for node k+1 convexified along axis k, reading only the previous
 bank.  Iterating drives every field toward the infinite-message limit from
 below; the stopping rule is a sup-norm delta between consecutive fields of
-the same node.
+the same node.  sweeps is the one loop over sweeps and the one copy of that
+rule: run and the tests iterate it.
 
 A bank stores the fields of nodes 1..d only, d being the rotation period
 of the zero-message field.  Node k > d is node k - d with its axes rotated
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -115,29 +116,26 @@ class FieldBank:
 
 @dataclass
 class ConvergenceTrace:
-    """Per-sweep values at tracked grid points, plus the global sup deltas."""
+    """One row per recorded bank, values[t][p][k-1] being node k's value at
+    tracked point p after sweep t, plus the global sup deltas."""
 
     tracked_points: tuple[GridIndex, ...]
-    per_k: list          # per_k[p][k-1] = [value at tau=0, 1, ...]
-    max_series: list     # max_series[p] = [max over k at tau=0, 1, ...]
-    sup_deltas: list     # sup_deltas[t-1] = sup-norm delta of sweep t
+    values: list = field(default_factory=list)
+    sup_deltas: list = field(default_factory=list)  # [t-1]: delta of sweep t
 
-    @classmethod
-    def empty(cls, tracked: tuple[GridIndex, ...], m: int) -> "ConvergenceTrace":
-        return cls(
-            tracked_points=tuple(tuple(p) for p in tracked),
-            per_k=[[[] for _ in range(m)] for _ in tracked],
-            max_series=[[] for _ in tracked],
-            sup_deltas=[],
-        )
-
-    def record(self, bank: FieldBank) -> None:
+    def record(self, bank: FieldBank, delta: float | None) -> None:
+        """Append bank's row, and delta unless it is None (the initial bank)."""
         fields = bank.node_fields()
-        for p, point in enumerate(self.tracked_points):
-            values = [f.value_at(point) for f in fields]
-            for k0, v in enumerate(values):
-                self.per_k[p][k0].append(v)
-            self.max_series[p].append(max(values))
+        self.values.append([[f.value_at(point) for f in fields]
+                            for point in self.tracked_points])
+        if delta is not None:
+            self.sup_deltas.append(delta)
+
+    @property
+    def max_series(self) -> list:
+        """max_series[p][t]: the max over nodes of values[t][p]."""
+        return [[max(row[p]) for row in self.values]
+                for p in range(len(self.tracked_points))]
 
 
 @dataclass(frozen=True)
@@ -333,14 +331,26 @@ def check_budget(t_max: int, eps: float) -> None:
         raise ConfigError(f"eps must be > 0, got {eps}")
 
 
-def run(
-    grid: GridSpec,
-    f: FunctionTable,
-    t_max: int,
-    eps: float,
-    tracked: tuple[GridIndex, ...] = (),
-) -> RunResult:
-    """Iterate sweeps until the sup delta falls to eps or t_max is reached.
+def sweeps(grid: GridSpec, f: FunctionTable, t_max: int, eps: float):
+    """The one sweep loop: yields (initial_bank, None), then (bank, delta)
+    for each sweep, bank being sweep_once of the bank before and delta their
+    bank_sup_delta.  It stops after t_max sweeps, or right after the first
+    delta that is at most eps."""
+    bank = initial_bank(grid, f)
+    yield bank, None
+    for _ in range(t_max):
+        new = sweep_once(bank)
+        delta = bank_sup_delta(new, bank)
+        bank = new
+        yield bank, delta
+        if delta <= eps:
+            return
+
+
+def run(grid: GridSpec, f: FunctionTable, t_max: int, eps: float,
+        tracked: tuple[GridIndex, ...] = ()) -> RunResult:
+    """Record every bank of sweeps (the one sweep loop) at the tracked
+    points; "converged" if the last delta is at most eps, else "t_max".
 
     Non-convergence at t_max is a reported status, not an error.  Note the
     eps stop carries no guaranteed distance to the infinite-message limit:
@@ -348,29 +358,11 @@ def run(
     result metadata downstream.
     """
     check_budget(t_max, eps)
-
-    bank = initial_bank(grid, f)
-    trace = ConvergenceTrace.empty(tuple(tracked), grid.m)
-    trace.record(bank)
-
-    stop_reason = "t_max"
-    for _ in range(t_max):
-        new_bank = sweep_once(bank)
-        delta = bank_sup_delta(new_bank, bank)
-        trace.sup_deltas.append(delta)
-        bank = new_bank
-        trace.record(bank)
-        if delta <= eps:
-            stop_reason = "converged"
-            break
-
-    return RunResult(
-        bank=bank,
-        trace=trace,
-        t_stop=bank.tau,
-        stop_reason=stop_reason,
-        cross_k_gap=cross_k_gap(bank),
-    )
+    trace = ConvergenceTrace(tuple(tuple(p) for p in tracked))
+    for bank, delta in sweeps(grid, f, t_max, eps):
+        trace.record(bank, delta)
+    stop_reason = "converged" if delta is not None and delta <= eps else "t_max"
+    return RunResult(bank, trace, bank.tau, stop_reason, cross_k_gap(bank))
 
 
 def sum_rate_field(field_in: RateReductionField) -> np.ndarray:

@@ -12,9 +12,13 @@ import itertools
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, read_text
 
-BUILTIN_NAMES = ("min", "max", "and", "or", "parity", "constant")
+# The builtin functions by name: min == and and max == or on {0,1}, and
+# "constant" is the all-zeros function (a degenerate smoke case).
+_BUILTINS = {"min": min, "max": max, "and": min, "or": max,
+             "parity": lambda x: sum(x) % 2, "constant": lambda x: 0}
+BUILTIN_NAMES = tuple(_BUILTINS)
 
 
 def _check_entry(m: int, outputs, x: tuple[int, ...], z: int, where: str = "") -> None:
@@ -52,29 +56,14 @@ class FunctionTable:
 
 
 def builtin_table(name: str, m: int) -> FunctionTable:
-    """One of the built-in binary functions over m sources.
-
-    min == and and max == or on {0,1}; both spellings are accepted.
-    "constant" is the all-zeros function (useful as a degenerate smoke case).
-    """
+    """One of the built-in binary functions over m sources (_BUILTINS), by
+    its name in any case."""
     if m < 2:
         raise ConfigError(f"builtin functions need m >= 2, got {m}")
-    key = name.lower()
-    if key in ("min", "and"):
-        fn = min
-    elif key in ("max", "or"):
-        fn = max
-    elif key == "parity":
-        fn = lambda x: sum(x) % 2  # noqa: E731
-    elif key == "constant":
-        fn = lambda x: 0  # noqa: E731
-    else:
-        raise ConfigError(
-            f"unknown builtin function {name!r}; choose from {BUILTIN_NAMES}"
-        )
-    table = {}
-    for x in itertools.product((0, 1), repeat=m):
-        table[x] = int(fn(x))
+    fn = _BUILTINS.get(name.lower())
+    if fn is None:
+        raise ConfigError(f"unknown builtin function {name!r}; choose from {BUILTIN_NAMES}")
+    table = {x: int(fn(x)) for x in itertools.product((0, 1), repeat=m)}
     outputs = tuple(sorted(set(table.values())))
     return FunctionTable(m=m, output_alphabet=outputs, table=table)
 
@@ -84,11 +73,11 @@ def load_table(path: str | Path) -> FunctionTable:
 
     Format: a header line `arity m=3 alphabets=2,2,2 outputs=0,1`, then one
     record per line `x1 x2 ... xm -> z` with integer symbols; `#` starts a
-    comment; blank lines are ignored.
+    comment; blank lines are ignored.  The file is read as UTF-8.
     """
     path = Path(path)
     lines = []
-    for raw_no, raw in enumerate(path.read_text().splitlines(), start=1):
+    for raw_no, raw in enumerate(read_text(path).splitlines(), start=1):
         text = raw.split("#", 1)[0].strip()
         if text:
             lines.append((raw_no, text))

@@ -3,14 +3,16 @@ vectorised code.
 
 The expensive iteration runs are computed once.  eps=1e-300 forces the
 full sweep budget (the stopping rule then never fires, short of an exact
-fixed point), which the history- and trace-based tests rely on.
+fixed point), which the history- and trace-based tests rely on.  Tests
+that need the banks run() passes through iterate lattice.sweeps, the one
+sweep loop, themselves.
 
 The references are imported by tests with `from conftest import ...`:
 _envelope_line and upper_concave_envelope (the envelope kernel's scalar
 reference), grid_points and computable_with_zero_messages (the pointwise
-specs of entropy_grid and zero_message_mask), sweep_history (the banks
-that run() passes through) and per_pair_terms (the oracle search's
-message-value terms, pair by pair).
+specs of entropy_grid and zero_message_mask) and per_pair_terms (the
+oracle search's message-value terms, pair by pair).  per_node_sweep is
+sweep_once's reference, and per_cell_read_field_csv read_field_csv's.
 
 The kernel fixtures pick the envelope kernel a test runs on (kernel,
 numpy_kernel) or let it exercise the compiled kernel's loader from scratch
@@ -27,7 +29,6 @@ import shlex
 import shutil
 import sysconfig
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,16 +37,14 @@ from ratered import envelope
 from ratered.certify import MembershipReport
 from ratered.fieldcsv import _CSV_BLOCK, _fmt
 from ratered.envelope import BOTTOM
-from ratered.errors import ConfigError
+from ratered.errors import ConfigError, read_text
 from ratered.lattice import (
     FieldBank,
     RateReductionField,
     convexify_axes,
-    initial_bank,
     run,
     sum_rate_field,
-    sup_delta,
-    sweep_once,
+    sweeps,
     zero_message_mask,
 )
 from ratered.oracle import _stochastic_rows, _support_constancy
@@ -131,21 +130,6 @@ def computable_with_zero_messages(f, pmf: ProductPmf) -> bool:
     it = itertools.product(*(pmf.support(j) for j in range(f.m)))
     first = f(next(it))
     return all(f(x) == first for x in it)
-
-
-def sweep_history(grid, f, t_max, eps, sweep=sweep_once):
-    """run() spelled out: the banks from initial_bank on, one per sweep, and
-    each sweep's sup delta over every node, stopping as run() stops (at
-    t_max sweeps, or once a delta is at most eps)."""
-    banks = [initial_bank(grid, f)]
-    deltas = []
-    for _ in range(t_max):
-        banks.append(sweep(banks[-1]))
-        deltas.append(max(sup_delta(n.data, o.data) for n, o in
-                          zip(banks[-1].node_fields(), banks[-2].node_fields())))
-        if deltas[-1] <= eps:
-            break
-    return banks, deltas
 
 
 @pytest.fixture
@@ -403,18 +387,26 @@ def _parses(parse, text: str) -> bool:
 @pytest.fixture(scope="session")
 def per_cell_read_field_csv():
     """read_field_csv's reference: every cell parsed by Python int() or
-    float(), _CSV_BLOCK lines at a time, with the same checks and messages."""
+    float(), _CSV_BLOCK lines at a time, with the same checks and messages.
+    The file is read as UTF-8."""
     def read(path) -> RateReductionField:
         def data_lines() -> list[tuple[int, str]]:
-            lines = Path(path).read_text().splitlines()[1:]
+            lines = read_text(path).splitlines()[1:]
             return [(line_no, line) for line_no, line in enumerate(lines, 2) if line]
 
         def bad_cell(r: int, c: int) -> tuple[str, str]:
             line_no, line = data_lines()[r]
             return f"{path}:{line_no}", line.split(",")[c]
 
-        with open(path) as src:
-            blocks = iter(lambda: "".join(itertools.islice(src, _CSV_BLOCK)).splitlines(), [])
+        def next_block() -> list[str]:
+            try:
+                return "".join(itertools.islice(src, _CSV_BLOCK)).splitlines()
+            except UnicodeDecodeError:
+                read_text(path)
+                raise
+
+        with open(path, encoding="utf-8") as src:
+            blocks = iter(next_block, [])
             first = next(blocks, [])
             if not first:
                 raise ConfigError(f"{path}: empty field CSV")
@@ -540,8 +532,8 @@ def per_row_slice_csv():
 
 @pytest.fixture(scope="session")
 def history_run(min3):
-    """MIN, delta=0.05: the banks of all 40 sweeps (sweep_history)."""
-    return sweep_history(GridSpec.from_delta(3, 0.05), min3, 40, 1e-300)[0]
+    """MIN, delta=0.05: the banks of all 40 sweeps (lattice.sweeps)."""
+    return [bank for bank, _ in sweeps(GridSpec.from_delta(3, 0.05), min3, 40, 1e-300)]
 
 
 @pytest.fixture(scope="session")

@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from conftest import sweep_history
 from ratered.certify import (
     assess_optimality,
     check_membership,
@@ -14,7 +13,7 @@ from ratered.certify import (
 )
 from ratered.envelope import BOTTOM
 from ratered.errors import NotCertifiedError
-from ratered.lattice import RateReductionField, initial_field, run
+from ratered.lattice import RateReductionField, initial_field, run, sweeps
 from ratered.probability import GridSpec, ProductPmf, entropy_grid
 from ratered.target_functions import BUILTIN_NAMES, FunctionTable, builtin_table
 
@@ -144,7 +143,7 @@ class TestWholeArrayKernel:
     ], ids=[f"{n}-m{m}" for m in (2, 3, 4) for n in BUILTIN_NAMES] + ["selector-m3"])
     def test_history_fields_match_per_line_loop(self, f, delta, per_line_membership):
         grid = GridSpec.from_delta(f.m, delta)
-        for bank in sweep_history(grid, f, 4, 1e-12)[0]:
+        for bank, _ in sweeps(grid, f, 4, 1e-12):
             for field in (*bank.node_fields(), bank.max_field()):
                 for tol in TOLS:
                     got = check_membership(field, f, tol)

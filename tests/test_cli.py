@@ -1,7 +1,10 @@
 import importlib.util
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 from xml.etree import ElementTree
@@ -300,13 +303,15 @@ class TestSweepDeltaCommand:
     @staticmethod
     def _run_with_point1(monkeypatch, edit):
         """Patch the run() that sweep-delta calls so that edit(delta, series)
-        rewrites tracked point 1's max series."""
+        rewrites tracked point 1's max series: each of point 1's trace rows
+        becomes its edited max at every node."""
         real_run = cli.run
 
         def patched(grid, *args, **kwargs):
             result = real_run(grid, *args, **kwargs)
-            series = result.trace.max_series[1]
-            series[:] = edit(grid.delta, series)
+            series = edit(grid.delta, result.trace.max_series[1])
+            for row, v in zip(result.trace.values, series, strict=True):
+                row[1] = [v] * len(row[1])
             return result
 
         monkeypatch.setattr(cli, "run", patched)
@@ -989,6 +994,71 @@ def test_read_field_csv_rejects_p_cells_that_differ_across_blocks(tmp_path, firs
     with pytest.raises(fieldcsv.ConfigError, match=rf":{first + 2}: p_1 = '0.45' is not the "
                                               r"grid value 0\.45000000000000001 of i_1 = 9"):
         fieldcsv.read_field_csv(path)
+
+
+class TestTextInputsAreUtf8:
+    """Field CSVs and truth tables are read as UTF-8 whatever the locale; a
+    byte that does not decode is a ConfigError naming its file and line, so
+    the command exits 2 with one error line."""
+
+    TABLE = "arity m=2 alphabets=2,2 outputs=0,1\n# caf{}\n0 0 -> 0\n0 1 -> 0\n1 0 -> 0\n1 1 -> 1\n"
+
+    def test_certify_on_a_header_that_is_not_utf8(self, tmp_path, capsys,
+                                                   per_cell_read_field_csv):
+        path = tmp_path / "field_max.csv"
+        path.write_bytes(b"i_1,i_2,i_3,p_1,p_2,p_3,rho_\xff,Rsum_\xff\n")
+        message = f"{path}:1: not UTF-8 text: invalid start byte (byte 0xff)"
+        code = cli.main(["certify", "--field", str(path), "--function", "min",
+                         "-o", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert _read_both(path, per_cell_read_field_csv) == [(None, message)] * 2
+
+    def test_a_bad_byte_past_the_first_block_names_its_line(self, tmp_path,
+                                                             per_cell_read_field_csv):
+        lines = _field_csv_lines(tmp_path, 3, 20)
+        lines[6999] += "\xe9"                    # Latin-1 "é" on line 7000
+        path = tmp_path / "field.csv"
+        path.write_bytes("\n".join(lines).encode("latin-1") + b"\n")
+        message = f"{path}:7000: not UTF-8 text: invalid continuation byte (byte 0xe9)"
+        assert _read_both(path, per_cell_read_field_csv) == [(None, message)] * 2
+
+    def test_run_with_a_table_comment_that_is_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "t.txt"
+        path.write_bytes(self.TABLE.format("\xff").encode("latin-1"))
+        code = cli.main(["run", "--function", str(path), "--m", "2", "--delta", "0.25",
+                         "-o", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == \
+            f"error: {path}:2: not UTF-8 text: invalid start byte (byte 0xff)\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_utf8_text_reads_in_the_c_locale(self, tmp_path):
+        """A field CSV labelled "é" reads back, and a table with "é" in a
+        comment loads, in a process whose locale encoding is ASCII."""
+        code = (
+            "import locale, sys, numpy as np, ratered\n"
+            "from ratered.lattice import RateReductionField\n"
+            "from ratered.probability import GridSpec\n"
+            "from ratered.target_functions import load_table\n"
+            "grid = GridSpec.from_delta(2, 0.25)\n"
+            "field = RateReductionField(grid, np.linspace(0.0, 1.0, grid.n_points)"
+            ".reshape(grid.shape))\n"
+            "ratered.write_field_csv(sys.argv[1], field, '\\u00e9')\n"
+            "back = ratered.read_field_csv(sys.argv[1])\n"
+            "assert np.array_equal(back.data.view(np.uint64), field.data.view(np.uint64))\n"
+            "print(locale.getpreferredencoding(False), load_table(sys.argv[2]).table[1, 1])\n"
+        )
+        table = tmp_path / "t.txt"
+        table.write_bytes(self.TABLE.format("é").encode("utf-8"))
+        env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0",
+               "PYTHONPATH": os.pathsep.join(sys.path)}
+        out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "f.csv"), str(table)],
+                             capture_output=True, text=True, timeout=60, env=env)
+        assert out.returncode == 0, out.stderr
+        encoding, z = out.stdout.split()
+        assert encoding.lower() not in ("utf-8", "utf8") and z == "1"
+        assert (tmp_path / "f.csv").read_bytes().startswith(b"i_1,i_2,p_1,p_2,rho_\xc3\xa9,")
 
 
 def _field_csv_lines(tmp_path, m, n_steps, seed=0) -> list[str]:

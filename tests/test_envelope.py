@@ -267,27 +267,13 @@ class TestSkipPass:
     chain never pops is its own envelope, and comes back bit for bit though
     the numpy kernel takes it like any other row.  The batches hold all,
     none or some such rows.  Every test here runs on the numpy kernel;
-    TestKernels runs the CASES rows, with their never-pop flags, and the
-    no-alias check on the three batch kinds on both kernels."""
+    TestKernels runs the CASES rows, with their never-pop flags, in one
+    batch and each alone, and the no-alias check on the three batch kinds
+    on both kernels."""
 
     @pytest.fixture(autouse=True)
     def _numpy_path(self, numpy_kernel):
         pass
-
-    @pytest.mark.parametrize("row, skipped", CASES)
-    def test_boundary_rows(self, per_line_envelope, row, skipped):
-        lines = np.array([row])
-        got = envelope_batch(lines)
-        assert np.array_equal(_bits(got), _bits(per_line_envelope(lines)))
-        if skipped:
-            assert np.array_equal(_bits(got), _bits(lines))
-
-    def test_every_boundary_row_in_one_batch(self, per_line_envelope):
-        lines = _case_rows()
-        skipped = np.array([s for _, s in CASES])
-        got = envelope_batch(lines)
-        assert np.array_equal(_bits(got), _bits(per_line_envelope(lines)))
-        assert _unchanged(got, lines)[skipped].all()
 
     @pytest.mark.parametrize("batch", ["all skipped", "none skipped", "mixed"])
     def test_batches_match_per_line_loop(self, per_line_envelope, batch):
@@ -409,11 +395,18 @@ class TestKernels:
         assert np.array_equal(_bits(envelope_batch(lines)), _bits(want))
 
     def test_boundary_rows(self, per_line_envelope, kernel):
+        """The CASES rows in one padded batch, then each alone as a one-row
+        batch of its own length."""
         lines = _case_rows()
         got = envelope_batch(lines)
         assert np.array_equal(_bits(got), _bits(per_line_envelope(lines)))
         # a row on which the chain never pops comes back bit for bit
         assert _unchanged(got, lines)[[never_pops for _, never_pops in CASES]].all()
+        for row, never_pops in CASES:
+            line = np.array([row])
+            got = envelope_batch(line)
+            assert np.array_equal(_bits(got), _bits(per_line_envelope(line))), row
+            assert _unchanged(got, line)[0] or not never_pops, row
 
     def test_random_rows_with_special_cells(self, per_line_envelope, kernel):
         rng = np.random.default_rng(43)

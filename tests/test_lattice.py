@@ -7,7 +7,6 @@ import pytest
 from conftest import (
     computable_with_zero_messages,
     grid_points,
-    sweep_history,
     upper_concave_envelope,
 )
 from ratered.envelope import BOTTOM
@@ -25,6 +24,7 @@ from ratered.lattice import (
     sum_rate_field,
     sup_delta,
     sweep_once,
+    sweeps,
     zero_message_mask,
 )
 from ratered.oracle import ConditionalSearchSpec, compare_with_envelope
@@ -146,8 +146,16 @@ class TestRotatedSweep:
         grid = GridSpec.from_delta(f.m, 0.1)
         tracked = ((5, 5) + (3,) * (f.m - 2), (2,) + (7,) * (f.m - 1), (0,) * f.m)
         res = run(grid, f, t_max=6, eps=1e-12, tracked=tracked)
-        history, _ = sweep_history(grid, f, 6, 1e-12)
-        banks, deltas = sweep_history(grid, f, 6, 1e-12, per_node_sweep)
+        history = [bank for bank, _ in sweeps(grid, f, 6, 1e-12)]
+        # The reference, with a loop and stop rule of its own: every node
+        # enveloped, each delta taken over every node.
+        banks, deltas = [initial_bank(grid, f)], []
+        for _ in range(6):
+            banks.append(per_node_sweep(banks[-1]))
+            deltas.append(max(sup_delta(n.data, o.data) for n, o in
+                              zip(banks[-1].node_fields(), banks[-2].node_fields())))
+            if deltas[-1] <= 1e-12:
+                break
 
         assert res.bank.period == _least_period(banks[0].field_for(1).data)
         assert len(history) == len(banks) and res.t_stop == banks[-1].tau
@@ -159,11 +167,12 @@ class TestRotatedSweep:
                 assert np.array_equal(_bits(gf.data), _bits(wf.data))
         assert res.trace.sup_deltas == deltas
         assert res.cross_k_gap == cross_k_gap(banks[-1])
+        assert res.trace.values == [
+            [[b.field_for(k).value_at(point) for k in range(1, f.m + 1)] for point in tracked]
+            for b in banks]
         for p, point in enumerate(tracked):
-            per_k = [[b.field_for(k).value_at(point) for b in banks]
-                     for k in range(1, f.m + 1)]
-            assert res.trace.per_k[p] == per_k
-            assert res.trace.max_series[p] == [max(v) for v in zip(*per_k)]
+            assert res.trace.max_series[p] == [
+                max(b.field_for(k).value_at(point) for k in range(1, f.m + 1)) for b in banks]
 
     # README's chain counts.  The joint entropy is summed in axis order, so a
     # cyclic table can still get m chains: the base of constant at m=3 and
@@ -222,20 +231,21 @@ class TestLockstepKernel:
     ], ids=["min-m3-rotated", "selector-m4-chains"])
     def test_run_bitwise_equals_per_line_kernel(self, f, delta, chains, monkeypatch,
                                                  per_line_envelope, kernel):
+        """Every bank and delta of the sweep loop run() consumes, and the
+        last bank's cross_k_gap."""
         grid = GridSpec.from_delta(f.m, delta)
-        got = run(grid, f, t_max=20, eps=1e-12)
-        got_banks, _ = sweep_history(grid, f, 20, 1e-12)
+        got = list(sweeps(grid, f, 20, 1e-12))
         monkeypatch.setattr("ratered.lattice.envelope_batch", per_line_envelope)
-        want = run(grid, f, t_max=20, eps=1e-12)
-        want_banks, _ = sweep_history(grid, f, 20, 1e-12)
-        assert got.bank.period == want.bank.period == chains
-        assert len(got_banks) == len(want_banks) > 2
-        for gb, wb in zip(got_banks + [got.bank], want_banks + [want.bank]):
+        want = list(sweeps(grid, f, 20, 1e-12))
+        assert got[-1][0].period == want[-1][0].period == chains
+        assert len(got) == len(want) > 2
+        for (gb, _), (wb, _) in zip(got, want):
             for gf, wf in zip(gb.node_fields(), wb.node_fields()):
                 assert np.array_equal(_bits(gf.data), _bits(wf.data))
-        assert _bits(np.array(got.trace.sup_deltas)).tolist() == \
-            _bits(np.array(want.trace.sup_deltas)).tolist()
-        assert _bits(np.array(got.cross_k_gap)) == _bits(np.array(want.cross_k_gap))
+        assert _bits(np.array([d for _, d in got[1:]])).tolist() == \
+            _bits(np.array([d for _, d in want[1:]])).tolist()
+        assert _bits(np.array(cross_k_gap(got[-1][0]))) == \
+            _bits(np.array(cross_k_gap(want[-1][0])))
 
 
     @pytest.mark.parametrize("f, delta, chains", [
@@ -248,18 +258,15 @@ class TestLockstepKernel:
         call when none did."""
         batches = _spy_kernel(monkeypatch)
         grid = GridSpec.from_delta(f.m, delta)
-        res = run(grid, f, t_max=6, eps=1e-300)
-        run_batches = batches[:]
-        batches.clear()
-        banks, _ = sweep_history(grid, f, 6, 1e-300)
-        assert res.bank.period == chains
+        banks = [bank for bank, _ in sweeps(grid, f, 6, 1e-300)]
+        assert banks[-1].period == chains
         length = grid.points_per_axis
-        assert res.t_stop == banks[-1].tau == 6
+        assert banks[-1].tau == 6
         want = [chains * length ** (f.m - 1)] + [
             _changed_lines(prev, bank, chains)
             for prev, bank in zip(banks, banks[1:-1])
         ]
-        assert run_batches == batches == [(n, length) for n in want if n]
+        assert batches == [(n, length) for n in want if n]
         assert sum(want[1:]) < 5 * want[0]          # the reuse engages
 
 
@@ -487,10 +494,10 @@ class TestRun:
         res = run(grid, min3, t_max=5, eps=1e-300,
                   tracked=((5, 5, 5), (0, 0, 0)))
         assert len(res.trace.sup_deltas) == res.t_stop == 5
+        assert len(res.trace.values) == 6
+        assert all(len(row) == 2 and all(len(v) == 3 for v in row) for row in res.trace.values)
         for pid in range(2):
             assert len(res.trace.max_series[pid]) == 6
-            for k0 in range(3):
-                assert len(res.trace.per_k[pid][k0]) == 6
 
     def test_tracked_corner_is_constant_entropy(self, min3):
         grid = GridSpec.from_delta(3, 0.1)
@@ -498,19 +505,10 @@ class TestRun:
         h = product_entropy(grid.pmf_at((0, 7, 3)))
         assert res.trace.max_series[0] == [h] * 6
 
-    def test_sup_delta_sequence_matches_banks(self, min3):
-        grid = GridSpec.from_delta(3, 0.25)
-        res = run(grid, min3, t_max=6, eps=1e-300)
-        banks, _ = sweep_history(grid, min3, 6, 1e-300)
-        assert res.t_stop == banks[-1].tau
-        for t in range(1, res.t_stop + 1):
-            expected = bank_sup_delta(banks[t], banks[t - 1])
-            assert res.trace.sup_deltas[t - 1] == expected
-
     def test_monotone_chain_small_grid(self, min3):
         """Each envelope majorizes its input, so a field at sweep t dominates
         its source field (next node) at sweep t-1 pointwise."""
-        banks, _ = sweep_history(GridSpec.from_delta(3, 0.25), min3, 10, 1e-300)
+        banks = [bank for bank, _ in sweeps(GridSpec.from_delta(3, 0.25), min3, 10, 1e-300)]
         for t in range(1, len(banks)):
             for k in (1, 2, 3):
                 new = banks[t].field_for(k).data
@@ -522,6 +520,47 @@ class TestRun:
         assert converged_run.stop_reason == "converged"
         assert converged_run.cross_k_gap <= 3e-6
         assert cross_k_gap(converged_run.bank) == converged_run.cross_k_gap
+
+
+class TestSweeps:
+    """lattice.sweeps, the one sweep loop: what it yields and where it stops."""
+
+    def test_t_max_zero_yields_the_initial_bank_alone(self, min3):
+        grid = GridSpec.from_delta(3, 0.2)
+        ((bank, delta),) = sweeps(grid, min3, 0, 1e-6)
+        assert delta is None and bank.tau == 0
+        assert np.array_equal(_bits(bank.field_for(1).data),
+                              _bits(initial_field(grid, min3).data))
+
+    def test_stops_right_after_a_delta_equal_to_eps(self, min3):
+        grid = GridSpec.from_delta(3, 0.25)
+        deltas = [d for _, d in sweeps(grid, min3, 8, 1e-300)][1:]
+        eps = deltas[5]
+        assert len(deltas) == 8 and min(deltas[:5]) > eps > 0.0
+        got = list(sweeps(grid, min3, 8, eps))
+        assert [d for _, d in got] == [None] + deltas[:6]
+        assert got[-1][0].tau == 6
+        res = run(grid, min3, t_max=8, eps=eps)
+        assert (res.t_stop, res.stop_reason) == (6, "converged")
+        # one ulp below the delta, the loop takes one more sweep
+        assert len(list(sweeps(grid, min3, 8, np.nextafter(eps, 0.0)))) == 8
+
+    def test_deltas_are_the_banks_and_run_trace_bit_for_bit(self, min3):
+        """Each yielded delta is bank_sup_delta of its bank and the bank
+        before, the sweep_once of that bank; run() records the same
+        deltas, bit for bit, and stops at the last bank."""
+        grid = GridSpec.from_delta(3, 0.25)
+        got = list(sweeps(grid, min3, 6, 1e-300))
+        res = run(grid, min3, t_max=6, eps=1e-300)
+        assert len(got) == 7 and got[0][1] is None
+        for (prev, _), (bank, delta) in zip(got, got[1:]):
+            assert bank.tau == prev.tau + 1
+            for gf, wf in zip(bank.fields, sweep_once(prev).fields):
+                assert np.array_equal(_bits(gf.data), _bits(wf.data))
+            assert _bits(np.array(delta)) == _bits(np.array(bank_sup_delta(bank, prev)))
+        assert _bits(np.array([d for _, d in got[1:]])).tolist() == \
+            _bits(np.array(res.trace.sup_deltas)).tolist()
+        assert res.t_stop == got[-1][0].tau == 6
 
 
 class TestSumRate:

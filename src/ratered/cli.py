@@ -11,6 +11,7 @@ plotting dependency.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -25,7 +26,7 @@ from .certify import assess_optimality, check_tol
 from .envelope import kernel_name
 from .errors import ConfigError
 from .fieldcsv import _fmt, _write_grid_csv, read_field_csv
-from .lattice import RunResult, check_budget, gap, run
+from .lattice import ConvergenceTrace, FieldBank, check_budget, gap, run, sweeps
 from .oracle import ConditionalSearchSpec, compare_with_envelope
 # Unused here; kept because perfbench/tracer.py wraps ratered.cli.check_membership
 # and ratered.cli.write_field_csv.
@@ -117,19 +118,19 @@ def _parse_slice(text: str, m: int) -> tuple[int, float]:
     return axis, value
 
 
-def _trace_rows(result: RunResult, prefix: str = ""):
+def _trace_rows(trace: ConvergenceTrace, prefix: str = ""):
     """Long-format trace rows t,k,point_id,rho, each after prefix: per tau and
     tracked point, one row per node k, then one k='max' row."""
-    for t, row in enumerate(result.trace.values):
+    for t, row in enumerate(trace.values):
         for pid, values in enumerate(row):
             for k, v in enumerate(values, 1):
                 yield f"{prefix}{t},{k},{pid},{_fmt(v)}\n"
             yield f"{prefix}{t},max,{pid},{_fmt(max(values))}\n"
 
 
-def write_trace_csv(path: Path, result: RunResult) -> None:
+def write_trace_csv(path: Path, trace: ConvergenceTrace) -> None:
     """The tracked points' values per sweep, one _trace_rows row each."""
-    path.write_text("t,k,point_id,rho\n" + "".join(_trace_rows(result)))
+    path.write_text("t,k,point_id,rho\n" + "".join(_trace_rows(trace)))
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +215,9 @@ def _svg_plot(path: Path, curves, title: str) -> None:
             f'font-size="11">{escape(label, quote=False)}</text>'
         )
     parts.append("</svg>")
-    path.write_text("\n".join(parts) + "\n")
+    # UTF-8 whatever the locale, as the XML declares no encoding; a file name
+    # in the title that argv could not decode keeps its bytes.
+    path.write_text("\n".join(parts) + "\n", encoding="utf-8", errors="surrogateescape")
 
 
 # ---------------------------------------------------------------------------
@@ -234,14 +237,14 @@ def _snap_tracked(grid: GridSpec, requested: list) -> tuple[list, list]:
     return indices, [_snap_record(grid, list(req), idx) for req, idx in zip(requested, indices)]
 
 
-def _tracked_curves(grid: GridSpec, tracked: list, result: RunResult, style,
+def _tracked_curves(grid: GridSpec, trace: ConvergenceTrace, style,
                     prefix: str = "") -> list:
-    """_svg_plot curves of result's tracked points, one per point i: its
+    """_svg_plot curves of trace's tracked points, one per point i: its
     max-node series against t, labelled prefix and its snapped pmf, drawn in
     (colour, dash) style(i)."""
     return [(prefix + "p" + str(tuple(round(v, 6) for v in grid.pmf_at(idx))),
              list(range(len(series))), series, *style(i))
-            for i, (idx, series) in enumerate(zip(tracked, result.trace.max_series))]
+            for i, (idx, series) in enumerate(zip(trace.tracked_points, trace.max_series))]
 
 
 def _output_dir(args: argparse.Namespace) -> Path:
@@ -283,11 +286,11 @@ def cmd_run(args: argparse.Namespace) -> int:
         _write_grid_csv(items, list(range(1, args.m + 1)), h, grid)
         artifacts += [path.name for path, _, _ in items]
     if "trace-csv" in emit and tracked_idx:
-        write_trace_csv(out / "trace.csv", result)
+        write_trace_csv(out / "trace.csv", result.trace)
         artifacts.append("trace.csv")
     if "trace-svg" in emit and tracked_idx:
         _svg_plot(out / "trace.svg",
-                  _tracked_curves(grid, tracked_idx, result, lambda i: (i, i // len(_PALETTE))),
+                  _tracked_curves(grid, result.trace, lambda i: (i, i // len(_PALETTE))),
                   f"rate reduction vs sweeps ({args.function}, delta={grid.delta:g})")
         artifacts.append("trace.svg")
 
@@ -388,6 +391,13 @@ def _worst_drop(series: list) -> float:
     return float(gap(prev, nxt)[nxt < prev - 1e-12].max(initial=0.0))
 
 
+def _shared_max(bank: FieldBank, g: int) -> np.ndarray:
+    """The max over nodes of bank at its grid points i/g, g dividing its
+    n_steps; each node is sliced before the max, so only those are read."""
+    at = (slice(None, None, bank.grid.n_steps // g),) * bank.m
+    return functools.reduce(np.maximum, [f.data[at] for f in bank.node_fields()])
+
+
 def cmd_sweep_delta(args: argparse.Namespace) -> int:
     try:
         deltas = [float(s) for s in args.deltas.split(",") if s]
@@ -403,69 +413,50 @@ def cmd_sweep_delta(args: argparse.Namespace) -> int:
                               f"the same grid ({grid.n_steps} steps)")
         seen[grid.n_steps] = delta
     check_budget(args.t_max, args.eps)
-    requested = [_parse_point(t, args.m) for t in (args.track or [])]
-    if not requested:
-        raise ConfigError("sweep-delta needs at least one --track point")
+    requested = [_parse_point(t, args.m) for t in args.track]
     f = _resolve_function(args.function, args.m)
 
     out = _output_dir(args)
+    snapped = [_snap_tracked(grid, requested) for grid in grids]
+    traces = [ConvergenceTrace(tuple(idx)) for idx, _ in snapped]
+    # Finer against coarser at equal t, at every grid point both hold: i/g,
+    # g = gcd(N_c, N_f).  Reported, not asserted: only a nested pair (N_c
+    # divides N_f) is predicted to have fine >= coarse.
+    order = sorted(range(len(grids)), key=lambda i: grids[i].n_steps)
+    pairs = [(c, fine, math.gcd(grids[c].n_steps, grids[fine].n_steps))
+             for c, fine in zip(order, order[1:])]
+    cross = [{"coarse_delta": deltas[c], "fine_delta": deltas[fine],
+              "nested": g == grids[c].n_steps, "shared_points": (g + 1) ** args.m}
+             for c, fine, g in pairs]
+    runs = [sweeps(grid, f, args.t_max, args.eps) for grid in grids]
+    for t, steps in enumerate(itertools.zip_longest(*runs)):
+        for trace, step in zip(traces, steps):
+            if step is not None:
+                trace.record(*step)
+        for entry, (c, fine, g) in zip(cross, pairs):
+            if steps[c] is None or steps[fine] is None:
+                continue
+            d = gap(_shared_max(steps[c][0], g), _shared_max(steps[fine][0], g))
+            at = int(np.argmax(d))      # the first maximum in C order
+            if t == 0 or d.flat[at] > entry["max_coarse_minus_fine"]:
+                entry.update(max_coarse_minus_fine=float(d.flat[at]), worst_t=t,
+                             worst_pmf=[int(i) / g for i in np.unravel_index(at, d.shape)])
+
     rows: list[str] = []
     curves = []
     per_delta = []
-    results: dict[float, tuple[GridSpec, list, list, RunResult]] = {}
-    for d_i, (delta, grid) in enumerate(zip(deltas, grids)):
-        tracked_idx, tracked_rec = _snap_tracked(grid, requested)
-        result = run(grid, f, t_max=args.t_max, eps=args.eps, tracked=tuple(tracked_idx))
-        results[delta] = (grid, tracked_idx, tracked_rec, result)
-        rows.extend(_trace_rows(result, f"{_fmt(delta)},"))
-        curves += _tracked_curves(grid, tracked_idx, result, lambda i: (d_i, i),
-                                  f"delta={delta:g} ")
-
-        worst_drop = max(_worst_drop(s) for s in result.trace.max_series)
-        per_delta.append(
-            {
-                "delta": delta,
-                "t_stop": result.t_stop,
-                "stop_reason": result.stop_reason,
-                "tracked": tracked_rec,
-                "monotone_nondecreasing": worst_drop == 0.0,
-                "worst_drop": worst_drop,
-            }
-        )
+    for d_i, (delta, grid, (_, tracked_rec), trace) in enumerate(
+            zip(deltas, grids, snapped, traces)):
+        rows.extend(_trace_rows(trace, f"{_fmt(delta)},"))
+        curves += _tracked_curves(grid, trace, lambda i: (d_i, i), f"delta={delta:g} ")
+        worst_drop = max(map(_worst_drop, trace.max_series), default=0.0)
+        per_delta.append({"delta": delta, "t_stop": len(trace.values) - 1,
+                          "stop_reason": trace.stop_reason(args.eps), "tracked": tracked_rec,
+                          "monotone_nondecreasing": worst_drop == 0.0, "worst_drop": worst_drop})
 
     (out / "sweep_trace.csv").write_text("delta,t,k,point_id,rho\n" + "".join(rows))
     _svg_plot(out / "sweep_trace.svg", curves,
               f"rate reduction vs sweeps across grid steps ({args.function})")
-
-    # finer vs coarser at equal t: reported, not hard-asserted; a tracked
-    # point is compared only where both grids snap it to the same pmf
-    cross = []
-    order = sorted(deltas, reverse=True)
-    for coarse, fine in zip(order, order[1:]):
-        grid_c, idx_c, rec_c, res_c = results[coarse]
-        grid_f, idx_f, rec_f, res_f = results[fine]
-        worst = 0.0
-        skipped = []
-        for pid, (ic, i_f, sc, sf) in enumerate(
-            zip(idx_c, idx_f, res_c.trace.max_series, res_f.trace.max_series)
-        ):
-            if any(a * grid_f.n_steps != b * grid_c.n_steps for a, b in zip(ic, i_f)):
-                skipped.append({"point_id": pid,
-                                "coarse_pmf": rec_c[pid]["snapped_pmf"],
-                                "fine_pmf": rec_f[pid]["snapped_pmf"]})
-                continue
-            n = min(len(sc), len(sf))
-            worst = max(worst, float(gap(sc[:n], sf[:n]).max(initial=0.0)))
-        cross.append(
-            {
-                "coarse_delta": coarse,
-                "fine_delta": fine,
-                "compared_points": len(idx_c) - len(skipped),
-                "skipped_points": skipped,
-                "max_coarse_minus_fine": worst,
-                "fine_never_below_coarse_at_1e-9": worst <= 1e-9,
-            }
-        )
 
     payload = {
         "function": args.function,
@@ -603,7 +594,9 @@ def build_parser() -> argparse.ArgumentParser:
     function_option(p_sweep)
     p_sweep.add_argument("--m", type=int, required=True)
     p_sweep.add_argument("--deltas", required=True, help="comma list, e.g. 0.1,0.05,0.02")
-    p_sweep.add_argument("--track", action="append", default=[], metavar="P1,P2,...")
+    p_sweep.add_argument("--track", action="append", default=[], metavar="P1,P2,...",
+                         help="pmf whose trace to draw and check for monotonicity "
+                              "(repeatable, optional)")
     sweep_options(p_sweep)
     output_option(p_sweep)
 

@@ -7,7 +7,7 @@ field for node k+1 convexified along axis k, reading only the previous
 bank.  Iterating drives every field toward the infinite-message limit from
 below; the stopping rule is a sup-norm delta between consecutive fields of
 the same node.  sweeps is the one loop over sweeps and the one copy of that
-rule: run and the tests iterate it.
+rule, and ConvergenceTrace.stop_reason names its outcome.
 
 A bank stores the fields of nodes 1..d only, d being the rotation period
 of the zero-message field.  Node k > d is node k - d with its axes rotated
@@ -136,6 +136,11 @@ class ConvergenceTrace:
         """max_series[p][t]: the max over nodes of values[t][p]."""
         return [[max(row[p]) for row in self.values]
                 for p in range(len(self.tracked_points))]
+
+    def stop_reason(self, eps: float) -> str:
+        """"converged" if the last recorded sweep's delta is at most eps (the
+        stop rule of sweeps), else "t_max"."""
+        return "converged" if self.sup_deltas and self.sup_deltas[-1] <= eps else "t_max"
 
 
 @dataclass(frozen=True)
@@ -350,7 +355,7 @@ def sweeps(grid: GridSpec, f: FunctionTable, t_max: int, eps: float):
 def run(grid: GridSpec, f: FunctionTable, t_max: int, eps: float,
         tracked: tuple[GridIndex, ...] = ()) -> RunResult:
     """Record every bank of sweeps (the one sweep loop) at the tracked
-    points; "converged" if the last delta is at most eps, else "t_max".
+    points, and name the stop by ConvergenceTrace.stop_reason.
 
     Non-convergence at t_max is a reported status, not an error.  Note the
     eps stop carries no guaranteed distance to the infinite-message limit:
@@ -361,8 +366,7 @@ def run(grid: GridSpec, f: FunctionTable, t_max: int, eps: float,
     trace = ConvergenceTrace(tuple(tuple(p) for p in tracked))
     for bank, delta in sweeps(grid, f, t_max, eps):
         trace.record(bank, delta)
-    stop_reason = "converged" if delta is not None and delta <= eps else "t_max"
-    return RunResult(bank, trace, bank.tau, stop_reason, cross_k_gap(bank))
+    return RunResult(bank, trace, bank.tau, trace.stop_reason(eps), cross_k_gap(bank))
 
 
 def sum_rate_field(field_in: RateReductionField) -> np.ndarray:

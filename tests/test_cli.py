@@ -14,7 +14,7 @@ import pytest
 
 from ratered import certify, cli, envelope, fieldcsv
 from ratered.envelope import BOTTOM
-from ratered.lattice import RateReductionField, run
+from ratered.lattice import FieldBank, RateReductionField, run
 from ratered.probability import GridSpec, binary_entropy, entropy_grid
 from ratered.target_functions import builtin_table
 from test_lattice import PERIOD2
@@ -300,21 +300,58 @@ class TestSweepDeltaCommand:
         assert "0.5," in text and "0.25," in text
         assert (tmp_path / "sweep_trace.svg").exists()
 
+    def test_nested_pair_agrees_exactly_at_every_shared_point(self, tmp_path):
+        assert cli.main([
+            "sweep-delta", "--function", "min", "--m", "3", "--deltas", "0.5,0.25",
+            "-o", str(tmp_path),
+        ]) == 0
+        (cross,) = read_json(tmp_path / "sweep_report.json")["cross_delta"]
+        assert cross == {"coarse_delta": 0.5, "fine_delta": 0.25, "nested": True,
+                         "shared_points": 27, "max_coarse_minus_fine": 0.0,
+                         "worst_t": 0, "worst_pmf": [0.0, 0.0, 0.0]}
+
+    def test_pair_not_nested_reports_its_worst_point(self, tmp_path):
+        # 4 does not divide 10: the grids share only the points i/2, and the
+        # coarse field is above the fine one at the centre
+        assert cli.main([
+            "sweep-delta", "--function", "min", "--m", "3", "--deltas", "0.25,0.1",
+            "-o", str(tmp_path),
+        ]) == 0
+        (cross,) = read_json(tmp_path / "sweep_report.json")["cross_delta"]
+        assert cross == {"coarse_delta": 0.25, "fine_delta": 0.1, "nested": False,
+                         "shared_points": 27, "max_coarse_minus_fine": 4.735267751115657e-3,
+                         "worst_t": 4, "worst_pmf": [0.5, 0.5, 0.5]}
+
+    def test_runs_without_track(self, tmp_path):
+        assert cli.main([
+            "sweep-delta", "--function", "min", "--m", "2", "--deltas", "0.25,0.125",
+            "--t-max", "4", "-o", str(tmp_path),
+        ]) == 0
+        report = read_json(tmp_path / "sweep_report.json")
+        assert [(d["tracked"], d["monotone_nondecreasing"]) for d in report["per_delta"]] \
+            == [([], True)] * 2
+        assert report["cross_delta"][0]["nested"] is True
+        assert (tmp_path / "sweep_trace.csv").read_text() == "delta,t,k,point_id,rho\n"
+        ElementTree.parse(tmp_path / "sweep_trace.svg")
+
     @staticmethod
-    def _run_with_point1(monkeypatch, edit):
-        """Patch the run() that sweep-delta calls so that edit(delta, series)
-        rewrites tracked point 1's max series: each of point 1's trace rows
-        becomes its edited max at every node."""
-        real_run = cli.run
+    def _patch_banks(monkeypatch, delta, pmf, edit):
+        """Patch the sweeps() that sweep-delta steps: on the grid of step
+        delta, every bank is handed out as a copy of its m node fields in
+        which each node's value v at pmf becomes edit(tau, v)."""
+        real_sweeps = cli.sweeps
 
-        def patched(grid, *args, **kwargs):
-            result = real_run(grid, *args, **kwargs)
-            series = edit(grid.delta, result.trace.max_series[1])
-            for row, v in zip(result.trace.values, series, strict=True):
-                row[1] = [v] * len(row[1])
-            return result
+        def patched(grid, *args):
+            for bank, d in real_sweeps(grid, *args):
+                if grid.delta == delta:
+                    at = grid.snap(pmf)
+                    fields = [RateReductionField(grid, f.data.copy()) for f in bank.node_fields()]
+                    for field in fields:
+                        field.data[at] = edit(bank.tau, field.data[at])
+                    bank = FieldBank(tuple(fields), bank.tau)
+                yield bank, d
 
-        monkeypatch.setattr(cli, "run", patched)
+        monkeypatch.setattr(cli, "sweeps", patched)
 
     SWEEP_ARGS = [
         "sweep-delta", "--function", "min", "--m", "3", "--deltas", "0.5,0.25",
@@ -323,45 +360,44 @@ class TestSweepDeltaCommand:
     ]
 
     def test_drop_at_any_tracked_point_fails(self, tmp_path, monkeypatch, capsys):
-        self._run_with_point1(
-            monkeypatch,
-            lambda delta, s: s[:-1] + [s[-2] - 0.5] if delta == 0.25 else s,
-        )
+        # tracked point 1 falls to 0 at the fine grid's last sweep
+        self._patch_banks(monkeypatch, 0.25, (1, 0.5, 0.5),
+                          lambda tau, v: 0.0 if tau == 4 else v)
         code = cli.main(self.SWEEP_ARGS + ["-o", str(tmp_path)])
         assert code == 2
         assert "non-monotone" in capsys.readouterr().err
         coarse, fine = read_json(tmp_path / "sweep_report.json")["per_delta"]
         assert coarse["monotone_nondecreasing"] is True
         assert fine["monotone_nondecreasing"] is False
-        assert fine["worst_drop"] == pytest.approx(0.5)
+        rows = [line.rsplit(",", 1) for line in
+                (tmp_path / "sweep_trace.csv").read_text().splitlines()]
+        series = {t: float(rho) for key, rho in rows for t in (3, 4)
+                  if key == f"0.25,{t},max,1"}
+        assert series[3] > 0.0 and series[4] == 0.0
+        assert fine["worst_drop"] == series[3]
 
     def test_cross_delta_checks_every_tracked_point(self, tmp_path, monkeypatch):
-        self._run_with_point1(
-            monkeypatch, lambda delta, s: [v - 0.25 for v in s] if delta == 0.25 else s
-        )
+        """A drop of the fine field is seen wherever it is: here at a point
+        that no --track names."""
+        self._patch_banks(monkeypatch, 0.25, (0.5, 1, 0.5), lambda tau, v: v - 0.25)
         assert cli.main(self.SWEEP_ARGS + ["-o", str(tmp_path)]) == 0
         (cross,) = read_json(tmp_path / "sweep_report.json")["cross_delta"]
-        assert cross["max_coarse_minus_fine"] >= 0.25 - 1e-9
-        assert cross["fine_never_below_coarse_at_1e-9"] is False
+        assert cross["max_coarse_minus_fine"] > 0.0
+        assert cross["worst_pmf"] == [0.5, 1.0, 0.5]
 
     def test_cross_delta_fine_bottom_under_finite_coarse_is_infinite(self, tmp_path,
                                                                        monkeypatch):
-        self._run_with_point1(
-            monkeypatch, lambda delta, s: [BOTTOM] * len(s) if delta == 0.25 else s
-        )
+        self._patch_banks(monkeypatch, 0.25, (1, 0.5, 0.5), lambda tau, v: BOTTOM)
         assert cli.main(self.SWEEP_ARGS + ["-o", str(tmp_path)]) == 0
         (cross,) = read_json(tmp_path / "sweep_report.json")["cross_delta"]
         assert cross["max_coarse_minus_fine"] == "inf"
-        assert cross["fine_never_below_coarse_at_1e-9"] is False
+        assert cross["worst_pmf"] == [1.0, 0.5, 0.5]
 
     def test_cross_delta_ignores_bottom_coarse_values(self, tmp_path, monkeypatch):
-        self._run_with_point1(
-            monkeypatch, lambda delta, s: [BOTTOM] * len(s) if delta == 0.5 else s
-        )
+        self._patch_banks(monkeypatch, 0.5, (1, 0.5, 0.5), lambda tau, v: BOTTOM)
         assert cli.main(self.SWEEP_ARGS + ["-o", str(tmp_path)]) == 0
         (cross,) = read_json(tmp_path / "sweep_report.json")["cross_delta"]
         assert cross["max_coarse_minus_fine"] == 0.0
-        assert cross["fine_never_below_coarse_at_1e-9"] is True
 
     @pytest.mark.parametrize("series, want", [
         ([1.0, BOTTOM], math.inf),                          # a fall to BOTTOM
@@ -403,29 +439,6 @@ class TestSweepDeltaCommand:
         assert len(polylines) == len(set(polylines)) == 9
         assert legend == polylines
 
-    def test_cross_delta_skips_points_snapped_apart(self, tmp_path):
-        # 0.25 snaps onto 0 on the delta = 0.5 grid but not on the 0.25 grid
-        assert cli.main([
-            "sweep-delta", "--function", "min", "--m", "3", "--deltas", "0.5,0.25",
-            "--track", "0.25,0.5,0.5", "--track", "0.5,0.5,0.5",
-            "--t-max", "4", "--eps", "1e-300", "-o", str(tmp_path),
-        ]) == 0
-        (cross,) = read_json(tmp_path / "sweep_report.json")["cross_delta"]
-        assert cross["compared_points"] == 1
-        assert cross["skipped_points"] == [
-            {"point_id": 0, "coarse_pmf": [0.0, 0.5, 0.5], "fine_pmf": [0.25, 0.5, 0.5]}
-        ]
-        assert cross["max_coarse_minus_fine"] <= 1e-9
-        assert cross["fine_never_below_coarse_at_1e-9"] is True
-
-    def test_requires_track(self, tmp_path, capsys):
-        code = cli.main([
-            "sweep-delta", "--function", "min", "--m", "3",
-            "--deltas", "0.5", "-o", str(tmp_path),
-        ])
-        assert code == 2
-        assert "track" in capsys.readouterr().err
-
     @pytest.mark.parametrize("options, message", [
         (["--deltas", "0.05,0.3"], "delta=0.3 is not the reciprocal of an integer"),
         (["--deltas", "0.5,0"], "delta must lie in (0, 1], got 0.0"),
@@ -443,7 +456,7 @@ class TestSweepDeltaCommand:
         def forbidden(*args, **kwargs):
             raise AssertionError("sweep-delta ran a sweep before checking its options")
 
-        monkeypatch.setattr(cli, "run", forbidden)
+        monkeypatch.setattr(cli, "sweeps", forbidden)
         track = [] if "--track" in options else ["--track", "0.5,0.5,0.5"]
         code = cli.main(["sweep-delta", "--function", "min", "--m", "3", *options,
                          *track, "-o", str(tmp_path / "out")])
@@ -999,7 +1012,7 @@ def test_read_field_csv_rejects_p_cells_that_differ_across_blocks(tmp_path, firs
 class TestTextInputsAreUtf8:
     """Field CSVs and truth tables are read as UTF-8 whatever the locale; a
     byte that does not decode is a ConfigError naming its file and line, so
-    the command exits 2 with one error line."""
+    the command exits 2 with one error line.  SVGs are written as UTF-8."""
 
     TABLE = "arity m=2 alphabets=2,2 outputs=0,1\n# caf{}\n0 0 -> 0\n0 1 -> 0\n1 0 -> 0\n1 1 -> 1\n"
 
@@ -1059,6 +1072,22 @@ class TestTextInputsAreUtf8:
         encoding, z = out.stdout.split()
         assert encoding.lower() not in ("utf-8", "utf8") and z == "1"
         assert (tmp_path / "f.csv").read_bytes().startswith(b"i_1,i_2,p_1,p_2,rho_\xc3\xa9,")
+
+    def test_svg_title_is_utf8_in_the_c_locale(self, tmp_path):
+        """A table named "tablé.txt" runs to a trace.svg whose title reads
+        back as that name, in a process whose locale encoding is ASCII."""
+        table = tmp_path / "tablé.txt"
+        table.write_bytes(self.TABLE.format("").encode("utf-8"))
+        env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0",
+               "PYTHONPATH": os.pathsep.join(sys.path)}
+        out = subprocess.run([sys.executable, "-m", "ratered.cli", "run", "--function", str(table),
+                              "--m", "2", "--delta", "0.25", "--track", "0.5,0.5",
+                              "--emit", "trace-svg", "-o", str(tmp_path / "out")],
+                             capture_output=True, text=True, timeout=60, env=env)
+        assert out.returncode == 0, out.stderr
+        title = next(e.text for e in ElementTree.parse(tmp_path / "out" / "trace.svg").iter()
+                     if e.tag.endswith("text"))
+        assert title == f"rate reduction vs sweeps ({table}, delta=0.25)"
 
 
 def _field_csv_lines(tmp_path, m, n_steps, seed=0) -> list[str]:

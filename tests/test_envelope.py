@@ -171,6 +171,34 @@ class TestBatch:
         with pytest.raises(ValueError):
             envelope_batch(np.zeros(5))
 
+    def test_every_row_reaches_the_hull_pass(self, numpy_kernel, monkeypatch):
+        seen = []
+        hull = envelope._hull_vertices
+
+        def spy(v, ctype):
+            seen.append(v.copy())
+            return hull(v, ctype)
+
+        monkeypatch.setattr(envelope, "_hull_vertices", spy)
+        rng = np.random.default_rng(33)
+        for lines in (_concave_rows(rng, 64, 11), _mixed_rows(rng, 64, 11)):
+            seen.clear()
+            envelope_batch(lines)
+            assert len(seen) == 1
+            assert np.array_equal(_bits(seen[0]), _bits(lines))
+
+    def test_peak_memory_per_point_on_a_mixed_batch(self, numpy_kernel):
+        rng = np.random.default_rng(34)
+        lines = _mixed_rows(rng, 5324, 11)
+        envelope_batch(lines)
+        tracemalloc.start()
+        try:
+            envelope_batch(lines)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / lines.size < 40.0
+
     def test_bitwise_equals_per_line_loop(self, per_line_envelope, kernel):
         rng = np.random.default_rng(10)
         # past 127 and 255 the kernel's column indices need a wider dtype
@@ -260,79 +288,6 @@ def _case_rows():
 def _unchanged(got, lines):
     """Per row: whether got holds the bits of lines."""
     return (_bits(got) == _bits(lines)).all(axis=1)
-
-
-class TestSkipPass:
-    """Rows that skip every pop: a run of finite cells on which the monotone
-    chain never pops is its own envelope, and comes back bit for bit though
-    the numpy kernel takes it like any other row.  The batches hold all,
-    none or some such rows.  Every test here runs on the numpy kernel;
-    TestKernels runs the CASES rows, with their never-pop flags, in one
-    batch and each alone, and the no-alias check on the three batch kinds
-    on both kernels."""
-
-    @pytest.fixture(autouse=True)
-    def _numpy_path(self, numpy_kernel):
-        pass
-
-    @pytest.mark.parametrize("batch", ["all skipped", "none skipped", "mixed"])
-    def test_batches_match_per_line_loop(self, per_line_envelope, batch):
-        rng = np.random.default_rng(31)
-        for n in [1, 2, 3, 4, 11, 51]:
-            if batch == "all skipped":
-                lines = _concave_rows(rng, 40, n)
-            elif batch == "none skipped":
-                lines = _convex_rows(rng, 40, n)
-            else:
-                lines = _mixed_rows(rng, 40, n)
-            got = envelope_batch(lines)
-            assert np.array_equal(_bits(got), _bits(per_line_envelope(lines))), n
-            unchanged = _unchanged(got, lines)
-            if n >= 3:
-                assert unchanged.all() == (batch == "all skipped")
-                assert unchanged.any() == (batch != "none skipped")
-
-    def test_every_row_reaches_the_hull_pass(self, monkeypatch):
-        seen = []
-        hull = envelope._hull_vertices
-
-        def spy(v, ctype):
-            seen.append(v.copy())
-            return hull(v, ctype)
-
-        monkeypatch.setattr(envelope, "_hull_vertices", spy)
-        rng = np.random.default_rng(33)
-        for lines in (_concave_rows(rng, 64, 11), _mixed_rows(rng, 64, 11)):
-            seen.clear()
-            envelope_batch(lines)
-            assert len(seen) == 1
-            assert np.array_equal(_bits(seen[0]), _bits(lines))
-
-    def test_peak_memory_per_point_on_a_mixed_batch(self):
-        rng = np.random.default_rng(34)
-        lines = _mixed_rows(rng, 5324, 11)
-        envelope_batch(lines)
-        tracemalloc.start()
-        try:
-            envelope_batch(lines)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak / lines.size < 40.0
-
-    @pytest.mark.parametrize("batch", ["all skipped", "none skipped", "mixed"])
-    def test_result_never_aliases_the_input(self, batch):
-        rng = np.random.default_rng(35)
-        lines = {
-            "all skipped": _concave_rows(rng, 8, 11),
-            "none skipped": _convex_rows(rng, 8, 11),
-            "mixed": _mixed_rows(rng, 8, 11),
-        }[batch]
-        before = lines.copy()
-        out = envelope_batch(lines)
-        assert not np.shares_memory(out, lines)
-        out[...] = 7.0
-        assert np.array_equal(lines, before)
 
 
 class TestKernels:
@@ -431,14 +386,21 @@ class TestKernels:
                               _bits(envelope_batch(ints.astype(np.float64))))
 
     def test_result_never_aliases_the_input(self, kernel):
+        """The result is a new array.  A row on which the monotone chain
+        never pops comes back in it bit for bit: every row of _concave_rows
+        and some of _mixed_rows, but none of _convex_rows."""
         rng = np.random.default_rng(45)
-        for rows in (_concave_rows, _convex_rows, _mixed_rows):
-            lines = rows(rng, 8, 11)
-            before = lines.copy()
-            out = envelope_batch(lines)
-            assert not np.shares_memory(out, lines), rows.__name__
-            out[...] = 7.0
-            assert np.array_equal(lines, before), rows.__name__
+        for rows, all_any in ((_concave_rows, (True, True)), (_convex_rows, (False, False)),
+                              (_mixed_rows, (False, True))):
+            for n in (3, 4, 11, 51):
+                lines = rows(rng, 40, n)
+                before = lines.copy()
+                out = envelope_batch(lines)
+                unchanged = _unchanged(out, lines)
+                assert (unchanged.all(), unchanged.any()) == all_any, (rows.__name__, n)
+                assert not np.shares_memory(out, lines), rows.__name__
+                out[...] = 7.0
+                assert np.array_equal(lines, before), rows.__name__
 
     def test_compiled_and_numpy_agree_on_sweep_batches(self, kernel, monkeypatch):
         # every batch of twelve min sweeps, on the other kernel too

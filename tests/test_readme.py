@@ -49,7 +49,8 @@ def test_all_is_the_documented_api():
 def test_cli_block_runs_and_writes_its_files(tmp_path, capsys):
     section = README.read_text().split("## CLI", 1)[1]
     block = re.search(r"```\n(.*?)```", section, re.S).group(1)
-    commands = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()]
+    commands = [shlex.split(line, comments=True)
+                for line in block.replace("\\\n", " ").splitlines()]
     assert [argv[:2] for argv in commands] == [
         ["ratered", "run"], ["ratered", "certify"], ["ratered", "sweep-delta"],
         ["ratered", "oracle-check"]]

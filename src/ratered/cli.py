@@ -70,7 +70,11 @@ def _jsonable(obj):
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(_jsonable(payload), indent=2) + "\n")
+    # UTF-8 whatever the locale, with text unescaped, so a file name that
+    # argv could not decode keeps its bytes instead of turning into lone
+    # surrogate escapes.
+    path.write_text(json.dumps(_jsonable(payload), indent=2, ensure_ascii=False) + "\n",
+                    encoding="utf-8", errors="surrogateescape")
 
 
 def _resolve_function(name_or_path: str, m: int) -> FunctionTable:

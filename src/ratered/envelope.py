@@ -13,15 +13,22 @@ Hull construction and interpolation use integer abscissae (the index i
 rather than i/N); the two are affinely equivalent and integer arithmetic
 keeps the hull tests free of grid-step rounding.
 
-envelope_batch envelopes every row of a batch; a sweep makes one call, with
-the lines of every enveloped node stacked into one batch.  The scalar
-reference, Andrew's monotone chain and a chord walk over one line in plain
-Python floats, lives in tests/conftest.py (_envelope_line).  Both kernels
-below perform its float operations in the same order, and the tests
-compare all three to the last bit, ties and BOTTOM rows included.
+envelope_batch envelopes every row of a batch; on the numpy path a sweep
+makes one call, with the changed lines of every enveloped node stacked into
+one batch.  The scalar reference, Andrew's monotone chain and a chord walk
+over one line in plain Python floats, lives in tests/conftest.py
+(_envelope_line).  Both kernels below perform its float operations in the
+same order, and the tests compare all three to the last bit, ties and
+BOTTOM rows included.
 
-The compiled kernel, _envelope.c, is that reference ported to C, one row
-after another.  It is built on the first envelope_batch call of a process,
+The compiled kernel, _envelope.c, is that reference ported to C, one line
+function behind two entry points.  ratered_envelope_rows envelopes the rows
+of a batch (envelope_batch).  ratered_sweep_node does one stored node of
+one sweep (compiled_sweep, which lattice.sweep_once calls): it walks the
+axis lines of a strided source, so a rotated view needs no gather, copies
+the stored envelope of every line whose bits equal the previous source's,
+envelopes the others, and returns the BOTTOM-aware sup-delta of the lines
+it rewrote.  It is built on the first call of a process that needs it,
 never at import: compiled with sysconfig's CC (else cc) and -O2
 -ffp-contract=off -fPIC -shared, so no product is fused into a sum (never
 -ffast-math, which lets the compiler reorder float operations and assume
@@ -31,11 +38,13 @@ C source, the compiler argv and the platform tag, so a later process only
 loads it; sys.dont_write_bytecode does not govern it, as it is not
 bytecode.  It is compiled under a temporary name and moved into place with
 os.replace, so concurrent processes never load a half-written file.  It is
-adopted only after it reproduces the numpy kernel's bits on a fixed probe
-batch (_probe_batch).  A cached file is never rebuilt: delete it to force a
-new build.  Where there is no compiler, the directory is not writable, or
-the build, the load or the probe fails, the process runs the numpy kernel
-for its whole life; kernel_name() says which one runs.
+adopted only after both entry points reproduce the numpy path's bits: the
+rows kernel on a fixed probe batch (_probe_batch), the sweep entry's
+fields, delta and count of enveloped lines on two sweeps of those cells
+(_sweep_probe_passes).  A cached file is never rebuilt: delete it to force
+a new build.  Where there is no compiler, the directory is not writable,
+or the build, the load or a probe fails, the process runs the numpy kernel
+and the numpy sweep for its whole life; kernel_name() says which one runs.
 
 The numpy kernel runs the monotone chain on all rows of a batch in
 lockstep, one numpy step per column and per round of pops, each round on
@@ -72,30 +81,51 @@ def envelope_batch(lines: np.ndarray) -> np.ndarray:
     compiled = _compiled_kernel()
     if compiled is None:
         return _envelope_rows(np.asarray(lines, dtype=np.float64))
-    return compiled(lines)
+    return compiled[0](lines)
+
+
+def compiled_sweep():
+    """The compiled sweep of one stored node, or None where the numpy kernel
+    runs (see the module docstring).
+
+    It is called as sweep(source, previous, stored, axis) and returns
+    (field, delta, enveloped).  source and previous (None for none) are
+    float64 arrays of one shape in any layout; stored, of that shape, is
+    line by line the envelope of previous along axis (0-based).  field is a
+    new C-contiguous array: every axis line of source whose bits equal the
+    same line of previous takes the same line of stored, and every other
+    line gets its envelope.  delta is lattice.sup_delta(field, stored), and
+    enveloped the number of lines that were enveloped."""
+    compiled = _compiled_kernel()
+    return None if compiled is None else compiled[1]
 
 
 def kernel_name() -> str:
-    """The kernel envelope_batch runs in this process: "compiled" or
-    "numpy"."""
+    """The kernel envelope_batch and the sweep run in this process:
+    "compiled" or "numpy"."""
     return "numpy" if _compiled_kernel() is None else "compiled"
 
 
 @functools.cache
 def _compiled_kernel():
-    """The compiled kernel as a function of a 2D array, or None where it
-    cannot be built, loaded or trusted; decided once per process."""
+    """The compiled entry points as the Python functions (rows, sweep), rows
+    being envelope_batch's kernel and sweep compiled_sweep's, or None where
+    they cannot be built, loaded or trusted; decided once per process."""
     import ctypes
 
     try:
         argv, source, path = _recipe()
         if not path.exists():
             _build(argv, source, path)
-        rows = ctypes.CDLL(str(path)).ratered_envelope_rows
+        library = ctypes.CDLL(str(path))
+        rows, node = library.ratered_envelope_rows, library.ratered_sweep_node
     except (OSError, ValueError, AttributeError):
         return None
     rows.argtypes = (ctypes.c_void_p, ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_ssize_t)
     rows.restype = ctypes.c_int
+    node.argtypes = (*[ctypes.c_void_p] * 7, ctypes.c_ssize_t, ctypes.c_ssize_t,
+                     ctypes.c_void_p, ctypes.c_void_p)
+    node.restype = ctypes.c_int
 
     def kernel(lines: np.ndarray) -> np.ndarray:
         v = np.ascontiguousarray(lines, dtype=np.float64)
@@ -104,10 +134,37 @@ def _compiled_kernel():
             raise MemoryError("the envelope kernel could not allocate its hull stack")
         return out
 
+    def sweep(source, previous, stored, axis: int):
+        src, src_steps = _in_elements(source)
+        prev, prev_steps = (None, src_steps) if previous is None else _in_elements(previous)
+        old = np.ascontiguousarray(stored, dtype=np.float64)
+        if old.shape != src.shape or prev is not None and prev.shape != src.shape:
+            raise ValueError("source, previous and stored differ in shape")
+        if not 0 <= axis < src.ndim:
+            raise ValueError(f"axis {axis} outside 0..{src.ndim - 1}")
+        out = np.empty(src.shape)
+        dims = (ctypes.c_ssize_t * (3 * src.ndim))(*src.shape, *src_steps, *prev_steps)
+        delta, enveloped = ctypes.c_double(), ctypes.c_ssize_t()
+        at = ctypes.addressof(dims)
+        step = src.ndim * ctypes.sizeof(ctypes.c_ssize_t)
+        if node(src.ctypes.data, None if prev is None else prev.ctypes.data, old.ctypes.data,
+                out.ctypes.data, at, at + step, at + 2 * step, src.ndim, axis,
+                ctypes.byref(delta), ctypes.byref(enveloped)):
+            raise MemoryError("the envelope kernel could not allocate its hull stack")
+        return out, delta.value, enveloped.value
+
     probe = _probe_batch()
-    if not np.array_equal(kernel(probe).view(np.uint64), _envelope_rows(probe).view(np.uint64)):
+    if not (np.array_equal(kernel(probe).view(np.uint64), _envelope_rows(probe).view(np.uint64))
+            and _sweep_probe_passes(sweep)):
         return None
-    return kernel
+    return kernel, sweep
+
+
+def _in_elements(a) -> tuple[np.ndarray, list]:
+    """a as float64 (a view where it already is), and its strides counted in
+    elements."""
+    a = np.asarray(a, dtype=np.float64)
+    return a, [s // a.itemsize for s in a.strides]
 
 
 def _recipe() -> tuple[list, bytes, Path]:
@@ -169,6 +226,47 @@ def _probe_batch() -> np.ndarray:
     v[44:48, 1::3] = BOTTOM
     v[48:52, [1, 2, 4, 5, 6, 8, 9, 11]] = BOTTOM
     return v
+
+
+def _sweep_probe_passes(sweep) -> bool:
+    """Whether sweep, the compiled sweep of one node, reproduces the numpy
+    path bit for bit: its field is the numpy kernel's envelope of every
+    line, and its delta lattice.sup_delta of that field against stored.
+
+    The probe batch's cells, as a (4, 13, 13) field, are swept twice along
+    every axis of a rotated view of them.  The first sweep has no previous
+    source and a stored field 0.25 off its result, so every delta is
+    finite.  The second reads a C-contiguous copy in which three cells
+    changed: one in the last ulp, one from 0.0 to -0.0, and one BOTTOM cell
+    of an all-BOTTOM line turned finite, whose delta is +inf.  Every other
+    line is unchanged and takes the first sweep's result, so the sweep must
+    also report exactly the lines whose bits changed as enveloped."""
+    from .lattice import sup_delta
+
+    first = _probe_batch().reshape(4, 13, 13)
+    second = first.copy()
+    second[3, 12, 0] = np.nextafter(second[3, 12, 0], np.inf)   # last on two axes
+    second[2, 2, 1] = -0.0                      # probe row 28: 0.0 at odd columns
+    second[1, 3, 6] = 0.75                      # probe row 16: all BOTTOM
+    views = (first.transpose(1, 2, 0), np.ascontiguousarray(second.transpose(1, 2, 0)))
+    for axis in range(3):
+        stored = None
+        for source, previous in zip(views, (None, views[0])):
+            moved = np.moveaxis(source, axis, -1)
+            rows = np.ascontiguousarray(moved).reshape(-1, moved.shape[-1])
+            want = np.moveaxis(_envelope_rows(rows).reshape(moved.shape), -1, axis)
+            if stored is None:
+                with np.errstate(invalid="ignore"):
+                    stored = np.ascontiguousarray(want + 0.25)
+            changed = (np.ones(moved.shape[:-1], dtype=bool) if previous is None else
+                       np.any(source.view(np.uint64) != previous.view(np.uint64), axis=axis))
+            got, delta, enveloped = sweep(source, previous, stored, axis)
+            if not (np.array_equal(got.view(np.uint64), want.view(np.uint64))
+                    and np.float64(delta).tobytes() == np.float64(sup_delta(want, stored)).tobytes()
+                    and enveloped == np.count_nonzero(changed)):
+                return False
+            stored = want
+    return True
 
 
 def _envelope_rows(v: np.ndarray) -> np.ndarray:

@@ -17,7 +17,11 @@ rotated view of a stored field and never materialised.
 Near the fixed point most lines stop moving.  Each bank records the fields
 its sweep read, and the next sweep envelopes only the lines whose input
 bits changed since; every other line keeps its stored envelope, which is
-bit-identical to enveloping it again (see sweep_once).
+bit-identical to enveloping it again (see sweep_once).  Where the compiled
+kernel is loaded, a sweep is one compiled_sweep call per stored node, which
+also returns the sweep's sup-delta, so sweeps does not compare the banks a
+second time; elsewhere the changed lines go to envelope_batch in one batch
+and bank_sup_delta takes the delta.  Both paths give the same bits.
 
 BOTTOM (-inf) marks pmfs where computation is infeasible with the messages
 granted so far; entries switch from BOTTOM to finite as mixtures fill in,
@@ -35,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .envelope import BOTTOM, envelope_batch
+from .envelope import BOTTOM, compiled_sweep, envelope_batch
 from .errors import ConfigError
 from .probability import GridIndex, GridSpec, entropy_grid
 from .target_functions import FunctionTable
@@ -71,11 +75,17 @@ class FieldBank:
     reuses the envelope of every line whose input has not changed since.
     initial_bank and hand-built banks have none, so their next sweep
     envelopes every line.
+
+    delta, set only by sweep_once on the compiled kernel, is
+    bank_sup_delta(this bank, the bank it was swept from), computed in the
+    same pass as the fields; sweeps reads it instead of comparing the banks
+    again.
     """
 
     fields: tuple[RateReductionField, ...]
     tau: int
     sources: tuple[RateReductionField, ...] | None = None
+    delta: float | None = None
 
     @property
     def grid(self) -> GridSpec:
@@ -260,10 +270,9 @@ def sweep_once(bank: FieldBank) -> FieldBank:
     """One synchronous sweep: new field k = old field (k+1 mod m)
     convexified along axis k, all reads taken from the previous bank.
 
-    With d = bank.period, only nodes 1..d are enveloped, and their lines go
-    to the kernel as one batch (convexify_axes); the new bank stores those d
-    fields and hands out node k > d as F_k' = R^d(F_{k-d}') (field_for).
-    That is bit-identical to enveloping every node.  Suppose
+    With d = bank.period, only nodes 1..d are enveloped; the new bank
+    stores those d fields and hands out node k > d as F_k' = R^d(F_{k-d}')
+    (field_for).  That is bit-identical to enveloping every node.  Suppose
     F_{k+d} = R^d(F_k) for every k (mod m), which holds at tau=0 since all
     fields equal the base and R^d(base) = base.  Then for k > d,
     F_k' = conv_k(F_{k+1}) = conv_k(R^d(F_{k+1-d})) = R^d(conv_{k-d}(F_{k+1-d}))
@@ -282,15 +291,34 @@ def sweep_once(bank: FieldBank) -> FieldBank:
     its source: each of its lines either went through the kernel or was
     copied from the envelope of a bit-identical line, by induction over the
     sweeps.  The kernel is a deterministic function of each row alone, so
-    equal rows get equal envelopes.  Only the other lines go to the kernel,
-    in one call, and there is no call when no line changed.  A bank without
-    sources (initial_bank's, or a hand-built one) sends every line.
+    equal rows get equal envelopes.  A bank without sources (initial_bank's,
+    or a hand-built one) envelopes every line.
+
+    Where the compiled kernel is loaded, each stored node is one call of
+    compiled_sweep, which walks node k's input by strides (a rotated view
+    needs no gather), reuses or envelopes each line, and returns the
+    BOTTOM-aware sup-delta of the new field against the stored one.  It
+    measures only the lines it enveloped: a reused line equals the stored
+    field's line bit for bit, so it adds 0, and max is exact, so the max
+    over the stored nodes is bank_sup_delta(new bank, bank) bit for bit.
+    The new bank carries it as delta.  Elsewhere the changed lines of every
+    stored node go to envelope_batch as one batch (convexify_axes), there
+    is no call when no line changed, and delta is None.
     """
     m = bank.m
     sources = tuple(bank.field_for(k % m + 1) for k in range(1, bank.period + 1))
-    known = None if bank.sources is None else tuple(zip(bank.sources, bank.fields))
-    fields = convexify_axes([(s, k) for k, s in enumerate(sources, 1)], known)
-    return FieldBank(fields=fields, tau=bank.tau + 1, sources=sources)
+    sweep = compiled_sweep()
+    if sweep is None:
+        known = None if bank.sources is None else tuple(zip(bank.sources, bank.fields))
+        fields = convexify_axes([(s, k) for k, s in enumerate(sources, 1)], known)
+        return FieldBank(fields=fields, tau=bank.tau + 1, sources=sources)
+    fields, delta = [], 0.0
+    for k, (source, stored) in enumerate(zip(sources, bank.fields)):
+        previous = None if bank.sources is None else bank.sources[k].data
+        data, node_delta, _ = sweep(source.data, previous, stored.data, k)
+        fields.append(RateReductionField(bank.grid, data))
+        delta = max(delta, node_delta)
+    return FieldBank(fields=tuple(fields), tau=bank.tau + 1, sources=sources, delta=delta)
 
 
 def gap(a, b) -> np.ndarray:
@@ -339,13 +367,14 @@ def check_budget(t_max: int, eps: float) -> None:
 def sweeps(grid: GridSpec, f: FunctionTable, t_max: int, eps: float):
     """The one sweep loop: yields (initial_bank, None), then (bank, delta)
     for each sweep, bank being sweep_once of the bank before and delta their
-    bank_sup_delta.  It stops after t_max sweeps, or right after the first
-    delta that is at most eps."""
+    bank_sup_delta (the new bank's delta where the compiled sweep computed
+    it).  It stops after t_max sweeps, or right after the first delta that
+    is at most eps."""
     bank = initial_bank(grid, f)
     yield bank, None
     for _ in range(t_max):
         new = sweep_once(bank)
-        delta = bank_sup_delta(new, bank)
+        delta = bank_sup_delta(new, bank) if new.delta is None else new.delta
         bank = new
         yield bank, delta
         if delta <= eps:

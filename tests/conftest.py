@@ -134,8 +134,8 @@ def computable_with_zero_messages(f, pmf: ProductPmf) -> bool:
 
 @pytest.fixture
 def numpy_kernel(monkeypatch):
-    """envelope_batch on the numpy kernel, as on a host where the compiled
-    one cannot be built."""
+    """envelope_batch on the numpy kernel and sweep_once on the numpy path,
+    as on a host where the compiled kernel cannot be built."""
     monkeypatch.setattr(envelope, "_compiled_kernel", lambda: None)
     return "numpy"
 
@@ -152,8 +152,9 @@ def compiler():
 
 @pytest.fixture(params=["compiled", "numpy"])
 def kernel(request):
-    """Runs a test once on each envelope kernel.  Wherever the C compiler
-    the loader calls is on PATH, the compiled kernel must load."""
+    """Runs a test once on each envelope kernel, and so on each sweep path
+    (the compiled sweep, or envelope_batch's batches).  Wherever the C
+    compiler the loader calls is on PATH, the compiled kernel must load."""
     if request.param == "numpy":
         return request.getfixturevalue("numpy_kernel")
     cc = request.getfixturevalue("compiler")

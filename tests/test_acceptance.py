@@ -210,6 +210,8 @@ def test_a10_csv_artifacts_identical_across_runs_and_per_line_kernel(
         return tmp_path / name
 
     first, again = run_into("first"), run_into("again")
+    # the numpy sweep path, whose one kernel is envelope_batch
+    monkeypatch.setattr("ratered.lattice.compiled_sweep", lambda: None)
     monkeypatch.setattr("ratered.lattice.envelope_batch", per_line_envelope)
     per_line = run_into("per_line")
 

@@ -1089,6 +1089,21 @@ class TestTextInputsAreUtf8:
                      if e.tag.endswith("text"))
         assert title == f"rate reduction vs sweeps ({table}, delta=0.25)"
 
+    def test_a_name_argv_could_not_decode_keeps_its_bytes_in_json(self, tmp_path):
+        """metadata.json stores a --function path that a process with an
+        ASCII file-system encoding got from os.fsdecode, as lone surrogate
+        escapes, as the file name's own UTF-8 bytes."""
+        (tmp_path / "tablé.txt").write_bytes(self.TABLE.format("").encode("utf-8"))
+        name = b"tabl\xc3\xa9.txt".decode("ascii", "surrogateescape")
+        assert name == "tabl\udcc3\udca9.txt"      # os.fsdecode's result in such a process
+        code = cli.main(["run", "--function", str(tmp_path / name), "--m", "2",
+                         "--delta", "0.25", "-o", str(tmp_path / "out")])
+        assert code == 0
+        with open(tmp_path / "out" / "metadata.json", encoding="utf-8") as handle:
+            function = json.load(handle)["function"]
+        assert function == str(tmp_path / "tablé.txt")
+        function.encode("utf-8")
+
 
 def _field_csv_lines(tmp_path, m, n_steps, seed=0) -> list[str]:
     """The lines of a field CSV of _special_field on an m-axis grid."""

@@ -413,6 +413,7 @@ class TestKernels:
             return out
 
         monkeypatch.setattr(lattice, "envelope_batch", both)
+        monkeypatch.setattr(lattice, "compiled_sweep", lambda: None)   # the batched path
         table = builtin_table("min", 3)
         lattice.run(GridSpec.from_delta(3, 0.1), table, t_max=12, eps=1e-300)
         assert batches
@@ -425,6 +426,14 @@ class TestKernels:
 
 WRONG_DIVISION = ("y0 + (y1 - y0) * (double)(i - x0) / (double)(x1 - x0)",
                   "y0 + (y1 - y0) * (double)(i - x0) * (1.0 / (double)(x1 - x0))")
+# Faults of the sweep entry alone, which leave the row kernel as it is.
+WRONG_SWEEPS = {
+    "transition-counts-0": ("return fa != fb ? INFINITY : 0.0;", "return 0.0;"),
+    "compare-skips-the-last-cell": ("for (ptrdiff_t j = 0; j < n; j++) {\n        uint64_t a",
+                                    "for (ptrdiff_t j = 0; j + 1 < n; j++) {\n        uint64_t a"),
+    "reused-line-read-contiguous": ("w[i * os] = old[i * os];", "w[i * os] = old[i];"),
+    "previous-read-by-source-strides": ("ps = prev_strides[axis]", "ps = src_strides[axis]"),
+}
 
 
 def _library():
@@ -508,6 +517,44 @@ class TestLoader:
         monkeypatch.setattr(envelope, "_SOURCE", source)
         assert envelope.kernel_name() == "numpy"
         assert _library().is_file()   # built and loaded, then refused
+
+    @pytest.mark.parametrize("fault", WRONG_SWEEPS)
+    def test_a_library_whose_sweep_disagrees_is_refused(self, compiler, fresh_loader,
+                                                        monkeypatch, tmp_path, fault):
+        right, wrong = WRONG_SWEEPS[fault]
+        text = envelope._SOURCE.read_text()
+        assert text.count(right) == 1
+        source = tmp_path / "_envelope.c"
+        source.write_text(text.replace(right, wrong))
+        monkeypatch.setattr(envelope, "_SOURCE", source)
+        assert envelope.kernel_name() == "numpy"
+        assert envelope.compiled_sweep() is None
+        assert _library().is_file()   # built and loaded, then refused
+
+    def test_the_sweep_probe_covers_reuse_and_transitions(self, per_line_envelope):
+        """The numpy path's semantics, written out with the per-line
+        reference, pass the sweep probe; and the probe reads rotated views,
+        has sweeps with and without a previous source, reuses some lines,
+        and sees finite and infinite deltas."""
+        calls = []
+
+        def reference_sweep(source, previous, stored, axis):
+            moved = np.moveaxis(source, axis, -1)
+            changed = (np.ones(moved.shape[:-1], dtype=bool) if previous is None else
+                       np.any(_bits(moved) != _bits(np.moveaxis(previous, axis, -1)), axis=-1))
+            out = np.array(stored, dtype=np.float64)
+            np.moveaxis(out, axis, -1)[changed] = per_line_envelope(moved[changed])
+            delta = lattice.sup_delta(out, stored)
+            calls.append((source.flags.c_contiguous, previous is None,
+                          int(np.count_nonzero(changed)), changed.size, delta))
+            return out, delta, int(np.count_nonzero(changed))
+
+        assert envelope._sweep_probe_passes(reference_sweep)
+        assert any(not contiguous for contiguous, *_ in calls)
+        assert {first for _, first, *_ in calls} == {True, False}
+        assert any(0 < n < size for _, first, n, size, _ in calls if not first)
+        deltas = [d for *_, d in calls]
+        assert math.inf in deltas and any(0.0 < d < math.inf for d in deltas)
 
     def test_the_probe_batch_covers_the_edge_cases(self, per_line_envelope):
         v = envelope._probe_batch()

@@ -9,6 +9,7 @@ from conftest import (
     grid_points,
     upper_concave_envelope,
 )
+from ratered import lattice
 from ratered.envelope import BOTTOM
 from ratered.lattice import (
     FieldBank,
@@ -19,6 +20,7 @@ from ratered.lattice import (
     gap,
     initial_bank,
     initial_field,
+    rotate_axes,
     rotation_period,
     run,
     sum_rate_field,
@@ -228,14 +230,17 @@ class TestLockstepKernel:
     @pytest.mark.parametrize("f, delta, chains", [
         (builtin_table("min", 3), 0.05, 1),
         (SELECTOR4, 0.1, 4),
-    ], ids=["min-m3-rotated", "selector-m4-chains"])
+        (PERIOD2, 0.1, 2),
+    ], ids=["min-m3-rotated", "selector-m4-chains", "period2-m4-chains"])
     def test_run_bitwise_equals_per_line_kernel(self, f, delta, chains, monkeypatch,
                                                  per_line_envelope, kernel):
         """Every bank and delta of the sweep loop run() consumes, and the
-        last bank's cross_k_gap."""
+        last bank's cross_k_gap, on the kernel's sweep path against the
+        numpy path with the per-line reference kernel.  Sweep 1 switches
+        entries from BOTTOM to finite, so its delta is +inf."""
         grid = GridSpec.from_delta(f.m, delta)
         got = list(sweeps(grid, f, 20, 1e-12))
-        monkeypatch.setattr("ratered.lattice.envelope_batch", per_line_envelope)
+        _per_line_numpy_path(monkeypatch, per_line_envelope)
         want = list(sweeps(grid, f, 20, 1e-12))
         assert got[-1][0].period == want[-1][0].period == chains
         assert len(got) == len(want) > 2
@@ -244,44 +249,114 @@ class TestLockstepKernel:
                 assert np.array_equal(_bits(gf.data), _bits(wf.data))
         assert _bits(np.array([d for _, d in got[1:]])).tolist() == \
             _bits(np.array([d for _, d in want[1:]])).tolist()
+        assert got[1][1] == math.inf and any(0.0 < d < math.inf for _, d in got[2:])
         assert _bits(np.array(cross_k_gap(got[-1][0]))) == \
             _bits(np.array(cross_k_gap(want[-1][0])))
 
+    @pytest.mark.parametrize("period", [1, 3])
+    def test_hand_built_bank_bitwise_equals_per_line_kernel(self, period, monkeypatch,
+                                                            per_line_envelope, kernel):
+        """Two sweeps of a bank without sources, whose fields hold holes,
+        all-BOTTOM lines, ties and -0.0: the fields and the deltas (the
+        banks' own where the compiled sweep set them) against the numpy path
+        with the per-line reference kernel."""
+        grid = GridSpec.from_delta(3, 0.2)
+        rng = np.random.default_rng(period)
+        fields = []
+        for _ in range(period):
+            data = np.round(rng.uniform(-1.0, 2.0, grid.shape) * 4.0) / 4.0
+            data[rng.uniform(size=grid.shape) < 0.3] = BOTTOM
+            data[2, :, 1] = BOTTOM
+            data[0, 3] = -0.0
+            fields.append(RateReductionField(grid, data))
+        if period == 1:   # period 1 needs data that a rotation leaves unchanged
+            data = fields[0].data
+            fields = [RateReductionField(grid, np.maximum(
+                np.maximum(data, rotate_axes(data, 1)), rotate_axes(data, 2)))]
+        start = FieldBank(fields=tuple(fields), tau=0)
+
+        def two_sweeps():
+            first = sweep_once(start)
+            second = sweep_once(first)
+            return [(bank, bank_sup_delta(bank, prev) if bank.delta is None else bank.delta)
+                    for prev, bank in ((start, first), (first, second))]
+
+        got = two_sweeps()
+        _per_line_numpy_path(monkeypatch, per_line_envelope)
+        want = two_sweeps()
+        for (gb, gd), (wb, wd) in zip(got, want):
+            assert (gb.delta is None) == (kernel == "numpy") and wb.delta is None
+            assert _bits(np.array(gd)) == _bits(np.array(wd))
+            for gf, wf in zip(gb.node_fields(), wb.node_fields()):
+                assert np.array_equal(_bits(gf.data), _bits(wf.data))
+        assert got[0][1] == math.inf
 
     @pytest.mark.parametrize("f, delta, chains", [
         (SELECTOR4, 0.1, 4),
         (PERIOD2, 0.1, 2),
     ], ids=["selector-m4", "period2-m4"])
     def test_one_kernel_call_per_sweep(self, f, delta, chains, monkeypatch):
-        """Sweep 1 sends every line; each later sweep sends, in one call, the
-        lines whose input bits changed since the sweep before, and makes no
-        call when none did."""
-        batches = _spy_kernel(monkeypatch)
+        """Sweep 1 envelopes every line; each later sweep envelopes only the
+        lines whose input bits changed since the sweep before.  The numpy
+        path sends them in one call and makes none when no line changed;
+        the compiled path makes one call per stored node, which reports the
+        lines it enveloped."""
         grid = GridSpec.from_delta(f.m, delta)
-        banks = [bank for bank, _ in sweeps(grid, f, 6, 1e-300)]
-        assert banks[-1].period == chains
         length = grid.points_per_axis
-        assert banks[-1].tau == 6
-        want = [chains * length ** (f.m - 1)] + [
-            _changed_lines(prev, bank, chains)
-            for prev, bank in zip(banks, banks[1:-1])
-        ]
-        assert batches == [(n, length) for n in want if n]
-        assert sum(want[1:]) < 5 * want[0]          # the reuse engages
+        for path in _sweep_paths(monkeypatch):
+            sent = _spy_kernel(monkeypatch)
+            banks = [bank for bank, _ in sweeps(grid, f, 6, 1e-300)]
+            assert banks[-1].period == chains
+            assert banks[-1].tau == 6
+            want = [chains * length ** (f.m - 1)] + [
+                _changed_lines(prev, bank, chains)
+                for prev, bank in zip(banks, banks[1:-1])
+            ]
+            if path == "numpy":
+                assert sent == [(n, length) for n in want if n]
+            else:
+                lines = [n for n, _ in sent]
+                assert [sum(lines[t:t + chains]) for t in range(0, len(lines), chains)] == want
+            assert sum(want[1:]) < 5 * want[0]          # the reuse engages
+
+
+def _sweep_paths(monkeypatch):
+    """The sweep paths this process can run: the compiled one where its
+    kernel loaded, then the numpy one (envelope_batch), forced."""
+    if lattice.compiled_sweep() is not None:
+        yield "compiled"
+    monkeypatch.setattr(lattice, "compiled_sweep", lambda: None)
+    yield "numpy"
+
+
+def _per_line_numpy_path(monkeypatch, per_line_envelope):
+    """From here on, sweeps take the numpy path with the per-line reference
+    kernel."""
+    monkeypatch.setattr(lattice, "compiled_sweep", lambda: None)
+    monkeypatch.setattr(lattice, "envelope_batch", per_line_envelope)
 
 
 def _spy_kernel(monkeypatch):
-    """Record the shape of every batch that lattice sends to the kernel."""
-    import ratered.lattice as lattice
+    """Record what lattice hands the envelope kernel: the shape of every
+    envelope_batch batch (numpy path), or the (lines enveloped, delta) of
+    every compiled_sweep call (compiled path)."""
+    sent = []
     kernel = lattice.envelope_batch
-    batches = []
 
     def counting(lines):
-        batches.append(lines.shape)
+        sent.append(lines.shape)
         return kernel(lines)
 
-    monkeypatch.setattr("ratered.lattice.envelope_batch", counting)
-    return batches
+    monkeypatch.setattr(lattice, "envelope_batch", counting)
+    sweep = lattice.compiled_sweep()
+    if sweep is not None:
+        def counting_sweep(*args):
+            field, delta, enveloped = sweep(*args)
+            sent.append((enveloped, delta))
+            return field, delta, enveloped
+
+        monkeypatch.setattr(lattice, "compiled_sweep", lambda: counting_sweep)
+    return sent
 
 
 def _changed_lines(prev, bank, chains):
@@ -371,30 +446,41 @@ class TestUnchangedLineReuse:
         grid = GridSpec.from_delta(f.m, 0.25)
         bank = initial_bank(grid, f)
         assert bank.sources is None
-        batches = _spy_kernel(monkeypatch)
-        new = sweep_once(bank)
-        lines = bank.period * grid.points_per_axis ** (f.m - 1)
-        assert batches == [(lines, grid.points_per_axis)]
-        for k, source in enumerate(new.sources, 1):
-            stored = bank.field_for(k % f.m + 1)
-            assert np.shares_memory(source.data, stored.data)
+        per_node = grid.points_per_axis ** (f.m - 1)
+        for path in _sweep_paths(monkeypatch):
+            # in one batch on the numpy path, one call per stored node on
+            # the compiled one
+            want = ([(bank.period * per_node, grid.points_per_axis)] if path == "numpy"
+                    else [per_node] * bank.period)
+            sent = _spy_kernel(monkeypatch)
+            new = sweep_once(bank)
+            assert [s if path == "numpy" else s[0] for s in sent] == want
+            for k, source in enumerate(new.sources, 1):
+                stored = bank.field_for(k % f.m + 1)
+                assert np.shares_memory(source.data, stored.data)
 
-        # the oracle's envelope sweep starts from initial_bank too
-        batches.clear()
-        compare_with_envelope(grid, f, ((2,) * f.m,),
-                              ConditionalSearchSpec(k=1, search_step=0.25))
-        assert batches == [(lines, grid.points_per_axis)]
+            # the oracle's envelope sweep starts from initial_bank too
+            sent.clear()
+            compare_with_envelope(grid, f, ((2,) * f.m,),
+                                  ConditionalSearchSpec(k=1, search_step=0.25))
+            assert [s if path == "numpy" else s[0] for s in sent] == want
 
     def test_no_kernel_call_when_no_line_changed(self, monkeypatch):
         # the entropy is concave along every axis, so the first sweep
         # returns the constant function's field unchanged
         bank = sweep_once(initial_bank(GridSpec.from_delta(3, 0.25),
                                        builtin_table("constant", 3)))
-        batches = _spy_kernel(monkeypatch)
-        again = sweep_once(bank)
-        assert batches == []
-        for new, old in zip(again.fields, bank.fields):
-            assert np.array_equal(_bits(new.data), _bits(old.data))
+        for path in _sweep_paths(monkeypatch):
+            sent = _spy_kernel(monkeypatch)
+            again = sweep_once(bank)
+            if path == "numpy":
+                assert sent == [] and again.delta is None
+            else:
+                # no line enveloped, and a delta of exactly 0
+                assert sent == [(0, 0.0)] * bank.period
+                assert _bits(np.array(again.delta)) == _bits(np.array(0.0))
+            for new, old in zip(again.fields, bank.fields):
+                assert np.array_equal(_bits(new.data), _bits(old.data))
 
 
 class TestSupDelta:

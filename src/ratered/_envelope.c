@@ -1,23 +1,18 @@
-/* Upper concave envelopes of float64 lines, and one stored node of one
-   sweep.
+/* One stored node of one sweep: upper concave envelopes of the axis lines
+   of a float64 field.
 
    envelope_line is a port of the scalar reference _envelope_line in
    tests/conftest.py: Andrew's monotone chain over the non-BOTTOM cells
    (NaN counts as one), then a chord walk, with the same float operations
-   in the same order.  Both entry points call it, so there is one copy of
-   the hull and chord code:
-
-   - ratered_envelope_rows envelopes every row of a C-contiguous
-     (rows, n) buffer into a second buffer of the same shape;
-   - ratered_sweep_node walks the axis lines of a strided source, copies
-     the stored envelope of every line whose bits equal the same line of
-     the previous source, envelopes the others, and returns the
-     BOTTOM-aware sup-delta of the result against the stored envelope.
+   in the same order.  ratered_sweep_node, the one entry point, walks the
+   axis lines of a strided source, copies the stored envelope of every
+   line whose bits equal the same line of the previous source, envelopes
+   the others with envelope_line, and returns the BOTTOM-aware sup-delta
+   of the result against the stored envelope.
 
    ratered.envelope compiles it with -ffp-contract=off, so no product is
-   fused into a sum, and adopts it only after both entry points reproduce
-   the numpy path's bits on a probe.  Both return 0, or -1 if the hull
-   stack cannot be allocated. */
+   fused into a sum, and adopts it only after it reproduces the numpy
+   path's bits on a probe. */
 
 #include <math.h>
 #include <stddef.h>
@@ -78,24 +73,6 @@ static void envelope_line(const double *v, ptrdiff_t vs, double *w, ptrdiff_t ws
     }
 }
 
-int ratered_envelope_rows(const double *in, double *out, ptrdiff_t rows, ptrdiff_t n)
-{
-    if (rows <= 0 || n <= 0)
-        return 0;
-    ptrdiff_t *hx = malloc((size_t)n * sizeof *hx);
-    double *hy = malloc((size_t)n * sizeof *hy);
-    if (hx == NULL || hy == NULL) {
-        free(hx);
-        free(hy);
-        return -1;
-    }
-    for (ptrdiff_t r = 0; r < rows; r++)
-        envelope_line(in + r * n, 1, out + r * n, 1, n, hx, hy);
-    free(hx);
-    free(hy);
-    return 0;
-}
-
 static int same_bits(const double *x, ptrdiff_t xs, const double *y, ptrdiff_t ys, ptrdiff_t n)
 {
     for (ptrdiff_t j = 0; j < n; j++) {
@@ -126,7 +103,8 @@ static double distance(double a, double b)
    takes the same line of stored; every other line gets its envelope.
    *delta receives the largest distance of an out entry from the same
    stored entry over the enveloped lines (a copied line adds 0), and
-   *enveloped how many lines were enveloped. */
+   *enveloped how many lines were enveloped.  Returns 0, or -1 if the hull
+   stack cannot be allocated. */
 int ratered_sweep_node(const double *src, const double *prev, const double *stored, double *out,
                        const ptrdiff_t *shape, const ptrdiff_t *src_strides,
                        const ptrdiff_t *prev_strides, ptrdiff_t m, ptrdiff_t axis,

@@ -13,23 +13,19 @@ Hull construction and interpolation use integer abscissae (the index i
 rather than i/N); the two are affinely equivalent and integer arithmetic
 keeps the hull tests free of grid-step rounding.
 
-envelope_batch envelopes every row of a batch; on the numpy path a sweep
-makes one call, with the changed lines of every enveloped node stacked into
-one batch.  The scalar reference, Andrew's monotone chain and a chord walk
-over one line in plain Python floats, lives in tests/conftest.py
-(_envelope_line).  Both kernels below perform its float operations in the
-same order, and the tests compare all three to the last bit, ties and
-BOTTOM rows included.
+The scalar reference, Andrew's monotone chain and a chord walk over one
+line in plain Python floats, lives in tests/conftest.py (_envelope_line).
+Both kernels below perform its float operations in the same order, and the
+tests compare all three to the last bit, ties and BOTTOM rows included.
 
-The compiled kernel, _envelope.c, is that reference ported to C, one line
-function behind two entry points.  ratered_envelope_rows envelopes the rows
-of a batch (envelope_batch).  ratered_sweep_node does one stored node of
-one sweep (compiled_sweep, which lattice.sweep_once calls): it walks the
-axis lines of a strided source, so a rotated view needs no gather, copies
-the stored envelope of every line whose bits equal the previous source's,
-envelopes the others, and returns the BOTTOM-aware sup-delta of the lines
-it rewrote.  It is built on the first call of a process that needs it,
-never at import: compiled with sysconfig's CC (else cc) and -O2
+The compiled kernel, _envelope.c, is that reference ported to C behind one
+entry point, ratered_sweep_node, which does one stored node of one sweep
+(compiled_sweep, which lattice.sweep_once calls): it walks the axis lines
+of a strided source, so a rotated view needs no gather, copies the stored
+envelope of every line whose bits equal the previous source's, envelopes
+the others, and returns the BOTTOM-aware sup-delta of the lines it
+rewrote.  It is built on the first call of a process that needs it, never
+at import: compiled with sysconfig's CC (else cc) and -O2
 -ffp-contract=off -fPIC -shared, so no product is fused into a sum (never
 -ffast-math, which lets the compiler reorder float operations and assume
 that no NaN or infinity occurs).  The library is cached in this
@@ -38,15 +34,17 @@ C source, the compiler argv and the platform tag, so a later process only
 loads it; sys.dont_write_bytecode does not govern it, as it is not
 bytecode.  It is compiled under a temporary name and moved into place with
 os.replace, so concurrent processes never load a half-written file.  It is
-adopted only after both entry points reproduce the numpy path's bits: the
-rows kernel on a fixed probe batch (_probe_batch), the sweep entry's
-fields, delta and count of enveloped lines on two sweeps of those cells
-(_sweep_probe_passes).  A cached file is never rebuilt: delete it to force
-a new build.  Where there is no compiler, the directory is not writable,
-or the build, the load or a probe fails, the process runs the numpy kernel
-and the numpy sweep for its whole life; kernel_name() says which one runs.
+adopted only after its fields, delta and count of enveloped lines
+reproduce the numpy path's bits on two sweeps of a fixed probe
+(_sweep_probe_passes over the cells of _probe_batch).  A cached file is
+never rebuilt: delete it to force a new build.  Where there is no
+compiler, the directory is not writable, or the build, the load or the
+probe fails, the process runs the numpy sweep for its whole life;
+kernel_name() says which one runs.
 
-The numpy kernel runs the monotone chain on all rows of a batch in
+The numpy kernel, envelope_batch, envelopes every row of a batch; the
+numpy sweep makes one call, with the changed lines of every enveloped node
+stacked into one batch.  It runs the monotone chain on all rows of a batch in
 lockstep, one numpy step per column and per round of pops, each round on
 the rows still popping only; then it interpolates the whole batch in one
 vectorised pass, building the chords in place in the output.
@@ -73,15 +71,11 @@ _FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 
 def envelope_batch(lines: np.ndarray) -> np.ndarray:
     """The upper concave envelope of every row of a 2D array at once, bit for
-    bit the scalar reference's, on the compiled kernel where it could be
-    built and the numpy kernel elsewhere (see the module docstring).  The
-    result never aliases lines."""
+    bit the scalar reference's, on the numpy kernel.  The result never
+    aliases lines."""
     if lines.ndim != 2:
         raise ValueError("lines must be two-dimensional")
-    compiled = _compiled_kernel()
-    if compiled is None:
-        return _envelope_rows(np.asarray(lines, dtype=np.float64))
-    return compiled[0](lines)
+    return _envelope_rows(np.asarray(lines, dtype=np.float64))
 
 
 def compiled_sweep():
@@ -96,43 +90,30 @@ def compiled_sweep():
     same line of previous takes the same line of stored, and every other
     line gets its envelope.  delta is lattice.sup_delta(field, stored), and
     enveloped the number of lines that were enveloped."""
-    compiled = _compiled_kernel()
-    return None if compiled is None else compiled[1]
+    return _compiled_kernel()
 
 
 def kernel_name() -> str:
-    """The kernel envelope_batch and the sweep run in this process:
-    "compiled" or "numpy"."""
+    """The kernel the sweep runs in this process: "compiled" or "numpy"."""
     return "numpy" if _compiled_kernel() is None else "compiled"
 
 
 @functools.cache
 def _compiled_kernel():
-    """The compiled entry points as the Python functions (rows, sweep), rows
-    being envelope_batch's kernel and sweep compiled_sweep's, or None where
-    they cannot be built, loaded or trusted; decided once per process."""
+    """The compiled sweep as a Python function (compiled_sweep's), or None
+    where it cannot be built, loaded or trusted; decided once per process."""
     import ctypes
 
     try:
         argv, source, path = _recipe()
         if not path.exists():
             _build(argv, source, path)
-        library = ctypes.CDLL(str(path))
-        rows, node = library.ratered_envelope_rows, library.ratered_sweep_node
+        node = ctypes.CDLL(str(path)).ratered_sweep_node
     except (OSError, ValueError, AttributeError):
         return None
-    rows.argtypes = (ctypes.c_void_p, ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_ssize_t)
-    rows.restype = ctypes.c_int
     node.argtypes = (*[ctypes.c_void_p] * 7, ctypes.c_ssize_t, ctypes.c_ssize_t,
                      ctypes.c_void_p, ctypes.c_void_p)
     node.restype = ctypes.c_int
-
-    def kernel(lines: np.ndarray) -> np.ndarray:
-        v = np.ascontiguousarray(lines, dtype=np.float64)
-        out = np.empty_like(v)
-        if rows(v.ctypes.data, out.ctypes.data, *v.shape):
-            raise MemoryError("the envelope kernel could not allocate its hull stack")
-        return out
 
     def sweep(source, previous, stored, axis: int):
         src, src_steps = _in_elements(source)
@@ -153,11 +134,7 @@ def _compiled_kernel():
             raise MemoryError("the envelope kernel could not allocate its hull stack")
         return out, delta.value, enveloped.value
 
-    probe = _probe_batch()
-    if not (np.array_equal(kernel(probe).view(np.uint64), _envelope_rows(probe).view(np.uint64))
-            and _sweep_probe_passes(sweep)):
-        return None
-    return kernel, sweep
+    return sweep if _sweep_probe_passes(sweep) else None
 
 
 def _in_elements(a) -> tuple[np.ndarray, list]:
@@ -201,11 +178,12 @@ def _build(argv: list, source: bytes, path: Path) -> None:
 
 
 def _probe_batch() -> np.ndarray:
-    """The rows the compiled kernel must reproduce bit for bit before it is
-    used: scrambled rows with holes, exact ties, all-BOTTOM and one-point
-    rows, NaN, +inf, -0.0, subnormals, cross products that overflow, rows
-    that pop to the floor or never pop, and near-collinear rows whose pop
-    test only rounding decides (a fused multiply-add flips some of them)."""
+    """The cells of the compiled kernel's probe, as rows whose envelopes it
+    must reproduce bit for bit before it is used: scrambled rows with holes,
+    exact ties, all-BOTTOM and one-point rows, NaN, +inf, -0.0, subnormals,
+    cross products that overflow, rows that pop to the floor or never pop,
+    and near-collinear rows whose pop test only rounding decides (a fused
+    multiply-add flips some of them)."""
     rows, n = 52, 13
     cell = np.arange(rows * n, dtype=np.float64).reshape(rows, n)
     v = 0.5 + 1.5 * np.sin(cell * 12.9898)
@@ -234,13 +212,14 @@ def _sweep_probe_passes(sweep) -> bool:
     line, and its delta lattice.sup_delta of that field against stored.
 
     The probe batch's cells, as a (4, 13, 13) field, are swept twice along
-    every axis of a rotated view of them.  The first sweep has no previous
-    source and a stored field 0.25 off its result, so every delta is
-    finite.  The second reads a C-contiguous copy in which three cells
-    changed: one in the last ulp, one from 0.0 to -0.0, and one BOTTOM cell
-    of an all-BOTTOM line turned finite, whose delta is +inf.  Every other
-    line is unchanged and takes the first sweep's result, so the sweep must
-    also report exactly the lines whose bits changed as enveloped."""
+    every axis of a rotated view of them, so every probe row is one of the
+    lines enveloped.  The first sweep has no previous source and a stored
+    field 0.25 off its result, so every delta is finite.  The second reads
+    a C-contiguous copy in which three cells changed: one in the last ulp,
+    one from 0.0 to -0.0, and one BOTTOM cell of an all-BOTTOM line turned
+    finite, whose delta is +inf.  Every other line is unchanged and takes
+    the first sweep's result, so the sweep must also report exactly the
+    lines whose bits changed as enveloped."""
     from .lattice import sup_delta
 
     first = _probe_batch().reshape(4, 13, 13)
@@ -250,20 +229,24 @@ def _sweep_probe_passes(sweep) -> bool:
     second[1, 3, 6] = 0.75                      # probe row 16: all BOTTOM
     views = (first.transpose(1, 2, 0), np.ascontiguousarray(second.transpose(1, 2, 0)))
     for axis in range(3):
+        moved = [np.moveaxis(view, axis, -1) for view in views]
+        # the lines of both sweeps in one batch
+        rows = np.concatenate([lines.reshape(-1, lines.shape[-1]) for lines in moved])
+        wants = [np.moveaxis(out.reshape(lines.shape), -1, axis)
+                 for out, lines in zip(np.split(_envelope_rows(rows), 2), moved)]
         stored = None
-        for source, previous in zip(views, (None, views[0])):
-            moved = np.moveaxis(source, axis, -1)
-            rows = np.ascontiguousarray(moved).reshape(-1, moved.shape[-1])
-            want = np.moveaxis(_envelope_rows(rows).reshape(moved.shape), -1, axis)
+        for source, previous, want in zip(views, (None, views[0]), wants):
             if stored is None:
                 with np.errstate(invalid="ignore"):
                     stored = np.ascontiguousarray(want + 0.25)
-            changed = (np.ones(moved.shape[:-1], dtype=bool) if previous is None else
-                       np.any(source.view(np.uint64) != previous.view(np.uint64), axis=axis))
+            changed = (source.size // source.shape[axis] if previous is None else
+                       np.count_nonzero(np.any(source.view(np.uint64)
+                                               != previous.view(np.uint64), axis=axis)))
             got, delta, enveloped = sweep(source, previous, stored, axis)
+            want_delta = sup_delta(want, stored)
             if not (np.array_equal(got.view(np.uint64), want.view(np.uint64))
-                    and np.float64(delta).tobytes() == np.float64(sup_delta(want, stored)).tobytes()
-                    and enveloped == np.count_nonzero(changed)):
+                    and np.float64(delta).tobytes() == np.float64(want_delta).tobytes()
+                    and enveloped == changed):
                 return False
             stored = want
     return True

@@ -19,9 +19,10 @@ its sweep read, and the next sweep envelopes only the lines whose input
 bits changed since; every other line keeps its stored envelope, which is
 bit-identical to enveloping it again (see sweep_once).  Where the compiled
 kernel is loaded, a sweep is one compiled_sweep call per stored node, which
-also returns the sweep's sup-delta, so sweeps does not compare the banks a
+also returns the sweep's sup-delta, so the banks are never compared a
 second time; elsewhere the changed lines go to envelope_batch in one batch
-and bank_sup_delta takes the delta.  Both paths give the same bits.
+and bank_sup_delta takes the delta.  Either way the new bank carries its
+delta, and both paths give the same bits.
 
 BOTTOM (-inf) marks pmfs where computation is infeasible with the messages
 granted so far; entries switch from BOTTOM to finite as mixtures fill in,
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -76,10 +77,10 @@ class FieldBank:
     initial_bank and hand-built banks have none, so their next sweep
     envelopes every line.
 
-    delta, set only by sweep_once on the compiled kernel, is
-    bank_sup_delta(this bank, the bank it was swept from), computed in the
-    same pass as the fields; sweeps reads it instead of comparing the banks
-    again.
+    delta, set only by sweep_once, is bank_sup_delta(this bank, the bank it
+    was swept from): on the compiled kernel computed in the same pass as
+    the fields, on the numpy path by bank_sup_delta itself.  sweeps reads
+    it.
     """
 
     fields: tuple[RateReductionField, ...]
@@ -303,7 +304,7 @@ def sweep_once(bank: FieldBank) -> FieldBank:
     over the stored nodes is bank_sup_delta(new bank, bank) bit for bit.
     The new bank carries it as delta.  Elsewhere the changed lines of every
     stored node go to envelope_batch as one batch (convexify_axes), there
-    is no call when no line changed, and delta is None.
+    is no call when no line changed, and bank_sup_delta takes the delta.
     """
     m = bank.m
     sources = tuple(bank.field_for(k % m + 1) for k in range(1, bank.period + 1))
@@ -311,7 +312,8 @@ def sweep_once(bank: FieldBank) -> FieldBank:
     if sweep is None:
         known = None if bank.sources is None else tuple(zip(bank.sources, bank.fields))
         fields = convexify_axes([(s, k) for k, s in enumerate(sources, 1)], known)
-        return FieldBank(fields=fields, tau=bank.tau + 1, sources=sources)
+        new = FieldBank(fields=fields, tau=bank.tau + 1, sources=sources)
+        return replace(new, delta=bank_sup_delta(new, bank))
     fields, delta = [], 0.0
     for k, (source, stored) in enumerate(zip(sources, bank.fields)):
         previous = None if bank.sources is None else bank.sources[k].data
@@ -366,18 +368,15 @@ def check_budget(t_max: int, eps: float) -> None:
 
 def sweeps(grid: GridSpec, f: FunctionTable, t_max: int, eps: float):
     """The one sweep loop: yields (initial_bank, None), then (bank, delta)
-    for each sweep, bank being sweep_once of the bank before and delta their
-    bank_sup_delta (the new bank's delta where the compiled sweep computed
-    it).  It stops after t_max sweeps, or right after the first delta that
-    is at most eps."""
+    for each sweep, bank being sweep_once of the bank before and delta its
+    bank_sup_delta against that bank (bank.delta).  It stops after t_max
+    sweeps, or right after the first delta that is at most eps."""
     bank = initial_bank(grid, f)
     yield bank, None
     for _ in range(t_max):
-        new = sweep_once(bank)
-        delta = bank_sup_delta(new, bank) if new.delta is None else new.delta
-        bank = new
-        yield bank, delta
-        if delta <= eps:
+        bank = sweep_once(bank)
+        yield bank, bank.delta
+        if bank.delta <= eps:
             return
 
 

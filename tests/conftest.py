@@ -134,8 +134,8 @@ def computable_with_zero_messages(f, pmf: ProductPmf) -> bool:
 
 @pytest.fixture
 def numpy_kernel(monkeypatch):
-    """envelope_batch on the numpy kernel and sweep_once on the numpy path,
-    as on a host where the compiled kernel cannot be built."""
+    """sweep_once on the numpy path, as on a host where the compiled kernel
+    cannot be built."""
     monkeypatch.setattr(envelope, "_compiled_kernel", lambda: None)
     return "numpy"
 
@@ -153,8 +153,9 @@ def compiler():
 @pytest.fixture(params=["compiled", "numpy"])
 def kernel(request):
     """Runs a test once on each envelope kernel, and so on each sweep path
-    (the compiled sweep, or envelope_batch's batches).  Wherever the C
-    compiler the loader calls is on PATH, the compiled kernel must load."""
+    (the compiled sweep, or the numpy one with envelope_batch's batches).
+    Wherever the C compiler the loader calls is on PATH, the compiled kernel
+    must load."""
     if request.param == "numpy":
         return request.getfixturevalue("numpy_kernel")
     cc = request.getfixturevalue("compiler")
@@ -166,7 +167,8 @@ def kernel(request):
 @pytest.fixture
 def fresh_loader(monkeypatch, tmp_path):
     """The kernel loader with its choice forgotten and its cache directory
-    under tmp_path, so the next envelope_batch call decides again."""
+    under tmp_path, so the next compiled_sweep or kernel_name call decides
+    again."""
     cache = tmp_path / "kernel-cache"
     monkeypatch.setattr(envelope, "_CACHE", cache)
     envelope._compiled_kernel.cache_clear()

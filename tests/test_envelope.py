@@ -143,12 +143,27 @@ class TestProperties:
             assert concavity_defects(out).max() <= 1e-12
 
 
+@pytest.fixture
+def envelope_rows(kernel):
+    """The rows of a 2D batch enveloped on the kernel under test: by
+    envelope_batch on the numpy kernel, and on the compiled one by the
+    compiled sweep of the batch along axis 1 with no previous source, which
+    envelopes every row."""
+    if kernel == "numpy":
+        return envelope_batch
+    sweep = envelope.compiled_sweep()
+
+    def rows(lines):
+        return sweep(lines, None, lines, 1)[0]
+    return rows
+
+
 class TestBatch:
-    def test_matches_per_line(self, kernel):
+    def test_matches_per_line(self, envelope_rows):
         rng = np.random.default_rng(8)
         lines = rng.uniform(-1.0, 2.0, size=(40, 9))
         lines[rng.uniform(size=lines.shape) < 0.4] = BOTTOM
-        batch = envelope_batch(lines)
+        batch = envelope_rows(lines)
         for row, line in zip(batch, lines):
             assert np.array_equal(row, upper_concave_envelope(line))
 
@@ -199,7 +214,7 @@ class TestBatch:
             tracemalloc.stop()
         assert peak / lines.size < 40.0
 
-    def test_bitwise_equals_per_line_loop(self, per_line_envelope, kernel):
+    def test_bitwise_equals_per_line_loop(self, per_line_envelope, envelope_rows):
         rng = np.random.default_rng(10)
         # past 127 and 255 the kernel's column indices need a wider dtype
         for n in [*range(1, 61), 127, 128, 129, 255, 256, 257]:
@@ -213,7 +228,7 @@ class TestBatch:
             i = np.arange(n, dtype=np.float64)
             lines[26:34:2] = i**2                              # convex: pop to the floor
             lines[27:34:2] = -(i - n / 3) ** 2                 # concave: never pop
-            got = envelope_batch(lines)
+            got = envelope_rows(lines)
             want = per_line_envelope(lines)
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), n
 
@@ -295,26 +310,26 @@ class TestKernels:
     as uint64, so -0.0 against 0.0 and NaN payloads count."""
 
     @pytest.mark.parametrize("n", [1, 2, 13])
-    def test_empty_batch(self, kernel, n):
-        out = envelope_batch(np.empty((0, n)))
+    def test_empty_batch(self, envelope_rows, n):
+        out = envelope_rows(np.empty((0, n)))
         assert out.shape == (0, n) and out.dtype == np.float64
 
     @pytest.mark.parametrize("n", [1, 2])
-    def test_one_and_two_cells(self, per_line_envelope, kernel, n):
+    def test_one_and_two_cells(self, per_line_envelope, envelope_rows, n):
         cells = [BOTTOM, 0.5, -0.0, 0.0, math.nan, math.inf, 1e308, 5e-324]
         lines = np.array(list(itertools.product(cells, repeat=n)))
-        assert np.array_equal(_bits(envelope_batch(lines)), _bits(per_line_envelope(lines)))
+        assert np.array_equal(_bits(envelope_rows(lines)), _bits(per_line_envelope(lines)))
 
-    def test_one_finite_cell(self, per_line_envelope, kernel):
+    def test_one_finite_cell(self, per_line_envelope, envelope_rows):
         n = 9
         lines = np.full((4 * n, n), BOTTOM)
         for j in range(n):
             lines[4 * j : 4 * j + 4, j] = [0.75, -0.0, math.nan, math.inf]
-        got = envelope_batch(lines)
+        got = envelope_rows(lines)
         assert np.array_equal(_bits(got), _bits(lines))
         assert np.array_equal(_bits(got), _bits(per_line_envelope(lines)))
 
-    def test_holes(self, per_line_envelope, kernel):
+    def test_holes(self, per_line_envelope, envelope_rows):
         rng = np.random.default_rng(40)
         lines = rng.uniform(-1.0, 2.0, size=(64, 17))
         for r, line in enumerate(lines):
@@ -322,48 +337,48 @@ class TestKernels:
             b = a + 2 + r % 9
             line[a + 1 : b] = BOTTOM          # one hole of 1..9 cells
             line[b + 2 :: 3] = BOTTOM         # and holes past it
-        assert np.array_equal(_bits(envelope_batch(lines)), _bits(per_line_envelope(lines)))
+        assert np.array_equal(_bits(envelope_rows(lines)), _bits(per_line_envelope(lines)))
 
-    def test_signed_zeros(self, per_line_envelope, kernel):
+    def test_signed_zeros(self, per_line_envelope, envelope_rows):
         lines = np.array(list(itertools.product([0.0, -0.0, BOTTOM], repeat=5)))
-        got = envelope_batch(lines)
+        got = envelope_rows(lines)
         assert np.array_equal(_bits(got), _bits(per_line_envelope(lines)))
         # a flat row of -0.0 and 0.0 keeps the sign of every vertex
         assert np.array_equal(_bits(got[0]), _bits([0.0] * 5))
 
-    def test_subnormals(self, per_line_envelope, kernel):
+    def test_subnormals(self, per_line_envelope, envelope_rows):
         rng = np.random.default_rng(41)
         lines = np.ldexp(rng.uniform(-1.0, 2.0, size=(64, 11)), -1060)
         lines[rng.uniform(size=lines.shape) < 0.2] = BOTTOM
         lines[:8] = np.arange(11) * 5e-324          # collinear multiples of the least one
         lines[8:16] = (np.arange(11) % 3) * 5e-324
-        got = envelope_batch(lines)
+        got = envelope_rows(lines)
         assert np.array_equal(_bits(got), _bits(per_line_envelope(lines)))
         assert np.any((got != 0.0) & (np.abs(got) < np.finfo(np.float64).tiny))
 
-    def test_values_near_the_float_limits(self, per_line_envelope, kernel):
+    def test_values_near_the_float_limits(self, per_line_envelope, envelope_rows):
         rng = np.random.default_rng(42)
         big = np.finfo(np.float64).max
         lines = rng.choice([big, -big, 1e308, -1e308, 0.9e308, 0.0, BOTTOM], size=(200, 7))
         with np.errstate(over="ignore", invalid="ignore"):
             want = per_line_envelope(lines)
-        assert np.array_equal(_bits(envelope_batch(lines)), _bits(want))
+        assert np.array_equal(_bits(envelope_rows(lines)), _bits(want))
 
-    def test_boundary_rows(self, per_line_envelope, kernel):
+    def test_boundary_rows(self, per_line_envelope, envelope_rows):
         """The CASES rows in one padded batch, then each alone as a one-row
         batch of its own length."""
         lines = _case_rows()
-        got = envelope_batch(lines)
+        got = envelope_rows(lines)
         assert np.array_equal(_bits(got), _bits(per_line_envelope(lines)))
         # a row on which the chain never pops comes back bit for bit
         assert _unchanged(got, lines)[[never_pops for _, never_pops in CASES]].all()
         for row, never_pops in CASES:
             line = np.array([row])
-            got = envelope_batch(line)
+            got = envelope_rows(line)
             assert np.array_equal(_bits(got), _bits(per_line_envelope(line))), row
             assert _unchanged(got, line)[0] or not never_pops, row
 
-    def test_random_rows_with_special_cells(self, per_line_envelope, kernel):
+    def test_random_rows_with_special_cells(self, per_line_envelope, envelope_rows):
         rng = np.random.default_rng(43)
         specials = np.array([BOTTOM, math.nan, math.inf, -0.0, 1e308, -1e308, 5e-324])
         for n in range(1, 20):
@@ -372,20 +387,20 @@ class TestKernels:
             cells = rng.uniform(size=lines.shape) < 0.15
             lines[cells] = rng.choice(specials, size=int(cells.sum()))
             lines[30:40, : n // 3] = BOTTOM
-            assert np.array_equal(_bits(envelope_batch(lines)),
+            assert np.array_equal(_bits(envelope_rows(lines)),
                                   _bits(per_line_envelope(lines))), n
 
-    def test_any_layout_and_dtype(self, kernel):
+    def test_any_layout_and_dtype(self, envelope_rows):
         rng = np.random.default_rng(44)
         block = rng.uniform(-1.0, 2.0, size=(11, 30))
         block[rng.uniform(size=block.shape) < 0.3] = BOTTOM
-        want = envelope_batch(np.ascontiguousarray(block.T))
-        assert np.array_equal(_bits(envelope_batch(block.T)), _bits(want))
+        want = envelope_rows(np.ascontiguousarray(block.T))
+        assert np.array_equal(_bits(envelope_rows(block.T)), _bits(want))
         ints = rng.integers(-5, 5, size=(30, 11))
-        assert np.array_equal(_bits(envelope_batch(ints)),
-                              _bits(envelope_batch(ints.astype(np.float64))))
+        assert np.array_equal(_bits(envelope_rows(ints)),
+                              _bits(envelope_rows(ints.astype(np.float64))))
 
-    def test_result_never_aliases_the_input(self, kernel):
+    def test_result_never_aliases_the_input(self, envelope_rows):
         """The result is a new array.  A row on which the monotone chain
         never pops comes back in it bit for bit: every row of _concave_rows
         and some of _mixed_rows, but none of _convex_rows."""
@@ -395,38 +410,36 @@ class TestKernels:
             for n in (3, 4, 11, 51):
                 lines = rows(rng, 40, n)
                 before = lines.copy()
-                out = envelope_batch(lines)
+                out = envelope_rows(lines)
                 unchanged = _unchanged(out, lines)
                 assert (unchanged.all(), unchanged.any()) == all_any, (rows.__name__, n)
                 assert not np.shares_memory(out, lines), rows.__name__
                 out[...] = 7.0
                 assert np.array_equal(lines, before), rows.__name__
 
-    def test_compiled_and_numpy_agree_on_sweep_batches(self, kernel, monkeypatch):
-        # every batch of twelve min sweeps, on the other kernel too
+    def test_compiled_and_numpy_agree_on_sweep_batches(self, per_line_envelope, envelope_rows,
+                                                       monkeypatch):
+        # every batch the numpy sweep path sends in twelve min sweeps, on
+        # the kernel under test, against the per-line reference
         batches = []
         kernel_batch = lattice.envelope_batch
 
-        def both(lines):
-            out = kernel_batch(lines)
-            batches.append((lines.copy(), out))
-            return out
+        def recording(lines):
+            batches.append(lines.copy())
+            return kernel_batch(lines)
 
-        monkeypatch.setattr(lattice, "envelope_batch", both)
+        monkeypatch.setattr(lattice, "envelope_batch", recording)
         monkeypatch.setattr(lattice, "compiled_sweep", lambda: None)   # the batched path
         table = builtin_table("min", 3)
         lattice.run(GridSpec.from_delta(3, 0.1), table, t_max=12, eps=1e-300)
         assert batches
-        monkeypatch.undo()
-        if kernel == "compiled":
-            monkeypatch.setattr(envelope, "_compiled_kernel", lambda: None)
-        for lines, out in batches:
-            assert np.array_equal(_bits(envelope_batch(lines)), _bits(out))
+        for lines in batches:
+            assert np.array_equal(_bits(envelope_rows(lines)), _bits(per_line_envelope(lines)))
 
 
 WRONG_DIVISION = ("y0 + (y1 - y0) * (double)(i - x0) / (double)(x1 - x0)",
                   "y0 + (y1 - y0) * (double)(i - x0) * (1.0 / (double)(x1 - x0))")
-# Faults of the sweep entry alone, which leave the row kernel as it is.
+# Faults of the sweep walk, outside the line function.
 WRONG_SWEEPS = {
     "transition-counts-0": ("return fa != fb ? INFINITY : 0.0;", "return 0.0;"),
     "compare-skips-the-last-cell": ("for (ptrdiff_t j = 0; j < n; j++) {\n        uint64_t a",
@@ -488,9 +501,8 @@ class TestLoader:
             return compile_(*args, **kwargs)
 
         monkeypatch.setattr(subprocess, "run", counting)
-        lines = _mixed_rows(np.random.default_rng(47), 8, 11)
         for _ in range(3):
-            envelope_batch(lines)
+            assert envelope.compiled_sweep() is None
         assert envelope.kernel_name() == "numpy"
         assert len(calls) == 1
 

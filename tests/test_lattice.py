@@ -257,9 +257,8 @@ class TestLockstepKernel:
     def test_hand_built_bank_bitwise_equals_per_line_kernel(self, period, monkeypatch,
                                                             per_line_envelope, kernel):
         """Two sweeps of a bank without sources, whose fields hold holes,
-        all-BOTTOM lines, ties and -0.0: the fields and the deltas (the
-        banks' own where the compiled sweep set them) against the numpy path
-        with the per-line reference kernel."""
+        all-BOTTOM lines, ties and -0.0: the fields and the deltas the banks
+        carry against the numpy path with the per-line reference kernel."""
         grid = GridSpec.from_delta(3, 0.2)
         rng = np.random.default_rng(period)
         fields = []
@@ -277,19 +276,16 @@ class TestLockstepKernel:
 
         def two_sweeps():
             first = sweep_once(start)
-            second = sweep_once(first)
-            return [(bank, bank_sup_delta(bank, prev) if bank.delta is None else bank.delta)
-                    for prev, bank in ((start, first), (first, second))]
+            return [first, sweep_once(first)]
 
         got = two_sweeps()
         _per_line_numpy_path(monkeypatch, per_line_envelope)
         want = two_sweeps()
-        for (gb, gd), (wb, wd) in zip(got, want):
-            assert (gb.delta is None) == (kernel == "numpy") and wb.delta is None
-            assert _bits(np.array(gd)) == _bits(np.array(wd))
+        for gb, wb in zip(got, want):
+            assert _bits(np.array(gb.delta)) == _bits(np.array(wb.delta))
             for gf, wf in zip(gb.node_fields(), wb.node_fields()):
                 assert np.array_equal(_bits(gf.data), _bits(wf.data))
-        assert got[0][1] == math.inf
+        assert got[0].delta == math.inf
 
     @pytest.mark.parametrize("f, delta, chains", [
         (SELECTOR4, 0.1, 4),
@@ -473,12 +469,9 @@ class TestUnchangedLineReuse:
         for path in _sweep_paths(monkeypatch):
             sent = _spy_kernel(monkeypatch)
             again = sweep_once(bank)
-            if path == "numpy":
-                assert sent == [] and again.delta is None
-            else:
-                # no line enveloped, and a delta of exactly 0
-                assert sent == [(0, 0.0)] * bank.period
-                assert _bits(np.array(again.delta)) == _bits(np.array(0.0))
+            # no line enveloped, and a delta of exactly 0
+            assert sent == ([] if path == "numpy" else [(0, 0.0)] * bank.period)
+            assert _bits(np.array(again.delta)) == _bits(np.array(0.0))
             for new, old in zip(again.fields, bank.fields):
                 assert np.array_equal(_bits(new.data), _bits(old.data))
 

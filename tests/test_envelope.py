@@ -2,9 +2,10 @@
 
 The heavyweight randomized property suite (1000 profiles, five properties)
 lives in test_acceptance; this file keeps small targeted cases plus short
-random loops for day-to-day debugging.  Tests taking the kernel fixture run
-once on the compiled kernel and once on the numpy one, and compare both
-with the scalar reference bit for bit.
+random loops for day-to-day debugging.  Tests taking the kernel fixture (or
+envelope_rows, which picks it) run once on the compiled kernel, through the
+compiled sweep, and once on the numpy one, and compare both with the scalar
+reference bit for bit.
 """
 
 import itertools

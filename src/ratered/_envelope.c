@@ -1,22 +1,28 @@
-/* One stored node of one sweep: upper concave envelopes of the axis lines
-   of a float64 field.
+/* The compiled half of ratered: one stored node of one sweep, and the rows
+   of a field CSV.
 
    envelope_line is a port of the scalar reference _envelope_line in
    tests/conftest.py: Andrew's monotone chain over the non-BOTTOM cells
    (NaN counts as one), then a chord walk, with the same float operations
-   in the same order.  ratered_sweep_node, the one entry point, walks the
-   axis lines of a strided source, copies the stored envelope of every
-   line whose bits equal the same line of the previous source, envelopes
-   the others with envelope_line, and returns the BOTTOM-aware sup-delta
-   of the result against the stored envelope.
+   in the same order.  ratered_sweep_node walks the axis lines of a strided
+   source, copies the stored envelope of every line whose bits equal the
+   same line of the previous source, envelopes the others with
+   envelope_line, and returns the BOTTOM-aware sup-delta of the result
+   against the stored envelope.
+
+   ratered_csv_rows writes one block of one field CSV: it walks the
+   row-major index of the block's rows, copies each row's index and
+   grid-value cells from a table, and spells rho and Rsum by format_g17,
+   byte for byte Python's "%.17g" % x.
 
    ratered.envelope compiles it with -ffp-contract=off, so no product is
-   fused into a sum, and adopts it only after it reproduces the numpy
-   path's bits on a probe. */
+   fused into a sum, and adopts it only after both entry points reproduce
+   the numpy path's bytes on a probe. */
 
 #include <math.h>
 #include <stddef.h>
 #include <stdint.h>
+#include <stdio.h>
 #include <stdlib.h>
 #include <string.h>
 
@@ -173,4 +179,159 @@ int ratered_sweep_node(const double *src, const double *prev, const double *stor
     free(index);
     free(out_strides);
     return 0;
+}
+
+/* 5**j for j = 0..21 */
+static const uint64_t POW5[22] = {
+    UINT64_C(1), UINT64_C(5), UINT64_C(25), UINT64_C(125), UINT64_C(625),
+    UINT64_C(3125), UINT64_C(15625), UINT64_C(78125), UINT64_C(390625),
+    UINT64_C(1953125), UINT64_C(9765625), UINT64_C(48828125), UINT64_C(244140625),
+    UINT64_C(1220703125), UINT64_C(6103515625), UINT64_C(30517578125),
+    UINT64_C(152587890625), UINT64_C(762939453125), UINT64_C(3814697265625),
+    UINT64_C(19073486328125), UINT64_C(95367431640625), UINT64_C(476837158203125)};
+
+/* floor(x * 10**(16 - d)) for x = m * 2**e, and in *up whether
+   round-half-even rounds it up.  The product m * 5**(16 - d), m < 2**53 and
+   16 - d in 1..21, is formed exactly from 32-bit halves in two words and
+   shifted right by d - 16 - e, which is in 1..47 here. */
+static uint64_t scaled(uint64_t m, int e, int d, int *up)
+{
+    uint64_t f = POW5[16 - d];
+    uint64_t m_lo = m & 0xFFFFFFFFu, m_hi = m >> 32, f_lo = f & 0xFFFFFFFFu, f_hi = f >> 32;
+    uint64_t low = m_lo * f_lo;
+    uint64_t mid = m_lo * f_hi + m_hi * f_lo;          /* < 2**54 */
+    uint64_t lo = low + (mid << 32);                   /* the product mod 2**64 */
+    uint64_t hi = m_hi * f_hi + (mid >> 32) + (lo < low);
+    int shift = d - 16 - e;
+    uint64_t quotient = (hi << (64 - shift)) | (lo >> shift);
+    uint64_t rest = lo & ((UINT64_C(1) << shift) - 1), half = UINT64_C(1) << (shift - 1);
+    *up = rest > half || (rest == half && (quotient & 1));
+    return quotient;
+}
+
+static const char PAIRS[] =
+    "00010203040506070809101112131415161718192021222324252627282930313233343536373839"
+    "40414243444546474849505152535455565758596061626364656667686970717273747576777879"
+    "8081828384858687888990919293949596979899";
+
+/* The eight decimal digits of v < 10**8, two at a time from PAIRS, the
+   digits of 00..99. */
+static void eight_digits(uint32_t v, char *out)
+{
+    uint32_t a = v / 10000u, b = v % 10000u;
+    memcpy(out, PAIRS + 2 * (a / 100u), 2);
+    memcpy(out + 2, PAIRS + 2 * (a % 100u), 2);
+    memcpy(out + 4, PAIRS + 2 * (b / 100u), 2);
+    memcpy(out + 6, PAIRS + 2 * (b % 100u), 2);
+}
+
+/* "%.17g" % x as Python spells it, written to out; returns its length, at
+   most 24.  For 1e-4 <= |x| < 1e15, which "%.17g" prints in fixed notation,
+   the 17 correctly rounded digits are D = round_half_even(x * 10**(16 - d))
+   with d = floor(log10|x|), computed exactly in integers (Gay 1990; Adams
+   2018, "Ryu").  d starts as floor(log10(2**k)) for the k with
+   2**(k-1) <= |x| < 2**k, by the integer approximation 78913 / 2**18 of
+   log10(2), which is d or d + 1; it is one too large exactly where the
+   quotient falls short of 10**16.  Rounding never carries D to 10**17 in
+   this range (tests/test_decimal17.py checks the double below every power
+   of ten).  Zeros and infinities are spelled directly, NaN as "nan" whatever
+   its sign bit (snprintf spells that one "-nan"), and everything else, the
+   subnormals and the exponent notation, goes to snprintf. */
+static ptrdiff_t format_g17(double x, char *out)
+{
+    double a = fabs(x);
+    if (!(a >= 1e-4 && a < 1e15)) {
+        if (isnan(x)) {
+            memcpy(out, "nan", 3);
+            return 3;
+        }
+        if (isinf(x) || a == 0.0) {
+            const char *text = isinf(x) ? (x > 0 ? "inf" : "-inf") : (signbit(x) ? "-0" : "0");
+            ptrdiff_t n = (ptrdiff_t)strlen(text);
+            memcpy(out, text, (size_t)n);
+            return n;
+        }
+        char text[32];
+        int n = snprintf(text, sizeof text, "%.17g", x);
+        memcpy(out, text, (size_t)n);
+        return n;
+    }
+    uint64_t bits;
+    memcpy(&bits, &x, sizeof bits);
+    int e = (int)((bits >> 52) & 0x7FF) - 1075;              /* normal: x = m * 2**e */
+    uint64_t m = (bits & ((UINT64_C(1) << 52) - 1)) | (UINT64_C(1) << 52);
+    int d = (int)(((int64_t)(e + 53) * 78913 + ((int64_t)1024 << 18)) >> 18) - 1024;
+    int up;
+    uint64_t digits = scaled(m, e, d, &up);
+    if (digits < UINT64_C(10000000000000000))
+        digits = scaled(m, e, --d, &up);
+    digits += (uint64_t)up;
+
+    /* the 17 digits of 10**16 <= digits < 10**17 */
+    char text[17];
+    uint32_t high = (uint32_t)(digits / 100000000u), low = (uint32_t)(digits % 100000000u);
+    text[0] = (char)('0' + high / 100000000u);
+    eight_digits(high % 100000000u, text + 1);
+    eight_digits(low, text + 9);
+    int last = 16;                                      /* the last non-zero digit */
+    while (text[last] == '0')
+        last--;
+    char *p = out;
+    if (signbit(x))
+        *p++ = '-';
+    if (d >= 0) {
+        memcpy(p, text, (size_t)d + 1);
+        p += d + 1;
+        if (last > d) {
+            *p++ = '.';
+            memcpy(p, text + d + 1, (size_t)(last - d));
+            p += last - d;
+        }
+    } else {
+        *p++ = '0';
+        *p++ = '.';
+        for (int j = 1; j < -d; j++)
+            *p++ = '0';
+        memcpy(p, text, (size_t)last + 1);
+        p += last + 1;
+    }
+    return p - out;
+}
+
+/* The field-CSV rows of flat indices first .. first + rows - 1 of an m-axis
+   field with n points on every axis, in row-major order, written to out:
+   per row the cells of the m indices, the cells of their m grid values,
+   rho, ",", Rsum and "\n".  rho and rsum hold the rows' values.  Cell c
+   of cells, the bytes starts[c] .. starts[c + 1] - 1, is the "i," cell of
+   index c for c < n and the "p_i," cell of index c - n for c >= n.  out
+   holds at least rows * (m * (longest "i," cell + longest "p_i," cell) +
+   50) bytes, as rho and Rsum take at most 24 each.  Returns the number of
+   bytes written, or -1 if the index cannot be allocated. */
+ptrdiff_t ratered_csv_rows(const double *rho, const double *rsum, ptrdiff_t rows, ptrdiff_t first,
+                           ptrdiff_t m, ptrdiff_t n, const char *cells, const ptrdiff_t *starts,
+                           char *out)
+{
+    ptrdiff_t *index = malloc((size_t)(m > 0 ? m : 1) * sizeof *index);
+    if (index == NULL)
+        return -1;
+    for (ptrdiff_t j = m - 1, at = first; j >= 0; j--) {
+        index[j] = at % n;
+        at /= n;
+    }
+    char *p = out;
+    for (ptrdiff_t r = 0; r < rows; r++) {
+        for (ptrdiff_t j = 0; j < 2 * m; j++) {             /* the "i," cells, then "p_i," */
+            ptrdiff_t c = j < m ? index[j] : n + index[j - m];
+            memcpy(p, cells + starts[c], (size_t)(starts[c + 1] - starts[c]));
+            p += starts[c + 1] - starts[c];
+        }
+        p += format_g17(rho[r], p);
+        *p++ = ',';
+        p += format_g17(rsum[r], p);
+        *p++ = '\n';
+        for (ptrdiff_t j = m - 1; j >= 0 && ++index[j] == n; j--)
+            index[j] = 0;
+    }
+    free(index);
+    return p - out;
 }

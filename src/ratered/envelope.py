@@ -18,14 +18,17 @@ line in plain Python floats, lives in tests/conftest.py (_envelope_line).
 Both kernels below perform its float operations in the same order, and the
 tests compare all three to the last bit, ties and BOTTOM rows included.
 
-The compiled kernel, _envelope.c, is that reference ported to C behind one
-entry point, ratered_sweep_node, which does one stored node of one sweep
+The compiled kernel, _envelope.c, is that reference ported to C behind the
+entry point ratered_sweep_node, which does one stored node of one sweep
 (compiled_sweep, which lattice.sweep_once calls): it walks the axis lines
 of a strided source, so a rotated view needs no gather, copies the stored
 envelope of every line whose bits equal the previous source's, envelopes
 the others, and returns the BOTTOM-aware sup-delta of the lines it
-rewrote.  It is built on the first call of a process that needs it, never
-at import: compiled with sysconfig's CC (else cc) and -O2
+rewrote.  The same library's second entry point, ratered_csv_rows, writes
+one block of one field CSV (compiled_csv_rows, which
+fieldcsv._write_grid_csv calls), spelling each value as "%.17g" does.  The
+library is built on the first call of a process that needs it, never at
+import: compiled with sysconfig's CC (else cc) and -O2
 -ffp-contract=off -fPIC -shared, so no product is fused into a sum (never
 -ffast-math, which lets the compiler reorder float operations and assume
 that no NaN or infinity occurs).  The library is cached in this
@@ -36,11 +39,13 @@ bytecode.  It is compiled under a temporary name and moved into place with
 os.replace, so concurrent processes never load a half-written file.  It is
 adopted only after its fields, delta and count of enveloped lines
 reproduce the numpy path's bits on two sweeps of a fixed probe
-(_sweep_probe_passes over the cells of _probe_batch).  A cached file is
-never rebuilt: delete it to force a new build.  Where there is no
-compiler, the directory is not writable, or the build, the load or the
-probe fails, the process runs the numpy sweep for its whole life;
-kernel_name() says which one runs.
+(_sweep_probe_passes over the cells of _probe_batch), and its rows the
+bytes of "%.17g" on the awkward values of _csv_probe_values
+(_csv_probe_passes).  A cached file is never rebuilt: delete it to force
+a new build.  Where there is no compiler, the directory is not writable,
+or the build, the load or either probe fails, the process runs the numpy
+sweep and the numpy row writer for its whole life; kernel_name() says
+which kernel runs, and the writer goes with it.
 
 The numpy kernel, envelope_batch, envelopes every row of a batch; the
 numpy sweep makes one call, with the changed lines of every enveloped node
@@ -90,7 +95,25 @@ def compiled_sweep():
     same line of previous takes the same line of stored, and every other
     line gets its envelope.  delta is lattice.sup_delta(field, stored), and
     enveloped the number of lines that were enveloped."""
-    return _compiled_kernel()
+    kernel = _compiled_kernel()
+    return None if kernel is None else kernel[0]
+
+
+def compiled_csv_rows():
+    """The compiled field-CSV row writer, or None where the numpy writer of
+    ratered.fieldcsv runs; the same library and the same decision as
+    compiled_sweep.
+
+    It is called as csv_rows(cells, shape), with cells the "i," cell of
+    every grid index i in 0..n-1 followed by the "p_i," cell of every grid
+    value, and shape that of the fields, n points on every axis.  It
+    returns rows(values, first): values is a float64 array of shape
+    (files, 2, count) holding, per file, the rho and Rsum of the rows of
+    flat indices first .. first + count - 1, and rows yields per file the
+    bytes of those rows as a uint8 array, each valid until the next is
+    asked for."""
+    kernel = _compiled_kernel()
+    return None if kernel is None else kernel[1]
 
 
 def kernel_name() -> str:
@@ -100,20 +123,24 @@ def kernel_name() -> str:
 
 @functools.cache
 def _compiled_kernel():
-    """The compiled sweep as a Python function (compiled_sweep's), or None
-    where it cannot be built, loaded or trusted; decided once per process."""
+    """The compiled sweep and row writer as Python functions (compiled_sweep's
+    and compiled_csv_rows'), or None where the library cannot be built,
+    loaded or trusted; decided once per process."""
     import ctypes
 
     try:
         argv, source, path = _recipe()
         if not path.exists():
             _build(argv, source, path)
-        node = ctypes.CDLL(str(path)).ratered_sweep_node
+        library = ctypes.CDLL(str(path))
+        node, csv = library.ratered_sweep_node, library.ratered_csv_rows
     except (OSError, ValueError, AttributeError):
         return None
     node.argtypes = (*[ctypes.c_void_p] * 7, ctypes.c_ssize_t, ctypes.c_ssize_t,
                      ctypes.c_void_p, ctypes.c_void_p)
     node.restype = ctypes.c_int
+    csv.argtypes = (*[ctypes.c_void_p] * 2, *[ctypes.c_ssize_t] * 4, *[ctypes.c_void_p] * 3)
+    csv.restype = ctypes.c_ssize_t
 
     def sweep(source, previous, stored, axis: int):
         src, src_steps = _in_elements(source)
@@ -134,7 +161,34 @@ def _compiled_kernel():
             raise MemoryError("the envelope kernel could not allocate its hull stack")
         return out, delta.value, enveloped.value
 
-    return sweep if _sweep_probe_passes(sweep) else None
+    def csv_rows(cells, shape):
+        n, m = len(cells) // 2, len(shape)
+        if len(cells) != 2 * n or any(size != n for size in shape):
+            raise ValueError(f"{len(cells)} cells do not fit fields of shape {shape}")
+        encoded = [cell.encode("ascii") for cell in cells]
+        text = np.frombuffer(b"".join(encoded), np.uint8)
+        starts = np.cumsum([0, *map(len, encoded)], dtype=np.intp)
+        # a row's cells, then rho and Rsum of at most 24 bytes, "," and "\n"
+        width = m * (max(map(len, encoded[:n])) + max(map(len, encoded[n:]))) + 50
+
+        def rows(values, first: int):
+            values = np.ascontiguousarray(values, dtype=np.float64)
+            files, two, count = values.shape
+            if two != 2 or not 0 <= first <= first + count <= n**m:
+                raise ValueError(f"values of shape {values.shape} from row {first} do not "
+                                 f"fit fields of shape {shape}")
+            out = np.empty(count * width, np.uint8)
+            for rho, rsum in values:
+                size = csv(rho.ctypes.data, rsum.ctypes.data, count, first, m, n,
+                           text.ctypes.data, starts.ctypes.data, out.ctypes.data)
+                if size < 0:
+                    raise MemoryError("the row writer could not allocate its index")
+                yield out[:size]
+        return rows
+
+    if _sweep_probe_passes(sweep) and _csv_probe_passes(csv_rows):
+        return sweep, csv_rows
+    return None
 
 
 def _in_elements(a) -> tuple[np.ndarray, list]:
@@ -250,6 +304,55 @@ def _sweep_probe_passes(sweep) -> bool:
                 return False
             stored = want
     return True
+
+
+def _csv_probe_values() -> np.ndarray:
+    """The values the compiled row writer must spell as "%.17g" does before
+    it is used, 216 of them: the doubles next to 10**-5 .. 10**16, both
+    ends of the fixed notation included; +-0.0, +-inf and NaN with and
+    without its sign bit; subnormals and the float extremes; exponent
+    notation; ties at the 17th digit; and scattered bit patterns."""
+    powers = np.array([float(f"1e{j}") for j in range(-5, 17)])
+    specials = np.array([0.0, np.inf, np.nan, 5e-324, 2.2250738585072014e-308 / 3,
+                         2.2250738585072014e-308, 1.7976931348623157e308, 1.5e-7, 2.5e20,
+                         1e14 + 0.125, 1e14 + 0.375, 0.1, 1 / 3, 123456789.12345678])
+    values = np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf),
+                             specials])
+    values = np.concatenate([values, -values])
+    # bit patterns scattered by a multiplicative hash (numpy.random would
+    # cost the process megabytes of resident memory to import)
+    scrambled = np.arange(1, 217 - values.size, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    return np.concatenate([values, scrambled.view(np.float64)])
+
+
+def _csv_probe_passes(csv_rows) -> bool:
+    """Whether csv_rows, the compiled row writer, writes the rows of two
+    fields byte for byte as the format spells them, fieldcsv._fmt ("%.17g")
+    for every value.
+
+    The probe values, as a (6, 6, 6) field, are written in a rotated view,
+    and the same values reversed as a second file.  Each file's Rsum is the
+    other's rho.  The rows go in two blocks, the second starting inside an
+    axis line, so the writer must find its place in the row-major index."""
+    from .fieldcsv import _fmt
+
+    n = 6
+    cells = [f"{i}," for i in range(n)] + [_fmt(i / (n - 1)) + "," for i in range(n)]
+    rho = _csv_probe_values().reshape(n, n, n).transpose(1, 2, 0)
+    fields = [rho.reshape(-1), rho.reshape(-1)[::-1]]
+    index = np.unravel_index(np.arange(n**3), rho.shape)
+    prefix = ["".join([cells[i] for i in at] + [cells[n + i] for i in at])
+              for at in zip(*(i.tolist() for i in index))]
+    want = [b"".join(f"{p}{_fmt(r)},{_fmt(s)}\n".encode()
+                     for p, r, s in zip(prefix, a.tolist(), b.tolist()))
+            for a, b in (fields, fields[::-1])]
+    rows = csv_rows(cells, rho.shape)
+    got = [b"", b""]
+    for lo, hi in ((0, 100), (100, n**3)):
+        values = np.array([[a[lo:hi], b[lo:hi]] for a, b in (fields, fields[::-1])])
+        for j, text in enumerate(rows(values, lo)):
+            got[j] += text.tobytes()
+    return got == want
 
 
 def _envelope_rows(v: np.ndarray) -> np.ndarray:

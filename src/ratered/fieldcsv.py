@@ -5,9 +5,13 @@ values p_1..p_m, then rho_<label> and Rsum_<label>, with 17 significant
 digits and the spellings "inf" and "-inf".  Identical fields give
 byte-identical files, and read_field_csv reads write_field_csv's output
 back bit-exactly.  Files are written and read a block of rows at a time,
-so no whole-file text is held in memory: each distinct value of a block is
-formatted once, in numpy by decimal17.format_g17 (byte for byte "%.17g"),
-and each block is parsed by one np.loadtxt call, numpy's C text reader.
+so no whole-file text is held in memory.  A block's rows are written by
+the compiled row writer of the envelope library (ratered_csv_rows in
+_envelope.c, adopted with the compiled sweep), which spells each value
+byte for byte as "%.17g" does; where that library is not adopted, each
+distinct value of a block is formatted once in numpy by
+decimal17.format_g17, with the same bytes.  Each block is parsed by one
+np.loadtxt call, numpy's C text reader.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .envelope import compiled_csv_rows
 from .errors import ConfigError, read_text
 from .lattice import RateReductionField, gap, sum_rate_field
 from .probability import GridSpec, entropy_grid
@@ -60,23 +65,15 @@ def _write_grid_csv(items: list, axes: list, h: np.ndarray, grid: GridSpec) -> N
     (lattice.gap(h, rho): h - rho, inf where rho is BOTTOM).
 
     The files are written in one pass, _CSV_BLOCK rows at a time, so memory
-    stays bounded by a block whatever the grid size.  Per block, the
-    distinct floats of every file are formatted once, by
-    decimal17.format_g17 (keyed by their bits, so -0.0 and 0.0 stay apart).
-    The block's rows are laid out in one uint8 matrix, each cell in a slot
-    padded with zero bytes, which no cell contains.  The index and
-    grid-value cells are gathered once for all files.  Per file, the rho
-    and Rsum slots, each as wide as the block's longest text, are gathered
-    from the formatted table, and the non-zero bytes are written with one
-    call.  No Python object is made per cell.
+    stays bounded by a block whatever the grid size.  Per block, the rho
+    and Rsum values of every file are gathered into one array, and each
+    file's rows are written with one call: by the compiled row writer
+    (envelope.compiled_csv_rows) wherever the compiled library was adopted,
+    else by _numpy_rows.
     """
-    # Imported here: only this writer uses the formatter, so the commands
-    # that write no field CSV do not load it.
-    from .decimal17 import format_g17
-
-    prefix = [_cell_table([f"{i}," for i in range(grid.points_per_axis)])] * len(axes) \
-        + [_cell_table([_fmt(v) + "," for v in grid.axis_values()])] * len(axes)
-    prefix_width = sum(cells.shape[1] for cells in prefix)
+    cells = [f"{i}," for i in range(grid.points_per_axis)] \
+        + [_fmt(v) + "," for v in grid.axis_values()]
+    rows = (compiled_csv_rows() or _numpy_rows)(cells, h.shape)
     with contextlib.ExitStack() as stack:
         files = [stack.enter_context(open(path, "wb")) for path, _, _ in items]
         for out, (_, label, _) in zip(files, items):
@@ -86,31 +83,60 @@ def _write_grid_csv(items: list, axes: list, h: np.ndarray, grid: GridSpec) -> N
             hi = min(lo + _CSV_BLOCK, h.size)
             # .flat slices a block in row-major order without copying a
             # whole rho that is a rotated view.
+            entropy = h.flat[lo:hi]
             values = np.empty((len(items), 2, hi - lo))
             for v, (_, _, rho) in zip(values, items):
                 v[0] = rho.flat[lo:hi]
-                v[1] = gap(h.flat[lo:hi], v[0])
-            # A 1-D input keeps the inverse 1-D on every numpy version.
-            bits, inverse = np.unique(values.reshape(-1).view(np.uint64), return_inverse=True)
-            inverse = inverse.astype(np.int32).reshape(values.shape)
-            del values
-            text, length = format_g17(bits.view(np.float64))
-            del bits
-            width = int(length.max())
-            text = text[:, :width]
-            # A row: the prefix cells, rho, ",", Rsum, "\n".
-            rows = np.empty((hi - lo, prefix_width + 2 * width + 2), np.uint8)
-            at = 0
-            index = np.unravel_index(np.arange(lo, hi), h.shape)
-            for cells, i in zip(prefix, index + index):
-                rows[:, at : at + cells.shape[1]] = cells[i]
-                at += cells.shape[1]
-            rows[:, at + width], rows[:, -1] = ord(","), ord("\n")
-            slots = (slice(at, at + width), slice(at + width + 1, at + 2 * width + 1))
-            for out, cells in zip(files, inverse):
-                for slot, i in zip(slots, cells):
-                    rows[:, slot] = text[i]
-                out.write(rows[rows != 0])
+                v[1] = gap(entropy, v[0])
+            for out, text in zip(files, rows(values, lo)):
+                out.write(text)
+
+
+def _numpy_rows(cells: list[str], shape: tuple):
+    """The numpy row writer, with envelope.compiled_csv_rows' interface:
+    rows(values, first) yields per file the bytes of its rows, each valid
+    until the next is asked for.
+
+    Per block, the distinct floats of every file are formatted once, by
+    decimal17.format_g17 (keyed by their bits, so -0.0 and 0.0 stay apart).
+    The block's rows are laid out in one uint8 matrix, each cell in a slot
+    padded with zero bytes, which no cell contains.  The index and
+    grid-value cells are gathered once for all files.  Per file, the rho
+    and Rsum slots, each as wide as the block's longest text, are gathered
+    from the formatted table, and the non-zero bytes are taken in one step.
+    No Python object is made per cell.
+    """
+    # Imported here: only this writer uses the formatter, so a process that
+    # writes no field CSV, or writes them compiled, does not load it.
+    from .decimal17 import format_g17
+
+    n, m = len(cells) // 2, len(shape)
+    prefix = [_cell_table(cells[:n])] * m + [_cell_table(cells[n:])] * m
+    prefix_width = sum(table.shape[1] for table in prefix)
+
+    def rows(values, first: int):
+        count = values.shape[-1]
+        # A 1-D input keeps the inverse 1-D on every numpy version.
+        bits, inverse = np.unique(values.reshape(-1).view(np.uint64), return_inverse=True)
+        inverse = inverse.astype(np.int32).reshape(values.shape)
+        text, length = format_g17(bits.view(np.float64))
+        del bits
+        width = int(length.max())
+        text = text[:, :width]
+        # A row: the prefix cells, rho, ",", Rsum, "\n".
+        block = np.empty((count, prefix_width + 2 * width + 2), np.uint8)
+        at = 0
+        index = np.unravel_index(np.arange(first, first + count), shape)
+        for table, i in zip(prefix, index + index):
+            block[:, at : at + table.shape[1]] = table[i]
+            at += table.shape[1]
+        block[:, at + width], block[:, -1] = ord(","), ord("\n")
+        slots = (slice(at, at + width), slice(at + width + 1, at + 2 * width + 1))
+        for file_cells in inverse:
+            for slot, i in zip(slots, file_cells):
+                block[:, slot] = text[i]
+            yield block[block != 0]
+    return rows
 
 
 def write_field_csv(path: Path, field_in: RateReductionField, label: str) -> None:

@@ -132,9 +132,12 @@ def _entry_tables(pk: float, n_steps: int,
     return p_u * h_post, u_ok | ~live
 
 
-def _feasible_chunks(p: ProductPmf, f: FunctionTable, spec: ConditionalSearchSpec):
-    """Every (given0 row, given1 row) pair of the search grid, up to its
-    mirror, by slices of consecutive given0 rows.  Yields, per slice holding
+def _feasible_chunks(pk: float, constancy: tuple[bool, bool, bool], n_steps: int,
+                     parts: int):
+    """Every (given0 row, given1 row) pair of the n_steps search grid of
+    |U| = parts message values, up to its mirror, by slices of consecutive
+    given0 rows, at p_k = pk with f's support constancy (_support_constancy)
+    of the point.  Yields, per slice holding
     a feasible pair, its first given0 row, each pair's summed message-value
     terms, shape (slice, rows), and which pairs are feasible (None when all
     are).  For |U| >= 2 only given0 rows with entry 0 <= entry 1 are
@@ -151,8 +154,7 @@ def _feasible_chunks(p: ProductPmf, f: FunctionTable, spec: ConditionalSearchSpe
     message order, so a pair and its mirror have the same sum bits.  The
     term tables are built at the first slice with a feasible pair.
     """
-    n_steps, parts = spec.n_search_steps, spec.u1_cardinality
-    term, admissible = _entry_tables(p[spec.k - 1], n_steps, _support_constancy(f, p, spec.k))
+    term, admissible = _entry_tables(pk, n_steps, constancy)
 
     # tables(t)[u][a, s]: t's entry for given0[u] = a/n and the u-th entry of
     # given1 row s; np.take keeps table rows contiguous (a fancy index does not)
@@ -208,7 +210,8 @@ def single_message_reduction(p: ProductPmf, f: FunctionTable,
     entropy of the other coordinates, base, is added once, after the
     maximum: rounding to nearest is monotone, so fl(base + max S) equals
     max fl(base + S), the maximum over the feasible pairs of base plus the
-    pair's sum, bit for bit.
+    pair's sum, bit for bit.  The maximum is _best_pair_sum's, shared by the
+    points of one compare_with_envelope call that search the same pairs.
     """
     m = f.m
     if p.m != m:
@@ -220,11 +223,25 @@ def single_message_reduction(p: ProductPmf, f: FunctionTable,
     for j in range(m):
         if j != spec.k - 1:
             base += binary_entropy(p[j])
+    return base + _best_pair_sum(p[spec.k - 1].hex(), _support_constancy(f, p, spec.k),
+                                 spec.n_search_steps, spec.u1_cardinality)
+
+
+@lru_cache(maxsize=256)
+def _best_pair_sum(pk: str, constancy: tuple[bool, bool, bool], n_steps: int,
+                   parts: int) -> float:
+    """The greatest pair sum of _feasible_chunks over the feasible pairs, or
+    BOTTOM where none is feasible.  The search reads the point only through
+    p_k, keyed here by its bits (float.hex keeps -0.0 apart), and through
+    which supports leave f constant, so points that share both share one
+    search and its exact result.  compare_with_envelope clears the cache
+    at the start of each call, so a call shares searches only among its
+    own points, as a process that runs one command does."""
     best = BOTTOM  # max keeps it unless a chunk's maximum is greater, so never NaN
-    for _, total, feasible in _feasible_chunks(p, f, spec):
+    for _, total, feasible in _feasible_chunks(float.fromhex(pk), constancy, n_steps, parts):
         best = max(best, float(total.max() if feasible is None else
                                np.max(total, where=feasible, initial=BOTTOM)))
-    return base + best
+    return best
 
 
 @dataclass(frozen=True)
@@ -281,6 +298,7 @@ def compare_with_envelope(grid: GridSpec, f: FunctionTable, points: tuple[GridIn
     slack = resolution_slack(spec.search_step, grid.m)
 
     envs = [field.value_at(pt) for pt in points]
+    _best_pair_sum.cache_clear()
     oras = [single_message_reduction(grid.pmf_at(pt), f, spec) for pt in points]
     rows = []
     worst = 0.0

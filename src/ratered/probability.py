@@ -8,6 +8,7 @@ so the boundary values p = 0 and p = 1 are exact and support membership
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterator
@@ -147,11 +148,14 @@ def product_entropy(pmf: ProductPmf) -> float:
     return sum(binary_entropy(p) for p in pmf)
 
 
+@functools.lru_cache(maxsize=1)
 def entropy_grid(grid: GridSpec) -> np.ndarray:
     """Dense array of product entropies over the whole grid.
 
     Bit-identical to evaluating product_entropy point by point: the same
-    per-axis h2 values are summed in the same axis order.
+    per-axis h2 values are summed in the same axis order.  The array of the
+    last grid asked for is kept, since a run, its field CSVs and a certify
+    of one grid all read it, so it is read-only.
     """
     h = np.array([binary_entropy(v) for v in grid.axis_values()])
     total = np.zeros(grid.shape)
@@ -159,4 +163,5 @@ def entropy_grid(grid: GridSpec) -> np.ndarray:
         shape = [1] * grid.m
         shape[ax] = grid.points_per_axis
         total = total + h.reshape(shape)
+    total.flags.writeable = False
     return total

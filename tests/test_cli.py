@@ -965,6 +965,16 @@ class TestFieldCsvWriter:
         assert peak < 6e6
 
 
+class TestFieldCsvWriterOnNumpy(TestFieldCsvWriter):
+    """Every writer test above again on the numpy row writer, the one a host
+    without a compiler runs: the same bytes and the same memory bounds.
+    Above, the compiled row writer runs wherever the library loads."""
+
+    @pytest.fixture(autouse=True)
+    def _numpy_writer(self, numpy_kernel):
+        assert envelope.compiled_csv_rows() is None
+
+
 def test_read_field_csv_names_lines_past_the_first_block(tmp_path):
     """Errors found in a later block, with blank lines before them, still
     name their line of the file."""

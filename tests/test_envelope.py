@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from conftest import upper_concave_envelope
-from ratered import envelope, lattice
+from ratered import envelope, fieldcsv, lattice
 from ratered.envelope import BOTTOM, concavity_defects, envelope_batch
 from ratered.probability import GridSpec
 from ratered.target_functions import builtin_table
@@ -450,6 +450,15 @@ WRONG_SWEEPS = {
 }
 
 
+# Faults of the row writer.
+WRONG_ROWS = {
+    "nan-by-snprintf": ("if (isnan(x)) {", "if (0) {"),
+    "ties-round-up": ("(rest == half && (quotient & 1))", "rest == half"),
+    "decade-not-corrected": ("if (digits < UINT64_C(10000000000000000))", "if (0)"),
+    "index-from-row-0": ("at = first; j >= 0", "at = 0; j >= 0"),
+}
+
+
 def _library():
     return envelope._recipe()[2]
 
@@ -543,6 +552,57 @@ class TestLoader:
         assert envelope.kernel_name() == "numpy"
         assert envelope.compiled_sweep() is None
         assert _library().is_file()   # built and loaded, then refused
+
+    @pytest.mark.parametrize("fault", WRONG_ROWS)
+    def test_a_library_whose_row_writer_disagrees_is_refused(self, compiler, fresh_loader,
+                                                             monkeypatch, tmp_path, fault,
+                                                             per_row_field_csv):
+        """The whole library is refused, its sweep too, and the numpy writer
+        writes the bytes the format spells."""
+        right, wrong = WRONG_ROWS[fault]
+        text = envelope._SOURCE.read_text()
+        assert text.count(right) == 1
+        source = tmp_path / "_envelope.c"
+        source.write_text(text.replace(right, wrong))
+        monkeypatch.setattr(envelope, "_SOURCE", source)
+        assert envelope.kernel_name() == "numpy"
+        assert envelope.compiled_sweep() is None and envelope.compiled_csv_rows() is None
+        assert _library().is_file()   # built and loaded, then refused
+        grid = GridSpec(m=3, n_steps=20)
+        values = envelope._csv_probe_values()
+        field = lattice.RateReductionField(grid, np.resize(values, grid.shape))
+        fieldcsv.write_field_csv(tmp_path / "field.csv", field, "max")
+        per_row_field_csv(tmp_path / "ref.csv", field, "max")
+        assert (tmp_path / "field.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_the_csv_probe_covers_the_edge_cases(self):
+        """A writer that spells every cell by fieldcsv._fmt passes the row
+        probe, whose values hold what the formatter spells apart."""
+        def reference_rows(cells, shape):
+            n = len(cells) // 2
+
+            def rows(values, first):
+                for rho, rsum in values:
+                    text = ""
+                    for flat, r, s in zip(itertools.count(first), rho.tolist(), rsum.tolist()):
+                        at = np.unravel_index(flat, shape)
+                        text += "".join([cells[i] for i in at] + [cells[n + i] for i in at])
+                        text += f"{fieldcsv._fmt(r)},{fieldcsv._fmt(s)}\n"
+                    yield np.frombuffer(text.encode(), np.uint8)
+            return rows
+
+        assert envelope._csv_probe_passes(reference_rows)
+        v = envelope._csv_probe_values()
+        bits = set(_bits(v).tolist())
+        assert set(_bits([0.0, -0.0, np.inf, -np.inf]).tolist()) <= bits
+        assert {b >> 63 for b in _bits(v[np.isnan(v)]).tolist()} == {0, 1}
+        finite = np.abs(v[np.isfinite(v)])
+        assert ((0 < finite) & (finite < np.finfo(np.float64).tiny)).any()
+        assert ((0 < finite) & (finite < 1e-4)).any() and (finite >= 1e15).any()
+        for j in range(-4, 16):          # the fixed notation's ends included
+            power = float(f"1e{j}")
+            assert {power, np.nextafter(power, 0.0), np.nextafter(power, np.inf)} <= set(finite)
+        assert 1e14 + 0.125 in finite    # a tie at the 17th digit
 
     def test_the_sweep_probe_covers_reuse_and_transitions(self, per_line_envelope):
         """The numpy path's semantics, written out with the per-line

@@ -2,7 +2,9 @@
 
 The writer's bytes and the reader's checks, messages and memory bounds are
 tested cell by cell in tests/test_cli.py, against the per-row writer and the
-per-cell reader of tests/conftest.py.
+per-cell reader of tests/conftest.py; there the writer runs on the compiled
+row writer wherever the compiled library loads.  Here the compiled and the
+numpy row writers are also compared with each other.
 """
 
 import re
@@ -11,9 +13,9 @@ import numpy as np
 import pytest
 
 import ratered
-from ratered import fieldcsv
+from ratered import envelope, fieldcsv
 from ratered.lattice import RateReductionField
-from ratered.probability import GridSpec
+from ratered.probability import GridSpec, entropy_grid
 
 
 def test_public_pair_is_the_module_pair():
@@ -66,3 +68,49 @@ def test_unusual_labels_round_trip(tmp_path, label):
     assert np.array_equal(loaded.data.view(np.uint64), field.data.view(np.uint64))
     fieldcsv.write_field_csv(tmp_path / "again.csv", loaded, label)
     assert (tmp_path / "again.csv").read_bytes() == (tmp_path / "field.csv").read_bytes()
+
+
+def _awkward_cells(grid, seed):
+    """Random values over 28 decades, fixed and exponent notation, with
+    BOTTOM, +inf, 0.0, -0.0, NaN with and without its sign bit, subnormals
+    and 17-digit ties spread over them and in the first cells."""
+    rng = np.random.default_rng(seed)
+    data = rng.standard_normal(grid.n_points) * 10.0 ** rng.integers(-8, 20, grid.n_points)
+    awkward = np.array([-np.inf, np.inf, 0.0, -0.0, np.nan, -np.nan, 5e-324, -1e-310,
+                        1e14 + 0.125, 1e-4, 1e15, 0.5])
+    data[rng.integers(0, grid.n_points, grid.n_points // 4)] = \
+        rng.choice(awkward, grid.n_points // 4)
+    data[: awkward.size] = awkward
+    return data.reshape(grid.shape)
+
+
+@pytest.mark.parametrize("m,n_steps", [(2, 70), (3, 20), (4, 9)])
+def test_compiled_and_numpy_row_writers_write_the_same_bytes(tmp_path, monkeypatch, compiler,
+                                                             per_row_field_csv, m, n_steps):
+    """Two fields written together, one of them a rotated view as
+    FieldBank.field_for hands out, and a slice: the same bytes from either
+    row writer, and the per-row reference's for the view.  Each grid takes
+    two or more blocks, so blocks start inside axis lines."""
+    assert envelope.kernel_name() == "compiled", f"{compiler} is on PATH"
+    grid = GridSpec(m=m, n_steps=n_steps)
+    data = _awkward_cells(grid, seed=m)
+    rotated = np.moveaxis(_awkward_cells(grid, seed=10 + m), 0, -1)
+    h = entropy_grid(grid)
+    fixed = (slice(None),) * (m - 1) + (n_steps // 3,)
+
+    def write(directory):
+        directory.mkdir()
+        fieldcsv._write_grid_csv([(directory / "field.csv", "1", data),
+                                  (directory / "rotated.csv", "2", rotated)],
+                                 list(range(1, m + 1)), h, grid)
+        fieldcsv._write_grid_csv([(directory / "slice.csv", "max", data[fixed])],
+                                 list(range(1, m)), h[fixed], grid)
+        return {path.name: path.read_bytes() for path in directory.iterdir()}
+
+    assert grid.n_points > fieldcsv._CSV_BLOCK
+    compiled = write(tmp_path / "compiled")
+    monkeypatch.setattr(envelope, "_compiled_kernel", lambda: None)
+    assert write(tmp_path / "numpy") == compiled
+    per_row_field_csv(tmp_path / "ref.csv", RateReductionField(grid, rotated), "2")
+    assert compiled["rotated.csv"] == (tmp_path / "ref.csv").read_bytes()
+    assert b"nan" in compiled["field.csv"] and b"-nan" not in compiled["field.csv"]

@@ -15,6 +15,7 @@ from ratered.errors import ConfigError
 from ratered.oracle import (
     ConditionalSearchSpec,
     _feasible_chunks,
+    _support_constancy,
     compare_with_envelope,
     resolution_slack,
     single_message_reduction,
@@ -260,7 +261,7 @@ class TestAgainstPerPairSearch:
         spec = ConditionalSearchSpec(k=k, search_step=1 / steps, u1_cardinality=parts)
         n_rows = math.comb(steps + parts - 1, parts - 1)
         got, got_feasible, covered, longest = _whole_matrix(
-            _feasible_chunks(pmf, f, spec), n_rows)
+            _feasible_chunks(pmf[k - 1], _support_constancy(f, pmf, k), steps, parts), n_rows)
         want, want_feasible, _, _ = _whole_matrix(
             per_pair_chunks(pmf, f, spec, every_chunk=True), n_rows)
         assert covered.any()
@@ -371,6 +372,26 @@ class TestCompareWithEnvelope:
         for row in report.rows:
             assert row.feasibility_agrees
             assert -1e-9 <= row.gap <= report.slack
+
+    def test_points_that_share_a_search_share_its_result(self, min3, monkeypatch):
+        """One search per p_k and support constancy within a call, and each
+        point's value the same bits as a search of its own."""
+        grid = GridSpec.from_delta(3, 0.1)
+        spec = ConditionalSearchSpec(k=3, search_step=0.1)
+        points = ((2, 3, 5), (4, 7, 5), (2, 3, 5), (0, 0, 5), (5, 5, 4), (0, 0, 5))
+        keys = {(grid.pmf_at(pt)[2], _support_constancy(min3, grid.pmf_at(pt), 3))
+                for pt in points}
+        searches = []
+        chunks = oracle._feasible_chunks
+        monkeypatch.setattr(oracle, "_feasible_chunks",
+                            lambda *args: searches.append(args) or chunks(*args))
+        for _ in range(2):                 # a second call searches again
+            report = compare_with_envelope(grid, min3, points, spec)
+        assert len(keys) == 3 and len(searches) == 2 * len(keys)
+        for pt, row in zip(points, report.rows):
+            oracle._best_pair_sum.cache_clear()
+            alone = single_message_reduction(grid.pmf_at(pt), min3, spec)
+            assert np.float64(alone).tobytes() == np.float64(row.oracle_value).tobytes()
 
     def test_both_bottom_gap_is_zero(self, min3):
         grid = GridSpec.from_delta(3, 0.1)

@@ -140,6 +140,18 @@ def test_entropy_grid_matches_pointwise_bitwise():
         assert dense[index] == product_entropy(pmf)
 
 
+def test_entropy_grid_is_kept_for_the_last_grid_and_read_only():
+    """A run, its field CSVs and a certify of one grid share one array, so
+    no caller may write to it."""
+    dense = entropy_grid(GridSpec.from_delta(3, 0.1))
+    assert entropy_grid(GridSpec(m=3, n_steps=10)) is dense
+    assert not dense.flags.writeable
+    with pytest.raises(ValueError):
+        dense[0, 0, 0] = 1.0
+    other = entropy_grid(GridSpec(m=2, n_steps=10))
+    assert other.shape == (11, 11) and entropy_grid(GridSpec(m=3, n_steps=10)) is not dense
+
+
 def test_grid_points_row_major():
     grid = GridSpec(m=2, n_steps=1)
     indices = [index for index, _ in grid_points(grid)]

@@ -19,9 +19,10 @@ Both kernels below perform its float operations in the same order, and the
 tests compare all three to the last bit, ties and BOTTOM rows included.
 
 The compiled kernel, _envelope.c, is that reference ported to C behind the
-entry point ratered_sweep_node, which does one stored node of one sweep
-(compiled_sweep, which lattice.sweep_once calls): it walks the axis lines
-of a strided source, so a rotated view needs no gather, copies the stored
+entry point ratered_sweep_node, which does one stored node of one sweep;
+compiled_sweep's sweep of a whole bank calls it once per node, on the one
+contract that lattice._numpy_sweep shares.  It walks the axis lines of a
+strided source, so a rotated view needs no gather, copies the stored
 envelope of every line whose bits equal the previous source's, envelopes
 the others, and returns the BOTTOM-aware sup-delta of the lines it
 rewrote.  The same library's second entry point, ratered_csv_rows, writes
@@ -37,8 +38,8 @@ C source, the compiler argv and the platform tag, so a later process only
 loads it; sys.dont_write_bytecode does not govern it, as it is not
 bytecode.  It is compiled under a temporary name and moved into place with
 os.replace, so concurrent processes never load a half-written file.  It is
-adopted only after its fields, delta and count of enveloped lines
-reproduce the numpy path's bits on two sweeps of a fixed probe
+adopted only after its sweep returns the numpy sweep's fields, delta bits
+and count of enveloped lines on two sweeps of a fixed probe
 (_sweep_probe_passes over the cells of _probe_batch), and its rows the
 bytes of "%.17g" on the awkward values of _csv_probe_values
 (_csv_probe_passes).  A cached file is never rebuilt: delete it to force
@@ -48,11 +49,11 @@ sweep and the numpy row writer for its whole life; kernel_name() says
 which kernel runs, and the writer goes with it.
 
 The numpy kernel, envelope_batch, envelopes every row of a batch; the
-numpy sweep makes one call, with the changed lines of every enveloped node
-stacked into one batch.  It runs the monotone chain on all rows of a batch in
-lockstep, one numpy step per column and per round of pops, each round on
-the rows still popping only; then it interpolates the whole batch in one
-vectorised pass, building the chords in place in the output.
+numpy sweep makes one call, with the changed lines of every node of the
+bank stacked into one batch.  It runs the monotone chain on all rows of a
+batch in lockstep, one numpy step per column and per round of pops, each
+round on the rows still popping only; then it interpolates the whole batch
+in one vectorised pass, building the chords in place in the output.
 
 The concavity test lives in one place too: concavity_defects measures every
 second difference of every line of an array at once, and the certifier's
@@ -84,17 +85,19 @@ def envelope_batch(lines: np.ndarray) -> np.ndarray:
 
 
 def compiled_sweep():
-    """The compiled sweep of one stored node, or None where the numpy kernel
-    runs (see the module docstring).
+    """The compiled sweep of a whole bank, or None where the numpy sweep,
+    lattice._numpy_sweep, runs (see the module docstring).  Both are called
+    as sweep(sources, previous, stored) and return (fields, delta,
+    enveloped), on this one contract.
 
-    It is called as sweep(source, previous, stored, axis) and returns
-    (field, delta, enveloped).  source and previous (None for none) are
-    float64 arrays of one shape in any layout; stored, of that shape, is
-    line by line the envelope of previous along axis (0-based).  field is a
-    new C-contiguous array: every axis line of source whose bits equal the
-    same line of previous takes the same line of stored, and every other
-    line gets its envelope.  delta is lattice.sup_delta(field, stored), and
-    enveloped the number of lines that were enveloped."""
+    sources, previous (None for none) and stored hold one float64 array per
+    node, node k (counted from 0) of one shape in each, sources and
+    previous in any layout; stored[k] is line by line the envelope of
+    previous[k] along axis k.  fields holds a new C-contiguous array per
+    node: every axis-k line of sources[k] whose bits equal the same line of
+    previous[k] takes the same line of stored[k], and every other line gets
+    its envelope.  delta is the largest lattice.sup_delta(fields[k],
+    stored[k]), and enveloped the number of lines that were enveloped."""
     kernel = _compiled_kernel()
     return None if kernel is None else kernel[0]
 
@@ -142,24 +145,33 @@ def _compiled_kernel():
     csv.argtypes = (*[ctypes.c_void_p] * 2, *[ctypes.c_ssize_t] * 4, *[ctypes.c_void_p] * 3)
     csv.restype = ctypes.c_ssize_t
 
-    def sweep(source, previous, stored, axis: int):
-        src, src_steps = _in_elements(source)
-        prev, prev_steps = (None, src_steps) if previous is None else _in_elements(previous)
-        old = np.ascontiguousarray(stored, dtype=np.float64)
-        if old.shape != src.shape or prev is not None and prev.shape != src.shape:
-            raise ValueError("source, previous and stored differ in shape")
-        if not 0 <= axis < src.ndim:
-            raise ValueError(f"axis {axis} outside 0..{src.ndim - 1}")
-        out = np.empty(src.shape)
-        dims = (ctypes.c_ssize_t * (3 * src.ndim))(*src.shape, *src_steps, *prev_steps)
-        delta, enveloped = ctypes.c_double(), ctypes.c_ssize_t()
-        at = ctypes.addressof(dims)
-        step = src.ndim * ctypes.sizeof(ctypes.c_ssize_t)
-        if node(src.ctypes.data, None if prev is None else prev.ctypes.data, old.ctypes.data,
-                out.ctypes.data, at, at + step, at + 2 * step, src.ndim, axis,
-                ctypes.byref(delta), ctypes.byref(enveloped)):
-            raise MemoryError("the envelope kernel could not allocate its hull stack")
-        return out, delta.value, enveloped.value
+    def sweep(sources, previous, stored):
+        if previous is None:
+            previous = [None] * len(sources)
+        if not len(sources) == len(previous) == len(stored):
+            raise ValueError("sources, previous and stored differ in length")
+        fields, delta, enveloped = [], 0.0, 0
+        for axis, (source, before, old) in enumerate(zip(sources, previous, stored)):
+            src, src_steps = _in_elements(source)
+            prev, prev_steps = (None, src_steps) if before is None else _in_elements(before)
+            old = np.ascontiguousarray(old, dtype=np.float64)
+            if old.shape != src.shape or prev is not None and prev.shape != src.shape:
+                raise ValueError("source, previous and stored differ in shape")
+            if axis >= src.ndim:
+                raise ValueError(f"{len(sources)} nodes sweep fields of {src.ndim} axes")
+            out = np.empty(src.shape)
+            dims = (ctypes.c_ssize_t * (3 * src.ndim))(*src.shape, *src_steps, *prev_steps)
+            node_delta, lines = ctypes.c_double(), ctypes.c_ssize_t()
+            at = ctypes.addressof(dims)
+            step = src.ndim * ctypes.sizeof(ctypes.c_ssize_t)
+            if node(src.ctypes.data, None if prev is None else prev.ctypes.data,
+                    old.ctypes.data, out.ctypes.data, at, at + step, at + 2 * step, src.ndim,
+                    axis, ctypes.byref(node_delta), ctypes.byref(lines)):
+                raise MemoryError("the envelope kernel could not allocate its hull stack")
+            fields.append(out)
+            delta = max(delta, node_delta.value)
+            enveloped += lines.value
+        return tuple(fields), delta, enveloped
 
     def csv_rows(cells, shape):
         n, m = len(cells) // 2, len(shape)
@@ -261,20 +273,23 @@ def _probe_batch() -> np.ndarray:
 
 
 def _sweep_probe_passes(sweep) -> bool:
-    """Whether sweep, the compiled sweep of one node, reproduces the numpy
-    path bit for bit: its field is the numpy kernel's envelope of every
-    line, and its delta lattice.sup_delta of that field against stored.
+    """Whether sweep, the compiled sweep, gives the fields, the delta bits
+    and the count of enveloped lines of the numpy sweep on the same inputs
+    (lattice._numpy_sweep).
 
-    The probe batch's cells, as a (4, 13, 13) field, are swept twice along
-    every axis of a rotated view of them, so every probe row is one of the
-    lines enveloped.  The first sweep has no previous source and a stored
-    field 0.25 off its result, so every delta is finite.  The second reads
-    a C-contiguous copy in which three cells changed: one in the last ulp,
-    one from 0.0 to -0.0, and one BOTTOM cell of an all-BOTTOM line turned
-    finite, whose delta is +inf.  Every other line is unchanged and takes
-    the first sweep's result, so the sweep must also report exactly the
-    lines whose bits changed as enveloped."""
-    from .lattice import sup_delta
+    The probe batch's cells, as a (4, 13, 13) field, are read in a rotated
+    view, which is swept twice.  Each sweep is two calls of three nodes,
+    node k reading the view with its axis axes[k] moved to axis k: the
+    13-cell axes, axes = (0, 1, 1), and the 4-cell one, axes = (2, 2, 2).
+    So every probe row is one of the lines enveloped, the nodes of one call
+    have lines of one length (the numpy sweep's one batch needs that), and
+    the compiled sweep walks axes 0, 1 and 2.  The first sweep has no
+    previous source and a stored field 0.25 off the compiled result, so
+    every delta is finite.  The second reads a C-contiguous copy in which
+    three cells changed: one in the last ulp, one from 0.0 to -0.0, and one
+    BOTTOM cell of an all-BOTTOM line turned finite, whose delta is +inf.
+    Every other line is unchanged and takes the first sweep's result."""
+    from .lattice import _numpy_sweep
 
     first = _probe_batch().reshape(4, 13, 13)
     second = first.copy()
@@ -282,27 +297,18 @@ def _sweep_probe_passes(sweep) -> bool:
     second[2, 2, 1] = -0.0                      # probe row 28: 0.0 at odd columns
     second[1, 3, 6] = 0.75                      # probe row 16: all BOTTOM
     views = (first.transpose(1, 2, 0), np.ascontiguousarray(second.transpose(1, 2, 0)))
-    for axis in range(3):
-        moved = [np.moveaxis(view, axis, -1) for view in views]
-        # the lines of both sweeps in one batch
-        rows = np.concatenate([lines.reshape(-1, lines.shape[-1]) for lines in moved])
-        wants = [np.moveaxis(out.reshape(lines.shape), -1, axis)
-                 for out, lines in zip(np.split(_envelope_rows(rows), 2), moved)]
-        stored = None
-        for source, previous, want in zip(views, (None, views[0]), wants):
-            if stored is None:
-                with np.errstate(invalid="ignore"):
-                    stored = np.ascontiguousarray(want + 0.25)
-            changed = (source.size // source.shape[axis] if previous is None else
-                       np.count_nonzero(np.any(source.view(np.uint64)
-                                               != previous.view(np.uint64), axis=axis)))
-            got, delta, enveloped = sweep(source, previous, stored, axis)
-            want_delta = sup_delta(want, stored)
-            if not (np.array_equal(got.view(np.uint64), want.view(np.uint64))
-                    and np.float64(delta).tobytes() == np.float64(want_delta).tobytes()
-                    and enveloped == changed):
+    for axes in ((0, 1, 1), (2, 2, 2)):
+        before, after = ([np.moveaxis(v, a, k) for k, a in enumerate(axes)] for v in views)
+        stored = [f + 0.25 for f in sweep(before, None, before)[0]]
+        for sources, previous in ((before, None), (after, before)):
+            want = _numpy_sweep(sources, previous, stored)
+            fields, delta, enveloped = sweep(sources, previous, stored)
+            if not (all(np.array_equal(got.view(np.uint64), data.view(np.uint64))
+                        for got, data in zip(fields, want[0]))
+                    and np.float64(delta).tobytes() == np.float64(want[1]).tobytes()
+                    and enveloped == want[2]):
                 return False
-            stored = want
+            stored = want[0]
     return True
 
 

@@ -17,12 +17,12 @@ rotated view of a stored field and never materialised.
 Near the fixed point most lines stop moving.  Each bank records the fields
 its sweep read, and the next sweep envelopes only the lines whose input
 bits changed since; every other line keeps its stored envelope, which is
-bit-identical to enveloping it again (see sweep_once).  Where the compiled
-kernel is loaded, a sweep is one compiled_sweep call per stored node, which
-also returns the sweep's sup-delta, so the banks are never compared a
-second time; elsewhere the changed lines go to envelope_batch in one batch
-and bank_sup_delta takes the delta.  Either way the new bank carries its
-delta, and both paths give the same bits.
+bit-identical to enveloping it again (see sweep_once).  A sweep is one
+call of the running kernel's sweep on the whole bank, which also returns
+the sweep's sup-delta, so the banks are never compared a second time: one C
+call per stored node on the compiled kernel, the changed lines of every
+node in one envelope_batch batch on the numpy kernel (_numpy_sweep).  The
+new bank carries its delta, and both kernels give the same bits.
 
 BOTTOM (-inf) marks pmfs where computation is infeasible with the messages
 granted so far; entries switch from BOTTOM to finite as mixtures fill in,
@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -78,9 +78,8 @@ class FieldBank:
     envelopes every line.
 
     delta, set only by sweep_once, is bank_sup_delta(this bank, the bank it
-    was swept from): on the compiled kernel computed in the same pass as
-    the fields, on the numpy path by bank_sup_delta itself.  sweeps reads
-    it.
+    was swept from), returned by the same sweep call as the fields on
+    either kernel.  sweeps reads it.
     """
 
     fields: tuple[RateReductionField, ...]
@@ -209,46 +208,6 @@ def initial_bank(grid: GridSpec, f: FunctionTable) -> FieldBank:
     return FieldBank(fields=(base,) * rotation_period(base.data), tau=0)
 
 
-def convexify_axes(pairs: list, known: tuple | None = None) -> tuple[RateReductionField, ...]:
-    """For every (field, k) pair, the field with every 1D line along axis k
-    replaced by its upper concave envelope, in at most one envelope_batch
-    call.
-
-    known, if given, holds one (source, envelope) pair of fields per pair,
-    envelope being source with its axis-k lines enveloped (a bank's sources
-    and fields).  A line of field whose bits equal the same line of source
-    takes that line of envelope and never reaches the kernel; there is no
-    call when no line differs.
-
-    The fields share one grid.  The lines that do go to the kernel are
-    gathered pair after pair, with axis k moved last, and the envelopes are
-    scattered back the same way.  The kernel envelopes each row on its own,
-    so every pair gets the same floats as when it is enveloped alone.
-    """
-    moved, changed = [], []
-    for p, (field_in, k) in enumerate(pairs):
-        if not 1 <= k <= field_in.grid.m:
-            raise ValueError(f"axis {k} outside 1..{field_in.grid.m}")
-        moved.append(np.moveaxis(field_in.data, k - 1, -1))
-        if known is None:
-            changed.append(np.ones(moved[-1].shape[:-1], dtype=bool))
-        else:
-            source = known[p][0].data
-            changed.append(np.any(
-                field_in.data.view(np.uint64) != source.view(np.uint64), axis=k - 1))
-    batch = np.concatenate([lines[rows] for lines, rows in zip(moved, changed)])
-    if len(batch):
-        batch = envelope_batch(batch)
-    out, start = [], 0
-    for p, ((field_in, k), rows) in enumerate(zip(pairs, changed)):
-        data = np.empty(field_in.data.shape) if known is None else known[p][1].data.copy()
-        stop = start + int(np.count_nonzero(rows))
-        np.moveaxis(data, k - 1, -1)[rows] = batch[start:stop]
-        start = stop
-        out.append(RateReductionField(field_in.grid, data))
-    return tuple(out)
-
-
 def rotate_axes(data: np.ndarray, times: int) -> np.ndarray:
     """R^times(data) as a view, where R(x) = np.moveaxis(x, -1, 0) moves
     every axis j to axis j+1 (mod m)."""
@@ -295,32 +254,52 @@ def sweep_once(bank: FieldBank) -> FieldBank:
     equal rows get equal envelopes.  A bank without sources (initial_bank's,
     or a hand-built one) envelopes every line.
 
-    Where the compiled kernel is loaded, each stored node is one call of
-    compiled_sweep, which walks node k's input by strides (a rotated view
-    needs no gather), reuses or envelopes each line, and returns the
-    BOTTOM-aware sup-delta of the new field against the stored one.  It
-    measures only the lines it enveloped: a reused line equals the stored
-    field's line bit for bit, so it adds 0, and max is exact, so the max
-    over the stored nodes is bank_sup_delta(new bank, bank) bit for bit.
-    The new bank carries it as delta.  Elsewhere the changed lines of every
-    stored node go to envelope_batch as one batch (convexify_axes), there
-    is no call when no line changed, and bank_sup_delta takes the delta.
+    The whole bank is one call of the sweep of the kernel that runs,
+    compiled_sweep's or _numpy_sweep, on one contract (compiled_sweep's
+    docstring).  It returns the new fields and the BOTTOM-aware sup-delta
+    of each against the stored one, maxed over the stored nodes.  A reused
+    line equals the stored field's line bit for bit, so it adds 0, and max
+    is exact, so that delta is bank_sup_delta(new bank, bank) bit for bit.
+    The new bank carries it as delta.
     """
     m = bank.m
     sources = tuple(bank.field_for(k % m + 1) for k in range(1, bank.period + 1))
-    sweep = compiled_sweep()
-    if sweep is None:
-        known = None if bank.sources is None else tuple(zip(bank.sources, bank.fields))
-        fields = convexify_axes([(s, k) for k, s in enumerate(sources, 1)], known)
-        new = FieldBank(fields=fields, tau=bank.tau + 1, sources=sources)
-        return replace(new, delta=bank_sup_delta(new, bank))
-    fields, delta = [], 0.0
-    for k, (source, stored) in enumerate(zip(sources, bank.fields)):
-        previous = None if bank.sources is None else bank.sources[k].data
-        data, node_delta, _ = sweep(source.data, previous, stored.data, k)
-        fields.append(RateReductionField(bank.grid, data))
-        delta = max(delta, node_delta)
-    return FieldBank(fields=tuple(fields), tau=bank.tau + 1, sources=sources, delta=delta)
+    previous = None if bank.sources is None else [s.data for s in bank.sources]
+    fields, delta, _ = (compiled_sweep() or _numpy_sweep)(
+        [s.data for s in sources], previous, [f.data for f in bank.fields])
+    return FieldBank(fields=tuple(RateReductionField(bank.grid, data) for data in fields),
+                     tau=bank.tau + 1, sources=sources, delta=delta)
+
+
+def _numpy_sweep(sources, previous, stored) -> tuple[tuple, float, int]:
+    """The sweep of a whole bank on the numpy kernel, on compiled_sweep's
+    contract.
+
+    The lines that go to the kernel, those whose bits differ from the same
+    line of previous (all of them where previous is None), are gathered
+    node after node, with node k's axis k moved last, into one
+    envelope_batch call, so every node's lines must have one length; there
+    is no call when no line differs.  The envelopes are scattered back the
+    same way into a copy of stored.  The kernel envelopes each row on its
+    own, so every node gets the same floats as when it is enveloped alone.
+    """
+    moved = [np.moveaxis(source, k, -1) for k, source in enumerate(sources)]
+    if previous is None:
+        changed = [np.ones(lines.shape[:-1], dtype=bool) for lines in moved]
+    else:
+        changed = [np.any(source.view(np.uint64) != before.view(np.uint64), axis=k)
+                   for k, (source, before) in enumerate(zip(sources, previous))]
+    batch = np.concatenate([lines[rows] for lines, rows in zip(moved, changed)])
+    if len(batch):
+        batch = envelope_batch(batch)
+    fields, start = [], 0
+    for k, (old, rows) in enumerate(zip(stored, changed)):
+        data = np.empty(old.shape) if previous is None else old.copy()
+        stop = start + int(np.count_nonzero(rows))
+        np.moveaxis(data, k, -1)[rows] = batch[start:stop]
+        start = stop
+        fields.append(data)
+    return tuple(fields), max(map(sup_delta, fields, stored)), start
 
 
 def gap(a, b) -> np.ndarray:
@@ -337,9 +316,10 @@ def gap(a, b) -> np.ndarray:
 
 
 def sup_delta(new: np.ndarray, old: np.ndarray) -> float:
-    """Sup-norm distance with BOTTOM conventions (see gap)."""
+    """Sup-norm distance with BOTTOM conventions (see gap); 0 for empty
+    arrays, as the compiled sweep's."""
     d = gap(new, old)
-    return float(np.max(np.abs(d, out=d)))
+    return float(np.max(np.abs(d, out=d), initial=0.0))
 
 
 def bank_sup_delta(new: FieldBank, old: FieldBank) -> float:

@@ -36,12 +36,11 @@ import pytest
 from ratered import envelope
 from ratered.certify import MembershipReport
 from ratered.fieldcsv import _CSV_BLOCK, _fmt
-from ratered.envelope import BOTTOM
+from ratered.envelope import BOTTOM, envelope_batch
 from ratered.errors import ConfigError, read_text
 from ratered.lattice import (
     FieldBank,
     RateReductionField,
-    convexify_axes,
     run,
     sum_rate_field,
     sweeps,
@@ -204,14 +203,16 @@ def per_line_envelope():
 
 @pytest.fixture(scope="session")
 def per_node_sweep():
-    """sweep_once's reference: every node's field enveloped from the previous
-    bank, with no use of the rotation period."""
+    """sweep_once's reference: every line of every node's field enveloped
+    from the previous bank, one envelope_batch call per node, with no use
+    of the rotation period and no line reused."""
     def sweep(bank):
-        m = bank.m
-        fields = tuple(
-            convexify_axes([(bank.field_for(k % m + 1), k)])[0] for k in range(1, m + 1)
-        )
-        return FieldBank(fields=fields, tau=bank.tau + 1)
+        m, fields = bank.m, []
+        for k in range(1, m + 1):
+            lines = np.moveaxis(bank.field_for(k % m + 1).data, k - 1, -1)
+            out = envelope_batch(lines.reshape(-1, lines.shape[-1])).reshape(lines.shape)
+            fields.append(RateReductionField(bank.grid, np.moveaxis(out, -1, k - 1)))
+        return FieldBank(fields=tuple(fields), tau=bank.tau + 1)
     return sweep
 
 

@@ -3,9 +3,8 @@
 The heavyweight randomized property suite (1000 profiles, five properties)
 lives in test_acceptance; this file keeps small targeted cases plus short
 random loops for day-to-day debugging.  Tests taking the kernel fixture (or
-envelope_rows, which picks it) run once on the compiled kernel, through the
-compiled sweep, and once on the numpy one, and compare both with the scalar
-reference bit for bit.
+envelope_rows, which picks it) run once on each kernel, through the sweep
+lattice calls, and compare both with the scalar reference bit for bit.
 """
 
 import itertools
@@ -146,16 +145,14 @@ class TestProperties:
 
 @pytest.fixture
 def envelope_rows(kernel):
-    """The rows of a 2D batch enveloped on the kernel under test: by
-    envelope_batch on the numpy kernel, and on the compiled one by the
-    compiled sweep of the batch along axis 1 with no previous source, which
-    envelopes every row."""
-    if kernel == "numpy":
-        return envelope_batch
-    sweep = envelope.compiled_sweep()
+    """The rows of a 2D batch enveloped by the sweep lattice calls on the
+    kernel under test: a one-node sweep of the batch's transpose, whose
+    axis-0 lines are the rows, with no previous source, so every row is
+    enveloped.  The stored field is 0, so the delta overflows nowhere."""
+    sweep = lattice.compiled_sweep() or lattice._numpy_sweep
 
     def rows(lines):
-        return sweep(lines, None, lines, 1)[0]
+        return sweep([lines.T], None, [np.zeros(lines.T.shape)])[0][0].T
     return rows
 
 
@@ -433,6 +430,8 @@ class TestKernels:
         monkeypatch.setattr(lattice, "compiled_sweep", lambda: None)   # the batched path
         table = builtin_table("min", 3)
         lattice.run(GridSpec.from_delta(3, 0.1), table, t_max=12, eps=1e-300)
+        # the numpy sweep under test calls envelope_batch too
+        monkeypatch.setattr(lattice, "envelope_batch", kernel_batch)
         assert batches
         for lines in batches:
             assert np.array_equal(_bits(envelope_rows(lines)), _bits(per_line_envelope(lines)))
@@ -605,28 +604,35 @@ class TestLoader:
         assert 1e14 + 0.125 in finite    # a tie at the 17th digit
 
     def test_the_sweep_probe_covers_reuse_and_transitions(self, per_line_envelope):
-        """The numpy path's semantics, written out with the per-line
-        reference, pass the sweep probe; and the probe reads rotated views,
-        has sweeps with and without a previous source, reuses some lines,
-        and sees finite and infinite deltas."""
-        calls = []
+        """The sweep contract, written out node by node with the per-line
+        reference, passes the sweep probe; and the probe reads rotated
+        views, sweeps axes 0, 1 and 2, has sweeps with and without a
+        previous source, reuses some lines, and sees finite and infinite
+        deltas."""
+        calls, deltas = [], []
 
-        def reference_sweep(source, previous, stored, axis):
-            moved = np.moveaxis(source, axis, -1)
-            changed = (np.ones(moved.shape[:-1], dtype=bool) if previous is None else
-                       np.any(_bits(moved) != _bits(np.moveaxis(previous, axis, -1)), axis=-1))
-            out = np.array(stored, dtype=np.float64)
-            np.moveaxis(out, axis, -1)[changed] = per_line_envelope(moved[changed])
-            delta = lattice.sup_delta(out, stored)
-            calls.append((source.flags.c_contiguous, previous is None,
-                          int(np.count_nonzero(changed)), changed.size, delta))
-            return out, delta, int(np.count_nonzero(changed))
+        def reference_sweep(sources, previous, stored):
+            fields, delta, enveloped = [], 0.0, 0
+            for k, (source, old) in enumerate(zip(sources, stored)):
+                moved = np.moveaxis(source, k, -1)
+                changed = (np.ones(moved.shape[:-1], dtype=bool) if previous is None else
+                           np.any(_bits(moved) != _bits(np.moveaxis(previous[k], k, -1)),
+                                  axis=-1))
+                out = np.array(old, dtype=np.float64)
+                np.moveaxis(out, k, -1)[changed] = per_line_envelope(moved[changed])
+                fields.append(out)
+                delta = max(delta, lattice.sup_delta(out, old))
+                enveloped += int(np.count_nonzero(changed))
+                calls.append((k, source.flags.c_contiguous, previous is None,
+                              int(np.count_nonzero(changed)), changed.size))
+            deltas.append(delta)
+            return tuple(fields), delta, enveloped
 
         assert envelope._sweep_probe_passes(reference_sweep)
-        assert any(not contiguous for contiguous, *_ in calls)
-        assert {first for _, first, *_ in calls} == {True, False}
-        assert any(0 < n < size for _, first, n, size, _ in calls if not first)
-        deltas = [d for *_, d in calls]
+        assert {k for k, *_ in calls} == {0, 1, 2}
+        assert any(not contiguous for _, contiguous, *_ in calls)
+        assert {first for _, _, first, *_ in calls} == {True, False}
+        assert any(0 < n < size for *_, first, n, size in calls if not first)
         assert math.inf in deltas and any(0.0 < d < math.inf for d in deltas)
 
     def test_the_probe_batch_covers_the_edge_cases(self, per_line_envelope):
@@ -649,6 +655,46 @@ class TestLoader:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True, timeout=60)
         assert out.stdout.split() == ["0", "False", "False"]
+
+
+class TestCompiledRefusals:
+    """The compiled wrappers check every size before a raw pointer reaches
+    C, and refuse what does not fit with ValueError."""
+
+    @pytest.fixture
+    def compiled(self, compiler):
+        assert envelope.kernel_name() == "compiled"
+
+    def test_sweep_refuses_mismatched_shapes(self, compiled):
+        sweep, a, b = envelope.compiled_sweep(), np.zeros((3, 4)), np.zeros((4, 3))
+        for args in (([a], None, [b]), ([a], [b], [a]), ([a], [a.T], [a])):
+            with pytest.raises(ValueError, match="differ in shape"):
+                sweep(*args)
+        for args in (([a, a], None, [a]), ([a], [a, a], [a]), ([a], None, [])):
+            with pytest.raises(ValueError, match="differ in length"):
+                sweep(*args)
+
+    def test_sweep_refuses_more_nodes_than_axes(self, compiled):
+        sweep, a = envelope.compiled_sweep(), np.zeros((3, 3))
+        with pytest.raises(ValueError, match="3 nodes sweep fields of 2 axes"):
+            sweep([a] * 3, None, [a] * 3)
+        assert sweep([a] * 2, None, [a] * 2)[2] == 6     # one node per axis fits
+
+    def test_csv_rows_refuses_cells_that_do_not_fit_the_shape(self, compiled):
+        csv_rows, cells = envelope.compiled_csv_rows(), ["0,", "1,", "0,", "1,"]
+        for cells, shape in ((cells[:3], (2, 2)), (cells, (2, 3)), (cells, (3, 3))):
+            with pytest.raises(ValueError, match="do not fit fields of shape"):
+                csv_rows(cells, shape)
+
+    def test_csv_rows_refuses_values_or_first_out_of_range(self, compiled):
+        rows = envelope.compiled_csv_rows()(["0,", "1,", "0,", "1,"], (2, 2))
+        assert next(rows(np.zeros((1, 2, 4)), 0)).tobytes().count(b"\n") == 4
+        assert next(rows(np.zeros((1, 2, 0)), 4)).size == 0
+        for values, first in ((np.zeros((1, 3, 4)), 0), (np.zeros((1, 1, 4)), 0),
+                              (np.zeros((1, 2, 5)), 0), (np.zeros((1, 2, 2)), 3),
+                              (np.zeros((1, 2, 1)), -1)):
+            with pytest.raises(ValueError, match="do not fit fields of shape"):
+                next(rows(values, first))
 
 
 class TestConcavityChecks:

@@ -15,7 +15,6 @@ from ratered.lattice import (
     FieldBank,
     RateReductionField,
     bank_sup_delta,
-    convexify_axes,
     cross_k_gap,
     gap,
     initial_bank,
@@ -87,29 +86,24 @@ class TestSweepMechanics:
     def test_axis_convexify_matches_kernel_line_by_line(self, min3):
         grid = GridSpec.from_delta(3, 0.2)
         field = initial_field(grid, min3)
-        (out,) = convexify_axes([(field, 2)])
+        # node 1, counted from 0, envelopes the lines along axis 1
+        sweep = lattice.compiled_sweep() or lattice._numpy_sweep
+        out = sweep([field.data] * 2, None, [field.data] * 2)[0][1]
         for i1 in range(grid.points_per_axis):
             for i3 in range(grid.points_per_axis):
                 line = field.data[i1, :, i3]
-                assert np.array_equal(out.data[i1, :, i3],
+                assert np.array_equal(out[i1, :, i3],
                                       upper_concave_envelope(line))
 
-    def test_axis_out_of_range(self, min3):
-        field = initial_field(GridSpec.from_delta(3, 0.5), min3)
-        with pytest.raises(ValueError):
-            convexify_axes([(field, 0)])
-        with pytest.raises(ValueError):
-            convexify_axes([(field, 4)])
-
-    def test_sweep_reads_previous_snapshot(self, min3):
+    def test_sweep_reads_previous_snapshot(self, min3, per_node_sweep):
         """Every new field must come from the pre-sweep bank (synchronous
         update), not from fields already replaced during the sweep."""
         grid = GridSpec.from_delta(3, 0.25)
         bank = sweep_once(initial_bank(grid, min3))       # make fields differ
         new = sweep_once(bank)
+        expected = per_node_sweep(bank)
         for k in (1, 2, 3):
-            (expected,) = convexify_axes([(bank.field_for(k % 3 + 1), k)])
-            assert np.array_equal(new.field_for(k).data, expected.data)
+            assert np.array_equal(new.field_for(k).data, expected.field_for(k).data)
         assert new.tau == bank.tau + 1
 
     def test_symmetric_function_rotation_equivariance(self, min3):
@@ -293,14 +287,13 @@ class TestLockstepKernel:
     ], ids=["selector-m4", "period2-m4"])
     def test_one_kernel_call_per_sweep(self, f, delta, chains, monkeypatch):
         """Sweep 1 envelopes every line; each later sweep envelopes only the
-        lines whose input bits changed since the sweep before.  The numpy
-        path sends them in one call and makes none when no line changed;
-        the compiled path makes one call per stored node, which reports the
-        lines it enveloped."""
+        lines whose input bits changed since the sweep before, in one call
+        of the kernel's sweep.  The numpy sweep sends them to envelope_batch
+        in one batch, and makes no call when no line changed."""
         grid = GridSpec.from_delta(f.m, delta)
         length = grid.points_per_axis
-        for path in _sweep_paths(monkeypatch):
-            sent = _spy_kernel(monkeypatch)
+        for _ in _sweep_paths(monkeypatch):
+            sent, batches = _spy_kernel(monkeypatch), _spy_batches(monkeypatch)
             banks = [bank for bank, _ in sweeps(grid, f, 6, 1e-300)]
             assert banks[-1].period == chains
             assert banks[-1].tau == 6
@@ -308,21 +301,17 @@ class TestLockstepKernel:
                 _changed_lines(prev, bank, chains)
                 for prev, bank in zip(banks, banks[1:-1])
             ]
-            if path == "numpy":
-                assert sent == [(n, length) for n in want if n]
-            else:
-                lines = [n for n, _ in sent]
-                assert [sum(lines[t:t + chains]) for t in range(0, len(lines), chains)] == want
+            assert sent == want
             assert sum(want[1:]) < 5 * want[0]          # the reuse engages
+        assert batches == [(n, length) for n in want if n]   # the numpy sweep ran last
 
 
 def _sweep_paths(monkeypatch):
-    """The sweep paths this process can run: the compiled one where its
-    kernel loaded, then the numpy one (envelope_batch), forced."""
-    if lattice.compiled_sweep() is not None:
-        yield "compiled"
+    """Runs the caller's loop body twice: on the sweep lattice picks in this
+    process, then on the numpy sweep, forced."""
+    yield
     monkeypatch.setattr(lattice, "compiled_sweep", lambda: None)
-    yield "numpy"
+    yield
 
 
 def _per_line_numpy_path(monkeypatch, per_line_envelope):
@@ -333,26 +322,31 @@ def _per_line_numpy_path(monkeypatch, per_line_envelope):
 
 
 def _spy_kernel(monkeypatch):
-    """Record what lattice hands the envelope kernel: the shape of every
-    envelope_batch batch (numpy path), or the (lines enveloped, delta) of
-    every compiled_sweep call (compiled path)."""
+    """Record the number of lines that every call of the sweep lattice
+    calls reports enveloped."""
     sent = []
+    sweep = lattice.compiled_sweep() or lattice._numpy_sweep
+
+    def counting(*args):
+        fields, delta, enveloped = sweep(*args)
+        sent.append(enveloped)
+        return fields, delta, enveloped
+
+    monkeypatch.setattr(lattice, "compiled_sweep", lambda: counting)
+    return sent
+
+
+def _spy_batches(monkeypatch):
+    """Record the shape of every batch lattice hands envelope_batch."""
+    batches = []
     kernel = lattice.envelope_batch
 
     def counting(lines):
-        sent.append(lines.shape)
+        batches.append(lines.shape)
         return kernel(lines)
 
     monkeypatch.setattr(lattice, "envelope_batch", counting)
-    sweep = lattice.compiled_sweep()
-    if sweep is not None:
-        def counting_sweep(*args):
-            field, delta, enveloped = sweep(*args)
-            sent.append((enveloped, delta))
-            return field, delta, enveloped
-
-        monkeypatch.setattr(lattice, "compiled_sweep", lambda: counting_sweep)
-    return sent
+    return batches
 
 
 def _changed_lines(prev, bank, chains):
@@ -442,15 +436,11 @@ class TestUnchangedLineReuse:
         grid = GridSpec.from_delta(f.m, 0.25)
         bank = initial_bank(grid, f)
         assert bank.sources is None
-        per_node = grid.points_per_axis ** (f.m - 1)
-        for path in _sweep_paths(monkeypatch):
-            # in one batch on the numpy path, one call per stored node on
-            # the compiled one
-            want = ([(bank.period * per_node, grid.points_per_axis)] if path == "numpy"
-                    else [per_node] * bank.period)
+        want = [bank.period * grid.points_per_axis ** (f.m - 1)]
+        for _ in _sweep_paths(monkeypatch):
             sent = _spy_kernel(monkeypatch)
             new = sweep_once(bank)
-            assert [s if path == "numpy" else s[0] for s in sent] == want
+            assert sent == want
             for k, source in enumerate(new.sources, 1):
                 stored = bank.field_for(k % f.m + 1)
                 assert np.shares_memory(source.data, stored.data)
@@ -459,18 +449,18 @@ class TestUnchangedLineReuse:
             sent.clear()
             compare_with_envelope(grid, f, ((2,) * f.m,),
                                   ConditionalSearchSpec(k=1, search_step=0.25))
-            assert [s if path == "numpy" else s[0] for s in sent] == want
+            assert sent == want
 
     def test_no_kernel_call_when_no_line_changed(self, monkeypatch):
         # the entropy is concave along every axis, so the first sweep
         # returns the constant function's field unchanged
         bank = sweep_once(initial_bank(GridSpec.from_delta(3, 0.25),
                                        builtin_table("constant", 3)))
-        for path in _sweep_paths(monkeypatch):
-            sent = _spy_kernel(monkeypatch)
+        for _ in _sweep_paths(monkeypatch):
+            sent, batches = _spy_kernel(monkeypatch), _spy_batches(monkeypatch)
             again = sweep_once(bank)
-            # no line enveloped, and a delta of exactly 0
-            assert sent == ([] if path == "numpy" else [(0, 0.0)] * bank.period)
+            # no line enveloped, no envelope_batch call, and a delta of exactly 0
+            assert (sent, batches) == ([0], [])
             assert _bits(np.array(again.delta)) == _bits(np.array(0.0))
             for new, old in zip(again.fields, bank.fields):
                 assert np.array_equal(_bits(new.data), _bits(old.data))

@@ -1,5 +1,5 @@
 /* The compiled half of ratered: one stored node of one sweep, and the rows
-   of a field CSV.
+   of a field CSV, written and read back.
 
    envelope_line is a port of the scalar reference _envelope_line in
    tests/conftest.py: Andrew's monotone chain over the non-BOTTOM cells
@@ -13,11 +13,14 @@
    ratered_csv_rows writes one block of one field CSV: it walks the
    row-major index of the block's rows, copies each row's index and
    grid-value cells from a table, and spells rho and Rsum by format_g17,
-   byte for byte Python's "%.17g" % x.
+   byte for byte Python's "%.17g" % x.  ratered_csv_read reads such rows
+   back: it walks the same index, compares each row's index and grid-value
+   cells with the table, and reads rho and Rsum by strtod, taking a row only
+   if format_g17 spells its values with its exact bytes.
 
    ratered.envelope compiles it with -ffp-contract=off, so no product is
-   fused into a sum, and adopts it only after both entry points reproduce
-   the numpy path's bytes on a probe. */
+   fused into a sum, and adopts it only after each of its three entry
+   points passes its probe there. */
 
 #include <math.h>
 #include <stddef.h>
@@ -334,4 +337,71 @@ ptrdiff_t ratered_csv_rows(const double *rho, const double *rsum, ptrdiff_t rows
     }
     free(index);
     return p - out;
+}
+
+/* Whether the len bytes at text are exactly format_g17's spelling of the
+   value strtod reads from them; that value goes to *x.  The cell is copied
+   and terminated first, so strtod reads nothing past it.  strtod's
+   leniencies (leading spaces, hex floats, "5e-1", the locale's decimal
+   point) only ever make a cell that is not the spelling, so they never
+   decide a value. */
+static int canonical_cell(const char *text, ptrdiff_t len, double *x)
+{
+    char cell[32], spelled[32], *end;
+    if (len < 1 || len > 24)
+        return 0;
+    memcpy(cell, text, (size_t)len);
+    cell[len] = '\0';
+    *x = strtod(cell, &end);
+    return end == cell + len && format_g17(*x, spelled) == len
+        && memcmp(spelled, text, (size_t)len) == 0;
+}
+
+/* Reads back the rows ratered_csv_rows writes, from the size bytes at text:
+   the rows of flat indices first, first + 1, ... of an m-axis field with n
+   points on every axis, with cells and starts as ratered_csv_rows takes
+   them.  It stops after rows rows or at the first line that text does not
+   hold whole (its "\n" missing).  A row is read only if it is byte for
+   byte what ratered_csv_rows writes for the values read: its 2m cells from
+   the table and rho and Rsum in format_g17's spelling; rho[r] and rsum[r]
+   receive row r's values.  Returns the number of rows read, with *used the
+   bytes they take; -1 if a whole line is not such a row; -2 if the index
+   cannot be allocated. */
+ptrdiff_t ratered_csv_read(const char *text, ptrdiff_t size, ptrdiff_t first, ptrdiff_t rows,
+                           ptrdiff_t m, ptrdiff_t n, const char *cells, const ptrdiff_t *starts,
+                           double *rho, double *rsum, ptrdiff_t *used)
+{
+    ptrdiff_t *index = malloc((size_t)(m > 0 ? m : 1) * sizeof *index);
+    if (index == NULL)
+        return -2;
+    for (ptrdiff_t j = m - 1, rest = first; j >= 0; j--) {
+        index[j] = rest % n;
+        rest /= n;
+    }
+    const char *p = text, *end = text + size;
+    ptrdiff_t r = 0;
+    for (; r < rows; r++) {
+        const char *nl = memchr(p, '\n', (size_t)(end - p));
+        if (nl == NULL)
+            break;
+        for (ptrdiff_t j = 0; j < 2 * m; j++) {             /* the "i," cells, then "p_i," */
+            ptrdiff_t c = j < m ? index[j] : n + index[j - m], len = starts[c + 1] - starts[c];
+            if (nl - p < len || memcmp(p, cells + starts[c], (size_t)len) != 0)
+                goto not_canonical;
+            p += len;
+        }
+        const char *comma = memchr(p, ',', (size_t)(nl - p));
+        if (comma == NULL || !canonical_cell(p, comma - p, rho + r)
+            || !canonical_cell(comma + 1, nl - comma - 1, rsum + r))
+            goto not_canonical;
+        p = nl + 1;
+        for (ptrdiff_t j = m - 1; j >= 0 && ++index[j] == n; j--)
+            index[j] = 0;
+    }
+    free(index);
+    *used = p - text;
+    return r;
+not_canonical:
+    free(index);
+    return -1;
 }

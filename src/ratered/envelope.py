@@ -27,7 +27,10 @@ envelope of every line whose bits equal the previous source's, envelopes
 the others, and returns the BOTTOM-aware sup-delta of the lines it
 rewrote.  The same library's second entry point, ratered_csv_rows, writes
 one block of one field CSV (compiled_csv_rows, which
-fieldcsv._write_grid_csv calls), spelling each value as "%.17g" does.  The
+fieldcsv._write_grid_csv calls), spelling each value as "%.17g" does, and
+its third, ratered_csv_read, reads such rows back from a chunk of bytes
+(compiled_csv_read, which fieldcsv.read_field_csv tries first), taking a
+row only if it is byte for byte the one the writer writes.  The
 library is built on the first call of a process that needs it, never at
 import: compiled with sysconfig's CC (else cc) and -O2
 -ffp-contract=off -fPIC -shared, so no product is fused into a sum (never
@@ -40,13 +43,16 @@ bytecode.  It is compiled under a temporary name and moved into place with
 os.replace, so concurrent processes never load a half-written file.  It is
 adopted only after its sweep returns the numpy sweep's fields, delta bits
 and count of enveloped lines on two sweeps of a fixed probe
-(_sweep_probe_passes over the cells of _probe_batch), and its rows the
-bytes of "%.17g" on the awkward values of _csv_probe_values
-(_csv_probe_passes).  A cached file is never rebuilt: delete it to force
-a new build.  Where there is no compiler, the directory is not writable,
-or the build, the load or either probe fails, the process runs the numpy
-sweep and the numpy row writer for its whole life; kernel_name() says
-which kernel runs, and the writer goes with it.
+(_sweep_probe_passes over the cells of _probe_batch), its rows the bytes
+of "%.17g" on the awkward values of _csv_probe_values
+(_csv_probe_passes), and its reader those rows' bits while it declines
+a respelled value and a swapped pair of grid-value cells
+(_csv_read_probe_passes).  A cached file is never rebuilt: delete it to
+force a new build.  Where there is no compiler, the directory is not
+writable, or the build, the load or any probe fails, the process runs the
+numpy sweep, the numpy row writer and only the block reader of
+ratered.fieldcsv for its whole life; kernel_name() says which kernel
+runs, and the writer and the reader go with it.
 
 The numpy kernel, envelope_batch, envelopes every row of a batch; the
 numpy sweep makes one call, with the changed lines of every node of the
@@ -124,11 +130,30 @@ def kernel_name() -> str:
     return "numpy" if _compiled_kernel() is None else "compiled"
 
 
+def compiled_csv_read():
+    """The compiled field-CSV row reader, or None where only the reader of
+    ratered.fieldcsv runs; the same library and the same decision as
+    compiled_sweep.
+
+    It is called as csv_read(cells, shape), with cells and shape as
+    compiled_csv_rows takes them.  It returns read(chunk, first, rho, rsum):
+    chunk holds the bytes of the rows of flat indices first, first + 1, ...,
+    and rho and rsum are float64 arrays of one entry per grid point.  read
+    stops at the last row or at the first line that chunk does not hold
+    whole, and returns (rows, used): it read rows rows, which take the first
+    used bytes of chunk, into rho and rsum from index first on.  It returns
+    None if a whole line of chunk is not byte for byte the row that
+    compiled_csv_rows writes for the values it reads."""
+    kernel = _compiled_kernel()
+    return None if kernel is None else kernel[2]
+
+
 @functools.cache
 def _compiled_kernel():
-    """The compiled sweep and row writer as Python functions (compiled_sweep's
-    and compiled_csv_rows'), or None where the library cannot be built,
-    loaded or trusted; decided once per process."""
+    """The compiled sweep, row writer and row reader as Python functions
+    (compiled_sweep's, compiled_csv_rows' and compiled_csv_read's), or None
+    where the library cannot be built, loaded or trusted; decided once per
+    process."""
     import ctypes
 
     try:
@@ -137,6 +162,7 @@ def _compiled_kernel():
             _build(argv, source, path)
         library = ctypes.CDLL(str(path))
         node, csv = library.ratered_sweep_node, library.ratered_csv_rows
+        csv_in = library.ratered_csv_read
     except (OSError, ValueError, AttributeError):
         return None
     node.argtypes = (*[ctypes.c_void_p] * 7, ctypes.c_ssize_t, ctypes.c_ssize_t,
@@ -144,6 +170,8 @@ def _compiled_kernel():
     node.restype = ctypes.c_int
     csv.argtypes = (*[ctypes.c_void_p] * 2, *[ctypes.c_ssize_t] * 4, *[ctypes.c_void_p] * 3)
     csv.restype = ctypes.c_ssize_t
+    csv_in.argtypes = (ctypes.c_char_p, *[ctypes.c_ssize_t] * 4, *[ctypes.c_void_p] * 5)
+    csv_in.restype = ctypes.c_ssize_t
 
     def sweep(sources, previous, stored):
         if previous is None:
@@ -174,14 +202,8 @@ def _compiled_kernel():
         return tuple(fields), delta, enveloped
 
     def csv_rows(cells, shape):
+        text, starts, width = _packed_cells(cells, shape)
         n, m = len(cells) // 2, len(shape)
-        if len(cells) != 2 * n or any(size != n for size in shape):
-            raise ValueError(f"{len(cells)} cells do not fit fields of shape {shape}")
-        encoded = [cell.encode("ascii") for cell in cells]
-        text = np.frombuffer(b"".join(encoded), np.uint8)
-        starts = np.cumsum([0, *map(len, encoded)], dtype=np.intp)
-        # a row's cells, then rho and Rsum of at most 24 bytes, "," and "\n"
-        width = m * (max(map(len, encoded[:n])) + max(map(len, encoded[n:]))) + 50
 
         def rows(values, first: int):
             values = np.ascontiguousarray(values, dtype=np.float64)
@@ -198,9 +220,48 @@ def _compiled_kernel():
                 yield out[:size]
         return rows
 
-    if _sweep_probe_passes(sweep) and _csv_probe_passes(csv_rows):
-        return sweep, csv_rows
+    def csv_read(cells, shape):
+        text, starts, _ = _packed_cells(cells, shape)
+        n, m = len(cells) // 2, len(shape)
+
+        def read(chunk: bytes, first: int, rho, rsum):
+            for a in (rho, rsum):
+                if not (isinstance(a, np.ndarray) and a.dtype == np.float64
+                        and a.shape == (n**m,) and a.flags.c_contiguous and a.flags.writeable):
+                    raise ValueError(f"rho and rsum must be writable float64 arrays of "
+                                     f"{n**m} entries, one per point of fields of shape {shape}")
+            if not 0 <= first <= n**m:
+                raise ValueError(f"row {first} is outside fields of shape {shape}")
+            used, at = ctypes.c_ssize_t(), first * rho.itemsize
+            rows = csv_in(chunk, len(chunk), first, n**m - first, m, n, text.ctypes.data,
+                          starts.ctypes.data, rho.ctypes.data + at, rsum.ctypes.data + at,
+                          ctypes.byref(used))
+            if rows == -2:
+                raise MemoryError("the row reader could not allocate its index")
+            return None if rows < 0 else (rows, used.value)
+        return read
+
+    if (_sweep_probe_passes(sweep) and _csv_probe_passes(csv_rows)
+            and _csv_read_probe_passes(csv_read)):
+        return sweep, csv_rows, csv_read
     return None
+
+
+def _packed_cells(cells: list, shape: tuple) -> tuple[np.ndarray, np.ndarray, int]:
+    """The cells of the compiled row writer and reader as the C code takes
+    them, the ASCII bytes of all cells in one array and the offset of each
+    cell's first byte, with the end as a last offset; and the most bytes a
+    row takes.  cells must hold an "i," and a "p_i," cell for each of the n
+    points on every axis of shape."""
+    n, m = len(cells) // 2, len(shape)
+    if len(cells) != 2 * n or any(size != n for size in shape):
+        raise ValueError(f"{len(cells)} cells do not fit fields of shape {shape}")
+    encoded = [cell.encode("ascii") for cell in cells]
+    text = np.frombuffer(b"".join(encoded), np.uint8)
+    starts = np.cumsum([0, *map(len, encoded)], dtype=np.intp)
+    # a row's cells, then rho and Rsum of at most 24 bytes, "," and "\n"
+    width = m * (max(map(len, encoded[:n])) + max(map(len, encoded[n:]))) + 50
+    return text, starts, width
 
 
 def _in_elements(a) -> tuple[np.ndarray, list]:
@@ -331,15 +392,13 @@ def _csv_probe_values() -> np.ndarray:
     return np.concatenate([values, scrambled.view(np.float64)])
 
 
-def _csv_probe_passes(csv_rows) -> bool:
-    """Whether csv_rows, the compiled row writer, writes the rows of two
-    fields byte for byte as the format spells them, fieldcsv._fmt ("%.17g")
-    for every value.
-
-    The probe values, as a (6, 6, 6) field, are written in a rotated view,
-    and the same values reversed as a second file.  Each file's Rsum is the
-    other's rho.  The rows go in two blocks, the second starting inside an
-    axis line, so the writer must find its place in the row-major index."""
+def _csv_probe_files() -> tuple[list, tuple, list]:
+    """The two files of the row probes: the cells, the shape of the fields
+    and, per file, its rho and Rsum values and its rows as the format spells
+    them, fieldcsv._fmt ("%.17g") for every value.  The probe values, as a
+    (6, 6, 6) field in a rotated view, are the first file's rho, and the
+    same values reversed the second's.  Each file's Rsum is the other's
+    rho."""
     from .fieldcsv import _fmt
 
     n = 6
@@ -349,16 +408,63 @@ def _csv_probe_passes(csv_rows) -> bool:
     index = np.unravel_index(np.arange(n**3), rho.shape)
     prefix = ["".join([cells[i] for i in at] + [cells[n + i] for i in at])
               for at in zip(*(i.tolist() for i in index))]
-    want = [b"".join(f"{p}{_fmt(r)},{_fmt(s)}\n".encode()
-                     for p, r, s in zip(prefix, a.tolist(), b.tolist()))
-            for a, b in (fields, fields[::-1])]
-    rows = csv_rows(cells, rho.shape)
+    files = [(a, b, [f"{p}{_fmt(r)},{_fmt(s)}\n" for p, r, s in zip(prefix, a.tolist(), b.tolist())])
+             for a, b in (fields, fields[::-1])]
+    return cells, rho.shape, files
+
+
+def _csv_probe_passes(csv_rows) -> bool:
+    """Whether csv_rows, the compiled row writer, writes the rows of the
+    probe's two files (_csv_probe_files) byte for byte.  The rows go in two
+    blocks, the second starting inside an axis line, so the writer must find
+    its place in the row-major index."""
+    cells, shape, files = _csv_probe_files()
+    rows = csv_rows(cells, shape)
     got = [b"", b""]
-    for lo, hi in ((0, 100), (100, n**3)):
-        values = np.array([[a[lo:hi], b[lo:hi]] for a, b in (fields, fields[::-1])])
+    for lo, hi in ((0, 100), (100, len(files[0][0]))):
+        values = np.array([[a[lo:hi], b[lo:hi]] for a, b, _ in files])
         for j, text in enumerate(rows(values, lo)):
             got[j] += text.tobytes()
-    return got == want
+    return got == ["".join(lines).encode() for *_, lines in files]
+
+
+def _csv_read_probe_passes(csv_read) -> bool:
+    """Whether csv_read, the compiled row reader, reads the rows of the
+    probe's two files (_csv_probe_files) back with the bits float() reads
+    from each cell, and declines two copies of the first file that the
+    writer would not write: one with 0.1 spelled "0.1", which reads as the
+    same value, and one with two p cells of the same length swapped.  Each
+    file is read in two chunks, the first ending inside a line, so the
+    reader must carry on at the row where the first chunk ended and find
+    its place in the row-major index."""
+    from .fieldcsv import _fmt
+
+    cells, shape, files = _csv_probe_files()
+    read, n = csv_read(cells, shape), len(files[0][0])
+
+    def read_back(lines):
+        text, rho, rsum = "".join(lines).encode(), np.empty(n), np.empty(n)
+        head = read(text[: text.index(b"\n", len(text) // 2) - 3], 0, rho, rsum)
+        tail = None if head is None else read(text[head[1]:], head[0], rho, rsum)
+        if tail is None or (head[0] + tail[0], head[1] + tail[1]) != (n, len(text)):
+            return None
+        return rho, rsum
+
+    for a, b, lines in files:
+        got = read_back(lines)
+        # "%.17g" gives every double back, and float("nan") is np.nan
+        want = [np.where(np.isnan(v), np.nan, v) for v in (a, b)]
+        if got is None or not all(np.array_equal(x.view(np.uint64), y.view(np.uint64))
+                                  for x, y in zip(got, want)):
+            return False
+    a, _, lines = files[0]
+    respelled, swapped = list(lines), list(lines)
+    r = int(np.flatnonzero(a == 0.1)[0])
+    respelled[r] = lines[r].replace(f",{_fmt(0.1)},", ",0.1,")
+    p1, p2 = cells[len(cells) // 2 + 1], cells[len(cells) // 2 + 2]
+    r = int(np.ravel_multi_index((1, 2, 0), shape))
+    swapped[r] = lines[r].replace(p1 + p2, p2 + p1)
+    return read_back(respelled) is None and read_back(swapped) is None
 
 
 def _envelope_rows(v: np.ndarray) -> np.ndarray:

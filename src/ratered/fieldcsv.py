@@ -10,8 +10,15 @@ the compiled row writer of the envelope library (ratered_csv_rows in
 _envelope.c, adopted with the compiled sweep), which spells each value
 byte for byte as "%.17g" does; where that library is not adopted, each
 distinct value of a block is formatted once in numpy by
-decimal17.format_g17, with the same bytes.  Each block is parsed by one
-np.loadtxt call, numpy's C text reader.
+decimal17.format_g17, with the same bytes.
+
+A file that is byte for byte what the writer writes is read back by the
+same library's row reader (ratered_csv_read), a chunk of bytes per call.
+Every other file, and every file where the library is not adopted, is
+read by the block reader: each block of lines is parsed by one np.loadtxt
+call, numpy's C text reader, and every cell is checked.  The block reader
+alone raises the errors, so a file the row reader declines is read again
+from its start.
 """
 
 from __future__ import annotations
@@ -19,12 +26,14 @@ from __future__ import annotations
 import contextlib
 import itertools
 import math
+import os
+import stat
 import warnings
 from pathlib import Path
 
 import numpy as np
 
-from .envelope import compiled_csv_rows
+from .envelope import compiled_csv_read, compiled_csv_rows
 from .errors import ConfigError, read_text
 from .lattice import RateReductionField, gap, sum_rate_field
 from .probability import GridSpec, entropy_grid
@@ -32,6 +41,10 @@ from .probability import GridSpec, entropy_grid
 # Rows per block when a field CSV is written or read; bounds the row and cell
 # strings held in memory at once.
 _CSV_BLOCK = 4096
+# Bytes per chunk of the compiled row reader, and the most bytes of the
+# header line and of the file's end that it reads at once; a row is far
+# shorter.
+_CSV_CHUNK = 1 << 20
 # Width of a p_j cell as read: one more than the longest "%.17g" of any float
 # ("-2.2250738585072014e-308"), so a longer cell, which loadtxt cuts to this
 # width, still spells no grid value.
@@ -47,6 +60,29 @@ def _fmt(x: float) -> str:
     """Decimal serialization at 17 significant digits; round-trips float64
     bit-exactly and spells the infinities 'inf' / '-inf'."""
     return "%.17g" % x
+
+
+def _grid_cells(grid: GridSpec) -> list[str]:
+    """The cells a row on grid starts with: the "i," cell of every grid
+    index i, then the "p_i," cell of every grid value."""
+    return [f"{i}," for i in range(grid.points_per_axis)] \
+        + [_fmt(v) + "," for v in grid.axis_values()]
+
+
+def _header(path, line: str) -> tuple[list[str], int]:
+    """The cells of a field CSV's header line and m, the number of grid
+    axes: i_1..i_m, p_1..p_m, then rho_<label>,Rsum_<label> with one
+    non-empty label, else a ConfigError naming path."""
+    header = line.split(",")
+    if len(header) < 6 or len(header) % 2 != 0:
+        raise ConfigError(f"{path}: malformed field CSV header {line!r}")
+    m = (len(header) - 2) // 2
+    label = header[2 * m][len("rho_"):]
+    if header[:m] != [f"i_{j}" for j in range(1, m + 1)] or not label or \
+            header[m : 2 * m] != [f"p_{j}" for j in range(1, m + 1)] or \
+            header[2 * m :] != [f"rho_{label}", f"Rsum_{label}"]:
+        raise ConfigError(f"{path}: unexpected field CSV columns {header}")
+    return header, m
 
 
 def _cell_table(cells: list[str]) -> np.ndarray:
@@ -71,9 +107,7 @@ def _write_grid_csv(items: list, axes: list, h: np.ndarray, grid: GridSpec) -> N
     (envelope.compiled_csv_rows) wherever the compiled library was adopted,
     else by _numpy_rows.
     """
-    cells = [f"{i}," for i in range(grid.points_per_axis)] \
-        + [_fmt(v) + "," for v in grid.axis_values()]
-    rows = (compiled_csv_rows() or _numpy_rows)(cells, h.shape)
+    rows = (compiled_csv_rows() or _numpy_rows)(_grid_cells(grid), h.shape)
     with contextlib.ExitStack() as stack:
         files = [stack.enter_context(open(path, "wb")) for path, _, _ in items]
         for out, (_, label, _) in zip(files, items):
@@ -160,6 +194,71 @@ def _loadtxt(lines: list[str], dtype, **kwargs) -> np.ndarray:
         return np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1, **kwargs)
 
 
+def _read_written(path) -> RateReductionField | None:
+    """The field of a field CSV that is byte for byte what write_field_csv
+    writes, read by the compiled row reader (envelope.compiled_csv_read);
+    None for every other file, and where that reader is not adopted.  It
+    raises no ConfigError: read_field_csv's block reader names what is
+    wrong with a file.
+
+    N, the grid's steps, is the first cell of the file's last line, read
+    with one seek; the file must be long enough for (N+1)^m rows of at
+    least 4m + 4 bytes before anything of that size is allocated.  The rows
+    are then read _CSV_CHUNK bytes at a time, a partial last line carried
+    to the next chunk.  There must be exactly (N+1)^m of them and nothing
+    after the last "\n", no rho may be NaN or +inf, and every Rsum must be
+    sum_rate_field of the field read, bit for bit."""
+    read = compiled_csv_read()
+    if read is None:
+        return None
+    try:
+        src = open(path, "rb")
+    except OSError:
+        return None
+    with src:
+        status = os.fstat(src.fileno())
+        if not stat.S_ISREG(status.st_mode):
+            return None                 # a pipe would not give its bytes twice
+        head = src.readline(_CSV_CHUNK)
+        try:
+            line = head[:-1].decode("utf-8")
+            _, m = _header(path, line)
+        except (UnicodeDecodeError, ConfigError):
+            return None
+        if not head.endswith(b"\n") or line.splitlines() != [line]:
+            return None
+        src.seek(max(len(head), status.st_size - _CSV_CHUNK))
+        tail = src.read()
+        n_steps = tail[tail.rfind(b"\n", 0, -1) + 1 :].split(b",", 1)[0]
+        if not (tail.endswith(b"\n") and n_steps.isdigit() and len(n_steps) < 20):
+            return None
+        try:
+            grid = GridSpec(m=m, n_steps=int(n_steps))
+        except ConfigError:
+            return None
+        if status.st_size - len(head) < grid.n_points * (4 * m + 4):
+            return None
+        rows = read(_grid_cells(grid), grid.shape)
+        rho, rsum = np.empty(grid.n_points), np.empty(grid.n_points)
+        src.seek(len(head))
+        first, chunk = 0, b""
+        while more := src.read(_CSV_CHUNK):
+            chunk += more
+            done = rows(chunk, first, rho, rsum)
+            if done is None:
+                return None
+            first, chunk = first + done[0], chunk[done[1]:]
+            if len(chunk) > _CSV_CHUNK:     # no row is that long
+                return None
+    if chunk or first != grid.n_points or np.isnan(rho).any() or (rho == math.inf).any():
+        return None
+    field = RateReductionField(grid=grid, data=rho.reshape(grid.shape))
+    if not np.array_equal(sum_rate_field(field).reshape(-1).view(np.uint64),
+                          rsum.view(np.uint64)):
+        return None
+    return field
+
+
 def read_field_csv(path) -> RateReductionField:
     """Re-ingest a field CSV bit-exactly.
 
@@ -169,8 +268,16 @@ def read_field_csv(path) -> RateReductionField:
     the grid value of its i_j, and Rsum must equal sum_rate_field of the
     parsed field bit for bit.  A bad cell is reported with its line number.
 
-    Each block of _CSV_BLOCK lines is parsed by one np.loadtxt call.
-    Floats are read bit-exactly, by the routine float() uses.  numpy's
+    A file that is byte for byte what write_field_csv writes is read in one
+    pass by the compiled row reader (_read_written), where the compiled
+    library is adopted.  Every other file is read from its start by the
+    block reader below, which alone raises the errors; so both readers
+    accept the same files, with the same bits, and every message comes
+    from the block reader.
+
+    The block reader parses each block of _CSV_BLOCK lines by one
+    np.loadtxt call.  Floats are read bit-exactly, by the routine float()
+    uses.  numpy's
     parser is stricter than int() and float(): a number with an underscore
     ("1_0" as an i_j, "1_5" as rho or Rsum) or with non-ASCII digits, and
     an i_j outside int64, are bad cells here though int() and float() read
@@ -179,6 +286,10 @@ def read_field_csv(path) -> RateReductionField:
     _P_WIDTH characters, one more than any grid value takes, so a cell
     that starts with its grid value and goes on is still named.
     """
+    field = _read_written(path)
+    if field is not None:
+        return field
+
     def data_lines() -> list[tuple[int, str]]:
         """(line number, text) of each non-blank line after the header, read
         again from the file: only to name a bad line."""
@@ -225,17 +336,8 @@ def read_field_csv(path) -> RateReductionField:
         text, first = next(blocks, ("", []))
         if not first:
             raise ConfigError(f"{path}: empty field CSV")
-        header = first[0].split(",")
+        header, m = _header(path, first[0])
         n_cols = len(header)
-        if n_cols < 6 or n_cols % 2 != 0:
-            raise ConfigError(f"{path}: malformed field CSV header {first[0]!r}")
-        m = (n_cols - 2) // 2
-        expect_i = [f"i_{j}" for j in range(1, m + 1)]
-        expect_p = [f"p_{j}" for j in range(1, m + 1)]
-        label = header[2 * m][len("rho_"):]
-        if header[:m] != expect_i or header[m : 2 * m] != expect_p or not label or \
-                header[2 * m :] != [f"rho_{label}", f"Rsum_{label}"]:
-            raise ConfigError(f"{path}: unexpected field CSV columns {header}")
         # A row: the m i_j, the m p_j cells as text, then rho and Rsum.
         row = np.dtype([("i", np.int64, (m,)), ("p", f"U{_P_WIDTH}", (m,)),
                         ("v", np.float64, (2,))])

@@ -456,6 +456,14 @@ WRONG_ROWS = {
     "decade-not-corrected": ("if (digits < UINT64_C(10000000000000000))", "if (0)"),
     "index-from-row-0": ("at = first; j >= 0", "at = 0; j >= 0"),
 }
+# Faults of the row reader.
+WRONG_READS = {
+    "p-cells-not-compared": ("memcmp(p, cells + starts[c], (size_t)len) != 0",
+                             "(j < m && memcmp(p, cells + starts[c], (size_t)len) != 0)"),
+    "rho-read-as-strtod-reads-it": ("!canonical_cell(p, comma - p, rho + r)",
+                                    "!(rho[r] = strtod(p, NULL), 1)"),
+    "index-from-row-0-at-a-chunk": ("rest = first;", "rest = 0;"),
+}
 
 
 def _library():
@@ -573,6 +581,56 @@ class TestLoader:
         fieldcsv.write_field_csv(tmp_path / "field.csv", field, "max")
         per_row_field_csv(tmp_path / "ref.csv", field, "max")
         assert (tmp_path / "field.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    @pytest.mark.parametrize("fault", WRONG_READS)
+    def test_a_library_whose_row_reader_disagrees_is_refused(self, compiler, fresh_loader,
+                                                             monkeypatch, tmp_path, fault):
+        """The whole library is refused, and the block reader reads what the
+        writer wrote."""
+        right, wrong = WRONG_READS[fault]
+        text = envelope._SOURCE.read_text()
+        assert text.count(right) == 1
+        source = tmp_path / "_envelope.c"
+        source.write_text(text.replace(right, wrong))
+        monkeypatch.setattr(envelope, "_SOURCE", source)
+        assert envelope.kernel_name() == "numpy"
+        assert envelope.compiled_csv_read() is None
+        assert _library().is_file()   # built and loaded, then refused
+        values = envelope._csv_probe_values()
+        grid = GridSpec(m=3, n_steps=20)
+        field = lattice.RateReductionField(   # rho is finite or -inf
+            grid, np.resize(values[~np.isnan(values) & (values != np.inf)], grid.shape))
+        fieldcsv.write_field_csv(tmp_path / "field.csv", field, "max")
+        loaded = fieldcsv.read_field_csv(tmp_path / "field.csv")
+        assert np.array_equal(_bits(loaded.data), _bits(field.data))
+
+    def test_the_read_probe_covers_its_cases(self):
+        """A reader that takes a row only if it is the writer's spelling of
+        the values float() reads from it passes the read probe; one that
+        reads every row as float() does, and one that leaves the p cells
+        unread, do not."""
+        def reference_read(cells, shape, canonical=True, p_cells=True):
+            n, m = len(cells) // 2, len(shape)
+
+            def read(chunk, first, rho, rsum):
+                lines = chunk.decode().split("\n")[:-1][: n**m - first]
+                for r, line in enumerate(lines, first):
+                    at = np.unravel_index(r, shape)
+                    prefix = "".join([cells[i] for i in at] + [cells[n + i] for i in at] * p_cells)
+                    if not line.startswith(prefix):
+                        return None
+                    text = line.split(",")[-2:]
+                    rho[r], rsum[r] = map(float, text)
+                    if canonical and text != [fieldcsv._fmt(rho[r]), fieldcsv._fmt(rsum[r])]:
+                        return None
+                return len(lines), sum(len(line) + 1 for line in lines)
+            return read
+
+        assert envelope._csv_read_probe_passes(reference_read)
+        assert not envelope._csv_read_probe_passes(
+            lambda cells, shape: reference_read(cells, shape, canonical=False))
+        assert not envelope._csv_read_probe_passes(
+            lambda cells, shape: reference_read(cells, shape, p_cells=False))
 
     def test_the_csv_probe_covers_the_edge_cases(self):
         """A writer that spells every cell by fieldcsv._fmt passes the row
@@ -695,6 +753,34 @@ class TestCompiledRefusals:
                               (np.zeros((1, 2, 1)), -1)):
             with pytest.raises(ValueError, match="do not fit fields of shape"):
                 next(rows(values, first))
+
+
+    def test_csv_read_refuses_cells_that_do_not_fit_the_shape(self, compiled):
+        csv_read, cells = envelope.compiled_csv_read(), ["0,", "1,", "0,", "1,"]
+        for cells, shape in ((cells[:3], (2, 2)), (cells, (2, 3)), (cells, (3, 3))):
+            with pytest.raises(ValueError, match="do not fit fields of shape"):
+                csv_read(cells, shape)
+
+    def test_csv_read_refuses_arrays_or_first_out_of_range(self, compiled):
+        read = envelope.compiled_csv_read()(["0,", "1,", "0,", "1,"], (2, 2))
+        text = b"0,0,0,0,0.5,1\n0,1,0,1,0,0\n1,0,1,0,0,0\n1,1,1,1,-inf,inf\n"
+        rho, rsum = np.zeros(4), np.zeros(4)
+        assert read(text, 0, rho, rsum) == (4, len(text))
+        assert rho.tolist() == [0.5, 0.0, 0.0, -math.inf] and rsum[3] == math.inf
+        assert read(text[14:34], 1, rho, rsum) == (1, 12)    # stops at the cut line
+        assert read(text, 4, rho, rsum) == (0, 0)
+        assert read(text, 1, rho, rsum) is None              # row 1 is not "0,0,..."
+        readonly = np.zeros(4)
+        readonly.flags.writeable = False
+        for a in (np.zeros(5), np.zeros(3), np.zeros(4, np.float32), np.zeros(8)[::2],
+                  np.zeros((2, 2)), readonly, [0.0] * 4):
+            with pytest.raises(ValueError, match="writable float64 arrays of 4 entries"):
+                read(text, 0, a, rsum)
+            with pytest.raises(ValueError, match="writable float64 arrays of 4 entries"):
+                read(text, 0, rho, a)
+        for first in (-1, 5):
+            with pytest.raises(ValueError, match=f"row {first} is outside fields of shape"):
+                read(text, first, rho, rsum)
 
 
 class TestConcavityChecks:

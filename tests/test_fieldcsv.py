@@ -2,9 +2,12 @@
 
 The writer's bytes and the reader's checks, messages and memory bounds are
 tested cell by cell in tests/test_cli.py, against the per-row writer and the
-per-cell reader of tests/conftest.py; there the writer runs on the compiled
-row writer wherever the compiled library loads.  Here the compiled and the
-numpy row writers are also compared with each other.
+per-cell reader of tests/conftest.py; there the writer and the reader run
+on the compiled library wherever it loads.  Here the compiled and the numpy
+row writers are compared with each other, every reader test of
+tests/test_cli.py runs again on the block reader alone, and the files that
+the compiled row reader declines are read by the block reader with the same
+bits or the same error.
 """
 
 import re
@@ -13,9 +16,11 @@ import numpy as np
 import pytest
 
 import ratered
+import test_cli
 from ratered import envelope, fieldcsv
 from ratered.lattice import RateReductionField
 from ratered.probability import GridSpec, entropy_grid
+from test_cli import _read_both
 
 
 def test_public_pair_is_the_module_pair():
@@ -114,3 +119,120 @@ def test_compiled_and_numpy_row_writers_write_the_same_bytes(tmp_path, monkeypat
     per_row_field_csv(tmp_path / "ref.csv", RateReductionField(grid, rotated), "2")
     assert compiled["rotated.csv"] == (tmp_path / "ref.csv").read_bytes()
     assert b"nan" in compiled["field.csv"] and b"-nan" not in compiled["field.csv"]
+
+
+@pytest.fixture
+def block_reader(numpy_kernel):
+    """read_field_csv on the block reader alone, as on a host where the
+    compiled library cannot be built."""
+    assert envelope.compiled_csv_read() is None
+
+
+@pytest.mark.usefixtures("block_reader")
+class TestFieldCsvReaderOnNumpy:
+    """Every reader test of tests/test_cli.py again on the block reader
+    alone, the one a host without a compiler runs: the same bits, the same
+    errors and the same memory bound.  There the compiled row reader reads
+    every file the writer wrote, wherever the compiled library loads."""
+
+    for _name in dir(test_cli):
+        if _name.startswith("test_read_field_csv_"):
+            locals()[_name] = staticmethod(getattr(test_cli, _name))
+    del _name
+    test_certify_on_a_header_that_is_not_utf8 = \
+        test_cli.TestTextInputsAreUtf8.test_certify_on_a_header_that_is_not_utf8
+    test_a_bad_byte_past_the_first_block_names_its_line = \
+        test_cli.TestTextInputsAreUtf8.test_a_bad_byte_past_the_first_block_names_its_line
+    test_indices_that_span_no_grid_step = staticmethod(test_indices_that_span_no_grid_step)
+    test_unusual_labels_round_trip = staticmethod(test_unusual_labels_round_trip)
+
+
+@pytest.mark.usefixtures("block_reader")
+class TestFieldCsvReaderMatchesPerCellReaderOnNumpy(
+        test_cli.TestFieldCsvReaderMatchesPerCellReader):
+    """The per-cell reference's bits and messages on the block reader alone."""
+
+
+@pytest.mark.parametrize("chunk", [None, 256, 4099])
+def test_a_written_file_takes_the_compiled_reader(tmp_path, monkeypatch, compiler, chunk):
+    """A file the writer wrote is read by the compiled row reader, in chunks
+    of any size that holds a row, and np.loadtxt is never called."""
+    assert envelope.kernel_name() == "compiled"
+    if chunk is not None:
+        monkeypatch.setattr(fieldcsv, "_CSV_CHUNK", chunk)
+    field = test_cli._special_field(GridSpec(m=3, n_steps=20))
+    fieldcsv.write_field_csv(tmp_path / "field.csv", field, "max")
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("np.loadtxt read a file the writer wrote")
+
+    monkeypatch.setattr(fieldcsv.np, "loadtxt", forbidden)
+    loaded = fieldcsv.read_field_csv(tmp_path / "field.csv")
+    assert loaded.grid == field.grid
+    assert np.array_equal(loaded.data.view(np.uint64), field.data.view(np.uint64))
+
+
+def _respell(value: str, spelling: str):
+    """An edit that spells the first rho cell reading value another way."""
+    def edit(lines):
+        r = next(r for r, line in enumerate(lines) if line.split(",")[6] == value)
+        cells = lines[r].split(",")
+        cells[6] = spelling
+        lines[r] = ",".join(cells)
+        return lines
+    return edit
+
+
+def _last_i1(n_steps: int):
+    """An edit whose last line claims the grid has n_steps steps."""
+    def edit(lines):
+        lines[-1] = ",".join([str(n_steps), *lines[-1].split(",")[1:]])
+        return lines
+    return edit
+
+
+# Edits of a written m=3, N=20 file.  "0" is how the writer spells +0.0, so
+# the compiled row reader reads the third edit, with +0.0 where -0.0 was
+# written; it declines every other edit.  The first six leave a file that
+# the block reader reads.
+EDITS = {
+    "5e-1": _respell("0.5", "5e-1"),
+    "0.50": _respell("0.5", "0.50"),
+    "-0.0-spelled-0": _respell("-0", "0"),
+    "swapped-rows": lambda lines: lines[:100] + [lines[101], lines[100]] + lines[102:],
+    "crlf": lambda lines: [line + "\r" for line in lines],
+    "trailing-blank-line": lambda lines: lines + [""],
+    "nul": lambda lines: lines[:50] + [lines[50] + "\x00"] + lines[51:],
+    "huge-n-for-the-file": _last_i1(10**5),
+    "huge-n-for-an-array": _last_i1(10**10),
+}
+
+
+@pytest.mark.parametrize("edit", EDITS)
+def test_an_edited_file_reads_as_the_per_cell_reader_reads_it(tmp_path, compiler, edit,
+                                                              per_cell_read_field_csv):
+    """Each edit reads with the bits or the ConfigError of the per-cell
+    reference, through the block reader wherever the compiled row reader
+    declines it; where the edit keeps every value, with the written field's
+    bits."""
+    assert envelope.kernel_name() == "compiled"
+    written = test_cli._special_field(GridSpec(m=3, n_steps=20))
+    written.data.flat[[4000, 4001]] = [0.5, -0.0]          # (9, 1, 10) and (9, 1, 11)
+    fieldcsv.write_field_csv(tmp_path / "src.csv", written, "max")
+    lines = (tmp_path / "src.csv").read_text().splitlines()
+    path = tmp_path / "field.csv"
+    path.write_text("\n".join(EDITS[edit](list(lines))) + "\n", newline="")
+    compiled = fieldcsv._read_written(path)
+    (new, new_error), (ref, ref_error) = _read_both(path, per_cell_read_field_csv)
+    assert new_error == ref_error
+    if edit.startswith(("huge", "nul")):
+        assert compiled is None and new_error is not None
+        return
+    assert np.array_equal(new.data.view(np.uint64), ref.data.view(np.uint64))
+    if edit == "-0.0-spelled-0":
+        assert np.array_equal(compiled.data.view(np.uint64), new.data.view(np.uint64))
+        assert np.array_equal(new.data, written.data)
+        assert not np.array_equal(new.data.view(np.uint64), written.data.view(np.uint64))
+    else:
+        assert compiled is None
+        assert np.array_equal(new.data.view(np.uint64), written.data.view(np.uint64))

@@ -408,7 +408,8 @@ def _csv_probe_files() -> tuple[list, tuple, list]:
     index = np.unravel_index(np.arange(n**3), rho.shape)
     prefix = ["".join([cells[i] for i in at] + [cells[n + i] for i in at])
               for at in zip(*(i.tolist() for i in index))]
-    files = [(a, b, [f"{p}{_fmt(r)},{_fmt(s)}\n" for p, r, s in zip(prefix, a.tolist(), b.tolist())])
+    files = [(a, b, [f"{p}{_fmt(r)},{_fmt(s)}\n"
+                     for p, r, s in zip(prefix, a.tolist(), b.tolist())])
              for a, b in (fields, fields[::-1])]
     return cells, rho.shape, files
 

@@ -135,16 +135,17 @@ class TestFieldCsvReaderOnNumpy:
     errors and the same memory bound.  There the compiled row reader reads
     every file the writer wrote, wherever the compiled library loads."""
 
-    for _name in dir(test_cli):
-        if _name.startswith("test_read_field_csv_"):
-            locals()[_name] = staticmethod(getattr(test_cli, _name))
-    del _name
     test_certify_on_a_header_that_is_not_utf8 = \
         test_cli.TestTextInputsAreUtf8.test_certify_on_a_header_that_is_not_utf8
     test_a_bad_byte_past_the_first_block_names_its_line = \
         test_cli.TestTextInputsAreUtf8.test_a_bad_byte_past_the_first_block_names_its_line
     test_indices_that_span_no_grid_step = staticmethod(test_indices_that_span_no_grid_step)
     test_unusual_labels_round_trip = staticmethod(test_unusual_labels_round_trip)
+
+
+for _name in dir(test_cli):
+    if _name.startswith("test_read_field_csv_"):
+        setattr(TestFieldCsvReaderOnNumpy, _name, staticmethod(getattr(test_cli, _name)))
 
 
 @pytest.mark.usefixtures("block_reader")

@@ -15,8 +15,10 @@
    grid-value cells from a table, and spells rho and Rsum by format_g17,
    byte for byte Python's "%.17g" % x.  ratered_csv_read reads such rows
    back: it walks the same index, compares each row's index and grid-value
-   cells with the table, and reads rho and Rsum by strtod, taking a row only
-   if format_g17 spells its values with its exact bytes.
+   cells with the table, and reads rho and Rsum from their digits, taking a
+   row only if format_g17 spells its values with its exact bytes; strtod
+   reads only the cells that are not plain digits, such as "inf" and
+   "1e-05", and the rare one whose digits miss.
 
    ratered.envelope compiles it with -ffp-contract=off, so no product is
    fused into a sum, and adopts it only after each of its three entry
@@ -339,22 +341,74 @@ ptrdiff_t ratered_csv_rows(const double *rho, const double *rsum, ptrdiff_t rows
     return p - out;
 }
 
-/* Whether the len bytes at text are exactly format_g17's spelling of the
-   value strtod reads from them; that value goes to *x.  The cell is copied
-   and terminated first, so strtod reads nothing past it.  strtod's
-   leniencies (leading spaces, hex floats, "5e-1", the locale's decimal
-   point) only ever make a cell that is not the spelling, so they never
-   decide a value. */
-static int canonical_cell(const char *text, ptrdiff_t len, double *x)
+/* 10**k for k = 0..22, each exact in a double */
+static const double POW10[23] = {
+    1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11,
+    1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22};
+
+/* Whether format_g17 spells x with the len bytes at text. */
+static int spells(double x, const char *text, ptrdiff_t len)
 {
-    char cell[32], spelled[32], *end;
+    char spelled[32];
+    return format_g17(x, spelled) == len && memcmp(spelled, text, (size_t)len) == 0;
+}
+
+/* Whether the len bytes at text are exactly format_g17's spelling of a
+   double; that double goes to *x.  format_g17 writes 17 significant
+   digits, and 17 digits tell any two finite doubles apart, so at most one
+   double is spelled by a cell, and it is the one strtod reads from it:
+   whichever way it is found, the value and the verdict are strtod's.
+
+   A cell -?digits[.digits] with at most 19 significant digits (leading
+   zeros do not count) and k <= 22 digits after the point is read as
+   D / 10**k, D its digits as one integer and 10**k exact (Clinger 1990).
+   The conversion of D and the division each round once, so that double
+   is a few ulps at most from the one the cell spells, and almost always
+   it or next to it (Lemire 2021): it is tried first, then the doubles one
+   ulp above and one below it, and the first that format_g17 spells with
+   the cell's bytes is taken.  Every other cell goes to strtod, and *slow
+   counts it: exponent notation, inf, -inf, nan, longer cells, and those
+   that no candidate spells.  The cell is copied and terminated first, so
+   strtod reads nothing past it.  strtod's leniencies (leading spaces, hex
+   floats, "5e-1", the locale's decimal point) only ever make a cell that
+   is not the spelling, so they never decide a value. */
+static int canonical_cell(const char *text, ptrdiff_t len, double *x, ptrdiff_t *slow)
+{
     if (len < 1 || len > 24)
         return 0;
+    const char *p = text + (text[0] == '-'), *end = text + len, *point = NULL;
+    uint64_t digits = 0;
+    int significant = 0;
+    for (; p < end; p++) {
+        if (*p >= '0' && *p <= '9') {
+            significant += digits > 0 || *p != '0';
+            digits = 10 * digits + (uint64_t)(*p - '0');
+        } else if (*p == '.' && point == NULL) {
+            point = p;
+        } else {
+            break;
+        }
+    }
+    ptrdiff_t k = point == NULL ? 0 : end - point - 1;     /* the digits after the point */
+    if (p == end && significant <= 19 && k <= 22) {
+        double y = (double)digits / POW10[k];
+        uint64_t bits, sign = (uint64_t)(text[0] == '-') << 63;
+        memcpy(&bits, &y, sizeof bits);
+        /* |y|, then the doubles one ulp above and one below it */
+        uint64_t tries[3] = {bits, bits + 1, bits - 1};
+        for (int j = 0; j < (bits > 0 ? 3 : 2); j++) {
+            uint64_t b = tries[j] | sign;
+            memcpy(x, &b, sizeof b);
+            if (spells(*x, text, len))
+                return 1;
+        }
+    }
+    char cell[32], *stop;
     memcpy(cell, text, (size_t)len);
     cell[len] = '\0';
-    *x = strtod(cell, &end);
-    return end == cell + len && format_g17(*x, spelled) == len
-        && memcmp(spelled, text, (size_t)len) == 0;
+    *x = strtod(cell, &stop);
+    ++*slow;
+    return stop == cell + len && spells(*x, text, len);
 }
 
 /* Reads back the rows ratered_csv_rows writes, from the size bytes at text:
@@ -363,13 +417,14 @@ static int canonical_cell(const char *text, ptrdiff_t len, double *x)
    them.  It stops after rows rows or at the first line that text does not
    hold whole (its "\n" missing).  A row is read only if it is byte for
    byte what ratered_csv_rows writes for the values read: its 2m cells from
-   the table and rho and Rsum in format_g17's spelling; rho[r] and rsum[r]
-   receive row r's values.  Returns the number of rows read, with *used the
-   bytes they take; -1 if a whole line is not such a row; -2 if the index
+   the table and rho and Rsum in format_g17's spelling (canonical_cell);
+   rho[r] and rsum[r] receive row r's values.  Returns the number of rows
+   read, with *used the bytes they take and *slow how many of their cells
+   went to strtod; -1 if a whole line is not such a row; -2 if the index
    cannot be allocated. */
 ptrdiff_t ratered_csv_read(const char *text, ptrdiff_t size, ptrdiff_t first, ptrdiff_t rows,
                            ptrdiff_t m, ptrdiff_t n, const char *cells, const ptrdiff_t *starts,
-                           double *rho, double *rsum, ptrdiff_t *used)
+                           double *rho, double *rsum, ptrdiff_t *used, ptrdiff_t *slow)
 {
     ptrdiff_t *index = malloc((size_t)(m > 0 ? m : 1) * sizeof *index);
     if (index == NULL)
@@ -380,6 +435,7 @@ ptrdiff_t ratered_csv_read(const char *text, ptrdiff_t size, ptrdiff_t first, pt
     }
     const char *p = text, *end = text + size;
     ptrdiff_t r = 0;
+    *slow = 0;
     for (; r < rows; r++) {
         const char *nl = memchr(p, '\n', (size_t)(end - p));
         if (nl == NULL)
@@ -391,8 +447,8 @@ ptrdiff_t ratered_csv_read(const char *text, ptrdiff_t size, ptrdiff_t first, pt
             p += len;
         }
         const char *comma = memchr(p, ',', (size_t)(nl - p));
-        if (comma == NULL || !canonical_cell(p, comma - p, rho + r)
-            || !canonical_cell(comma + 1, nl - comma - 1, rsum + r))
+        if (comma == NULL || !canonical_cell(p, comma - p, rho + r, slow)
+            || !canonical_cell(comma + 1, nl - comma - 1, rsum + r, slow))
             goto not_canonical;
         p = nl + 1;
         for (ptrdiff_t j = m - 1; j >= 0 && ++index[j] == n; j--)

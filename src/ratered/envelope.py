@@ -30,12 +30,15 @@ one block of one field CSV (compiled_csv_rows, which
 fieldcsv._write_grid_csv calls), spelling each value as "%.17g" does, and
 its third, ratered_csv_read, reads such rows back from a chunk of bytes
 (compiled_csv_read, which fieldcsv.read_field_csv tries first), taking a
-row only if it is byte for byte the one the writer writes.  The
-library is built on the first call of a process that needs it, never at
-import: compiled with sysconfig's CC (else cc) and -O2
--ffp-contract=off -fPIC -shared, so no product is fused into a sum (never
--ffast-math, which lets the compiler reorder float operations and assume
-that no NaN or infinity occurs).  The library is cached in this
+row only if it is byte for byte the one the writer writes.  It reads a
+value of plain digits as the integer of its digits over a power of ten, or
+a double one ulp from that, whichever the writer spells with the cell's
+bytes; strtod reads only the other cells, such as "inf" and "1e-05", and a
+value no candidate spells.  The library is built on the first call of a
+process that needs it, never at import: compiled with sysconfig's CC (else
+cc) and -O2 -ffp-contract=off -fPIC -shared, so no product is fused into a
+sum (never -ffast-math, which lets the compiler reorder float operations
+and assume that no NaN or infinity occurs).  The library is cached in this
 package's __pycache__ directory under a name that carries a SHA-256 of the
 C source, the compiler argv and the platform tag, so a later process only
 loads it; sys.dont_write_bytecode does not govern it, as it is not
@@ -44,15 +47,15 @@ os.replace, so concurrent processes never load a half-written file.  It is
 adopted only after its sweep returns the numpy sweep's fields, delta bits
 and count of enveloped lines on two sweeps of a fixed probe
 (_sweep_probe_passes over the cells of _probe_batch), its rows the bytes
-of "%.17g" on the awkward values of _csv_probe_values
-(_csv_probe_passes), and its reader those rows' bits while it declines
-a respelled value and a swapped pair of grid-value cells
-(_csv_read_probe_passes).  A cached file is never rebuilt: delete it to
-force a new build.  Where there is no compiler, the directory is not
-writable, or the build, the load or any probe fails, the process runs the
-numpy sweep, the numpy row writer and only the block reader of
-ratered.fieldcsv for its whole life; kernel_name() says which kernel
-runs, and the writer and the reader go with it.
+of "%.17g" on the awkward values of _csv_probe_values (_csv_probe_passes),
+and its reader those rows' bits, by strtod only where a value is not plain
+digits, while it declines a respelled value and a swapped pair of
+grid-value cells (_csv_read_probe_passes).  A cached file is never
+rebuilt: delete it to force a new build.  Where there is no compiler, the
+directory is not writable, or the build, the load or any probe fails, the
+process runs the numpy sweep, the numpy row writer and only the block
+reader of ratered.fieldcsv for its whole life; kernel_name() says which
+kernel runs, and the writer and the reader go with it.
 
 The numpy kernel, envelope_batch, envelopes every row of a batch; the
 numpy sweep makes one call, with the changed lines of every node of the
@@ -140,10 +143,18 @@ def compiled_csv_read():
     chunk holds the bytes of the rows of flat indices first, first + 1, ...,
     and rho and rsum are float64 arrays of one entry per grid point.  read
     stops at the last row or at the first line that chunk does not hold
-    whole, and returns (rows, used): it read rows rows, which take the first
-    used bytes of chunk, into rho and rsum from index first on.  It returns
-    None if a whole line of chunk is not byte for byte the row that
-    compiled_csv_rows writes for the values it reads."""
+    whole, and returns (rows, used, slow): it read rows rows, which take the
+    first used bytes of chunk, into rho and rsum from index first on, and
+    slow of their cells by strtod.  It returns None if a whole line of chunk
+    is not byte for byte the row that compiled_csv_rows writes for the
+    values it reads.
+
+    Each value is the one double that compiled_csv_rows spells with the
+    cell's bytes, as 17 significant digits tell every two doubles apart: a
+    cell of plain digits is read from its digits, and the double found is
+    taken only if it is spelled so; strtod reads every other cell and the
+    rare one whose digits miss, with the same check, so the values and the
+    files taken are those that strtod alone would give."""
     kernel = _compiled_kernel()
     return None if kernel is None else kernel[2]
 
@@ -170,7 +181,7 @@ def _compiled_kernel():
     node.restype = ctypes.c_int
     csv.argtypes = (*[ctypes.c_void_p] * 2, *[ctypes.c_ssize_t] * 4, *[ctypes.c_void_p] * 3)
     csv.restype = ctypes.c_ssize_t
-    csv_in.argtypes = (ctypes.c_char_p, *[ctypes.c_ssize_t] * 4, *[ctypes.c_void_p] * 5)
+    csv_in.argtypes = (ctypes.c_char_p, *[ctypes.c_ssize_t] * 4, *[ctypes.c_void_p] * 6)
     csv_in.restype = ctypes.c_ssize_t
 
     def sweep(sources, previous, stored):
@@ -232,17 +243,18 @@ def _compiled_kernel():
                                      f"{n**m} entries, one per point of fields of shape {shape}")
             if not 0 <= first <= n**m:
                 raise ValueError(f"row {first} is outside fields of shape {shape}")
-            used, at = ctypes.c_ssize_t(), first * rho.itemsize
+            used, slow, at = ctypes.c_ssize_t(), ctypes.c_ssize_t(), first * rho.itemsize
             rows = csv_in(chunk, len(chunk), first, n**m - first, m, n, text.ctypes.data,
                           starts.ctypes.data, rho.ctypes.data + at, rsum.ctypes.data + at,
-                          ctypes.byref(used))
+                          ctypes.byref(used), ctypes.byref(slow))
             if rows == -2:
                 raise MemoryError("the row reader could not allocate its index")
-            return None if rows < 0 else (rows, used.value)
+            return None if rows < 0 else (rows, used.value, slow.value)
         return read
 
-    if (_sweep_probe_passes(sweep) and _csv_probe_passes(csv_rows)
-            and _csv_read_probe_passes(csv_read)):
+    probe = _csv_probe_files()
+    if (_sweep_probe_passes(sweep) and _csv_probe_passes(csv_rows, probe)
+            and _csv_read_probe_passes(csv_read, probe)):
         return sweep, csv_rows, csv_read
     return None
 
@@ -414,12 +426,12 @@ def _csv_probe_files() -> tuple[list, tuple, list]:
     return cells, rho.shape, files
 
 
-def _csv_probe_passes(csv_rows) -> bool:
+def _csv_probe_passes(csv_rows, probe) -> bool:
     """Whether csv_rows, the compiled row writer, writes the rows of the
-    probe's two files (_csv_probe_files) byte for byte.  The rows go in two
-    blocks, the second starting inside an axis line, so the writer must find
-    its place in the row-major index."""
-    cells, shape, files = _csv_probe_files()
+    probe's two files, probe = _csv_probe_files(), byte for byte.  The rows
+    go in two blocks, the second starting inside an axis line, so the
+    writer must find its place in the row-major index."""
+    cells, shape, files = probe
     rows = csv_rows(cells, shape)
     got = [b"", b""]
     for lo, hi in ((0, 100), (100, len(files[0][0]))):
@@ -429,25 +441,33 @@ def _csv_probe_passes(csv_rows) -> bool:
     return got == ["".join(lines).encode() for *_, lines in files]
 
 
-def _csv_read_probe_passes(csv_read) -> bool:
+def _csv_read_probe_passes(csv_read, probe) -> bool:
     """Whether csv_read, the compiled row reader, reads the rows of the
-    probe's two files (_csv_probe_files) back with the bits float() reads
-    from each cell, and declines two copies of the first file that the
-    writer would not write: one with 0.1 spelled "0.1", which reads as the
-    same value, and one with two p cells of the same length swapped.  Each
-    file is read in two chunks, the first ending inside a line, so the
+    probe's two files, probe = _csv_probe_files(), back with the bits
+    float() reads from each cell, and declines two copies of the first file
+    that the writer would not write: one with 0.1 spelled "0.1", which reads
+    as the same value, and one with two p cells of the same length swapped.
+    Each file is read in two chunks, the first ending inside a line, so the
     reader must carry on at the row where the first chunk ended and find
-    its place in the row-major index."""
+    its place in the row-major index.  The reader must also read by strtod
+    exactly the cells that are not plain digits, so its digit path must
+    find every other value, some of them one ulp above or below its first
+    candidate: a digit path that misses only sends more cells to strtod,
+    which reads the same values, so that count is what shows it."""
     from .fieldcsv import _fmt
 
-    cells, shape, files = _csv_probe_files()
+    cells, shape, files = probe
     read, n = csv_read(cells, shape), len(files[0][0])
 
     def read_back(lines):
         text, rho, rsum = "".join(lines).encode(), np.empty(n), np.empty(n)
         head = read(text[: text.index(b"\n", len(text) // 2) - 3], 0, rho, rsum)
         tail = None if head is None else read(text[head[1]:], head[0], rho, rsum)
-        if tail is None or (head[0] + tail[0], head[1] + tail[1]) != (n, len(text)):
+        # the cells that are not plain digits: exponent notation, with one
+        # "e", and "inf", "-inf" and "nan"
+        slow = sum(map(text.count, (b"e", b"inf", b"nan")))
+        if tail is None or (head[0] + tail[0], head[1] + tail[1], head[2] + tail[2]) \
+                != (n, len(text), slow):
             return None
         return rho, rsum
 

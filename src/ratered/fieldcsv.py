@@ -14,6 +14,9 @@ decimal17.format_g17, with the same bytes.
 
 A file that is byte for byte what the writer writes is read back by the
 same library's row reader (ratered_csv_read), a chunk of bytes per call.
+It reads a value of plain digits from the digits themselves and keeps it
+only if the writer spells it with the cell's bytes; only "inf", "-inf",
+exponent notation and the rare value its digits miss go to strtod.
 Every other file, and every file where the library is not adopted, is
 read by the block reader: each block of lines is parsed by one np.loadtxt
 call, numpy's C text reader, and every cell is checked.  The block reader

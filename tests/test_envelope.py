@@ -7,6 +7,7 @@ envelope_rows, which picks it) run once on each kernel, through the sweep
 lattice calls, and compare both with the scalar reference bit for bit.
 """
 
+import collections
 import itertools
 import math
 import re
@@ -456,14 +457,34 @@ WRONG_ROWS = {
     "decade-not-corrected": ("if (digits < UINT64_C(10000000000000000))", "if (0)"),
     "index-from-row-0": ("at = first; j >= 0", "at = 0; j >= 0"),
 }
-# Faults of the row reader.
+# Faults of the row reader.  The last three are faults of the digit path,
+# which, short of the first, only send more cells to strtod.
 WRONG_READS = {
     "p-cells-not-compared": ("memcmp(p, cells + starts[c], (size_t)len) != 0",
                              "(j < m && memcmp(p, cells + starts[c], (size_t)len) != 0)"),
-    "rho-read-as-strtod-reads-it": ("!canonical_cell(p, comma - p, rho + r)",
+    "rho-read-as-strtod-reads-it": ("!canonical_cell(p, comma - p, rho + r, slow)",
                                     "!(rho[r] = strtod(p, NULL), 1)"),
     "index-from-row-0-at-a-chunk": ("rest = first;", "rest = 0;"),
+    "first-candidate-not-checked": ("if (spells(*x, text, len))", "if (1)"),
+    "no-neighbour-tried": ("j < (bits > 0 ? 3 : 2)", "j < 1"),
+    "k-counted-one-short": ("end - point - 1;", "end - point - 2;"),
 }
+
+
+def _digit_candidate(cell: str):
+    """The first double the compiled reader's digit path tries for cell,
+    D / 10**k, with D its digits as one integer and k the digits after the
+    point; None where the cell goes to strtod: it is not -?digits[.digits],
+    or has more than 19 significant digits or more than 22 after the point.
+    int to float and float division round once each, as in the C code."""
+    match = re.fullmatch(r"-?([0-9]+)(?:\.([0-9]+))?", cell)
+    if match is None:
+        return None
+    whole, after = match.group(1), match.group(2) or ""
+    if len((whole + after).lstrip("0")) > 19 or len(after) > 22:
+        return None
+    y = float(int(whole + after)) / 10.0 ** len(after)
+    return -y if cell.startswith("-") else y
 
 
 def _library():
@@ -606,10 +627,11 @@ class TestLoader:
 
     def test_the_read_probe_covers_its_cases(self):
         """A reader that takes a row only if it is the writer's spelling of
-        the values float() reads from it passes the read probe; one that
-        reads every row as float() does, and one that leaves the p cells
-        unread, do not."""
-        def reference_read(cells, shape, canonical=True, p_cells=True):
+        the values float() reads from it, and counts as read by strtod the
+        cells that the digit path leaves to it, passes the read probe; one
+        that reads every row as float() does, one that leaves the p cells
+        unread, and one that reads every cell by strtod, do not."""
+        def reference_read(cells, shape, canonical=True, p_cells=True, all_strtod=False):
             n, m = len(cells) // 2, len(shape)
 
             def read(chunk, first, rho, rsum):
@@ -623,14 +645,35 @@ class TestLoader:
                     rho[r], rsum[r] = map(float, text)
                     if canonical and text != [fieldcsv._fmt(rho[r]), fieldcsv._fmt(rsum[r])]:
                         return None
-                return len(lines), sum(len(line) + 1 for line in lines)
+                slow = sum(all_strtod or _digit_candidate(cell) is None
+                           for line in lines for cell in line.split(",")[-2:])
+                return len(lines), sum(len(line) + 1 for line in lines), slow
             return read
 
-        assert envelope._csv_read_probe_passes(reference_read)
+        probe = envelope._csv_probe_files()
+        assert envelope._csv_read_probe_passes(reference_read, probe)
         assert not envelope._csv_read_probe_passes(
-            lambda cells, shape: reference_read(cells, shape, canonical=False))
+            lambda cells, shape: reference_read(cells, shape, canonical=False), probe)
         assert not envelope._csv_read_probe_passes(
-            lambda cells, shape: reference_read(cells, shape, p_cells=False))
+            lambda cells, shape: reference_read(cells, shape, p_cells=False), probe)
+        assert not envelope._csv_read_probe_passes(
+            lambda cells, shape: reference_read(cells, shape, all_strtod=True), probe)
+
+    def test_the_read_probe_covers_the_digit_path(self):
+        """Of the probe's 216 values, 78 are not spelled in plain digits and
+        go to strtod.  The digit path's first candidate is every other value
+        but 18: 9 are the double one ulp above it and 9 the one below, so a
+        reader that tries no neighbour sends them to strtod too."""
+        kinds = collections.Counter()
+        for x in envelope._csv_probe_values().tolist():
+            y = _digit_candidate(fieldcsv._fmt(x))
+            if y is None:
+                kinds["strtod"] += 1
+                continue
+            tries = [y, math.nextafter(y, math.inf), math.nextafter(y, -math.inf)]
+            steps = dict(zip(_bits(tries).tolist(), ["first", "up", "down"]))
+            kinds[steps.get(int(_bits([x])[0]), "miss")] += 1
+        assert kinds == {"strtod": 78, "first": 120, "up": 9, "down": 9}
 
     def test_the_csv_probe_covers_the_edge_cases(self):
         """A writer that spells every cell by fieldcsv._fmt passes the row
@@ -648,7 +691,7 @@ class TestLoader:
                     yield np.frombuffer(text.encode(), np.uint8)
             return rows
 
-        assert envelope._csv_probe_passes(reference_rows)
+        assert envelope._csv_probe_passes(reference_rows, envelope._csv_probe_files())
         v = envelope._csv_probe_values()
         bits = set(_bits(v).tolist())
         assert set(_bits([0.0, -0.0, np.inf, -np.inf]).tolist()) <= bits
@@ -765,10 +808,10 @@ class TestCompiledRefusals:
         read = envelope.compiled_csv_read()(["0,", "1,", "0,", "1,"], (2, 2))
         text = b"0,0,0,0,0.5,1\n0,1,0,1,0,0\n1,0,1,0,0,0\n1,1,1,1,-inf,inf\n"
         rho, rsum = np.zeros(4), np.zeros(4)
-        assert read(text, 0, rho, rsum) == (4, len(text))
+        assert read(text, 0, rho, rsum) == (4, len(text), 2)  # strtod reads -inf and inf
         assert rho.tolist() == [0.5, 0.0, 0.0, -math.inf] and rsum[3] == math.inf
-        assert read(text[14:34], 1, rho, rsum) == (1, 12)    # stops at the cut line
-        assert read(text, 4, rho, rsum) == (0, 0)
+        assert read(text[14:34], 1, rho, rsum) == (1, 12, 0)  # stops at the cut line
+        assert read(text, 4, rho, rsum) == (0, 0, 0)
         assert read(text, 1, rho, rsum) is None              # row 1 is not "0,0,..."
         readonly = np.zeros(4)
         readonly.flags.writeable = False

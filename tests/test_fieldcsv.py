@@ -5,9 +5,10 @@ tested cell by cell in tests/test_cli.py, against the per-row writer and the
 per-cell reader of tests/conftest.py; there the writer and the reader run
 on the compiled library wherever it loads.  Here the compiled and the numpy
 row writers are compared with each other, every reader test of
-tests/test_cli.py runs again on the block reader alone, and the files that
-the compiled row reader declines are read by the block reader with the same
-bits or the same error.
+tests/test_cli.py runs again on the block reader alone, the files that the
+compiled row reader declines are read by the block reader with the same
+bits or the same error, and every cell the compiled row writer writes is
+read back by the compiled row reader with the bits float() reads from it.
 """
 
 import re
@@ -194,12 +195,21 @@ def _last_i1(n_steps: int):
 
 # Edits of a written m=3, N=20 file.  "0" is how the writer spells +0.0, so
 # the compiled row reader reads the third edit, with +0.0 where -0.0 was
-# written; it declines every other edit.  The first six leave a file that
-# the block reader reads.
+# written; it declines every other edit.  All but the last three leave a
+# file that the block reader reads.  The respellings of 0.5, 5, 0.1, 0 and
+# -0 read as the written value, and most are plain digits that the digit
+# path of the compiled reader parses.
 EDITS = {
     "5e-1": _respell("0.5", "5e-1"),
     "0.50": _respell("0.5", "0.50"),
     "-0.0-spelled-0": _respell("-0", "0"),
+    "00.5": _respell("0.5", "00.5"),
+    "+0.5": _respell("0.5", "+0.5"),
+    ".5": _respell("0.5", ".5"),
+    "5.": _respell("5", "5."),
+    "18-digits": _respell("0.10000000000000001", "0.100000000000000006"),
+    "0.0": _respell("0", "0.0"),
+    "-0.0": _respell("-0", "-0.0"),
     "swapped-rows": lambda lines: lines[:100] + [lines[101], lines[100]] + lines[102:],
     "crlf": lambda lines: [line + "\r" for line in lines],
     "trailing-blank-line": lambda lines: lines + [""],
@@ -218,7 +228,7 @@ def test_an_edited_file_reads_as_the_per_cell_reader_reads_it(tmp_path, compiler
     bits."""
     assert envelope.kernel_name() == "compiled"
     written = test_cli._special_field(GridSpec(m=3, n_steps=20))
-    written.data.flat[[4000, 4001]] = [0.5, -0.0]          # (9, 1, 10) and (9, 1, 11)
+    written.data.flat[[4000, 4001, 4002, 4003]] = [0.5, -0.0, 5.0, 0.1]   # from (9, 1, 10)
     fieldcsv.write_field_csv(tmp_path / "src.csv", written, "max")
     lines = (tmp_path / "src.csv").read_text().splitlines()
     path = tmp_path / "field.csv"
@@ -237,3 +247,50 @@ def test_an_edited_file_reads_as_the_per_cell_reader_reads_it(tmp_path, compiler
     else:
         assert compiled is None
         assert np.array_equal(new.data.view(np.uint64), written.data.view(np.uint64))
+
+
+def assert_reads_back(values):
+    """values written by the compiled row writer as rho, and reversed as
+    Rsum, are read back by the compiled row reader with the bits float()
+    reads from every cell.  The field has one axis and empty index and
+    grid-value cells, so that a row is rho,Rsum."""
+    assert envelope.kernel_name() == "compiled"
+    values = np.asarray(values, dtype=np.float64).reshape(-1)
+    cells, shape = [""] * (2 * values.size), (values.size,)
+    rows = envelope.compiled_csv_rows()(cells, shape)
+    read = envelope.compiled_csv_read()(cells, shape)
+    text = next(rows(np.array([[values, values[::-1]]]), 0)).tobytes()
+    rho, rsum = np.empty(values.size), np.empty(values.size)
+    assert read(text, 0, rho, rsum)[:2] == (values.size, len(text))
+    want = np.array([[float(cell) for cell in line.split(",")]
+                     for line in text.decode().splitlines()])
+    assert np.array_equal(np.stack([rho, rsum], axis=1).view(np.uint64), want.view(np.uint64))
+
+
+def test_written_cells_read_back_over_random_bit_patterns(compiler):
+    # every exponent, both signs, NaN payloads, subnormals
+    bits = np.random.default_rng(31).integers(0, 2**64, size=1 << 15, dtype=np.uint64)
+    assert_reads_back(bits.view(np.float64))
+
+
+def test_written_cells_read_back_in_fixed_notation(compiler):
+    # the digit path's cells: significands at random, exponents from 2**-15
+    # to 2**50, both signs
+    rng = np.random.default_rng(32)
+    n = 1 << 15
+    bits = (rng.integers(0, 1 << 52, size=n, dtype=np.uint64)
+            | (rng.integers(1023 - 15, 1023 + 51, size=n).astype(np.uint64) << np.uint64(52))
+            | (rng.integers(0, 2, size=n).astype(np.uint64) << np.uint64(63)))
+    assert_reads_back(bits.view(np.float64))
+
+
+def test_written_cells_read_back_over_hypothesis_floats(compiler):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(st.lists(st.floats(), min_size=1, max_size=40))
+    def check(values):
+        assert_reads_back(values)
+
+    check()

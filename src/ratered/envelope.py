@@ -47,13 +47,14 @@ os.replace, so concurrent processes never load a half-written file.  It is
 adopted only after its sweep returns the numpy sweep's fields, delta bits
 and count of enveloped lines on two sweeps of a fixed probe
 (_sweep_probe_passes over the cells of _probe_batch), its rows the bytes
-of "%.17g" on the awkward values of _csv_probe_values (_csv_probe_passes),
-and its reader those rows' bits, by strtod only where a value is not plain
-digits, while it declines a respelled value and a swapped pair of
-grid-value cells (_csv_read_probe_passes).  A cached file is never
+that fieldcsv._python_rows writes by "%.17g" on the awkward values of
+_csv_probe_values (_csv_probe_passes), and its reader those rows' bits, by
+strtod only where a value is not plain digits, while it declines a
+respelled value and a swapped pair of grid-value cells
+(_csv_read_probe_passes).  A cached file is never
 rebuilt: delete it to force a new build.  Where there is no compiler, the
 directory is not writable, or the build, the load or any probe fails, the
-process runs the numpy sweep, the numpy row writer and only the block
+process runs the numpy sweep, the Python row writer and only the block
 reader of ratered.fieldcsv for its whole life; kernel_name() says which
 kernel runs, and the writer and the reader go with it.
 
@@ -112,9 +113,9 @@ def compiled_sweep():
 
 
 def compiled_csv_rows():
-    """The compiled field-CSV row writer, or None where the numpy writer of
-    ratered.fieldcsv runs; the same library and the same decision as
-    compiled_sweep.
+    """The compiled field-CSV row writer, or None where the Python row
+    writer, fieldcsv._python_rows, runs on the same interface; the same
+    library and the same decision as compiled_sweep.
 
     It is called as csv_rows(cells, shape), with cells the "i," cell of
     every grid index i in 0..n-1 followed by the "p_i," cell of every grid
@@ -406,23 +407,21 @@ def _csv_probe_values() -> np.ndarray:
 
 def _csv_probe_files() -> tuple[list, tuple, list]:
     """The two files of the row probes: the cells, the shape of the fields
-    and, per file, its rho and Rsum values and its rows as the format spells
-    them, fieldcsv._fmt ("%.17g") for every value.  The probe values, as a
-    (6, 6, 6) field in a rotated view, are the first file's rho, and the
-    same values reversed the second's.  Each file's Rsum is the other's
-    rho."""
-    from .fieldcsv import _fmt
+    and, per file, its rho and Rsum values and its rows as
+    fieldcsv._python_rows, Python's own "%.17g" %, writes them.  The probe
+    values, as a (6, 6, 6) field in a rotated view, are the first file's
+    rho, and the same values reversed the second's.  Each file's Rsum is the
+    other's rho."""
+    from .fieldcsv import _fmt, _python_rows
 
     n = 6
     cells = [f"{i}," for i in range(n)] + [_fmt(i / (n - 1)) + "," for i in range(n)]
     rho = _csv_probe_values().reshape(n, n, n).transpose(1, 2, 0)
     fields = [rho.reshape(-1), rho.reshape(-1)[::-1]]
-    index = np.unravel_index(np.arange(n**3), rho.shape)
-    prefix = ["".join([cells[i] for i in at] + [cells[n + i] for i in at])
-              for at in zip(*(i.tolist() for i in index))]
-    files = [(a, b, [f"{p}{_fmt(r)},{_fmt(s)}\n"
-                     for p, r, s in zip(prefix, a.tolist(), b.tolist())])
-             for a, b in (fields, fields[::-1])]
+    pairs = (fields, fields[::-1])
+    texts = _python_rows(cells, rho.shape)(np.array(pairs), 0)
+    files = [(a, b, text.tobytes().decode().splitlines(keepends=True))
+             for (a, b), text in zip(pairs, texts)]
     return cells, rho.shape, files
 
 

@@ -8,9 +8,9 @@ back bit-exactly.  Files are written and read a block of rows at a time,
 so no whole-file text is held in memory.  A block's rows are written by
 the compiled row writer of the envelope library (ratered_csv_rows in
 _envelope.c, adopted with the compiled sweep), which spells each value
-byte for byte as "%.17g" does; where that library is not adopted, each
-distinct value of a block is formatted once in numpy by
-decimal17.format_g17, with the same bytes.
+byte for byte as "%.17g" does; where that library is not adopted, by
+_python_rows, Python's own "%.17g" % per row.  _python_rows is also the
+one Python spelling of a row that the library's row probes compare with.
 
 A file that is byte for byte what the writer writes is read back by the
 same library's row reader (ratered_csv_read), a chunk of bytes per call.
@@ -88,14 +88,6 @@ def _header(path, line: str) -> tuple[list[str], int]:
     return header, m
 
 
-def _cell_table(cells: list[str]) -> np.ndarray:
-    """The ASCII bytes of each cell, left-aligned in the rows of a uint8
-    matrix and padded with zero bytes."""
-    width = max(map(len, cells))
-    text = np.array([c.encode() for c in cells], dtype=f"S{width}")
-    return text.view(np.uint8).reshape(len(cells), width)
-
-
 def _write_grid_csv(items: list, axes: list, h: np.ndarray, grid: GridSpec) -> None:
     """Dense dumps of fields on one grid, one file per (path, label, rho) in
     items.  Each rho has the shape of h, the joint entropy, with one
@@ -108,9 +100,9 @@ def _write_grid_csv(items: list, axes: list, h: np.ndarray, grid: GridSpec) -> N
     and Rsum values of every file are gathered into one array, and each
     file's rows are written with one call: by the compiled row writer
     (envelope.compiled_csv_rows) wherever the compiled library was adopted,
-    else by _numpy_rows.
+    else by _python_rows.
     """
-    rows = (compiled_csv_rows() or _numpy_rows)(_grid_cells(grid), h.shape)
+    rows = (compiled_csv_rows() or _python_rows)(_grid_cells(grid), h.shape)
     with contextlib.ExitStack() as stack:
         files = [stack.enter_context(open(path, "wb")) for path, _, _ in items]
         for out, (_, label, _) in zip(files, items):
@@ -129,50 +121,22 @@ def _write_grid_csv(items: list, axes: list, h: np.ndarray, grid: GridSpec) -> N
                 out.write(text)
 
 
-def _numpy_rows(cells: list[str], shape: tuple):
-    """The numpy row writer, with envelope.compiled_csv_rows' interface:
-    rows(values, first) yields per file the bytes of its rows, each valid
-    until the next is asked for.
-
-    Per block, the distinct floats of every file are formatted once, by
-    decimal17.format_g17 (keyed by their bits, so -0.0 and 0.0 stay apart).
-    The block's rows are laid out in one uint8 matrix, each cell in a slot
-    padded with zero bytes, which no cell contains.  The index and
-    grid-value cells are gathered once for all files.  Per file, the rho
-    and Rsum slots, each as wide as the block's longest text, are gathered
-    from the formatted table, and the non-zero bytes are taken in one step.
-    No Python object is made per cell.
-    """
-    # Imported here: only this writer uses the formatter, so a process that
-    # writes no field CSV, or writes them compiled, does not load it.
-    from .decimal17 import format_g17
-
-    n, m = len(cells) // 2, len(shape)
-    prefix = [_cell_table(cells[:n])] * m + [_cell_table(cells[n:])] * m
-    prefix_width = sum(table.shape[1] for table in prefix)
+def _python_rows(cells: list[str], shape: tuple):
+    """The Python row writer, with envelope.compiled_csv_rows' interface:
+    rows(values, first) yields per file the bytes of its rows as a uint8
+    array.  Per block, the "i," and "p_i," cells of every row are taken once
+    for all files, and each row is spelled by one template, the 2m cells
+    then "%.17g,%.17g\n" of its rho and Rsum."""
+    n, row = len(cells) // 2, "%s" * (2 * len(shape)) + "%.17g,%.17g\n"
 
     def rows(values, first: int):
-        count = values.shape[-1]
-        # A 1-D input keeps the inverse 1-D on every numpy version.
-        bits, inverse = np.unique(values.reshape(-1).view(np.uint64), return_inverse=True)
-        inverse = inverse.astype(np.int32).reshape(values.shape)
-        text, length = format_g17(bits.view(np.float64))
-        del bits
-        width = int(length.max())
-        text = text[:, :width]
-        # A row: the prefix cells, rho, ",", Rsum, "\n".
-        block = np.empty((count, prefix_width + 2 * width + 2), np.uint8)
-        at = 0
-        index = np.unravel_index(np.arange(first, first + count), shape)
-        for table, i in zip(prefix, index + index):
-            block[:, at : at + table.shape[1]] = table[i]
-            at += table.shape[1]
-        block[:, at + width], block[:, -1] = ord(","), ord("\n")
-        slots = (slice(at, at + width), slice(at + width + 1, at + 2 * width + 1))
-        for file_cells in inverse:
-            for slot, i in zip(slots, file_cells):
-                block[:, slot] = text[i]
-            yield block[block != 0]
+        index = [i.tolist() for i in
+                 np.unravel_index(np.arange(first, first + values.shape[-1]), shape)]
+        prefix = [[cells[i] for i in at] for at in index] \
+            + [[cells[n + i] for i in at] for at in index]
+        for rho, rsum in values:
+            text = "".join(map(row.__mod__, zip(*prefix, rho.tolist(), rsum.tolist())))
+            yield np.frombuffer(text.encode(), np.uint8)
     return rows
 
 

@@ -937,7 +937,7 @@ class TestFieldCsvWriter:
 
     def test_memory_stays_bounded_by_a_block(self, tmp_path):
         # 51^3 points, about 12.7 MB of CSV: a writer that builds the whole
-        # text at once peaks near 47 MB, the blocked one near 3 MB.
+        # text at once peaks near 47 MB, the blocked one near 2.3 MB.
         field = _special_field(GridSpec.from_delta(3, 0.02))
         tracemalloc.start()
         try:
@@ -949,9 +949,13 @@ class TestFieldCsvWriter:
 
     def test_memory_of_a_run_write_stays_bounded_by_a_block(self, tmp_path):
         # The four field CSVs of a min run at m=3, delta=0.02, in one pass:
-        # the blocked writer peaks near 3.7 MB.  Rsum held for whole fields
-        # would add 4.2 MB, whole-file text about 50 MB.  Two sweeps leave
-        # few distinct values, which keeps the traced write under a second.
+        # the blocked writer peaks near 1.3 MB compiled and 2.3 MB on the
+        # Python writer.  Rsum held for whole fields would add 4.2 MB,
+        # whole-file text about 50 MB.  A block's text, and so the peak, does
+        # not depend on how far the fields converged, so two sweeps are
+        # enough and keep the run short.  The traced write takes about 0.1 s
+        # compiled and 5 s on the Python writer, as tracemalloc follows each
+        # of its per-row strings.
         bank = run(GridSpec.from_delta(3, 0.02), builtin_table("min", 3),
                    t_max=2, eps=1e-300).bank
         fields = [(str(k), bank.field_for(k)) for k in range(1, 4)] \
@@ -966,8 +970,9 @@ class TestFieldCsvWriter:
 
 
 class TestFieldCsvWriterOnNumpy(TestFieldCsvWriter):
-    """Every writer test above again on the numpy row writer, the one a host
-    without a compiler runs: the same bytes and the same memory bounds.
+    """Every writer test above again on the Python row writer,
+    fieldcsv._python_rows, the one a host without a compiler runs: the same
+    bytes and the same memory bounds.
     Above, the compiled row writer runs wherever the library loads."""
 
     @pytest.fixture(autouse=True)

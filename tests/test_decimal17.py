@@ -1,38 +1,29 @@
-"""Both "%.17g" formatters against Python's own "%.17g" % x, byte for byte:
-decimal17.format_g17, the numpy writer's, in the module-level tests, and
-the compiled row writer's in TestCompiledFormatter, which runs every one
-of them again."""
+"""Both field-CSV row writers' "%.17g" against Python's own "%.17g" % x,
+byte for byte: fieldcsv._python_rows, the writer of a host without the
+compiled library, in the module-level tests, and the compiled row writer in
+TestCompiledFormatter, which runs every one of them again."""
 
+import functools
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from ratered import envelope
-from ratered.decimal17 import WIDTH, format_g17
+from ratered import envelope, fieldcsv
 
 
 def expected_text(values) -> bytes:
     return (("%.17g\n" * len(values)) % tuple(np.asarray(values).tolist())).encode()
 
 
-def formatted_text(values) -> bytes:
-    """format_g17's rows, each cut at its length and ended by a newline,
-    after checking that every row is its text followed by zero bytes only."""
-    text, length = format_g17(values)
-    assert text.shape == (len(values), WIDTH) and text.dtype == np.uint8
-    assert np.array_equal(text != 0, np.arange(WIDTH) < length[:, None])
-    rows = np.concatenate([text, np.full((len(values), 1), ord("\n"), np.uint8)], axis=1)
-    return rows[rows != 0].tobytes()
-
-
-def compiled_text(values) -> bytes:
-    """The compiled row writer's text of each value, ended by a newline: the
-    rows of a one-axis field whose index and grid-value cells are empty and
-    whose rho and Rsum are both the value, after checking that they are
-    spelled alike."""
+def written_text(csv_rows, values) -> bytes:
+    """The text of each value, ended by a newline, as csv_rows, a row writer
+    on envelope.compiled_csv_rows' interface, writes it: the rows of a
+    one-axis field whose index and grid-value cells are empty and whose rho
+    and Rsum are both the value, after checking that they are spelled
+    alike."""
     values = np.asarray(values, dtype=np.float64).reshape(-1)
-    rows = envelope.compiled_csv_rows()([""] * (2 * values.size), (values.size,))
+    rows = csv_rows([""] * (2 * values.size), (values.size,))
     text = next(rows(np.array([[values, values]]), 0)).tobytes()
     cells = [line.split(b",") for line in text.split(b"\n")[:-1]]
     assert len(cells) == values.size and all(rho == rsum for rho, rsum in cells)
@@ -43,15 +34,14 @@ def compiled_text(values) -> bytes:
 def g17():
     """The formatter under test, as a function from values to their texts,
     each ended by a newline; TestCompiledFormatter overrides it."""
-    return formatted_text
+    return functools.partial(written_text, fieldcsv._python_rows)
 
 
 def assert_matches_percent_g(g17, values, chunk=1 << 16):
-    """Values taken in chunks, each sorted and deduplicated by its bits as
-    the numpy field-CSV writer passes them."""
+    """Values taken in chunks, each written as one field."""
     values = np.asarray(values, dtype=np.float64)
     for at in range(0, values.size, chunk):
-        part = np.unique(values[at : at + chunk].view(np.uint64)).view(np.float64)
+        part = values[at : at + chunk]
         got, want = g17(part), expected_text(part)
         if got != want:
             bad = [(x, g, w) for x, g, w in zip(part.tolist(), got.split(b"\n"),
@@ -152,7 +142,7 @@ class TestCompiledFormatter:
     def g17(self, compiler):
         if envelope.kernel_name() != "compiled":
             pytest.fail(f"{compiler} is on PATH but the compiled library did not load")
-        return compiled_text
+        return functools.partial(written_text, envelope.compiled_csv_rows())
 
     test_random_bit_patterns = staticmethod(test_random_bit_patterns)
     test_random_values_in_fixed_notation = staticmethod(test_random_values_in_fixed_notation)

@@ -585,8 +585,8 @@ class TestLoader:
     def test_a_library_whose_row_writer_disagrees_is_refused(self, compiler, fresh_loader,
                                                              monkeypatch, tmp_path, fault,
                                                              per_row_field_csv):
-        """The whole library is refused, its sweep too, and the numpy writer
-        writes the bytes the format spells."""
+        """The whole library is refused, its sweep too, and the Python row
+        writer writes the bytes the format spells."""
         right, wrong = WRONG_ROWS[fault]
         text = envelope._SOURCE.read_text()
         assert text.count(right) == 1

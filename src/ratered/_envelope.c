@@ -15,10 +15,13 @@
    grid-value cells from a table, and spells rho and Rsum by format_g17,
    byte for byte Python's "%.17g" % x.  ratered_csv_read reads such rows
    back: it walks the same index, compares each row's index and grid-value
-   cells with the table, and reads rho and Rsum from their digits, taking a
-   row only if format_g17 spells its values with its exact bytes; strtod
-   reads only the cells that are not plain digits, such as "inf" and
-   "1e-05", and the rare one whose digits miss.
+   cells with the table, and reads rho and Rsum, taking a row only if
+   format_g17 spells its values with its exact bytes.  Writer and reader
+   share one 17-digit primitive, digits17: a cell in format_g17's fixed
+   notation is read by comparing its digits, as one integer, with
+   digits17 of a candidate double, so the reader spells nothing; strtod
+   reads only the other cells, such as "0", "inf" and "1e-05", and one
+   that no candidate matches.
 
    ratered.envelope compiles it with -ffp-contract=off, so no product is
    fused into a sum, and adopts it only after each of its three entry
@@ -186,32 +189,47 @@ int ratered_sweep_node(const double *src, const double *prev, const double *stor
     return 0;
 }
 
-/* 5**j for j = 0..21 */
-static const uint64_t POW5[22] = {
+/* 5**j for j = 0..20 */
+static const uint64_t POW5[21] = {
     UINT64_C(1), UINT64_C(5), UINT64_C(25), UINT64_C(125), UINT64_C(625),
     UINT64_C(3125), UINT64_C(15625), UINT64_C(78125), UINT64_C(390625),
     UINT64_C(1953125), UINT64_C(9765625), UINT64_C(48828125), UINT64_C(244140625),
     UINT64_C(1220703125), UINT64_C(6103515625), UINT64_C(30517578125),
     UINT64_C(152587890625), UINT64_C(762939453125), UINT64_C(3814697265625),
-    UINT64_C(19073486328125), UINT64_C(95367431640625), UINT64_C(476837158203125)};
+    UINT64_C(19073486328125), UINT64_C(95367431640625)};
 
-/* floor(x * 10**(16 - d)) for x = m * 2**e, and in *up whether
-   round-half-even rounds it up.  The product m * 5**(16 - d), m < 2**53 and
-   16 - d in 1..21, is formed exactly from 32-bit halves in two words and
-   shifted right by d - 16 - e, which is in 1..47 here. */
-static uint64_t scaled(uint64_t m, int e, int d, int *up)
+/* 10**j for j = -4..20 at TEN[j + 4], each the double nearest to it: exact
+   for j >= 0, and above 10**j for j < 0.  So no double lies in
+   [10**j, TEN[j + 4]), and a double x is below 10**j exactly when
+   x < TEN[j + 4]. */
+static const double TEN[25] = {
+    1e-4, 1e-3, 1e-2, 1e-1, 1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9,
+    1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20};
+
+/* The 17 digits of a double 10**d <= a < 10**(d + 1), -4 <= d <= 14:
+   D = round_half_even(a * 10**(16 - d)), computed exactly in integers (Gay
+   1990; Adams 2018, "Ryu").  For a = m * 2**e, m < 2**53, the product
+   m * 5**(16 - d), 16 - d in 2..20, is formed exactly from 32-bit halves in
+   two words and shifted right by d - 16 - e, which is in 1..46 here.
+   Rounding never carries D to 10**17 (tests/test_decimal17.py checks the
+   double below every power of ten), so 10**16 <= D < 10**17.  The writer
+   spells a with D, and the reader compares D with a cell's digits.  The
+   rounding takes no branch: whether the rest is above half is a coin toss
+   on these values, which a branch would mispredict half the time. */
+static uint64_t digits17(double a, int d)
 {
-    uint64_t f = POW5[16 - d];
+    uint64_t bits;
+    memcpy(&bits, &a, sizeof bits);
+    uint64_t m = (bits & ((UINT64_C(1) << 52) - 1)) | (UINT64_C(1) << 52), f = POW5[16 - d];
+    int shift = d - 16 - ((int)(bits >> 52) - 1075);
     uint64_t m_lo = m & 0xFFFFFFFFu, m_hi = m >> 32, f_lo = f & 0xFFFFFFFFu, f_hi = f >> 32;
     uint64_t low = m_lo * f_lo;
     uint64_t mid = m_lo * f_hi + m_hi * f_lo;          /* < 2**54 */
     uint64_t lo = low + (mid << 32);                   /* the product mod 2**64 */
     uint64_t hi = m_hi * f_hi + (mid >> 32) + (lo < low);
-    int shift = d - 16 - e;
     uint64_t quotient = (hi << (64 - shift)) | (lo >> shift);
     uint64_t rest = lo & ((UINT64_C(1) << shift) - 1), half = UINT64_C(1) << (shift - 1);
-    *up = rest > half || (rest == half && (quotient & 1));
-    return quotient;
+    return quotient + ((rest > half) | ((rest == half) & quotient & 1));
 }
 
 static const char PAIRS[] =
@@ -232,16 +250,13 @@ static void eight_digits(uint32_t v, char *out)
 
 /* "%.17g" % x as Python spells it, written to out; returns its length, at
    most 24.  For 1e-4 <= |x| < 1e15, which "%.17g" prints in fixed notation,
-   the 17 correctly rounded digits are D = round_half_even(x * 10**(16 - d))
-   with d = floor(log10|x|), computed exactly in integers (Gay 1990; Adams
-   2018, "Ryu").  d starts as floor(log10(2**k)) for the k with
-   2**(k-1) <= |x| < 2**k, by the integer approximation 78913 / 2**18 of
-   log10(2), which is d or d + 1; it is one too large exactly where the
-   quotient falls short of 10**16.  Rounding never carries D to 10**17 in
-   this range (tests/test_decimal17.py checks the double below every power
-   of ten).  Zeros and infinities are spelled directly, NaN as "nan" whatever
-   its sign bit (snprintf spells that one "-nan"), and everything else, the
-   subnormals and the exponent notation, goes to snprintf. */
+   the 17 correctly rounded digits are digits17(|x|, d) with
+   d = floor(log10|x|).  The integer approximation 78913 / 2**18 of log10(2)
+   gives floor(log10(2**k)) for the k with 2**(k-1) <= |x| < 2**k, which is
+   d or d + 1, and one exact comparison with TEN tells which.  Zeros and
+   infinities are spelled directly, NaN as "nan" whatever its sign bit
+   (snprintf spells that one "-nan"), and everything else, the subnormals
+   and the exponent notation, goes to snprintf. */
 static ptrdiff_t format_g17(double x, char *out)
 {
     double a = fabs(x);
@@ -263,14 +278,11 @@ static ptrdiff_t format_g17(double x, char *out)
     }
     uint64_t bits;
     memcpy(&bits, &x, sizeof bits);
-    int e = (int)((bits >> 52) & 0x7FF) - 1075;              /* normal: x = m * 2**e */
-    uint64_t m = (bits & ((UINT64_C(1) << 52) - 1)) | (UINT64_C(1) << 52);
-    int d = (int)(((int64_t)(e + 53) * 78913 + ((int64_t)1024 << 18)) >> 18) - 1024;
-    int up;
-    uint64_t digits = scaled(m, e, d, &up);
-    if (digits < UINT64_C(10000000000000000))
-        digits = scaled(m, e, --d, &up);
-    digits += (uint64_t)up;
+    int k = (int)((bits >> 52) & 0x7FF) - 1022;              /* 2**(k-1) <= |x| < 2**k */
+    int d = (int)(((int64_t)k * 78913 + ((int64_t)1024 << 18)) >> 18) - 1024;
+    if (a < TEN[d + 4])
+        d--;
+    uint64_t digits = digits17(a, d);
 
     /* the 17 digits of 10**16 <= digits < 10**17 */
     char text[17];
@@ -341,16 +353,20 @@ ptrdiff_t ratered_csv_rows(const double *rho, const double *rsum, ptrdiff_t rows
     return p - out;
 }
 
-/* 10**k for k = 0..22, each exact in a double */
-static const double POW10[23] = {
-    1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11,
-    1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22};
-
 /* Whether format_g17 spells x with the len bytes at text. */
 static int spells(double x, const char *text, ptrdiff_t len)
 {
     char spelled[32];
     return format_g17(x, spelled) == len && memcmp(spelled, text, (size_t)len) == 0;
+}
+
+/* The eight bytes at p as one integer, p[0] in its lowest byte. */
+static uint64_t eight_bytes(const char *p)
+{
+    const unsigned char *u = (const unsigned char *)p;
+    return (uint64_t)u[0] | (uint64_t)u[1] << 8 | (uint64_t)u[2] << 16 | (uint64_t)u[3] << 24
+           | (uint64_t)u[4] << 32 | (uint64_t)u[5] << 40 | (uint64_t)u[6] << 48
+           | (uint64_t)u[7] << 56;
 }
 
 /* Whether the len bytes at text are exactly format_g17's spelling of a
@@ -359,48 +375,86 @@ static int spells(double x, const char *text, ptrdiff_t len)
    double is spelled by a cell, and it is the one strtod reads from it:
    whichever way it is found, the value and the verdict are strtod's.
 
-   A cell -?digits[.digits] with at most 19 significant digits (leading
-   zeros do not count) and k <= 22 digits after the point is read as
-   D / 10**k, D its digits as one integer and 10**k exact (Clinger 1990).
-   The conversion of D and the division each round once, so that double
-   is a few ulps at most from the one the cell spells, and almost always
-   it or next to it (Lemire 2021): it is tried first, then the doubles one
-   ulp above and one below it, and the first that format_g17 spells with
-   the cell's bytes is taken.  Every other cell goes to strtod, and *slow
-   counts it: exponent notation, inf, -inf, nan, longer cells, and those
-   that no candidate spells.  The cell is copied and terminated first, so
-   strtod reads nothing past it.  strtod's leniencies (leading spaces, hex
-   floats, "5e-1", the locale's decimal point) only ever make a cell that
-   is not the spelling, so they never decide a value. */
+   A cell with the layout of format_g17's fixed notation is read from its
+   digits: -?, an integer part of at most 15 digits that is "0" or starts
+   with a non-zero digit, and, after a point, digits that end in a non-zero
+   one; "0." is followed by at most 3 zeros, and 1 to 17 digits are
+   significant.  The digits after the point are read eight at a time while
+   eight are left: the eight bytes, as one integer, are checked to be
+   digits alone, and their digits are joined in pairs, then in fours, by
+   three multiplications (Lemire 2021).  The cell's value has the decade
+   d, 10**d <= |value| < 10**(d + 1), -4 <= d <= 14, and its significant
+   digits, padded with zeros to 17, are a number D.  format_g17 spells a
+   double x with the cell exactly when x has the cell's sign,
+   TEN[d + 4] <= |x| < TEN[d + 5], and digits17(|x|, d) == D: digits are
+   compared as integers, as Lemire 2021 does, and nothing is spelled.  The
+   first candidate is the cell's digits as one integer over 10**k, k the
+   digits after the point (Clinger 1990); the conversion and the division
+   round once each, so it is a few ulps at most from x, and almost always
+   x or next to it.  A candidate that is not x tells by its decade or its
+   digits on which side x lies, and the next one is one ulp that way;
+   three are tried.  Every other cell goes to strtod, and then to
+   format_g17 and a byte comparison, and *slow counts it: exponent
+   notation, inf, -inf, nan, 0 and -0, which format_g17 spells directly,
+   and every cell that it does not spell.  The cell is copied and
+   terminated first, so strtod reads nothing past it.  strtod's leniencies
+   (leading spaces, hex floats, "5e-1", the locale's decimal point) only
+   ever make a cell that is not the spelling, so they never decide a
+   value. */
 static int canonical_cell(const char *text, ptrdiff_t len, double *x, ptrdiff_t *slow)
 {
     if (len < 1 || len > 24)
         return 0;
-    const char *p = text + (text[0] == '-'), *end = text + len, *point = NULL;
+    const char *start = text + (text[0] == '-'), *end = text + len, *p = start, *point = NULL;
     uint64_t digits = 0;
-    int significant = 0;
-    for (; p < end; p++) {
-        if (*p >= '0' && *p <= '9') {
-            significant += digits > 0 || *p != '0';
-            digits = 10 * digits + (uint64_t)(*p - '0');
-        } else if (*p == '.' && point == NULL) {
-            point = p;
-        } else {
-            break;
+    while (p < end && (unsigned char)(*p - '0') < 10)
+        digits = 10 * digits + (uint64_t)(*p++ - '0');
+    ptrdiff_t whole = p - start, k = 0;             /* the digits before and after the point */
+    if (p < end && *p == '.') {
+        point = p++;
+        for (; end - p >= 8; p += 8) {
+            uint64_t v = eight_bytes(p);
+            if (((v + UINT64_C(0x4646464646464646)) | (v - UINT64_C(0x3030303030303030)))
+                & UINT64_C(0x8080808080808080))
+                break;
+            v -= UINT64_C(0x3030303030303030);
+            v = v * 10 + (v >> 8);                  /* the four pairs of digits */
+            v = ((v & UINT64_C(0x000000FF000000FF)) * UINT64_C(0x000F424000000064)
+                 + ((v >> 16) & UINT64_C(0x000000FF000000FF)) * UINT64_C(0x0000271000000001))
+                >> 32;
+            digits = 100000000u * digits + (uint32_t)v;
         }
+        while (p < end && (unsigned char)(*p - '0') < 10)
+            digits = 10 * digits + (uint64_t)(*p++ - '0');
+        k = p - point - 1;
     }
-    ptrdiff_t k = point == NULL ? 0 : end - point - 1;     /* the digits after the point */
-    if (p == end && significant <= 19 && k <= 22) {
-        double y = (double)digits / POW10[k];
+    int lead = 0;                                   /* the zeros before a non-zero digit */
+    if (whole == 1 && *start == '0')
+        for (lead = 1; lead <= k && point[lead] == '0'; lead++)
+            ;
+    int significant = (int)(whole + k) - lead, d = (int)whole - 1 - lead;
+    if (p == end && (whole == 1 || (whole > 1 && *start != '0'))   /* no superfluous 0 */
+        && (point == NULL || end[-1] > '0')        /* a digit after the point, not 0 */
+        && significant >= 1 && significant <= 17 && d >= -4 && d <= 14) {
+        uint64_t want = digits * POW5[17 - significant] << (17 - significant);   /* D */
+        double y = (double)digits / TEN[k + 4];
         uint64_t bits, sign = (uint64_t)(text[0] == '-') << 63;
         memcpy(&bits, &y, sizeof bits);
-        /* |y|, then the doubles one ulp above and one below it */
-        uint64_t tries[3] = {bits, bits + 1, bits - 1};
-        for (int j = 0; j < (bits > 0 ? 3 : 2); j++) {
-            uint64_t b = tries[j] | sign;
-            memcpy(x, &b, sizeof b);
-            if (spells(*x, text, len))
-                return 1;
+        for (int j = 0; j < 3; j++) {
+            double c;
+            memcpy(&c, &bits, sizeof c);
+            /* the side of c on which x lies: above (1) or below (-1) */
+            int side = c < TEN[d + 4] ? 1 : c >= TEN[d + 5] ? -1 : 0;
+            if (side == 0) {
+                uint64_t got = digits17(c, d);
+                if (got == want) {
+                    bits |= sign;
+                    memcpy(x, &bits, sizeof bits);
+                    return 1;
+                }
+                side = got < want ? 1 : -1;
+            }
+            bits += (uint64_t)(int64_t)side;
         }
     }
     char cell[32], *stop;

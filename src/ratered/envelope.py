@@ -30,32 +30,34 @@ one block of one field CSV (compiled_csv_rows, which
 fieldcsv._write_grid_csv calls), spelling each value as "%.17g" does, and
 its third, ratered_csv_read, reads such rows back from a chunk of bytes
 (compiled_csv_read, which fieldcsv.read_field_csv tries first), taking a
-row only if it is byte for byte the one the writer writes.  It reads a
-value of plain digits as the integer of its digits over a power of ten, or
-a double one ulp from that, whichever the writer spells with the cell's
-bytes; strtod reads only the other cells, such as "inf" and "1e-05", and a
-value no candidate spells.  The library is built on the first call of a
-process that needs it, never at import: compiled with sysconfig's CC (else
-cc) and -O2 -ffp-contract=off -fPIC -shared, so no product is fused into a
-sum (never -ffast-math, which lets the compiler reorder float operations
-and assume that no NaN or infinity occurs).  The library is cached in this
-package's __pycache__ directory under a name that carries a SHA-256 of the
-C source, the compiler argv and the platform tag, so a later process only
-loads it; sys.dont_write_bytecode does not govern it, as it is not
-bytecode.  It is compiled under a temporary name and moved into place with
-os.replace, so concurrent processes never load a half-written file.  It is
-adopted only after its sweep returns the numpy sweep's fields, delta bits
-and count of enveloped lines on two sweeps of a fixed probe
-(_sweep_probe_passes over the cells of _probe_batch), its rows the bytes
-that fieldcsv._python_rows writes by "%.17g" on the awkward values of
-_csv_probe_values (_csv_probe_passes), and its reader those rows' bits, by
-strtod only where a value is not plain digits, while it declines a
-respelled value and a swapped pair of grid-value cells
-(_csv_read_probe_passes).  A cached file is never
-rebuilt: delete it to force a new build.  Where there is no compiler, the
-directory is not writable, or the build, the load or any probe fails, the
-process runs the numpy sweep, the Python row writer and only the block
-reader of ratered.fieldcsv for its whole life; kernel_name() says which
+row only if it is byte for byte the one the writer writes.  It checks a
+cell in the writer's fixed notation by its layout and then by its digits,
+as one integer, against the 17 digits the writer would write for a
+candidate double, so it spells nothing; strtod reads only the other cells,
+such as "0", "inf" and "1e-05", and one that no candidate matches.  The
+library is built on the first call of a process that needs it, never at
+import: compiled with sysconfig's CC (else cc) and -O2 -ffp-contract=off
+-fPIC -shared, so no product is fused into a sum (never -ffast-math,
+which lets the compiler reorder float operations and assume that no NaN
+or infinity occurs).  The library is cached in this package's __pycache__
+directory under a name that carries a SHA-256 of the C source, the
+compiler argv and the platform tag, so a later process only loads it;
+sys.dont_write_bytecode does not govern it, as it is not bytecode.  It is
+compiled under a temporary name and moved into place with os.replace, so
+concurrent processes never load a half-written file.  It is adopted only
+after its sweep returns the numpy sweep's fields, delta bits and count of
+enveloped lines on two sweeps of a fixed probe (_sweep_probe_passes over
+the cells of _probe_batch), its rows the bytes that fieldcsv._python_rows
+writes by "%.17g" on the awkward values of _csv_probe_values
+(_csv_probe_passes), and its reader those rows' bits, by strtod only where
+a value is zero or not in fixed notation, while it declines three
+respellings of a value (one short of 17 digits, one with a trailing zero
+and one with a leading zero) and a swapped pair of grid-value cells
+(_csv_read_probe_passes).  A cached file is never rebuilt: delete it to
+force a new build.  Where there is no compiler, the directory is not
+writable, or the build, the load or any probe fails, the process runs the
+numpy sweep, the Python row writer and only the block reader of
+ratered.fieldcsv for its whole life; kernel_name() says which
 kernel runs, and the writer and the reader go with it.
 
 The numpy kernel, envelope_batch, envelopes every row of a batch; the
@@ -151,10 +153,15 @@ def compiled_csv_read():
     values it reads.
 
     Each value is the one double that compiled_csv_rows spells with the
-    cell's bytes, as 17 significant digits tell every two doubles apart: a
-    cell of plain digits is read from its digits, and the double found is
-    taken only if it is spelled so; strtod reads every other cell and the
-    rare one whose digits miss, with the same check, so the values and the
+    cell's bytes, as 17 significant digits tell every two doubles apart.  A
+    cell with the layout of the writer's fixed notation (no superfluous
+    leading zero, no trailing zero after the point, at most 17 significant
+    digits, 1e-4 <= |value| < 1e15) is read from its digits: a candidate
+    double is taken only if it lies in the cell's decade and the 17 digits
+    the writer writes for it, as one integer, equal the cell's, and a
+    candidate that misses says which neighbour to try.  strtod reads every
+    other cell and one that no candidate matches, and takes it only if the
+    writer spells the value with the cell's bytes, so the values and the
     files taken are those that strtod alone would give."""
     kernel = _compiled_kernel()
     return None if kernel is None else kernel[2]
@@ -391,11 +398,13 @@ def _csv_probe_values() -> np.ndarray:
     it is used, 216 of them: the doubles next to 10**-5 .. 10**16, both
     ends of the fixed notation included; +-0.0, +-inf and NaN with and
     without its sign bit; subnormals and the float extremes; exponent
-    notation; ties at the 17th digit; and scattered bit patterns."""
+    notation; ties at the 17th digit; 2/11, which the reader's first
+    candidate overshoots by one ulp within its decade; and scattered bit
+    patterns."""
     powers = np.array([float(f"1e{j}") for j in range(-5, 17)])
     specials = np.array([0.0, np.inf, np.nan, 5e-324, 2.2250738585072014e-308 / 3,
                          2.2250738585072014e-308, 1.7976931348623157e308, 1.5e-7, 2.5e20,
-                         1e14 + 0.125, 1e14 + 0.375, 0.1, 1 / 3, 123456789.12345678])
+                         1e14 + 0.125, 1e14 + 0.375, 0.1, 1 / 3, 2 / 11, 123456789.12345678])
     values = np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf),
                              specials])
     values = np.concatenate([values, -values])
@@ -443,28 +452,32 @@ def _csv_probe_passes(csv_rows, probe) -> bool:
 def _csv_read_probe_passes(csv_read, probe) -> bool:
     """Whether csv_read, the compiled row reader, reads the rows of the
     probe's two files, probe = _csv_probe_files(), back with the bits
-    float() reads from each cell, and declines two copies of the first file
-    that the writer would not write: one with 0.1 spelled "0.1", which reads
-    as the same value, and one with two p cells of the same length swapped.
-    Each file is read in two chunks, the first ending inside a line, so the
-    reader must carry on at the row where the first chunk ended and find
-    its place in the row-major index.  The reader must also read by strtod
-    exactly the cells that are not plain digits, so its digit path must
-    find every other value, some of them one ulp above or below its first
-    candidate: a digit path that misses only sends more cells to strtod,
-    which reads the same values, so that count is what shows it."""
+    float() reads from each cell, and declines four copies of the first
+    file that the writer would not write: three in which a value is spelled
+    another way that reads as the same value, 0.1 as "0.1", 1e-4 with a
+    trailing zero, "0.00010", and with a leading one, "00.0001"; and one
+    with two p cells of the same length swapped.  Each file is read in two
+    chunks, the first ending inside a line, so the reader must carry on at
+    the row where the first chunk ended and find its place in the row-major
+    index.  The reader must also read by strtod exactly the cells that the
+    writer does not spell in fixed notation with a non-zero digit, those of
+    the values outside 1e-4 <= |x| < 1e15, so its digit path must find
+    every other value, some of them an ulp or two from its first candidate:
+    a digit path that misses only sends more cells to strtod, which reads
+    the same values, so that count is what shows it."""
     from .fieldcsv import _fmt
 
     cells, shape, files = probe
     read, n = csv_read(cells, shape), len(files[0][0])
 
+    # the cells strtod reads: both files hold the probe values as rho and as Rsum
+    values = files[0][0]
+    slow = 2 * np.count_nonzero(~((abs(values) >= 1e-4) & (abs(values) < 1e15)))
+
     def read_back(lines):
         text, rho, rsum = "".join(lines).encode(), np.empty(n), np.empty(n)
         head = read(text[: text.index(b"\n", len(text) // 2) - 3], 0, rho, rsum)
         tail = None if head is None else read(text[head[1]:], head[0], rho, rsum)
-        # the cells that are not plain digits: exponent notation, with one
-        # "e", and "inf", "-inf" and "nan"
-        slow = sum(map(text.count, (b"e", b"inf", b"nan")))
         if tail is None or (head[0] + tail[0], head[1] + tail[1], head[2] + tail[2]) \
                 != (n, len(text), slow):
             return None
@@ -478,13 +491,16 @@ def _csv_read_probe_passes(csv_read, probe) -> bool:
                                   for x, y in zip(got, want)):
             return False
     a, _, lines = files[0]
-    respelled, swapped = list(lines), list(lines)
-    r = int(np.flatnonzero(a == 0.1)[0])
-    respelled[r] = lines[r].replace(f",{_fmt(0.1)},", ",0.1,")
+    declined = []
+    for value, spelling in ((0.1, "0.1"), (1e-4, "0.00010"), (1e-4, "00.0001")):
+        r = int(np.flatnonzero(a == value)[0])
+        declined.append([*lines[:r], lines[r].replace(f",{_fmt(value)},", f",{spelling},"),
+                         *lines[r + 1:]])
+    swapped = list(lines)
     p1, p2 = cells[len(cells) // 2 + 1], cells[len(cells) // 2 + 2]
     r = int(np.ravel_multi_index((1, 2, 0), shape))
     swapped[r] = lines[r].replace(p1 + p2, p2 + p1)
-    return read_back(respelled) is None and read_back(swapped) is None
+    return all(read_back(copy) is None for copy in [*declined, swapped])
 
 
 def _envelope_rows(v: np.ndarray) -> np.ndarray:

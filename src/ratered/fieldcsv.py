@@ -14,9 +14,12 @@ one Python spelling of a row that the library's row probes compare with.
 
 A file that is byte for byte what the writer writes is read back by the
 same library's row reader (ratered_csv_read), a chunk of bytes per call.
-It reads a value of plain digits from the digits themselves and keeps it
-only if the writer spells it with the cell's bytes; only "inf", "-inf",
-exponent notation and the rare value its digits miss go to strtod.
+It checks that a value in the writer's fixed notation has that layout,
+then compares its digits, as one integer, with the 17 digits the writer
+writes for a candidate double, and keeps the candidate whose digits are
+the cell's; only "0", "-0", "inf", "-inf", "nan", exponent notation and a
+cell that no candidate matches go to strtod, and are kept only if the
+writer spells the value with the cell's bytes.
 Every other file, and every file where the library is not adopted, is
 read by the block reader: each block of lines is parsed by one np.loadtxt
 call, numpy's C text reader, and every cell is checked.  The block reader

@@ -1,7 +1,10 @@
 """Both field-CSV row writers' "%.17g" against Python's own "%.17g" % x,
 byte for byte: fieldcsv._python_rows, the writer of a host without the
 compiled library, in the module-level tests, and the compiled row writer in
-TestCompiledFormatter, which runs every one of them again."""
+TestCompiledFormatter, which runs every one of them again.  _python_rows
+spells each value by "%.17g" % itself, so there the tests check the row
+layout, and the random ones take a few thousand values; the compiled
+formatter takes all of them (the draws fixture)."""
 
 import functools
 from fractions import Fraction
@@ -37,6 +40,13 @@ def g17():
     return functools.partial(written_text, fieldcsv._python_rows)
 
 
+@pytest.fixture
+def draws():
+    """How many of n random values a test takes: at most 4096 on the Python
+    writer; TestCompiledFormatter takes all n."""
+    return lambda n: min(n, 1 << 12)
+
+
 def assert_matches_percent_g(g17, values, chunk=1 << 16):
     """Values taken in chunks, each written as one field."""
     values = np.asarray(values, dtype=np.float64)
@@ -49,17 +59,17 @@ def assert_matches_percent_g(g17, values, chunk=1 << 16):
             pytest.fail(f"{len(bad)} values differ from '%.17g', e.g. {bad[:5]}")
 
 
-def test_random_bit_patterns(g17):
+def test_random_bit_patterns(g17, draws):
     # Every exponent, both signs, NaN payloads, subnormals.
-    bits = np.random.default_rng(17).integers(0, 2**64, size=1 << 20, dtype=np.uint64)
+    bits = np.random.default_rng(17).integers(0, 2**64, size=draws(1 << 20), dtype=np.uint64)
     assert_matches_percent_g(g17, bits.view(np.float64))
 
 
-def test_random_values_in_fixed_notation(g17):
+def test_random_values_in_fixed_notation(g17, draws):
     # Significands at random, exponents from 2**-15 to 2**50, both signs:
     # the values around and inside 1e-4 <= |x| < 1e15.
     rng = np.random.default_rng(18)
-    n = 1 << 19
+    n = draws(1 << 19)
     bits = (rng.integers(0, 1 << 52, size=n, dtype=np.uint64)
             | (rng.integers(1023 - 15, 1023 + 51, size=n).astype(np.uint64) << np.uint64(52))
             | (rng.integers(0, 2, size=n).astype(np.uint64) << np.uint64(63)))
@@ -143,6 +153,10 @@ class TestCompiledFormatter:
         if envelope.kernel_name() != "compiled":
             pytest.fail(f"{compiler} is on PATH but the compiled library did not load")
         return functools.partial(written_text, envelope.compiled_csv_rows())
+
+    @pytest.fixture
+    def draws(self):
+        return lambda n: n
 
     test_random_bit_patterns = staticmethod(test_random_bit_patterns)
     test_random_values_in_fixed_notation = staticmethod(test_random_values_in_fixed_notation)

@@ -8,7 +8,8 @@ row writers are compared with each other, every reader test of
 tests/test_cli.py runs again on the block reader alone, the files that the
 compiled row reader declines are read by the block reader with the same
 bits or the same error, and every cell the compiled row writer writes is
-read back by the compiled row reader with the bits float() reads from it.
+read back by the compiled row reader with the bits float() reads from it,
+while a cell the writer would not write is declined.
 """
 
 import re
@@ -197,8 +198,8 @@ def _last_i1(n_steps: int):
 # the compiled row reader reads the third edit, with +0.0 where -0.0 was
 # written; it declines every other edit.  All but the last three leave a
 # file that the block reader reads.  The respellings of 0.5, 5, 0.1, 0 and
-# -0 read as the written value, and most are plain digits that the digit
-# path of the compiled reader parses.
+# -0 read as the written value; none has the layout of the writer's fixed
+# notation, so the compiled reader reads each by strtod, and takes only "0".
 EDITS = {
     "5e-1": _respell("0.5", "5e-1"),
     "0.50": _respell("0.5", "0.50"),
@@ -252,8 +253,10 @@ def test_an_edited_file_reads_as_the_per_cell_reader_reads_it(tmp_path, compiler
 def assert_reads_back(values):
     """values written by the compiled row writer as rho, and reversed as
     Rsum, are read back by the compiled row reader with the bits float()
-    reads from every cell.  The field has one axis and empty index and
-    grid-value cells, so that a row is rho,Rsum."""
+    reads from every cell, by strtod exactly where the writer does not
+    spell the value in fixed notation with a non-zero digit.  The field has
+    one axis and empty index and grid-value cells, so that a row is
+    rho,Rsum."""
     assert envelope.kernel_name() == "compiled"
     values = np.asarray(values, dtype=np.float64).reshape(-1)
     cells, shape = [""] * (2 * values.size), (values.size,)
@@ -261,27 +264,74 @@ def assert_reads_back(values):
     read = envelope.compiled_csv_read()(cells, shape)
     text = next(rows(np.array([[values, values[::-1]]]), 0)).tobytes()
     rho, rsum = np.empty(values.size), np.empty(values.size)
-    assert read(text, 0, rho, rsum)[:2] == (values.size, len(text))
+    slow = 2 * np.count_nonzero(~((abs(values) >= 1e-4) & (abs(values) < 1e15)))
+    assert read(text, 0, rho, rsum) == (values.size, len(text), slow)
     want = np.array([[float(cell) for cell in line.split(",")]
                      for line in text.decode().splitlines()])
     assert np.array_equal(np.stack([rho, rsum], axis=1).view(np.uint64), want.view(np.uint64))
 
 
+def _fixed_notation(rng, n: int) -> np.ndarray:
+    """n values with significands at random, exponents from 2**-15 to 2**50
+    and both signs: the values around and inside 1e-4 <= |x| < 1e15, where
+    the writer spells fixed notation."""
+    bits = (rng.integers(0, 1 << 52, size=n, dtype=np.uint64)
+            | (rng.integers(1023 - 15, 1023 + 51, size=n).astype(np.uint64) << np.uint64(52))
+            | (rng.integers(0, 2, size=n).astype(np.uint64) << np.uint64(63)))
+    return bits.view(np.float64)
+
+
 def test_written_cells_read_back_over_random_bit_patterns(compiler):
     # every exponent, both signs, NaN payloads, subnormals
-    bits = np.random.default_rng(31).integers(0, 2**64, size=1 << 15, dtype=np.uint64)
+    bits = np.random.default_rng(31).integers(0, 2**64, size=1 << 17, dtype=np.uint64)
     assert_reads_back(bits.view(np.float64))
 
 
 def test_written_cells_read_back_in_fixed_notation(compiler):
-    # the digit path's cells: significands at random, exponents from 2**-15
-    # to 2**50, both signs
-    rng = np.random.default_rng(32)
-    n = 1 << 15
-    bits = (rng.integers(0, 1 << 52, size=n, dtype=np.uint64)
-            | (rng.integers(1023 - 15, 1023 + 51, size=n).astype(np.uint64) << np.uint64(52))
-            | (rng.integers(0, 2, size=n).astype(np.uint64) << np.uint64(63)))
-    assert_reads_back(bits.view(np.float64))
+    # the digit path's cells
+    assert_reads_back(_fixed_notation(np.random.default_rng(32), 1 << 17))
+
+
+def _mutations(cell: str) -> list[str]:
+    """cell with a trailing "0", a leading "0", ".0" or a leading "+", and
+    with its last digit one up, one down or dropped."""
+    sign, body = ("-", cell[1:]) if cell.startswith("-") else ("", cell)
+    out = [cell + "0", sign + "0" + body, cell + ".0", "+" + cell]
+    if cell[-1].isdigit() and len(body) > 1:
+        last = int(cell[-1])
+        out += [cell[:-1] + str((last + 1) % 10), cell[:-1] + str((last - 1) % 10), cell[:-1]]
+    return out
+
+
+def test_the_reader_takes_a_cell_exactly_when_the_writer_spells_it(compiler):
+    """The doubles within 64 ulps of each power of ten from 1e-5 to 1e15
+    read back, and so do -0, subnormals and 1e-5, by strtod.  Mutations
+    of the spellings of random values and of those doubles, one row each,
+    are taken exactly when "%.17g" spells the value float() reads from
+    them, and with that value's bits."""
+    powers = np.array([float(f"1e{j}") for j in range(-5, 16)]).view(np.int64)
+    near = (powers[:, None] + np.arange(-64, 65)).reshape(-1).view(np.float64)
+    assert_reads_back(near)
+    assert_reads_back([-0.0, 5e-324, -np.nextafter(np.finfo(np.float64).tiny, 0.0), 1e-5])
+
+    rng = np.random.default_rng(34)
+    random = rng.integers(0, 2**64, size=1 << 10, dtype=np.uint64).view(np.float64)
+    values = np.concatenate([random, _fixed_notation(rng, 1 << 10), near[::8]])
+    mutants = sorted({m for x in values.tolist() for m in _mutations(fieldcsv._fmt(x))})
+    read = envelope.compiled_csv_read()(["", ""], (1,))
+    rho, rsum = np.empty(1), np.empty(1)
+    taken = 0
+    for m in mutants:
+        try:
+            spelled = fieldcsv._fmt(float(m)) == m
+        except ValueError:
+            spelled = False
+        got = read(f"{m},{m}\n".encode(), 0, rho, rsum)
+        assert (got is not None) == spelled, m
+        if spelled:
+            assert rho.view(np.uint64)[0] == np.float64(m).view(np.uint64), m
+            taken += 1
+    assert 0 < taken < len(mutants) // 4
 
 
 def test_written_cells_read_back_over_hypothesis_floats(compiler):

@@ -1,5 +1,5 @@
 /* The compiled half of ratered: one stored node of one sweep, and the rows
-   of a field CSV, written and read back.
+   of the field CSVs, written and read back.
 
    envelope_line is a port of the scalar reference _envelope_line in
    tests/conftest.py: Andrew's monotone chain over the non-BOTTOM cells
@@ -10,12 +10,18 @@
    envelope_line, and returns the BOTTOM-aware sup-delta of the result
    against the stored envelope.
 
-   ratered_csv_rows writes one block of one field CSV: it walks the
-   row-major index of the block's rows, copies each row's index and
-   grid-value cells from a table, and spells rho and Rsum by format_g17,
-   byte for byte Python's "%.17g" % x.  ratered_csv_read reads such rows
-   back: it walks the same index, compares each row's index and grid-value
-   cells with the table, and reads rho and Rsum, taking a row only if
+   ratered_csv_write writes one block of every field CSV of a write in one
+   pass: it walks the row-major index of the block's rows, reads the joint
+   entropy h and each file's rho at their strides, so a rotated view or a
+   slice is read in place, and computes Rsum = h - rho with lattice.gap's
+   BOTTOM rules (rsum).  Per row it spells the index and grid-value cells
+   once (row_prefix) and copies them to every file, and spells rho and Rsum
+   by format_g17, byte for byte Python's "%.17g" % x; a file whose rho has
+   the bits of an earlier file's in the row copies that file's rho and Rsum
+   bytes, as field_max does one k-file's at every point.
+   ratered_csv_read reads such rows back: it walks the same index, compares
+   each row's index and grid-value cells with row_prefix's spelling of
+   them in one memcmp, and reads rho and Rsum, taking a row only if
    format_g17 spells its values with its exact bytes.  Writer and reader
    share one 17-digit primitive, digits17: a cell in format_g17's fixed
    notation is read by comparing its digits, as one integer, with
@@ -315,42 +321,128 @@ static ptrdiff_t format_g17(double x, char *out)
     return p - out;
 }
 
-/* The field-CSV rows of flat indices first .. first + rows - 1 of an m-axis
-   field with n points on every axis, in row-major order, written to out:
-   per row the cells of the m indices, the cells of their m grid values,
-   rho, ",", Rsum and "\n".  rho and rsum hold the rows' values.  Cell c
-   of cells, the bytes starts[c] .. starts[c + 1] - 1, is the "i," cell of
-   index c for c < n and the "p_i," cell of index c - n for c >= n.  out
-   holds at least rows * (m * (longest "i," cell + longest "p_i," cell) +
-   50) bytes, as rho and Rsum take at most 24 each.  Returns the number of
-   bytes written, or -1 if the index cannot be allocated. */
-ptrdiff_t ratered_csv_rows(const double *rho, const double *rsum, ptrdiff_t rows, ptrdiff_t first,
-                           ptrdiff_t m, ptrdiff_t n, const char *cells, const ptrdiff_t *starts,
-                           char *out)
+/* The cells of a row before rho, the "i," cell of each of its m indices
+   and then the "p_i," cell of each of their grid values, kept in out from
+   one row to the next: cell j starts at out + at[j], and at[2m], which
+   row_prefix returns, is where they end.  Cell c of cells, the bytes
+   starts[c] .. starts[c + 1] - 1, is the "i," cell of index c for c < n
+   and the "p_i," cell of index c - n for c >= n.  Only the indices of axes
+   from on moved since the row that out holds (from = 0 for none, at[0] =
+   0), so only their cells are written, and the "p_i," cells of the other
+   axes only if the "i," cells before them changed length: two cells in
+   n - 1 rows of n.  out holds at least m * starts[2n] bytes.  The writer
+   copies each row's cells to every file, and the reader compares a row's
+   with them in one call. */
+static inline ptrdiff_t row_prefix(const ptrdiff_t *index, ptrdiff_t from, ptrdiff_t m, ptrdiff_t n,
+                            const char *cells, const ptrdiff_t *starts, char *out, ptrdiff_t *at)
 {
-    ptrdiff_t *index = malloc((size_t)(m > 0 ? m : 1) * sizeof *index);
-    if (index == NULL)
+    ptrdiff_t p_cells = at[m];
+    for (ptrdiff_t j = from; j < 2 * m; j++) {
+        if (j == m && at[m] == p_cells)
+            j += from;                          /* the p cells before j + from stay */
+        ptrdiff_t c = j < m ? index[j] : n + index[j - m];
+        memcpy(out + at[j], cells + starts[c], (size_t)(starts[c + 1] - starts[c]));
+        at[j + 1] = at[j] + starts[c + 1] - starts[c];
+    }
+    return at[2 * m];
+}
+
+/* h - rho with lattice.gap's BOTTOM conventions: 0 where neither is
+   finite, +inf where only h is and -inf where only rho is. */
+static double rsum(double h, double rho)
+{
+    int fh = isfinite(h), fr = isfinite(rho);
+    if (fh && fr)
+        return h - rho;
+    return fh == fr ? 0.0 : fh ? INFINITY : -INFINITY;
+}
+
+/* One block of the field CSVs of files m-axis fields with n points on every
+   axis, written in one pass: the rows of flat indices first .. first +
+   rows - 1, in row-major order.  fields[0] is the joint entropy h and
+   fields[f + 1] the rho of file f; strides[f * m + j] is the element
+   stride of fields[f] along axis j, so a view is read in place.  Row r of
+   file f is row_prefix's cells, its rho, ",", its Rsum = rsum(h, rho) and
+   "\n", in format_g17's spelling, written at out + f * capacity on; sizes[f]
+   receives the bytes of file f.  A row's prefix is spelled once and copied
+   to every file, and a file whose rho has the bits of an earlier file's in
+   the row copies that file's rho and Rsum bytes, as both are functions of
+   those bits and h.  capacity is at least rows * (m * (longest "i," cell +
+   longest "p_i," cell) + 50) bytes, as rho and Rsum take at most 24 each.
+   Returns 0, or -1 if the index cannot be allocated. */
+int ratered_csv_write(const double *const *fields, const ptrdiff_t *strides, ptrdiff_t files,
+                      ptrdiff_t m, ptrdiff_t n, ptrdiff_t first, ptrdiff_t rows,
+                      const char *cells, const ptrdiff_t *starts, char *out, ptrdiff_t capacity,
+                      ptrdiff_t *sizes)
+{
+    /* the row's index, where its cells start (row_prefix), each field's
+       element offset, and per file its rho and where its rho and Rsum
+       bytes start and end, the end of its bytes so far */
+    ptrdiff_t *index = malloc((size_t)(3 * m + files + 2) * sizeof *index);
+    ptrdiff_t *at = index + m, *offset = at + 2 * m + 1;
+    double *value = malloc((size_t)files * sizeof *value);
+    char **cell = malloc((size_t)(2 * files) * sizeof *cell), **cell_end = cell + files;
+    char *prefix = malloc((size_t)(m * starts[2 * n] + 1));
+    if (index == NULL || value == NULL || cell == NULL || prefix == NULL) {
+        free(index);
+        free(value);
+        free(cell);
+        free(prefix);
         return -1;
-    for (ptrdiff_t j = m - 1, at = first; j >= 0; j--) {
-        index[j] = at % n;
-        at /= n;
     }
-    char *p = out;
-    for (ptrdiff_t r = 0; r < rows; r++) {
-        for (ptrdiff_t j = 0; j < 2 * m; j++) {             /* the "i," cells, then "p_i," */
-            ptrdiff_t c = j < m ? index[j] : n + index[j - m];
-            memcpy(p, cells + starts[c], (size_t)(starts[c + 1] - starts[c]));
-            p += starts[c + 1] - starts[c];
+    for (ptrdiff_t j = m - 1, row = first; j >= 0; j--) {
+        index[j] = row % n;
+        row /= n;
+    }
+    for (ptrdiff_t f = 0; f <= files; f++) {
+        offset[f] = 0;
+        for (ptrdiff_t j = 0; j < m; j++)
+            offset[f] += index[j] * strides[f * m + j];
+    }
+    for (ptrdiff_t f = 0; f < files; f++)
+        cell_end[f] = out + f * capacity;
+    at[0] = 0;
+    for (ptrdiff_t r = 0, from = 0; r < rows; r++) {
+        ptrdiff_t len = row_prefix(index, from, m, n, cells, starts, prefix, at);
+        double h = fields[0][offset[0]];
+        for (ptrdiff_t f = 0; f < files; f++) {
+            char *p = cell_end[f];
+            memcpy(p, prefix, (size_t)len);
+            p += len;
+            double x = fields[f + 1][offset[f + 1]];
+            ptrdiff_t g = 0;
+            while (g < f && memcmp(&value[g], &x, sizeof x) != 0)
+                g++;
+            value[f] = x;
+            cell[f] = p;
+            if (g < f) {
+                memcpy(p, cell[g], (size_t)(cell_end[g] - cell[g]));
+                p += cell_end[g] - cell[g];
+            } else {
+                p += format_g17(x, p);
+                *p++ = ',';
+                p += format_g17(rsum(h, x), p);
+                *p++ = '\n';
+            }
+            cell_end[f] = p;
         }
-        p += format_g17(rho[r], p);
-        *p++ = ',';
-        p += format_g17(rsum[r], p);
-        *p++ = '\n';
-        for (ptrdiff_t j = m - 1; j >= 0 && ++index[j] == n; j--)
-            index[j] = 0;
+        /* the next row: count up the axes, the last one fastest */
+        for (from = m - 1; from >= 0; from--) {
+            ptrdiff_t step = ++index[from] < n ? 1 : 1 - n;
+            for (ptrdiff_t f = 0; f <= files; f++)
+                offset[f] += step * strides[f * m + from];
+            if (step == 1)
+                break;
+            index[from] = 0;
+        }
     }
+    for (ptrdiff_t f = 0; f < files; f++)
+        sizes[f] = cell_end[f] - (out + f * capacity);
     free(index);
-    return p - out;
+    free(value);
+    free(cell);
+    free(prefix);
+    return 0;
 }
 
 /* Whether format_g17 spells x with the len bytes at text. */
@@ -465,53 +557,58 @@ static int canonical_cell(const char *text, ptrdiff_t len, double *x, ptrdiff_t 
     return stop == cell + len && spells(*x, text, len);
 }
 
-/* Reads back the rows ratered_csv_rows writes, from the size bytes at text:
-   the rows of flat indices first, first + 1, ... of an m-axis field with n
-   points on every axis, with cells and starts as ratered_csv_rows takes
+/* Reads back the rows ratered_csv_write writes, from the size bytes at
+   text: the rows of flat indices first, first + 1, ... of an m-axis field
+   with n points on every axis, with cells and starts as row_prefix takes
    them.  It stops after rows rows or at the first line that text does not
    hold whole (its "\n" missing).  A row is read only if it is byte for
-   byte what ratered_csv_rows writes for the values read: its 2m cells from
-   the table and rho and Rsum in format_g17's spelling (canonical_cell);
-   rho[r] and rsum[r] receive row r's values.  Returns the number of rows
-   read, with *used the bytes they take and *slow how many of their cells
-   went to strtod; -1 if a whole line is not such a row; -2 if the index
-   cannot be allocated. */
+   byte what ratered_csv_write writes for the values read: its 2m cells as
+   row_prefix spells them and rho and Rsum in format_g17's spelling
+   (canonical_cell); rho[r] and rsum[r] receive row r's values.  Returns
+   the number of rows read, with *used the bytes they take and *slow how
+   many of their cells went to strtod; -1 if a whole line is not such a
+   row; -2 if the index cannot be allocated. */
 ptrdiff_t ratered_csv_read(const char *text, ptrdiff_t size, ptrdiff_t first, ptrdiff_t rows,
                            ptrdiff_t m, ptrdiff_t n, const char *cells, const ptrdiff_t *starts,
                            double *rho, double *rsum, ptrdiff_t *used, ptrdiff_t *slow)
 {
-    ptrdiff_t *index = malloc((size_t)(m > 0 ? m : 1) * sizeof *index);
-    if (index == NULL)
+    ptrdiff_t *index = malloc((size_t)(3 * m + 1) * sizeof *index), *at = index + m;
+    char *prefix = malloc((size_t)(m * starts[2 * n] + 1));
+    if (index == NULL || prefix == NULL) {
+        free(index);
+        free(prefix);
         return -2;
+    }
     for (ptrdiff_t j = m - 1, rest = first; j >= 0; j--) {
         index[j] = rest % n;
         rest /= n;
     }
     const char *p = text, *end = text + size;
-    ptrdiff_t r = 0;
+    ptrdiff_t r = 0, from = 0;
     *slow = 0;
+    at[0] = 0;
     for (; r < rows; r++) {
         const char *nl = memchr(p, '\n', (size_t)(end - p));
         if (nl == NULL)
             break;
-        for (ptrdiff_t j = 0; j < 2 * m; j++) {             /* the "i," cells, then "p_i," */
-            ptrdiff_t c = j < m ? index[j] : n + index[j - m], len = starts[c + 1] - starts[c];
-            if (nl - p < len || memcmp(p, cells + starts[c], (size_t)len) != 0)
-                goto not_canonical;
-            p += len;
-        }
+        ptrdiff_t len = row_prefix(index, from, m, n, cells, starts, prefix, at);
+        if (nl - p < len || memcmp(p, prefix, (size_t)len) != 0)
+            goto not_canonical;
+        p += len;
         const char *comma = memchr(p, ',', (size_t)(nl - p));
         if (comma == NULL || !canonical_cell(p, comma - p, rho + r, slow)
             || !canonical_cell(comma + 1, nl - comma - 1, rsum + r, slow))
             goto not_canonical;
         p = nl + 1;
-        for (ptrdiff_t j = m - 1; j >= 0 && ++index[j] == n; j--)
-            index[j] = 0;
+        for (from = m - 1; from >= 0 && ++index[from] == n; from--)
+            index[from] = 0;
     }
     free(index);
+    free(prefix);
     *used = p - text;
     return r;
 not_canonical:
     free(index);
+    free(prefix);
     return -1;
 }

@@ -24,41 +24,40 @@ compiled_sweep's sweep of a whole bank calls it once per node, on the one
 contract that lattice._numpy_sweep shares.  It walks the axis lines of a
 strided source, so a rotated view needs no gather, copies the stored
 envelope of every line whose bits equal the previous source's, envelopes
-the others, and returns the BOTTOM-aware sup-delta of the lines it
-rewrote.  The same library's second entry point, ratered_csv_rows, writes
-one block of one field CSV (compiled_csv_rows, which
-fieldcsv._write_grid_csv calls), spelling each value as "%.17g" does, and
-its third, ratered_csv_read, reads such rows back from a chunk of bytes
-(compiled_csv_read, which fieldcsv.read_field_csv tries first), taking a
-row only if it is byte for byte the one the writer writes.  It checks a
-cell in the writer's fixed notation by its layout and then by its digits,
-as one integer, against the 17 digits the writer would write for a
-candidate double, so it spells nothing; strtod reads only the other cells,
+the others, and returns the BOTTOM-aware sup-delta of the lines it rewrote.
+The same library's second entry point, ratered_csv_write, writes one block
+of every field CSV of a write in one pass (compiled_csv_rows, which
+fieldcsv._write_grid_csv calls): it reads the joint entropy and each file's
+rho in place, computes Rsum with lattice.gap's BOTTOM rules, spells a row's
+index and grid-value cells once for all files and each value as "%.17g"
+does, and a file whose rho has an earlier file's bits in the row copies
+that file's rho and Rsum bytes.  Its third, ratered_csv_read, reads such
+rows back from a chunk of bytes (compiled_csv_read, which
+fieldcsv.read_field_csv tries first), taking a row only if it is byte for
+byte the writer's: its cells up to rho are compared in one call with the
+writer's own spelling of them, and a value in the writer's fixed notation
+by its layout and its digits, as one integer, against the 17 digits the
+writer writes for a candidate double; strtod reads only the other cells,
 such as "0", "inf" and "1e-05", and one that no candidate matches.  The
 library is built on the first call of a process that needs it, never at
 import: compiled with sysconfig's CC (else cc) and -O2 -ffp-contract=off
--fPIC -shared, so no product is fused into a sum (never -ffast-math,
-which lets the compiler reorder float operations and assume that no NaN
-or infinity occurs).  The library is cached in this package's __pycache__
-directory under a name that carries a SHA-256 of the C source, the
-compiler argv and the platform tag, so a later process only loads it;
+-fPIC -shared, so no product is fused into a sum (never -ffast-math, which
+lets the compiler reorder float operations and assume that no NaN or
+infinity occurs).  The library is cached in this package's __pycache__
+directory under a name that carries a SHA-256 of the C source, the compiler
+argv and the platform tag, so a later process only loads it;
 sys.dont_write_bytecode does not govern it, as it is not bytecode.  It is
 compiled under a temporary name and moved into place with os.replace, so
 concurrent processes never load a half-written file.  It is adopted only
-after its sweep returns the numpy sweep's fields, delta bits and count of
-enveloped lines on two sweeps of a fixed probe (_sweep_probe_passes over
-the cells of _probe_batch), its rows the bytes that fieldcsv._python_rows
-writes by "%.17g" on the awkward values of _csv_probe_values
-(_csv_probe_passes), and its reader those rows' bits, by strtod only where
-a value is zero or not in fixed notation, while it declines three
-respellings of a value (one short of 17 digits, one with a trailing zero
-and one with a leading zero) and a swapped pair of grid-value cells
-(_csv_read_probe_passes).  A cached file is never rebuilt: delete it to
-force a new build.  Where there is no compiler, the directory is not
-writable, or the build, the load or any probe fails, the process runs the
-numpy sweep, the Python row writer and only the block reader of
-ratered.fieldcsv for its whole life; kernel_name() says which
-kernel runs, and the writer and the reader go with it.
+after each entry point passes its probe: the sweep gives the numpy sweep's
+results, the writer the bytes of fieldcsv._python_rows, and the reader
+those rows' bits while it declines respellings the writer would not write
+(_sweep_probe_passes, _csv_probe_passes, _csv_read_probe_passes).  A cached
+file is never rebuilt: delete it to force a new build.  Where there is no
+compiler, the directory is not writable, or the build, the load or any
+probe fails, the process runs the numpy sweep, the Python row writer and
+only the block reader of ratered.fieldcsv for its whole life; kernel_name()
+says which kernel runs, and the writer and the reader go with it.
 
 The numpy kernel, envelope_batch, envelopes every row of a batch; the
 numpy sweep makes one call, with the changed lines of every node of the
@@ -122,11 +121,11 @@ def compiled_csv_rows():
     It is called as csv_rows(cells, shape), with cells the "i," cell of
     every grid index i in 0..n-1 followed by the "p_i," cell of every grid
     value, and shape that of the fields, n points on every axis.  It
-    returns rows(values, first): values is a float64 array of shape
-    (files, 2, count) holding, per file, the rho and Rsum of the rows of
-    flat indices first .. first + count - 1, and rows yields per file the
-    bytes of those rows as a uint8 array, each valid until the next is
-    asked for."""
+    returns rows(h, rhos, first, count): h, the joint entropy, and each
+    file's rho are arrays of that shape in any layout, and rows returns per
+    file the bytes of its rows of flat indices first .. first + count - 1,
+    Rsum being lattice.gap(h, rho), as a uint8 array valid until the next
+    call."""
     kernel = _compiled_kernel()
     return None if kernel is None else kernel[1]
 
@@ -153,16 +152,10 @@ def compiled_csv_read():
     values it reads.
 
     Each value is the one double that compiled_csv_rows spells with the
-    cell's bytes, as 17 significant digits tell every two doubles apart.  A
-    cell with the layout of the writer's fixed notation (no superfluous
-    leading zero, no trailing zero after the point, at most 17 significant
-    digits, 1e-4 <= |value| < 1e15) is read from its digits: a candidate
-    double is taken only if it lies in the cell's decade and the 17 digits
-    the writer writes for it, as one integer, equal the cell's, and a
-    candidate that misses says which neighbour to try.  strtod reads every
-    other cell and one that no candidate matches, and takes it only if the
-    writer spells the value with the cell's bytes, so the values and the
-    files taken are those that strtod alone would give."""
+    cell's bytes, as 17 significant digits tell every two doubles apart,
+    found from the cell's digits or by strtod as the module docstring says;
+    so the values and the files taken are those that strtod alone would
+    give."""
     kernel = _compiled_kernel()
     return None if kernel is None else kernel[2]
 
@@ -180,15 +173,16 @@ def _compiled_kernel():
         if not path.exists():
             _build(argv, source, path)
         library = ctypes.CDLL(str(path))
-        node, csv = library.ratered_sweep_node, library.ratered_csv_rows
+        node, csv = library.ratered_sweep_node, library.ratered_csv_write
         csv_in = library.ratered_csv_read
     except (OSError, ValueError, AttributeError):
         return None
     node.argtypes = (*[ctypes.c_void_p] * 7, ctypes.c_ssize_t, ctypes.c_ssize_t,
                      ctypes.c_void_p, ctypes.c_void_p)
     node.restype = ctypes.c_int
-    csv.argtypes = (*[ctypes.c_void_p] * 2, *[ctypes.c_ssize_t] * 4, *[ctypes.c_void_p] * 3)
-    csv.restype = ctypes.c_ssize_t
+    csv.argtypes = (*[ctypes.c_void_p] * 2, *[ctypes.c_ssize_t] * 5, *[ctypes.c_void_p] * 3,
+                    ctypes.c_ssize_t, ctypes.c_void_p)
+    csv.restype = ctypes.c_int
     csv_in.argtypes = (ctypes.c_char_p, *[ctypes.c_ssize_t] * 4, *[ctypes.c_void_p] * 6)
     csv_in.restype = ctypes.c_ssize_t
 
@@ -223,20 +217,24 @@ def _compiled_kernel():
     def csv_rows(cells, shape):
         text, starts, width = _packed_cells(cells, shape)
         n, m = len(cells) // 2, len(shape)
+        out = np.empty((0, 0), np.uint8)        # the files' rows, reused by every call
 
-        def rows(values, first: int):
-            values = np.ascontiguousarray(values, dtype=np.float64)
-            files, two, count = values.shape
-            if two != 2 or not 0 <= first <= first + count <= n**m:
-                raise ValueError(f"values of shape {values.shape} from row {first} do not "
+        def rows(h, rhos, first: int, count: int):
+            nonlocal out
+            fields = [_in_elements(a) for a in (h, *rhos)]
+            if not (rhos and all(a.shape == tuple(shape) for a, _ in fields)
+                    and 0 <= first <= first + count <= n**m):
+                raise ValueError(f"{count} rows from row {first} of h and {len(rhos)} rho do not "
                                  f"fit fields of shape {shape}")
-            out = np.empty(count * width, np.uint8)
-            for rho, rsum in values:
-                size = csv(rho.ctypes.data, rsum.ctypes.data, count, first, m, n,
-                           text.ctypes.data, starts.ctypes.data, out.ctypes.data)
-                if size < 0:
-                    raise MemoryError("the row writer could not allocate its index")
-                yield out[:size]
+            if out.shape[0] != len(rhos) or out.shape[1] < count * width:
+                out = np.empty((len(rhos), count * width), np.uint8)
+            data = (ctypes.c_void_p * len(fields))(*[a.ctypes.data for a, _ in fields])
+            strides = (ctypes.c_ssize_t * (m * len(fields)))(*[s for _, st in fields for s in st])
+            sizes = (ctypes.c_ssize_t * len(rhos))()
+            if csv(data, strides, len(rhos), m, n, first, count, text.ctypes.data,
+                   starts.ctypes.data, out.ctypes.data, out.shape[1], sizes):
+                raise MemoryError("the row writer could not allocate its index")
+            return [row[:size] for row, size in zip(out, sizes)]
         return rows
 
     def csv_read(cells, shape):
@@ -285,9 +283,10 @@ def _packed_cells(cells: list, shape: tuple) -> tuple[np.ndarray, np.ndarray, in
 
 
 def _in_elements(a) -> tuple[np.ndarray, list]:
-    """a as float64 (a view where it already is), and its strides counted in
-    elements."""
+    """a as float64 and its strides counted in elements: a view where numpy
+    holds it aligned, so every stride is whole elements, else a copy."""
     a = np.asarray(a, dtype=np.float64)
+    a = a if a.flags.aligned and a.dtype.alignment == a.itemsize else a.copy()
     return a, [s // a.itemsize for s in a.strides]
 
 
@@ -414,67 +413,74 @@ def _csv_probe_values() -> np.ndarray:
     return np.concatenate([values, scrambled.view(np.float64)])
 
 
-def _csv_probe_files() -> tuple[list, tuple, list]:
-    """The two files of the row probes: the cells, the shape of the fields
-    and, per file, its rho and Rsum values and its rows as
-    fieldcsv._python_rows, Python's own "%.17g" %, writes them.  The probe
-    values, as a (6, 6, 6) field in a rotated view, are the first file's
-    rho, and the same values reversed the second's.  Each file's Rsum is the
-    other's rho."""
+def _csv_probe_files() -> tuple:
+    """The row probes' cells, the shape of their fields, the joint entropy h
+    and the rho of each of three files; and per file its rho and Rsum in row
+    order and its rows as fieldcsv._python_rows writes them.  The index
+    cells have three lengths, so the cells after them move in some rows
+    only.  The first rho is the probe values as a (6, 6, 6) field in a
+    rotated view; h, every other entry of a wider array, holds them in
+    another order, not finite at two cells where that rho is not either and
+    one where it is.  The second rho shares the first's bits in every third
+    row, and holds the other zero and another NaN payload where the first
+    holds a zero or NaN; the third is the first's in even rows and the
+    second's in odd ones."""
     from .fieldcsv import _fmt, _python_rows
+    from .lattice import gap
 
     n = 6
-    cells = [f"{i}," for i in range(n)] + [_fmt(i / (n - 1)) + "," for i in range(n)]
-    rho = _csv_probe_values().reshape(n, n, n).transpose(1, 2, 0)
-    fields = [rho.reshape(-1), rho.reshape(-1)[::-1]]
-    pairs = (fields, fields[::-1])
-    texts = _python_rows(cells, rho.shape)(np.array(pairs), 0)
-    files = [(a, b, text.tobytes().decode().splitlines(keepends=True))
-             for (a, b), text in zip(pairs, texts)]
-    return cells, rho.shape, files
+    cells = [f"{i}," for i in (0, 1, 22, 33, 444, 5)] + [_fmt(i / 5) + "," for i in range(n)]
+    values = _csv_probe_values()
+    rho = values.reshape(n, n, n).transpose(1, 2, 0)
+    first = rho.reshape(-1)
+    entropy = np.roll(values, 7)
+    entropy[np.flatnonzero(~np.isfinite(first))[:2]] = (np.nan, -np.inf)
+    entropy[np.flatnonzero(np.isfinite(first))[0]] = np.inf
+    h = np.repeat(entropy.reshape(n, n, n), 2, axis=-1)[..., ::2]
+    second = np.where(np.arange(first.size) % 3 == 0, first, np.roll(values[::-1], 11))
+    zero, nan = first == 0.0, np.isnan(first)
+    second[zero] = -first[zero]
+    second[nan] = (first[nan].view(np.uint64) ^ np.uint64(1)).view(np.float64)
+    third = np.where(np.arange(first.size) % 2 == 0, first, second)
+    rhos = [rho, second.reshape(rho.shape), third.reshape(rho.shape)]
+    texts = _python_rows(cells, rho.shape)(h, rhos, 0, first.size)
+    files = [(r.reshape(-1), gap(entropy, r.reshape(-1)),
+              text.tobytes().decode().splitlines(keepends=True))
+             for r, text in zip(rhos, texts)]
+    return cells, rho.shape, h, rhos, files
 
 
 def _csv_probe_passes(csv_rows, probe) -> bool:
     """Whether csv_rows, the compiled row writer, writes the rows of the
-    probe's two files, probe = _csv_probe_files(), byte for byte.  The rows
-    go in two blocks, the second starting inside an axis line, so the
-    writer must find its place in the row-major index."""
-    cells, shape, files = probe
-    rows = csv_rows(cells, shape)
-    got = [b"", b""]
-    for lo, hi in ((0, 100), (100, len(files[0][0]))):
-        values = np.array([[a[lo:hi], b[lo:hi]] for a, b, _ in files])
-        for j, text in enumerate(rows(values, lo)):
-            got[j] += text.tobytes()
+    probe's files, probe = _csv_probe_files(), byte for byte.  The rows go
+    in two blocks, the second starting inside an axis line, so the writer
+    must find its place in the row-major index."""
+    cells, shape, h, rhos, files = probe
+    rows, got = csv_rows(cells, shape), [b""] * len(files)
+    for first, count in ((0, 100), (100, h.size - 100)):
+        got = [done + text.tobytes() for done, text in zip(got, rows(h, rhos, first, count))]
     return got == ["".join(lines).encode() for *_, lines in files]
 
 
 def _csv_read_probe_passes(csv_read, probe) -> bool:
     """Whether csv_read, the compiled row reader, reads the rows of the
-    probe's two files, probe = _csv_probe_files(), back with the bits
-    float() reads from each cell, and declines four copies of the first
-    file that the writer would not write: three in which a value is spelled
-    another way that reads as the same value, 0.1 as "0.1", 1e-4 with a
-    trailing zero, "0.00010", and with a leading one, "00.0001"; and one
-    with two p cells of the same length swapped.  Each file is read in two
-    chunks, the first ending inside a line, so the reader must carry on at
-    the row where the first chunk ended and find its place in the row-major
-    index.  The reader must also read by strtod exactly the cells that the
-    writer does not spell in fixed notation with a non-zero digit, those of
-    the values outside 1e-4 <= |x| < 1e15, so its digit path must find
-    every other value, some of them an ulp or two from its first candidate:
-    a digit path that misses only sends more cells to strtod, which reads
-    the same values, so that count is what shows it."""
+    probe's files, probe = _csv_probe_files(), back with the bits float()
+    reads from each cell, and declines four copies of the first file that
+    the writer would not write: 0.1 spelled "0.1", 1e-4 spelled "0.00010"
+    and "00.0001", and two p cells of the same length swapped.  Each file
+    is read in two chunks, the first ending inside a line, so the reader
+    must carry on at the row where the first chunk ended.  It must read by
+    strtod exactly the cells of the values outside 1e-4 <= |x| < 1e15: a
+    digit path that misses a value, some an ulp or two from its first
+    candidate, only sends more cells to strtod, so that count shows it."""
     from .fieldcsv import _fmt
 
-    cells, shape, files = probe
+    cells, shape, _, _, files = probe
     read, n = csv_read(cells, shape), len(files[0][0])
 
-    # the cells strtod reads: both files hold the probe values as rho and as Rsum
-    values = files[0][0]
-    slow = 2 * np.count_nonzero(~((abs(values) >= 1e-4) & (abs(values) < 1e15)))
-
-    def read_back(lines):
+    def read_back(a, b, lines):
+        v = np.abs(np.concatenate([a, b]))
+        slow = np.count_nonzero(~((v >= 1e-4) & (v < 1e15)))     # the cells strtod reads
         text, rho, rsum = "".join(lines).encode(), np.empty(n), np.empty(n)
         head = read(text[: text.index(b"\n", len(text) // 2) - 3], 0, rho, rsum)
         tail = None if head is None else read(text[head[1]:], head[0], rho, rsum)
@@ -484,13 +490,13 @@ def _csv_read_probe_passes(csv_read, probe) -> bool:
         return rho, rsum
 
     for a, b, lines in files:
-        got = read_back(lines)
+        got = read_back(a, b, lines)
         # "%.17g" gives every double back, and float("nan") is np.nan
         want = [np.where(np.isnan(v), np.nan, v) for v in (a, b)]
         if got is None or not all(np.array_equal(x.view(np.uint64), y.view(np.uint64))
                                   for x, y in zip(got, want)):
             return False
-    a, _, lines = files[0]
+    a, b, lines = files[0]
     declined = []
     for value, spelling in ((0.1, "0.1"), (1e-4, "0.00010"), (1e-4, "00.0001")):
         r = int(np.flatnonzero(a == value)[0])
@@ -500,7 +506,7 @@ def _csv_read_probe_passes(csv_read, probe) -> bool:
     p1, p2 = cells[len(cells) // 2 + 1], cells[len(cells) // 2 + 2]
     r = int(np.ravel_multi_index((1, 2, 0), shape))
     swapped[r] = lines[r].replace(p1 + p2, p2 + p1)
-    return all(read_back(copy) is None for copy in [*declined, swapped])
+    return all(read_back(a, b, copy) is None for copy in [*declined, swapped])
 
 
 def _envelope_rows(v: np.ndarray) -> np.ndarray:

@@ -5,21 +5,22 @@ values p_1..p_m, then rho_<label> and Rsum_<label>, with 17 significant
 digits and the spellings "inf" and "-inf".  Identical fields give
 byte-identical files, and read_field_csv reads write_field_csv's output
 back bit-exactly.  Files are written and read a block of rows at a time,
-so no whole-file text is held in memory.  A block's rows are written by
-the compiled row writer of the envelope library (ratered_csv_rows in
-_envelope.c, adopted with the compiled sweep), which spells each value
-byte for byte as "%.17g" does; where that library is not adopted, by
-_python_rows, Python's own "%.17g" % per row.  _python_rows is also the
-one Python spelling of a row that the library's row probes compare with.
+so no whole-file text is held in memory.  A block of every file of one
+write is written by one call of the compiled row writer of the envelope
+library (ratered_csv_write in _envelope.c, adopted with the compiled
+sweep): it reads h and each rho in place, computes Rsum, spells a row's
+index and grid-value cells once for all files and each value byte for
+byte as "%.17g" does, and a file whose rho has an earlier file's bits in
+the row copies that file's bytes.  Where that library is not adopted,
+_python_rows writes them by Python's own "%.17g" % per row; it is also
+the reference that the library's row probes compare with.
 
 A file that is byte for byte what the writer writes is read back by the
-same library's row reader (ratered_csv_read), a chunk of bytes per call.
-It checks that a value in the writer's fixed notation has that layout,
-then compares its digits, as one integer, with the 17 digits the writer
-writes for a candidate double, and keeps the candidate whose digits are
-the cell's; only "0", "-0", "inf", "-inf", "nan", exponent notation and a
-cell that no candidate matches go to strtod, and are kept only if the
-writer spells the value with the cell's bytes.
+same library's row reader (ratered_csv_read), a chunk of bytes per call:
+a value in the writer's fixed notation by its layout and its 17 digits,
+as one integer, and only "0", "-0", "inf", "-inf", "nan", exponent
+notation and a cell that no candidate matches by strtod, each kept only
+if the writer spells the value with the cell's bytes.
 Every other file, and every file where the library is not adopted, is
 read by the block reader: each block of lines is parsed by one np.loadtxt
 call, numpy's C text reader, and every cell is checked.  The block reader
@@ -99,11 +100,10 @@ def _write_grid_csv(items: list, axes: list, h: np.ndarray, grid: GridSpec) -> N
     (lattice.gap(h, rho): h - rho, inf where rho is BOTTOM).
 
     The files are written in one pass, _CSV_BLOCK rows at a time, so memory
-    stays bounded by a block whatever the grid size.  Per block, the rho
-    and Rsum values of every file are gathered into one array, and each
-    file's rows are written with one call: by the compiled row writer
-    (envelope.compiled_csv_rows) wherever the compiled library was adopted,
-    else by _python_rows.
+    stays bounded by a block whatever the grid size.  Per block, the rows
+    of every file are written by one call of the compiled row writer
+    (envelope.compiled_csv_rows), else of _python_rows; either reads h and
+    each rho in place, a rotated view or a slice included.
     """
     rows = (compiled_csv_rows() or _python_rows)(_grid_cells(grid), h.shape)
     with contextlib.ExitStack() as stack:
@@ -111,34 +111,28 @@ def _write_grid_csv(items: list, axes: list, h: np.ndarray, grid: GridSpec) -> N
         for out, (_, label, _) in zip(files, items):
             out.write((",".join([f"i_{j}" for j in axes] + [f"p_{j}" for j in axes]
                                 + [f"rho_{label}", f"Rsum_{label}"]) + "\n").encode())
-        for lo in range(0, h.size, _CSV_BLOCK):
-            hi = min(lo + _CSV_BLOCK, h.size)
-            # .flat slices a block in row-major order without copying a
-            # whole rho that is a rotated view.
-            entropy = h.flat[lo:hi]
-            values = np.empty((len(items), 2, hi - lo))
-            for v, (_, _, rho) in zip(values, items):
-                v[0] = rho.flat[lo:hi]
-                v[1] = gap(entropy, v[0])
-            for out, text in zip(files, rows(values, lo)):
+        for first in range(0, h.size, _CSV_BLOCK):
+            texts = rows(h, [rho for *_, rho in items], first, min(_CSV_BLOCK, h.size - first))
+            for out, text in zip(files, texts):
                 out.write(text)
 
 
 def _python_rows(cells: list[str], shape: tuple):
-    """The Python row writer, with envelope.compiled_csv_rows' interface:
-    rows(values, first) yields per file the bytes of its rows as a uint8
-    array.  Per block, the "i," and "p_i," cells of every row are taken once
-    for all files, and each row is spelled by one template, the 2m cells
-    then "%.17g,%.17g\n" of its rho and Rsum."""
+    """The Python row writer, with envelope.compiled_csv_rows' interface,
+    yielding each file's rows as a uint8 array.  Per block, the "i," and
+    "p_i," cells of every row are taken once for all files, and each file's
+    rows are spelled by one template, the 2m cells then "%.17g,%.17g\n" of
+    its rho and Rsum, lattice.gap(h, rho)."""
     n, row = len(cells) // 2, "%s" * (2 * len(shape)) + "%.17g,%.17g\n"
 
-    def rows(values, first: int):
-        index = [i.tolist() for i in
-                 np.unravel_index(np.arange(first, first + values.shape[-1]), shape)]
+    def rows(h, rhos, first: int, count: int):
+        index = [i.tolist() for i in np.unravel_index(np.arange(first, first + count), shape)]
         prefix = [[cells[i] for i in at] for at in index] \
             + [[cells[n + i] for i in at] for at in index]
-        for rho, rsum in values:
-            text = "".join(map(row.__mod__, zip(*prefix, rho.tolist(), rsum.tolist())))
+        entropy = h.flat[first : first + count]    # row-major, copying no whole view
+        for rho in rhos:
+            v = rho.flat[first : first + count]
+            text = "".join(map(row.__mod__, zip(*prefix, v.tolist(), gap(entropy, v).tolist())))
             yield np.frombuffer(text.encode(), np.uint8)
     return rows
 

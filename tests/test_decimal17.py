@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from ratered import envelope, fieldcsv
+from ratered.lattice import gap
 
 
 def expected_text(values) -> bytes:
@@ -22,14 +23,16 @@ def expected_text(values) -> bytes:
 def written_text(csv_rows, values) -> bytes:
     """The text of each value, ended by a newline, as csv_rows, a row writer
     on envelope.compiled_csv_rows' interface, writes it: the rows of a
-    one-axis field whose index and grid-value cells are empty and whose rho
-    and Rsum are both the value, after checking that they are spelled
-    alike."""
+    one-axis field whose index and grid-value cells are empty and whose
+    entropy is 0, so that a row is the value and Rsum = 0 - value, after
+    checking that the Rsum column is "%.17g" of lattice.gap(0, value)."""
     values = np.asarray(values, dtype=np.float64).reshape(-1)
     rows = csv_rows([""] * (2 * values.size), (values.size,))
-    text = next(rows(np.array([[values, values]]), 0)).tobytes()
-    cells = [line.split(b",") for line in text.split(b"\n")[:-1]]
-    assert len(cells) == values.size and all(rho == rsum for rho, rsum in cells)
+    h = np.zeros(values.size)
+    [text] = rows(h, [values], 0, values.size)
+    cells = [line.split(b",") for line in text.tobytes().split(b"\n")[:-1]]
+    assert len(cells) == values.size
+    assert b"".join(rsum + b"\n" for _, rsum in cells) == expected_text(gap(h, values))
     return b"".join(rho + b"\n" for rho, _ in cells)
 
 

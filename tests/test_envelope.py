@@ -451,19 +451,28 @@ WRONG_SWEEPS = {
 }
 
 
-# Faults of the row writer.
+# Faults of the row writer.  The last five are faults of its one pass over
+# the files: a -0.0 that takes the cells of an earlier file's 0.0, a rotated
+# view read as if contiguous, Rsum's two BOTTOM rules broken, and grid-value
+# cells left in place when a longer index cell before them moved them.
 WRONG_ROWS = {
     "nan-by-snprintf": ("if (isnan(x)) {", "if (0) {"),
     "ties-round-up": ("((rest == half) & quotient & 1)", "(rest == half)"),
     "decade-not-corrected": ("if (a < TEN[d + 4])", "if (0)"),
-    "index-from-row-0": ("at = first; j >= 0", "at = 0; j >= 0"),
+    "index-from-row-0": ("row = first; j >= 0", "row = 0; j >= 0"),
+    "reuse-on-equal-values": ("memcmp(&value[g], &x, sizeof x) != 0", "value[g] != x"),
+    "rho-read-contiguously": ("x = fields[f + 1][offset[f + 1]];",
+                              "x = fields[f + 1][first + r];"),
+    "neither-finite-rsum-not-0": ("fh == fr ? 0.0 :", "fh == fr ? -0.0 :"),
+    "one-sided-infinities-swapped": ("fh ? INFINITY : -INFINITY", "fh ? -INFINITY : INFINITY"),
+    "moved-p-cells-kept": ("if (j == m && at[m] == p_cells)", "if (j == m)"),
 }
 # Faults of the row reader.  The last five are faults of the digit path:
 # the first and the last take a cell the writer did not write, the other
 # three only send more cells to strtod.
 WRONG_READS = {
-    "p-cells-not-compared": ("memcmp(p, cells + starts[c], (size_t)len) != 0",
-                             "(j < m && memcmp(p, cells + starts[c], (size_t)len) != 0)"),
+    "prefix-not-compared": ("nl - p < len || memcmp(p, prefix, (size_t)len) != 0",
+                            "nl - p < len"),
     "rho-read-as-strtod-reads-it": ("!canonical_cell(p, comma - p, rho + r, slow)",
                                     "!(rho[r] = strtod(p, NULL), 1)"),
     "index-from-row-0-at-a-chunk": ("rest = first;", "rest = 0;"),
@@ -696,22 +705,45 @@ class TestLoader:
         assert kinds == {"strtod": 88, "first": 110, "up": 14, "down": 4}
 
     def test_the_csv_probe_covers_the_edge_cases(self):
-        """A writer that spells every cell by fieldcsv._fmt passes the row
-        probe, whose values hold what the formatter spells apart."""
+        """A writer that spells every cell of every file by fieldcsv._fmt,
+        with Rsum by lattice.gap, passes the row probe, whose values hold
+        what the formatter spells apart; and whose fields hold what the
+        one-pass writer must tell apart: a rotated rho, a non-contiguous h,
+        files that share a row's bits, rows that differ only in the sign of
+        a zero or in a NaN's payload, and every BOTTOM rule of Rsum."""
         def reference_rows(cells, shape):
             n = len(cells) // 2
 
-            def rows(values, first):
-                for rho, rsum in values:
+            def rows(h, rhos, first, count):
+                for rho in rhos:
                     text = ""
-                    for flat, r, s in zip(itertools.count(first), rho.tolist(), rsum.tolist()):
+                    for flat in range(first, first + count):
                         at = np.unravel_index(flat, shape)
                         text += "".join([cells[i] for i in at] + [cells[n + i] for i in at])
-                        text += f"{fieldcsv._fmt(r)},{fieldcsv._fmt(s)}\n"
+                        text += f"{fieldcsv._fmt(rho[at])},"
+                        text += f"{fieldcsv._fmt(lattice.gap(h[at], rho[at]))}\n"
                     yield np.frombuffer(text.encode(), np.uint8)
             return rows
 
-        assert envelope._csv_probe_passes(reference_rows, envelope._csv_probe_files())
+        probe = envelope._csv_probe_files()
+        assert envelope._csv_probe_passes(reference_rows, probe)
+        _, _, h, rhos, files = probe
+        assert not h.flags.c_contiguous and h.base is not None
+        assert not rhos[0].flags.c_contiguous and rhos[0].base is not None
+        assert all(s > 0 for a in (h, *rhos) for s in a.strides)   # none read past its end
+        first, second, third = (_bits(rho) for rho, _, _ in files)
+        assert ((first == second) & (first != 0)).any() and (first != second).any()
+        assert np.all((third == first) | (third == second))
+        assert ((third == second) & (third != first)).any()
+        signs = (first ^ second) == np.uint64(1 << 63)
+        assert ((first == _bits(0.0)) & signs).any() and ((first == _bits(-0.0)) & signs).any()
+        nan = np.isnan(files[0][0])
+        assert nan.any() and np.all(np.isnan(files[1][0][nan]) & (first[nan] != second[nan]))
+        assert ((third != first) & np.isnan(files[2][0])).any()
+        entropy, rho = h.reshape(-1), files[0][0]
+        assert (~np.isfinite(entropy) & ~np.isfinite(rho)).any()
+        assert (~np.isfinite(entropy) & np.isfinite(rho)).any()
+        assert (np.isfinite(entropy) & ~np.isfinite(rho)).any()
         v = envelope._csv_probe_values()
         bits = set(_bits(v).tolist())
         assert set(_bits([0.0, -0.0, np.inf, -np.inf]).tolist()) <= bits
@@ -808,15 +840,34 @@ class TestCompiledRefusals:
                 csv_rows(cells, shape)
 
     def test_csv_rows_refuses_values_or_first_out_of_range(self, compiled):
-        rows = envelope.compiled_csv_rows()(["0,", "1,", "0,", "1,"], (2, 2))
-        assert next(rows(np.zeros((1, 2, 4)), 0)).tobytes().count(b"\n") == 4
-        assert next(rows(np.zeros((1, 2, 0)), 4)).size == 0
-        for values, first in ((np.zeros((1, 3, 4)), 0), (np.zeros((1, 1, 4)), 0),
-                              (np.zeros((1, 2, 5)), 0), (np.zeros((1, 2, 2)), 3),
-                              (np.zeros((1, 2, 1)), -1)):
-            with pytest.raises(ValueError, match="do not fit fields of shape"):
-                next(rows(values, first))
+        rows, h = envelope.compiled_csv_rows()(["0,", "1,", "0,", "1,"], (2, 2)), np.zeros((2, 2))
+        [text] = rows(h, [np.ones((2, 2))], 0, 4)
+        assert text.tobytes().count(b"\n") == 4 and text.tobytes().endswith(b",1,-1\n")
+        assert [t.size for t in rows(h, [h, h.T], 4, 0)] == [0, 0]
+        for args in ((h, [np.zeros((2, 3))], 0, 4),        # a rho of another shape
+                     (h, [h, np.zeros(4)], 0, 4),
+                     (np.zeros((2, 3)), [h], 0, 4),         # h of another shape
+                     (h, [], 0, 4),                         # no file
+                     (h, [h], 0, 5), (h, [h], 3, 2), (h, [h], -1, 1), (h, [h], 4, 1),
+                     (h, [h], 5, 0), (h, [h], 2, -1)):      # rows out of range
+            with pytest.raises(ValueError, match=f"{args[3]} rows from row {args[2]} of h and "
+                                                 f"{len(args[1])} rho do not fit fields of shape"):
+                rows(*args)
 
+    def test_views_whose_strides_are_not_whole_elements_are_copied(self, compiled):
+        # a float64 field of a record array steps 12 bytes, not a whole element
+        records = np.zeros(27, dtype=[("rho", np.float64), ("tag", np.float32)])
+        records["rho"] = np.sin(np.arange(27.0))
+        view = records["rho"].reshape(3, 3, 3)
+        assert view.strides[-1] == 12 and not view.flags.aligned
+        cells, h = ["0,", "1,", "2,", "0,", "0.5,", "1,"], np.zeros((3, 3, 3))
+        [text] = envelope.compiled_csv_rows()(cells, view.shape)(h, [view], 0, 27)
+        [want] = fieldcsv._python_rows(cells, view.shape)(h, [view], 0, 27)
+        assert text.tobytes() == want.tobytes()
+        want = lattice._numpy_sweep([view], None, [h])
+        got = envelope.compiled_sweep()([view], None, [h])
+        assert np.array_equal(_bits(got[0][0]), _bits(want[0][0]))
+        assert (_bits([got[1]]).tolist(), got[2]) == (_bits([want[1]]).tolist(), want[2])
 
     def test_csv_read_refuses_cells_that_do_not_fit_the_shape(self, compiled):
         csv_read, cells = envelope.compiled_csv_read(), ["0,", "1,", "0,", "1,"]

@@ -251,18 +251,16 @@ def test_an_edited_file_reads_as_the_per_cell_reader_reads_it(tmp_path, compiler
 
 
 def assert_reads_back(values):
-    """values written by the compiled row writer as rho, and reversed as
-    Rsum, are read back by the compiled row reader with the bits float()
-    reads from every cell, by strtod exactly where the writer does not
-    spell the value in fixed notation with a non-zero digit.  The field has
-    one axis and empty index and grid-value cells, so that a row is
-    rho,Rsum."""
+    """values spelled by "%.17g" % as rho, and reversed as Rsum, are read
+    back by the compiled row reader with the bits float() reads from every
+    cell, by strtod exactly where the writer does not spell the value in
+    fixed notation with a non-zero digit.  The field has one axis and empty
+    index and grid-value cells, so that a row is rho,Rsum."""
     assert envelope.kernel_name() == "compiled"
     values = np.asarray(values, dtype=np.float64).reshape(-1)
-    cells, shape = [""] * (2 * values.size), (values.size,)
-    rows = envelope.compiled_csv_rows()(cells, shape)
-    read = envelope.compiled_csv_read()(cells, shape)
-    text = next(rows(np.array([[values, values[::-1]]]), 0)).tobytes()
+    read = envelope.compiled_csv_read()([""] * (2 * values.size), (values.size,))
+    text = "".join(map("%.17g,%.17g\n".__mod__, zip(values.tolist(), values[::-1].tolist())))
+    text = text.encode()
     rho, rsum = np.empty(values.size), np.empty(values.size)
     slow = 2 * np.count_nonzero(~((abs(values) >= 1e-4) & (abs(values) < 1e15)))
     assert read(text, 0, rho, rsum) == (values.size, len(text), slow)

@@ -322,29 +322,21 @@ static ptrdiff_t format_g17(double x, char *out)
 }
 
 /* The cells of a row before rho, the "i," cell of each of its m indices
-   and then the "p_i," cell of each of their grid values, kept in out from
-   one row to the next: cell j starts at out + at[j], and at[2m], which
-   row_prefix returns, is where they end.  Cell c of cells, the bytes
-   starts[c] .. starts[c + 1] - 1, is the "i," cell of index c for c < n
-   and the "p_i," cell of index c - n for c >= n.  Only the indices of axes
-   from on moved since the row that out holds (from = 0 for none, at[0] =
-   0), so only their cells are written, and the "p_i," cells of the other
-   axes only if the "i," cells before them changed length: two cells in
-   n - 1 rows of n.  out holds at least m * starts[2n] bytes.  The writer
-   copies each row's cells to every file, and the reader compares a row's
-   with them in one call. */
-static inline ptrdiff_t row_prefix(const ptrdiff_t *index, ptrdiff_t from, ptrdiff_t m, ptrdiff_t n,
-                            const char *cells, const ptrdiff_t *starts, char *out, ptrdiff_t *at)
+   and then the "p_i," cell of each of their grid values, written at out;
+   returns their length.  Cell c of cells, the bytes starts[c] ..
+   starts[c + 1] - 1, is the "i," cell of index c for c < n and the "p_i,"
+   cell of index c - n for c >= n.  The writer copies each row's cells to
+   every file, and the reader compares a row's with them in one call. */
+static inline ptrdiff_t row_prefix(const ptrdiff_t *index, ptrdiff_t m, ptrdiff_t n,
+                                   const char *cells, const ptrdiff_t *starts, char *out)
 {
-    ptrdiff_t p_cells = at[m];
-    for (ptrdiff_t j = from; j < 2 * m; j++) {
-        if (j == m && at[m] == p_cells)
-            j += from;                          /* the p cells before j + from stay */
+    char *p = out;
+    for (ptrdiff_t j = 0; j < 2 * m; j++) {
         ptrdiff_t c = j < m ? index[j] : n + index[j - m];
-        memcpy(out + at[j], cells + starts[c], (size_t)(starts[c + 1] - starts[c]));
-        at[j + 1] = at[j] + starts[c + 1] - starts[c];
+        memcpy(p, cells + starts[c], (size_t)(starts[c + 1] - starts[c]));
+        p += starts[c + 1] - starts[c];
     }
-    return at[2 * m];
+    return p - out;
 }
 
 /* h - rho with lattice.gap's BOTTOM conventions: 0 where neither is
@@ -375,11 +367,10 @@ int ratered_csv_write(const double *const *fields, const ptrdiff_t *strides, ptr
                       const char *cells, const ptrdiff_t *starts, char *out, ptrdiff_t capacity,
                       ptrdiff_t *sizes)
 {
-    /* the row's index, where its cells start (row_prefix), each field's
-       element offset, and per file its rho and where its rho and Rsum
-       bytes start and end, the end of its bytes so far */
-    ptrdiff_t *index = malloc((size_t)(3 * m + files + 2) * sizeof *index);
-    ptrdiff_t *at = index + m, *offset = at + 2 * m + 1;
+    /* the row's index, each field's element offset, and per file its rho
+       and where its rho and Rsum bytes start and end, the end of its bytes
+       so far */
+    ptrdiff_t *index = malloc((size_t)(m + files + 1) * sizeof *index), *offset = index + m;
     double *value = malloc((size_t)files * sizeof *value);
     char **cell = malloc((size_t)(2 * files) * sizeof *cell), **cell_end = cell + files;
     char *prefix = malloc((size_t)(m * starts[2 * n] + 1));
@@ -401,9 +392,8 @@ int ratered_csv_write(const double *const *fields, const ptrdiff_t *strides, ptr
     }
     for (ptrdiff_t f = 0; f < files; f++)
         cell_end[f] = out + f * capacity;
-    at[0] = 0;
-    for (ptrdiff_t r = 0, from = 0; r < rows; r++) {
-        ptrdiff_t len = row_prefix(index, from, m, n, cells, starts, prefix, at);
+    for (ptrdiff_t r = 0; r < rows; r++) {
+        ptrdiff_t len = row_prefix(index, m, n, cells, starts, prefix);
         double h = fields[0][offset[0]];
         for (ptrdiff_t f = 0; f < files; f++) {
             char *p = cell_end[f];
@@ -427,13 +417,13 @@ int ratered_csv_write(const double *const *fields, const ptrdiff_t *strides, ptr
             cell_end[f] = p;
         }
         /* the next row: count up the axes, the last one fastest */
-        for (from = m - 1; from >= 0; from--) {
-            ptrdiff_t step = ++index[from] < n ? 1 : 1 - n;
+        for (ptrdiff_t j = m - 1; j >= 0; j--) {
+            ptrdiff_t step = ++index[j] < n ? 1 : 1 - n;
             for (ptrdiff_t f = 0; f <= files; f++)
-                offset[f] += step * strides[f * m + from];
+                offset[f] += step * strides[f * m + j];
             if (step == 1)
                 break;
-            index[from] = 0;
+            index[j] = 0;
         }
     }
     for (ptrdiff_t f = 0; f < files; f++)
@@ -572,7 +562,7 @@ ptrdiff_t ratered_csv_read(const char *text, ptrdiff_t size, ptrdiff_t first, pt
                            ptrdiff_t m, ptrdiff_t n, const char *cells, const ptrdiff_t *starts,
                            double *rho, double *rsum, ptrdiff_t *used, ptrdiff_t *slow)
 {
-    ptrdiff_t *index = malloc((size_t)(3 * m + 1) * sizeof *index), *at = index + m;
+    ptrdiff_t *index = malloc((size_t)(m > 0 ? m : 1) * sizeof *index);
     char *prefix = malloc((size_t)(m * starts[2 * n] + 1));
     if (index == NULL || prefix == NULL) {
         free(index);
@@ -584,14 +574,13 @@ ptrdiff_t ratered_csv_read(const char *text, ptrdiff_t size, ptrdiff_t first, pt
         rest /= n;
     }
     const char *p = text, *end = text + size;
-    ptrdiff_t r = 0, from = 0;
+    ptrdiff_t r = 0;
     *slow = 0;
-    at[0] = 0;
     for (; r < rows; r++) {
         const char *nl = memchr(p, '\n', (size_t)(end - p));
         if (nl == NULL)
             break;
-        ptrdiff_t len = row_prefix(index, from, m, n, cells, starts, prefix, at);
+        ptrdiff_t len = row_prefix(index, m, n, cells, starts, prefix);
         if (nl - p < len || memcmp(p, prefix, (size_t)len) != 0)
             goto not_canonical;
         p += len;
@@ -600,8 +589,8 @@ ptrdiff_t ratered_csv_read(const char *text, ptrdiff_t size, ptrdiff_t first, pt
             || !canonical_cell(comma + 1, nl - comma - 1, rsum + r, slow))
             goto not_canonical;
         p = nl + 1;
-        for (from = m - 1; from >= 0 && ++index[from] == n; from--)
-            index[from] = 0;
+        for (ptrdiff_t j = m - 1; j >= 0 && ++index[j] == n; j--)
+            index[j] = 0;
     }
     free(index);
     free(prefix);

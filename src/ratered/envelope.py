@@ -122,10 +122,10 @@ def compiled_csv_rows():
     every grid index i in 0..n-1 followed by the "p_i," cell of every grid
     value, and shape that of the fields, n points on every axis.  It
     returns rows(h, rhos, first, count): h, the joint entropy, and each
-    file's rho are arrays of that shape in any layout, and rows returns per
-    file the bytes of its rows of flat indices first .. first + count - 1,
-    Rsum being lattice.gap(h, rho), as a uint8 array valid until the next
-    call."""
+    file's rho are arrays of that shape in any layout (copied at each call
+    where numpy does not hold them aligned), and rows returns per file the
+    bytes of its rows of flat indices first .. first + count - 1, Rsum
+    being lattice.gap(h, rho), as a uint8 array."""
     kernel = _compiled_kernel()
     return None if kernel is None else kernel[1]
 
@@ -217,17 +217,14 @@ def _compiled_kernel():
     def csv_rows(cells, shape):
         text, starts, width = _packed_cells(cells, shape)
         n, m = len(cells) // 2, len(shape)
-        out = np.empty((0, 0), np.uint8)        # the files' rows, reused by every call
 
         def rows(h, rhos, first: int, count: int):
-            nonlocal out
             fields = [_in_elements(a) for a in (h, *rhos)]
             if not (rhos and all(a.shape == tuple(shape) for a, _ in fields)
                     and 0 <= first <= first + count <= n**m):
                 raise ValueError(f"{count} rows from row {first} of h and {len(rhos)} rho do not "
                                  f"fit fields of shape {shape}")
-            if out.shape[0] != len(rhos) or out.shape[1] < count * width:
-                out = np.empty((len(rhos), count * width), np.uint8)
+            out = np.empty((len(rhos), count * width), np.uint8)
             data = (ctypes.c_void_p * len(fields))(*[a.ctypes.data for a, _ in fields])
             strides = (ctypes.c_ssize_t * (m * len(fields)))(*[s for _, st in fields for s in st])
             sizes = (ctypes.c_ssize_t * len(rhos))()
@@ -416,20 +413,18 @@ def _csv_probe_values() -> np.ndarray:
 def _csv_probe_files() -> tuple:
     """The row probes' cells, the shape of their fields, the joint entropy h
     and the rho of each of three files; and per file its rho and Rsum in row
-    order and its rows as fieldcsv._python_rows writes them.  The index
-    cells have three lengths, so the cells after them move in some rows
-    only.  The first rho is the probe values as a (6, 6, 6) field in a
-    rotated view; h, every other entry of a wider array, holds them in
-    another order, not finite at two cells where that rho is not either and
-    one where it is.  The second rho shares the first's bits in every third
-    row, and holds the other zero and another NaN payload where the first
-    holds a zero or NaN; the third is the first's in even rows and the
-    second's in odd ones."""
+    order and its rows as fieldcsv._python_rows writes them.  The first rho
+    is the probe values as a (6, 6, 6) field in a rotated view; h, every
+    other entry of a wider array, holds them in another order, not finite
+    at two cells where that rho is not either and one where it is.  The
+    second rho shares the first's bits in every third row, and holds the
+    other zero and another NaN payload where the first holds a zero or NaN;
+    the third is the first's in even rows and the second's in odd ones."""
     from .fieldcsv import _fmt, _python_rows
     from .lattice import gap
 
     n = 6
-    cells = [f"{i}," for i in (0, 1, 22, 33, 444, 5)] + [_fmt(i / 5) + "," for i in range(n)]
+    cells = [f"{i}," for i in range(n)] + [_fmt(i / (n - 1)) + "," for i in range(n)]
     values = _csv_probe_values()
     rho = values.reshape(n, n, n).transpose(1, 2, 0)
     first = rho.reshape(-1)

@@ -103,18 +103,20 @@ def _write_grid_csv(items: list, axes: list, h: np.ndarray, grid: GridSpec) -> N
     stays bounded by a block whatever the grid size.  Per block, the rows
     of every file are written by one call of the compiled row writer
     (envelope.compiled_csv_rows), else of _python_rows; either reads h and
-    each rho in place, a rotated view or a slice included.
+    each rho in place, a rotated view or a slice included.  A rho of another
+    dtype, or one that numpy does not hold aligned, is copied once first.
     """
     rows = (compiled_csv_rows() or _python_rows)(_grid_cells(grid), h.shape)
+    rhos = [np.require(rho, np.float64, "A") for *_, rho in items]   # aligned: read in place
     with contextlib.ExitStack() as stack:
         files = [stack.enter_context(open(path, "wb")) for path, _, _ in items]
         for out, (_, label, _) in zip(files, items):
             out.write((",".join([f"i_{j}" for j in axes] + [f"p_{j}" for j in axes]
                                 + [f"rho_{label}", f"Rsum_{label}"]) + "\n").encode())
         for first in range(0, h.size, _CSV_BLOCK):
-            texts = rows(h, [rho for *_, rho in items], first, min(_CSV_BLOCK, h.size - first))
-            for out, text in zip(files, texts):
+            for out, text in zip(files, rows(h, rhos, first, min(_CSV_BLOCK, h.size - first))):
                 out.write(text)
+            del text        # frees this block's buffer before the next one is allocated
 
 
 def _python_rows(cells: list[str], shape: tuple):

@@ -939,6 +939,31 @@ class TestFieldCsvWriter:
         per_row_field_csv(tmp_path / "ref.csv", field, "max")
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
+    def test_a_rho_numpy_does_not_hold_aligned_is_copied_once_per_write(
+            self, tmp_path, monkeypatch, per_row_field_csv):
+        # a float64 field of a record array steps 12 bytes; 71^2 = 5041 rows,
+        # two blocks, each handed the same aligned copy
+        grid = GridSpec(m=2, n_steps=70)
+        records = np.zeros(grid.shape, dtype=[("rho", np.float64), ("tag", np.float32)])
+        records["rho"] = _special_field(grid).data
+        assert not records["rho"].flags.aligned
+        writer, handed = envelope.compiled_csv_rows() or fieldcsv._python_rows, []
+
+        def recording(cells, shape):
+            rows = writer(cells, shape)
+
+            def record(h, rhos, first, count):
+                handed.append(rhos)
+                return rows(h, rhos, first, count)
+            return record
+        monkeypatch.setattr(fieldcsv, "compiled_csv_rows", lambda: recording)
+        fieldcsv._write_grid_csv([(tmp_path / "new.csv", "max", records["rho"])], [1, 2],
+                                 entropy_grid(grid), grid)
+        assert len(handed) == 2 and handed[0][0] is handed[1][0] and handed[0][0].flags.aligned
+        field = RateReductionField(grid, np.ascontiguousarray(records["rho"]))
+        per_row_field_csv(tmp_path / "ref.csv", field, "max")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
     @pytest.mark.parametrize("m,spec", [(3, "p3=0"), (3, "p1=0.47"), (2, "p2=0.5")])
     def test_slice_matches_per_row_loop(self, tmp_path, m, spec, per_row_slice_csv):
         assert cli.main(["run", "--function", "min", "--m", str(m), "--delta", "0.1",

@@ -451,10 +451,9 @@ WRONG_SWEEPS = {
 }
 
 
-# Faults of the row writer.  The last five are faults of its one pass over
+# Faults of the row writer.  The last four are faults of its one pass over
 # the files: a -0.0 that takes the cells of an earlier file's 0.0, a rotated
-# view read as if contiguous, Rsum's two BOTTOM rules broken, and grid-value
-# cells left in place when a longer index cell before them moved them.
+# view read as if contiguous, and Rsum's two BOTTOM rules broken.
 WRONG_ROWS = {
     "nan-by-snprintf": ("if (isnan(x)) {", "if (0) {"),
     "ties-round-up": ("((rest == half) & quotient & 1)", "(rest == half)"),
@@ -465,14 +464,16 @@ WRONG_ROWS = {
                               "x = fields[f + 1][first + r];"),
     "neither-finite-rsum-not-0": ("fh == fr ? 0.0 :", "fh == fr ? -0.0 :"),
     "one-sided-infinities-swapped": ("fh ? INFINITY : -INFINITY", "fh ? -INFINITY : INFINITY"),
-    "moved-p-cells-kept": ("if (j == m && at[m] == p_cells)", "if (j == m)"),
 }
 # Faults of the row reader.  The last five are faults of the digit path:
 # the first and the last take a cell the writer did not write, the other
 # three only send more cells to strtod.
 WRONG_READS = {
-    "prefix-not-compared": ("nl - p < len || memcmp(p, prefix, (size_t)len) != 0",
-                            "nl - p < len"),
+    "p-cells-not-compared": (
+        "if (nl - p < len || memcmp(p, prefix, (size_t)len) != 0)",
+        "ptrdiff_t i_cells = 0;\n        for (ptrdiff_t j = 0; j < m; j++)\n"
+        "            i_cells += starts[index[j] + 1] - starts[index[j]];\n"
+        "        if (nl - p < len || memcmp(p, prefix, (size_t)i_cells) != 0)"),
     "rho-read-as-strtod-reads-it": ("!canonical_cell(p, comma - p, rho + r, slow)",
                                     "!(rho[r] = strtod(p, NULL), 1)"),
     "index-from-row-0-at-a-chunk": ("rest = first;", "rest = 0;"),

@@ -5,7 +5,6 @@ import os
 import re
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 from xml.etree import ElementTree
 
@@ -15,8 +14,7 @@ import pytest
 from ratered import certify, cli, envelope, fieldcsv
 from ratered.envelope import BOTTOM
 from ratered.lattice import FieldBank, RateReductionField, run
-from ratered.probability import GridSpec, binary_entropy, entropy_grid
-from ratered.target_functions import builtin_table
+from ratered.probability import GridSpec, binary_entropy
 from test_lattice import PERIOD2
 
 
@@ -777,320 +775,14 @@ class TestConfigErrors:
         assert not (tmp_path / "out").exists()
 
 
-# ---------------------------------------------------------------------------
-# The field-CSV format, ratered.fieldcsv: the writer's bytes against the
-# per-row writer, the reader's checks against the per-cell reader.
-
-
-def test_read_field_csv_rejects_incomplete(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text(
-        "i_1,i_2,p_1,p_2,rho_1,Rsum_1\n"
-        "0,0,0,0,0,0\n0,1,0,1,0,0\n1,0,1,0,0,0\n"
-    )
-    with pytest.raises(fieldcsv.ConfigError):
-        fieldcsv.read_field_csv(path)
-
-
-def _corrupt_field_csv(tmp_path, line, col, cell):
-    """A valid m=2, N=2 field CSV with one cell replaced (line is 1-based)."""
-    f = run(GridSpec.from_delta(2, 0.5), builtin_table("min", 2), t_max=1, eps=1e-6)
-    path = tmp_path / "field.csv"
-    fieldcsv.write_field_csv(path, f.bank.max_field(), "max")
-    lines = path.read_text().splitlines()
-    cells = lines[line - 1].split(",")
-    cells[col] = cell
-    lines[line - 1] = ",".join(cells)
-    path.write_text("\n".join(lines) + "\n")
-    return path
-
-
-@pytest.mark.parametrize("rho, rsum", [
-    ("rho_max", "Rsum_7"), ("rho_1", "Rsum_max"), ("rho_", "Rsum_"), ("rho", "Rsum"),
-    ("Rsum_max", "rho_max"),
-])
-def test_read_field_csv_requires_one_label(tmp_path, rho, rsum):
-    path = _corrupt_field_csv(tmp_path, 1, 4, rho)
-    lines = path.read_text().splitlines(keepends=True)
-    header = ["i_1", "i_2", "p_1", "p_2", rho, rsum]
-    path.write_text(",".join(header) + "\n" + "".join(lines[1:]))
-    with pytest.raises(fieldcsv.ConfigError, match=re.escape(
-            f"{path}: unexpected field CSV columns {header}")):
-        fieldcsv.read_field_csv(path)
-
-
-@pytest.mark.parametrize("cell", ["nan", "inf"])
-def test_read_field_csv_rejects_non_finite_rho(tmp_path, cell):
-    path = _corrupt_field_csv(tmp_path, 4, 4, cell)
-    with pytest.raises(fieldcsv.ConfigError, match=r":4: rho .* neither finite nor -inf"):
-        fieldcsv.read_field_csv(path)
-
-
-def test_read_field_csv_rejects_wrong_p_cell(tmp_path):
-    path = _corrupt_field_csv(tmp_path, 6, 3, "0.6")   # row i = (1, 1): p_2 is 0.5
-    with pytest.raises(fieldcsv.ConfigError, match=r":6: p_2 = '0.6' is not the grid value 0.5"):
-        fieldcsv.read_field_csv(path)
-
-
-def test_read_field_csv_rejects_wrong_rsum(tmp_path):
-    path = _corrupt_field_csv(tmp_path, 2, 5, "0.25")  # i = (0, 0): Rsum is 0
-    with pytest.raises(fieldcsv.ConfigError, match=r":2: Rsum '0.25' is not the joint entropy"):
-        fieldcsv.read_field_csv(path)
-
-
-# Formatting corners: -inf, negatives, subnormals, signed zeros, values that
-# need all 17 digits, and the extremes of the exponent range.
-SPECIAL_VALUES = [BOTTOM, -1.5, 5e-324, -5e-324, 2.2250738585072014e-308 / 3,
-                  -0.0, 0.0, 0.1 + 0.2, 1 / 3, float(np.nextafter(1.0, 2.0)),
-                  1.7976931348623157e308, -1e-300, 2.0**53 + 2, 123456789.12345678]
-
-
-def _special_field(grid, seed=0):
-    """A field of random values over 600 decades with SPECIAL_VALUES spread
-    over it (first rows included)."""
-    rng = np.random.default_rng(seed)
-    n = grid.n_points
-    data = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
-    data[rng.integers(0, n, n // 8)] = rng.choice(SPECIAL_VALUES, n // 8)
-    data[: len(SPECIAL_VALUES)] = SPECIAL_VALUES
-    return RateReductionField(grid, data.reshape(grid.shape))
-
-
-def _write_together(directory, fields):
-    """Every (label, field) of one grid written by one call of the writer
-    that cmd_run uses, to directory / f"new_{label}.csv"."""
-    grid = fields[0][1].grid
-    fieldcsv._write_grid_csv([(directory / f"new_{label}.csv", label, field.data)
-                         for label, field in fields],
-                        list(range(1, grid.m + 1)), entropy_grid(grid), grid)
-
-
-class TestFieldCsvWriter:
-    @pytest.mark.parametrize("m", [2, 3, 4])
-    def test_run_fields_match_per_row_writer(self, tmp_path, m, per_row_field_csv):
-        grid = GridSpec.from_delta(m, 0.25 if m == 4 else 0.1)
-        bank = run(grid, builtin_table("min", m), t_max=2, eps=1e-300).bank
-        for label, field in [(str(k), bank.field_for(k)) for k in range(1, m + 1)] \
-                + [("max", bank.max_field())]:
-            fieldcsv.write_field_csv(tmp_path / "new.csv", field, label)
-            per_row_field_csv(tmp_path / "ref.csv", field, label)
-            assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
-
-    @pytest.mark.parametrize("f,delta", [
-        (builtin_table("min", 2), 0.1),
-        (builtin_table("min", 3), 0.1),
-        (builtin_table("min", 4), 0.25),
-        (PERIOD2, 0.1),                      # 14641 points: four blocks
-    ], ids=["min-m2", "min-m3", "min-m4", "period2-m4"])
-    def test_run_fields_written_together_match_per_row_writer(self, tmp_path, f, delta,
-                                                               per_row_field_csv):
-        bank = run(GridSpec.from_delta(f.m, delta), f, t_max=2, eps=1e-300).bank
-        fields = [(str(k), bank.field_for(k)) for k in range(1, f.m + 1)] \
-            + [("max", bank.max_field())]
-        if f is PERIOD2:       # five files, two of them rotated views read in place
-            assert [fl.data.flags.c_contiguous for _, fl in fields] == [True, True, False,
-                                                                        False, True]
-        _write_together(tmp_path, fields)
-        for label, field in fields:
-            per_row_field_csv(tmp_path / "ref.csv", field, label)
-            assert (tmp_path / f"new_{label}.csv").read_bytes() == \
-                (tmp_path / "ref.csv").read_bytes()
-
-    def test_special_values_written_together_match_per_row_writer(self, tmp_path,
-                                                                  per_row_field_csv):
-        # 9261 points: two blocks and a partial third.  Items 1 and 3 share
-        # their data, and -0.0 sits next to 0.0 in the first rows of each.
-        grid = GridSpec(m=3, n_steps=20)
-        a, b = _special_field(grid, seed=0), _special_field(grid, seed=1)
-        fields = [("1", a), ("2", b), ("3", a),
-                  ("max", RateReductionField(grid, np.maximum(a.data, b.data)))]
-        _write_together(tmp_path, fields)
-        for label, field in fields:
-            per_row_field_csv(tmp_path / "ref.csv", field, label)
-            assert (tmp_path / f"new_{label}.csv").read_bytes() == \
-                (tmp_path / "ref.csv").read_bytes()
-
-    @pytest.mark.parametrize("m,n_steps", [
-        (2, 10),     # 121 points: less than one block
-        (2, 63),     # 4096: exactly one block
-        (3, 15),     # 4096
-        (4, 7),      # 4096
-        (3, 20),     # 9261: two blocks and a partial third
-        (4, 10),     # 14641: three blocks and a partial fourth
-    ])
-    def test_special_values_match_per_row_writer(self, tmp_path, m, n_steps,
-                                                 per_row_field_csv):
-        assert fieldcsv._CSV_BLOCK == 4096
-        field = _special_field(GridSpec(m=m, n_steps=n_steps))
-        fieldcsv.write_field_csv(tmp_path / "new.csv", field, "max")
-        per_row_field_csv(tmp_path / "ref.csv", field, "max")
-        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
-        loaded = fieldcsv.read_field_csv(tmp_path / "new.csv")
-        assert np.array_equal(loaded.data.view(np.uint64), field.data.view(np.uint64))
-
-    @pytest.mark.parametrize("axis", [1, 2])
-    def test_a_2d_slice_of_a_3d_field_matches_per_row_writer(self, tmp_path, axis,
-                                                              per_row_field_csv):
-        # 71^2 = 5041 rows, two blocks, read in place from the 3-D field's data
-        data = _special_field(GridSpec(m=3, n_steps=70)).data[(slice(None),) * axis + (21,)]
-        assert data.base is not None and not data.flags.c_contiguous
-        field = RateReductionField(GridSpec(m=2, n_steps=70), data)
-        fieldcsv.write_field_csv(tmp_path / "new.csv", field, "max")
-        per_row_field_csv(tmp_path / "ref.csv", field, "max")
-        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
-
-    def test_a_rho_numpy_does_not_hold_aligned_is_copied_once_per_write(
-            self, tmp_path, monkeypatch, per_row_field_csv):
-        # a float64 field of a record array steps 12 bytes; 71^2 = 5041 rows,
-        # two blocks, each handed the same aligned copy
-        grid = GridSpec(m=2, n_steps=70)
-        records = np.zeros(grid.shape, dtype=[("rho", np.float64), ("tag", np.float32)])
-        records["rho"] = _special_field(grid).data
-        assert not records["rho"].flags.aligned
-        writer, handed = envelope.compiled_csv_rows() or fieldcsv._python_rows, []
-
-        def recording(cells, shape):
-            rows = writer(cells, shape)
-
-            def record(h, rhos, first, count):
-                handed.append(rhos)
-                return rows(h, rhos, first, count)
-            return record
-        monkeypatch.setattr(fieldcsv, "compiled_csv_rows", lambda: recording)
-        fieldcsv._write_grid_csv([(tmp_path / "new.csv", "max", records["rho"])], [1, 2],
-                                 entropy_grid(grid), grid)
-        assert len(handed) == 2 and handed[0][0] is handed[1][0] and handed[0][0].flags.aligned
-        field = RateReductionField(grid, np.ascontiguousarray(records["rho"]))
-        per_row_field_csv(tmp_path / "ref.csv", field, "max")
-        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
-
-    @pytest.mark.parametrize("m,spec", [(3, "p3=0"), (3, "p1=0.47"), (2, "p2=0.5")])
-    def test_slice_matches_per_row_loop(self, tmp_path, m, spec, per_row_slice_csv):
-        assert cli.main(["run", "--function", "min", "--m", str(m), "--delta", "0.1",
-                         "--t-max", "3", "--slice", spec, "-o", str(tmp_path)]) == 0
-        md = read_json(tmp_path / "metadata.json")
-        (name,) = [a for a in md["artifacts"] if a.startswith("slice_")]
-        field = fieldcsv.read_field_csv(tmp_path / "field_max.csv")
-        assert (tmp_path / name).read_text() == per_row_slice_csv(
-            field, md["slice"]["axis"], md["slice"]["snapped_index"], "max")
-
-    def test_memory_stays_bounded_by_a_block(self, tmp_path):
-        # 51^3 points, about 12.7 MB of CSV: a writer that builds the whole
-        # text at once peaks near 47 MB, the blocked one near 2.3 MB.
-        field = _special_field(GridSpec.from_delta(3, 0.02))
-        tracemalloc.start()
-        try:
-            fieldcsv.write_field_csv(tmp_path / "field.csv", field, "max")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 8e6
-
-    def test_memory_of_a_run_write_stays_bounded_by_a_block(self, tmp_path, monkeypatch):
-        # The four field CSVs of a min run at m=3, delta=0.04, in one pass,
-        # in blocks of 256 rows, so 69 blocks: the blocked writer peaks near
-        # 0.16 MB on either row writer, the compiled one's four output
-        # buffers included.  Rsum held for whole fields would add 0.6 MB,
-        # whole-file text about 6 MB.  A block's text, and so the peak, does
-        # not depend on how far the fields converged, so two sweeps are
-        # enough.  The traced write takes about 0.02 s compiled and 0.8 s on
-        # the Python writer, as tracemalloc follows each of its per-row
-        # strings.
-        monkeypatch.setattr(fieldcsv, "_CSV_BLOCK", 256)
-        bank = run(GridSpec.from_delta(3, 0.04), builtin_table("min", 3),
-                   t_max=2, eps=1e-300).bank
-        fields = [(str(k), bank.field_for(k)) for k in range(1, 4)] \
-            + [("max", bank.max_field())]
-        tracemalloc.start()
-        try:
-            _write_together(tmp_path, fields)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 5e5
-
-
-class TestFieldCsvWriterOnNumpy(TestFieldCsvWriter):
-    """Every writer test above again on the Python row writer,
-    fieldcsv._python_rows, the one a host without a compiler runs: the same
-    bytes and the same memory bounds.
-    Above, the compiled row writer runs wherever the library loads."""
-
-    @pytest.fixture(autouse=True)
-    def _numpy_writer(self, numpy_kernel):
-        assert envelope.compiled_csv_rows() is None
-
-
-def test_read_field_csv_names_lines_past_the_first_block(tmp_path):
-    """Errors found in a later block, with blank lines before them, still
-    name their line of the file."""
-    field = _special_field(GridSpec(m=3, n_steps=20))
-    path = tmp_path / "field.csv"
-    fieldcsv.write_field_csv(path, field, "max")
-    lines = path.read_text().splitlines()
-    lines[1:1] = ["", ""]                    # data rows now start at line 4
-    for line_no, edit, message in [
-        (9000, lambda c: c[:-1], r":9000: expected 8 cells, got 7"),
-        (5000, lambda c: c[:6] + ["nan"] + c[7:], r":5000: rho 'nan' is neither"),
-        (7000, lambda c: c[:3] + ["0.123"] + c[4:], r":7000: p_1 = '0.123' is not the grid"),
-        (8191, lambda c: c[:7] + ["1"], r":8191: Rsum '1' is not the joint entropy"),
-        (6000, lambda c: c[:1] + ["x"] + c[2:], r":6000: i_2 'x' is not an integer"),
-        (6500, lambda c: c[:6] + ["abc"] + c[7:], r":6500: rho_max 'abc' is not a number"),
-        (7500, lambda c: c[:7] + ["1.5x"], r":7500: Rsum_max '1.5x' is not a number"),
-    ]:
-        text = list(lines)
-        text[line_no - 1] = ",".join(edit(text[line_no - 1].split(",")))
-        path.write_text("\n".join(text) + "\n")
-        with pytest.raises(fieldcsv.ConfigError, match=message):
-            fieldcsv.read_field_csv(path)
-
-
-@pytest.mark.parametrize("first, last", [(3969, 4094), (4095, 4409)])
-def test_read_field_csv_rejects_p_cells_that_differ_across_blocks(tmp_path, first, last):
-    """Data rows 3969-4409 have i_1 = 9.  The reader's first block is the
-    file's first 4096 lines, header included, so they straddle its end.
-    Rows first..last, all on one side of it, carry the same wrong p_1 cell,
-    so each block agrees with itself; the first of them is named."""
-    path = tmp_path / "field.csv"
-    fieldcsv.write_field_csv(path, _special_field(GridSpec(m=3, n_steps=20)), "max")
-    lines = path.read_text().splitlines()
-    for line_no in range(first + 2, last + 3):
-        cells = lines[line_no - 1].split(",")
-        assert cells[0] == "9"
-        cells[3] = "0.45"
-        lines[line_no - 1] = ",".join(cells)
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(fieldcsv.ConfigError, match=rf":{first + 2}: p_1 = '0.45' is not the "
-                                              r"grid value 0\.45000000000000001 of i_1 = 9"):
-        fieldcsv.read_field_csv(path)
-
-
 class TestTextInputsAreUtf8:
     """Field CSVs and truth tables are read as UTF-8 whatever the locale; a
     byte that does not decode is a ConfigError naming its file and line, so
-    the command exits 2 with one error line.  SVGs are written as UTF-8."""
+    the command exits 2 with one error line.  SVGs are written as UTF-8.
+    The field-CSV cases of a byte that does not decode are reader tests, in
+    tests/test_fieldcsv.py."""
 
     TABLE = "arity m=2 alphabets=2,2 outputs=0,1\n# caf{}\n0 0 -> 0\n0 1 -> 0\n1 0 -> 0\n1 1 -> 1\n"
-
-    def test_certify_on_a_header_that_is_not_utf8(self, tmp_path, capsys,
-                                                   per_cell_read_field_csv):
-        path = tmp_path / "field_max.csv"
-        path.write_bytes(b"i_1,i_2,i_3,p_1,p_2,p_3,rho_\xff,Rsum_\xff\n")
-        message = f"{path}:1: not UTF-8 text: invalid start byte (byte 0xff)"
-        code = cli.main(["certify", "--field", str(path), "--function", "min",
-                         "-o", str(tmp_path / "out")])
-        assert code == 2
-        assert capsys.readouterr().err == f"error: {message}\n"
-        assert _read_both(path, per_cell_read_field_csv) == [(None, message)] * 2
-
-    def test_a_bad_byte_past_the_first_block_names_its_line(self, tmp_path,
-                                                             per_cell_read_field_csv):
-        lines = _field_csv_lines(tmp_path, 3, 20)
-        lines[6999] += "\xe9"                    # Latin-1 "é" on line 7000
-        path = tmp_path / "field.csv"
-        path.write_bytes("\n".join(lines).encode("latin-1") + b"\n")
-        message = f"{path}:7000: not UTF-8 text: invalid continuation byte (byte 0xe9)"
-        assert _read_both(path, per_cell_read_field_csv) == [(None, message)] * 2
 
     def test_run_with_a_table_comment_that_is_not_utf8(self, tmp_path, capsys):
         path = tmp_path / "t.txt"
@@ -1159,248 +851,6 @@ class TestTextInputsAreUtf8:
             function = json.load(handle)["function"]
         assert function == str(tmp_path / "tablé.txt")
         function.encode("utf-8")
-
-
-def _field_csv_lines(tmp_path, m, n_steps, seed=0) -> list[str]:
-    """The lines of a field CSV of _special_field on an m-axis grid."""
-    path = tmp_path / "src.csv"
-    fieldcsv.write_field_csv(path, _special_field(GridSpec(m=m, n_steps=n_steps), seed), "max")
-    return path.read_text().splitlines()
-
-
-def _read_both(path, reference):
-    """(result, ConfigError message or None) of read_field_csv and of the
-    per-cell reference."""
-    outcomes = []
-    for read in (fieldcsv.read_field_csv, reference):
-        try:
-            outcomes.append((read(path), None))
-        except fieldcsv.ConfigError as exc:
-            outcomes.append((None, str(exc)))
-    return outcomes
-
-
-# Blank lines at 1-based line numbers of the original file: after the
-# header, around the first block boundary (lines 4096/4097), mid-file, at
-# the end, and a run of them longer than a block.
-BLANKS = {"none": [], "scattered": [2, 4096, 4097, 4098, 5000, -1],
-          "whole-block": [3] * (fieldcsv._CSV_BLOCK + 10)}
-
-
-class TestFieldCsvReaderMatchesPerCellReader:
-    @pytest.mark.parametrize("blanks", BLANKS)
-    @pytest.mark.parametrize("m,n_steps", [(2, 10), (2, 63), (3, 20), (4, 10)])
-    def test_valid_files_read_the_same_bits(self, tmp_path, m, n_steps, blanks,
-                                            per_cell_read_field_csv):
-        lines = _field_csv_lines(tmp_path, m, n_steps)
-        for at in BLANKS[blanks]:
-            lines.insert(len(lines) if at == -1 else min(at - 1, len(lines)), "")
-        path = tmp_path / "field.csv"
-        path.write_text("\n".join(lines) + "\n")
-        (new, _), (ref, _) = _read_both(path, per_cell_read_field_csv)
-        assert new.grid == ref.grid
-        assert np.array_equal(new.data.view(np.uint64), ref.data.view(np.uint64))
-
-    @pytest.mark.parametrize("line_no, edit", [
-        (9000, lambda c: c[:-1]),                          # a cell short
-        (5000, lambda c: c[:6] + ["nan"] + c[7:]),
-        (7000, lambda c: c[:3] + ["0.123"] + c[4:]),
-        (8191, lambda c: c[:7] + ["1"]),
-        (6000, lambda c: c[:1] + ["x"] + c[2:]),
-        (6500, lambda c: c[:6] + ["abc"] + c[7:]),
-        (7500, lambda c: c[:7] + ["1.5x"]),
-        (4097, lambda c: c + [""]),                        # trailing comma
-        (4098, lambda c: c[:2] + [""] + c[3:]),            # empty i_3
-        (20, lambda c: c[:6] + [""] + c[7:]),              # empty rho
-        (21, lambda c: c[:7] + [""]),                      # empty Rsum
-        (8000, lambda c: c[:1] + [f'"{c[1]}"'] + c[2:]),   # quoted i_2
-        (30, lambda c: c[:4] + [f'"{c[4]}"'] + c[5:]),     # quoted p_2
-        (31, lambda c: c[:6] + [f'"{c[6]}"'] + c[7:]),     # quoted rho
-        (4200, lambda c: ["  \t "]),                       # whitespace-only line
-        (9262, lambda c: c[:5] + [c[5] + "\x00"] + c[6:]),  # p_3 ending in NUL
-        (40, lambda c: c[:3] + [c[3] + "€"] + c[4:]),      # p_1 outside Latin-1
-        (41, lambda c: c[:3] + ["€"] + c[4:]),
-        (42, lambda c: c[:2] + [c[2] + "\x00"] + c[3:]),   # i_3 ending in NUL
-        (43, lambda c: c[:1] + [c[1] + "\x1f"] + c[2:]),   # numpy's whitespace, not int()'s
-        (44, lambda c: c[:7] + ["\x1f" + c[7]]),
-    ])
-    def test_corrupt_files_raise_the_same_error(self, tmp_path, line_no, edit,
-                                                per_cell_read_field_csv):
-        lines = _field_csv_lines(tmp_path, 3, 20)
-        lines[1:1] = ["", ""]                    # data rows now start at line 4
-        lines[line_no - 1] = ",".join(edit(lines[line_no - 1].split(",")))
-        path = tmp_path / "field.csv"
-        path.write_text("\n".join(lines) + "\n")
-        (_, new), (_, ref) = _read_both(path, per_cell_read_field_csv)
-        assert ref is not None and ref.startswith(f"{path}:{line_no}: ")
-        assert new == ref
-
-
-def test_read_field_csv_with_an_index_too_large_for_one_array(tmp_path,
-                                                              per_cell_read_field_csv):
-    """The grid is inferred from the largest i_j, so an absurd one stops both
-    readers at GridSpec's size guard, named with the file, before any row
-    count or allocation."""
-    lines = _field_csv_lines(tmp_path, 2, 10)
-    cells = lines[5].split(",")
-    cells[0] = str(10**10)
-    lines[5] = ",".join(cells)
-    path = tmp_path / "field.csv"
-    path.write_text("\n".join(lines) + "\n")
-    (_, new), (_, ref) = _read_both(path, per_cell_read_field_csv)
-    assert new == ref
-    assert new.startswith(f"{path}: m=2, n_steps=10000000000: "
-                          "100,000,000,020,000,000,001 grid points")
-
-
-@pytest.mark.parametrize("col, cell, message", [
-    (0, "1_0", "i_1 '1_0' is not an integer"),
-    (3, "1_0", "i_4 '1_0' is not an integer"),
-    (8, "1_5", "rho_max '1_5' is not a number"),
-    (9, "1_5", "Rsum_max '1_5' is not a number"),
-    (1, "1.0", "i_2 '1.0' is not an integer"),
-])
-def test_read_field_csv_rejects_what_int_and_float_accept(tmp_path, col, cell, message):
-    """Underscores in numbers and an i_j spelled as a float: numpy's parser
-    rejects them, so the reader does, at the cell's line."""
-    lines = _field_csv_lines(tmp_path, 4, 10)
-    cells = lines[5000].split(",")
-    cells[col] = cell
-    lines[5000] = ",".join(cells)
-    path = tmp_path / "field.csv"
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(fieldcsv.ConfigError, match=re.escape(f"{path}:5001: {message}")):
-        fieldcsv.read_field_csv(path)
-
-
-@pytest.mark.parametrize("tail", ["1", "0" * 6, "0" * 7, "x" * 40])
-def test_read_field_csv_rejects_a_p_cell_longer_than_any_grid_value(tmp_path, tail):
-    """A p_j cell is read at a fixed width, _P_WIDTH characters; loadtxt cuts
-    a longer one.  A cell that starts with the right grid value is named
-    whether it fits (tails of 1 and 6) or is cut (7 and 40): the width is one
-    more than the longest "%.17g" spelling of a float."""
-    assert fieldcsv._P_WIDTH == len("%.17g" % -2.2250738585072014e-308) + 1
-    lines = _field_csv_lines(tmp_path, 3, 20)
-    cells = lines[4000].split(",")
-    assert cells[3] == "0.45000000000000001"          # i_1 = 9
-    cells[3] += tail
-    lines[4000] = ",".join(cells)
-    path = tmp_path / "field.csv"
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(fieldcsv.ConfigError, match=re.escape(
-            f"{path}:4001: p_1 = {cells[3]!r} is not the grid value "
-            "0.45000000000000001 of i_1 = 9")):
-        fieldcsv.read_field_csv(path)
-
-
-@pytest.mark.parametrize("blank_lines", [0, 1, 3, fieldcsv._CSV_BLOCK + 5])
-def test_read_field_csv_without_data_lines(tmp_path, blank_lines):
-    path = tmp_path / "field.csv"
-    path.write_text("i_1,i_2,p_1,p_2,rho_max,Rsum_max\n" + "\n" * blank_lines)
-    with pytest.raises(fieldcsv.ConfigError,
-                       match=re.escape(f"{path}: field CSV has no data rows")):
-        fieldcsv.read_field_csv(path)
-
-
-def test_read_field_csv_names_a_line_that_loadtxt_skips(tmp_path, monkeypatch):
-    """Were loadtxt to skip a whitespace-only line as blank, the reader would
-    still name it: every line that is not empty must become a row."""
-    lines = _field_csv_lines(tmp_path, 2, 10)
-    lines[50] = " \t "
-    path = tmp_path / "field.csv"
-    path.write_text("\n".join(lines) + "\n")
-    loadtxt = np.loadtxt
-
-    def skips_whitespace(text, *args, **kwargs):
-        return loadtxt([line for line in text if line.strip()], *args, **kwargs)
-
-    monkeypatch.setattr(fieldcsv.np, "loadtxt", skips_whitespace)
-    with pytest.raises(fieldcsv.ConfigError,
-                       match=re.escape(f"{path}:51: expected 6 cells, got 1")):
-        fieldcsv.read_field_csv(path)
-
-
-def test_read_field_csv_memory_stays_bounded_by_a_block(tmp_path):
-    # 51^3 points: per block the reader keeps only the i_j, rho and Rsum
-    # columns, so it peaks near 17 MB, mostly the result and its checks.
-    # Whole-file loadtxt records, p_j text included, would pass 30 MB.
-    field = run(GridSpec.from_delta(3, 0.02), builtin_table("min", 3),
-                t_max=2, eps=1e-300).bank.max_field()
-    fieldcsv.write_field_csv(tmp_path / "field.csv", field, "max")
-    tracemalloc.start()
-    try:
-        loaded = fieldcsv.read_field_csv(tmp_path / "field.csv")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert np.array_equal(loaded.data.view(np.uint64), field.data.view(np.uint64))
-    assert peak < 20e6
-
-
-def test_read_field_csv_passes_on_a_rejection_it_cannot_place(tmp_path, monkeypatch):
-    """Were loadtxt to reject a block for a reason that no single line or
-    cell shows, the error names the block's lines and keeps numpy's text."""
-    lines = _field_csv_lines(tmp_path, 2, 10)
-    path = tmp_path / "field.csv"
-    path.write_text("\n".join(lines[:1] + ["", ""] + lines[1:]) + "\n")
-    loadtxt = np.loadtxt
-
-    def rejects_blocks(text, *args, **kwargs):
-        if len(text) > 1:
-            raise ValueError("a whole-block complaint")
-        return loadtxt(text, *args, **kwargs)
-
-    monkeypatch.setattr(fieldcsv.np, "loadtxt", rejects_blocks)
-    with pytest.raises(fieldcsv.ConfigError, match=re.escape(
-            f"{path}:2-124: a whole-block complaint")):
-        fieldcsv.read_field_csv(path)
-
-
-def _python_reads_more(cell: str) -> bool:
-    """Whether int() or float() may accept cell where numpy's parser does
-    not: it has an underscore, or it is an integer outside int64."""
-    try:
-        return "_" in cell or abs(int(cell)) >= 2**63
-    except ValueError:
-        return False
-
-
-def test_read_field_csv_matches_per_cell_reader_on_any_one_edit(tmp_path,
-                                                                per_cell_read_field_csv):
-    """One cell or line replaced by arbitrary text: the reader returns the
-    same bits or raises the same ConfigError as the per-cell reference,
-    unless int() or float() reads the text more leniently; then the reader
-    rejects it.  No error falls back to naming a whole block."""
-    hypothesis = pytest.importorskip("hypothesis")
-    st = pytest.importorskip("hypothesis.strategies")
-    lines = _field_csv_lines(tmp_path, 2, 10)
-    path = tmp_path / "field.csv"
-    junk = st.text(alphabet=' \t,"\x00\x1f_.+-eE0159ainfx\xe9\u20ac\u2003', max_size=8) | \
-        st.sampled_from(["", " ", "1.0", "1_0", "nan", "inf", "-inf", "0x1", "1e5",
-                         " 1 ", "+1", "-0", "9" * 30, "0.5", "0.5\x00", "1\x1f"])
-
-    @hypothesis.settings(max_examples=300, deadline=None,
-                         suppress_health_check=list(hypothesis.HealthCheck))
-    @hypothesis.given(st.integers(1, len(lines) - 1), st.integers(-1, 5), junk)
-    def check(row, col, cell):
-        text = list(lines)
-        cells = text[row].split(",")
-        if col < 0:
-            cells = [cell]
-        else:
-            cells[col] = cell
-        text[row] = ",".join(cells)
-        path.write_text("\n".join(text) + "\n")
-        (new, new_error), (ref, ref_error) = _read_both(path, per_cell_read_field_csv)
-        if _python_reads_more(cell):
-            assert new_error is not None
-        else:
-            assert new_error == ref_error
-            if new_error is None:
-                assert np.array_equal(new.data.view(np.uint64), ref.data.view(np.uint64))
-        assert not re.search(r":\d+-\d+: ", new_error or "")
-
-    check()
 
 
 class TestDispatch:

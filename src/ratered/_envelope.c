@@ -1,5 +1,5 @@
-/* The compiled half of ratered: one stored node of one sweep, and the rows
-   of the field CSVs, written and read back.
+/* The compiled half of ratered: one stored node of one sweep, the rows of
+   the field CSVs, written and read back, and certify's family check.
 
    envelope_line is a port of the scalar reference _envelope_line in
    tests/conftest.py: Andrew's monotone chain over the non-BOTTOM cells
@@ -28,9 +28,13 @@
    digits17 of a candidate double, so the reader spells nothing; strtod
    reads only the other cells, such as "0", "inf" and "1e-05", and one
    that no candidate matches.
+   ratered_family_check walks the axis lines of a field as
+   ratered_sweep_node does and keeps, per axis, only the worst concavity
+   defect and where it first occurs, and the worst floor gap on the
+   zero-message set, by rsum's rules.
 
    ratered.envelope compiles it with -ffp-contract=off, so no product is
-   fused into a sum, and adopts it only after each of its three entry
+   fused into a sum, and adopts it only after each of its four entry
    points passes its probe there. */
 
 #include <math.h>
@@ -600,4 +604,103 @@ not_canonical:
     free(index);
     free(prefix);
     return -1;
+}
+
+/* The family check of certify.check_membership on one m-axis field of the
+   given shape, read in place with the given element strides, as
+   ratered_sweep_node reads its source; h, the joint entropy, and mask, the
+   zero-message set, are C-contiguous arrays of that shape.
+
+   For each axis a, worst[a] receives the largest concavity defect along
+   axis a, by envelope.concavity_defects' rules, and where[a] the first flat
+   index where it occurs in the C order of the field with axis a moved last,
+   the order of the lines walked here: a line whose finite entries (+inf and
+   NaN are not finite) have a hole inside their span has the defect +inf at
+   its first hole; any other line has (a + c) - 2.0 * b, NaN counted as
+   +inf, at each index b inside its finite span; every other entry is
+   BOTTOM.  worst[m] receives the largest floor gap rsum(h, F) over the
+   points of mask, lattice.gap's h - F or +inf where F is not finite, and
+   where[m] the first such point's flat index in C order, or -1 where mask
+   holds none.  A later index takes over only when it is strictly larger,
+   so every location is the first, as np.argmax gives it.  Returns 0, or -1
+   if the index cannot be allocated. */
+int ratered_family_check(const double *field, const ptrdiff_t *shape, const ptrdiff_t *strides,
+                         ptrdiff_t m, const double *h, const unsigned char *mask,
+                         double *worst, ptrdiff_t *where)
+{
+    ptrdiff_t points = 1;
+    for (ptrdiff_t j = 0; j < m; j++)
+        points *= shape[j];
+    ptrdiff_t *index = calloc((size_t)m, sizeof *index);
+    if (index == NULL)
+        return -1;
+    for (ptrdiff_t axis = 0; axis < m; axis++) {
+        ptrdiff_t n = shape[axis], s = strides[axis], at = 0, best_at = 0;
+        double best = -INFINITY;
+        for (ptrdiff_t start = 0; start < points; start += n) {
+            const double *v = field + at;
+            ptrdiff_t lo = -1, hi = -1, hole = -1;
+            for (ptrdiff_t i = 0; i < n; i++) {
+                if (!isfinite(v[i * s]))
+                    continue;
+                if (lo < 0)
+                    lo = i;
+                else if (hole < 0 && hi < i - 1)
+                    hole = hi + 1;
+                hi = i;
+            }
+            if (hole >= 0) {
+                if (INFINITY > best) {
+                    best = INFINITY;
+                    best_at = start + hole;
+                }
+            } else {
+                for (ptrdiff_t i = lo + 1; i < hi; i++) {
+                    double d = (v[(i - 1) * s] + v[(i + 1) * s]) - 2.0 * v[i * s];
+                    if (isnan(d))
+                        d = INFINITY;
+                    if (d > best) {
+                        best = d;
+                        best_at = start + i;
+                    }
+                }
+            }
+            /* the next line: count up the other axes, the last one fastest */
+            for (ptrdiff_t j = m - 1; j >= 0; j--) {
+                if (j == axis)
+                    continue;
+                if (++index[j] < shape[j]) {
+                    at += strides[j];
+                    break;
+                }
+                index[j] = 0;
+                at -= (shape[j] - 1) * strides[j];
+            }
+        }
+        worst[axis] = best;
+        where[axis] = best_at;
+    }
+    double gap = -INFINITY;
+    ptrdiff_t gap_at = -1, at = 0;
+    for (ptrdiff_t p = 0; p < points; p++) {
+        if (mask[p]) {
+            double g = rsum(h[p], field[at]);
+            if (gap_at < 0 || g > gap) {
+                gap = g;
+                gap_at = p;
+            }
+        }
+        for (ptrdiff_t j = m - 1; j >= 0; j--) {
+            if (++index[j] < shape[j]) {
+                at += strides[j];
+                break;
+            }
+            index[j] = 0;
+            at -= (shape[j] - 1) * strides[j];
+        }
+    }
+    worst[m] = gap;
+    where[m] = gap_at;
+    free(index);
+    return 0;
 }

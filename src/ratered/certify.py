@@ -7,10 +7,15 @@ finite support.  Checking (a) only on that zero-message set suffices: the
 joint entropy itself bounds the zero-message field everywhere else because
 the field is BOTTOM there.
 
-Condition (b) is read from envelope.concavity_defects, one whole-array pass
-per axis.  A second difference that overflows to NaN (inf - inf, say, from
-values near 1e308) counts as an infinite defect: a line whose concavity
-cannot be computed fails at every finite tolerance instead of being skipped.
+Both conditions are read in one call per field: the compiled family check,
+envelope.compiled_family_check, walks every axis' lines by strides and
+keeps only each axis' worst defect and the worst floor gap, each with where
+it first occurs; where the library does not load, _numpy_family_check reads
+condition (b) from envelope.concavity_defects, one whole-array pass per
+axis, on the same contract and with the same bits.  A second difference
+that overflows to NaN (inf - inf, say, from values near 1e308) counts as an
+infinite defect: a line whose concavity cannot be computed fails at every
+finite tolerance instead of being skipped.
 
 A certified field yields a pointwise lower bound on the infinite-message
 minimum sum-rate, and comparing a certified candidate against an achieved
@@ -27,7 +32,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .envelope import BOTTOM, concavity_defects
+from .envelope import BOTTOM, compiled_family_check, concavity_defects
 from .errors import ConfigError, NotCertifiedError
 from .lattice import RateReductionField, gap, zero_message_mask
 from .probability import GridIndex, ProductPmf, entropy_grid, product_entropy
@@ -93,26 +98,20 @@ def check_membership(
         raise ValueError(f"function arity {f.m} != grid m={grid.m}")
     check_tol(tol)
 
-    mask = zero_message_mask(grid, f)
-    h = entropy_grid(grid)
-    gaps = gap(h[mask], field.data[mask])  # +inf where the field is BOTTOM
-    where = np.argwhere(mask)
-    j = int(np.argmax(gaps))
-    worst_gap = float(gaps[j])
-    gap_loc = tuple(int(c) for c in where[j])
+    axes, (worst_gap, gap_at) = (compiled_family_check() or _numpy_family_check)(
+        field.data, entropy_grid(grid), zero_message_mask(grid, f))
     majorization_ok = worst_gap <= tol
+    # every axis has n_steps + 1 points, so a moved field has the grid's shape
+    gap_loc = tuple(int(c) for c in np.unravel_index(gap_at, grid.shape))
 
     per_axis_ok: list[bool] = []
     worst_violation = BOTTOM
     worst_axis = 0
     worst_loc: GridIndex | None = None
-    for ax in range(grid.m):
-        defects = concavity_defects(np.moveaxis(field.data, ax, -1))
-        flat = int(np.argmax(defects))
-        violation = float(defects.reshape(-1)[flat])
+    for ax, (violation, flat) in enumerate(axes):
         per_axis_ok.append(violation <= tol)
         if violation > worst_violation:
-            loc = [int(c) for c in np.unravel_index(flat, defects.shape)]
+            loc = [int(c) for c in np.unravel_index(flat, grid.shape)]
             loc.insert(ax, loc.pop())
             worst_violation = violation
             worst_axis = ax + 1
@@ -132,6 +131,21 @@ def check_membership(
         n_steps=grid.n_steps,
         field_sha256=field_digest(field.data),
     )
+
+
+def _numpy_family_check(data, h, mask) -> tuple[tuple, tuple]:
+    """The family check on numpy, on envelope.compiled_family_check's
+    contract: the floor gap lattice.gap(h, data) over mask, and per axis the
+    concavity defects of one whole-array pass, each with the flat index of
+    its first maximum."""
+    gaps = gap(h[mask], data[mask])  # +inf where the field is BOTTOM
+    j = int(np.argmax(gaps))
+    axes = []
+    for ax in range(data.ndim):
+        defects = concavity_defects(np.moveaxis(data, ax, -1))
+        flat = int(np.argmax(defects))
+        axes.append((float(defects.reshape(-1)[flat]), flat))
+    return tuple(axes), (float(gaps[j]), int(np.flatnonzero(mask)[j]))
 
 
 def lower_bound_from(

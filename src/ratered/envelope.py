@@ -38,8 +38,14 @@ byte the writer's: its cells up to rho are compared in one call with the
 writer's own spelling of them, and a value in the writer's fixed notation
 by its layout and its digits, as one integer, against the 17 digits the
 writer writes for a candidate double; strtod reads only the other cells,
-such as "0", "inf" and "1e-05", and one that no candidate matches.  The
-library is built on the first call of a process that needs it, never at
+such as "0", "inf" and "1e-05", and one that no candidate matches.  Its
+fourth, ratered_family_check, is certify's family check of one field in
+one call (compiled_family_check, which certify.check_membership tries
+first): it walks every axis' lines by strides, as the sweep does, and
+keeps only the worst concavity defect of each axis and the worst floor
+gap on the zero-message set, each with where it first occurs, by
+concavity_defects' and lattice.gap's rules; no per-point array is built.
+The library is built on the first call of a process that needs it, never at
 import: compiled with sysconfig's CC (else cc) and -O2 -ffp-contract=off
 -fPIC -shared, so no product is fused into a sum (never -ffast-math, which
 lets the compiler reorder float operations and assume that no NaN or
@@ -50,14 +56,16 @@ sys.dont_write_bytecode does not govern it, as it is not bytecode.  It is
 compiled under a temporary name and moved into place with os.replace, so
 concurrent processes never load a half-written file.  It is adopted only
 after each entry point passes its probe: the sweep gives the numpy sweep's
-results, the writer the bytes of fieldcsv._python_rows, and the reader
-those rows' bits while it declines respellings the writer would not write
-(_sweep_probe_passes, _csv_probe_passes, _csv_read_probe_passes).  A cached
-file is never rebuilt: delete it to force a new build.  Where there is no
-compiler, the directory is not writable, or the build, the load or any
-probe fails, the process runs the numpy sweep, the Python row writer and
-only the block reader of ratered.fieldcsv for its whole life; kernel_name()
-says which kernel runs, and the writer and the reader go with it.
+results, the writer the bytes of fieldcsv._python_rows, the reader those
+rows' bits while it declines respellings the writer would not write, and
+the family check the values and locations of certify._numpy_family_check
+(_sweep_probe_passes, _csv_probe_passes, _csv_read_probe_passes,
+_family_probe_passes).  A cached file is never rebuilt: delete it to force
+a new build.  Where there is no compiler, the directory is not writable,
+or the build, the load or any probe fails, the process runs the numpy
+sweep, the Python row writer, only the block reader of ratered.fieldcsv
+and the numpy family check for its whole life; kernel_name() says which
+kernel runs, and the writer, the reader and the family check go with it.
 
 The numpy kernel, envelope_batch, envelopes every row of a batch; the
 numpy sweep makes one call, with the changed lines of every node of the
@@ -66,9 +74,11 @@ batch in lockstep, one numpy step per column and per round of pops, each
 round on the rows still popping only; then it interpolates the whole batch
 in one vectorised pass, building the chords in place in the output.
 
-The concavity test lives in one place too: concavity_defects measures every
-second difference of every line of an array at once, and the certifier's
-family check reads it.
+The concavity test is written twice, each the other's check:
+concavity_defects measures every second difference of every line of an
+array at once, and certify._numpy_family_check, the fallback and the
+probe's reference, reads it; ratered_family_check applies the same rules
+line by line and keeps only each axis' worst.
 """
 
 from __future__ import annotations
@@ -160,12 +170,30 @@ def compiled_csv_read():
     return None if kernel is None else kernel[2]
 
 
+def compiled_family_check():
+    """certify.check_membership's compiled family check, or None where
+    certify._numpy_family_check runs on the same contract; the same library
+    and the same decision as compiled_sweep.
+
+    Both are called as family_check(data, h, mask): data is the field, h the
+    joint entropy and mask the zero-message set, arrays of one shape, data
+    in any layout.  They return (axes, floor).  axes holds per axis a the
+    pair (defect, flat): the largest entry of concavity_defects along axis
+    a, and the flat index of its first occurrence in the C order of
+    np.moveaxis(data, a, -1).  floor is (gap, flat): the largest
+    lattice.gap(h, data) over the points of mask, and the flat index in C
+    order of the first mask point where it occurs.  A mask that holds no
+    point raises ValueError."""
+    kernel = _compiled_kernel()
+    return None if kernel is None else kernel[3]
+
+
 @functools.cache
 def _compiled_kernel():
-    """The compiled sweep, row writer and row reader as Python functions
-    (compiled_sweep's, compiled_csv_rows' and compiled_csv_read's), or None
-    where the library cannot be built, loaded or trusted; decided once per
-    process."""
+    """The compiled sweep, row writer, row reader and family check as Python
+    functions (compiled_sweep's, compiled_csv_rows', compiled_csv_read's and
+    compiled_family_check's), or None where the library cannot be built,
+    loaded or trusted; decided once per process."""
     import ctypes
 
     try:
@@ -174,7 +202,7 @@ def _compiled_kernel():
             _build(argv, source, path)
         library = ctypes.CDLL(str(path))
         node, csv = library.ratered_sweep_node, library.ratered_csv_write
-        csv_in = library.ratered_csv_read
+        csv_in, family = library.ratered_csv_read, library.ratered_family_check
     except (OSError, ValueError, AttributeError):
         return None
     node.argtypes = (*[ctypes.c_void_p] * 7, ctypes.c_ssize_t, ctypes.c_ssize_t,
@@ -185,6 +213,8 @@ def _compiled_kernel():
     csv.restype = ctypes.c_int
     csv_in.argtypes = (ctypes.c_char_p, *[ctypes.c_ssize_t] * 4, *[ctypes.c_void_p] * 6)
     csv_in.restype = ctypes.c_ssize_t
+    family.argtypes = (*[ctypes.c_void_p] * 3, ctypes.c_ssize_t, *[ctypes.c_void_p] * 4)
+    family.restype = ctypes.c_int
 
     def sweep(sources, previous, stored):
         if previous is None:
@@ -255,10 +285,28 @@ def _compiled_kernel():
             return None if rows < 0 else (rows, used.value, slow.value)
         return read
 
+    def family_check(data, h, mask):
+        field, steps = _in_elements(data)
+        h = np.ascontiguousarray(h, dtype=np.float64)
+        mask = np.ascontiguousarray(mask, dtype=bool)
+        if not field.shape == h.shape == mask.shape:
+            raise ValueError(f"field, h and mask differ in shape: {field.shape}, {h.shape} "
+                             f"and {mask.shape}")
+        m = field.ndim
+        dims = (ctypes.c_ssize_t * (2 * m))(*field.shape, *steps)
+        worst, where = (ctypes.c_double * (m + 1))(), (ctypes.c_ssize_t * (m + 1))()
+        at = ctypes.addressof(dims)
+        if family(field.ctypes.data, at, at + m * ctypes.sizeof(ctypes.c_ssize_t), m,
+                  h.ctypes.data, mask.ctypes.data, worst, where):
+            raise MemoryError("the family check could not allocate its index")
+        if where[m] < 0:
+            raise ValueError("the zero-message mask holds no point")
+        return tuple(zip(worst[:m], where[:m])), (worst[m], where[m])
+
     probe = _csv_probe_files()
     if (_sweep_probe_passes(sweep) and _csv_probe_passes(csv_rows, probe)
-            and _csv_read_probe_passes(csv_read, probe)):
-        return sweep, csv_rows, csv_read
+            and _csv_read_probe_passes(csv_read, probe) and _family_probe_passes(family_check)):
+        return sweep, csv_rows, csv_read, family_check
     return None
 
 
@@ -502,6 +550,39 @@ def _csv_read_probe_passes(csv_read, probe) -> bool:
     r = int(np.ravel_multi_index((1, 2, 0), shape))
     swapped[r] = lines[r].replace(p1 + p2, p2 + p1)
     return all(read_back(a, b, copy) is None for copy in [*declined, swapped])
+
+
+def _family_probe_passes(family_check) -> bool:
+    """Whether family_check, the compiled family check, gives the defects,
+    gaps and locations of the numpy one, certify._numpy_family_check, bit
+    for bit.
+
+    The fields: the probe batch's cells as a (4, 13, 13) field in a rotated
+    view, so the walk reads strides on every axis; a C-contiguous (13, 13, 4)
+    field whose second differences are 2, -6 and 0 along its three axes and
+    whose floor gap is 1 at every point, so every maximum ties and each
+    location must be the first in its axis' moved order; and one-axis fields
+    that each decide one rule: holes of +inf and of NaN inside a finite span
+    (their first hole, and a floor gap of +inf where F is +inf), three 1e308
+    cells whose second difference is NaN (+inf at the first), and i**2,
+    whose defects all tie."""
+    from .certify import _numpy_family_check
+
+    def bits(result):
+        axes, floor = result
+        return [(np.float64(v).tobytes(), int(at)) for v, at in (*axes, floor)]
+
+    cube = _probe_batch().reshape(4, 13, 13).transpose(1, 2, 0)
+    i = np.arange(13.0)
+    ties = np.add.outer(np.add.outer(i**2, -3.0 * (i - 5.0) ** 2), i[:4])
+    cases = [(cube, np.cos(np.arange(cube.size)).reshape(cube.shape),
+              np.arange(cube.size).reshape(cube.shape) % 3 != 1),
+             (ties, ties + 1.0, np.arange(ties.size).reshape(ties.shape) % 5 != 2)]
+    for line in ([0.0, 1.0, np.inf, 1.0, 0.0, -1.0], [0.0, 1.0, np.nan, 1.0, 0.0],
+                 [1e308, 1e308, 1e308, 10.0, 20.0], i**2):
+        line = np.array(line)
+        cases.append((line, np.zeros(line.shape), np.ones(line.shape, dtype=bool)))
+    return all(bits(family_check(*case)) == bits(_numpy_family_check(*case)) for case in cases)
 
 
 def _envelope_rows(v: np.ndarray) -> np.ndarray:

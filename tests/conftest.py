@@ -218,9 +218,10 @@ def per_node_sweep():
 
 def _per_line_concavity(profile):
     """The worst concavity defect of one line and its index, by support
-    checks first, then the first argmax of the interior second differences:
-    (+inf, first hole) for a support gap, (BOTTOM, -1) when fewer than three
-    finite points leave nothing to measure."""
+    checks first (+inf and NaN are not finite), then the first argmax of the
+    interior second differences, a NaN one (from an overflow) counted as
+    +inf: (+inf, first hole) for a support gap, (BOTTOM, -1) when fewer than
+    three finite points leave nothing to measure."""
     arr = np.asarray(profile, dtype=np.float64)
     finite = np.isfinite(arr)
     k = int(np.count_nonzero(finite))
@@ -234,7 +235,9 @@ def _per_line_concavity(profile):
     seg = arr[lo : hi + 1]
     if len(seg) < 3:
         return (BOTTOM, -1)
-    defects = seg[:-2] + seg[2:] - 2.0 * seg[1:-1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        defects = seg[:-2] + seg[2:] - 2.0 * seg[1:-1]
+    defects[np.isnan(defects)] = np.inf
     j = int(np.argmax(defects))
     return (float(defects[j]), lo + j + 1)
 
@@ -248,11 +251,14 @@ def per_line_concavity():
 def per_line_membership():
     """check_membership's reference: every line of every axis through
     per_line_concavity in a Python loop; a later line or axis takes over
-    the worst location only when its violation is strictly larger."""
+    the worst location only when its violation is strictly larger.  The
+    floor gap is h - F on the zero-message set, +inf where F is not
+    finite."""
     def check(field, f, tol):
         grid = field.grid
         mask = zero_message_mask(grid, f)
-        gaps = entropy_grid(grid)[mask] - field.data[mask]
+        rho = field.data[mask]
+        gaps = np.where(np.isfinite(rho), entropy_grid(grid)[mask] - rho, np.inf)
         j = int(np.argmax(gaps))
         per_axis_ok = []
         worst_violation, worst_axis, worst_loc = BOTTOM, 0, None

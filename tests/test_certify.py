@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from ratered import envelope
 from ratered.certify import (
+    _numpy_family_check,
     assess_optimality,
     check_membership,
     field_digest,
@@ -13,7 +15,7 @@ from ratered.certify import (
 )
 from ratered.envelope import BOTTOM
 from ratered.errors import NotCertifiedError
-from ratered.lattice import RateReductionField, initial_field, run, sweeps
+from ratered.lattice import RateReductionField, initial_field, run, sweeps, zero_message_mask
 from ratered.probability import GridSpec, ProductPmf, entropy_grid
 from ratered.target_functions import BUILTIN_NAMES, FunctionTable, builtin_table
 
@@ -134,7 +136,18 @@ class TestCheckMembership:
 
 
 class TestWholeArrayKernel:
-    """check_membership against the per-line loop it replaced, bit for bit."""
+    """check_membership against the per-line loop it replaced, bit for bit,
+    on the compiled family check, envelope.compiled_family_check, which
+    loads wherever the C compiler is on PATH.  TestWholeArrayKernelOnNumpy
+    runs every test again on certify._numpy_family_check, the one a host
+    without a compiler runs."""
+
+    @pytest.fixture(autouse=True)
+    def family_check(self, compiler):
+        check = envelope.compiled_family_check()
+        if check is None:
+            pytest.fail(f"{compiler} is on PATH but the compiled family check did not load")
+        return check
 
     @pytest.mark.parametrize("f, delta", [
         *[(builtin_table(n, m), d) for m, d in ((2, 0.1), (3, 0.1), (4, 0.25))
@@ -192,6 +205,104 @@ class TestWholeArrayKernel:
         assert report.concavity_ok_per_axis == (False, False)
         assert report.worst_concavity_violation == math.inf
         assert (report.concavity_axis, report.concavity_location) == (1, (1, 0))
+
+    def test_rotated_views_match(self, min3, per_line_membership):
+        """min's bank stores one field and hands out nodes 2 and 3 as
+        rotated views, which the compiled check reads in place."""
+        grid = GridSpec.from_delta(3, 0.1)
+        bank = run(grid, min3, t_max=3, eps=1e-300).bank
+        assert bank.period == 1
+        for k in (2, 3):
+            field = bank.field_for(k)
+            assert not field.data.flags.c_contiguous
+            for tol in TOLS:
+                got = check_membership(field, min3, tol)
+                assert _bits(got) == _bits(per_line_membership(field, min3, tol))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_infinite_and_nan_entries_match(self, seed, min3, per_line_membership):
+        """+inf and NaN are holes like BOTTOM, and the floor gap is +inf at
+        each of them on the zero-message set."""
+        grid = GridSpec(3, 6)
+        rng = np.random.default_rng(seed)
+        h = entropy_grid(grid)
+        for trial in range(6):
+            data = h - rng.uniform(-0.1, 0.3, size=grid.shape)
+            if trial % 2:
+                data = np.round(data * 4.0) / 4.0              # exact ties
+            cells = rng.uniform(size=grid.shape) < rng.uniform(0.02, 0.3)
+            data[cells] = rng.choice([BOTTOM, math.inf, math.nan], size=int(cells.sum()))
+            field = RateReductionField(grid, data)
+            for tol in TOLS:
+                got = check_membership(field, min3, tol)
+                assert _bits(got) == _bits(per_line_membership(field, min3, tol))
+
+    def test_zero_defect_ties_take_the_first_location(self, min3, per_line_membership):
+        """An affine field has the defect 0.0 at every interior index of every
+        axis: the first axis keeps it, at the first index of its moved C
+        order, its first line's index 1."""
+        grid = GridSpec(3, 6)
+        i = np.arange(7.0)
+        data = np.add.outer(np.add.outer(i, 2.0 * i), 3.0 * i)
+        report = check_membership(RateReductionField(grid, data), min3, 0.0)
+        assert report.concavity_ok_per_axis == (True, True, True)
+        assert (report.worst_concavity_violation, report.concavity_axis,
+                report.concavity_location) == (0.0, 1, (1, 0, 0))
+        want = per_line_membership(RateReductionField(grid, data), min3, 0.0)
+        assert _bits(report) == _bits(want)
+
+    def test_floor_ties_take_the_first_location(self, min3, per_line_membership):
+        """The zero field's floor gap is h itself, whose largest value on the
+        zero-message set, 2 bits, is reached at several points: the first in
+        C order is reported."""
+        grid = GridSpec(3, 6)
+        field = RateReductionField(grid, np.zeros(grid.shape))
+        h, mask = entropy_grid(grid), zero_message_mask(grid, min3)
+        ties = np.argwhere(mask & (h == h[mask].max()))
+        assert len(ties) > 1
+        report = check_membership(field, min3, 1e-9)
+        assert report.majorization_location == tuple(int(c) for c in ties[0])
+        assert _bits(report) == _bits(per_line_membership(field, min3, 1e-9))
+
+    @pytest.mark.parametrize("shape", [(13,), (4, 4, 4, 4)], ids=["m1", "m4"])
+    def test_one_and_four_axes(self, family_check, per_line_concavity, shape):
+        """The family check's own contract, which no grid bounds below two
+        axes, against per_line_concavity line by line and the floor gap's
+        first argmax."""
+        rng = np.random.default_rng(len(shape))
+        n = shape[-1]
+        for trial in range(10):
+            data = np.round(rng.normal(size=shape) * 4.0) / 4.0
+            cells = rng.uniform(size=shape) < 0.1 * (trial % 3)
+            data[cells] = rng.choice([BOTTOM, math.inf, math.nan, 1e308], size=int(cells.sum()))
+            h = rng.normal(size=shape)
+            mask = rng.uniform(size=shape) < 0.5
+            mask.flat[-1] = True
+            want = []
+            for ax in range(len(shape)):
+                best, at = BOTTOM, 0
+                for r, line in enumerate(np.moveaxis(data, ax, -1).reshape(-1, n)):
+                    violation, index = per_line_concavity(line)
+                    if violation > best:
+                        best, at = violation, r * n + index
+                want.append((best, at))
+            rho = data[mask]
+            gaps = np.where(np.isfinite(rho), h[mask] - rho, np.inf)
+            j = int(np.argmax(gaps))
+            want.append((float(gaps[j]), int(np.flatnonzero(mask)[j])))
+            axes, floor = family_check(data, h, mask)
+            got = [*axes, floor]
+            assert [(np.float64(v).tobytes(), at) for v, at in got] \
+                == [(np.float64(v).tobytes(), at) for v, at in want]
+
+
+class TestWholeArrayKernelOnNumpy(TestWholeArrayKernel):
+    """Every family-check test again on certify._numpy_family_check."""
+
+    @pytest.fixture(autouse=True)
+    def family_check(self, numpy_kernel):
+        assert envelope.compiled_family_check() is None
+        return _numpy_family_check
 
 
 class TestLowerBound:

@@ -21,6 +21,7 @@ import pytest
 
 from conftest import upper_concave_envelope
 from ratered import envelope, fieldcsv, lattice
+from ratered.certify import check_membership
 from ratered.envelope import BOTTOM, concavity_defects, envelope_batch
 from ratered.probability import GridSpec
 from ratered.target_functions import builtin_table
@@ -483,6 +484,18 @@ WRONG_READS = {
     "k-counted-one-short": ("p - point - 1;", "p - point - 2;"),
     "trailing-zero-accepted": ("(point == NULL || end[-1] > '0')", "1"),
 }
+# Faults of the family check: each breaks one of concavity_defects' rules,
+# lattice.gap's floor rule, or the order its locations are counted in.
+WRONG_CHECKS = {
+    "tie-keeps-the-last": ("if (d > best) {", "if (d >= best) {"),
+    "nan-not-promoted": ("if (isnan(d))", "if (0)"),
+    "hole-rule-dropped": ("if (hole >= 0) {", "if (0) {"),
+    "floor-subtracts-infinity": ("double g = rsum(h[p], field[at]);",
+                                 "double g = field[at] == -INFINITY ? INFINITY : h[p] - field[at];"),
+    # the element offset, which is the natural C order of a contiguous field
+    "location-in-natural-order": ("best_at = start + i;", "best_at = at + i * s;"),
+    "only-bottom-not-finite": ("if (!isfinite(v[i * s]))", "if (v[i * s] == -INFINITY)"),
+}
 
 
 def _digit_candidate(cell: str):
@@ -642,6 +655,28 @@ class TestLoader:
         fieldcsv.write_field_csv(tmp_path / "field.csv", field, "max")
         loaded = fieldcsv.read_field_csv(tmp_path / "field.csv")
         assert np.array_equal(_bits(loaded.data), _bits(field.data))
+
+    @pytest.mark.parametrize("fault", WRONG_CHECKS)
+    def test_a_library_whose_family_check_disagrees_is_refused(self, compiler, fresh_loader,
+                                                               monkeypatch, tmp_path, fault,
+                                                               per_line_membership):
+        """The whole library is refused, and certify checks a field with
+        holes, +inf, NaN and overflowing cells on numpy, as the per-line
+        loop does (repr tells every two doubles apart)."""
+        right, wrong = WRONG_CHECKS[fault]
+        text = envelope._SOURCE.read_text()
+        assert text.count(right) == 1
+        source = tmp_path / "_envelope.c"
+        source.write_text(text.replace(right, wrong))
+        monkeypatch.setattr(envelope, "_SOURCE", source)
+        assert envelope.kernel_name() == "numpy"
+        assert envelope.compiled_family_check() is None
+        assert _library().is_file()   # built and loaded, then refused
+        grid = GridSpec(m=3, n_steps=6)
+        field = lattice.RateReductionField(grid, np.resize(envelope._probe_batch(), grid.shape))
+        table = builtin_table("min", 3)
+        assert repr(check_membership(field, table, 1e-9)) \
+            == repr(per_line_membership(field, table, 1e-9))
 
     def test_the_read_probe_covers_its_cases(self):
         """A reader that takes a row only if it is the writer's spelling of

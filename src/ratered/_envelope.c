@@ -4,21 +4,23 @@
    envelope_line is a port of the scalar reference _envelope_line in
    tests/conftest.py: Andrew's monotone chain over the non-BOTTOM cells
    (NaN counts as one), then a chord walk, with the same float operations
-   in the same order.  ratered_sweep_node walks the axis lines of a strided
-   source, copies the stored envelope of every line whose bits equal the
-   same line of the previous source, envelopes the others with
-   envelope_line, and returns the BOTTOM-aware sup-delta of the result
-   against the stored envelope.
+   in the same order.  Every entry point walks its arrays by one odometer,
+   next_index, and takes every BOTTOM-aware difference by gap, lattice.gap's
+   rules.  ratered_sweep_node walks the axis lines of a strided source,
+   copies the stored envelope of every line whose bits equal the same line
+   of the previous source, envelopes the others with envelope_line, and
+   returns the BOTTOM-aware sup-delta of the result against the stored
+   envelope.
 
    ratered_csv_write writes one block of every field CSV of a write in one
    pass: it walks the row-major index of the block's rows, reads the joint
    entropy h and each file's rho at their strides, so a rotated view or a
-   slice is read in place, and computes Rsum = h - rho with lattice.gap's
-   BOTTOM rules (rsum).  Per row it spells the index and grid-value cells
-   once (row_prefix) and copies them to every file, and spells rho and Rsum
-   by format_g17, byte for byte Python's "%.17g" % x; a file whose rho has
-   the bits of an earlier file's in the row copies that file's rho and Rsum
-   bytes, as field_max does one k-file's at every point.
+   slice is read in place, and computes Rsum = gap(h, rho).  Per row it
+   spells the index and grid-value cells once (row_prefix) and copies them
+   to every file, and spells rho and Rsum by format_g17, byte for byte
+   Python's "%.17g" % x; a file whose rho has the bits of an earlier file's
+   in the row copies that file's rho and Rsum bytes, as field_max does one
+   k-file's at every point.
    ratered_csv_read reads such rows back: it walks the same index, compares
    each row's index and grid-value cells with row_prefix's spelling of
    them in one memcmp, and reads rho and Rsum, taking a row only if
@@ -31,11 +33,11 @@
    ratered_family_check walks the axis lines of a field as
    ratered_sweep_node does and keeps, per axis, only the worst concavity
    defect and where it first occurs, and the worst floor gap on the
-   zero-message set, by rsum's rules.
+   zero-message set.
 
    ratered.envelope compiles it with -ffp-contract=off, so no product is
-   fused into a sum, and adopts it only after each of its four entry
-   points passes its probe there. */
+   fused into a sum, and adopts it only if all four entry points pass
+   their probes there. */
 
 #include <math.h>
 #include <stddef.h>
@@ -109,30 +111,71 @@ static int same_bits(const double *x, ptrdiff_t xs, const double *y, ptrdiff_t y
     return 1;
 }
 
-/* |a - b| with BOTTOM conventions, lattice.gap's: 0 where neither side is
-   finite, +inf where exactly one is. */
-static double distance(double a, double b)
+/* a - b with lattice.gap's BOTTOM conventions: 0 where neither side is
+   finite, +inf where only a is and -inf where only b is.  The sweep's
+   distance of two entries is its absolute value. */
+static double gap(double a, double b)
 {
     int fa = isfinite(a), fb = isfinite(b);
     if (fa && fb)
-        return fabs(a - b);
-    return fa != fb ? INFINITY : 0.0;
+        return a - b;
+    return fa == fb ? 0.0 : fa ? INFINITY : -INFINITY;
+}
+
+/* The walk of every strided entry point over an m-axis index of the given
+   shape: k arrays walked together, offset[a] being array a's element
+   offset at index and strides[a * m + j] its element stride along axis j.
+   next_index steps index to the next one in C order over every axis but
+   skip (-1 for none), the last axis fastest; after the last index it is
+   back at the first.  Each array's stride is added on the common path, and
+   an axis is rewound only where it wraps. */
+static inline void next_index(const ptrdiff_t *shape, ptrdiff_t m, ptrdiff_t skip,
+                              ptrdiff_t *index, ptrdiff_t *offset, const ptrdiff_t *strides,
+                              ptrdiff_t k)
+{
+    for (ptrdiff_t j = m - 1; j >= 0; j--) {
+        if (j == skip)
+            continue;
+        if (++index[j] < shape[j]) {
+            for (ptrdiff_t a = 0; a < k; a++)
+                offset[a] += strides[a * m + j];
+            return;
+        }
+        index[j] = 0;
+        for (ptrdiff_t a = 0; a < k; a++)
+            offset[a] -= (shape[j] - 1) * strides[a * m + j];
+    }
+}
+
+/* Sets index to flat row first of that walk over every axis, and each
+   array's offset with it. */
+static void seek_index(ptrdiff_t first, const ptrdiff_t *shape, ptrdiff_t m, ptrdiff_t *index,
+                       ptrdiff_t *offset, const ptrdiff_t *strides, ptrdiff_t k)
+{
+    for (ptrdiff_t j = m - 1; j >= 0; j--) {
+        index[j] = first % shape[j];
+        first /= shape[j];
+    }
+    for (ptrdiff_t a = 0; a < k; a++) {
+        offset[a] = 0;
+        for (ptrdiff_t j = 0; j < m; j++)
+            offset[a] += index[j] * strides[a * m + j];
+    }
 }
 
 /* One stored node of one sweep.  src and prev (NULL for none) are m-axis
-   arrays of the given shape with the given element strides (prev_strides
-   is read even when prev is NULL); stored and out are C-contiguous arrays
-   of that shape, stored being line by line the envelope of prev along
-   axis.  Every axis line of src whose bits equal the same line of prev
-   takes the same line of stored; every other line gets its envelope.
-   *delta receives the largest distance of an out entry from the same
-   stored entry over the enveloped lines (a copied line adds 0), and
-   *enveloped how many lines were enveloped.  Returns 0, or -1 if the hull
-   stack cannot be allocated. */
+   arrays of the given shape, and stored and out C-contiguous ones, stored
+   being line by line the envelope of prev along axis.  strides holds the
+   element strides of src, prev and out as next_index takes them (prev's
+   are read even when prev is NULL); stored has out's.  Every axis line of
+   src whose bits equal the same line of prev takes the same line of
+   stored; every other line gets its envelope.  *delta receives the largest
+   |gap| of an out entry from the same stored entry over the enveloped
+   lines (a copied line adds 0), and *enveloped how many lines were
+   enveloped.  Returns 0, or -1 if the hull stack cannot be allocated. */
 int ratered_sweep_node(const double *src, const double *prev, const double *stored, double *out,
-                       const ptrdiff_t *shape, const ptrdiff_t *src_strides,
-                       const ptrdiff_t *prev_strides, ptrdiff_t m, ptrdiff_t axis,
-                       double *delta, ptrdiff_t *enveloped)
+                       const ptrdiff_t *shape, const ptrdiff_t *strides, ptrdiff_t m,
+                       ptrdiff_t axis, double *delta, ptrdiff_t *enveloped)
 {
     ptrdiff_t n = shape[axis], lines = 1;
     *delta = 0.0;
@@ -145,57 +188,36 @@ int ratered_sweep_node(const double *src, const double *prev, const double *stor
     ptrdiff_t *hx = malloc((size_t)n * sizeof *hx);
     double *hy = malloc((size_t)n * sizeof *hy);
     ptrdiff_t *index = calloc((size_t)m, sizeof *index);
-    ptrdiff_t *out_strides = malloc((size_t)m * sizeof *out_strides);
-    if (hx == NULL || hy == NULL || index == NULL || out_strides == NULL) {
+    if (hx == NULL || hy == NULL || index == NULL) {
         free(hx);
         free(hy);
         free(index);
-        free(out_strides);
         return -1;
     }
-    for (ptrdiff_t j = m - 1, s = 1; j >= 0; j--) {
-        out_strides[j] = s;
-        s *= shape[j];
-    }
-    ptrdiff_t ss = src_strides[axis], ps = prev_strides[axis], os = out_strides[axis];
-    ptrdiff_t at_src = 0, at_prev = 0, at_out = 0;
+    ptrdiff_t at[3] = {0, 0, 0};            /* the line's offset in src, prev and out */
+    ptrdiff_t ss = strides[axis], ps = strides[m + axis], os = strides[2 * m + axis];
     double worst = 0.0;
     for (ptrdiff_t line = 0; line < lines; line++) {
-        const double *old = stored + at_out;
-        double *w = out + at_out;
-        if (prev && same_bits(src + at_src, ss, prev + at_prev, ps, n)) {
+        const double *old = stored + at[2];
+        double *w = out + at[2];
+        if (prev && same_bits(src + at[0], ss, prev + at[1], ps, n)) {
             for (ptrdiff_t i = 0; i < n; i++)
                 w[i * os] = old[i * os];
         } else {
-            envelope_line(src + at_src, ss, w, os, n, hx, hy);
+            envelope_line(src + at[0], ss, w, os, n, hx, hy);
             ++*enveloped;
             for (ptrdiff_t i = 0; i < n; i++) {
-                double d = distance(w[i * os], old[i * os]);
+                double d = fabs(gap(w[i * os], old[i * os]));
                 if (d > worst)
                     worst = d;
             }
         }
-        /* the next line: count up the other axes, the last one fastest */
-        for (ptrdiff_t j = m - 1; j >= 0; j--) {
-            if (j == axis)
-                continue;
-            if (++index[j] < shape[j]) {
-                at_src += src_strides[j];
-                at_prev += prev_strides[j];
-                at_out += out_strides[j];
-                break;
-            }
-            index[j] = 0;
-            at_src -= (shape[j] - 1) * src_strides[j];
-            at_prev -= (shape[j] - 1) * prev_strides[j];
-            at_out -= (shape[j] - 1) * out_strides[j];
-        }
+        next_index(shape, m, axis, index, at, strides, 3);
     }
     *delta = worst;
     free(hx);
     free(hy);
     free(index);
-    free(out_strides);
     return 0;
 }
 
@@ -221,11 +243,13 @@ static const double TEN[25] = {
    1990; Adams 2018, "Ryu").  For a = m * 2**e, m < 2**53, the product
    m * 5**(16 - d), 16 - d in 2..20, is formed exactly from 32-bit halves in
    two words and shifted right by d - 16 - e, which is in 1..46 here.
-   Rounding never carries D to 10**17 (tests/test_decimal17.py checks the
-   double below every power of ten), so 10**16 <= D < 10**17.  The writer
-   spells a with D, and the reader compares D with a cell's digits.  The
-   rounding takes no branch: whether the rest is above half is a coin toss
-   on these values, which a branch would mispredict half the time. */
+   Rounding never carries D to 10**17, so 10**16 <= D < 10**17
+   (tests/test_fieldcsv.py::TestCompiledFormatter::
+   test_no_double_rounds_up_to_the_next_decade checks the double below
+   every power of ten).  The writer spells a with D, and the reader
+   compares D with a cell's digits.  The rounding takes no branch: whether
+   the rest is above half is a coin toss on these values, which a branch
+   would mispredict half the time. */
 static uint64_t digits17(double a, int d)
 {
     uint64_t bits;
@@ -327,38 +351,29 @@ static ptrdiff_t format_g17(double x, char *out)
 
 /* The cells of a row before rho, the "i," cell of each of its m indices
    and then the "p_i," cell of each of their grid values, written at out;
-   returns their length.  Cell c of cells, the bytes starts[c] ..
-   starts[c + 1] - 1, is the "i," cell of index c for c < n and the "p_i,"
-   cell of index c - n for c >= n.  The writer copies each row's cells to
-   every file, and the reader compares a row's with them in one call. */
-static inline ptrdiff_t row_prefix(const ptrdiff_t *index, ptrdiff_t m, ptrdiff_t n,
+   returns their length.  Every axis of shape has n = shape[0] points, and
+   cell c of cells, the bytes starts[c] .. starts[c + 1] - 1, is the "i,"
+   cell of index c for c < n and the "p_i," cell of index c - n for c >= n.
+   The writer copies each row's cells to every file, and the reader
+   compares a row's with them in one call. */
+static inline ptrdiff_t row_prefix(const ptrdiff_t *index, const ptrdiff_t *shape, ptrdiff_t m,
                                    const char *cells, const ptrdiff_t *starts, char *out)
 {
     char *p = out;
     for (ptrdiff_t j = 0; j < 2 * m; j++) {
-        ptrdiff_t c = j < m ? index[j] : n + index[j - m];
+        ptrdiff_t c = j < m ? index[j] : shape[j - m] + index[j - m];
         memcpy(p, cells + starts[c], (size_t)(starts[c + 1] - starts[c]));
         p += starts[c + 1] - starts[c];
     }
     return p - out;
 }
 
-/* h - rho with lattice.gap's BOTTOM conventions: 0 where neither is
-   finite, +inf where only h is and -inf where only rho is. */
-static double rsum(double h, double rho)
-{
-    int fh = isfinite(h), fr = isfinite(rho);
-    if (fh && fr)
-        return h - rho;
-    return fh == fr ? 0.0 : fh ? INFINITY : -INFINITY;
-}
-
-/* One block of the field CSVs of files m-axis fields with n points on every
-   axis, written in one pass: the rows of flat indices first .. first +
-   rows - 1, in row-major order.  fields[0] is the joint entropy h and
-   fields[f + 1] the rho of file f; strides[f * m + j] is the element
-   stride of fields[f] along axis j, so a view is read in place.  Row r of
-   file f is row_prefix's cells, its rho, ",", its Rsum = rsum(h, rho) and
+/* One block of the field CSVs of files m-axis fields of the given shape,
+   written in one pass: the rows of flat indices first .. first + rows - 1,
+   in row-major order.  fields[0] is the joint entropy h and fields[f + 1]
+   the rho of file f; strides[f * m + j] is the element stride of fields[f]
+   along axis j, so a view is read in place.  Row r of file f is
+   row_prefix's cells, its rho, ",", its Rsum = gap(h, rho) and
    "\n", in format_g17's spelling, written at out + f * capacity on; sizes[f]
    receives the bytes of file f.  A row's prefix is spelled once and copied
    to every file, and a file whose rho has the bits of an earlier file's in
@@ -366,10 +381,10 @@ static double rsum(double h, double rho)
    those bits and h.  capacity is at least rows * (m * (longest "i," cell +
    longest "p_i," cell) + 50) bytes, as rho and Rsum take at most 24 each.
    Returns 0, or -1 if the index cannot be allocated. */
-int ratered_csv_write(const double *const *fields, const ptrdiff_t *strides, ptrdiff_t files,
-                      ptrdiff_t m, ptrdiff_t n, ptrdiff_t first, ptrdiff_t rows,
-                      const char *cells, const ptrdiff_t *starts, char *out, ptrdiff_t capacity,
-                      ptrdiff_t *sizes)
+int ratered_csv_write(const double *const *fields, const ptrdiff_t *shape,
+                      const ptrdiff_t *strides, ptrdiff_t m, ptrdiff_t files, ptrdiff_t first,
+                      ptrdiff_t rows, const char *cells, const ptrdiff_t *starts, char *out,
+                      ptrdiff_t capacity, ptrdiff_t *sizes)
 {
     /* the row's index, each field's element offset, and per file its rho
        and where its rho and Rsum bytes start and end, the end of its bytes
@@ -377,7 +392,7 @@ int ratered_csv_write(const double *const *fields, const ptrdiff_t *strides, ptr
     ptrdiff_t *index = malloc((size_t)(m + files + 1) * sizeof *index), *offset = index + m;
     double *value = malloc((size_t)files * sizeof *value);
     char **cell = malloc((size_t)(2 * files) * sizeof *cell), **cell_end = cell + files;
-    char *prefix = malloc((size_t)(m * starts[2 * n] + 1));
+    char *prefix = malloc((size_t)(m * starts[2 * shape[0]] + 1));
     if (index == NULL || value == NULL || cell == NULL || prefix == NULL) {
         free(index);
         free(value);
@@ -385,19 +400,11 @@ int ratered_csv_write(const double *const *fields, const ptrdiff_t *strides, ptr
         free(prefix);
         return -1;
     }
-    for (ptrdiff_t j = m - 1, row = first; j >= 0; j--) {
-        index[j] = row % n;
-        row /= n;
-    }
-    for (ptrdiff_t f = 0; f <= files; f++) {
-        offset[f] = 0;
-        for (ptrdiff_t j = 0; j < m; j++)
-            offset[f] += index[j] * strides[f * m + j];
-    }
+    seek_index(first, shape, m, index, offset, strides, files + 1);
     for (ptrdiff_t f = 0; f < files; f++)
         cell_end[f] = out + f * capacity;
     for (ptrdiff_t r = 0; r < rows; r++) {
-        ptrdiff_t len = row_prefix(index, m, n, cells, starts, prefix);
+        ptrdiff_t len = row_prefix(index, shape, m, cells, starts, prefix);
         double h = fields[0][offset[0]];
         for (ptrdiff_t f = 0; f < files; f++) {
             char *p = cell_end[f];
@@ -415,20 +422,12 @@ int ratered_csv_write(const double *const *fields, const ptrdiff_t *strides, ptr
             } else {
                 p += format_g17(x, p);
                 *p++ = ',';
-                p += format_g17(rsum(h, x), p);
+                p += format_g17(gap(h, x), p);
                 *p++ = '\n';
             }
             cell_end[f] = p;
         }
-        /* the next row: count up the axes, the last one fastest */
-        for (ptrdiff_t j = m - 1; j >= 0; j--) {
-            ptrdiff_t step = ++index[j] < n ? 1 : 1 - n;
-            for (ptrdiff_t f = 0; f <= files; f++)
-                offset[f] += step * strides[f * m + j];
-            if (step == 1)
-                break;
-            index[j] = 0;
-        }
+        next_index(shape, m, -1, index, offset, strides, files + 1);
     }
     for (ptrdiff_t f = 0; f < files; f++)
         sizes[f] = cell_end[f] - (out + f * capacity);
@@ -553,30 +552,28 @@ static int canonical_cell(const char *text, ptrdiff_t len, double *x, ptrdiff_t 
 
 /* Reads back the rows ratered_csv_write writes, from the size bytes at
    text: the rows of flat indices first, first + 1, ... of an m-axis field
-   with n points on every axis, with cells and starts as row_prefix takes
-   them.  It stops after rows rows or at the first line that text does not
-   hold whole (its "\n" missing).  A row is read only if it is byte for
-   byte what ratered_csv_write writes for the values read: its 2m cells as
-   row_prefix spells them and rho and Rsum in format_g17's spelling
-   (canonical_cell); rho[r] and rsum[r] receive row r's values.  Returns
-   the number of rows read, with *used the bytes they take and *slow how
-   many of their cells went to strtod; -1 if a whole line is not such a
-   row; -2 if the index cannot be allocated. */
-ptrdiff_t ratered_csv_read(const char *text, ptrdiff_t size, ptrdiff_t first, ptrdiff_t rows,
-                           ptrdiff_t m, ptrdiff_t n, const char *cells, const ptrdiff_t *starts,
-                           double *rho, double *rsum, ptrdiff_t *used, ptrdiff_t *slow)
+   of the given shape, with cells and starts as row_prefix takes them.  It
+   stops after rows rows or at the first line that text does not hold whole
+   (its "\n" missing).  A row is read only if it is byte for byte what
+   ratered_csv_write writes for the values read: its 2m cells as row_prefix
+   spells them and rho and Rsum in format_g17's spelling (canonical_cell);
+   rho[r] and rsum[r] receive row r's values.  Returns the number of rows
+   read, with *used the bytes they take and *slow how many of their cells
+   went to strtod; -1 if a whole line is not such a row; -2 if the index
+   cannot be allocated. */
+ptrdiff_t ratered_csv_read(const char *text, ptrdiff_t size, const ptrdiff_t *shape, ptrdiff_t m,
+                           ptrdiff_t first, ptrdiff_t rows, const char *cells,
+                           const ptrdiff_t *starts, double *rho, double *rsum, ptrdiff_t *used,
+                           ptrdiff_t *slow)
 {
     ptrdiff_t *index = malloc((size_t)(m > 0 ? m : 1) * sizeof *index);
-    char *prefix = malloc((size_t)(m * starts[2 * n] + 1));
+    char *prefix = malloc((size_t)(m * starts[2 * shape[0]] + 1));
     if (index == NULL || prefix == NULL) {
         free(index);
         free(prefix);
         return -2;
     }
-    for (ptrdiff_t j = m - 1, rest = first; j >= 0; j--) {
-        index[j] = rest % n;
-        rest /= n;
-    }
+    seek_index(first, shape, m, index, NULL, NULL, 0);
     const char *p = text, *end = text + size;
     ptrdiff_t r = 0;
     *slow = 0;
@@ -584,7 +581,7 @@ ptrdiff_t ratered_csv_read(const char *text, ptrdiff_t size, ptrdiff_t first, pt
         const char *nl = memchr(p, '\n', (size_t)(end - p));
         if (nl == NULL)
             break;
-        ptrdiff_t len = row_prefix(index, m, n, cells, starts, prefix);
+        ptrdiff_t len = row_prefix(index, shape, m, cells, starts, prefix);
         if (nl - p < len || memcmp(p, prefix, (size_t)len) != 0)
             goto not_canonical;
         p += len;
@@ -593,8 +590,7 @@ ptrdiff_t ratered_csv_read(const char *text, ptrdiff_t size, ptrdiff_t first, pt
             || !canonical_cell(comma + 1, nl - comma - 1, rsum + r, slow))
             goto not_canonical;
         p = nl + 1;
-        for (ptrdiff_t j = m - 1; j >= 0 && ++index[j] == n; j--)
-            index[j] = 0;
+        next_index(shape, m, -1, index, NULL, NULL, 0);
     }
     free(index);
     free(prefix);
@@ -618,7 +614,7 @@ not_canonical:
    NaN are not finite) have a hole inside their span has the defect +inf at
    its first hole; any other line has (a + c) - 2.0 * b, NaN counted as
    +inf, at each index b inside its finite span; every other entry is
-   BOTTOM.  worst[m] receives the largest floor gap rsum(h, F) over the
+   BOTTOM.  worst[m] receives the largest floor gap gap(h, F) over the
    points of mask, lattice.gap's h - F or +inf where F is not finite, and
    where[m] the first such point's flat index in C order, or -1 where mask
    holds none.  A later index takes over only when it is strictly larger,
@@ -665,42 +661,25 @@ int ratered_family_check(const double *field, const ptrdiff_t *shape, const ptrd
                     }
                 }
             }
-            /* the next line: count up the other axes, the last one fastest */
-            for (ptrdiff_t j = m - 1; j >= 0; j--) {
-                if (j == axis)
-                    continue;
-                if (++index[j] < shape[j]) {
-                    at += strides[j];
-                    break;
-                }
-                index[j] = 0;
-                at -= (shape[j] - 1) * strides[j];
-            }
+            next_index(shape, m, axis, index, &at, strides, 1);
         }
         worst[axis] = best;
         where[axis] = best_at;
     }
-    double gap = -INFINITY;
-    ptrdiff_t gap_at = -1, at = 0;
+    double top = -INFINITY;
+    ptrdiff_t top_at = -1, at = 0;
     for (ptrdiff_t p = 0; p < points; p++) {
         if (mask[p]) {
-            double g = rsum(h[p], field[at]);
-            if (gap_at < 0 || g > gap) {
-                gap = g;
-                gap_at = p;
+            double g = gap(h[p], field[at]);
+            if (top_at < 0 || g > top) {
+                top = g;
+                top_at = p;
             }
         }
-        for (ptrdiff_t j = m - 1; j >= 0; j--) {
-            if (++index[j] < shape[j]) {
-                at += strides[j];
-                break;
-            }
-            index[j] = 0;
-            at -= (shape[j] - 1) * strides[j];
-        }
+        next_index(shape, m, -1, index, &at, strides, 1);
     }
-    worst[m] = gap;
-    where[m] = gap_at;
+    worst[m] = top;
+    where[m] = top_at;
     free(index);
     return 0;
 }

@@ -18,33 +18,13 @@ line in plain Python floats, lives in tests/conftest.py (_envelope_line).
 Both kernels below perform its float operations in the same order, and the
 tests compare all three to the last bit, ties and BOTTOM rows included.
 
-The compiled kernel, _envelope.c, is that reference ported to C behind the
-entry point ratered_sweep_node, which does one stored node of one sweep;
-compiled_sweep's sweep of a whole bank calls it once per node, on the one
-contract that lattice._numpy_sweep shares.  It walks the axis lines of a
-strided source, so a rotated view needs no gather, copies the stored
-envelope of every line whose bits equal the previous source's, envelopes
-the others, and returns the BOTTOM-aware sup-delta of the lines it rewrote.
-The same library's second entry point, ratered_csv_write, writes one block
-of every field CSV of a write in one pass (compiled_csv_rows, which
-fieldcsv._write_grid_csv calls): it reads the joint entropy and each file's
-rho in place, computes Rsum with lattice.gap's BOTTOM rules, spells a row's
-index and grid-value cells once for all files and each value as "%.17g"
-does, and a file whose rho has an earlier file's bits in the row copies
-that file's rho and Rsum bytes.  Its third, ratered_csv_read, reads such
-rows back from a chunk of bytes (compiled_csv_read, which
-fieldcsv.read_field_csv tries first), taking a row only if it is byte for
-byte the writer's: its cells up to rho are compared in one call with the
-writer's own spelling of them, and a value in the writer's fixed notation
-by its layout and its digits, as one integer, against the 17 digits the
-writer writes for a candidate double; strtod reads only the other cells,
-such as "0", "inf" and "1e-05", and one that no candidate matches.  Its
-fourth, ratered_family_check, is certify's family check of one field in
-one call (compiled_family_check, which certify.check_membership tries
-first): it walks every axis' lines by strides, as the sweep does, and
-keeps only the worst concavity defect of each axis and the worst floor
-gap on the zero-message set, each with where it first occurs, by
-concavity_defects' and lattice.gap's rules; no per-point array is built.
+The compiled kernel, _envelope.c, is that reference ported to C, in one
+library with the field-CSV row writer and row reader and certify's family
+check.  compiled_sweep, compiled_csv_rows, compiled_csv_read and
+compiled_family_check hand out its four entry points, each on its
+fallback's contract; their docstrings and the C comment above each
+function state what each does.
+
 The library is built on the first call of a process that needs it, never at
 import: compiled with sysconfig's CC (else cc) and -O2 -ffp-contract=off
 -fPIC -shared, so no product is fused into a sum (never -ffast-math, which
@@ -55,7 +35,7 @@ argv and the platform tag, so a later process only loads it;
 sys.dont_write_bytecode does not govern it, as it is not bytecode.  It is
 compiled under a temporary name and moved into place with os.replace, so
 concurrent processes never load a half-written file.  It is adopted only
-after each entry point passes its probe: the sweep gives the numpy sweep's
+if every entry point passes its probe: the sweep gives the numpy sweep's
 results, the writer the bytes of fieldcsv._python_rows, the reader those
 rows' bits while it declines respellings the writer would not write, and
 the family check the values and locations of certify._numpy_family_check
@@ -163,9 +143,9 @@ def compiled_csv_read():
 
     Each value is the one double that compiled_csv_rows spells with the
     cell's bytes, as 17 significant digits tell every two doubles apart,
-    found from the cell's digits or by strtod as the module docstring says;
-    so the values and the files taken are those that strtod alone would
-    give."""
+    found from the cell's digits or by strtod as the C comment above
+    canonical_cell says; so the values and the files taken are those that
+    strtod alone would give."""
     kernel = _compiled_kernel()
     return None if kernel is None else kernel[2]
 
@@ -205,16 +185,23 @@ def _compiled_kernel():
         csv_in, family = library.ratered_csv_read, library.ratered_family_check
     except (OSError, ValueError, AttributeError):
         return None
-    node.argtypes = (*[ctypes.c_void_p] * 7, ctypes.c_ssize_t, ctypes.c_ssize_t,
+    node.argtypes = (*[ctypes.c_void_p] * 6, ctypes.c_ssize_t, ctypes.c_ssize_t,
                      ctypes.c_void_p, ctypes.c_void_p)
     node.restype = ctypes.c_int
-    csv.argtypes = (*[ctypes.c_void_p] * 2, *[ctypes.c_ssize_t] * 5, *[ctypes.c_void_p] * 3,
+    csv.argtypes = (*[ctypes.c_void_p] * 3, *[ctypes.c_ssize_t] * 4, *[ctypes.c_void_p] * 3,
                     ctypes.c_ssize_t, ctypes.c_void_p)
     csv.restype = ctypes.c_int
-    csv_in.argtypes = (ctypes.c_char_p, *[ctypes.c_ssize_t] * 4, *[ctypes.c_void_p] * 6)
+    csv_in.argtypes = (ctypes.c_char_p, ctypes.c_ssize_t, ctypes.c_void_p,
+                       *[ctypes.c_ssize_t] * 3, *[ctypes.c_void_p] * 6)
     csv_in.restype = ctypes.c_ssize_t
     family.argtypes = (*[ctypes.c_void_p] * 3, ctypes.c_ssize_t, *[ctypes.c_void_p] * 4)
     family.restype = ctypes.c_int
+
+    def layout(shape, *arrays):
+        """shape and the element strides of arrays as the C code takes them,
+        strides[a * m + j] being arrays[a]'s along axis j."""
+        steps = [s // a.itemsize for a in arrays for s in a.strides]
+        return (ctypes.c_ssize_t * len(shape))(*shape), (ctypes.c_ssize_t * len(steps))(*steps)
 
     def sweep(sources, previous, stored):
         if previous is None:
@@ -223,21 +210,19 @@ def _compiled_kernel():
             raise ValueError("sources, previous and stored differ in length")
         fields, delta, enveloped = [], 0.0, 0
         for axis, (source, before, old) in enumerate(zip(sources, previous, stored)):
-            src, src_steps = _in_elements(source)
-            prev, prev_steps = (None, src_steps) if before is None else _in_elements(before)
+            src = _aligned(source)
+            prev = None if before is None else _aligned(before)
             old = np.ascontiguousarray(old, dtype=np.float64)
             if old.shape != src.shape or prev is not None and prev.shape != src.shape:
                 raise ValueError("source, previous and stored differ in shape")
             if axis >= src.ndim:
                 raise ValueError(f"{len(sources)} nodes sweep fields of {src.ndim} axes")
             out = np.empty(src.shape)
-            dims = (ctypes.c_ssize_t * (3 * src.ndim))(*src.shape, *src_steps, *prev_steps)
+            shape, strides = layout(src.shape, src, src if prev is None else prev, out)
             node_delta, lines = ctypes.c_double(), ctypes.c_ssize_t()
-            at = ctypes.addressof(dims)
-            step = src.ndim * ctypes.sizeof(ctypes.c_ssize_t)
             if node(src.ctypes.data, None if prev is None else prev.ctypes.data,
-                    old.ctypes.data, out.ctypes.data, at, at + step, at + 2 * step, src.ndim,
-                    axis, ctypes.byref(node_delta), ctypes.byref(lines)):
+                    old.ctypes.data, out.ctypes.data, shape, strides, src.ndim, axis,
+                    ctypes.byref(node_delta), ctypes.byref(lines)):
                 raise MemoryError("the envelope kernel could not allocate its hull stack")
             fields.append(out)
             delta = max(delta, node_delta.value)
@@ -249,16 +234,16 @@ def _compiled_kernel():
         n, m = len(cells) // 2, len(shape)
 
         def rows(h, rhos, first: int, count: int):
-            fields = [_in_elements(a) for a in (h, *rhos)]
-            if not (rhos and all(a.shape == tuple(shape) for a, _ in fields)
+            fields = [_aligned(a) for a in (h, *rhos)]
+            if not (rhos and all(a.shape == tuple(shape) for a in fields)
                     and 0 <= first <= first + count <= n**m):
                 raise ValueError(f"{count} rows from row {first} of h and {len(rhos)} rho do not "
                                  f"fit fields of shape {shape}")
             out = np.empty((len(rhos), count * width), np.uint8)
-            data = (ctypes.c_void_p * len(fields))(*[a.ctypes.data for a, _ in fields])
-            strides = (ctypes.c_ssize_t * (m * len(fields)))(*[s for _, st in fields for s in st])
+            data = (ctypes.c_void_p * len(fields))(*[a.ctypes.data for a in fields])
+            dims, strides = layout(shape, *fields)
             sizes = (ctypes.c_ssize_t * len(rhos))()
-            if csv(data, strides, len(rhos), m, n, first, count, text.ctypes.data,
+            if csv(data, dims, strides, m, len(rhos), first, count, text.ctypes.data,
                    starts.ctypes.data, out.ctypes.data, out.shape[1], sizes):
                 raise MemoryError("the row writer could not allocate its index")
             return [row[:size] for row, size in zip(out, sizes)]
@@ -267,6 +252,7 @@ def _compiled_kernel():
     def csv_read(cells, shape):
         text, starts, _ = _packed_cells(cells, shape)
         n, m = len(cells) // 2, len(shape)
+        dims, _ = layout(shape)
 
         def read(chunk: bytes, first: int, rho, rsum):
             for a in (rho, rsum):
@@ -277,7 +263,7 @@ def _compiled_kernel():
             if not 0 <= first <= n**m:
                 raise ValueError(f"row {first} is outside fields of shape {shape}")
             used, slow, at = ctypes.c_ssize_t(), ctypes.c_ssize_t(), first * rho.itemsize
-            rows = csv_in(chunk, len(chunk), first, n**m - first, m, n, text.ctypes.data,
+            rows = csv_in(chunk, len(chunk), dims, m, first, n**m - first, text.ctypes.data,
                           starts.ctypes.data, rho.ctypes.data + at, rsum.ctypes.data + at,
                           ctypes.byref(used), ctypes.byref(slow))
             if rows == -2:
@@ -286,18 +272,17 @@ def _compiled_kernel():
         return read
 
     def family_check(data, h, mask):
-        field, steps = _in_elements(data)
+        field = _aligned(data)
         h = np.ascontiguousarray(h, dtype=np.float64)
         mask = np.ascontiguousarray(mask, dtype=bool)
         if not field.shape == h.shape == mask.shape:
             raise ValueError(f"field, h and mask differ in shape: {field.shape}, {h.shape} "
                              f"and {mask.shape}")
         m = field.ndim
-        dims = (ctypes.c_ssize_t * (2 * m))(*field.shape, *steps)
+        shape, strides = layout(field.shape, field)
         worst, where = (ctypes.c_double * (m + 1))(), (ctypes.c_ssize_t * (m + 1))()
-        at = ctypes.addressof(dims)
-        if family(field.ctypes.data, at, at + m * ctypes.sizeof(ctypes.c_ssize_t), m,
-                  h.ctypes.data, mask.ctypes.data, worst, where):
+        if family(field.ctypes.data, shape, strides, m, h.ctypes.data, mask.ctypes.data,
+                  worst, where):
             raise MemoryError("the family check could not allocate its index")
         if where[m] < 0:
             raise ValueError("the zero-message mask holds no point")
@@ -315,9 +300,9 @@ def _packed_cells(cells: list, shape: tuple) -> tuple[np.ndarray, np.ndarray, in
     them, the ASCII bytes of all cells in one array and the offset of each
     cell's first byte, with the end as a last offset; and the most bytes a
     row takes.  cells must hold an "i," and a "p_i," cell for each of the n
-    points on every axis of shape."""
+    points on every axis of shape, which has at least one."""
     n, m = len(cells) // 2, len(shape)
-    if len(cells) != 2 * n or any(size != n for size in shape):
+    if len(cells) != 2 * n or not shape or any(size != n for size in shape):
         raise ValueError(f"{len(cells)} cells do not fit fields of shape {shape}")
     encoded = [cell.encode("ascii") for cell in cells]
     text = np.frombuffer(b"".join(encoded), np.uint8)
@@ -327,12 +312,11 @@ def _packed_cells(cells: list, shape: tuple) -> tuple[np.ndarray, np.ndarray, in
     return text, starts, width
 
 
-def _in_elements(a) -> tuple[np.ndarray, list]:
-    """a as float64 and its strides counted in elements: a view where numpy
-    holds it aligned, so every stride is whole elements, else a copy."""
+def _aligned(a) -> np.ndarray:
+    """a as float64: a view where numpy holds it aligned, so every stride is
+    whole elements, else a copy."""
     a = np.asarray(a, dtype=np.float64)
-    a = a if a.flags.aligned and a.dtype.alignment == a.itemsize else a.copy()
-    return a, [s // a.itemsize for s in a.strides]
+    return a if a.flags.aligned and a.dtype.alignment == a.itemsize else a.copy()
 
 
 def _recipe() -> tuple[list, bytes, Path]:

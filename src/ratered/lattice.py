@@ -185,12 +185,7 @@ def zero_message_mask(grid: GridSpec, f: FunctionTable) -> np.ndarray:
     axis_cat = np.ones(n + 1, dtype=np.intp)
     axis_cat[0] = 0
     axis_cat[n] = 2
-    pattern = np.zeros(grid.shape, dtype=np.intp)
-    for ax in range(grid.m):
-        shape = [1] * grid.m
-        shape[ax] = n + 1
-        pattern = pattern * 3 + axis_cat.reshape(shape)
-    return ok.reshape(-1)[pattern]
+    return ok[np.ix_(*[axis_cat] * grid.m)]
 
 
 def initial_field(grid: GridSpec, f: FunctionTable) -> RateReductionField:

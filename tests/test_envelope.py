@@ -444,11 +444,11 @@ WRONG_DIVISION = ("y0 + (y1 - y0) * (double)(i - x0) / (double)(x1 - x0)",
                   "y0 + (y1 - y0) * (double)(i - x0) * (1.0 / (double)(x1 - x0))")
 # Faults of the sweep walk, outside the line function.
 WRONG_SWEEPS = {
-    "transition-counts-0": ("return fa != fb ? INFINITY : 0.0;", "return 0.0;"),
+    "transition-counts-0": ("fa == fb ? 0.0 : fa ? INFINITY : -INFINITY;", "0.0;"),
     "compare-skips-the-last-cell": ("for (ptrdiff_t j = 0; j < n; j++) {\n        uint64_t a",
                                     "for (ptrdiff_t j = 0; j + 1 < n; j++) {\n        uint64_t a"),
     "reused-line-read-contiguous": ("w[i * os] = old[i * os];", "w[i * os] = old[i];"),
-    "previous-read-by-source-strides": ("ps = prev_strides[axis]", "ps = src_strides[axis]"),
+    "previous-read-by-source-strides": ("ps = strides[m + axis]", "ps = strides[axis]"),
 }
 
 
@@ -459,12 +459,20 @@ WRONG_ROWS = {
     "nan-by-snprintf": ("if (isnan(x)) {", "if (0) {"),
     "ties-round-up": ("((rest == half) & quotient & 1)", "(rest == half)"),
     "decade-not-corrected": ("if (a < TEN[d + 4])", "if (0)"),
-    "index-from-row-0": ("row = first; j >= 0", "row = 0; j >= 0"),
+    "index-from-row-0": ("seek_index(first, shape, m, index, offset, strides, files + 1);",
+                         "seek_index(0, shape, m, index, offset, strides, files + 1);"),
     "reuse-on-equal-values": ("memcmp(&value[g], &x, sizeof x) != 0", "value[g] != x"),
     "rho-read-contiguously": ("x = fields[f + 1][offset[f + 1]];",
                               "x = fields[f + 1][first + r];"),
-    "neither-finite-rsum-not-0": ("fh == fr ? 0.0 :", "fh == fr ? -0.0 :"),
-    "one-sided-infinities-swapped": ("fh ? INFINITY : -INFINITY", "fh ? -INFINITY : INFINITY"),
+    "neither-finite-rsum-not-0": ("fa == fb ? 0.0 :", "fa == fb ? -0.0 :"),
+    "one-sided-infinities-swapped": ("fa ? INFINITY : -INFINITY", "fa ? -INFINITY : INFINITY"),
+    # A fault of the odometer every entry point walks by: it counts the
+    # first axis fastest, so it visits every index once, in bounds, in
+    # another order.  The sweep's result does not depend on that order; the
+    # row writer's does.
+    "odometer-counts-the-first-axis-fastest": (
+        "for (ptrdiff_t j = m - 1; j >= 0; j--) {\n        if (j == skip)",
+        "for (ptrdiff_t j = 0; j < m; j++) {\n        if (j == skip)"),
 }
 # Faults of the row reader.  The last five are faults of the digit path:
 # the first and the last take a cell the writer did not write, the other
@@ -477,7 +485,8 @@ WRONG_READS = {
         "        if (nl - p < len || memcmp(p, prefix, (size_t)i_cells) != 0)"),
     "rho-read-as-strtod-reads-it": ("!canonical_cell(p, comma - p, rho + r, slow)",
                                     "!(rho[r] = strtod(p, NULL), 1)"),
-    "index-from-row-0-at-a-chunk": ("rest = first;", "rest = 0;"),
+    "index-from-row-0-at-a-chunk": ("seek_index(first, shape, m, index, NULL, NULL, 0);",
+                                    "seek_index(0, shape, m, index, NULL, NULL, 0);"),
     "first-candidate-not-checked": ("if (got == want) {", "if (got == want || j == 0) {"),
     "no-neighbour-tried": ("for (int j = 0; j < 3; j++)", "for (int j = 0; j < 1; j++)"),
     "digits-always-step-up": ("side = got < want ? 1 : -1;", "side = 1;"),
@@ -490,7 +499,7 @@ WRONG_CHECKS = {
     "tie-keeps-the-last": ("if (d > best) {", "if (d >= best) {"),
     "nan-not-promoted": ("if (isnan(d))", "if (0)"),
     "hole-rule-dropped": ("if (hole >= 0) {", "if (0) {"),
-    "floor-subtracts-infinity": ("double g = rsum(h[p], field[at]);",
+    "floor-subtracts-infinity": ("double g = gap(h[p], field[at]);",
                                  "double g = field[at] == -INFINITY ? INFINITY : h[p] - field[at];"),
     # the element offset, which is the natural C order of a contiguous field
     "location-in-natural-order": ("best_at = start + i;", "best_at = at + i * s;"),
@@ -520,6 +529,19 @@ def _digit_candidate(cell: str):
 
 def _library():
     return envelope._recipe()[2]
+
+
+def _assert_refused(monkeypatch, tmp_path, right, wrong):
+    """Builds the library from the source with its one copy of right
+    replaced by wrong, and asserts that the loader builds and loads it and
+    then refuses it, so the process runs the numpy kernel."""
+    text = envelope._SOURCE.read_text()
+    assert text.count(right) == 1
+    source = tmp_path / "_envelope.c"
+    source.write_text(text.replace(right, wrong))
+    monkeypatch.setattr(envelope, "_SOURCE", source)
+    assert envelope.kernel_name() == "numpy"
+    assert _library().is_file()   # built and loaded, then refused
 
 
 class TestLoader:
@@ -590,27 +612,13 @@ class TestLoader:
 
     def test_a_library_failing_the_probe_is_refused(self, compiler, fresh_loader,
                                                     monkeypatch, tmp_path):
-        right, wrong = WRONG_DIVISION
-        text = envelope._SOURCE.read_text()
-        assert text.count(right) == 1
-        source = tmp_path / "_envelope.c"
-        source.write_text(text.replace(right, wrong))
-        monkeypatch.setattr(envelope, "_SOURCE", source)
-        assert envelope.kernel_name() == "numpy"
-        assert _library().is_file()   # built and loaded, then refused
+        _assert_refused(monkeypatch, tmp_path, *WRONG_DIVISION)
 
     @pytest.mark.parametrize("fault", WRONG_SWEEPS)
     def test_a_library_whose_sweep_disagrees_is_refused(self, compiler, fresh_loader,
                                                         monkeypatch, tmp_path, fault):
-        right, wrong = WRONG_SWEEPS[fault]
-        text = envelope._SOURCE.read_text()
-        assert text.count(right) == 1
-        source = tmp_path / "_envelope.c"
-        source.write_text(text.replace(right, wrong))
-        monkeypatch.setattr(envelope, "_SOURCE", source)
-        assert envelope.kernel_name() == "numpy"
+        _assert_refused(monkeypatch, tmp_path, *WRONG_SWEEPS[fault])
         assert envelope.compiled_sweep() is None
-        assert _library().is_file()   # built and loaded, then refused
 
     @pytest.mark.parametrize("fault", WRONG_ROWS)
     def test_a_library_whose_row_writer_disagrees_is_refused(self, compiler, fresh_loader,
@@ -618,15 +626,8 @@ class TestLoader:
                                                              per_row_field_csv):
         """The whole library is refused, its sweep too, and the Python row
         writer writes the bytes the format spells."""
-        right, wrong = WRONG_ROWS[fault]
-        text = envelope._SOURCE.read_text()
-        assert text.count(right) == 1
-        source = tmp_path / "_envelope.c"
-        source.write_text(text.replace(right, wrong))
-        monkeypatch.setattr(envelope, "_SOURCE", source)
-        assert envelope.kernel_name() == "numpy"
+        _assert_refused(monkeypatch, tmp_path, *WRONG_ROWS[fault])
         assert envelope.compiled_sweep() is None and envelope.compiled_csv_rows() is None
-        assert _library().is_file()   # built and loaded, then refused
         grid = GridSpec(m=3, n_steps=20)
         values = envelope._csv_probe_values()
         field = lattice.RateReductionField(grid, np.resize(values, grid.shape))
@@ -639,15 +640,8 @@ class TestLoader:
                                                              monkeypatch, tmp_path, fault):
         """The whole library is refused, and the block reader reads what the
         writer wrote."""
-        right, wrong = WRONG_READS[fault]
-        text = envelope._SOURCE.read_text()
-        assert text.count(right) == 1
-        source = tmp_path / "_envelope.c"
-        source.write_text(text.replace(right, wrong))
-        monkeypatch.setattr(envelope, "_SOURCE", source)
-        assert envelope.kernel_name() == "numpy"
+        _assert_refused(monkeypatch, tmp_path, *WRONG_READS[fault])
         assert envelope.compiled_csv_read() is None
-        assert _library().is_file()   # built and loaded, then refused
         values = envelope._csv_probe_values()
         grid = GridSpec(m=3, n_steps=20)
         field = lattice.RateReductionField(   # rho is finite or -inf
@@ -663,15 +657,8 @@ class TestLoader:
         """The whole library is refused, and certify checks a field with
         holes, +inf, NaN and overflowing cells on numpy, as the per-line
         loop does (repr tells every two doubles apart)."""
-        right, wrong = WRONG_CHECKS[fault]
-        text = envelope._SOURCE.read_text()
-        assert text.count(right) == 1
-        source = tmp_path / "_envelope.c"
-        source.write_text(text.replace(right, wrong))
-        monkeypatch.setattr(envelope, "_SOURCE", source)
-        assert envelope.kernel_name() == "numpy"
+        _assert_refused(monkeypatch, tmp_path, *WRONG_CHECKS[fault])
         assert envelope.compiled_family_check() is None
-        assert _library().is_file()   # built and loaded, then refused
         grid = GridSpec(m=3, n_steps=6)
         field = lattice.RateReductionField(grid, np.resize(envelope._probe_batch(), grid.shape))
         table = builtin_table("min", 3)
@@ -871,7 +858,7 @@ class TestCompiledRefusals:
 
     def test_csv_rows_refuses_cells_that_do_not_fit_the_shape(self, compiled):
         csv_rows, cells = envelope.compiled_csv_rows(), ["0,", "1,", "0,", "1,"]
-        for cells, shape in ((cells[:3], (2, 2)), (cells, (2, 3)), (cells, (3, 3))):
+        for cells, shape in ((cells[:3], (2, 2)), (cells, (2, 3)), (cells, (3, 3)), (cells, ())):
             with pytest.raises(ValueError, match="do not fit fields of shape"):
                 csv_rows(cells, shape)
 
@@ -907,7 +894,7 @@ class TestCompiledRefusals:
 
     def test_csv_read_refuses_cells_that_do_not_fit_the_shape(self, compiled):
         csv_read, cells = envelope.compiled_csv_read(), ["0,", "1,", "0,", "1,"]
-        for cells, shape in ((cells[:3], (2, 2)), (cells, (2, 3)), (cells, (3, 3))):
+        for cells, shape in ((cells[:3], (2, 2)), (cells, (2, 3)), (cells, (3, 3)), (cells, ())):
             with pytest.raises(ValueError, match="do not fit fields of shape"):
                 csv_read(cells, shape)
 

@@ -56,11 +56,17 @@ PERIOD2 = FunctionTable(
 
 
 class TestZeroMessageField:
-    @pytest.mark.parametrize("name", ["min", "max", "parity", "constant"])
-    def test_mask_matches_scalar_predicate(self, name):
-        grid = GridSpec.from_delta(3, 0.25)
-        f = builtin_table(name, 3)
+    @pytest.mark.parametrize("f, n_steps", [
+        *[pytest.param(builtin_table(name, 3), 4, id=name)
+          for name in ["min", "max", "parity", "constant"]],
+        pytest.param(PERIOD2, 4, id="period2-m4"),       # no cyclic symmetry of its table
+        pytest.param(builtin_table("min", 3), 1, id="min-n1"),
+        pytest.param(PERIOD2, 1, id="period2-m4-n1"),
+    ])
+    def test_mask_matches_scalar_predicate(self, f, n_steps):
+        grid = GridSpec(m=f.m, n_steps=n_steps)
         mask = zero_message_mask(grid, f)
+        assert mask.dtype == bool and mask.shape == grid.shape and mask.flags.c_contiguous
         for index, pmf in grid_points(grid):
             assert mask[index] == computable_with_zero_messages(f, pmf)
 

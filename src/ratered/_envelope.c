@@ -3,14 +3,14 @@
 
    envelope_line is a port of the scalar reference _envelope_line in
    tests/conftest.py: Andrew's monotone chain over the non-BOTTOM cells
-   (NaN counts as one), then a chord walk, with the same float operations
-   in the same order.  Every entry point walks its arrays by one odometer,
-   next_index, and takes every BOTTOM-aware difference by gap, lattice.gap's
-   rules.  ratered_sweep_node walks the axis lines of a strided source,
-   copies the stored envelope of every line whose bits equal the same line
-   of the previous source, envelopes the others with envelope_line, and
-   returns the BOTTOM-aware sup-delta of the result against the stored
-   envelope.
+   (NaN counts as one), then the envelope written segment by segment, each
+   entry once with the reference's float operations, and the sup-delta
+   from the stored envelope taken as each entry is written (put).  Every
+   entry point walks its arrays by one odometer, next_index, and takes
+   every BOTTOM-aware difference by gap, lattice.gap's rules.
+   ratered_sweep_node walks the axis lines of a strided source, copies the
+   stored envelope of every line whose bits equal the same line of the
+   previous source, and envelopes the others with envelope_line.
 
    ratered_csv_write writes one block of every field CSV of a write in one
    pass: it walks the row-major index of the block's rows, reads the joint
@@ -46,19 +46,46 @@
 #include <stdlib.h>
 #include <string.h>
 
-/* The envelope of the n cells v[0], v[vs], ... written to w[0], w[ws], ...;
-   hx and hy hold at least n entries. */
-static void envelope_line(const double *v, ptrdiff_t vs, double *w, ptrdiff_t ws,
-                          ptrdiff_t n, ptrdiff_t *hx, double *hy)
+/* a - b with lattice.gap's BOTTOM conventions: 0 where neither side is
+   finite, +inf where only a is and -inf where only b is.  The sweep's
+   distance of two entries is its absolute value. */
+static double gap(double a, double b)
 {
-    ptrdiff_t top = 0, a = -1, b = -1;
-    for (ptrdiff_t j = 0; j < n; j++) {
+    int fa = isfinite(a), fb = isfinite(b);
+    if (fa && fb)
+        return a - b;
+    return fa == fb ? 0.0 : fa ? INFINITY : -INFINITY;
+}
+
+/* Writes y to *w; returns the larger of worst and |gap(y, old)|, which is
+   never NaN, so the largest over a line is the same in any order. */
+static inline double put(double *w, double y, double old, double worst)
+{
+    *w = y;
+    double d = fabs(gap(y, old));
+    return d > worst ? d : worst;
+}
+
+/* The envelope of the n cells v[0], v[vs], ... written to w[0], w[ws], ...
+   once each: a line of at most one finite cell copied, any other BOTTOM
+   outside its first and last finite cells a and b, then each hull segment
+   (x0, y0) - (x1, y1) as y0 and its chord, then the last vertex.  Returns
+   the larger of worst and the largest |gap| of w from old, which has w's
+   stride.  hx and hy hold at least n entries. */
+static double envelope_line(const double *v, ptrdiff_t vs, const double *old, double *w,
+                            ptrdiff_t ws, ptrdiff_t n, ptrdiff_t *hx, double *hy, double worst)
+{
+    ptrdiff_t a = 0, top = 1;
+    while (a < n && v[a * vs] == -INFINITY)
+        a++;
+    if (a < n) {
+        hx[0] = a;
+        hy[0] = v[a * vs];
+    }
+    for (ptrdiff_t j = a + 1; j < n; j++) {
         double y = v[j * vs];
         if (y == -INFINITY)
             continue;
-        if (a < 0)
-            a = j;
-        b = j;
         while (top >= 2) {
             ptrdiff_t x1 = hx[top - 1], x0 = hx[top - 2];
             double y0 = hy[top - 2];
@@ -71,32 +98,25 @@ static void envelope_line(const double *v, ptrdiff_t vs, double *w, ptrdiff_t ws
         hy[top] = y;
         top++;
     }
-    if (top <= 1) {
+    if (top <= 1) {                         /* no finite cell, or one */
         for (ptrdiff_t i = 0; i < n; i++)
-            w[i * ws] = v[i * vs];
-        return;
+            worst = put(w + i * ws, v[i * vs], old[i * ws], worst);
+        return worst;
     }
+    ptrdiff_t b = hx[top - 1];
     for (ptrdiff_t i = 0; i < a; i++)
-        w[i * ws] = -INFINITY;
+        worst = put(w + i * ws, -INFINITY, old[i * ws], worst);
     for (ptrdiff_t i = b + 1; i < n; i++)
-        w[i * ws] = -INFINITY;
-    ptrdiff_t seg = 1, x0 = hx[0], x1 = hx[1];
-    double y0 = hy[0], y1 = hy[1];
-    for (ptrdiff_t i = a; i <= b; i++) {
-        while (i > x1) {
-            seg++;
-            x0 = x1;
-            y0 = y1;
-            x1 = hx[seg];
-            y1 = hy[seg];
-        }
-        if (i == x0)
-            w[i * ws] = y0;
-        else if (i == x1)
-            w[i * ws] = y1;
-        else
-            w[i * ws] = y0 + (y1 - y0) * (double)(i - x0) / (double)(x1 - x0);
+        worst = put(w + i * ws, -INFINITY, old[i * ws], worst);
+    for (ptrdiff_t s = 1; s < top; s++) {
+        ptrdiff_t x0 = hx[s - 1], x1 = hx[s];
+        double y0 = hy[s - 1], y1 = hy[s];
+        worst = put(w + x0 * ws, y0, old[x0 * ws], worst);
+        for (ptrdiff_t i = x0 + 1; i < x1; i++)
+            worst = put(w + i * ws, y0 + (y1 - y0) * (double)(i - x0) / (double)(x1 - x0),
+                        old[i * ws], worst);
     }
+    return put(w + b * ws, hy[top - 1], old[b * ws], worst);
 }
 
 static int same_bits(const double *x, ptrdiff_t xs, const double *y, ptrdiff_t ys, ptrdiff_t n)
@@ -109,17 +129,6 @@ static int same_bits(const double *x, ptrdiff_t xs, const double *y, ptrdiff_t y
             return 0;
     }
     return 1;
-}
-
-/* a - b with lattice.gap's BOTTOM conventions: 0 where neither side is
-   finite, +inf where only a is and -inf where only b is.  The sweep's
-   distance of two entries is its absolute value. */
-static double gap(double a, double b)
-{
-    int fa = isfinite(a), fb = isfinite(b);
-    if (fa && fb)
-        return a - b;
-    return fa == fb ? 0.0 : fa ? INFINITY : -INFINITY;
 }
 
 /* The walk of every strided entry point over an m-axis index of the given
@@ -204,13 +213,8 @@ int ratered_sweep_node(const double *src, const double *prev, const double *stor
             for (ptrdiff_t i = 0; i < n; i++)
                 w[i * os] = old[i * os];
         } else {
-            envelope_line(src + at[0], ss, w, os, n, hx, hy);
+            worst = envelope_line(src + at[0], ss, old, w, os, n, hx, hy, worst);
             ++*enveloped;
-            for (ptrdiff_t i = 0; i < n; i++) {
-                double d = fabs(gap(w[i * os], old[i * os]));
-                if (d > worst)
-                    worst = d;
-            }
         }
         next_index(shape, m, axis, index, at, strides, 3);
     }

@@ -15,8 +15,9 @@ keeps the hull tests free of grid-step rounding.
 
 The scalar reference, Andrew's monotone chain and a chord walk over one
 line in plain Python floats, lives in tests/conftest.py (_envelope_line).
-Both kernels below perform its float operations in the same order, and the
-tests compare all three to the last bit, ties and BOTTOM rows included.
+Both kernels below compute every entry by its float operations, in the same
+order, and the tests compare all three to the last bit, ties and BOTTOM
+rows included.
 
 The compiled kernel, _envelope.c, is that reference ported to C, in one
 library with the field-CSV row writer and row reader and certify's family
@@ -41,11 +42,13 @@ rows' bits while it declines respellings the writer would not write, and
 the family check the values and locations of certify._numpy_family_check
 (_sweep_probe_passes, _csv_probe_passes, _csv_read_probe_passes,
 _family_probe_passes).  A cached file is never rebuilt: delete it to force
-a new build.  Where there is no compiler, the directory is not writable,
-or the build, the load or any probe fails, the process runs the numpy
-sweep, the Python row writer, only the block reader of ratered.fieldcsv
-and the numpy family check for its whole life; kernel_name() says which
-kernel runs, and the writer, the reader and the family check go with it.
+a new build.  A build unlinks every other _envelope-*.so in the directory,
+so an edited source leaves one library behind, not one per version.  Where
+there is no compiler, the directory is not writable, or the build, the load
+or any probe fails, the process runs the numpy sweep, the Python row
+writer, only the block reader of ratered.fieldcsv and the numpy family
+check for its whole life; kernel_name() says which kernel runs, and the
+writer, the reader and the family check go with it.
 
 The numpy kernel, envelope_batch, envelopes every row of a batch; the
 numpy sweep makes one call, with the changed lines of every node of the
@@ -334,7 +337,10 @@ def _recipe() -> tuple[list, bytes, Path]:
 
 def _build(argv: list, source: bytes, path: Path) -> None:
     """Compile source into the shared library path: under a temporary name
-    in the same directory, then moved into place in one os.replace."""
+    in the same directory, then moved into place in one os.replace.  Then
+    every other library in that directory, built from an older source or
+    with other flags, is unlinked where it can be."""
+    import contextlib
     import shutil
     import subprocess
     import tempfile
@@ -350,6 +356,10 @@ def _build(argv: list, source: bytes, path: Path) -> None:
         os.replace(tmp, path)
     finally:
         shutil.rmtree(tmpdir, ignore_errors=True)
+    for stale in path.parent.glob("_envelope-*.so"):
+        if stale != path:
+            with contextlib.suppress(OSError):
+                stale.unlink()
 
 
 def _probe_batch() -> np.ndarray:
@@ -397,8 +407,24 @@ def _sweep_probe_passes(sweep) -> bool:
     every delta is finite.  The second reads a C-contiguous copy in which
     three cells changed: one in the last ulp, one from 0.0 to -0.0, and one
     BOTTOM cell of an all-BOTTOM line turned finite, whose delta is +inf.
-    Every other line is unchanged and takes the first sweep's result."""
+    Every other line is unchanged and takes the first sweep's result.
+
+    Then one line is swept alone per path that envelope_line writes by,
+    against a stored line that differs from its envelope on that path
+    only: an interpolated cell, the BOTTOM cells before and after the
+    finite span (+inf), the last hull vertex, and the only finite cell."""
     from .lattice import _numpy_sweep
+
+    def agreed(sources, previous, stored):
+        """The numpy sweep's fields where sweep gives its results, else None."""
+        want = _numpy_sweep(sources, previous, stored)
+        fields, delta, enveloped = sweep(sources, previous, stored)
+        if (all(np.array_equal(got.view(np.uint64), data.view(np.uint64))
+                for got, data in zip(fields, want[0]))
+                and np.float64(delta).tobytes() == np.float64(want[1]).tobytes()
+                and enveloped == want[2]):
+            return want[0]
+        return None
 
     first = _probe_batch().reshape(4, 13, 13)
     second = first.copy()
@@ -410,15 +436,16 @@ def _sweep_probe_passes(sweep) -> bool:
         before, after = ([np.moveaxis(v, a, k) for k, a in enumerate(axes)] for v in views)
         stored = [f + 0.25 for f in sweep(before, None, before)[0]]
         for sources, previous in ((before, None), (after, before)):
-            want = _numpy_sweep(sources, previous, stored)
-            fields, delta, enveloped = sweep(sources, previous, stored)
-            if not (all(np.array_equal(got.view(np.uint64), data.view(np.uint64))
-                        for got, data in zip(fields, want[0]))
-                    and np.float64(delta).tobytes() == np.float64(want[1]).tobytes()
-                    and enveloped == want[2]):
+            stored = agreed(sources, previous, stored)
+            if stored is None:
                 return False
-            stored = want[0]
-    return True
+    lines = (([0.0, -1.0, 2.0, BOTTOM], [0.0, 1.5, 2.0, BOTTOM]),
+             ([BOTTOM, 1.0, 2.0], [5.0, 1.0, 2.0]),
+             ([1.0, 2.0, BOTTOM], [1.0, 2.0, 5.0]),
+             ([1.0, 3.0, 2.0], [1.0, 3.0, 2.5]),
+             ([BOTTOM, 3.0, BOTTOM], [BOTTOM, 1.0, BOTTOM]))
+    return all(agreed([np.array(line)], None, [np.array(stored)]) is not None
+               for line, stored in lines)
 
 
 def _csv_probe_values() -> np.ndarray:

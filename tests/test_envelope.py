@@ -449,6 +449,20 @@ WRONG_SWEEPS = {
                                     "for (ptrdiff_t j = 0; j + 1 < n; j++) {\n        uint64_t a"),
     "reused-line-read-contiguous": ("w[i * os] = old[i * os];", "w[i * os] = old[i];"),
     "previous-read-by-source-strides": ("ps = strides[m + axis]", "ps = strides[axis]"),
+    # Faults of the delta envelope_line takes as it writes: each still
+    # writes every entry, but leaves one path's entries out of the delta.
+    "delta-skips-interpolated-cells": ("worst = put(w + i * ws, y0 + (y1 - y0)",
+                                       "put(w + i * ws, y0 + (y1 - y0)"),
+    "delta-skips-the-bottom-fill": (
+        "i < a; i++)\n        worst = put(w + i * ws, -INFINITY, old[i * ws], worst);\n"
+        "    for (ptrdiff_t i = b + 1; i < n; i++)\n        worst = put(",
+        "i < a; i++)\n        put(w + i * ws, -INFINITY, old[i * ws], worst);\n"
+        "    for (ptrdiff_t i = b + 1; i < n; i++)\n        put("),
+    "last-vertex-delta-skipped": ("return put(w + b * ws, hy[top - 1], old[b * ws], worst);",
+                                  "put(w + b * ws, hy[top - 1], old[b * ws], worst);\n"
+                                  "    return worst;"),
+    "one-cell-line-delta-0": ("worst = put(w + i * ws, v[i * vs], old[i * ws], worst);",
+                              "put(w + i * ws, v[i * vs], old[i * ws], worst);"),
 }
 
 
@@ -570,6 +584,20 @@ class TestLoader:
         source.write_bytes(envelope._SOURCE.read_bytes() + b"\n")
         monkeypatch.setattr(envelope, "_SOURCE", source)
         assert _library().name != name
+
+    def test_a_new_build_unlinks_the_older_libraries(self, compiler, fresh_loader,
+                                                     monkeypatch, tmp_path):
+        assert envelope.kernel_name() == "compiled"
+        older = _library()
+        (fresh_loader / "lattice.cpython-311.pyc").write_bytes(b"")
+        source = tmp_path / "_envelope.c"
+        source.write_text(envelope._SOURCE.read_text() + "/* another version */\n")
+        monkeypatch.setattr(envelope, "_SOURCE", source)
+        envelope._compiled_kernel.cache_clear()
+        assert envelope.kernel_name() == "compiled"
+        assert _library() != older
+        assert sorted(p.name for p in fresh_loader.iterdir()) == sorted(
+            [_library().name, "lattice.cpython-311.pyc"])
 
     def test_dont_write_bytecode_does_not_govern_the_library(self, compiler, fresh_loader,
                                                              monkeypatch):
@@ -783,9 +811,9 @@ class TestLoader:
         """The sweep contract, written out node by node with the per-line
         reference, passes the sweep probe; and the probe reads rotated
         views, sweeps axes 0, 1 and 2, has sweeps with and without a
-        previous source, reuses some lines, and sees finite and infinite
-        deltas."""
-        calls, deltas = [], []
+        previous source, reuses some lines, sees finite and infinite
+        deltas, and sweeps single lines whose stored lines differ."""
+        calls, deltas, lone = [], [], []
 
         def reference_sweep(sources, previous, stored):
             fields, delta, enveloped = [], 0.0, 0
@@ -802,6 +830,8 @@ class TestLoader:
                 calls.append((k, source.flags.c_contiguous, previous is None,
                               int(np.count_nonzero(changed)), changed.size))
             deltas.append(delta)
+            if sources[0].ndim == 1:
+                lone.append(delta)
             return tuple(fields), delta, enveloped
 
         assert envelope._sweep_probe_passes(reference_sweep)
@@ -810,6 +840,7 @@ class TestLoader:
         assert {first for _, _, first, *_ in calls} == {True, False}
         assert any(0 < n < size for *_, first, n, size in calls if not first)
         assert math.inf in deltas and any(0.0 < d < math.inf for d in deltas)
+        assert len(lone) == 5 and all(lone)
 
     def test_the_probe_batch_covers_the_edge_cases(self, per_line_envelope):
         v = envelope._probe_batch()

@@ -492,6 +492,26 @@ class TestSupDelta:
         a = np.full(4, BOTTOM)
         assert sup_delta(a, a.copy()) == 0.0
 
+    # One line swept alone against a stored line whose worst |gap| from the
+    # envelope lies on one of the paths the compiled sweep writes by; every
+    # other entry is 0 or a smaller finite gap.
+    @pytest.mark.parametrize("line, stored, worst", [
+        pytest.param([0.0, -1.0, 2.0, 3.0], [0.125, 1.5, 2.25, 3.125], 1,
+                     id="interpolated-cell"),
+        pytest.param([BOTTOM, 1.0, 2.0, BOTTOM], [BOTTOM, 1.125, 2.25, 0.5], 3,
+                     id="finite-to-bottom"),
+        pytest.param([1.0, 3.0, 2.0, BOTTOM], [1.125, 3.25, 2.5, BOTTOM], 2, id="last-vertex"),
+        pytest.param([BOTTOM, 3.0, BOTTOM], [BOTTOM, 1.0, BOTTOM], 1, id="only-finite-cell"),
+    ])
+    def test_sweep_delta_on_each_path(self, kernel, per_line_envelope, line, stored, worst):
+        line, stored = np.array(line), np.array(stored)
+        sweep = lattice.compiled_sweep() or lattice._numpy_sweep
+        (field,), delta, enveloped = sweep([line], None, [stored])
+        assert np.array_equal(_bits(field), _bits(per_line_envelope(line[None])[0]))
+        assert int(np.argmax(np.abs(gap(field, stored)))) == worst
+        assert _bits(np.array(delta)) == _bits(np.array(sup_delta(field, stored)))
+        assert enveloped == 1
+
 
 class TestGap:
     A = np.array([BOTTOM, BOTTOM, 1.0, 0.25, -3.0])

@@ -23,13 +23,14 @@
    k-file's at every point.
    ratered_csv_read reads such rows back: it walks the same index, compares
    each row's index and grid-value cells with row_prefix's spelling of
-   them in one memcmp, and reads rho and Rsum, taking a row only if
-   format_g17 spells its values with its exact bytes.  Writer and reader
-   share one 17-digit primitive, digits17: a cell in format_g17's fixed
-   notation is read by comparing its digits, as one integer, with
-   digits17 of a candidate double, so the reader spells nothing; strtod
-   reads only the other cells, such as "0", "inf" and "1e-05", and one
-   that no candidate matches.
+   them in one memcmp, reads rho, taking it only if format_g17 spells it
+   with the cell's exact bytes, and takes the row only if its Rsum cell is
+   format_g17's spelling of gap(h, rho), byte for byte the writer's.
+   Writer and reader share one 17-digit primitive, digits17: a rho cell in
+   format_g17's fixed notation is read by comparing its digits, as one
+   integer, with digits17 of a candidate double; strtod reads only the
+   other rho cells, such as "0", "inf" and "1e-05", and one that no
+   candidate matches.
    ratered_family_check walks the axis lines of a field as
    ratered_sweep_node does and keeps, per axis, only the worst concavity
    defect and where it first occurs, and the worst floor gap on the
@@ -556,18 +557,19 @@ static int canonical_cell(const char *text, ptrdiff_t len, double *x, ptrdiff_t 
 
 /* Reads back the rows ratered_csv_write writes, from the size bytes at
    text: the rows of flat indices first, first + 1, ... of an m-axis field
-   of the given shape, with cells and starts as row_prefix takes them.  It
-   stops after rows rows or at the first line that text does not hold whole
-   (its "\n" missing).  A row is read only if it is byte for byte what
-   ratered_csv_write writes for the values read: its 2m cells as row_prefix
-   spells them and rho and Rsum in format_g17's spelling (canonical_cell);
-   rho[r] and rsum[r] receive row r's values.  Returns the number of rows
-   read, with *used the bytes they take and *slow how many of their cells
-   went to strtod; -1 if a whole line is not such a row; -2 if the index
-   cannot be allocated. */
+   of the given shape, with cells and starts as row_prefix takes them, and
+   h[r] the joint entropy of row r.  It stops after rows rows or at the
+   first line that text does not hold whole (its "\n" missing).  A row is
+   read only if it is byte for byte what ratered_csv_write writes for the
+   rho read: its 2m cells as row_prefix spells them, rho in format_g17's
+   spelling (canonical_cell), and Rsum as format_g17 spells gap(h[r], rho),
+   compared by spells; rho[r] receives row r's rho.  Returns the number of
+   rows read, with *used the bytes they take and *slow how many of their
+   rho cells went to strtod; -1 if a whole line is not such a row; -2 if
+   the index cannot be allocated. */
 ptrdiff_t ratered_csv_read(const char *text, ptrdiff_t size, const ptrdiff_t *shape, ptrdiff_t m,
                            ptrdiff_t first, ptrdiff_t rows, const char *cells,
-                           const ptrdiff_t *starts, double *rho, double *rsum, ptrdiff_t *used,
+                           const ptrdiff_t *starts, const double *h, double *rho, ptrdiff_t *used,
                            ptrdiff_t *slow)
 {
     ptrdiff_t *index = malloc((size_t)(m > 0 ? m : 1) * sizeof *index);
@@ -591,7 +593,7 @@ ptrdiff_t ratered_csv_read(const char *text, ptrdiff_t size, const ptrdiff_t *sh
         p += len;
         const char *comma = memchr(p, ',', (size_t)(nl - p));
         if (comma == NULL || !canonical_cell(p, comma - p, rho + r, slow)
-            || !canonical_cell(comma + 1, nl - comma - 1, rsum + r, slow))
+            || !spells(gap(h[r], rho[r]), comma + 1, nl - comma - 1))
             goto not_canonical;
         p = nl + 1;
         next_index(shape, m, -1, index, NULL, NULL, 0);

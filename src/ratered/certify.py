@@ -195,7 +195,6 @@ class OptimalityVerdict:
             "status": self.status,
             "worst_gap": self.worst_gap,
             "gap_location": self.gap_location,
-            "family_report": self.family_report.to_dict(),
         }
 
 

@@ -134,21 +134,24 @@ def compiled_csv_read():
     compiled_sweep.
 
     It is called as csv_read(cells, shape), with cells and shape as
-    compiled_csv_rows takes them.  It returns read(chunk, first, rho, rsum):
+    compiled_csv_rows takes them.  It returns read(chunk, first, h, rho):
     chunk holds the bytes of the rows of flat indices first, first + 1, ...,
-    and rho and rsum are float64 arrays of one entry per grid point.  read
-    stops at the last row or at the first line that chunk does not hold
-    whole, and returns (rows, used, slow): it read rows rows, which take the
-    first used bytes of chunk, into rho and rsum from index first on, and
-    slow of their cells by strtod.  It returns None if a whole line of chunk
-    is not byte for byte the row that compiled_csv_rows writes for the
-    values it reads.
+    h, the joint entropy, and rho, which receives the field, are C-contiguous
+    float64 arrays of one entry per grid point in row-major order; h is only
+    read.  read stops at the last row or at the first line that chunk does
+    not hold whole, and returns (rows, used, slow): it read rows rows, which
+    take the first used bytes of chunk, into rho from index first on, and
+    slow of their rho cells by strtod.  It returns None if a whole line of
+    chunk is not byte for byte the row that compiled_csv_rows writes for the
+    rho it reads.
 
-    Each value is the one double that compiled_csv_rows spells with the
-    cell's bytes, as 17 significant digits tell every two doubles apart,
-    found from the cell's digits or by strtod as the C comment above
-    canonical_cell says; so the values and the files taken are those that
-    strtod alone would give."""
+    Only rho is parsed: each value is the one double that compiled_csv_rows
+    spells with the cell's bytes, as 17 significant digits tell every two
+    doubles apart, found from the cell's digits or by strtod as the C
+    comment above canonical_cell says; so the values and the files taken
+    are those that strtod alone would give.  Rsum is checked by spelling: a
+    row is taken only if its Rsum cell is, byte for byte, the writer's
+    spelling of lattice.gap(h, rho)."""
     kernel = _compiled_kernel()
     return None if kernel is None else kernel[2]
 
@@ -257,17 +260,18 @@ def _compiled_kernel():
         n, m = len(cells) // 2, len(shape)
         dims, _ = layout(shape)
 
-        def read(chunk: bytes, first: int, rho, rsum):
-            for a in (rho, rsum):
+        def read(chunk: bytes, first: int, h, rho):
+            for name, a, written in (("h", h, ""), ("rho", rho, " writable")):
                 if not (isinstance(a, np.ndarray) and a.dtype == np.float64
-                        and a.shape == (n**m,) and a.flags.c_contiguous and a.flags.writeable):
-                    raise ValueError(f"rho and rsum must be writable float64 arrays of "
-                                     f"{n**m} entries, one per point of fields of shape {shape}")
+                        and a.shape == (n**m,) and a.flags.c_contiguous
+                        and (a.flags.writeable or not written)):
+                    raise ValueError(f"{name} must be a{written} float64 array of {n**m} "
+                                     f"entries, one per point of fields of shape {shape}")
             if not 0 <= first <= n**m:
                 raise ValueError(f"row {first} is outside fields of shape {shape}")
             used, slow, at = ctypes.c_ssize_t(), ctypes.c_ssize_t(), first * rho.itemsize
             rows = csv_in(chunk, len(chunk), dims, m, first, n**m - first, text.ctypes.data,
-                          starts.ctypes.data, rho.ctypes.data + at, rsum.ctypes.data + at,
+                          starts.ctypes.data, h.ctypes.data + at, rho.ctypes.data + at,
                           ctypes.byref(used), ctypes.byref(slow))
             if rows == -2:
                 raise MemoryError("the row reader could not allocate its index")
@@ -517,50 +521,56 @@ def _csv_probe_passes(csv_rows, probe) -> bool:
 
 
 def _csv_read_probe_passes(csv_read, probe) -> bool:
-    """Whether csv_read, the compiled row reader, reads the rows of the
+    """Whether csv_read, the compiled row reader, reads the rho of the
     probe's files, probe = _csv_probe_files(), back with the bits float()
-    reads from each cell, and declines four copies of the first file that
-    the writer would not write: 0.1 spelled "0.1", 1e-4 spelled "0.00010"
-    and "00.0001", and two p cells of the same length swapped.  Each file
+    reads from each cell, and declines six copies of the first file that
+    the writer would not write: a rho of 0.1 spelled "0.1", of 1e-4 spelled
+    "0.00010" and "00.0001", an Rsum one ulp off gap(h, rho), an Rsum with
+    a trailing "0", and two p cells of the same length swapped.  Each file
     is read in two chunks, the first ending inside a line, so the reader
     must carry on at the row where the first chunk ended.  It must read by
-    strtod exactly the cells of the values outside 1e-4 <= |x| < 1e15: a
-    digit path that misses a value, some an ulp or two from its first
+    strtod exactly the rho cells of the values outside 1e-4 <= |x| < 1e15:
+    a digit path that misses a value, some an ulp or two from its first
     candidate, only sends more cells to strtod, so that count shows it."""
     from .fieldcsv import _fmt
 
-    cells, shape, _, _, files = probe
-    read, n = csv_read(cells, shape), len(files[0][0])
+    cells, shape, h, _, files = probe
+    read, h = csv_read(cells, shape), h.flatten()
 
-    def read_back(a, b, lines):
-        v = np.abs(np.concatenate([a, b]))
+    def read_back(a, lines):
+        v = np.abs(a)
         slow = np.count_nonzero(~((v >= 1e-4) & (v < 1e15)))     # the cells strtod reads
-        text, rho, rsum = "".join(lines).encode(), np.empty(n), np.empty(n)
-        head = read(text[: text.index(b"\n", len(text) // 2) - 3], 0, rho, rsum)
-        tail = None if head is None else read(text[head[1]:], head[0], rho, rsum)
+        text, rho = "".join(lines).encode(), np.empty(a.size)
+        head = read(text[: text.index(b"\n", len(text) // 2) - 3], 0, h, rho)
+        tail = None if head is None else read(text[head[1]:], head[0], h, rho)
         if tail is None or (head[0] + tail[0], head[1] + tail[1], head[2] + tail[2]) \
-                != (n, len(text), slow):
+                != (a.size, len(text), slow):
             return None
-        return rho, rsum
+        return rho
 
-    for a, b, lines in files:
-        got = read_back(a, b, lines)
+    for a, _, lines in files:
+        got = read_back(a, lines)
         # "%.17g" gives every double back, and float("nan") is np.nan
-        want = [np.where(np.isnan(v), np.nan, v) for v in (a, b)]
-        if got is None or not all(np.array_equal(x.view(np.uint64), y.view(np.uint64))
-                                  for x, y in zip(got, want)):
+        want = np.where(np.isnan(a), np.nan, a)
+        if got is None or not np.array_equal(got.view(np.uint64), want.view(np.uint64)):
             return False
     a, b, lines = files[0]
-    declined = []
-    for value, spelling in ((0.1, "0.1"), (1e-4, "0.00010"), (1e-4, "00.0001")):
-        r = int(np.flatnonzero(a == value)[0])
-        declined.append([*lines[:r], lines[r].replace(f",{_fmt(value)},", f",{spelling},"),
-                         *lines[r + 1:]])
+
+    def respelled(r, old, new):
+        return [*lines[:r], lines[r].replace(old, new), *lines[r + 1:]]
+
+    declined = [respelled(int(np.flatnonzero(a == value)[0]), f",{_fmt(value)},",
+                          f",{spelling},")
+                for value, spelling in ((0.1, "0.1"), (1e-4, "0.00010"), (1e-4, "00.0001"))]
+    r = next(r for r, x in enumerate(map(_fmt, b)) if "." in x and "e" not in x)
+    rsum = f",{_fmt(b[r])}\n"
+    declined += [respelled(r, rsum, f",{_fmt(np.nextafter(b[r], np.inf))}\n"),
+                 respelled(r, rsum, rsum[:-1] + "0\n")]
     swapped = list(lines)
     p1, p2 = cells[len(cells) // 2 + 1], cells[len(cells) // 2 + 2]
     r = int(np.ravel_multi_index((1, 2, 0), shape))
     swapped[r] = lines[r].replace(p1 + p2, p2 + p1)
-    return all(read_back(a, b, copy) is None for copy in [*declined, swapped])
+    return all(read_back(a, copy) is None for copy in [*declined, swapped])
 
 
 def _family_probe_passes(family_check) -> bool:

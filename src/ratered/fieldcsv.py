@@ -16,11 +16,13 @@ _python_rows writes them by Python's own "%.17g" % per row; it is also
 the reference that the library's row probes compare with.
 
 A file that is byte for byte what the writer writes is read back by the
-same library's row reader (ratered_csv_read), a chunk of bytes per call:
-a value in the writer's fixed notation by its layout and its 17 digits,
-as one integer, and only "0", "-0", "inf", "-inf", "nan", exponent
-notation and a cell that no candidate matches by strtod, each kept only
-if the writer spells the value with the cell's bytes.
+same library's row reader (ratered_csv_read), a chunk of bytes per call.
+It parses rho alone: a value in the writer's fixed notation by its layout
+and its 17 digits, as one integer, and only "0", "-0", "inf", "-inf",
+"nan", exponent notation and a cell that no candidate matches by strtod,
+each kept only if the writer spells the value with the cell's bytes.  It
+checks Rsum by spelling: a row is taken only if its Rsum cell is the
+writer's spelling of gap(h, rho), byte for byte.
 Every other file, and every file where the library is not adopted, is
 read by the block reader: each block of lines is parsed by one np.loadtxt
 call, numpy's C text reader, and every cell is checked.  The block reader
@@ -171,9 +173,10 @@ def _read_written(path) -> RateReductionField | None:
     with one seek; the file must be long enough for (N+1)^m rows of at
     least 4m + 4 bytes before anything of that size is allocated.  The rows
     are then read _CSV_CHUNK bytes at a time, a partial last line carried
-    to the next chunk.  There must be exactly (N+1)^m of them and nothing
-    after the last "\n", no rho may be NaN or +inf, and every Rsum must be
-    sum_rate_field of the field read, bit for bit."""
+    to the next chunk.  The reader parses rho alone and takes a row only if
+    its Rsum cell is the writer's spelling of gap(h, rho), h the joint
+    entropy.  There must be exactly (N+1)^m rows and nothing after the last
+    "\n", and no rho may be NaN or +inf."""
     read = compiled_csv_read()
     if read is None:
         return None
@@ -204,13 +207,13 @@ def _read_written(path) -> RateReductionField | None:
             return None
         if status.st_size - len(head) < grid.n_points * (4 * m + 4):
             return None
-        rows = read(_grid_cells(grid), grid.shape)
-        rho, rsum = np.empty(grid.n_points), np.empty(grid.n_points)
+        rows, h = read(_grid_cells(grid), grid.shape), entropy_grid(grid).reshape(-1)
+        rho = np.empty(grid.n_points)
         src.seek(len(head))
         first, chunk = 0, b""
         while more := src.read(_CSV_CHUNK):
             chunk += more
-            done = rows(chunk, first, rho, rsum)
+            done = rows(chunk, first, h, rho)
             if done is None:
                 return None
             first, chunk = first + done[0], chunk[done[1]:]
@@ -218,11 +221,7 @@ def _read_written(path) -> RateReductionField | None:
                 return None
     if chunk or first != grid.n_points or np.isnan(rho).any() or (rho == math.inf).any():
         return None
-    field = RateReductionField(grid=grid, data=rho.reshape(grid.shape))
-    if not np.array_equal(sum_rate_field(field).reshape(-1).view(np.uint64),
-                          rsum.view(np.uint64)):
-        return None
-    return field
+    return RateReductionField(grid=grid, data=rho.reshape(grid.shape))
 
 
 def read_field_csv(path) -> RateReductionField:

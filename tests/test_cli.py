@@ -204,6 +204,7 @@ class TestCertifyCommand:
         report = read_json(tmp_path / "certify_report.json")
         assert report["membership"]["verdict"] == "pass"
         assert report["optimality"]["status"] == "optimal within tol"
+        assert "family_report" not in report["optimality"]    # membership is written once
         assert report["envelope_kernel"] == envelope.kernel_name()
         field = fieldcsv.read_field_csv(tmp_path / "field_max.csv")
         assert report["membership"]["field_sha256"] == certify.field_digest(field.data)
@@ -227,6 +228,20 @@ class TestCertifyCommand:
         assert report["membership"]["verdict"] == "fail"
         loc = report["membership"]["concavity_location"]
         assert max(abs(a - b) for a, b in zip(loc, (3, 6, 4))) <= 1
+
+    def test_three_sweeps_fail_on_a_finite_defect(self, tmp_path, kernel):
+        """min's field after three sweeps at delta 0.25 fails on a finite
+        concavity defect, 0.430 along axis 1 at (1, 1, 1), on either kernel."""
+        assert cli.main(["run", "--function", "min", "--m", "3", "--delta", "0.25",
+                         "--t-max", "3", "--emit", "fields-csv", "-o", str(tmp_path)]) == 0
+        assert cli.main(["certify", "--field", str(tmp_path / "field_max.csv"),
+                         "--function", "min", "-o", str(tmp_path)]) == 0
+        report = read_json(tmp_path / "certify_report.json")
+        assert report["envelope_kernel"] == kernel
+        m = report["membership"]
+        assert (m["verdict"], round(m["worst_concavity_violation"], 3), m["concavity_axis"],
+                m["concavity_location"]) == ("fail", 0.43, 1, [1, 1, 1])
+        assert report["optimality"]["status"] == "family-fail"
 
     def test_runs_one_membership_check(self, tmp_path, monkeypatch):
         cli.main([

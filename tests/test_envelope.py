@@ -488,9 +488,10 @@ WRONG_ROWS = {
         "for (ptrdiff_t j = m - 1; j >= 0; j--) {\n        if (j == skip)",
         "for (ptrdiff_t j = 0; j < m; j++) {\n        if (j == skip)"),
 }
-# Faults of the row reader.  The last five are faults of the digit path:
-# the first and the last take a cell the writer did not write, the other
-# three only send more cells to strtod.
+# Faults of the row reader.  The two Rsum faults take a row whose Rsum the
+# writer did not write for its rho.  The last five are faults of the digit
+# path: the first and the last take a cell the writer did not write, the
+# other three only send more cells to strtod.
 WRONG_READS = {
     "p-cells-not-compared": (
         "if (nl - p < len || memcmp(p, prefix, (size_t)len) != 0)",
@@ -501,6 +502,8 @@ WRONG_READS = {
                                     "!(rho[r] = strtod(p, NULL), 1)"),
     "index-from-row-0-at-a-chunk": ("seek_index(first, shape, m, index, NULL, NULL, 0);",
                                     "seek_index(0, shape, m, index, NULL, NULL, 0);"),
+    "rsum-not-compared": ("|| !spells(gap(h[r], rho[r]), comma + 1, nl - comma - 1)", ""),
+    "rsum-from-the-first-h": ("gap(h[r], rho[r])", "gap(h[0], rho[r])"),
     "first-candidate-not-checked": ("if (got == want) {", "if (got == want || j == 0) {"),
     "no-neighbour-tried": ("for (int j = 0; j < 3; j++)", "for (int j = 0; j < 1; j++)"),
     "digits-always-step-up": ("side = got < want ? 1 : -1;", "side = 1;"),
@@ -694,18 +697,20 @@ class TestLoader:
             == repr(per_line_membership(field, table, 1e-9))
 
     def test_the_read_probe_covers_its_cases(self):
-        """A reader that takes a row only if it is the writer's spelling of
-        the values float() reads from it, and counts as read by strtod the
-        cells that the digit path leaves to it, passes the read probe; one
-        that reads every row as float() does, one that leaves the p cells
-        unread, one that reads every cell by strtod, and one that takes a
-        cell whose digits spell the writer's value with a leading or a
-        trailing zero, do not."""
-        def reference_read(cells, shape, canonical=True, p_cells=True, all_strtod=False,
-                           layout=True):
+        """A reader that takes a row only if its rho is the writer's
+        spelling of the value float() reads from it and its Rsum the
+        writer's spelling of lattice.gap(h, rho), and counts as read by
+        strtod the rho cells that the digit path leaves to it, passes the
+        read probe; one that reads every row as float() does, one that
+        leaves the p cells unread, one that leaves Rsum unchecked, one that
+        reads every rho cell by strtod, and one that takes a cell whose
+        digits spell the writer's value with a leading or a trailing zero,
+        do not."""
+        def reference_read(cells, shape, canonical=True, p_cells=True, rsum=True,
+                           all_strtod=False, layout=True):
             n, m = len(cells) // 2, len(shape)
 
-            def read(chunk, first, rho, rsum):
+            def read(chunk, first, h, rho):
                 lines, slow = chunk.decode().split("\n")[:-1][: n**m - first], 0
                 for r, line in enumerate(lines, first):
                     at = np.unravel_index(r, shape)
@@ -713,14 +718,14 @@ class TestLoader:
                     if not line.startswith(prefix):
                         return None
                     text = line.split(",")[-2:]
-                    rho[r], rsum[r] = map(float, text)
-                    spelled = [fieldcsv._fmt(rho[r]), fieldcsv._fmt(rsum[r])]
+                    rho[r] = float(text[0])
+                    spelled = [fieldcsv._fmt(rho[r]), fieldcsv._fmt(lattice.gap(h[r], rho[r]))]
                     if not layout:    # compare the digits alone: "0.50" as "0.5"
                         text = [w if decimal.Decimal(t) == decimal.Decimal(w) else t
                                 for t, w in zip(text, spelled)]
-                    if canonical and text != spelled:
+                    if canonical and text[: 1 + rsum] != spelled[: 1 + rsum]:
                         return None
-                    slow += sum(all_strtod or _digit_candidate(cell) is None for cell in text)
+                    slow += all_strtod or _digit_candidate(text[0]) is None
                 return len(lines), sum(len(line) + 1 for line in lines), slow
             return read
 
@@ -730,6 +735,8 @@ class TestLoader:
             lambda cells, shape: reference_read(cells, shape, canonical=False), probe)
         assert not envelope._csv_read_probe_passes(
             lambda cells, shape: reference_read(cells, shape, p_cells=False), probe)
+        assert not envelope._csv_read_probe_passes(
+            lambda cells, shape: reference_read(cells, shape, rsum=False), probe)
         assert not envelope._csv_read_probe_passes(
             lambda cells, shape: reference_read(cells, shape, all_strtod=True), probe)
         assert not envelope._csv_read_probe_passes(
@@ -932,23 +939,27 @@ class TestCompiledRefusals:
     def test_csv_read_refuses_arrays_or_first_out_of_range(self, compiled):
         read = envelope.compiled_csv_read()(["0,", "1,", "0,", "1,"], (2, 2))
         text = b"0,0,0,0,0.5,1\n0,1,0,1,0,0\n1,0,1,0,0,0\n1,1,1,1,-inf,inf\n"
-        rho, rsum = np.zeros(4), np.zeros(4)
-        assert read(text, 0, rho, rsum) == (4, len(text), 6)  # strtod reads 0, -inf and inf
-        assert rho.tolist() == [0.5, 0.0, 0.0, -math.inf] and rsum[3] == math.inf
-        assert read(text[14:34], 1, rho, rsum) == (1, 12, 2)  # stops at the cut line
-        assert read(text, 4, rho, rsum) == (0, 0, 0)
-        assert read(text, 1, rho, rsum) is None              # row 1 is not "0,0,..."
+        h, rho = np.array([1.5, 0.0, 0.0, 0.0]), np.zeros(4)
+        h.flags.writeable = False                             # h is only read
+        assert read(text, 0, h, rho) == (4, len(text), 3)     # strtod reads 0, 0 and -inf
+        assert rho.tolist() == [0.5, 0.0, 0.0, -math.inf]
+        assert read(text[14:34], 1, h, rho) == (1, 12, 1)     # stops at the cut line
+        assert read(text, 4, h, rho) == (0, 0, 0)
+        assert read(text, 1, h, rho) is None                 # row 1 is not "0,0,..."
+        assert read(text, 0, np.ones(4), rho) is None         # Rsum 1 is not gap(1, 0.5)
         readonly = np.zeros(4)
         readonly.flags.writeable = False
         for a in (np.zeros(5), np.zeros(3), np.zeros(4, np.float32), np.zeros(8)[::2],
-                  np.zeros((2, 2)), readonly, [0.0] * 4):
-            with pytest.raises(ValueError, match="writable float64 arrays of 4 entries"):
-                read(text, 0, a, rsum)
-            with pytest.raises(ValueError, match="writable float64 arrays of 4 entries"):
-                read(text, 0, rho, a)
+                  np.zeros((2, 2)), [0.0] * 4):
+            with pytest.raises(ValueError, match="h must be a float64 array of 4 entries"):
+                read(text, 0, a, rho)
+            with pytest.raises(ValueError, match="rho must be a writable float64 array of 4"):
+                read(text, 0, h, a)
+        with pytest.raises(ValueError, match="rho must be a writable float64 array of 4"):
+            read(text, 0, h, readonly)
         for first in (-1, 5):
             with pytest.raises(ValueError, match=f"row {first} is outside fields of shape"):
-                read(text, first, rho, rsum)
+                read(text, first, h, rho)
 
 
 class TestConcavityChecks:

@@ -890,6 +890,14 @@ def _respell(value: str, spelling: str):
     return edit
 
 
+def _rsum_with_a_trailing_zero(lines):
+    """An edit that gives the first Rsum cell holding a "." a trailing "0":
+    the same value, which the writer does not spell so."""
+    r = next(r for r, line in enumerate(lines[1:], 1) if "." in line.split(",")[7])
+    lines[r] += "0"
+    return lines
+
+
 def _last_i1(n_steps: int):
     """An edit whose last line claims the grid has n_steps steps."""
     def edit(lines):
@@ -904,6 +912,9 @@ def _last_i1(n_steps: int):
 # file that the block reader reads.  The respellings of 0.5, 5, 0.1, 0 and
 # -0 read as the written value; none has the layout of the writer's fixed
 # notation, so the compiled reader reads each by strtod, and takes only "0".
+# An Rsum cell with a trailing "0" reads as the written value too; the
+# compiled reader parses no Rsum, and declines it as not the writer's
+# spelling of gap(h, rho).
 EDITS = {
     "5e-1": _respell("0.5", "5e-1"),
     "0.50": _respell("0.5", "0.50"),
@@ -915,6 +926,7 @@ EDITS = {
     "18-digits": _respell("0.10000000000000001", "0.100000000000000006"),
     "0.0": _respell("0", "0.0"),
     "-0.0": _respell("-0", "-0.0"),
+    "rsum-trailing-zero": _rsum_with_a_trailing_zero,
     "swapped-rows": lambda lines: lines[:100] + [lines[101], lines[100]] + lines[102:],
     "crlf": lambda lines: [line + "\r" for line in lines],
     "trailing-blank-line": lambda lines: lines + [""],
@@ -955,22 +967,23 @@ def test_an_edited_file_reads_as_the_per_cell_reader_reads_it(tmp_path, compiler
 
 
 def assert_reads_back(values):
-    """values spelled by "%.17g" % as rho, and reversed as Rsum, are read
-    back by the compiled row reader with the bits float() reads from every
-    cell, by strtod exactly where the writer does not spell the value in
-    fixed notation with a non-zero digit.  The field has one axis and empty
-    index and grid-value cells, so that a row is rho,Rsum."""
+    """values spelled by "%.17g" % as rho, with Rsum spelled as gap(h, rho)
+    for h the values reversed, are read back by the compiled row reader
+    with the bits float() reads from every rho cell, by strtod exactly
+    where the writer does not spell the value in fixed notation with a
+    non-zero digit.  The field has one axis and empty index and grid-value
+    cells, so that a row is rho,Rsum."""
     assert envelope.kernel_name() == "compiled"
     values = np.asarray(values, dtype=np.float64).reshape(-1)
     read = envelope.compiled_csv_read()([""] * (2 * values.size), (values.size,))
-    text = "".join(map("%.17g,%.17g\n".__mod__, zip(values.tolist(), values[::-1].tolist())))
+    h = values[::-1].copy()
+    text = "".join(map("%.17g,%.17g\n".__mod__, zip(values.tolist(), gap(h, values).tolist())))
     text = text.encode()
-    rho, rsum = np.empty(values.size), np.empty(values.size)
-    slow = 2 * np.count_nonzero(~((abs(values) >= 1e-4) & (abs(values) < 1e15)))
-    assert read(text, 0, rho, rsum) == (values.size, len(text), slow)
-    want = np.array([[float(cell) for cell in line.split(",")]
-                     for line in text.decode().splitlines()])
-    assert np.array_equal(np.stack([rho, rsum], axis=1).view(np.uint64), want.view(np.uint64))
+    rho = np.empty(values.size)
+    slow = np.count_nonzero(~((abs(values) >= 1e-4) & (abs(values) < 1e15)))
+    assert read(text, 0, h, rho) == (values.size, len(text), slow)
+    want = np.array([float(line.split(",")[0]) for line in text.decode().splitlines()])
+    assert np.array_equal(rho.view(np.uint64), want.view(np.uint64))
 
 
 def test_written_cells_read_back_over_random_bit_patterns(compiler):
@@ -997,9 +1010,9 @@ def _mutations(cell: str) -> list[str]:
 def test_the_reader_takes_a_cell_exactly_when_the_writer_spells_it(compiler):
     """The doubles within 64 ulps of each power of ten from 1e-5 to 1e15
     read back, and so do -0, subnormals and 1e-5, by strtod.  Mutations
-    of the spellings of random values and of those doubles, one row each,
-    are taken exactly when "%.17g" spells the value float() reads from
-    them, and with that value's bits."""
+    of the spellings of random values and of those doubles, one rho cell
+    each with the writer's Rsum of the value float() reads from it, are
+    taken exactly when "%.17g" spells that value, and with its bits."""
     powers = np.array([float(f"1e{j}") for j in range(-5, 16)]).view(np.int64)
     near = (powers[:, None] + np.arange(-64, 65)).reshape(-1).view(np.float64)
     assert_reads_back(near)
@@ -1010,14 +1023,14 @@ def test_the_reader_takes_a_cell_exactly_when_the_writer_spells_it(compiler):
     values = np.concatenate([random, _fixed_notation(rng, 1 << 10), near[::8]])
     mutants = sorted({m for x in values.tolist() for m in _mutations(fieldcsv._fmt(x))})
     read = envelope.compiled_csv_read()(["", ""], (1,))
-    rho, rsum = np.empty(1), np.empty(1)
+    h, rho = np.zeros(1), np.empty(1)
     taken = 0
     for m in mutants:
         try:
-            spelled = fieldcsv._fmt(float(m)) == m
+            spelled, rsum = fieldcsv._fmt(float(m)) == m, fieldcsv._fmt(gap(h, float(m))[0])
         except ValueError:
-            spelled = False
-        got = read(f"{m},{m}\n".encode(), 0, rho, rsum)
+            spelled, rsum = False, "0"
+        got = read(f"{m},{rsum}\n".encode(), 0, h, rho)
         assert (got is not None) == spelled, m
         if spelled:
             assert rho.view(np.uint64)[0] == np.float64(m).view(np.uint64), m
